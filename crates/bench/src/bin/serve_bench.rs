@@ -3,10 +3,9 @@
 //! Starts an in-process `etsqp-serve` server over a synthetic series,
 //! then drives closed-loop client fleets at 1 / 64 / 1024 connections
 //! (queries/second and p99 latency per fleet size), plus one overload
-//! cell at 2x the admission capacity that measures the shed rate and —
-//! the acceptance number — the p99 of *accepted* queries, which must
-//! stay within 3x the uncontended p99: shedding, not queueing, absorbs
-//! the overload.
+//! cell at 2x the admission capacity that measures the shed rate and
+//! the p99 of *accepted* queries beside the uncontended p99: shedding,
+//! not queueing, absorbs the overload.
 //!
 //! JSON on stdout (redirected to `BENCH_serve.json` by
 //! `scripts/bench.sh`). Scale controls:

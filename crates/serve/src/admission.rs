@@ -28,9 +28,10 @@
 //! p99 flat under a 2× offered overload (`BENCH_serve.json`).
 //!
 //! Drain: [`RunnerPool::drain`] stops admission (late submissions shed
-//! with the drain hint), lets the queue empty and every in-flight query
-//! finish, then joins the runners. A drain deadline cancels stragglers
-//! through their [`CancellationToken`]s so shutdown is bounded.
+//! with the drain hint) and parks on a condvar that the runner landing
+//! the last query signals, then joins the runners. A drain deadline
+//! cancels stragglers through their [`CancellationToken`]s so shutdown
+//! is bounded.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,7 +122,11 @@ struct Shared {
     cfg: AdmissionConfig,
     db: Arc<IotDb>,
     queue: Mutex<Queue>,
+    /// Signalled on submission and on drain: wakes runners.
     work: Condvar,
+    /// Signalled when the queue is empty and nothing is in flight:
+    /// wakes [`RunnerPool::drain`].
+    idle: Condvar,
     stats: AdmissionStats,
 }
 
@@ -136,6 +141,7 @@ impl RunnerPool {
                 ..Queue::default()
             }),
             work: Condvar::new(),
+            idle: Condvar::new(),
             stats: AdmissionStats::default(),
         });
         let runners = (0..cfg.max_inflight.max(1))
@@ -198,34 +204,26 @@ impl RunnerPool {
     pub fn drain(&self, deadline: Duration) {
         let sh = &self.shared;
         let until = Instant::now() + deadline;
-        {
-            let mut q = sh.queue.lock();
-            q.draining = true;
-        }
-        self.shared.work.notify_all();
-        // Wait for the queue to empty and in-flight work to land.
-        loop {
-            {
-                let q = sh.queue.lock();
-                if q.jobs.is_empty() && q.inflight == 0 {
-                    break;
-                }
-            }
-            if Instant::now() >= until {
+        let mut q = sh.queue.lock();
+        q.draining = true;
+        sh.work.notify_all();
+        // Parked until the runner that lands the last query signals
+        // `idle`, or the deadline passes.
+        while !(q.jobs.is_empty() && q.inflight == 0) {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 // Past the drain deadline: cancel stragglers. Queued
                 // jobs are popped by runners (who see `draining` +
                 // fired tokens and fail them fast); running ones stop
                 // at their next morsel boundary.
-                let q = sh.queue.lock();
                 for job in q.jobs.iter() {
                     job.ctl.cancel();
                 }
-                drop(q);
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            sh.idle.wait_for(&mut q, left);
         }
-        self.shared.work.notify_all();
+        drop(q);
         let handles: Vec<_> = self.runners.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
@@ -284,6 +282,9 @@ fn runner_loop(sh: &Shared) {
             if result.is_ok() {
                 let us = u64::try_from(service.as_micros()).unwrap_or(u64::MAX);
                 q.ewma_us = q.ewma_us - q.ewma_us / 8 + us / 8;
+            }
+            if q.jobs.is_empty() && q.inflight == 0 {
+                sh.idle.notify_all();
             }
         }
         // The receiver may be gone (connection closed mid-query) — that

@@ -1,34 +1,50 @@
 //! Per-connection state machine.
 //!
-//! Each accepted socket gets one handler thread running a small
-//! non-blocking loop; all waiting is bounded and cooperative, so every
-//! failure mode an open network hands us degrades *that connection
-//! only*:
+//! Each accepted socket gets one handler thread running a strictly
+//! sequential dialogue on a *blocking* socket: read a request, answer
+//! it, read the next. The thread never sleeps to poll; it is always
+//! parked in exactly one wait, and the event it waits for ends that
+//! wait:
 //!
-//! * **slow reader** — responses go through a write buffer flushed with
-//!   non-blocking writes; while it is non-empty the handler reads no
-//!   new requests (backpressure), and a peer that refuses to drain for
-//!   [`crate::ServeConfig::write_stall_timeout`] is disconnected;
+//! | state | blocked in | ended by | bound enforced |
+//! |---|---|---|---|
+//! | idle / mid-frame | `read` | request bytes, EOF, reset | `SO_RCVTIMEO` = [`IDLE_TICK`], after which drain and [`partial_frame_timeout`] are checked |
+//! | query in flight | `recv_timeout` on the outcome channel | the runner's `send` | [`PROBE_TICK`], after which the socket is probed for EOF/reset and the drain deadline is checked |
+//! | response owed | `write` | the peer's window taking the frame | `SO_SNDTIMEO` = [`write_stall_timeout`], summed over the frame |
+//!
+//! Two rules keep the blocking waits honest. The handler never enters
+//! `read` while the [`FrameDecoder`] already holds a complete frame, so
+//! pipelined requests are answered back to back; and a response is
+//! written out before anything else happens, so a query's runner is
+//! released *before* its bytes meet a slow peer. Every failure mode an
+//! open network hands us therefore degrades *that connection only*:
+//!
+//! * **slow reader** — the handler blocks in `write` and reads no new
+//!   requests (backpressure); a peer that keeps one response blocked
+//!   for [`write_stall_timeout`] in total is disconnected, so a trickle
+//!   reader is bounded like a dead one. It holds a handler thread,
+//!   never a runner;
 //! * **slow-loris writer** — a half-open frame that makes no progress
-//!   for [`crate::ServeConfig::partial_frame_timeout`] closes the
-//!   connection (complete frames arriving slowly are fine);
-//! * **disconnect mid-query** — EOF or a reset while a query is
-//!   in-flight fires the query's [`CancellationToken`], so the engine
-//!   abandons it at the next morsel boundary and the runner and pool
-//!   workers are reclaimed instead of computing a result nobody reads;
-//! * **protocol violation** — a typed error frame is flushed
+//!   for [`partial_frame_timeout`] closes the connection (complete
+//!   frames arriving slowly are fine);
+//! * **disconnect mid-query** — EOF or a reset seen by a probe fires the
+//!   query's [`CancellationToken`], so the engine abandons it at the
+//!   next morsel boundary and the runner and pool workers are reclaimed
+//!   instead of computing a result nobody reads;
+//! * **protocol violation** — a typed error frame is written
 //!   best-effort, then the connection closes.
 //!
-//! The dialogue is strictly sequential (one in-flight query per
-//! connection): a client wanting concurrency opens more connections,
-//! which is exactly the unit the server's admission control and
-//! connection cap reason about.
+//! One in-flight query per connection: a client wanting concurrency
+//! opens more connections, which is exactly the unit the server's
+//! admission control and connection cap reason about.
+//!
+//! [`partial_frame_timeout`]: crate::ServeConfig::partial_frame_timeout
+//! [`write_stall_timeout`]: crate::ServeConfig::write_stall_timeout
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use etsqp_core::cancel::CancellationToken;
@@ -37,308 +53,251 @@ use etsqp_core::Error as CoreError;
 use crate::admission::{Job, Outcome};
 use crate::proto::{
     encode_core_error, encode_error, encode_frame, encode_result, ErrorCode, Frame, FrameDecoder,
-    FrameType,
+    FrameType, HEADER_LEN,
 };
 use crate::server::Shared;
 
-/// How long the handler sleeps when a loop iteration made no progress.
-const IDLE_SLEEP: Duration = Duration::from_micros(300);
+/// Read timeout of a connection with no query in flight. Request bytes
+/// end the read at once; the tick only bounds how late an idle handler
+/// notices a drain or a half-open frame past its timeout.
+const IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// An in-flight query: where its outcome will arrive and the token that
-/// cancels it if the connection goes away first.
-struct Pending {
-    rx: Receiver<Outcome>,
-    ctl: CancellationToken,
+/// How often a handler waiting for its query's outcome looks at the
+/// socket for EOF/reset. The outcome itself ends the wait at once, so
+/// queries shorter than this never probe.
+const PROBE_TICK: Duration = Duration::from_millis(1);
+
+/// What one `read` brought in.
+enum Intake {
+    Data,
+    Quiet,
+    Gone,
 }
 
-/// Outbound bytes with non-blocking flushing and stall tracking.
-struct WriteBuf {
-    buf: Vec<u8>,
-    pos: usize,
-    last_progress: Instant,
-}
-
-impl WriteBuf {
-    fn new() -> WriteBuf {
-        WriteBuf {
-            buf: Vec::new(),
-            pos: 0,
-            last_progress: Instant::now(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn push(&mut self, frame: Vec<u8>) {
-        if self.is_empty() {
-            self.buf = frame;
-            self.pos = 0;
-        } else {
-            self.buf.extend_from_slice(&frame);
-        }
-        self.last_progress = Instant::now();
-    }
-
-    /// Writes as much as the socket accepts. `Ok(true)` if progress was
-    /// made, `Err` on a dead socket.
-    fn flush(&mut self, stream: &mut TcpStream) -> std::io::Result<bool> {
-        let mut progressed = false;
-        while self.pos < self.buf.len() {
-            match stream.write(&self.buf[self.pos..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.pos += n;
-                    self.last_progress = Instant::now();
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if self.is_empty() && !self.buf.is_empty() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(progressed)
-    }
+struct Conn<'a> {
+    shared: &'a Shared,
+    stream: TcpStream,
+    dec: FrameDecoder,
+    read_buf: Vec<u8>,
+    last_rx: Instant,
 }
 
 /// Runs one connection to completion. Called on the connection's own
 /// thread; returns when the peer is gone, misbehaves, or the server
 /// drains.
-pub(crate) fn handle(shared: &Arc<Shared>, mut stream: TcpStream) {
-    if stream.set_nonblocking(true).is_err() {
+pub(crate) fn handle(shared: &Shared, stream: TcpStream) {
+    let cfg = &shared.cfg;
+    if stream.set_read_timeout(Some(IDLE_TICK)).is_err()
+        || stream
+            .set_write_timeout(Some(cfg.write_stall_timeout))
+            .is_err()
+    {
         return;
     }
-    let cfg = &shared.cfg;
-    let mut dec = FrameDecoder::new(cfg.max_frame_len);
-    let mut out = WriteBuf::new();
-    let mut pending: Option<Pending> = None;
-    let mut read_buf = vec![0u8; 16 * 1024];
-    let mut last_rx_progress = Instant::now();
-    // Set when the connection must close as soon as the write buffer
-    // has been flushed (best-effort for error farewells).
-    let mut closing = false;
-
+    let mut conn = Conn {
+        shared,
+        stream,
+        dec: FrameDecoder::new(cfg.max_frame_len),
+        read_buf: vec![0u8; 16 * 1024],
+        last_rx: Instant::now(),
+    };
     loop {
-        let mut progressed = false;
-
-        // 1. Flush pending output first: responses beat new work.
-        match out.flush(&mut stream) {
-            Ok(p) => progressed |= p,
-            Err(_) => {
-                disconnect(shared, &pending);
+        // Buffered frames first: blocking in `read` over a complete
+        // pipelined request would stall it for a whole tick.
+        match conn.dec.next_frame() {
+            Ok(Some(frame)) => {
+                shared.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
+                if !conn.serve(frame) {
+                    return;
+                }
+                continue;
+            }
+            Ok(None) => {}
+            Err(e) => {
+                conn.farewell(&e.to_string());
                 return;
             }
         }
-        if closing && out.is_empty() {
-            return;
-        }
-        if !out.is_empty() && out.last_progress.elapsed() > cfg.write_stall_timeout {
-            // The peer stopped draining its responses; reclaim the
-            // connection (and its query, if one is somehow in flight).
-            disconnect(shared, &pending);
-            return;
-        }
-
-        // 2. Collect a finished query, encode its response.
-        if let Some(p) = &pending {
-            match p.rx.try_recv() {
-                Ok(outcome) => {
-                    let frame = match outcome.result {
-                        Ok(r) => {
-                            let payload = encode_result(&r);
-                            if payload.len() > cfg.max_frame_len {
-                                shared
-                                    .stats
-                                    .oversized_results
-                                    .fetch_add(1, Ordering::Relaxed);
-                                encode_frame(
-                                    FrameType::Error,
-                                    &encode_error(
-                                        ErrorCode::Internal,
-                                        0,
-                                        "result exceeds the frame cap; narrow the query",
-                                    ),
-                                )
-                            } else {
-                                encode_frame(FrameType::Result, &payload)
-                            }
-                        }
-                        Err(e) => encode_frame(FrameType::Error, &encode_core_error(&e)),
-                    };
-                    out.push(frame);
-                    pending = None;
-                    progressed = true;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    // The runner pool dropped the job without replying
-                    // (drain cancelled it); tell the client.
-                    out.push(encode_frame(
-                        FrameType::Error,
-                        &encode_core_error(&CoreError::Cancelled),
-                    ));
-                    pending = None;
-                    progressed = true;
-                }
-            }
-        }
-
-        // 3. Read from the peer (even mid-query, to detect disconnects
-        //    promptly). Intake is bounded: once the decoder holds a full
-        //    frame's worth of pipelined bytes, reading pauses and TCP
-        //    backpressure takes over — the client's kernel buffer fills,
-        //    but no server-side allocation grows with client behaviour.
-        let intake_open =
-            dec.buffered() <= cfg.max_frame_len + crate::proto::HEADER_LEN && !closing;
-        match if intake_open {
-            stream.read(&mut read_buf)
-        } else {
-            Err(ErrorKind::WouldBlock.into())
-        } {
-            Ok(0) => {
-                disconnect(shared, &pending);
-                return;
-            }
-            Ok(n) => {
-                shared.stats.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-                dec.extend(&read_buf[..n]);
-                last_rx_progress = Instant::now();
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                disconnect(shared, &pending);
-                return;
-            }
-        }
-
-        // 4. Dispatch at most one complete frame per iteration, only
-        //    when the previous response has fully left the buffer.
-        if pending.is_none() && out.is_empty() && !closing {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    progressed = true;
-                    shared.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-                    match dispatch(shared, frame, &mut out) {
-                        Dispatch::Continue => {}
-                        Dispatch::InFlight(p) => pending = Some(p),
-                        Dispatch::Close => closing = true,
-                    }
-                }
-                Ok(None) => {
-                    // Half-open frame with no progress: slow-loris.
-                    if dec.mid_frame() && last_rx_progress.elapsed() > cfg.partial_frame_timeout {
-                        shared
-                            .stats
-                            .slow_loris_closed
-                            .fetch_add(1, Ordering::Relaxed);
-                        disconnect(shared, &pending);
-                        return;
-                    }
-                }
-                Err(e) => {
-                    shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-                    out.push(encode_frame(
-                        FrameType::Error,
-                        &encode_error(ErrorCode::Proto, 0, &e.to_string()),
-                    ));
-                    closing = true;
-                    progressed = true;
-                }
-            }
-        }
-
-        // 5. Drain: once the in-flight query (if any) has answered and
-        //    the response is flushed, close. Past the drain deadline,
-        //    cancel and close regardless.
         if shared.is_draining() {
-            if pending.is_none() && out.is_empty() {
+            // A request that reached the socket before the drain did is
+            // still owed a typed answer (the pool sheds it); only a
+            // quiet connection is closed.
+            if shared.drain_expired() || !matches!(conn.probe(), Intake::Data) {
                 return;
             }
-            if shared.drain_expired() {
-                disconnect(shared, &pending);
-                return;
-            }
+            continue;
         }
-
-        if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+        if conn.dec.mid_frame() && conn.last_rx.elapsed() > cfg.partial_frame_timeout {
+            shared
+                .stats
+                .slow_loris_closed
+                .fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        if let Intake::Gone = conn.fill() {
+            return;
         }
     }
 }
 
-/// Cancels the in-flight query (if any) because its connection is gone.
-fn disconnect(shared: &Arc<Shared>, pending: &Option<Pending>) {
-    if let Some(p) = pending {
-        p.ctl.cancel();
-        shared
-            .stats
-            .disconnect_cancels
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-enum Dispatch {
-    Continue,
-    InFlight(Pending),
-    Close,
-}
-
-/// Handles one complete, well-formed frame from the client.
-fn dispatch(shared: &Arc<Shared>, frame: Frame, out: &mut WriteBuf) -> Dispatch {
-    match frame.kind {
-        FrameType::Ping => {
-            out.push(encode_frame(FrameType::Pong, &[]));
-            Dispatch::Continue
+impl Conn<'_> {
+    /// One `read` into the decoder: blocking up to the socket's read
+    /// timeout, or not at all under [`Conn::probe`].
+    fn fill(&mut self) -> Intake {
+        match self.stream.read(&mut self.read_buf) {
+            Ok(0) => Intake::Gone,
+            Ok(n) => {
+                let stats = &self.shared.stats;
+                stats.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
+                self.dec.extend(&self.read_buf[..n]);
+                self.last_rx = Instant::now();
+                Intake::Data
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Intake::Quiet
+            }
+            Err(_) => Intake::Gone,
         }
-        FrameType::Query => {
-            let sql = match std::str::from_utf8(&frame.payload) {
-                Ok(s) => s.to_string(),
-                Err(_) => {
-                    shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-                    out.push(encode_frame(
-                        FrameType::Error,
-                        &encode_error(ErrorCode::Proto, 0, "query payload is not UTF-8"),
-                    ));
-                    return Dispatch::Close;
-                }
-            };
-            shared.stats.queries_rx.fetch_add(1, Ordering::Relaxed);
-            let ctl = match shared.cfg.admission.default_deadline {
-                Some(d) => CancellationToken::with_timeout(d),
-                None => CancellationToken::new(),
-            };
-            let (tx, rx) = channel();
-            match shared.pool.submit(Job {
-                sql,
-                ctl: ctl.clone(),
-                reply: tx,
-            }) {
-                Ok(()) => Dispatch::InFlight(Pending { rx, ctl }),
-                Err(e) => {
+    }
+
+    /// Writes one response frame; `false` if the peer is gone or kept
+    /// the write blocked for `write_stall_timeout`.
+    fn send(&mut self, kind: FrameType, payload: &[u8]) -> bool {
+        let frame = encode_frame(kind, payload);
+        loop {
+            match self.stream.write(&frame) {
+                // A blocking `write` returns short only when
+                // `SO_SNDTIMEO` ran out while part of the frame was
+                // still waiting for the peer's window. Carrying on (as
+                // `write_all` would) hands the peer a fresh timeout per
+                // call: a reader draining a byte now and then could
+                // hold the handler for ever.
+                Ok(n) => return n == frame.len(),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Counts a protocol violation, tells the peer best-effort, and
+    /// reports that the connection must close.
+    fn farewell(&mut self, message: &str) -> bool {
+        let stats = &self.shared.stats;
+        stats.proto_errors.fetch_add(1, Ordering::Relaxed);
+        self.send(
+            FrameType::Error,
+            &encode_error(ErrorCode::Proto, 0, message),
+        );
+        false
+    }
+
+    /// Answers one complete, well-formed frame; `false` closes the
+    /// connection.
+    fn serve(&mut self, frame: Frame) -> bool {
+        match frame.kind {
+            FrameType::Ping => self.send(FrameType::Pong, &[]),
+            FrameType::Query => {
+                let Ok(sql) = String::from_utf8(frame.payload) else {
+                    return self.farewell("query payload is not UTF-8");
+                };
+                let stats = &self.shared.stats;
+                stats.queries_rx.fetch_add(1, Ordering::Relaxed);
+                let ctl = match self.shared.cfg.admission.default_deadline {
+                    Some(d) => CancellationToken::with_timeout(d),
+                    None => CancellationToken::new(),
+                };
+                let (reply, rx) = channel();
+                let job = Job {
+                    sql,
+                    ctl: ctl.clone(),
+                    reply,
+                };
+                match self.shared.pool.submit(job) {
+                    Ok(()) => match self.await_outcome(&rx, &ctl) {
+                        Some((kind, payload)) => self.send(kind, &payload),
+                        None => false,
+                    },
                     // Shed: fail fast with the typed overload frame; the
                     // connection stays open so the client can retry
                     // after backing off.
-                    out.push(encode_frame(FrameType::Error, &encode_core_error(&e)));
-                    Dispatch::Continue
+                    Err(e) => self.send(FrameType::Error, &encode_core_error(&e)),
+                }
+            }
+            // Server-to-client frame types are violations coming *from*
+            // a client.
+            FrameType::Result | FrameType::Error | FrameType::Pong => {
+                self.farewell("client sent a server-only frame type")
+            }
+        }
+    }
+
+    /// Parks until the runner sends the query's outcome and returns the
+    /// response frame it calls for. `None`: the peer vanished or the
+    /// drain deadline passed first; the query has been cancelled and the
+    /// connection must close.
+    fn await_outcome(
+        &mut self,
+        rx: &Receiver<Outcome>,
+        ctl: &CancellationToken,
+    ) -> Option<(FrameType, Vec<u8>)> {
+        let stats = &self.shared.stats;
+        let error = |payload| Some((FrameType::Error, payload));
+        loop {
+            match rx.recv_timeout(PROBE_TICK) {
+                Ok(Outcome { result: Ok(r), .. }) => {
+                    let payload = encode_result(&r);
+                    if payload.len() <= self.shared.cfg.max_frame_len {
+                        return Some((FrameType::Result, payload));
+                    }
+                    stats.oversized_results.fetch_add(1, Ordering::Relaxed);
+                    return error(encode_error(
+                        ErrorCode::Internal,
+                        0,
+                        "result exceeds the frame cap; narrow the query",
+                    ));
+                }
+                Ok(Outcome { result: Err(e), .. }) => return error(encode_core_error(&e)),
+                // The runner pool dropped the job without replying
+                // (drain cancelled it); tell the client.
+                Err(RecvTimeoutError::Disconnected) => {
+                    return error(encode_core_error(&CoreError::Cancelled))
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.peer_gone() || self.shared.drain_expired() {
+                        ctl.cancel();
+                        stats.disconnect_cancels.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    }
                 }
             }
         }
-        // Server-to-client frame types are violations coming *from* a
-        // client.
-        FrameType::Result | FrameType::Error | FrameType::Pong => {
-            shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-            out.push(encode_frame(
-                FrameType::Error,
-                &encode_error(ErrorCode::Proto, 0, "client sent a server-only frame type"),
-            ));
-            Dispatch::Close
+    }
+
+    /// One `read` that does not wait.
+    fn probe(&mut self) -> Intake {
+        if self.stream.set_nonblocking(true).is_err() {
+            return Intake::Gone;
         }
+        let intake = self.fill();
+        if self.stream.set_nonblocking(false).is_err() {
+            return Intake::Gone;
+        }
+        intake
+    }
+
+    /// Whether a probe while a query is in flight finds EOF or a reset:
+    /// nobody will read the answer. Pipelined bytes are kept, but intake
+    /// is bounded: once the decoder holds a full frame's worth, probing
+    /// pauses and TCP backpressure takes over — the client's kernel
+    /// buffer fills, but no server-side allocation grows with client
+    /// behaviour.
+    fn peer_gone(&mut self) -> bool {
+        self.dec.buffered() <= self.shared.cfg.max_frame_len + HEADER_LEN
+            && matches!(self.probe(), Intake::Gone)
     }
 }

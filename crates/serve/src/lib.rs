@@ -11,12 +11,13 @@
 //!   the overload policy is *shed fast with a typed
 //!   [`Overloaded`](etsqp_core::Error::Overloaded) carrying a
 //!   retry-after hint* rather than stacking latency;
-//! * [`conn`] — per-connection backpressure: a slow reader stalls only
+//! * [`conn`] — per-connection backpressure on a blocking socket, every
+//!   wait ended by the event it waits for: a slow reader stalls only
 //!   its own connection, a half-open frame (slow-loris) is bounded, and
 //!   a disconnect mid-query cancels the running query so pool workers
 //!   are reclaimed;
-//! * [`server`] — the thin non-blocking accept loop, the connection
-//!   cap, stats, and the graceful drain protocol;
+//! * [`server`] — the thin blocking accept loop, the connection cap,
+//!   stats, and the graceful drain protocol;
 //! * [`client`] — a small blocking client (bench, chaos suite, CLI).
 //!
 //! ```no_run

@@ -1,28 +1,36 @@
 //! The accept loop, connection registry, stats surface, and graceful
 //! drain.
 //!
-//! The accept loop is deliberately thin: a non-blocking listener polled
-//! on its own thread, whose only decisions are (a) are we draining?
-//! drop the socket, (b) is the connection cap reached? send one
-//! `Overloaded` farewell frame and close, (c) otherwise register the
-//! connection and hand the socket to its handler thread
+//! The accept loop is deliberately thin: one thread blocked in `accept`
+//! on a blocking listener, woken by each new connection (and, once, by
+//! [`ServerHandle::shutdown`] connecting to its own port). Its only
+//! decisions are (a) are we draining? drop the socket and exit, (b) is
+//! the connection cap reached — or no handler thread to be had? send
+//! one `Overloaded` farewell frame and close, (c) otherwise register
+//! the connection and hand the socket to its handler thread
 //! ([`crate::conn`]). Everything stateful — admission, backpressure,
 //! cancellation — lives behind those handlers, so the accept path can
 //! never block on a misbehaving peer.
 //!
 //! Shutdown protocol ([`ServerHandle::shutdown`]):
 //!
-//! 1. stop accepting (drain flag; the accept thread exits);
+//! 1. stop accepting (drain flag, then a wake-up connection; the accept
+//!    thread exits);
 //! 2. the admission pool stops admitting — late queries shed typed;
 //! 3. queued and in-flight queries finish (or are cancelled at the
-//!    drain deadline) and their responses are flushed;
-//! 4. connection handlers close once idle; the handle joins every
-//!    thread and returns the final stats snapshot.
+//!    drain deadline) and their responses are written; the pool's
+//!    condvar ends this wait the moment the last query lands;
+//! 4. connection handlers close once idle — within one read tick, or
+//!    for a handler blocked on a stalled peer, `write_stall_timeout` —
+//!    and the handle joins every thread and returns the final stats
+//!    snapshot.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use etsqp_core::engine::IotDb;
@@ -45,8 +53,8 @@ pub struct ServeConfig {
     /// How long a half-open request frame may sit without progress
     /// before the connection is closed (slow-loris bound).
     pub partial_frame_timeout: Duration,
-    /// How long a peer may refuse to drain its responses before the
-    /// connection is closed (slow-reader bound).
+    /// How long a peer may keep one response blocked in the handler's
+    /// write before the connection is closed (slow-reader bound).
     pub write_stall_timeout: Duration,
     /// Bound on the graceful-drain phase of shutdown; in-flight queries
     /// still running past it are cancelled.
@@ -139,6 +147,16 @@ pub struct Shared {
 }
 
 impl Shared {
+    fn new(db: Arc<IotDb>, cfg: ServeConfig) -> Arc<Shared> {
+        Arc::new(Shared {
+            cfg,
+            pool: RunnerPool::start(db, cfg.admission),
+            stats: ServerStats::default(),
+            draining: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+        })
+    }
+
     /// Whether shutdown has begun (handlers finish and close).
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
@@ -177,8 +195,8 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept_thread: Option<JoinHandle<()>>,
+    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -207,18 +225,40 @@ impl ServerHandle {
         }
         self.shared.draining.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
+            // The accept thread is blocked in `accept`: any connection
+            // ends that wait, and it exits on seeing the drain flag. A
+            // connect that fails (descriptor pressure, full backlog) is
+            // retried until the thread is gone.
+            let wake = wake_addr(self.addr);
+            while !t.is_finished() && TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_err() {
+                std::thread::yield_now();
+            }
             let _ = t.join();
         }
         // Drain the admission pool first: queued/in-flight queries land
         // their outcomes on the connections' channels…
         self.shared.pool.drain(self.shared.cfg.drain_timeout);
-        // …then the handlers flush those responses and exit.
+        // …then the handlers write those responses and exit.
         let handles: Vec<_> = self.conn_threads.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
         self.shared.snapshot()
     }
+}
+
+/// Bound on one wake-up connect of [`ServerHandle::shutdown`].
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Where `shutdown` connects to wake the accept thread: the bound
+/// address, or loopback when the listener is bound to the wildcard.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Binds `addr` and starts the accept loop over `db`.
@@ -228,17 +268,9 @@ pub fn start(
     cfg: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        cfg,
-        pool: RunnerPool::start(db, cfg.admission),
-        stats: ServerStats::default(),
-        draining: AtomicBool::new(false),
-        drain_deadline: Mutex::new(None),
-    });
-    let conn_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-        Arc::new(Mutex::new(Vec::new()));
+    let shared = Shared::new(db, cfg);
+    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let accept_shared = Arc::clone(&shared);
     let accept_conns = Arc::clone(&conn_threads);
@@ -255,53 +287,88 @@ pub fn start(
     })
 }
 
+/// Pause after a failed `accept` before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 fn accept_loop(
     shared: &Arc<Shared>,
     listener: &TcpListener,
-    conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                if shared.is_draining() {
+                    return;
+                }
+                // lint:allow(no-sleep-poll) -- EMFILE/ENFILE leave the
+                // pending connection queued, so `accept` fails again at
+                // once instead of blocking, and no event this thread
+                // could wait on announces a free descriptor.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
         if shared.is_draining() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Opportunistically reap finished handler threads so the
-                // registry does not grow with connection churn.
-                conn_threads.lock().retain(|h| !h.is_finished());
-                let active = conn_threads.lock().len();
-                if active >= shared.cfg.max_connections {
-                    refuse(shared, stream);
-                    continue;
-                }
-                shared.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("etsqp-conn".into())
-                    .spawn(move || crate::conn::handle(&conn_shared, stream));
-                match spawned {
-                    Ok(h) => conn_threads.lock().push(h),
-                    // Out of threads: treat like the connection cap.
-                    Err(_) => {
-                        shared.stats.conns_refused.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                // Transient accept errors (EMFILE under pressure…) —
-                // back off instead of spinning.
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        // A response that leaves in two writes must not wait for the
+        // peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let mut conns = conn_threads.lock();
+        // Opportunistically reap finished handler threads so the
+        // registry does not grow with connection churn.
+        conns.retain(|h| !h.is_finished());
+        if conns.len() >= shared.cfg.max_connections {
+            refuse(shared, stream);
+        } else if let Some(h) = hand_off(shared, stream, spawn_handler) {
+            conns.push(h);
+        }
+    }
+}
+
+type ConnTask = Box<dyn FnOnce() + Send>;
+
+fn spawn_handler(task: ConnTask) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("etsqp-conn".into())
+        .spawn(task)
+}
+
+/// Gives `stream` a handler thread and counts the connection accepted —
+/// only once that thread exists. Out of threads is treated like the
+/// connection cap: counted refused, and the peer gets the farewell.
+fn hand_off(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    spawn: impl FnOnce(ConnTask) -> std::io::Result<JoinHandle<()>>,
+) -> Option<JoinHandle<()>> {
+    // The socket follows the thread through a channel, so a failed
+    // spawn leaves it here for the farewell.
+    let (tx, rx) = channel();
+    let conn_shared = Arc::clone(shared);
+    let task = Box::new(move || {
+        if let Ok(stream) = rx.recv() {
+            crate::conn::handle(&conn_shared, stream);
+        }
+    });
+    match spawn(task) {
+        Ok(h) => {
+            shared.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
+            let _ = tx.send(stream);
+            Some(h)
+        }
+        Err(_) => {
+            refuse(shared, stream);
+            None
         }
     }
 }
 
 /// Sends a best-effort `Overloaded` farewell on a refused connection.
-fn refuse(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn refuse(shared: &Shared, mut stream: TcpStream) {
     shared.stats.conns_refused.fetch_add(1, Ordering::Relaxed);
     let frame = encode_frame(
         FrameType::Error,
@@ -313,4 +380,43 @@ fn refuse(shared: &Arc<Shared>, mut stream: TcpStream) {
     );
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(&frame);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use etsqp_core::engine::EngineOptions;
+
+    #[test]
+    fn failed_spawn_counts_refused_not_accepted() {
+        let shared = Shared::new(
+            Arc::new(IotDb::new(EngineOptions::default())),
+            ServeConfig::default(),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+
+        let mut refused = Client::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let no_threads = |_task: ConnTask| Err(std::io::Error::other("out of threads"));
+        assert!(hand_off(&shared, stream, no_threads).is_none());
+        let s = shared.snapshot();
+        assert_eq!((s.conns_accepted, s.conns_refused), (0, 1));
+        let bye = refused
+            .query_farewell()
+            .expect("refused peer gets a farewell");
+        assert_eq!(bye.code, ErrorCode::Overloaded);
+
+        let mut served = Client::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let handler = hand_off(&shared, stream, spawn_handler).expect("spawn");
+        served.ping().unwrap();
+        let s = shared.snapshot();
+        assert_eq!((s.conns_accepted, s.conns_refused), (1, 1));
+
+        drop(served);
+        handler.join().unwrap();
+        shared.pool.drain(Duration::from_secs(5));
+    }
 }

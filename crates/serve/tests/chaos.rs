@@ -10,8 +10,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use etsqp_core::engine::{EngineOptions, IotDb};
+use etsqp_serve::admission::RunnerPool;
 use etsqp_serve::client::{Client, Response};
-use etsqp_serve::proto::{encode_frame, ErrorCode, FrameType, VERSION};
+use etsqp_serve::proto::{
+    decode_result, encode_frame, ErrorCode, FrameDecoder, FrameType, WireResult, VERSION,
+};
 use etsqp_serve::server::{self, ServerHandle};
 use etsqp_serve::{AdmissionConfig, ServeConfig};
 
@@ -378,4 +381,194 @@ fn connection_cap_refuses_with_typed_farewell() {
     // Capped connections still serve once slots free up.
     drop(keep);
     handle.shutdown();
+}
+
+/// Reads result frames off a raw stream until `want` have arrived or the
+/// stream ends (EOF, reset or read timeout); `true` if it ended by
+/// timeout.
+fn read_results(stream: &mut TcpStream, want: usize) -> (Vec<WireResult>, bool) {
+    let mut dec = FrameDecoder::new(ServeConfig::default().max_frame_len);
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut results = Vec::new();
+    loop {
+        while let Some(frame) = dec.next_frame().expect("well-formed server frame") {
+            assert_eq!(frame.kind, FrameType::Result, "unexpected frame");
+            results.push(decode_result(&frame.payload).expect("result payload"));
+        }
+        if results.len() >= want {
+            return (results, false);
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return (results, false),
+            Ok(n) => dec.extend(&buf[..n]),
+            Err(e) => {
+                let timed_out = matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                );
+                return (results, timed_out);
+            }
+        }
+    }
+}
+
+#[test]
+fn pipelined_queries_answered_in_order_back_to_back() {
+    let db = chaos_db();
+    let handle = start(Arc::clone(&db), ServeConfig::default());
+
+    // Three single-page queries with three different answers, written
+    // in one `write`: the server's first `read` buffers all of them.
+    let sqls = [
+        "SELECT COUNT(s) FROM s WHERE time >= 0 AND time <= 4000",
+        "SELECT SUM(s) FROM s WHERE time >= 100000 AND time <= 104000",
+        "SELECT MAX(s) FROM s WHERE time >= 200000 AND time <= 204000",
+    ];
+    let oracle: Vec<_> = sqls
+        .iter()
+        .map(|sql| db.query(sql).expect("direct query").rows)
+        .collect();
+    let wire: Vec<u8> = sqls
+        .iter()
+        .flat_map(|sql| encode_frame(FrameType::Query, sql.as_bytes()))
+        .collect();
+
+    // A handler that enters a blocking `read` while its decoder holds a
+    // complete frame still answers — when its read timeout expires, tens
+    // of milliseconds per frame. Back to back, three answers take a
+    // fraction of that. The bound is on time, so take the best of a few
+    // attempts: a busy host delays some, the wrong wait delays all.
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let sent = Instant::now();
+        stream.write_all(&wire).expect("send");
+        let (results, _) = read_results(&mut stream, sqls.len());
+        best = best.min(sent.elapsed());
+        let rows: Vec<_> = results.into_iter().map(|r| r.rows).collect();
+        assert_eq!(rows, oracle, "pipelined answers missing or out of order");
+    }
+    assert!(
+        best < Duration::from_millis(40),
+        "pipelined frames waited for a read timeout: best of 5 took {best:?}"
+    );
+
+    assert_eq!(handle.shutdown().proto_errors, 0);
+}
+
+#[test]
+fn stalled_reader_holds_a_handler_never_a_runner() {
+    let db = chaos_db();
+    let stall = Duration::from_secs(2);
+    let handle = start(
+        Arc::clone(&db),
+        ServeConfig {
+            admission: AdmissionConfig {
+                // One runner: if the stalled connection held it, nobody
+                // else would be served until the stall timed out.
+                max_inflight: 1,
+                max_queue: 8,
+                default_deadline: None,
+            },
+            write_stall_timeout: stall,
+            ..ServeConfig::default()
+        },
+    );
+
+    // 40k rows: most of a MiB per answer, under the frame cap. Pipelined
+    // 48 deep that is several times what the loopback socket buffers
+    // hold, so a peer that never reads stalls the handler's write.
+    const BIG_SQL: &str = "SELECT * FROM s WHERE time >= 0 AND time < 400000";
+    const PIPELINED: usize = 48;
+    let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+    let frame = encode_frame(FrameType::Query, BIG_SQL.as_bytes());
+    stalled.write_all(&frame.repeat(PIPELINED)).expect("send");
+
+    // The handler submits its next query only after the previous answer
+    // has left, so the stall shows as: answers produced, nothing queued
+    // or running, and no further progress.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut last_done = 0;
+    loop {
+        assert!(Instant::now() < deadline, "writer never stalled");
+        std::thread::sleep(Duration::from_millis(50));
+        let done = handle.stats().done_ok;
+        if done > 0 && done == last_done && handle.load() == (0, 0) {
+            break;
+        }
+        last_done = done;
+    }
+    assert!(
+        (last_done as usize) < PIPELINED,
+        "socket buffers swallowed every answer; the peer never stalled"
+    );
+    let stalled_at = Instant::now();
+
+    // Meanwhile the single runner is free: a second connection's query
+    // is admitted and answered long before the stall bound expires.
+    assert_oracle(&handle, &db);
+    assert!(
+        stalled_at.elapsed() < stall,
+        "second connection waited {:?} behind a stalled peer",
+        stalled_at.elapsed()
+    );
+
+    // Past the bound (plus slack) the server has dropped the stalled
+    // peer: reading now yields what the buffers held, then the end of
+    // the stream — not the rest of the answers.
+    std::thread::sleep((stall + Duration::from_secs(1)).saturating_sub(stalled_at.elapsed()));
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let (results, timed_out) = read_results(&mut stalled, PIPELINED);
+    assert!(
+        !timed_out,
+        "stalled peer still connected after the stall bound"
+    );
+    assert!(
+        results.len() < PIPELINED,
+        "stalled peer was served all {PIPELINED} answers"
+    );
+
+    assert_oracle(&handle, &db);
+    handle.shutdown();
+}
+
+#[test]
+fn idle_shutdown_and_idle_drain_return_promptly() {
+    let db = Arc::new(IotDb::new(EngineOptions::default()));
+    let handle = start(Arc::clone(&db), ServeConfig::default());
+
+    // 64 connections parked in their idle wait, nothing queued: every
+    // handler must notice the drain by itself.
+    let idle: Vec<Client> = (0..64)
+        .map(|_| {
+            let mut c = Client::connect(handle.addr()).expect("connect");
+            c.ping().expect("ping");
+            c
+        })
+        .collect();
+    let began = Instant::now();
+    let stats = handle.shutdown();
+    assert!(
+        began.elapsed() < Duration::from_secs(1),
+        "idle shutdown took {:?}",
+        began.elapsed()
+    );
+    assert_eq!(stats.conns_accepted, 64);
+    drop(idle);
+
+    // An idle pool has nothing to wait for.
+    let pool = RunnerPool::start(db, AdmissionConfig::default());
+    let began = Instant::now();
+    pool.drain(Duration::from_secs(30));
+    assert!(
+        began.elapsed() < Duration::from_millis(50),
+        "idle drain took {:?}",
+        began.elapsed()
+    );
 }

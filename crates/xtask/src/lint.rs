@@ -31,6 +31,11 @@
 //!   shard → series → nothing order: nothing may be acquired while a
 //!   series guard is held. This is the static half of the `lockdep`
 //!   runtime tracker in `shims/parking_lot`.
+//! * `no-sleep-poll` — no `thread::sleep` in the network service
+//!   ([`SLEEP_SCOPE`]): a handler that sleeps and looks again puts its
+//!   sleep under every request, so waits there must block on the event
+//!   itself (socket timeout, channel, condvar). At most
+//!   [`MAX_SLEEP_HATCHES`] escape hatch across the workspace.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
 //! line or in the comment block directly above suppresses that rule
@@ -99,8 +104,15 @@ pub const SIZE_SCOPE: &str = "crates/core/src/";
 /// Line ceiling for engine source files (`file-size` rule).
 pub const MAX_CORE_FILE_LINES: usize = 800;
 
+/// Files under this path are subject to the `no-sleep-poll` rule.
+pub const SLEEP_SCOPE: &str = "crates/serve/src/";
+
+/// How many `lint:allow(no-sleep-poll)` hatches the workspace may carry
+/// (the accept loop's back-off after a failed `accept`).
+pub const MAX_SLEEP_HATCHES: usize = 1;
+
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 9] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -109,6 +121,7 @@ pub const RULE_NAMES: [&str; 8] = [
     "file-size",
     "no-wrapping-arithmetic",
     "lock-order",
+    "no-sleep-poll",
 ];
 
 /// One rule violation at a specific location.
@@ -741,6 +754,26 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
         }
     }
 
+    // Rule: no-sleep-poll (network service, non-test code). Matches the
+    // call and a `use std::thread::sleep` that would hide later calls.
+    if rel_path.contains(SLEEP_SCOPE) {
+        for (i, line) in lines.iter().enumerate() {
+            if line.in_test || !line.code.contains("thread::sleep") {
+                continue;
+            }
+            if !allowed(i, "no-sleep-poll") {
+                report.violations.push(Violation {
+                    file: rel_path.to_string(),
+                    line: i + 1,
+                    rule: "no-sleep-poll".into(),
+                    msg: "thread::sleep in the serve layer; block on the event itself (socket \
+                          timeout, channel, condvar)"
+                        .into(),
+                });
+            }
+        }
+    }
+
     // Rule: lock-order (static half of the lockdep runtime tracker).
     // Extracts lock-acquisition sites and enforces the declared
     // shard → series → nothing order: while a bound series guard is
@@ -825,6 +858,12 @@ fn walk_rs_files(dir: &Path, out: &mut Vec<PathBuf>, manifests: &mut Vec<PathBuf
             if name == "target" || name == ".git" || name == "fixtures" {
                 continue;
             }
+            // A package with its own `[workspace]` table (the benchmark
+            // under `bench/`) is a workspace of its own, not part of
+            // this one: its sources answer to its own rules.
+            if is_workspace_root(&path.join("Cargo.toml")) {
+                continue;
+            }
             walk_rs_files(&path, out, manifests);
         } else if name == "Cargo.toml" {
             manifests.push(path);
@@ -832,6 +871,10 @@ fn walk_rs_files(dir: &Path, out: &mut Vec<PathBuf>, manifests: &mut Vec<PathBuf
             out.push(path);
         }
     }
+}
+
+fn is_workspace_root(manifest: &Path) -> bool {
+    fs::read_to_string(manifest).is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// `true` when any line of `source` uses the `unsafe` keyword.
@@ -874,6 +917,28 @@ fn crate_rule_violation(
     None
 }
 
+/// Flags every `no-sleep-poll` hatch past [`MAX_SLEEP_HATCHES`]: the
+/// rule exists to keep sleeps out, so its hatches are capped, not just
+/// counted.
+fn cap_sleep_hatches(report: &mut Report) {
+    let extra = report
+        .allows
+        .iter()
+        .filter(|a| a.rule == "no-sleep-poll")
+        .skip(MAX_SLEEP_HATCHES);
+    for a in extra {
+        report.violations.push(Violation {
+            file: a.file.clone(),
+            line: a.line,
+            rule: "no-sleep-poll".into(),
+            msg: format!(
+                "more than {MAX_SLEEP_HATCHES} lint:allow(no-sleep-poll) in the workspace; \
+                 replace the sleep with a blocking wait"
+            ),
+        });
+    }
+}
+
 fn rel(root: &Path, p: &Path) -> String {
     p.strip_prefix(root)
         .unwrap_or(p)
@@ -900,6 +965,7 @@ pub fn lint_workspace(root: &Path) -> Report {
         report.violations.extend(r.violations);
         report.allows.extend(r.allows);
     }
+    cap_sleep_hatches(&mut report);
 
     for manifest in &manifests {
         let dir = manifest.parent().unwrap_or(root);
@@ -1123,6 +1189,37 @@ pub fn f(v: &[i64]) -> i64 {
         // The same source outside the kernel files is fine.
         let r = analyze_source("crates/core/src/sql.rs", bad);
         assert!(!rules_fired(&r).contains(&"no-wrapping-arithmetic".to_string()));
+    }
+
+    #[test]
+    fn no_sleep_poll_fires_in_serve_and_caps_its_hatches() {
+        const SERVE: &str = "crates/serve/src/conn.rs";
+        let bad = include_str!("../fixtures/sleep_poll_bad.rs.txt");
+        let good = include_str!("../fixtures/sleep_poll_good.rs.txt");
+        let r = analyze_source(SERVE, bad);
+        assert_eq!(
+            rules_fired(&r),
+            ["no-sleep-poll", "no-sleep-poll"],
+            "the import and the qualified call: {r:?}"
+        );
+        // The same source outside the serve layer is fine.
+        let r = analyze_source("crates/bench/src/lib.rs", bad);
+        assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+
+        let mut r = analyze_source(SERVE, good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+        assert_eq!(r.allows.len(), 1, "the hatch is counted: {r:?}");
+        cap_sleep_hatches(&mut r);
+        assert!(
+            r.violations.is_empty(),
+            "one hatch is within the cap: {r:?}"
+        );
+        // A second hatch anywhere in the workspace is a violation.
+        let second = analyze_source("crates/serve/src/server.rs", good);
+        r.allows.extend(second.allows);
+        cap_sleep_hatches(&mut r);
+        assert_eq!(rules_fired(&r), ["no-sleep-poll"], "{r:?}");
+        assert_eq!(r.violations[0].file, "crates/serve/src/server.rs");
     }
 
     #[test]

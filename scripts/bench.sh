@@ -74,9 +74,9 @@ cat BENCH_decode.json
 
 # Network service load (BENCH_serve.json): closed-loop client fleets at
 # 1/64/1024 connections (qps + p99), plus a 2x-overload cell measuring
-# the typed shed rate and the p99 of accepted queries, which must stay
-# within 3x the uncontended p99 — shedding, not queueing, absorbs the
-# overload. Non-gating; scale with ETSQP_BENCH_SERVE_QUERIES (total
+# the typed shed rate and the p99 of accepted queries beside the
+# uncontended p99 — shedding, not queueing, absorbs the overload.
+# Non-gating; scale with ETSQP_BENCH_SERVE_QUERIES (total
 # queries per cell, default 2000) and ETSQP_BENCH_SERVE_MAX_CLIENTS
 # (fleet-size cap, default 1024).
 echo "==> cargo build --release -p etsqp-bench --bin serve_bench"

@@ -20,8 +20,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Repo-specific static analysis (crates/xtask): SAFETY comments on every
 # unsafe, no panics in engine hot paths, no lossy kernel casts, no
-# wrapping kernel accumulators, ingest lock-order, crate hygiene
-# attributes. Prints one `rule: count` summary line on failure.
+# wrapping kernel accumulators, ingest lock-order, no sleep-poll loops
+# in the serve layer, crate hygiene attributes. Prints one `rule: count`
+# summary line on failure.
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint
 
@@ -44,6 +45,13 @@ cargo run -q -p xtask -- fuzz --iters "${ETSQP_FUZZ_ITERS:-20000}" --seed 5
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# The benchmark package (bench/, a workspace of its own that the steps
+# above never compile) calls `pub` items of crates/{simd,encoding,
+# storage,core,serve}: build it, so a signature change that breaks it
+# fails here and not in the next benchmark run. Build only.
+echo "==> cargo build --release --offline --manifest-path bench/Cargo.toml"
+cargo build --release --offline --manifest-path bench/Cargo.toml
 
 # Deterministic interleaving model checks (shims/loom): deque
 # push/steal/pop triangle and the pool latch shutdown/panic protocol,
