@@ -16,7 +16,7 @@
 //!
 //! The kernel backend is a process-wide `OnceLock`, so one process
 //! cannot measure two backends: the parent re-execs itself once per
-//! backend with `ETSQP_FORCE_BACKEND` pinned and
+//! backend (the scalar child pinned with `ETSQP_FORCE_SCALAR=1`) under
 //! `ETSQP_DECODE_BENCH_CHILD=1`, then merges the children's rows. The
 //! child echoes the backend it actually resolved, and the parent asserts
 //! it matches the one requested — and that decoded checksums agree
@@ -289,31 +289,28 @@ fn run_child() {
     }
 }
 
-/// Backends this machine can run, with the env pinning each one.
-fn backend_plan() -> Vec<(&'static str, Option<&'static str>)> {
-    let mut plan = vec![("scalar", Some("scalar"))];
+/// Backends this machine can run: the scalar twin always, and the CPUID
+/// pick where that is AVX2.
+fn backend_plan() -> Vec<&'static str> {
+    let mut plan = vec!["scalar"];
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            plan.push(("avx2", None)); // the default pick on AVX2 hardware
-        }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            plan.push(("avx512", Some("avx512")));
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        plan.push("avx2");
     }
     plan
 }
 
-fn spawn_child(force: Option<&str>) -> Vec<Row> {
+/// Re-execs this binary as a measuring child; `label == "scalar"` pins
+/// the one override, anything else takes the CPUID pick.
+fn spawn_child(label: &str) -> Vec<Row> {
     let exe = std::env::current_exe().unwrap();
     let mut cmd = Command::new(exe);
-    cmd.env(CHILD_ENV, "1").env_remove("ETSQP_FORCE_SCALAR");
-    match force {
-        Some(v) => cmd.env("ETSQP_FORCE_BACKEND", v),
-        None => cmd.env_remove("ETSQP_FORCE_BACKEND"),
-    };
+    cmd.env(CHILD_ENV, "1");
+    if label == "scalar" {
+        cmd.env("ETSQP_FORCE_SCALAR", "1");
+    } else {
+        cmd.env_remove("ETSQP_FORCE_SCALAR");
+    }
     let output = cmd.output().expect("spawn decode_bench child");
     assert!(
         output.status.success(),
@@ -344,9 +341,9 @@ fn main() {
     let plan = backend_plan();
     let mut all_rows: Vec<Row> = Vec::new();
     let mut backends = Vec::new();
-    for (label, force) in &plan {
+    for label in &plan {
         eprintln!("decode_bench: measuring backend {label}");
-        let rows = spawn_child(*force);
+        let rows = spawn_child(label);
         for row in &rows {
             assert_eq!(
                 row.backend, *label,
@@ -421,7 +418,7 @@ fn main() {
     }
     println!("}}");
 
-    for (label, _) in &plan {
+    for label in &plan {
         if let Some(r) = rate(&all_rows, label, "stream_vbyte") {
             eprintln!(
                 "decode_bench: stream_vbyte {label}: {:.1} M ints/s",

@@ -33,7 +33,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             pipeline: PipelineConfig::default(),
-            page_points: etsqp_storage::series::DEFAULT_PAGE_POINTS,
+            page_points: etsqp_storage::store::DEFAULT_PAGE_POINTS,
             ts_encoding: Encoding::Ts2Diff,
             val_encoding: Encoding::Ts2Diff,
             ingest_shards: etsqp_storage::ingest::DEFAULT_SHARDS,
@@ -84,12 +84,6 @@ impl EngineOptions {
     pub fn with_encodings(mut self, ts: Encoding, val: Encoding) -> Self {
         self.ts_encoding = ts;
         self.val_encoding = val;
-        self
-    }
-
-    /// Selects the job executor (persistent pool vs spawn-per-query).
-    pub fn with_scheduler(mut self, scheduler: crate::exec::Scheduler) -> Self {
-        self.pipeline.scheduler = scheduler;
         self
     }
 

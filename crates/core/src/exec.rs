@@ -1,13 +1,11 @@
 //! Job scheduler and execution statistics.
 //!
 //! Pipeline jobs (built by Algorithm 2 in [`crate::plan`]) are independent
-//! units of work over pages or slices. The default [`Scheduler::Pool`]
-//! runs them morsel-driven on the process-wide persistent worker pool
-//! ([`crate::pool`]); [`Scheduler::SpawnPerQuery`] keeps the original
-//! spawn-a-scope-per-query path as a baseline for benchmarking and
-//! differential testing. Under both, workers never wait on each other
-//! (slice dependencies are resolved by a sequential merge after the
-//! parallel phase — §III-C / Fig. 14(c-d)), so the only blocking is queue
+//! units of work over pages or slices. [`run_jobs`] runs them
+//! morsel-driven on the process-wide persistent worker pool
+//! ([`crate::pool`]). Workers never wait on each other (slice
+//! dependencies are resolved by a sequential merge after the parallel
+//! phase — §III-C / Fig. 14(c-d)), so the only blocking is queue
 //! starvation, which is measured and reported as idle time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -186,70 +184,21 @@ pub(crate) fn run_one<J, R>(worker: &(impl Fn(J) -> R + Sync), job: J) -> Result
     catch_unwind(AssertUnwindSafe(|| worker(job))).map_err(|p| Error::Worker(panic_message(p)))
 }
 
-/// Which executor dispatches a query's page/slice jobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Scheduler {
-    /// Morsel-driven execution on the process-wide persistent worker pool
-    /// ([`crate::pool`]): no thread spawn/join per query, dynamic
-    /// rebalancing via work stealing. The default.
-    #[default]
-    Pool,
-    /// The original baseline: spawn a fresh `crossbeam::scope` thread set
-    /// per query with a shared FIFO job channel. Kept for benchmarking
-    /// (`scripts/bench.sh`) and differential testing against the pool.
-    SpawnPerQuery,
-}
-
-/// Runs `jobs` through `worker` with the default [`Scheduler::Pool`],
-/// returning outputs in job order. See [`run_jobs_with`].
-pub fn run_jobs<J, R>(
-    jobs: Vec<J>,
-    threads: usize,
-    stats: &ExecStats,
-    worker: impl Fn(J) -> R + Sync,
-) -> Result<Vec<R>>
-where
-    J: Send,
-    R: Send,
-{
-    run_jobs_with(Scheduler::Pool, jobs, threads, stats, worker)
-}
-
-/// Runs `jobs` through `worker` on up to `threads` workers under the
-/// chosen [`Scheduler`], returning outputs in job order. Worker
-/// starvation time is charged to `stats.idle_ns`.
+/// Runs `jobs` through `worker` on up to `threads` workers, returning
+/// outputs in job order: inline on the calling thread when one thread or
+/// one job makes dispatch pointless, otherwise morsel-driven on the
+/// process-wide persistent pool ([`crate::pool`]), which charges worker
+/// starvation time to `stats.idle_ns`.
 ///
 /// A panicking worker does not abort the process: the panic payload is
 /// captured and surfaced to the caller as [`Error::Worker`] (the first
 /// panic in job order wins; remaining jobs still drain).
-pub fn run_jobs_with<J, R>(
-    scheduler: Scheduler,
-    jobs: Vec<J>,
-    threads: usize,
-    stats: &ExecStats,
-    worker: impl Fn(J) -> R + Sync,
-) -> Result<Vec<R>>
-where
-    J: Send,
-    R: Send,
-{
-    run_jobs_ctl(
-        scheduler,
-        jobs,
-        threads,
-        stats,
-        &CancellationToken::none(),
-        worker,
-    )
-}
-
-/// [`run_jobs_with`] under a [`CancellationToken`]: the token is checked
-/// at every morsel boundary, so a cancelled or deadlined query stops
-/// within one morsel — queued jobs drain as [`Error::Cancelled`] /
-/// [`Error::Timeout`] without executing, and the pool stays healthy for
-/// every other query.
-pub fn run_jobs_ctl<J, R>(
-    scheduler: Scheduler,
+///
+/// `ctl` is checked at every morsel boundary, so a cancelled or
+/// deadlined query stops within one morsel — queued jobs drain as
+/// [`Error::Cancelled`] / [`Error::Timeout`] without executing, and the
+/// pool stays healthy for every other query.
+pub fn run_jobs<J, R>(
     jobs: Vec<J>,
     threads: usize,
     stats: &ExecStats,
@@ -274,101 +223,41 @@ where
             })
             .collect();
     }
-    match scheduler {
-        Scheduler::Pool => crate::pool::run_jobs_pool(jobs, threads, stats, ctl, worker),
-        Scheduler::SpawnPerQuery => run_jobs_spawn(jobs, threads, stats, ctl, worker),
-    }
-}
-
-/// Spawn-per-query baseline executor (the pre-pool implementation).
-fn run_jobs_spawn<J, R>(
-    jobs: Vec<J>,
-    threads: usize,
-    stats: &ExecStats,
-    ctl: &CancellationToken,
-    worker: impl Fn(J) -> R + Sync,
-) -> Result<Vec<R>>
-where
-    J: Send,
-    R: Send,
-{
-    let n = jobs.len();
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, J)>();
-    for pair in jobs.into_iter().enumerate() {
-        // Both channel ends are alive in this frame, but a send failure
-        // is reported instead of trusted away.
-        job_tx
-            .send(pair)
-            .map_err(|_| Error::Worker("job queue closed before dispatch".into()))?;
-    }
-    drop(job_tx);
-    let mut slots: Vec<Option<Result<R>>> = (0..n).map(|_| None).collect();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<R>)>();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let worker = &worker;
-            scope.spawn(move |_| loop {
-                let wait_start = Instant::now();
-                let recv = job_rx.recv();
-                // Charge the queue wait even for the final (failed) recv
-                // at channel disconnect, so per-worker shutdown waits are
-                // accounted like every other starvation interval.
-                stats.add(&stats.idle_ns, wait_start.elapsed());
-                let Ok((idx, job)) = recv else { break };
-                // Morsel-boundary cancellation: queued jobs of a fired
-                // query drain as typed errors instead of executing.
-                let out = match ctl.check() {
-                    Ok(()) => run_one(worker, job),
-                    Err(e) => Err(e),
-                };
-                if res_tx.send((idx, out)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
-        while let Ok((idx, out)) = res_rx.recv() {
-            slots[idx] = Some(out);
-        }
-    })
-    .map_err(|_| Error::Worker("scheduler thread panicked".into()))?;
-    slots
-        .into_iter()
-        .map(|s| {
-            // Every worker either sends a result or the scope above
-            // already errored; an empty slot is reported, not panicked.
-            s.unwrap_or_else(|| Err(Error::Worker("result slot never written".into())))
-        })
-        .collect()
+    crate::pool::run_jobs_pool(jobs, threads, stats, ctl, worker)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run<J: Send, R: Send>(
+        jobs: Vec<J>,
+        threads: usize,
+        stats: &ExecStats,
+        worker: impl Fn(J) -> R + Sync,
+    ) -> Result<Vec<R>> {
+        run_jobs(jobs, threads, stats, &CancellationToken::none(), worker)
+    }
+
     #[test]
     fn outputs_preserve_job_order() {
-        for sched in [Scheduler::Pool, Scheduler::SpawnPerQuery] {
-            let jobs: Vec<u64> = (0..100).collect();
-            let stats = ExecStats::default();
-            let out = run_jobs_with(sched, jobs, 4, &stats, |j| j * 2).unwrap();
-            assert_eq!(out, (0..100).map(|j| j * 2).collect::<Vec<_>>());
-        }
+        let jobs: Vec<u64> = (0..100).collect();
+        let stats = ExecStats::default();
+        let out = run(jobs, 4, &stats, |j| j * 2).unwrap();
+        assert_eq!(out, (0..100).map(|j| j * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_path() {
         let stats = ExecStats::default();
-        let out = run_jobs(vec![1, 2, 3], 1, &stats, |j| j + 1).unwrap();
+        let out = run(vec![1, 2, 3], 1, &stats, |j| j + 1).unwrap();
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_jobs() {
         let stats = ExecStats::default();
-        let out: Vec<i32> = run_jobs(Vec::<i32>::new(), 8, &stats, |j| j).unwrap();
+        let out: Vec<i32> = run(Vec::<i32>::new(), 8, &stats, |j| j).unwrap();
         assert!(out.is_empty());
     }
 
@@ -408,43 +297,20 @@ mod tests {
         // must participate.
         use std::collections::HashSet;
         use std::sync::Mutex;
-        for sched in [Scheduler::Pool, Scheduler::SpawnPerQuery] {
-            let seen = Mutex::new(HashSet::new());
-            let stats = ExecStats::default();
-            run_jobs_with(sched, (0..64).collect(), 4, &stats, |_: i32| {
-                std::thread::sleep(Duration::from_millis(1));
-                seen.lock().unwrap().insert(std::thread::current().id());
-            })
-            .unwrap();
-            assert!(seen.lock().unwrap().len() >= 2, "scheduler {sched:?}");
-        }
-    }
-
-    #[test]
-    fn spawn_scheduler_charges_shutdown_wait_per_worker() {
-        // With far more workers than jobs, most workers' only queue
-        // interaction is the final disconnect recv — previously
-        // unaccounted. Slow jobs force the surplus workers to measurably
-        // wait on the drained channel before it disconnects.
+        let seen = Mutex::new(HashSet::new());
         let stats = ExecStats::default();
-        run_jobs_with(
-            Scheduler::SpawnPerQuery,
-            (0..2).collect::<Vec<i32>>(),
-            8,
-            &stats,
-            |_| std::thread::sleep(Duration::from_millis(5)),
-        )
+        run((0..64).collect(), 4, &stats, |_: i32| {
+            std::thread::sleep(Duration::from_millis(1));
+            seen.lock().unwrap().insert(std::thread::current().id());
+        })
         .unwrap();
-        assert!(
-            stats.snapshot().idle_ns > 0,
-            "shutdown queue-wait must be charged to idle_ns"
-        );
+        assert!(seen.lock().unwrap().len() >= 2);
     }
 
     #[test]
     fn panicking_worker_surfaces_error_single_thread() {
         let stats = ExecStats::default();
-        let out = run_jobs(vec![1, 2, 3], 1, &stats, |j| {
+        let out = run(vec![1, 2, 3], 1, &stats, |j| {
             if j == 2 {
                 panic!("bad page {j}");
             }
@@ -458,18 +324,16 @@ mod tests {
 
     #[test]
     fn panicking_worker_surfaces_error_multi_thread() {
-        for sched in [Scheduler::Pool, Scheduler::SpawnPerQuery] {
-            let stats = ExecStats::default();
-            let out = run_jobs_with(sched, (0..32).collect::<Vec<i32>>(), 4, &stats, |j| {
-                if j == 17 {
-                    panic!("poisoned job");
-                }
-                j * 10
-            });
-            match out {
-                Err(Error::Worker(msg)) => assert!(msg.contains("poisoned job"), "msg={msg}"),
-                other => panic!("expected Error::Worker, got {other:?} ({sched:?})"),
+        let stats = ExecStats::default();
+        let out = run((0..32).collect::<Vec<i32>>(), 4, &stats, |j| {
+            if j == 17 {
+                panic!("poisoned job");
             }
+            j * 10
+        });
+        match out {
+            Err(Error::Worker(msg)) => assert!(msg.contains("poisoned job"), "msg={msg}"),
+            other => panic!("expected Error::Worker, got {other:?}"),
         }
     }
 }

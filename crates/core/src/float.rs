@@ -18,7 +18,7 @@ use etsqp_storage::ingest::{HotFloatSnapshot, HotSnapshot};
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
-use crate::exec::{run_jobs_ctl, ExecStats, StatsSnapshot};
+use crate::exec::{run_jobs, ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, TimeRange};
 use crate::physical::node::Stage;
 use crate::plan::PipelineConfig;
@@ -178,51 +178,44 @@ pub fn aggregate_f64_ctl(
             );
         }
     }
-    let outputs = run_jobs_ctl(
-        cfg.scheduler,
-        kept,
-        cfg.threads,
-        &stats,
-        ctl,
-        |page| -> Result<FloatAgg> {
-            {
-                let _io = Stage::Io.timer(&stats);
-                store.io().record_page(page.encoded_len());
-                stats
-                    .pages_loaded
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                stats.tuples_scanned.fetch_add(
-                    page.header.count as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+    let outputs = run_jobs(kept, cfg.threads, &stats, ctl, |page| -> Result<FloatAgg> {
+        {
+            let _io = Stage::Io.timer(&stats);
+            store.io().record_page(page.encoded_len());
+            stats
+                .pages_loaded
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stats.tuples_scanned.fetch_add(
+                page.header.count as u64,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+        }
+        let decoded = {
+            let _delta = Stage::Delta.timer(&stats);
+            page.decode_f64().map_err(Error::Storage)?
+        };
+        let (ts, vals) = decoded;
+        let _agg = Stage::Agg.timer(&stats);
+        // Ordered timestamps: the time filter is an index range.
+        let (a, b) = match trange {
+            Some(tr) => {
+                let a = ts.partition_point(|&t| t < tr.lo);
+                let b = ts.partition_point(|&t| t <= tr.hi);
+                (a, b.max(a))
             }
-            let decoded = {
-                let _delta = Stage::Delta.timer(&stats);
-                page.decode_f64().map_err(Error::Storage)?
-            };
-            let (ts, vals) = decoded;
-            let _agg = Stage::Agg.timer(&stats);
-            // Ordered timestamps: the time filter is an index range.
-            let (a, b) = match trange {
-                Some(tr) => {
-                    let a = ts.partition_point(|&t| t < tr.lo);
-                    let b = ts.partition_point(|&t| t <= tr.hi);
-                    (a, b.max(a))
+            None => (0, ts.len()),
+        };
+        let mut agg = FloatAgg::default();
+        for &v in &vals[a..b] {
+            if let Some(r) = vrange {
+                if !(v >= r.lo && v <= r.hi) {
+                    continue; // also drops NaN
                 }
-                None => (0, ts.len()),
-            };
-            let mut agg = FloatAgg::default();
-            for &v in &vals[a..b] {
-                if let Some(r) = vrange {
-                    if !(v >= r.lo && v <= r.hi) {
-                        continue; // also drops NaN
-                    }
-                }
-                agg.push(v);
             }
-            Ok(agg)
-        },
-    )?;
+            agg.push(v);
+        }
+        Ok(agg)
+    })?;
     let mut total = FloatAgg::default();
     for out in outputs {
         total.merge(&out?);
@@ -292,8 +285,7 @@ pub fn scan_f64_ctl(
         .into_iter()
         .filter(|p| !cfg.prune || trange.is_none_or(|t| p.header.overlaps_time(t.lo, t.hi)))
         .collect();
-    let outputs = run_jobs_ctl(
-        cfg.scheduler,
+    let outputs = run_jobs(
         kept,
         cfg.threads,
         &stats,

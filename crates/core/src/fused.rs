@@ -71,10 +71,8 @@ pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggSt
     // Weighted sum Σ (m−j)·s_j with j zero-based over deltas: the delta at
     // index j contributes to values j+1..count, i.e. (m − j) values.
     let mut weighted: i128 = 0;
-    let mut plain_sum: i128 = 0;
     for (j, &s) in stored.iter().enumerate() {
         weighted += (m - j) as i128 * s as i128;
-        plain_sum += s as i128;
     }
     let base = page.min_delta as i128;
     // Σ_j (m−j)·base = base · m(m+1)/2.
@@ -83,7 +81,6 @@ pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggSt
     state.count = page.count as u64;
     // MIN/MAX/Σx² still require values; fused SUM/AVG/COUNT leave them
     // unset. (Callers needing them decode — see FuseLevel::None.)
-    let _ = plain_sum;
     state.min = None;
     state.max = None;
     state.sum_sq = 0;

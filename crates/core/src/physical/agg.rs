@@ -189,7 +189,6 @@ pub(crate) fn slice_coeff_job(
     page: &Page,
     part: usize,
     parts: usize,
-    cfg: &PipelineConfig,
     stats: &ExecStats,
     store: &SeriesStore,
 ) -> Result<SliceCoeff> {
@@ -213,7 +212,7 @@ pub(crate) fn slice_coeff_job(
         });
     }
     // Deltas connecting the slice's values: indices (max(lo,1)−1)..(hi−1).
-    let d_lo = lo.saturating_sub(1).max(if lo == 0 { 0 } else { lo - 1 });
+    let d_lo = lo.saturating_sub(1);
     let d_hi = hi.saturating_sub(1);
     let n_deltas = d_hi - d_lo;
     let mut stored = vec![0u64; n_deltas];
@@ -254,7 +253,6 @@ pub(crate) fn slice_coeff_job(
         push(rel, &mut coeff);
     }
     coeff.delta_total = rel;
-    let _ = cfg;
     Ok(coeff)
 }
 
@@ -336,7 +334,7 @@ fn agg_page_states(
     stats: &ExecStats,
 ) -> Result<WindowStates> {
     if strategy == Strategy::Serial {
-        return serial_agg_page(page, pred, window, func, cfg, stats);
+        return serial_agg_page(page, pred, window, func, stats);
     }
 
     let count = page.header.count as usize;
@@ -571,7 +569,6 @@ fn serial_agg_page(
     pred: &Predicate,
     window: Option<SlidingWindow>,
     func: AggFunc,
-    _cfg: &PipelineConfig,
     stats: &ExecStats,
 ) -> Result<WindowStates> {
     let (ts, vals) = {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
-use crate::exec::{run_jobs_ctl, ExecStats};
+use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, SlidingWindow};
 use crate::partial::PartialState;
 use crate::physical::agg::{agg_page_job, slice_coeff_job, SliceCoeff, WindowStates};
@@ -237,8 +237,7 @@ fn aggregate_pipeline(
         tagged.push((seq, item));
     }
 
-    let outputs = run_jobs_ctl(
-        cfg.scheduler,
+    let outputs = run_jobs(
         tagged,
         cfg.threads,
         stats,
@@ -261,7 +260,7 @@ fn aggregate_pipeline(
                 }
             }
             WorkItem::Slice { page, part, parts } => {
-                match slice_coeff_job(&page, part, parts, cfg, stats, store) {
+                match slice_coeff_job(&page, part, parts, stats, store) {
                     Ok(coeff) => JobOut::Slice {
                         page_seq,
                         part,

@@ -15,7 +15,7 @@ use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
-use crate::exec::{run_jobs_ctl, ExecStats};
+use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{BinOp, CmpOp, Predicate, TimeRange};
 use crate::fused::{aggregate_delta_rle, dot_product_delta_rle};
 use crate::physical::node::Stage;
@@ -89,8 +89,7 @@ pub(crate) fn binary_merge_partitioned(
     // One worker per partition; within a partition both sides scan with
     // a single thread (the partition level is the parallel axis).
     let inner_cfg = PipelineConfig { threads: 1, ..*cfg };
-    let outputs = run_jobs_ctl(
-        cfg.scheduler,
+    let outputs = run_jobs(
         ranges.to_vec(),
         cfg.threads,
         stats,

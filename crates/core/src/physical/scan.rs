@@ -16,7 +16,7 @@ use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
 use crate::decode::{decode_column, DecodeOptions};
-use crate::exec::{run_jobs_ctl, ExecStats};
+use crate::exec::{run_jobs, ExecStats};
 use crate::expr::Predicate;
 use crate::physical::node::{HotScan, PruneVerdict, Stage};
 use crate::plan::PipelineConfig;
@@ -281,8 +281,7 @@ pub(crate) fn scan_rows(
     ctl: &CancellationToken,
 ) -> Result<(Vec<i64>, Vec<i64>)> {
     let budget = budget_of(cfg);
-    let outputs = run_jobs_ctl(
-        cfg.scheduler,
+    let outputs = run_jobs(
         kept,
         cfg.threads,
         stats,

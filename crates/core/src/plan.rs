@@ -15,7 +15,7 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
 
 use crate::decode::DecodeOptions;
-use crate::exec::{ExecStats, Scheduler, StatsSnapshot};
+use crate::exec::{ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, PairAggFunc, Plan, Predicate};
 use crate::fused::FuseLevel;
 use crate::partial::PartialState;
@@ -41,9 +41,6 @@ pub struct PipelineConfig {
     /// Byte budget for concurrently materialized decode buffers (paper
     /// §VI-C, gradual page loading); `None` = unlimited.
     pub decode_budget_bytes: Option<u64>,
-    /// Executor dispatching the page/slice jobs: the persistent
-    /// work-stealing pool (default) or the spawn-per-query baseline.
-    pub scheduler: Scheduler,
     /// Serve/store whole-page partial aggregate states through the
     /// process-global [`crate::partial::PartialCache`] (content-
     /// addressed by page checksum + header statistics + function).
@@ -65,7 +62,6 @@ impl Default for PipelineConfig {
             decode: DecodeOptions::default(),
             allow_slicing: true,
             decode_budget_bytes: None,
-            scheduler: Scheduler::Pool,
             partial_cache: true,
         }
     }

@@ -1,10 +1,10 @@
 //! Process-wide persistent worker pool with morsel-driven work stealing.
 //!
 //! The paper's core-level parallelism (§III-C) assumes a long-lived
-//! multi-thread job scheduler. The original `run_jobs` instead spawned
-//! and joined a fresh thread set *per query*, which dominates short
-//! selective queries once decode runs at memory speed. This module
-//! replaces it:
+//! multi-thread job scheduler: spawning and joining a thread set *per
+//! query* dominates short selective queries once decode runs at memory
+//! speed (11.6× at 8 threads when last measured — EXPERIMENTS.md). This
+//! module is that scheduler:
 //!
 //! * **One pool per process**, lazily initialized on the first parallel
 //!   query and sized to the hardware (`ETSQP_POOL_THREADS` overrides).
@@ -486,8 +486,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_jobs, Scheduler};
     use crate::Error;
+
+    fn run_jobs<J: Send, R: Send>(
+        jobs: Vec<J>,
+        threads: usize,
+        stats: &ExecStats,
+        worker: impl Fn(J) -> R + Sync,
+    ) -> Result<Vec<R>> {
+        crate::exec::run_jobs(jobs, threads, stats, &CancellationToken::none(), worker)
+    }
 
     #[test]
     fn pool_initializes_once_and_reuses_threads() {
@@ -542,22 +550,6 @@ mod tests {
             assert_eq!(ok, (0..16).map(|j| j * 3).collect::<Vec<_>>());
         }
         assert_eq!(spawned_threads(), spawned_before);
-    }
-
-    #[test]
-    fn pool_and_spawn_schedulers_agree() {
-        let stats = ExecStats::default();
-        for n in [2usize, 5, 17, 64] {
-            let jobs: Vec<u64> = (0..n as u64).collect();
-            let a =
-                crate::exec::run_jobs_with(Scheduler::Pool, jobs.clone(), 4, &stats, |j| j * j + 1)
-                    .unwrap();
-            let b = crate::exec::run_jobs_with(Scheduler::SpawnPerQuery, jobs, 4, &stats, |j| {
-                j * j + 1
-            })
-            .unwrap();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use etsqp_core::cancel::CancellationToken;
 use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::exec::ExecStats;
 use etsqp_core::{pool, Error};
@@ -116,13 +117,18 @@ fn panicking_query_does_not_poison_shared_pool() {
             handles.push(s.spawn(|| {
                 let stats = ExecStats::default();
                 for round in 0..8 {
-                    let out =
-                        etsqp_core::exec::run_jobs((0..16).collect::<Vec<i32>>(), 8, &stats, |j| {
+                    let out = etsqp_core::exec::run_jobs(
+                        (0..16).collect::<Vec<i32>>(),
+                        8,
+                        &stats,
+                        &CancellationToken::none(),
+                        |j| {
                             if j % 5 == round % 5 {
                                 panic!("in-flight failure {round}");
                             }
                             j
-                        });
+                        },
+                    );
                     assert!(matches!(out, Err(Error::Worker(_))));
                 }
             }));

@@ -47,7 +47,6 @@ fn sliced_cfg() -> PipelineConfig {
         decode: DecodeOptions::default(),
         allow_slicing: true,
         decode_budget_bytes: None,
-        scheduler: etsqp_core::exec::Scheduler::Pool,
         partial_cache: true,
     }
 }

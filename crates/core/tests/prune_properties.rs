@@ -137,7 +137,6 @@ proptest! {
 mod verdict_validation {
     use super::run_length_series;
     use etsqp_core::decode::DecodeOptions;
-    use etsqp_core::exec::Scheduler;
     use etsqp_core::expr::{AggFunc, Plan, Predicate};
     use etsqp_core::fused::FuseLevel;
     use etsqp_core::oracle;
@@ -156,7 +155,6 @@ mod verdict_validation {
             decode: DecodeOptions::default(),
             allow_slicing: false,
             decode_budget_bytes: None,
-            scheduler: Scheduler::Pool,
             partial_cache: true,
         }
     }

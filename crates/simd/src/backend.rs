@@ -8,12 +8,11 @@
 //! impl, not a rewrite of the kernel layer.
 //!
 //! Backend impls are **safe to call on any host**: the `Avx2Backend`
-//! and `Avx512Backend` methods re-verify CPU feature availability
-//! (a cached atomic load) and fall back to the scalar twin when the
-//! host lacks the instructions. This is what makes the cross-backend
-//! differential tests sound everywhere, and it keeps all `unsafe`
-//! confined to the intrinsic modules ([`crate::avx2`],
-//! [`crate::avx512`]).
+//! methods re-verify CPU feature availability (a cached atomic load)
+//! and fall back to the scalar twin when the host lacks the
+//! instructions. This is what makes the cross-backend differential
+//! tests sound everywhere, and it keeps all `unsafe` confined to the
+//! intrinsic module ([`crate::avx2`]).
 
 use crate::tables::{plan32, plan64, PLAN32_MAX_WIDTH, PLAN64_MAX_WIDTH};
 use crate::{scalar, LANES32, V32};
@@ -30,11 +29,6 @@ use crate::{scalar, LANES32, V32};
 /// * `svb_decode_quads`: `out.len() >= n`, `controls.len() * 4 >= n`,
 ///   and `data` holds every byte the control stream declares.
 pub trait SimdBackend {
-    /// 32-bit lanes processed per vector operation.
-    const LANES: usize;
-    /// Human-readable backend name (matches [`crate::Backend`]'s Display).
-    const NAME: &'static str;
-
     /// Unpacks `out.len()` big-endian packed values of `width` bits
     /// (0..=32) starting at `start_bit`.
     fn unpack_u32(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]);
@@ -76,15 +70,7 @@ pub struct ScalarBackend;
 /// [`ScalarBackend`] when the host lacks AVX2.
 pub struct Avx2Backend;
 
-/// AVX-512 unpacking (16 × 32-bit lanes per round) over the AVX2
-/// kernel set. Falls back to [`Avx2Backend`] (and transitively scalar)
-/// when the host lacks AVX-512F/BW.
-pub struct Avx512Backend;
-
 impl SimdBackend for ScalarBackend {
-    const LANES: usize = 1;
-    const NAME: &'static str = "scalar";
-
     fn unpack_u32(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]) {
         scalar::unpack_u32(src, start_bit, width, out)
     }
@@ -125,7 +111,7 @@ impl SimdBackend for ScalarBackend {
 
 /// Cached AVX2 availability check (an atomic load after first use).
 #[inline]
-fn have_avx2() -> bool {
+pub(crate) fn have_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -136,24 +122,7 @@ fn have_avx2() -> bool {
     }
 }
 
-/// Cached AVX-512F + AVX-512BW availability check.
-#[inline]
-fn have_avx512() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 impl SimdBackend for Avx2Backend {
-    const LANES: usize = LANES32;
-    const NAME: &'static str = "avx2";
-
     fn unpack_u32(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]) {
         #[cfg(target_arch = "x86_64")]
         if have_avx2() {
@@ -294,56 +263,6 @@ impl SimdBackend for Avx2Backend {
     }
 }
 
-impl SimdBackend for Avx512Backend {
-    const LANES: usize = 16;
-    const NAME: &'static str = "avx512";
-
-    fn unpack_u32(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]) {
-        #[cfg(target_arch = "x86_64")]
-        if have_avx512() && (1..=25).contains(&width) {
-            return unpack_u32_avx512(src, start_bit, width, out);
-        }
-        Avx2Backend::unpack_u32(src, start_bit, width, out)
-    }
-
-    // The remaining kernels run at 256-bit width: AVX-512 widens only
-    // the unpack rounds (see the backend() doc for why 512-bit is
-    // opt-in on current hardware).
-    fn unpack_u64(src: &[u8], start_bit: usize, width: u8, out: &mut [u64]) {
-        Avx2Backend::unpack_u64(src, start_bit, width, out)
-    }
-    fn inclusive_scan_v32(v: &mut V32, carry: &mut u32) {
-        Avx2Backend::inclusive_scan_v32(v, carry)
-    }
-    fn chain_delta_decode(vs: &mut [V32], carry: &mut u32) {
-        Avx2Backend::chain_delta_decode(vs, carry)
-    }
-    fn layout_transpose(scratch: &[u32], vs: &mut [V32]) {
-        Avx2Backend::layout_transpose(scratch, vs)
-    }
-    fn widen_rel_i64(base: i64, rel: &[u32], out: &mut [i64]) {
-        Avx2Backend::widen_rel_i64(base, rel, out)
-    }
-    fn range_mask_i64(vals: &[i64], lo: i64, hi: i64, out: &mut [u64]) {
-        Avx2Backend::range_mask_i64(vals, lo, hi, out)
-    }
-    fn sum_i64(vals: &[i64]) -> i128 {
-        Avx2Backend::sum_i64(vals)
-    }
-    fn masked_sum_i64(vals: &[i64], mask: &[u64]) -> (i128, u64) {
-        Avx2Backend::masked_sum_i64(vals, mask)
-    }
-    fn min_max_i64(vals: &[i64]) -> Option<(i64, i64)> {
-        Avx2Backend::min_max_i64(vals)
-    }
-    fn masked_min_max_i64(vals: &[i64], mask: &[u64]) -> Option<(i64, i64)> {
-        Avx2Backend::masked_min_max_i64(vals, mask)
-    }
-    fn svb_decode_quads(controls: &[u8], data: &[u8], n: usize, out: &mut [u32]) -> usize {
-        Avx2Backend::svb_decode_quads(controls, data, n, out)
-    }
-}
-
 /// Dispatches one kernel call to the runtime-selected backend. The
 /// public module functions are written once with this macro; no
 /// backend- or codec-specific branch exists outside the trait impls.
@@ -354,8 +273,6 @@ macro_rules! dispatch {
                 <$crate::backend::ScalarBackend as $crate::backend::SimdBackend>::$f($($a),*),
             $crate::Backend::Avx2 =>
                 <$crate::backend::Avx2Backend as $crate::backend::SimdBackend>::$f($($a),*),
-            $crate::Backend::Avx512 =>
-                <$crate::backend::Avx512Backend as $crate::backend::SimdBackend>::$f($($a),*),
         }
     };
 }
@@ -411,35 +328,6 @@ fn unpack_u32_avx2(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]) {
     }
 }
 
-/// AVX-512 unpack driver: 512-bit rounds of sixteen values for widths
-/// ≤ 25; tails reuse the AVX2 / scalar paths.
-#[cfg(target_arch = "x86_64")]
-fn unpack_u32_avx512(src: &[u8], start_bit: usize, width: u8, out: &mut [u32]) {
-    use crate::avx512::plan512;
-    let start_byte = start_bit / 8;
-    let align = (start_bit % 8) as u8;
-    let plan = plan512(width, align);
-    // Monotone window offsets: the last is the maximum.
-    let max_win = plan.win_off[3];
-    // 16 values per round.
-    let full = out.len() / 16;
-    let budget = src.len().saturating_sub(start_byte + max_win + 16);
-    let by_bytes =
-        budget / plan.bytes_per_round + usize::from(src.len() >= start_byte + max_win + 16);
-    let rounds = full.min(by_bytes);
-    if rounds > 0 {
-        // SAFETY: callers reach this driver only after `have_avx512()`;
-        // the `rounds` computation above keeps every window load within
-        // `src` and `out` holds `rounds * 16` values by construction.
-        unsafe { crate::avx512::unpack_u32_plan512(src, start_byte, rounds, plan, out) };
-    }
-    let done = rounds * 16;
-    if done < out.len() {
-        let bit = start_bit + done * width as usize;
-        Avx2Backend::unpack_u32(src, bit, width, &mut out[done..]);
-    }
-}
-
 /// Largest number of full rounds whose 16-byte window loads all stay
 /// within `len` bytes: round `r` loads from
 /// `start + r*bytes_per_round + max_win_off .. + 16`.
@@ -470,16 +358,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_counts_and_names() {
-        assert_eq!(ScalarBackend::LANES, 1);
-        assert_eq!(Avx2Backend::LANES, 8);
-        assert_eq!(Avx512Backend::LANES, 16);
-        assert_eq!(ScalarBackend::NAME, "scalar");
-        assert_eq!(Avx2Backend::NAME, "avx2");
-        assert_eq!(Avx512Backend::NAME, "avx512");
-    }
-
-    #[test]
     fn safe_rounds_zero_when_no_window_fits() {
         // 10 bytes, window offset 5 needs 21 bytes for one round.
         assert_eq!(safe_rounds(10, 0, 10, 5, 64), 0);
@@ -488,11 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn wider_backends_fall_back_gracefully() {
-        // Callable on any host: the impls gate on runtime detection.
+    fn avx2_backend_falls_back_gracefully() {
+        // Callable on any host: the impl gates on runtime detection.
         let vals: Vec<i64> = (-100..100).collect();
-        let want = ScalarBackend::sum_i64(&vals);
-        assert_eq!(Avx2Backend::sum_i64(&vals), want);
-        assert_eq!(Avx512Backend::sum_i64(&vals), want);
+        assert_eq!(Avx2Backend::sum_i64(&vals), ScalarBackend::sum_i64(&vals));
     }
 }

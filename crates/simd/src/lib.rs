@@ -15,15 +15,13 @@
 //!
 //! Every kernel exists once per backend as an associated function of the
 //! lane-count-generic [`SimdBackend`] trait: a safe scalar reference
-//! ([`ScalarBackend`]), an AVX2 instantiation ([`Avx2Backend`]) using the
-//! instruction families the paper names (`_mm256_shuffle_epi8`,
-//! `_mm256_srlv_epi32`, `_mm256_and_si256`, `_mm256_permutevar8x32_epi32`),
-//! and an AVX-512 instantiation ([`Avx512Backend`]) widening the unpack
-//! rounds to sixteen values. The public module functions dispatch to the
-//! backend chosen once at startup (`backend()`); setting the environment
-//! variable `ETSQP_FORCE_SCALAR=1` forces the scalar twin, which the
-//! test-suite uses for differential testing, and
-//! `ETSQP_FORCE_BACKEND={scalar,avx512}` overrides the default.
+//! ([`ScalarBackend`]) and an AVX2 instantiation ([`Avx2Backend`]) using
+//! the instruction families the paper names (`_mm256_shuffle_epi8`,
+//! `_mm256_srlv_epi32`, `_mm256_and_si256`, `_mm256_permutevar8x32_epi32`).
+//! The public module functions dispatch to the backend chosen once at
+//! startup from CPUID (`backend()`); the one override is the environment
+//! variable `ETSQP_FORCE_SCALAR=1`, which forces the scalar twin for
+//! differential testing.
 //!
 //! All unpacking kernels consume **big-endian bit streams** (MSB-first
 //! within each byte), matching how IoT databases flush encoded pages
@@ -42,11 +40,10 @@ pub mod transpose;
 pub mod unpack;
 
 mod avx2;
-mod avx512;
 #[doc(hidden)]
 pub mod scalar;
 
-pub use backend::{Avx2Backend, Avx512Backend, ScalarBackend, SimdBackend};
+pub use backend::{Avx2Backend, ScalarBackend, SimdBackend};
 
 /// The SIMD backend selected at process start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +52,6 @@ pub enum Backend {
     Scalar,
     /// 256-bit AVX2 implementations.
     Avx2,
-    /// AVX-512 unpacking (512-bit rounds) over the AVX2 kernel set.
-    Avx512,
 }
 
 impl std::fmt::Display for Backend {
@@ -64,8 +59,17 @@ impl std::fmt::Display for Backend {
         match self {
             Backend::Scalar => write!(f, "scalar"),
             Backend::Avx2 => write!(f, "avx2"),
-            Backend::Avx512 => write!(f, "avx512"),
         }
+    }
+}
+
+/// The backend choice as a pure function of its two inputs: AVX2 when
+/// the CPU has it, unless the scalar twin is forced.
+fn select(force_scalar: bool, avx2: bool) -> Backend {
+    if avx2 && !force_scalar {
+        Backend::Avx2
+    } else {
+        Backend::Scalar
     }
 }
 
@@ -76,33 +80,10 @@ pub fn backend() -> Backend {
     use std::sync::OnceLock;
     static BACKEND: OnceLock<Backend> = OnceLock::new();
     *BACKEND.get_or_init(|| {
-        if std::env::var_os("ETSQP_FORCE_SCALAR").is_some_and(|v| v == "1") {
-            return Backend::Scalar;
-        }
-        let forced = std::env::var("ETSQP_FORCE_BACKEND").ok();
-        match forced.as_deref() {
-            Some("scalar") => return Backend::Scalar,
-            #[cfg(target_arch = "x86_64")]
-            Some("avx512")
-                if std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw") =>
-            {
-                return Backend::Avx512;
-            }
-            _ => {}
-        }
-        // AVX2 is the default even on AVX-512 hardware: 512-bit unpack
-        // rounds measured slightly slower on this class of machines
-        // (window-insert overhead and frequency scaling) — see
-        // EXPERIMENTS.md. Opt in with ETSQP_FORCE_BACKEND=avx512.
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Backend::Avx2;
-            }
-        }
-        #[allow(unreachable_code)]
-        Backend::Scalar
+        select(
+            std::env::var_os("ETSQP_FORCE_SCALAR").is_some_and(|v| v == "1"),
+            backend::have_avx2(),
+        )
     })
 }
 
@@ -122,6 +103,14 @@ mod tests {
     #[test]
     fn backend_is_stable_across_calls() {
         assert_eq!(backend(), backend());
+    }
+
+    #[test]
+    fn select_table() {
+        assert_eq!(select(false, true), Backend::Avx2);
+        assert_eq!(select(true, true), Backend::Scalar);
+        assert_eq!(select(false, false), Backend::Scalar);
+        assert_eq!(select(true, false), Backend::Scalar);
     }
 
     #[test]

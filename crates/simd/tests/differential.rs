@@ -2,7 +2,7 @@
 //! [`SimdBackend`] trait runs through **every compiled-in backend** on
 //! the same inputs and must agree bit-for-bit with the scalar
 //! reference. Backend impls gate on runtime feature detection and fall
-//! back to scalar, so this suite is sound on any host — on AVX2/AVX-512
+//! back to scalar, so this suite is sound on any host — on AVX2
 //! machines it exercises the real vector kernels.
 //!
 //! This replaces the older ad-hoc per-function avx2-vs-scalar checks:
@@ -10,8 +10,7 @@
 //! logic.
 
 use etsqp_simd::{
-    agg, filter, scan, svb, transpose, unpack, Avx2Backend, Avx512Backend, ScalarBackend,
-    SimdBackend,
+    agg, filter, scan, svb, transpose, unpack, Avx2Backend, ScalarBackend, SimdBackend,
 };
 use proptest::prelude::*;
 
@@ -48,8 +47,7 @@ fn svb_encode(vals: &[u32]) -> (Vec<u8>, Vec<u8>) {
 macro_rules! check_backends {
     ($case:ident ( $($arg:expr),* $(,)? )) => {{
         let want = $case::<ScalarBackend>($($arg),*);
-        prop_assert_eq!($case::<Avx2Backend>($($arg),*), want.clone());
-        prop_assert_eq!($case::<Avx512Backend>($($arg),*), want);
+        prop_assert_eq!($case::<Avx2Backend>($($arg),*), want);
     }};
 }
 

@@ -509,6 +509,7 @@ mod tests {
         let mut h = HotChunkF64::new(Encoding::Ts2Diff, Encoding::Chimp, 3, None);
         assert!(h.push(0, 1.5).unwrap().is_none());
         assert!(h.push(1, -2.5).unwrap().is_none());
+        assert!(matches!(h.push(1, 0.0), Err(Error::OutOfOrder { .. })));
         let snap = h.snapshot().unwrap();
         assert_eq!(snap.min_value, f64_to_ordered_i64(-2.5));
         assert_eq!(snap.max_value, f64_to_ordered_i64(1.5));

@@ -14,8 +14,6 @@
 //!   accounting (pages and bytes touched), the substrate the query
 //!   pipelines and benchmarks run against. Queries snapshot sealed pages
 //!   plus the hot chunk atomically via [`store::SeriesStore::snapshot`].
-//! * [`series::SeriesWriter`] — the legacy standalone receive buffer,
-//!   kept for encode-and-flush experiments outside a store.
 //! * [`tsfile::TsFile`] — a minimal on-disk container (magic, series
 //!   index, length-prefixed pages) for persistence round-trips.
 
@@ -25,7 +23,6 @@
 pub mod budget;
 pub mod ingest;
 pub mod page;
-pub mod series;
 pub mod store;
 pub mod tsfile;
 

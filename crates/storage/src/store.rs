@@ -57,6 +57,9 @@ impl IoStats {
     }
 }
 
+/// Default points per sealed page.
+pub const DEFAULT_PAGE_POINTS: usize = 1024;
+
 /// Construction knobs for a [`SeriesStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
@@ -76,7 +79,7 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
-            page_points: crate::series::DEFAULT_PAGE_POINTS,
+            page_points: DEFAULT_PAGE_POINTS,
             shards: DEFAULT_SHARDS,
             seal_interval: None,
         }

@@ -208,14 +208,22 @@ fn type_misuse_is_recoverable() {
     assert_eq!(store.point_count("f").unwrap(), 1);
 }
 
-/// Out-of-order rejection holds across seal boundaries: after a page
-/// seals, the next append must still be after the sealed tail.
+/// Out-of-order rejection holds within the hot buffer (an equal or an
+/// earlier timestamp) and across seal boundaries: after a page seals,
+/// the next append must still be after the sealed tail.
 #[test]
-fn out_of_order_rejected_across_seal() {
+fn out_of_order_rejected_in_buffer_and_across_seal() {
     let store = int_store(4);
-    for i in 0..4 {
-        store.append("s", i, 0).unwrap();
+    store.append("s", 0, 0).unwrap();
+    store.append("s", 1, 0).unwrap();
+    for stale in [1, 0] {
+        assert!(matches!(
+            store.append("s", stale, 0),
+            Err(Error::OutOfOrder { last: 1, .. })
+        ));
     }
+    store.append("s", 2, 0).unwrap();
+    store.append("s", 3, 0).unwrap();
     assert_eq!(store.page_count("s").unwrap(), 1, "sealed at 4 points");
     assert!(matches!(
         store.append("s", 3, 0),

@@ -18,7 +18,6 @@
 //!    wrong reason — fails the build.
 
 use etsqp_core::decode::DecodeOptions;
-use etsqp_core::exec::Scheduler;
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate, TimeRange};
 use etsqp_core::fused::FuseLevel;
 use etsqp_core::physical::node::{Parallelism, PruneVerdict, RootNode, Strategy};
@@ -74,7 +73,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
-                            scheduler: Scheduler::Pool,
                             partial_cache: true,
                         });
                     }
@@ -95,7 +93,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
-        scheduler: Scheduler::Pool,
         partial_cache: true,
     };
     vec![

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# Short-query throughput benchmark: persistent work-stealing pool vs the
-# spawn-per-query baseline, at 1/2/4/8 configured threads.
+# Short-query throughput benchmark: the persistent work-stealing pool at
+# 1/2/4/8 configured threads.
 #
 # Run from the repository root:
 #   bash scripts/bench.sh
 #
-# Writes BENCH_pool.json at the repo root (per-thread-count q/s for both
-# schedulers plus the 8-thread pool-vs-spawn speedup) and echoes the
-# human-readable lines to stderr. Scale with ETSQP_BENCH_QUERIES
-# (queries per cell, default 1000).
+# Writes BENCH_pool.json at the repo root (q/s per configured thread
+# count) and echoes the human-readable lines to stderr. Scale with
+# ETSQP_BENCH_QUERIES (queries per cell, default 1000).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,7 +59,7 @@ cat BENCH_ingest.json
 # Decode throughput per codec × SIMD backend (BENCH_decode.json): every
 # integer codec through decode_column, the float codecs, the raw Stream
 # VByte quad kernel, and the FastLanes/SBoost baselines, measured once
-# per backend (scalar / avx2 / avx512 as the CPU allows) via child
+# per backend (scalar, and avx2 where the CPU has it) via child
 # re-exec. Non-gating; scale with ETSQP_BENCH_DECODE_INTS (column
 # length, default 262144).
 echo "==> cargo build --release -p etsqp-bench --bin decode_bench"

@@ -46,6 +46,12 @@ cargo run -q -p xtask -- fuzz --iters "${ETSQP_FUZZ_ITERS:-20000}" --seed 5
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The second of the two kernel backends: the run above takes the CPUID
+# pick (AVX2 on the CI host), this one forces the scalar twin through
+# the same kernel, codec and engine suites.
+echo "==> ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core"
+ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core
+
 # The benchmark package (bench/, a workspace of its own that the steps
 # above never compile) calls `pub` items of crates/{simd,encoding,
 # storage,core,serve}: build it, so a signature change that breaks it
@@ -112,13 +118,18 @@ else
     echo "==> miri unavailable, skipping (non-gating)"
 fi
 
-# Non-gating perf smoke: pool-vs-spawn short-query throughput trajectory
-# (BENCH_pool.json). A perf regression here is a signal, not a failure.
+# Non-gating perf smoke: pool short-query throughput per configured
+# thread count (BENCH_pool.json). A perf regression here is a signal,
+# not a failure.
 echo "==> scripts/bench.sh (non-gating smoke)"
 ETSQP_BENCH_QUERIES="${ETSQP_BENCH_QUERIES:-100}" \
 ETSQP_BENCH_SERVE_QUERIES="${ETSQP_BENCH_SERVE_QUERIES:-200}" \
 ETSQP_BENCH_SERVE_MAX_CLIENTS="${ETSQP_BENCH_SERVE_MAX_CLIENTS:-64}" \
     bash scripts/bench.sh \
     || echo "WARN: bench smoke failed (non-gating)"
+
+# Non-gating: the ROADMAP item 3 scoreboard (non-test code lines).
+echo "==> scripts/loc.sh (non-gating)"
+bash scripts/loc.sh || echo "WARN: loc.sh failed (non-gating)"
 
 echo "CI OK"

@@ -7,7 +7,6 @@
 //! failure in CI pins down the exact (codec × config × query) cell.
 
 use etsqp::core::decode::DecodeOptions;
-use etsqp::core::exec::Scheduler;
 use etsqp::core::expr::{BinOp, CmpOp, PairAggFunc};
 use etsqp::core::oracle;
 use etsqp::core::physical::pipe;
@@ -59,7 +58,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
-                            scheduler: Scheduler::Pool,
                             partial_cache: true,
                         });
                     }
@@ -80,7 +78,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
-        scheduler: Scheduler::Pool,
         partial_cache: true,
     };
     vec![
@@ -91,17 +88,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
             prune: true,
             threads: 4,
             allow_slicing: true,
-            ..base
-        },
-        // The spawn-per-query baseline must agree with the pool on the
-        // full battery (scheduler differential).
-        PipelineConfig {
-            vectorized: true,
-            fuse: FuseLevel::DeltaRepeat,
-            prune: true,
-            threads: 4,
-            allow_slicing: true,
-            scheduler: Scheduler::SpawnPerQuery,
             ..base
         },
         PipelineConfig {
@@ -123,8 +109,8 @@ fn canonical_configs() -> Vec<PipelineConfig> {
 
 fn cfg_label(cfg: &PipelineConfig) -> String {
     format!(
-        "vec={} fuse={:?} prune={} threads={} slice={} sched={:?}",
-        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing, cfg.scheduler
+        "vec={} fuse={:?} prune={} threads={} slice={}",
+        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing
     )
 }
 
@@ -365,6 +351,18 @@ fn check(fx: &mut Fixture, qi: usize, cfg: &PipelineConfig) -> usize {
     1
 }
 
+/// Appends 40 unsealed points after `tn` (mixed-sign values), leaving a
+/// hot chunk beside the sealed pages; returns the appended points.
+fn append_hot_tail(store: &SeriesStore, name: &str, tn: i64) -> Vec<(i64, i64)> {
+    (0..40i64)
+        .map(|i| {
+            let (t, v) = (tn + (i + 1) * 3, (i * 907) % 511 - 200);
+            store.append(name, t, v).unwrap();
+            (t, v)
+        })
+        .collect()
+}
+
 fn preview(rows: &[Vec<Value>]) -> &[Vec<Value>] {
     &rows[..rows.len().min(8)]
 }
@@ -588,11 +586,8 @@ fn quantile_sketches_stay_within_rank_bound() {
                 let mut ts = data.timestamps.clone();
                 let mut vals = data.columns[0].1.clone();
                 if hot {
-                    let tn = *ts.last().unwrap();
-                    for i in 0..40i64 {
-                        let v = (i * 907) % 511 - 200;
-                        store.append(&name, tn + (i + 1) * 3, v).unwrap();
-                        ts.push(tn + (i + 1) * 3);
+                    for (t, v) in append_hot_tail(&store, &name, *ts.last().unwrap()) {
+                        ts.push(t);
                         vals.push(v);
                     }
                 }
@@ -656,4 +651,70 @@ fn quantile_sketches_stay_within_rank_bound() {
     }
     assert!(cases >= 200, "quantile sweep too small: {cases} cases");
     eprintln!("differential quantile sweep: {cases} cases within the rank bound");
+}
+
+/// Block G: thread-count invariance. Job outputs return in job order and
+/// the merge node folds them sequentially, so the answer may not depend
+/// on how many runners executed the jobs or on whether pages were cut
+/// into slices. With the partial cache off (every partial is computed by
+/// this run), the whole battery plus whole-range and bucketed
+/// P50/P95/P99 must give rows at `threads ∈ {2, 8}`, slicing on and off,
+/// that are bit-identical to `threads = 1` — equality, not the rank
+/// bound Block F holds quantiles to against the oracle.
+#[test]
+fn rows_are_bit_identical_across_thread_counts() {
+    let serial = PipelineConfig {
+        threads: 1,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let mut cases = 0usize;
+    for spec in [Spec::Atmosphere, Spec::Timestamp, Spec::Tpch] {
+        for codec in [Encoding::Ts2Diff, Encoding::DeltaRle, Encoding::StreamVByte] {
+            for hot in [false, true] {
+                let mut fx = fixture(spec, codec, Encoding::Ts2Diff);
+                let timestamps = spec.generate(ROWS).timestamps;
+                let (t0, tn) = (timestamps[0], timestamps[ROWS - 1]);
+                let w_dt = ((tn - t0) / 7).max(1);
+                if hot {
+                    for name in [&fx.a, &fx.b] {
+                        append_hot_tail(&fx.store, name, tn);
+                    }
+                }
+                for func in [AggFunc::P50, AggFunc::P95, AggFunc::P99] {
+                    fx.queries
+                        .push((format!("{func:?}"), Plan::scan(&fx.a).aggregate(func)));
+                    fx.queries.push((
+                        format!("W{func:?}"),
+                        Plan::scan(&fx.a).window(t0, w_dt, func),
+                    ));
+                }
+                for (qname, plan) in &fx.queries {
+                    let want = execute(plan, &fx.store, &serial).unwrap();
+                    for threads in [2usize, 8] {
+                        for allow_slicing in [true, false] {
+                            let cfg = PipelineConfig {
+                                threads,
+                                allow_slicing,
+                                ..serial
+                            };
+                            let got = execute(plan, &fx.store, &cfg).unwrap();
+                            assert!(
+                                got.columns == want.columns && rows_eq(&got.rows, &want.rows),
+                                "THREADS spec={} codec={codec:?} hot={hot} cfg=[{}] \
+                                 query={qname}: {:?} != threads=1 {:?}",
+                                spec.label(),
+                                cfg_label(&cfg),
+                                preview(&got.rows),
+                                preview(&want.rows),
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases >= 200, "thread sweep too small: {cases} cases");
+    eprintln!("differential thread-count invariance: {cases} cases, all bit-identical");
 }
