@@ -1,7 +1,7 @@
 //! Job scheduler and execution statistics.
 //!
-//! Pipeline jobs (built by Algorithm 2 in [`crate::plan`]) are independent
-//! units of work over pages or slices. [`run_jobs`] runs them
+//! Pipeline jobs (built by Algorithm 2 in [`crate::physical::pipe`]) are
+//! independent units of work over pages or slices. [`run_jobs`] runs them
 //! morsel-driven on the process-wide persistent worker pool
 //! ([`crate::pool`]). Workers never wait on each other (slice
 //! dependencies are resolved by a sequential merge after the parallel

@@ -120,6 +120,15 @@ impl TimeRange {
     pub fn contains(&self, t: i64) -> bool {
         t >= self.lo && t <= self.hi
     }
+
+    /// The half-open index range `[a, b)` of the ascending timestamps
+    /// `ts` that lie inside (`a == b` when none do): ordered time makes
+    /// every time filter an index range.
+    pub fn index_range(&self, ts: &[i64]) -> (usize, usize) {
+        let a = ts.partition_point(|&t| t < self.lo);
+        let b = ts.partition_point(|&t| t <= self.hi);
+        (a, b.max(a)) // an inverted range (lo > hi) selects nothing
+    }
 }
 
 /// Conjunctive predicates over one series (single-column: time or value).
@@ -182,6 +191,22 @@ pub struct SlidingWindow {
 }
 
 impl SlidingWindow {
+    /// Whether every timestamp up to `last_ts` can be bucketed in `i64`:
+    /// the width is positive, `last_ts − t_min` fits (what
+    /// [`SlidingWindow::window_of`] computes) and there is room above
+    /// `last_ts` for its bucket's end and the start of the next one
+    /// (what [`SlidingWindow::range`] computes). Both use unchecked
+    /// arithmetic; the planner rejects a window failing this test.
+    pub fn can_bucket(&self, last_ts: i64) -> bool {
+        self.dt > 0
+            && (last_ts < self.t_min
+                || (last_ts.checked_sub(self.t_min).is_some()
+                    && last_ts
+                        .checked_add(self.dt)
+                        .and_then(|t| t.checked_add(self.dt))
+                        .is_some()))
+    }
+
     /// The window index containing `t`, if `t ≥ t_min`.
     pub fn window_of(&self, t: i64) -> Option<usize> {
         (t >= self.t_min).then(|| ((t - self.t_min) / self.dt) as usize)
@@ -410,6 +435,26 @@ mod tests {
         assert_eq!(sw.window_of(150), Some(1));
         assert_eq!(sw.window_of(99), None);
         assert_eq!(sw.range(2), TimeRange { lo: 200, hi: 249 });
+    }
+
+    #[test]
+    fn can_bucket_rejects_overflowing_origins_and_widths() {
+        let sw = |t_min, dt| SlidingWindow { t_min, dt };
+        assert!(sw(0, 10).can_bucket(1_000_000));
+        assert!(sw(i64::MIN, 10).can_bucket(-1), "negative span still fits");
+        assert!(!sw(i64::MIN, 10).can_bucket(0), "0 - i64::MIN overflows");
+        assert!(!sw(0, 0).can_bucket(5) && !sw(0, -3).can_bucket(5));
+        assert!(!sw(0, 10).can_bucket(i64::MAX - 15), "bucket end overflows");
+        assert!(sw(100, i64::MAX).can_bucket(50), "nothing to bucket");
+    }
+
+    #[test]
+    fn index_range_of_sorted_timestamps() {
+        let ts = [10, 20, 30, 40];
+        assert_eq!(TimeRange { lo: 15, hi: 30 }.index_range(&ts), (1, 3));
+        assert_eq!(TimeRange::all().index_range(&ts), (0, 4));
+        assert_eq!(TimeRange { lo: 41, hi: 99 }.index_range(&ts), (4, 4));
+        assert_eq!(TimeRange { lo: 35, hi: 12 }.index_range(&ts), (3, 3));
     }
 
     #[test]

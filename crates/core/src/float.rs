@@ -14,7 +14,7 @@
 use etsqp_encoding::f64_to_ordered_i64;
 #[cfg(test)]
 use etsqp_encoding::Encoding;
-use etsqp_storage::ingest::{HotFloatSnapshot, HotSnapshot};
+use etsqp_storage::ingest::HotSnapshot;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
@@ -47,6 +47,16 @@ impl FloatAgg {
         self.count += 1;
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
+    }
+
+    /// Folds the values inside the optional range (NaN never matches
+    /// one).
+    fn push_in_range(&mut self, vals: &[f64], vrange: Option<FloatRange>) {
+        for &v in vals {
+            if vrange.is_none_or(|r| v >= r.lo && v <= r.hi) {
+                self.push(v);
+            }
+        }
     }
 
     /// Merges another partial.
@@ -196,24 +206,9 @@ pub fn aggregate_f64_ctl(
         };
         let (ts, vals) = decoded;
         let _agg = Stage::Agg.timer(&stats);
-        // Ordered timestamps: the time filter is an index range.
-        let (a, b) = match trange {
-            Some(tr) => {
-                let a = ts.partition_point(|&t| t < tr.lo);
-                let b = ts.partition_point(|&t| t <= tr.hi);
-                (a, b.max(a))
-            }
-            None => (0, ts.len()),
-        };
+        let (a, b) = index_range(trange, &ts);
         let mut agg = FloatAgg::default();
-        for &v in &vals[a..b] {
-            if let Some(r) = vrange {
-                if !(v >= r.lo && v <= r.hi) {
-                    continue; // also drops NaN
-                }
-            }
-            agg.push(v);
-        }
+        agg.push_in_range(&vals[a..b], vrange);
         Ok(agg)
     })?;
     let mut total = FloatAgg::default();
@@ -227,33 +222,16 @@ pub fn aggregate_f64_ctl(
             .tuples_scanned
             .fetch_add(h.ts.len() as u64, std::sync::atomic::Ordering::Relaxed);
         let _agg = Stage::Agg.timer(&stats);
-        for (_, v) in hot_range(h, trange) {
-            if let Some(r) = vrange {
-                if !(v >= r.lo && v <= r.hi) {
-                    continue; // also drops NaN
-                }
-            }
-            total.push(v);
-        }
+        let (a, b) = index_range(trange, &h.ts);
+        total.push_in_range(&h.vals[a..b], vrange);
     }
     Ok((total, stats.snapshot()))
 }
 
-/// The hot snapshot's `(ts, value)` pairs inside the optional time range
-/// (an index range — buffered timestamps are strictly increasing).
-fn hot_range(
-    h: &HotFloatSnapshot,
-    trange: Option<TimeRange>,
-) -> impl Iterator<Item = (i64, f64)> + '_ {
-    let (a, b) = match trange {
-        Some(tr) => {
-            let a = h.ts.partition_point(|&t| t < tr.lo);
-            let b = h.ts.partition_point(|&t| t <= tr.hi);
-            (a, b.max(a))
-        }
-        None => (0, h.ts.len()),
-    };
-    h.ts[a..b].iter().copied().zip(h.vals[a..b].iter().copied())
+/// Ordered timestamps make the optional time filter a half-open index
+/// range (the whole column without one).
+fn index_range(trange: Option<TimeRange>, ts: &[i64]) -> (usize, usize) {
+    trange.map_or((0, ts.len()), |t| t.index_range(ts))
 }
 
 /// Scans a float series' qualifying rows.
@@ -293,14 +271,7 @@ pub fn scan_f64_ctl(
         |page| -> Result<(Vec<i64>, Vec<f64>)> {
             store.io().record_page(page.encoded_len());
             let (ts, vals) = page.decode_f64().map_err(Error::Storage)?;
-            let (a, b) = match trange {
-                Some(tr) => {
-                    let a = ts.partition_point(|&t| t < tr.lo);
-                    let b = ts.partition_point(|&t| t <= tr.hi);
-                    (a, b.max(a))
-                }
-                None => (0, ts.len()),
-            };
+            let (a, b) = index_range(trange, &ts);
             Ok((ts[a..b].to_vec(), vals[a..b].to_vec()))
         },
     )?;
@@ -314,10 +285,9 @@ pub fn scan_f64_ctl(
     // Hot rows follow every sealed row (their timestamps are strictly
     // greater), so the scan stays time-ordered.
     if let Some(h) = &hot {
-        for (t, v) in hot_range(h, trange) {
-            all_ts.push(t);
-            all_vals.push(v);
-        }
+        let (a, b) = index_range(trange, &h.ts);
+        all_ts.extend_from_slice(&h.ts[a..b]);
+        all_vals.extend_from_slice(&h.vals[a..b]);
     }
     Ok((all_ts, all_vals))
 }

@@ -37,8 +37,44 @@ pub enum FuseLevel {
     DeltaRepeat,
 }
 
-/// SUM over all values of a TS2DIFF (order-1) page without Delta decoding:
-/// `Σ v = n·v₀ + Σ_j (n−j)·(base + s_j)`.
+/// The closed form all three delta fusions share: with
+/// `v_k = v₀ + Σ_{j<k} δ_j` (delta `j` connects value `j` to `j+1`),
+/// `Σ_{k=a..=b} v_k = (b−a+1)·v₀ + Σ_{j<b} w_j·δ_j`, where delta `j` is
+/// counted once per covered value above it: `w_j = b − max(j+1, a) + 1`.
+/// Over a whole page (`a = 0`) that is the `3X₀+3D₁+3D₂+2D₃+D₄+12·base`
+/// identity of Example 2. MIN/MAX/Σx² still require values and stay
+/// unset (callers needing them decode — see [`FuseLevel::None`]).
+fn weighted_delta_sum(v0: i64, a: usize, b: usize, deltas: impl Iterator<Item = i128>) -> AggState {
+    let len = (b - a + 1) as i128;
+    let mut sum = len * v0 as i128;
+    for (j, d) in deltas.take(b).enumerate() {
+        sum += (b + 1 - (j + 1).max(a)) as i128 * d;
+    }
+    AggState {
+        sum,
+        count: len as u64,
+        ..AggState::new()
+    }
+}
+
+/// The one fallback for pages whose stored deltas are not plain
+/// first-order differences: decode, then aggregate `[a, b]`.
+fn decoded_range_state(
+    a: usize,
+    b: usize,
+    decode: impl FnOnce(&mut Vec<i64>) -> Result<usize>,
+) -> Result<AggState> {
+    let mut out = Vec::new();
+    decode(&mut out)?;
+    let mut state = AggState::new();
+    state.push_slice(out.get(a..=b).ok_or(Error::Decode(
+        "decoded column shorter than its header count",
+    ))?);
+    Ok(state)
+}
+
+/// SUM over all values of a TS2DIFF (order-1) page without Delta
+/// decoding: [`sum_ts2diff_range`] over the whole page.
 ///
 /// ```
 /// use etsqp_core::{decode::DecodeOptions, fused::sum_ts2diff};
@@ -47,50 +83,13 @@ pub enum FuseLevel {
 /// let state = sum_ts2diff(&page, &DecodeOptions::default()).unwrap();
 /// assert_eq!(state.sum, 100);
 /// ```
-///
-/// Order-2 pages fall back to decode-then-sum (double accumulation makes
-/// the closed form cubic; the paper fuses single-Delta formats).
 pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    let mut state = AggState::new();
-    if page.count == 0 {
-        return Ok(state);
-    }
-    if page.order != 1 {
-        let mut out = Vec::new();
-        decode_ts2diff(page, opts, &mut out)?;
-        state.push_slice(&out);
-        return Ok(state);
-    }
-    let n = page.count as i128;
-    let m = page.num_deltas();
-    // Unpack the stored deltas (SIMD) — the only decoder we keep. Widths
-    // up to 64 bits occur whenever the delta spread exceeds 2³², so the
-    // 64-bit unpacker is required (unpack_u32 asserts width ≤ 32).
-    let mut stored = vec![0u64; m];
-    unpack::unpack_u64(page.payload, 0, page.width, &mut stored);
-    // Weighted sum Σ (m−j)·s_j with j zero-based over deltas: the delta at
-    // index j contributes to values j+1..count, i.e. (m − j) values.
-    let mut weighted: i128 = 0;
-    for (j, &s) in stored.iter().enumerate() {
-        weighted += (m - j) as i128 * s as i128;
-    }
-    let base = page.min_delta as i128;
-    // Σ_j (m−j)·base = base · m(m+1)/2.
-    let tri = m as i128 * (m as i128 + 1) / 2;
-    state.sum = n * page.first[0] as i128 + base * tri + weighted;
-    state.count = page.count as u64;
-    // MIN/MAX/Σx² still require values; fused SUM/AVG/COUNT leave them
-    // unset. (Callers needing them decode — see FuseLevel::None.)
-    state.min = None;
-    state.max = None;
-    state.sum_sq = 0;
-    Ok(state)
+    sum_ts2diff_range(page, 0, page.count.saturating_sub(1), opts)
 }
 
 /// SUM over all values of a Stream VByte page without prefix summing:
-/// the quad-shuffle decode yields the zigzag'd deltas `δ_j` directly, and
-/// `Σ v = n·v₀ + Σ_j (n−1−j)·δ_j` (delta `j` connects value `j` to `j+1`,
-/// so it is counted once per value above it).
+/// the quad-shuffle decode yields the zigzag'd deltas `δ_j` directly and
+/// they feed the same weighted sum as TS2DIFF's bit-packed ones.
 ///
 /// ```
 /// use etsqp_core::{decode::DecodeOptions, fused::sum_svb};
@@ -105,76 +104,52 @@ pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggSt
 /// be the exact difference, which only mode 0 pages written under the
 /// planner's `spread_fits_i64` gate guarantee.
 pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    let mut state = AggState::new();
     if page.count == 0 {
-        return Ok(state);
+        return Ok(AggState::new());
     }
+    let b = page.count - 1;
     if page.mode != 0 {
-        let mut out = Vec::new();
-        decode_svb(page, opts, &mut out)?;
-        state.push_slice(&out);
-        return Ok(state);
+        return decoded_range_state(0, b, |out| decode_svb(page, opts, out));
     }
-    let n = page.count as i128;
-    let m = page.num_deltas();
-    let mut zz = vec![0u32; m];
-    let used = svb::decode_quads(page.controls, page.data, m, &mut zz);
+    let mut zz = vec![0u32; page.num_deltas()];
+    let used = svb::decode_quads(page.controls, page.data, zz.len(), &mut zz);
     debug_assert_eq!(used, page.data_len);
-    // Weighted sum Σ (m−j)·δ_j with j zero-based: delta j contributes to
-    // values j+1..count, i.e. (m − j) of them. δ_j un-zigzags in the
-    // 64-bit domain exactly (mode 0 means every zigzag fit 32 bits).
-    let mut weighted: i128 = 0;
-    for (j, &z) in zz.iter().enumerate() {
-        let d = etsqp_encoding::zigzag::decode_zigzag(z as u64) as i128;
-        weighted += (m - j) as i128 * d;
-    }
-    state.sum = n * page.first as i128 + weighted;
-    state.count = page.count as u64;
-    // MIN/MAX/Σx² still require values; fused SUM/AVG/COUNT leave them
-    // unset, exactly like [`sum_ts2diff`].
-    Ok(state)
+    // δ_j un-zigzags in the 64-bit domain exactly (mode 0 means every
+    // zigzag fit 32 bits).
+    let deltas = zz
+        .iter()
+        .map(|&z| etsqp_encoding::zigzag::decode_zigzag(z as u64) as i128);
+    Ok(weighted_delta_sum(page.first, 0, b, deltas))
 }
 
-/// SUM over the value-index range `[a, b]` (inclusive) of a TS2DIFF
-/// (order-1) page without Delta decoding.
+/// SUM over the value-index range `[a, b]` (inclusive, `b` clipped to the
+/// page) of a TS2DIFF (order-1) page without Delta decoding:
+/// `δ_j = base + s_j` over the unpacked stored deltas `s_j`.
 ///
-/// With `v_k = v₀ + Σ_{j<k} δ_j` (delta index `j` connects value `j` to
-/// `j+1`), the range sum expands to
-/// `(b−a+1)·v₀ + Σ_j w_j·δ_j` where delta `j` is counted once per covered
-/// value above it: `w_j = b − max(j+1, a) + 1` for `j < b`, else 0.
+/// Order-2 pages fall back to decode-then-sum (double accumulation makes
+/// the closed form cubic; the paper fuses single-Delta formats).
 pub fn sum_ts2diff_range(
     page: &Ts2DiffPage<'_>,
     a: usize,
     b: usize,
     opts: &DecodeOptions,
 ) -> Result<AggState> {
-    let mut state = AggState::new();
     if page.count == 0 || a > b || a >= page.count {
-        return Ok(state);
+        return Ok(AggState::new());
     }
     let b = b.min(page.count - 1);
     if page.order != 1 {
-        let mut out = Vec::new();
-        decode_ts2diff(page, opts, &mut out)?;
-        state.push_slice(&out[a..=b]);
-        return Ok(state);
+        return decoded_range_state(a, b, |out| decode_ts2diff(page, opts, out));
     }
-    let len = (b - a + 1) as i128;
-    let m = b; // deltas 0..b participate
-    let mut stored = vec![0u64; m];
+    // Unpack the stored deltas below `b` (SIMD) — the only decoder we
+    // keep. Widths up to 64 bits occur whenever the delta spread exceeds
+    // 2³², so the 64-bit unpacker is required (unpack_u32 asserts width
+    // ≤ 32).
+    let mut stored = vec![0u64; b];
     unpack::unpack_u64(page.payload, 0, page.width, &mut stored);
     let base = page.min_delta as i128;
-    let mut weighted: i128 = 0;
-    let mut weight_total: i128 = 0;
-    for (j, &s) in stored.iter().enumerate() {
-        // Delta j contributes to values max(j+1, a)..=b.
-        let w = (b - (j + 1).max(a) + 1) as i128;
-        weighted += w * s as i128;
-        weight_total = weight_total.saturating_add(w);
-    }
-    state.sum = len * page.first[0] as i128 + base * weight_total + weighted;
-    state.count = len as u64;
-    Ok(state)
+    let deltas = stored.iter().map(|&s| base + s as i128);
+    Ok(weighted_delta_sum(page.first[0], a, b, deltas))
 }
 
 /// Full aggregate state over a Delta-RLE page without flattening or

@@ -26,6 +26,7 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
 
 use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow};
+use crate::partial::PartialState;
 use crate::plan::{finalize, finalize_pair, flatten_scan, PairMoments, Value};
 use crate::Result;
 
@@ -163,7 +164,7 @@ fn scan_tuples(
 ///   *not* expected to match this bit-for-bit; the differential harness
 ///   compares by rank within [`crate::partial::TDigest::rank_error_bound`].
 /// * `RATE`/`DELTA` use the same `i128` first/last formulas as
-///   [`crate::plan::finalize_partial`], so they compare bit-exact.
+///   [`finalize`], so they compare bit-exact.
 /// * Everything else accumulates through [`AggState`] and shares
 ///   [`finalize`]'s widening rules with the engine.
 pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
@@ -198,7 +199,7 @@ pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
             for &v in vals {
                 state.push(v);
             }
-            finalize(func, &state)
+            finalize(func, &PartialState::from(state))
         }
     }
 }

@@ -1,13 +1,19 @@
-//! Aggregation operator bodies: per-page pipelines (`FusedAgg`,
+//! Aggregation operator bodies: the per-page pipeline (`FusedAgg`,
 //! `DecodeScan → Filter → PartialAgg`), the §III-C symbolic slice
-//! partials, and the SIMD fold kernels they share.
+//! partials, and the two folds that pipeline ends in ([`fold_values`]
+//! over decoded slices, [`fold_tuples`] over `(t, v)` pairs).
 //!
-//! The strategy a page runs is no longer chosen here: the `Pipe` planner
+//! A page aggregates in one shape — qualifying index range → bucket
+//! subranges → one fold per bucket into a [`PartialState`] — and a
+//! whole-range aggregate is the one-bucket case of it (`window = None`).
+//! The strategy a page runs is not chosen here: the `Pipe` planner
 //! ([`crate::physical::pipe`]) picks a [`Strategy`] per page from header
-//! statistics, and [`agg_page_job`] dispatches on that decision (with
+//! statistics, and [`agg_page_job`] executes that decision (with
 //! [`Strategy::Decode`] as the sound fallback whenever a runtime check —
-//! e.g. the resolved index range — falls outside what a fused form
+//! e.g. the resolved index range — falls outside what a whole-page form
 //! handles).
+
+use std::collections::BTreeMap;
 
 use etsqp_encoding::{delta_rle, stream_vbyte, ts2diff, Encoding};
 use etsqp_simd::agg::AggState;
@@ -16,7 +22,7 @@ use etsqp_storage::store::SeriesStore;
 
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff, sum_ts2diff_range, FuseLevel};
+use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff_range, FuseLevel};
 use crate::partial::{CacheKey, PartialCache, PartialState};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
@@ -69,68 +75,85 @@ pub(crate) fn fusion_covers(func: AggFunc, val_enc: Encoding, fuse: FuseLevel) -
     }
 }
 
-/// Folds a dense slice into the state, computing only what `func` needs
-/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums).
-pub(crate) fn agg_slice(state: &mut AggState, slice: &[i64], func: AggFunc) {
+/// Folds the decoded values of one bucket subrange that pass the
+/// optional value filter into a state, computing only what `func` needs
+/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums). The
+/// filter is a SIMD range mask; without one the dense kernels run.
+pub(crate) fn fold_values(slice: &[i64], value: Option<(i64, i64)>, func: AggFunc) -> AggState {
+    let mut state = AggState::new();
     if slice.is_empty() {
-        return;
+        return state;
     }
+    let mask = value.map(|(lo, hi)| {
+        let mut mask = etsqp_simd::filter::new_mask(slice.len());
+        etsqp_simd::filter::range_mask_i64(slice, lo, hi, &mut mask);
+        mask
+    });
     match func {
         AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            state.sum += etsqp_simd::agg::sum_i64(slice);
-            state.count += slice.len() as u64;
+            (state.sum, state.count) = match &mask {
+                Some(m) => etsqp_simd::agg::masked_sum_i64(slice, m),
+                None => (etsqp_simd::agg::sum_i64(slice), slice.len() as u64),
+            };
         }
         AggFunc::Min | AggFunc::Max => {
-            if let Some((mn, mx)) = etsqp_simd::agg::min_max_i64(slice) {
-                state.min = Some(state.min.map_or(mn, |m| m.min(mn)));
-                state.max = Some(state.max.map_or(mx, |m| m.max(mx)));
-            }
-            state.count += slice.len() as u64;
+            let (extremes, selected) = match &mask {
+                Some(m) => (
+                    etsqp_simd::agg::masked_min_max_i64(slice, m),
+                    etsqp_simd::filter::count_mask(m, slice.len()),
+                ),
+                None => (etsqp_simd::agg::min_max_i64(slice), slice.len() as u64),
+            };
+            (state.min, state.max) = extremes.unzip();
+            state.count = selected;
         }
-        AggFunc::Variance => state.push_slice(slice),
-        AggFunc::First | AggFunc::Last => {
-            state.first.get_or_insert(slice[0]);
-            state.last = slice.last().copied().or(state.last);
-            state.count += slice.len() as u64;
-        }
-        // Partial-only aggregates take the tuple-level path (they need
-        // timestamps and/or a sketch); fold the exact moments anyway so
-        // a planner slip degrades to a sound superset, never silence.
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 | AggFunc::Rate | AggFunc::Delta => {
-            state.push_slice(slice)
-        }
+        // VARIANCE and FIRST/LAST read the full moments and endpoints.
+        // Partial-only aggregates take [`fold_tuples`] (they need
+        // timestamps and/or a sketch); the exact moments here mean a
+        // planner slip degrades to a sound superset, never silence.
+        _ => match &mask {
+            Some(m) => state.push_masked(slice, m),
+            None => state.push_slice(slice),
+        },
     }
+    state
 }
 
-/// Mask-filtered variant of [`agg_slice`].
-pub(crate) fn agg_masked(state: &mut AggState, slice: &[i64], mask: &[u64], func: AggFunc) {
-    match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            let (s, c) = etsqp_simd::agg::masked_sum_i64(slice, mask);
-            state.sum += s;
-            state.count += c;
+/// Folds time-ordered tuples that pass `pred` into their buckets' states
+/// (bucket 0 when unwindowed), tuple at a time with timestamps — what
+/// quantile sketches and rate/delta need, what the byte-serial baseline
+/// is, and how the driver folds the hot chunk. States already in
+/// `windows` keep accumulating, so a sketch sees one push sequence.
+pub(crate) fn fold_tuples(
+    ts: &[i64],
+    vals: &[i64],
+    pred: &Predicate,
+    window: Option<SlidingWindow>,
+    func: AggFunc,
+    windows: &mut BTreeMap<usize, PartialState>,
+) {
+    // Ascending time means ascending buckets: look the state up once per
+    // bucket, not once per tuple.
+    let mut cur: Option<(usize, &mut PartialState)> = None;
+    for (&t, &v) in ts.iter().zip(vals) {
+        if pred.time.is_some_and(|tr| !tr.contains(t))
+            || pred.value.is_some_and(|(lo, hi)| v < lo || v > hi)
+        {
+            continue;
         }
-        AggFunc::Min | AggFunc::Max => {
-            if let Some((mn, mx)) = etsqp_simd::agg::masked_min_max_i64(slice, mask) {
-                state.min = Some(state.min.map_or(mn, |m| m.min(mn)));
-                state.max = Some(state.max.map_or(mx, |m| m.max(mx)));
-            }
-            state.count += etsqp_simd::filter::count_mask(mask, slice.len());
-        }
-        AggFunc::Variance => state.push_masked(slice, mask),
-        AggFunc::First | AggFunc::Last => {
-            for (i, &v) in slice.iter().enumerate() {
-                if mask[i / 64] & (1u64 << (i % 64)) != 0 {
-                    state.first.get_or_insert(v);
-                    state.last = Some(v);
-                    state.count += 1;
-                }
-            }
-        }
-        // See agg_slice: unreachable for partial-only aggregates.
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 | AggFunc::Rate | AggFunc::Delta => {
-            state.push_masked(slice, mask)
-        }
+        let k = match window {
+            Some(w) => match w.window_of(t) {
+                Some(k) => k,
+                None => continue,
+            },
+            None => 0,
+        };
+        let state = match cur.take() {
+            Some((ck, state)) if ck == k => state,
+            _ => windows.entry(k).or_insert_with(|| PartialState::new(func)),
+        };
+        state.push_tv(t, v);
+        cur = Some((k, state));
     }
 }
 
@@ -322,8 +345,9 @@ pub(crate) fn agg_page_job(
     Ok(out)
 }
 
-/// Strategy dispatch body of [`agg_page_job`] (everything after the I/O
-/// charge, checksum verification and cache probe).
+/// Body of [`agg_page_job`] (everything after the I/O charge, checksum
+/// verification and cache probe): index range → bucket subranges → one
+/// fold per bucket.
 fn agg_page_states(
     page: &Page,
     pred: &Predicate,
@@ -334,276 +358,116 @@ fn agg_page_states(
     stats: &ExecStats,
 ) -> Result<WindowStates> {
     if strategy == Strategy::Serial {
-        return serial_agg_page(page, pred, window, func, stats);
-    }
-
-    let count = page.header.count as usize;
-    let trange = pred.time.unwrap_or_else(TimeRange::all);
-
-    // ---- Resolve the qualifying positions from the timestamp column ----
-    // Ordered timestamps make every time filter an index range [a, b].
-    let mut ts_decoded: Option<Vec<i64>> = None;
-    let (a, b) = if pred.time.is_none() && window.is_none() {
-        (0usize, count.saturating_sub(1))
-    } else {
-        let wide = match window {
-            // Windows only constrain below by t_min; combine with filter.
-            Some(w) => TimeRange {
-                lo: w.t_min,
-                hi: i64::MAX,
-            }
-            .intersect(&trange),
-            None => trange,
+        // The "Serial"/"IoTDB" baseline: decode value-at-a-time with the
+        // reference decoders, branch per tuple.
+        let (ts, vals) = {
+            let _d = Stage::Delta.timer(stats);
+            page.decode().map_err(Error::Storage)?
         };
-        match constant_positions(page, wide.lo, wide.hi) {
-            Some(Some(range)) => range,
-            Some(None) => return Ok(Vec::new()), // constant interval, no overlap
-            None => {
-                let range = {
-                    let _f = Stage::Filter.timer(stats);
-                    let ts = decode_ts_column(page, cfg, stats)?;
-                    let a = ts.partition_point(|&t| t < wide.lo);
-                    let b = ts.partition_point(|&t| t <= wide.hi);
-                    if a >= b {
-                        None
-                    } else {
-                        ts_decoded = Some(ts);
-                        Some((a, b - 1))
-                    }
-                };
-                match range {
-                    Some(r) => r,
-                    None => return Ok(Vec::new()),
-                }
-            }
-        }
-    };
-
-    // ---- The planner's fused strategies (FusedAgg node) --------------
-    match strategy {
-        Strategy::FusedTs2Diff if window.is_none() => {
-            let parsed = ts2diff::parse(&page.val_bytes)?;
-            let _a = Stage::Agg.timer(stats);
-            let state = if a == 0 && b + 1 == count {
-                sum_ts2diff(&parsed, &cfg.decode)?
-            } else {
-                sum_ts2diff_range(&parsed, a, b, &cfg.decode)?
-            };
-            return Ok(vec![(0, state.into())]);
-        }
-        // Delta-RLE fusion, SVB fusion and header MIN/MAX are whole-page
-        // forms; the planner chose them from exact header bounds (for a
-        // windowed aggregate additionally proving the page lies inside
-        // one bucket), but both conditions are re-checked so any
-        // mismatch falls through to the decode path below.
-        Strategy::FusedDeltaRle if a == 0 && b + 1 == count => {
-            if let Some(k) = whole_page_bucket(page, window) {
-                let parsed = delta_rle::parse(&page.val_bytes)?;
-                let _a = Stage::Agg.timer(stats);
-                return Ok(vec![(k, aggregate_delta_rle(&parsed)?.into())]);
-            }
-        }
-        Strategy::FusedSvb if a == 0 && b + 1 == count => {
-            if let Some(k) = whole_page_bucket(page, window) {
-                let parsed = stream_vbyte::parse(&page.val_bytes)?;
-                let _a = Stage::Agg.timer(stats);
-                return Ok(vec![(k, sum_svb(&parsed, &cfg.decode)?.into())]);
-            }
-        }
-        Strategy::HeaderMinMax if a == 0 && b + 1 == count => {
-            if let Some(k) = whole_page_bucket(page, window) {
-                let mut s = AggState::new();
-                s.count = count as u64;
-                s.min = Some(page.header.min_value);
-                s.max = Some(page.header.max_value);
-                return Ok(vec![(k, s.into())]);
-            }
-        }
-        // Windowed fused path: resolve each window's index subrange
-        // (constant-interval arithmetic or binary search over decoded
-        // timestamps), then aggregate every subrange in closed form over
-        // the packed deltas — no value decode.
-        Strategy::FusedTs2Diff => {
-            let Some(w) = window else {
-                return Err(Error::Plan("windowed fused strategy without window".into()));
-            };
-            let ranges = window_index_ranges(page, &w, &trange, a, b, ts_decoded.as_deref())?;
-            let parsed = ts2diff::parse(&page.val_bytes)?;
-            let _a = Stage::Agg.timer(stats);
-            let mut out: WindowStates = Vec::with_capacity(ranges.len());
-            for (k, i, j) in ranges {
-                let state = if i == 0 && j + 1 == count {
-                    sum_ts2diff(&parsed, &cfg.decode)?
-                } else {
-                    sum_ts2diff_range(&parsed, i, j, &cfg.decode)?
-                };
-                if state.count > 0 {
-                    out.push((k, state.into()));
-                }
-            }
-            return Ok(out);
-        }
-        _ => {}
-    }
-
-    // ---- General path: decode values (DecodeScan → Filter → PartialAgg)
-    let vals = decode_val_column(page, pred, cfg, stats)?;
-    let vals = match vals {
-        Some(v) => v,
-        None => return Ok(Vec::new()), // fully pruned during scan
-    };
-    if a >= vals.len() {
-        // The qualifying index range lies entirely in the pruned suffix —
-        // sound because pruned elements provably fail the value filter.
-        return Ok(Vec::new());
-    }
-
-    let _a = Stage::Agg.timer(stats);
-
-    // Partial-only aggregates (quantile sketches, rate/delta) fold
-    // tuple-at-a-time with timestamps — this is the "straddling pages
-    // decode" leg of the bucket pipeline.
-    if func.partial_only() {
-        let ts_owned;
-        let ts: &[i64] = match &ts_decoded {
-            Some(t) => t,
-            None => {
-                ts_owned = decode_ts_column(page, cfg, stats)?;
-                &ts_owned
-            }
-        };
-        let hi = b.min(vals.len() - 1).min(ts.len().saturating_sub(1));
-        let mut windows: std::collections::BTreeMap<usize, PartialState> =
-            std::collections::BTreeMap::new();
-        for (&t, &v) in ts[a..=hi].iter().zip(&vals[a..=hi]) {
-            if let Some((vlo, vhi)) = pred.value {
-                if v < vlo || v > vhi {
-                    continue;
-                }
-            }
-            let k = match window {
-                Some(w) => match w.window_of(t) {
-                    Some(k) => k,
-                    None => continue,
-                },
-                None => 0,
-            };
-            windows
-                .entry(k)
-                .or_insert_with(|| PartialState::new(func))
-                .push_tv(t, v);
-        }
+        stats.materialized_bytes.fetch_add(
+            (ts.len() + vals.len()) as u64 * 8,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        let _a = Stage::Agg.timer(stats);
+        let mut windows = BTreeMap::new();
+        fold_tuples(&ts, &vals, pred, window, func, &mut windows);
         return Ok(windows.into_iter().collect());
     }
 
-    let mut out: WindowStates = Vec::new();
-    match window {
-        None => {
-            let mut state = AggState::new();
-            match pred.value {
-                None => agg_slice(&mut state, &vals[a..=b.min(vals.len() - 1)], func),
-                Some((vlo, vhi)) => {
-                    let hi = b.min(vals.len() - 1);
-                    let slice = &vals[a..=hi];
-                    let mut mask = etsqp_simd::filter::new_mask(slice.len());
-                    etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
-                    agg_masked(&mut state, slice, &mask, func);
+    // ---- The qualifying index range [a, b] ----------------------------
+    // Ordered timestamps make the time filter, cut below at the window
+    // origin, an index range; header bounds are exact, so a page they
+    // place inside it needs no timestamp at all.
+    let count = page.header.count as usize;
+    let trange = pred.time.unwrap_or_else(TimeRange::all);
+    let wide = window.map_or(trange, |w| TimeRange {
+        lo: trange.lo.max(w.t_min),
+        ..trange
+    });
+    let mut ts: Option<Vec<i64>> = None;
+    let range = if wide.lo <= page.header.first_ts && wide.hi >= page.header.last_ts {
+        Some((0, count.saturating_sub(1)))
+    } else if let Some(range) = constant_positions(page, wide.lo, wide.hi) {
+        range
+    } else {
+        let _f = Stage::Filter.timer(stats);
+        let decoded = ts.insert(decode_ts_column(page, cfg, stats)?);
+        let (a, b) = wide.index_range(decoded);
+        (a < b).then(|| (a, b - 1))
+    };
+    let Some((a, mut b)) = range else {
+        return Ok(Vec::new());
+    };
+
+    // ---- The planner's whole-page forms (FusedAgg node) ---------------
+    // Chosen from exact header bounds; re-checked here so any mismatch
+    // falls through to the decode path below.
+    if a == 0 && b + 1 == count {
+        if let Some(k) = whole_page_bucket(page, window) {
+            let _a = Stage::Agg.timer(stats);
+            let state = match strategy {
+                Strategy::FusedDeltaRle => {
+                    Some(aggregate_delta_rle(&delta_rle::parse(&page.val_bytes)?)?)
                 }
-            }
-            if state.count > 0 {
-                out.push((0, state.into()));
+                Strategy::FusedSvb => Some(sum_svb(
+                    &stream_vbyte::parse(&page.val_bytes)?,
+                    &cfg.decode,
+                )?),
+                Strategy::HeaderMinMax => Some(AggState {
+                    count: count as u64,
+                    min: Some(page.header.min_value),
+                    max: Some(page.header.max_value),
+                    ..AggState::new()
+                }),
+                _ => None,
+            };
+            if let Some(state) = state {
+                return Ok(vec![(k, state.into())]);
             }
         }
-        Some(w) => {
-            // Split [a, b] into per-window index subranges via the
-            // timestamp column (decoded or constant-interval).
-            let ts_owned;
-            let ts: &[i64] = match &ts_decoded {
-                Some(t) => t,
-                None => {
-                    ts_owned = decode_ts_column(page, cfg, stats)?;
-                    &ts_owned
-                }
-            };
-            let mut i = a;
-            let hi = b.min(vals.len() - 1);
-            while i <= hi {
-                let Some(k) = w.window_of(ts[i]) else {
-                    i += 1;
-                    continue;
-                };
-                let wrange = w.range(k).intersect(&trange);
-                // End of this window's run of indices.
-                let mut j = i;
-                while j <= hi && wrange.contains(ts[j]) {
-                    j += 1;
-                }
-                if j > i {
-                    let slice = &vals[i..j];
-                    let mut state = AggState::new();
-                    match pred.value {
-                        None => agg_slice(&mut state, slice, func),
-                        Some((vlo, vhi)) => {
-                            let mut mask = etsqp_simd::filter::new_mask(slice.len());
-                            etsqp_simd::filter::range_mask_i64(slice, vlo, vhi, &mut mask);
-                            agg_masked(&mut state, slice, &mask, func);
-                        }
-                    }
-                    if state.count > 0 {
-                        out.push((k, state.into()));
-                    }
-                    i = j;
-                } else {
-                    i += 1;
-                }
+    }
+
+    // ---- Bucket subranges, each folded into one partial state ---------
+    // FusedTs2Diff takes every subrange in closed form over the packed
+    // deltas; everything else decodes the values (DecodeScan → Filter →
+    // PartialAgg).
+    let (packed, vals) = match strategy {
+        Strategy::FusedTs2Diff => (Some(ts2diff::parse(&page.val_bytes)?), Vec::new()),
+        _ => {
+            let vals = decode_val_column(page, pred, cfg, stats)?;
+            // Suffix pruning may have stopped the decode short of `b`:
+            // the elements it skipped provably fail the value filter.
+            if a >= vals.len() {
+                return Ok(Vec::new());
             }
+            b = b.min(vals.len() - 1);
+            (None, vals)
+        }
+    };
+    if packed.is_none() && func.partial_only() {
+        let ts = match ts {
+            Some(ts) => ts,
+            None => decode_ts_column(page, cfg, stats)?,
+        };
+        let ts = ts
+            .get(a..=b)
+            .ok_or(Error::Decode("column length mismatch (corrupt page)"))?;
+        let _a = Stage::Agg.timer(stats);
+        let mut windows = BTreeMap::new();
+        fold_tuples(ts, &vals[a..=b], pred, window, func, &mut windows);
+        return Ok(windows.into_iter().collect());
+    }
+    let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), cfg, stats)?;
+    let _a = Stage::Agg.timer(stats);
+    let mut out: WindowStates = Vec::with_capacity(ranges.len());
+    for (k, i, j) in ranges {
+        let state = match &packed {
+            Some(parsed) => sum_ts2diff_range(parsed, i, j, &cfg.decode)?,
+            None => fold_values(&vals[i..=j], pred.value, func),
+        };
+        if state.count > 0 {
+            out.push((k, state.into()));
         }
     }
     Ok(out)
-}
-
-/// Byte-serial per-value pipeline — the "Serial"/"IoTDB" baseline: decode
-/// value-at-a-time with the reference decoders, branch per tuple.
-fn serial_agg_page(
-    page: &Page,
-    pred: &Predicate,
-    window: Option<SlidingWindow>,
-    func: AggFunc,
-    stats: &ExecStats,
-) -> Result<WindowStates> {
-    let (ts, vals) = {
-        let _d = Stage::Delta.timer(stats);
-        page.decode().map_err(Error::Storage)?
-    };
-    stats.materialized_bytes.fetch_add(
-        (ts.len() + vals.len()) as u64 * 8,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-    let _a = Stage::Agg.timer(stats);
-    let mut windows: std::collections::BTreeMap<usize, PartialState> =
-        std::collections::BTreeMap::new();
-    for (&t, &v) in ts.iter().zip(&vals) {
-        if let Some(tr) = pred.time {
-            if !tr.contains(t) {
-                continue;
-            }
-        }
-        if let Some((lo, hi)) = pred.value {
-            if v < lo || v > hi {
-                continue;
-            }
-        }
-        let k = match window {
-            Some(w) => match w.window_of(t) {
-                Some(k) => k,
-                None => continue,
-            },
-            None => 0,
-        };
-        windows
-            .entry(k)
-            .or_insert_with(|| PartialState::new(func))
-            .push_tv(t, v);
-    }
-    Ok(windows.into_iter().collect())
 }

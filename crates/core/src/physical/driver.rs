@@ -10,9 +10,9 @@ use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats};
-use crate::expr::{AggFunc, SlidingWindow};
+use crate::expr::{AggFunc, Predicate, SlidingWindow};
 use crate::partial::PartialState;
-use crate::physical::agg::{agg_page_job, slice_coeff_job, SliceCoeff, WindowStates};
+use crate::physical::agg::{agg_page_job, fold_tuples, slice_coeff_job, SliceCoeff, WindowStates};
 use crate::physical::merge::{
     binary_merge_partitioned, fused_pair_aggregate, merge_join_moments, BinaryKind,
 };
@@ -21,7 +21,7 @@ use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{
     charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
 };
-use crate::plan::{finalize_pair, finalize_partial, PipelineConfig, Value};
+use crate::plan::{finalize, finalize_pair, PipelineConfig, Value};
 use crate::slice::{distribute, WorkItem};
 use crate::{Error, Result};
 
@@ -36,37 +36,36 @@ pub(crate) fn run(
     // A query whose deadline already passed never starts a morsel.
     ctl.check()?;
     match &phys.root {
-        RootNode::Aggregate { func, window: None } => {
+        RootNode::Aggregate { func, window } => {
             let p = &phys.pipelines[0];
-            // Partials merge in kept-page time order (hot last), so the
-            // fold below keeps FIRST/LAST, timestamp bounds and sketch
-            // merges exact per the PartialState::merge contract.
-            let state = aggregate_pipeline(store, p, None, *func, cfg, stats, ctl)?
-                .into_iter()
-                .fold(PartialState::new(*func), |mut acc, (_, s)| {
-                    acc.merge(&s);
-                    acc
-                });
+            let per_window = aggregate_pipeline(store, p, *window, *func, cfg, stats, ctl)?;
             let col = format!("{}({})", func.name(), p.series);
-            Ok((vec![col], vec![vec![finalize_partial(*func, &state)]]))
-        }
-        RootNode::Aggregate {
-            func,
-            window: Some(window),
-        } => {
-            let p = &phys.pipelines[0];
-            let per_window = aggregate_pipeline(store, p, Some(*window), *func, cfg, stats, ctl)?;
-            let col = format!("{}({})", func.name(), p.series);
-            let rows = per_window
-                .into_iter()
-                .map(|(k, s)| {
-                    vec![
-                        Value::Int(window.t_min + k as i64 * window.dt),
-                        finalize_partial(*func, &s),
-                    ]
-                })
-                .collect();
-            Ok((vec!["window_start".into(), col], rows))
+            Ok(match window {
+                Some(w) => {
+                    let rows = per_window
+                        .into_iter()
+                        .map(|(k, s)| {
+                            vec![Value::Int(w.t_min + k as i64 * w.dt), finalize(*func, &s)]
+                        })
+                        .collect();
+                    (vec!["window_start".into(), col], rows)
+                }
+                // A whole-range aggregate is bucket 0 alone, and answers
+                // one row (`Null`) even when nothing qualified. Partials
+                // arrive merged in kept-page time order (hot last), which
+                // keeps FIRST/LAST, timestamp bounds and sketch merges
+                // exact per the PartialState::merge contract.
+                None => {
+                    let state =
+                        per_window
+                            .into_iter()
+                            .fold(PartialState::new(*func), |mut acc, (_, s)| {
+                                acc.merge(&s);
+                                acc
+                            });
+                    (vec![col], vec![vec![finalize(*func, &state)]])
+                }
+            })
         }
         RootNode::Rows => {
             let p = &phys.pipelines[0];
@@ -318,24 +317,9 @@ fn aggregate_pipeline(
         if hot.verdict.kept() {
             let (hts, hvals) = hot_rows(hot, pred, stats);
             let _a = crate::physical::node::Stage::Agg.timer(stats);
-            match window {
-                None => {
-                    let state = windows.entry(0).or_insert_with(|| PartialState::new(func));
-                    for (t, v) in hts.into_iter().zip(hvals) {
-                        state.push_tv(t, v);
-                    }
-                }
-                Some(w) => {
-                    for (t, v) in hts.into_iter().zip(hvals) {
-                        if let Some(k) = w.window_of(t) {
-                            windows
-                                .entry(k)
-                                .or_insert_with(|| PartialState::new(func))
-                                .push_tv(t, v);
-                        }
-                    }
-                }
-            }
+            // `hot_rows` already applied the predicate.
+            let all = Predicate::default();
+            fold_tuples(&hts, &hvals, &all, window, func, &mut windows);
         } else {
             charge_pruned_hot(hot, stats);
         }

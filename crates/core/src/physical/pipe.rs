@@ -24,7 +24,7 @@ use crate::physical::node::{
     HotScan, Node, PageDecision, Parallelism, RootNode, SeriesPipeline, Strategy,
 };
 use crate::physical::scan::{hot_verdict, page_verdict};
-use crate::physical::window::single_bucket_index;
+use crate::physical::window::whole_page_bucket;
 use crate::plan::{flatten_scan, PipelineConfig};
 use crate::slice::distribute;
 use crate::{Error, Result};
@@ -96,7 +96,10 @@ fn pages_with_hot(store: &SeriesStore, series: &str) -> Result<Vec<Arc<Page>>> {
 /// `EXPLAIN` round-trip — before handing it to the executor, so a
 /// planner regression aborts at compile time instead of silently
 /// mis-executing. Release builds skip the pass; `cargo run -p xtask --
-/// verify-plans` covers the full plan space there.
+/// verify-plans` covers the full plan space there. What a *query* can
+/// get wrong — a window whose bucket arithmetic would overflow — is
+/// refused with [`Error::Plan`] in every profile, before the verifier
+/// could object.
 pub fn compile(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<PhysicalPlan> {
     let compiled = compile_inner(plan, store, cfg)?;
     #[cfg(debug_assertions)]
@@ -111,54 +114,12 @@ pub fn compile(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result
 
 fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<PhysicalPlan> {
     match plan {
-        Plan::Aggregate { input, func } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(
-                series,
-                pred,
-                pages,
-                hot,
-                Role::Agg {
-                    func: *func,
-                    window: None,
-                },
-                cfg,
-            );
-            Ok(PhysicalPlan {
-                root: RootNode::Aggregate {
-                    func: *func,
-                    window: None,
-                },
-                pipelines: vec![pipeline],
-            })
-        }
+        Plan::Aggregate { input, func } => aggregate_plan(input, *func, None, store, cfg),
         Plan::WindowAggregate {
             input,
             window,
             func,
-        } => {
-            let (series, pred) = flatten_scan(input)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(
-                series,
-                pred,
-                pages,
-                hot,
-                Role::Agg {
-                    func: *func,
-                    window: Some(*window),
-                },
-                cfg,
-            );
-            Ok(PhysicalPlan {
-                root: RootNode::Aggregate {
-                    func: *func,
-                    window: Some(*window),
-                },
-                pipelines: vec![pipeline],
-            })
-        }
+        } => aggregate_plan(input, *func, Some(*window), store, cfg),
         Plan::Scan { .. } | Plan::Filter { .. } => {
             let (series, pred) = flatten_scan(plan)?;
             let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
@@ -175,28 +136,8 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
                 pipelines: vec![lpipe, rpipe],
             })
         }
-        Plan::Join { left, right, on } => {
-            let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
-            Ok(PhysicalPlan {
-                root: RootNode::Join {
-                    partitions,
-                    op: None,
-                    on: *on,
-                },
-                pipelines: vec![lpipe, rpipe],
-            })
-        }
-        Plan::JoinExpr { left, right, op } => {
-            let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
-            Ok(PhysicalPlan {
-                root: RootNode::Join {
-                    partitions,
-                    op: Some(*op),
-                    on: None,
-                },
-                pipelines: vec![lpipe, rpipe],
-            })
-        }
+        Plan::Join { left, right, on } => join_plan(left, right, None, *on, store, cfg),
+        Plan::JoinExpr { left, right, op } => join_plan(left, right, Some(*op), None, store, cfg),
         Plan::JoinAggregate { left, right, func } => {
             let (ls, lp) = flatten_scan(left)?;
             let (rs, rp) = flatten_scan(right)?;
@@ -211,6 +152,59 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
             })
         }
     }
+}
+
+/// An aggregate over one (filtered) series; a whole-range aggregate is
+/// the `window = None` case. The one place a window is admitted: bucket
+/// arithmetic in the executor is unchecked, so a window the series' time
+/// span cannot be bucketed under without `i64` overflow is refused here,
+/// in every build profile (the verifier's bucket-tiling invariant is
+/// the second line of defence, in debug builds).
+fn aggregate_plan(
+    input: &Plan,
+    func: AggFunc,
+    window: Option<SlidingWindow>,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+) -> Result<PhysicalPlan> {
+    let (series, pred) = flatten_scan(input)?;
+    let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
+    // Hot timestamps follow every sealed one; an empty series still
+    // refuses a non-positive width.
+    let last_ts = match &hot {
+        Some(h) => h.ts.last().copied(),
+        None => pages.last().map(|p| p.header.last_ts),
+    }
+    .unwrap_or(i64::MIN);
+    if let Some(w) = window.filter(|w| !w.can_bucket(last_ts)) {
+        return Err(Error::Plan(format!(
+            "window (t_min={}, dt={}) cannot bucket {series} up to its last timestamp \
+             {last_ts} without i64 overflow",
+            w.t_min, w.dt
+        )));
+    }
+    let pipeline = build_pipeline(series, pred, pages, hot, Role::Agg { func, window }, cfg);
+    Ok(PhysicalPlan {
+        root: RootNode::Aggregate { func, window },
+        pipelines: vec![pipeline],
+    })
+}
+
+/// A natural join emitting rows: `(t, a, b)` filtered by `on`, or
+/// `(t, op(a, b))`.
+fn join_plan(
+    left: &Plan,
+    right: &Plan,
+    op: Option<BinOp>,
+    on: Option<CmpOp>,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+) -> Result<PhysicalPlan> {
+    let (lpipe, rpipe, partitions) = binary_sides(left, right, store, cfg)?;
+    Ok(PhysicalPlan {
+        root: RootNode::Join { partitions, op, on },
+        pipelines: vec![lpipe, rpipe],
+    })
 }
 
 /// Compiles both sides of a binary operator and the time-range
@@ -246,9 +240,7 @@ fn build_pipeline(
     for (index, page) in pages.iter().enumerate() {
         let verdict = page_verdict(page, &pred, cfg.prune);
         let strategy = verdict.kept().then(|| match &role {
-            Role::Agg { func, window } => {
-                choose_page_strategy(page, &pred, window.as_ref(), *func, cfg)
-            }
+            Role::Agg { func, window } => choose_page_strategy(page, &pred, *window, *func, cfg),
             Role::Rows => {
                 if cfg.vectorized {
                     Strategy::Decode
@@ -317,10 +309,7 @@ fn cacheable_page(
         && kept
         && pred.value.is_none()
         && time_covers_page(page, pred)
-        && match window {
-            None => true,
-            Some(w) => single_bucket_index(page, w).is_some(),
-        }
+        && whole_page_bucket(page, *window).is_some()
 }
 
 /// Whether the §III-C slicing morsel shape applies: unfiltered,
@@ -359,7 +348,7 @@ pub(crate) fn time_covers_page(page: &Page, pred: &Predicate) -> bool {
 fn choose_page_strategy(
     page: &Page,
     pred: &Predicate,
-    window: Option<&SlidingWindow>,
+    window: Option<SlidingWindow>,
     func: AggFunc,
     cfg: &PipelineConfig,
 ) -> Strategy {
@@ -369,46 +358,23 @@ fn choose_page_strategy(
     if pred.value.is_some() {
         return Strategy::Decode;
     }
-    let covers = fusion_covers(func, page.header.val_encoding, cfg.fuse) && spread_fits_i64(page);
-    match window {
-        None => {
-            if covers && page.header.val_encoding == Encoding::Ts2Diff {
-                Strategy::FusedTs2Diff
-            } else if covers
-                && page.header.val_encoding == Encoding::DeltaRle
-                && time_covers_page(page, pred)
-            {
-                Strategy::FusedDeltaRle
-            } else if covers
-                && page.header.val_encoding == Encoding::StreamVByte
-                && time_covers_page(page, pred)
-            {
-                Strategy::FusedSvb
-            } else if matches!(func, AggFunc::Min | AggFunc::Max) && time_covers_page(page, pred) {
-                Strategy::HeaderMinMax
-            } else {
-                Strategy::Decode
-            }
-        }
-        // Windowed: TS2DIFF fuses per-window index subranges on any
-        // page; the whole-page forms (Delta-RLE, SVB, header MIN/MAX)
-        // additionally apply when the page is *bucket-aligned* — fully
-        // covered by the time filter and inside a single bucket — so
-        // only straddling pages decode.
-        Some(w) => {
-            let aligned = time_covers_page(page, pred) && single_bucket_index(page, w).is_some();
-            if covers && page.header.val_encoding == Encoding::Ts2Diff {
-                Strategy::FusedTs2Diff
-            } else if covers && page.header.val_encoding == Encoding::DeltaRle && aligned {
-                Strategy::FusedDeltaRle
-            } else if covers && page.header.val_encoding == Encoding::StreamVByte && aligned {
-                Strategy::FusedSvb
-            } else if matches!(func, AggFunc::Min | AggFunc::Max) && aligned {
-                Strategy::HeaderMinMax
-            } else {
-                Strategy::Decode
-            }
-        }
+    let enc = page.header.val_encoding;
+    let covers = fusion_covers(func, enc, cfg.fuse) && spread_fits_i64(page);
+    // TS2DIFF fuses per-bucket index subranges on any page; the
+    // whole-page forms (Delta-RLE, SVB, header MIN/MAX) apply when the
+    // page is fully covered by the time filter and inside a single
+    // bucket (always, when unwindowed) — so only straddling pages decode.
+    let whole = time_covers_page(page, pred) && whole_page_bucket(page, window).is_some();
+    if covers && enc == Encoding::Ts2Diff {
+        Strategy::FusedTs2Diff
+    } else if covers && enc == Encoding::DeltaRle && whole {
+        Strategy::FusedDeltaRle
+    } else if covers && enc == Encoding::StreamVByte && whole {
+        Strategy::FusedSvb
+    } else if matches!(func, AggFunc::Min | AggFunc::Max) && whole {
+        Strategy::HeaderMinMax
+    } else {
+        Strategy::Decode
     }
 }
 

@@ -87,29 +87,22 @@ pub(crate) fn hot_rows(hot: &HotScan, pred: &Predicate, stats: &ExecStats) -> (V
         .tuples_scanned
         .fetch_add(hot.ts.len() as u64, Ordering::Relaxed);
     let _f = Stage::Filter.timer(stats);
-    let ts = &hot.ts[..];
-    let vals = &hot.vals[..];
-    let (a, b) = match pred.time {
-        Some(tr) => {
-            let a = ts.partition_point(|&t| t < tr.lo);
-            let b = ts.partition_point(|&t| t <= tr.hi);
-            (a, b.max(a))
-        }
-        None => (0, ts.len()),
-    };
+    filter_rows(&hot.ts, &hot.vals, pred)
+}
+
+/// The rows of two aligned, time-ordered columns that pass `pred`: the
+/// time conjunct is an index range, the value conjunct a per-row test.
+fn filter_rows(ts: &[i64], vals: &[i64], pred: &Predicate) -> (Vec<i64>, Vec<i64>) {
+    let (a, b) = pred.time.map_or((0, ts.len()), |t| t.index_range(ts));
+    let (ts, vals) = (&ts[a..b], &vals[a..b]);
     match pred.value {
-        None => (ts[a..b].to_vec(), vals[a..b].to_vec()),
-        Some((lo, hi)) => {
-            let mut out_ts = Vec::new();
-            let mut out_vals = Vec::new();
-            for i in a..b {
-                if vals[i] >= lo && vals[i] <= hi {
-                    out_ts.push(ts[i]);
-                    out_vals.push(vals[i]);
-                }
-            }
-            (out_ts, out_vals)
-        }
+        None => (ts.to_vec(), vals.to_vec()),
+        Some((lo, hi)) => ts
+            .iter()
+            .zip(vals)
+            .filter(|&(_, &v)| v >= lo && v <= hi)
+            .map(|(&t, &v)| (t, v))
+            .unzip(),
     }
 }
 
@@ -191,14 +184,14 @@ pub(crate) fn decode_ts_column(
 
 /// Decodes the value column, applying suffix pruning (Propositions 4–5)
 /// when a value filter is present: the scan decodes in chunks and stops
-/// once the remaining suffix provably cannot match. Returns `None` when
-/// pruning eliminated everything before any chunk qualified.
+/// once the remaining suffix provably cannot match — the result is then
+/// a prefix of the page, shorter than the header count.
 pub(crate) fn decode_val_column(
     page: &Page,
     pred: &Predicate,
     cfg: &PipelineConfig,
     stats: &ExecStats,
-) -> Result<Option<Vec<i64>>> {
+) -> Result<Vec<i64>> {
     let _t = Stage::Delta.timer(stats);
     let mut out = Vec::new();
     // Suffix pruning applies to TS2DIFF value columns under value filters.
@@ -265,7 +258,7 @@ pub(crate) fn decode_val_column(
     stats
         .materialized_bytes
         .fetch_add(out.len() as u64 * 8, Ordering::Relaxed);
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// Decodes the qualifying rows of a pre-pruned page set — the
@@ -317,31 +310,7 @@ pub(crate) fn scan_rows(
                 return Err(Error::Decode("column length mismatch (corrupt page)"));
             }
             let _f = Stage::Filter.timer(stats);
-            let mut out_ts = Vec::with_capacity(ts.len());
-            let mut out_vals = Vec::with_capacity(ts.len());
-            let (a, b) = match pred.time {
-                Some(tr) => {
-                    let a = ts.partition_point(|&t| t < tr.lo);
-                    let b = ts.partition_point(|&t| t <= tr.hi);
-                    (a, b.max(a)) // empty ranges (lo > hi) select nothing
-                }
-                None => (0, ts.len()),
-            };
-            match pred.value {
-                None => {
-                    out_ts.extend_from_slice(&ts[a..b]);
-                    out_vals.extend_from_slice(&vals[a..b]);
-                }
-                Some((lo, hi)) => {
-                    for i in a..b {
-                        if vals[i] >= lo && vals[i] <= hi {
-                            out_ts.push(ts[i]);
-                            out_vals.push(vals[i]);
-                        }
-                    }
-                }
-            }
-            Ok((out_ts, out_vals))
+            Ok(filter_rows(&ts, &vals, pred))
         },
     )?;
     let _m = Stage::Merge.timer(stats);

@@ -1,22 +1,22 @@
 //! Window/bucket geometry shared by the aggregation executor
 //! ([`crate::physical::agg`]), the `Pipe` planner
 //! ([`crate::physical::pipe`]) and the plan verifier
-//! ([`crate::physical::verify`]): resolving per-window index subranges
-//! inside a page, the §V-A constant-interval position arithmetic, and
-//! the single-bucket test that lets bucket-aligned pages stay on the
-//! §IV fused closed-form path under `GROUP BY time(..)`.
-//!
-//! Split out of `physical/agg.rs` before it tripped the etsqp-lint
-//! 800-line ceiling; both files stay under the HOT_DIRS panic-free
-//! rules.
+//! ([`crate::physical::verify`]): the one splitter from a page's
+//! qualifying index range to per-bucket subranges, the §V-A
+//! constant-interval position arithmetic, and the single-bucket test
+//! that lets bucket-aligned pages stay on the §IV whole-page forms under
+//! `GROUP BY time(..)`. An unwindowed aggregate is the one-bucket case
+//! of all three.
 
 use etsqp_encoding::{ts2diff, Encoding};
 use etsqp_storage::page::Page;
 
-use crate::decode::{decode_column, DecodeOptions};
-use crate::expr::{SlidingWindow, TimeRange};
+use crate::exec::ExecStats;
+use crate::expr::SlidingWindow;
+use crate::physical::scan::decode_ts_column;
+use crate::plan::PipelineConfig;
 use crate::prune::constant_interval_positions;
-use crate::Result;
+use crate::{Error, Result};
 
 /// The single bucket wholly containing `page`'s time span, if any.
 ///
@@ -38,8 +38,8 @@ pub(crate) fn single_bucket_index(page: &Page, w: &SlidingWindow) -> Option<usiz
 
 /// The window index a whole-page partial lands in: `0` when unwindowed,
 /// the single covering bucket when the page is bucket-aligned, `None`
-/// when the page straddles buckets (the caller must fall back to the
-/// decode-and-split path).
+/// when the page straddles buckets (the caller must split it with
+/// [`window_index_ranges`]).
 pub(crate) fn whole_page_bucket(page: &Page, window: Option<SlidingWindow>) -> Option<usize> {
     match window {
         None => Some(0),
@@ -47,106 +47,132 @@ pub(crate) fn whole_page_bucket(page: &Page, window: Option<SlidingWindow>) -> O
     }
 }
 
-/// Splits the qualifying index range `[a, b]` of a page into per-window
-/// inclusive subranges `(window, i, j)`. Uses constant-interval position
-/// arithmetic when the timestamp page allows (§V-A), decoded timestamps
-/// otherwise.
-pub(crate) fn window_index_ranges(
-    page: &Page,
-    w: &SlidingWindow,
-    trange: &TimeRange,
-    a: usize,
-    b: usize,
-    ts_decoded: Option<&[i64]>,
-) -> Result<Vec<(usize, usize, usize)>> {
-    let mut out = Vec::new();
-    // Constant-interval shortcut: no timestamp decode at all.
-    if ts_decoded.is_none() {
-        if let Ok(parsed) = ts2diff::parse(&page.ts_bytes) {
-            if parsed.order == 1 && parsed.width == 0 && parsed.min_delta > 0 && parsed.count > 0 {
-                let first = parsed.first[0];
-                let interval = parsed.min_delta;
-                let last = first + (parsed.count as i64 - 1) * interval;
-                let mut k = w.window_of(first.max(w.t_min)).unwrap_or(0);
-                loop {
-                    let wr = w.range(k).intersect(trange);
-                    if wr.lo > last {
-                        break;
-                    }
-                    if !wr.is_empty() {
-                        if let Some((i, j)) =
-                            constant_interval_positions(first, interval, parsed.count, wr.lo, wr.hi)
-                        {
-                            let i = i.max(a);
-                            let j = j.min(b);
-                            if i <= j {
-                                out.push((k, i, j));
-                            }
-                        }
-                    }
-                    k += 1;
-                }
-                return Ok(out);
-            }
+/// Where index `i` of a page lies in time: solved arithmetically for
+/// constant-interval timestamp pages (§V-A), read from the decoded
+/// column otherwise.
+enum Clock<'a> {
+    Constant {
+        first: i64,
+        interval: i64,
+        count: usize,
+    },
+    Decoded(&'a [i64]),
+}
+
+impl Clock<'_> {
+    fn at(&self, i: usize) -> i64 {
+        match *self {
+            // In range: `window_index_ranges` checked the last index.
+            Clock::Constant {
+                first, interval, ..
+            } => first + i as i64 * interval,
+            Clock::Decoded(ts) => ts[i],
         }
     }
-    // General: binary-search window boundaries over decoded timestamps.
-    let ts_owned;
-    let ts: &[i64] = match ts_decoded {
-        Some(t) => t,
-        None => {
-            let mut buf = Vec::new();
-            decode_column(
-                page.header.ts_encoding,
-                &page.ts_bytes,
-                &DecodeOptions::default(),
-                &mut buf,
-            )?;
-            ts_owned = buf;
-            &ts_owned
+
+    /// The last index in `[i, b]` whose timestamp is `≤ t_hi`, given
+    /// that index `i`'s is.
+    fn last_le(&self, i: usize, b: usize, t_hi: i64) -> usize {
+        match *self {
+            Clock::Constant {
+                first,
+                interval,
+                count,
+            } => constant_interval_positions(first, interval, count, i64::MIN, t_hi)
+                .map_or(i, |(_, j)| j.clamp(i, b)),
+            Clock::Decoded(ts) => i + ts[i..=b].partition_point(|&t| t <= t_hi).max(1) - 1,
         }
+    }
+}
+
+/// Splits the qualifying index range `[a, b]` of a page into per-bucket
+/// inclusive subranges `(bucket, i, j)`, ascending. A page inside one
+/// bucket — every page of an unwindowed aggregate — is the single range
+/// `(k, a, b)` and needs no timestamps; a straddling page walks its
+/// non-empty buckets (at most one step per tuple, however far apart the
+/// timestamps lie) over `ts` when the caller already decoded them, over
+/// the constant-interval arithmetic when the timestamp page allows, and
+/// over [`decode_ts_column`] otherwise.
+pub(crate) fn window_index_ranges(
+    page: &Page,
+    window: Option<SlidingWindow>,
+    a: usize,
+    b: usize,
+    ts: Option<&[i64]>,
+    cfg: &PipelineConfig,
+    stats: &ExecStats,
+) -> Result<Vec<(usize, usize, usize)>> {
+    let Some(w) = window else {
+        return Ok(vec![(0, a, b)]);
     };
+    if let Some(k) = single_bucket_index(page, &w) {
+        return Ok(vec![(k, a, b)]);
+    }
+    let ts_owned;
+    let clock = match ts {
+        Some(ts) => Clock::Decoded(ts),
+        None => match constant_interval(page).filter(|&(_, interval, _)| interval >= 0) {
+            Some((first, interval, count)) => {
+                // A crafted header can put the last timestamp outside i64.
+                (count as i64 - 1)
+                    .checked_mul(interval)
+                    .and_then(|span| first.checked_add(span))
+                    .ok_or(Error::Decode("constant-interval timestamps overflow i64"))?;
+                Clock::Constant {
+                    first,
+                    interval,
+                    count,
+                }
+            }
+            None => {
+                ts_owned = decode_ts_column(page, cfg, stats)?;
+                Clock::Decoded(&ts_owned)
+            }
+        },
+    };
+    let end = (b + 1).min(match clock {
+        Clock::Constant { count, .. } => count,
+        Clock::Decoded(ts) => ts.len(),
+    });
+    let mut out = Vec::new();
     let mut i = a;
-    let hi = b.min(ts.len().saturating_sub(1));
-    while i <= hi {
-        let Some(k) = w.window_of(ts[i]) else {
+    while i < end {
+        // Timestamps below the window origin belong to no bucket.
+        let Some(k) = w.window_of(clock.at(i)) else {
             i += 1;
             continue;
         };
-        let wr = w.range(k).intersect(trange);
-        let j = i + ts[i..=hi].partition_point(|&t| t <= wr.hi);
-        if j > i {
-            out.push((k, i, j - 1));
-            i = j;
-        } else {
-            i += 1;
-        }
+        let j = clock.last_le(i, end - 1, w.range(k).hi);
+        out.push((k, i, j));
+        i = j + 1;
     }
     Ok(out)
 }
 
-/// Constant-interval shortcut (§V-A): for width-0 order-1 TS2DIFF
-/// timestamps the qualifying index range is solved arithmetically.
-/// Returns `None` when the shortcut does not apply, `Some(None)` when it
-/// applies and proves emptiness.
+/// `(first, interval, count)` of a constant-interval timestamp page
+/// (width-0 order-1 TS2DIFF: every delta equals `min_delta`), whose
+/// index ↔ time mapping is arithmetic (§V-A).
+fn constant_interval(page: &Page) -> Option<(i64, i64, usize)> {
+    if page.header.ts_encoding != Encoding::Ts2Diff {
+        return None;
+    }
+    let parsed = ts2diff::parse(&page.ts_bytes).ok()?;
+    (parsed.order == 1 && parsed.width == 0 && parsed.count > 0)
+        .then(|| (parsed.first[0], parsed.min_delta, parsed.count))
+}
+
+/// Constant-interval shortcut (§V-A): the index range inside
+/// `[t_lo, t_hi]` solved arithmetically. Returns `None` when the
+/// shortcut does not apply, `Some(None)` when it applies and proves
+/// emptiness.
 #[allow(clippy::option_option)]
 pub(crate) fn constant_positions(
     page: &Page,
     t_lo: i64,
     t_hi: i64,
 ) -> Option<Option<(usize, usize)>> {
-    if page.header.ts_encoding != Encoding::Ts2Diff {
-        return None;
-    }
-    let parsed = ts2diff::parse(&page.ts_bytes).ok()?;
-    if parsed.order != 1 || parsed.width != 0 {
-        return None;
-    }
+    let (first, interval, count) = constant_interval(page)?;
     Some(constant_interval_positions(
-        parsed.first[0],
-        parsed.min_delta,
-        parsed.count,
-        t_lo,
-        t_hi,
+        first, interval, count, t_lo, t_hi,
     ))
 }

@@ -11,7 +11,6 @@
 
 use std::time::Instant;
 
-use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
 
 use crate::decode::DecodeOptions;
@@ -144,7 +143,7 @@ pub struct PairMoments {
     pub sum_a: i128,
     /// Σ b.
     pub sum_b: i128,
-    /// Σ a·b. Like [`AggState::sum_sq`], the second-order moments
+    /// Σ a·b. Like [`etsqp_simd::agg::AggState::sum_sq`], the second-order moments
     /// saturate at the `i128` limits rather than wrapping.
     pub sum_ab: i128,
     /// Σ a².
@@ -218,40 +217,28 @@ pub(crate) fn flatten_scan(plan: &Plan) -> Result<(String, Predicate)> {
     }
 }
 
-/// Converts a final aggregate state into the result cell for `func`.
-///
-/// Only the scalar-state aggregates finalize here; the partial-only
-/// functions (quantiles, rate/delta) need a [`PartialState`] and go
-/// through [`finalize_partial`] — handed a bare [`AggState`] they
-/// answer `Null`.
-pub fn finalize(func: AggFunc, state: &AggState) -> Value {
-    if state.count == 0 {
-        return Value::Null;
-    }
-    match func {
-        AggFunc::Sum => i64::try_from(state.sum)
-            .map(Value::Int)
-            .unwrap_or(Value::Float(state.sum as f64)),
-        AggFunc::Count => Value::Int(state.count as i64),
-        AggFunc::Avg => state.avg().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::Min => state.min.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Max => state.max.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Variance => state.variance().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::First => state.first.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Last => state.last.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 | AggFunc::Rate | AggFunc::Delta => Value::Null,
-    }
-}
-
 /// Converts a final [`PartialState`] into the result cell for `func`:
 /// quantiles read the t-digest sketch, `RATE`/`DELTA` read the exact
-/// first/last values and timestamps, and everything else delegates to
-/// [`finalize`] on the embedded exact moments.
-pub fn finalize_partial(func: AggFunc, state: &PartialState) -> Value {
-    if state.agg.count == 0 {
+/// first/last values and timestamps, and everything else reads the
+/// embedded exact moments. A state built from a bare `AggState`
+/// (`PartialState::from`) carries neither sketch nor timestamps, so the
+/// quantiles and `RATE` answer `Null` on it.
+pub fn finalize(func: AggFunc, state: &PartialState) -> Value {
+    let agg = &state.agg;
+    if agg.count == 0 {
         return Value::Null;
     }
     match func {
+        AggFunc::Sum => i64::try_from(agg.sum)
+            .map(Value::Int)
+            .unwrap_or(Value::Float(agg.sum as f64)),
+        AggFunc::Count => Value::Int(agg.count as i64),
+        AggFunc::Avg => agg.avg().map(Value::Float).unwrap_or(Value::Null),
+        AggFunc::Min => agg.min.map(Value::Int).unwrap_or(Value::Null),
+        AggFunc::Max => agg.max.map(Value::Int).unwrap_or(Value::Null),
+        AggFunc::Variance => agg.variance().map(Value::Float).unwrap_or(Value::Null),
+        AggFunc::First => agg.first.map(Value::Int).unwrap_or(Value::Null),
+        AggFunc::Last => agg.last.map(Value::Int).unwrap_or(Value::Null),
         AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
             let q = func.quantile().unwrap_or(0.5);
             match &state.digest {
@@ -259,12 +246,7 @@ pub fn finalize_partial(func: AggFunc, state: &PartialState) -> Value {
                 _ => Value::Null,
             }
         }
-        AggFunc::Rate => match (
-            state.agg.first,
-            state.agg.last,
-            state.first_ts,
-            state.last_ts,
-        ) {
+        AggFunc::Rate => match (agg.first, agg.last, state.first_ts, state.last_ts) {
             (Some(f), Some(l), Some(ft), Some(lt)) if ft != lt => {
                 // i128 intermediates: the value or time span may exceed
                 // i64 even though each endpoint fits.
@@ -274,7 +256,7 @@ pub fn finalize_partial(func: AggFunc, state: &PartialState) -> Value {
             }
             _ => Value::Null, // fewer than two distinct instants
         },
-        AggFunc::Delta => match (state.agg.first, state.agg.last) {
+        AggFunc::Delta => match (agg.first, agg.last) {
             (Some(f), Some(l)) => {
                 let dv = l as i128 - f as i128;
                 i64::try_from(dv)
@@ -283,6 +265,5 @@ pub fn finalize_partial(func: AggFunc, state: &PartialState) -> Value {
             }
             _ => Value::Null,
         },
-        _ => finalize(func, &state.agg),
     }
 }

@@ -53,7 +53,7 @@ fn all_agg_functions_match_naive() {
         let got = r.rows[0][0];
         let mut naive = AggState::new();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive);
+        let want = finalize(func, &naive.into());
         match (got, want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),
@@ -441,7 +441,7 @@ fn stream_vbyte_values_use_svb_fusion() {
         let r = execute(&plan, &store, &config).unwrap();
         let mut naive = AggState::new();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive);
+        let want = finalize(func, &naive.into());
         match (r.rows[0][0], want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),
@@ -508,7 +508,7 @@ fn delta_rle_values_use_full_fusion() {
         .unwrap();
         let mut naive = AggState::new();
         vals.iter().for_each(|&v| naive.push(v));
-        let want = finalize(func, &naive);
+        let want = finalize(func, &naive.into());
         match (r.rows[0][0], want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),

@@ -52,6 +52,15 @@ cargo test -q --workspace
 echo "==> ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core"
 ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core
 
+# Release-profile semantics: debug builds run the plan verifier inside
+# `pipe::compile` and trap integer overflow, so without this step no
+# gating test executes what a release build executes when either would
+# have objected. The oracle sweep, the Strategy x window x filter shape
+# matrix and the unbucketable-window rejection (all in
+# tests/differential.rs) run again with both switched off.
+echo "==> cargo test -q --release --test differential"
+cargo test -q --release --test differential
+
 # The benchmark package (bench/, a workspace of its own that the steps
 # above never compile) calls `pub` items of crates/{simd,encoding,
 # storage,core,serve}: build it, so a signature change that breaks it

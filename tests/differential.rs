@@ -718,3 +718,283 @@ fn rows_are_bit_identical_across_thread_counts() {
     assert!(cases >= 200, "thread sweep too small: {cases} cases");
     eprintln!("differential thread-count invariance: {cases} cases, all bit-identical");
 }
+
+/// One sealed series on a store with `page_points`-point pages.
+fn store_of(
+    page_points: usize,
+    name: &str,
+    val_codec: Encoding,
+    ts: &[i64],
+    vals: &[i64],
+) -> SeriesStore {
+    let store = SeriesStore::new(page_points);
+    store.create_series(name, Encoding::Ts2Diff, val_codec);
+    store.append_all(name, ts, vals).unwrap();
+    store.flush(name).unwrap();
+    store
+}
+
+/// Engine rows under `cfg` equal the oracle's, with a one-line label.
+fn assert_oracle(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig, label: &str) {
+    let (ocols, orows) = oracle::execute(plan, store).unwrap();
+    let got = execute(plan, store, cfg).unwrap_or_else(|e| panic!("{label}: engine error {e}"));
+    assert!(
+        got.columns == ocols && rows_eq(&got.rows, &orows),
+        "{label} cfg=[{}]: engine {:?} != oracle {:?}",
+        cfg_label(cfg),
+        preview(&got.rows),
+        preview(&orows),
+    );
+}
+
+/// Block H: a sparse page under a narrow bucket. Two (or three) points
+/// `10¹²` apart in one page, `GROUP BY TIME(1)`: the splitter has to step
+/// from non-empty bucket to non-empty bucket — walking the 10¹² empty
+/// ones in between, as the constant-interval branch did, is an
+/// uncancellable loop of hours. The whole block is held to one second.
+#[test]
+fn sparse_page_buckets_in_bounded_time() {
+    const GAP: i64 = 1_000_000_000_000;
+    let started = std::time::Instant::now();
+    // Two points: a constant-interval timestamp page (arithmetic clock);
+    // three: a jittered one (decoded clock).
+    for ts in [vec![0, GAP], vec![0, 5, GAP]] {
+        let vals: Vec<i64> = (0..ts.len() as i64).map(|i| 7 + 3 * i).collect();
+        let store = store_of(PAGE_POINTS, "s", Encoding::Ts2Diff, &ts, &vals);
+        for func in [AggFunc::Sum, AggFunc::Max, AggFunc::P50] {
+            let plan = Plan::scan("s").window(0, 1, func);
+            for cfg in canonical_configs() {
+                assert_oracle(
+                    &plan,
+                    &store,
+                    &cfg,
+                    &format!("SPARSE n={} {func:?}", ts.len()),
+                );
+            }
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "sparse-page queries took {took:?}: the splitter is walking empty buckets"
+    );
+}
+
+/// Block I: suffix pruning under a window. A monotone TS2DIFF page and a
+/// filter `v ≤ 600` stop `decode_val_column` after 769 of 1024 values,
+/// so the decoded prefix is shorter than the qualifying index range; the
+/// buckets are one page wide and start half a page early, so the prefix
+/// itself straddles the boundary at index 512. Constant-interval and
+/// jittered clocks.
+#[test]
+fn suffix_pruned_prefix_splits_across_misaligned_buckets() {
+    const POINTS: usize = 1024;
+    let vals: Vec<i64> = (0..2 * POINTS as i64).collect();
+    let clocks: [(&str, Vec<i64>); 2] = [
+        ("constant", (0..2 * POINTS as i64).map(|i| i * 10).collect()),
+        (
+            "jittered",
+            (0..2 * POINTS as i64).map(|i| i * 10 + i % 3).collect(),
+        ),
+    ];
+    let band = Predicate {
+        time: None,
+        value: Some((0, 600)),
+    };
+    for (clock, ts) in &clocks {
+        let store = store_of(POINTS, "s", Encoding::Ts2Diff, ts, &vals);
+        let (t_min, dt) = (-5120, 10240);
+        for func in [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Variance,
+            AggFunc::First,
+            AggFunc::Last,
+            AggFunc::P95,
+        ] {
+            let plan = Plan::scan("s").filter(band).window(t_min, dt, func);
+            for threads in [1usize, 4] {
+                let cfg = PipelineConfig {
+                    threads,
+                    partial_cache: false,
+                    ..Default::default()
+                };
+                if func.quantile().is_none() {
+                    assert_oracle(&plan, &store, &cfg, &format!("SUFFIX {clock} {func:?}"));
+                }
+                let got = execute(&plan, &store, &cfg).unwrap();
+                assert_eq!(
+                    got.rows.len(),
+                    2,
+                    "{clock} {func:?}: prefix straddles one boundary"
+                );
+                // Page 1 (values ≥ 1024) is header-pruned; more pruned
+                // tuples than that means the scan of page 0 stopped early.
+                assert!(
+                    got.stats.pages_pruned == 1 && got.stats.tuples_pruned > POINTS as u64,
+                    "{clock} {func:?}: suffix pruning did not fire ({:?})",
+                    got.stats
+                );
+            }
+        }
+        // Unfiltered, the same straddling pages fuse per bucket subrange:
+        // no value is materialized, and a jittered clock is decoded once
+        // per page — through the accounted `decode_ts_column`, so the
+        // bytes show up in the stats (a constant clock decodes nothing).
+        let fused = Plan::scan("s").window(t_min, dt, AggFunc::Sum);
+        let cfg = PipelineConfig {
+            partial_cache: false,
+            ..Default::default()
+        };
+        assert_oracle(&fused, &store, &cfg, &format!("SUFFIX {clock} fused"));
+        let ts_bytes = execute(&fused, &store, &cfg)
+            .unwrap()
+            .stats
+            .materialized_bytes;
+        let want = if *clock == "jittered" {
+            2 * POINTS as u64 * 8
+        } else {
+            0
+        };
+        assert_eq!(ts_bytes, want, "{clock}: timestamp bytes materialized");
+    }
+}
+
+/// Block J: one aggregation shape. For every strategy the planner can
+/// emit × `window ∈ {none, page-aligned, straddling}` × time filter ∈
+/// {none, partial pages}, the vectorized rows equal the byte-serial
+/// (`Strategy::Serial`) rows bit for bit — quantiles included, since the
+/// decode leg and the serial leg end in the same tuple fold — and the
+/// exact aggregates also equal the oracle's.
+#[test]
+fn every_strategy_matches_serial_bit_for_bit() {
+    use etsqp::core::physical::node::Strategy;
+
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
+    let vals: Vec<i64> = (0..ROWS as i64)
+        .map(|i| (i * 37) % 101 - 30 + i / 8)
+        .collect();
+    let page_span = PAGE_POINTS as i64 * 10;
+    let windows = [
+        None,
+        Some((1_000, page_span)),                 // one page per bucket
+        Some((1_000 - page_span / 2, page_span)), // half a page early
+    ];
+    let filters = [
+        Predicate::default(),
+        Predicate::time(1_000 + page_span / 3, 1_000 + 3 * page_span + page_span / 2),
+    ];
+    let cells: [(Encoding, &[AggFunc]); 4] = [
+        (
+            Encoding::Ts2Diff,
+            &[AggFunc::Sum, AggFunc::Avg, AggFunc::Variance, AggFunc::P95],
+        ),
+        (
+            Encoding::DeltaRle,
+            &[AggFunc::Sum, AggFunc::Variance, AggFunc::Last],
+        ),
+        (Encoding::StreamVByte, &[AggFunc::Sum, AggFunc::Max]),
+        (
+            Encoding::Plain,
+            &[AggFunc::Min, AggFunc::Count, AggFunc::First, AggFunc::Rate],
+        ),
+    ];
+    let vectorized = PipelineConfig {
+        threads: 4,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let serial = PipelineConfig {
+        vectorized: false,
+        ..vectorized
+    };
+    let mut seen: Vec<Strategy> = Vec::new();
+    let mut cases = 0usize;
+    for (codec, funcs) in cells {
+        let store = store_of(PAGE_POINTS, "s", codec, &ts, &vals);
+        for &func in funcs {
+            for window in windows {
+                for pred in filters {
+                    let scan = Plan::scan("s").filter(pred);
+                    let plan = match window {
+                        Some((t_min, dt)) => scan.window(t_min, dt, func),
+                        None => scan.aggregate(func),
+                    };
+                    let label = format!("SHAPE {codec:?} {func:?} window={window:?} pred={pred:?}");
+                    for d in
+                        &pipe::compile(&plan, &store, &vectorized).unwrap().pipelines[0].decisions
+                    {
+                        if let Some(s) = d.strategy.filter(|s| !seen.contains(s)) {
+                            seen.push(s);
+                        }
+                    }
+                    let got = execute(&plan, &store, &vectorized).unwrap();
+                    let want = execute(&plan, &store, &serial).unwrap();
+                    assert!(
+                        got.columns == want.columns && rows_eq(&got.rows, &want.rows),
+                        "{label}: vectorized {:?} != serial {:?}",
+                        preview(&got.rows),
+                        preview(&want.rows),
+                    );
+                    if func.quantile().is_none() {
+                        assert_oracle(&plan, &store, &vectorized, &label);
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    for s in [
+        Strategy::FusedTs2Diff,
+        Strategy::FusedDeltaRle,
+        Strategy::FusedSvb,
+        Strategy::HeaderMinMax,
+        Strategy::Decode,
+    ] {
+        assert!(seen.contains(&s), "the matrix never planned {s}: {seen:?}");
+    }
+    eprintln!("differential shape matrix: {cases} cases, vectorized == serial bit for bit");
+}
+
+/// Block K: a window the data cannot be bucketed under. `t − t_min`
+/// overflows `i64` for every non-negative timestamp when the origin is
+/// `i64::MIN`; release builds used to answer with wrapped bucket starts
+/// while debug builds tripped the plan verifier. Both now refuse the
+/// plan with the same typed error, as they do a non-positive width.
+#[test]
+fn unbucketable_window_is_a_plan_error_in_every_profile() {
+    use etsqp::core::Error;
+
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| i * 10).collect();
+    let vals: Vec<i64> = (0..ROWS as i64).collect();
+    let store = store_of(PAGE_POINTS, "s", Encoding::Ts2Diff, &ts, &vals);
+    for (t_min, dt) in [(i64::MIN, 10), (0, 0), (0, -5), (0, i64::MAX)] {
+        let plan = Plan::scan("s").window(t_min, dt, AggFunc::Sum);
+        for cfg in canonical_configs() {
+            let compiled = pipe::compile(&plan, &store, &cfg).map(|_| ());
+            let ran = execute(&plan, &store, &cfg).map(|r| r.rows.len());
+            assert!(
+                matches!(compiled, Err(Error::Plan(_))) && matches!(ran, Err(Error::Plan(_))),
+                "SW({t_min}, {dt}) cfg=[{}]: compile {compiled:?}, execute {ran:?}",
+                cfg_label(&cfg),
+            );
+        }
+    }
+    // The same origin is fine for data it can bucket.
+    let early = store_of(
+        PAGE_POINTS,
+        "e",
+        Encoding::Ts2Diff,
+        &[i64::MIN + 5, -1],
+        &[1, 2],
+    );
+    let plan = Plan::scan("e").window(i64::MIN, 10, AggFunc::Sum);
+    assert_oracle(
+        &plan,
+        &early,
+        &PipelineConfig::default(),
+        "SW(i64::MIN) over negative time",
+    );
+}
