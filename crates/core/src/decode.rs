@@ -9,12 +9,19 @@
 //!    holds a chain of `n_v` consecutive deltas (Figure 4(d));
 //! 4. **accumulate** — partial sums + prefix permute + broadcast add
 //!    (Algorithm 1 lines 10–15);
-//! 5. **widen** the 32-bit relative values to absolute `i64`s.
+//! 5. then one of two endings: this module **widens** the 32-bit
+//!    relative values to absolute `i64`s and writes the column
+//!    ([`decode_column`], for row scans, joins, sketches and every
+//!    aggregate that needs order), while [`crate::decode_fold`] runs
+//!    steps 2–4 in registers and **compares and accumulates** instead,
+//!    so a filtered SUM/COUNT/MIN/MAX/VARIANCE never materializes it.
 //!
 //! The 32-bit fast path requires every intermediate value to stay within
 //! an `i32` offset of the page's first value; [`fits_32bit_path`] verifies
 //! this from header statistics alone (width, base, count), falling back to
-//! the serial decoder otherwise — the overflow discipline of §VI-C.
+//! the serial decoder otherwise — the overflow discipline of §VI-C. The
+//! Sprintz and Stream VByte decoders have the same gate, and
+//! decode-and-fold shares all three.
 
 use etsqp_encoding::ts2diff::Ts2DiffPage;
 use etsqp_encoding::{delta_rle, rle, sprintz, stream_vbyte, ts2diff, Encoding};
@@ -58,35 +65,60 @@ impl Default for DecodeOptions {
     }
 }
 
+/// Width of a known `(min, max)` value range: every value lies inside it,
+/// so it bounds every offset from the first value.
+pub(crate) fn range_spread((mn, mx): (i64, i64)) -> u128 {
+    (mx as i128 - mn as i128).unsigned_abs()
+}
+
+/// Largest possible `|v_k − v_0|` of a TS2DIFF page from its header alone
+/// (width, base, count): `count · max|Δ|`, compounded for order 2.
+pub(crate) fn ts2diff_rel_bound(page: &Ts2DiffPage<'_>) -> u128 {
+    let lo = page.delta_lower_bound().unsigned_abs();
+    let hi = page.delta_upper_bound().unsigned_abs();
+    let max_abs = lo.max(hi) as u128;
+    let n = page.count as u128;
+    if page.order == 1 {
+        n.saturating_mul(max_abs)
+    } else {
+        // |v_rel| ≤ n²·max|ΔΔ| + n·|d₁|; bound conservatively.
+        let d1 = page.first[1].wrapping_sub(page.first[0]).unsigned_abs() as u128;
+        n.saturating_mul(n)
+            .saturating_mul(max_abs)
+            .saturating_add(n.saturating_mul(d1))
+    }
+}
+
 /// Whether the 32-bit relative-offset fast path is provably safe for a
 /// page: the largest possible cumulative offset `count · max|Δ|` must stay
 /// far inside `i32`. A known `(min, max)` value range (page-header
 /// statistics) proves it directly.
 pub fn fits_32bit_path(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> bool {
-    if page.width > 32 {
-        return false;
-    }
-    if let Some((mn, mx)) = opts.value_range {
-        // Every value lies in [mn, mx]; offsets from the first value are
-        // bounded by the range width.
-        if (mx as i128 - mn as i128) < (1 << 31) {
-            return true;
-        }
-    }
-    let lo = page.delta_lower_bound().unsigned_abs();
-    let hi = page.delta_upper_bound().unsigned_abs();
-    let max_abs = lo.max(hi) as u128;
-    let n = page.count as u128;
-    // Order-2 compounds: |v_rel| ≤ n²·max|ΔΔ| + n·|d₁|; bound conservatively.
-    let bound = if page.order == 1 {
-        n.saturating_mul(max_abs)
-    } else {
-        let d1 = page.first[1].wrapping_sub(page.first[0]).unsigned_abs() as u128;
-        n.saturating_mul(n)
-            .saturating_mul(max_abs)
-            .saturating_add(n.saturating_mul(d1))
-    };
-    bound < (1 << 30)
+    page.width <= 32
+        && (opts
+            .value_range
+            .is_some_and(|r| range_spread(r) < (1 << 31))
+            || ts2diff_rel_bound(page) < (1 << 30))
+}
+
+/// Largest possible `|v_k − v_0|` of a Sprintz page: `|Δ| ≤ 2^(width−1)`
+/// per step.
+pub(crate) fn sprintz_rel_bound(page: &sprintz::SprintzPage<'_>) -> u128 {
+    (page.count as u128).saturating_mul(page.delta_magnitude_bound().unsigned_abs() as u128)
+}
+
+/// The Sprintz twin of [`fits_32bit_path`].
+pub(crate) fn sprintz_fits_32bit(page: &sprintz::SprintzPage<'_>) -> bool {
+    page.width <= 32 && sprintz_rel_bound(page) < (1 << 30)
+}
+
+/// The Stream VByte twin of [`fits_32bit_path`], gated on the
+/// control-stream-derived [`stream_vbyte::SvbPage::rel_bound`]: it
+/// bounds every prefix sum's magnitude without trusting the data stream,
+/// so hostile pages cannot push the wrapping 32-bit arithmetic into
+/// silent corruption.
+pub(crate) fn svb_fits_32bit(page: &stream_vbyte::SvbPage<'_>) -> bool {
+    page.mode == 0 && page.rel_bound < (1 << 30)
 }
 
 /// Decodes a parsed TS2DIFF page into `out` using the vectorized pipeline
@@ -288,11 +320,7 @@ pub fn decode_sprintz(
         return Ok(0);
     }
     let n = page.count - 1;
-    // Safety: |Δ| ≤ 2^(width−1); cumulative offset must fit i32.
-    let safe = page.width <= 32
-        && (page.count as u128).saturating_mul(page.delta_magnitude_bound().unsigned_abs() as u128)
-            < (1 << 30);
-    if !safe {
+    if !sprintz_fits_32bit(page) {
         let decoded = sprintz::decode_from_parts(page).map_err(Error::Encoding)?;
         *out = decoded;
         return Ok(out.len());
@@ -319,11 +347,8 @@ pub fn decode_sprintz(
 /// ZigZag'd deltas (4 values per `pshufb`), un-ZigZag lane-wise, then the
 /// same accumulate pipeline as TS2DIFF/Sprintz.
 ///
-/// The 32-bit path is gated on the control-stream-derived
-/// [`stream_vbyte::SvbPage::rel_bound`]: it bounds every prefix sum's
-/// magnitude without trusting the data stream, so hostile pages cannot
-/// push the wrapping 32-bit arithmetic into silent corruption — they fall
-/// back to the serial reference decoder instead.
+/// Pages [`svb_fits_32bit`] rejects fall back to the serial reference
+/// decoder.
 pub fn decode_svb(
     page: &stream_vbyte::SvbPage<'_>,
     opts: &DecodeOptions,
@@ -333,8 +358,7 @@ pub fn decode_svb(
     if page.count == 0 {
         return Ok(0);
     }
-    let safe = page.mode == 0 && page.rel_bound < (1 << 30);
-    if !safe {
+    if !svb_fits_32bit(page) {
         let decoded = stream_vbyte::decode_from_parts(page).map_err(Error::Encoding)?;
         *out = decoded;
         return Ok(out.len());

@@ -8,6 +8,7 @@
 //! | Paper | Module | What it implements |
 //! |-------|--------|--------------------|
 //! | §III-A, Alg. 1 | [`decode`] | vectorized unpack + Delta-chain layout recovery |
+//! | Fig. 14(d) | [`decode_fold`] | unpack → prefix → filter → accumulate without materializing |
 //! | §III-B | `etsqp_simd::tables` | JIT-style cached shuffle/shift/mask plans |
 //! | §III-C, Fig. 8 | [`slice`], [`exec`] | page distribution, slicing, thread scheduling |
 //! | §III-D, Prop. 1/Thm. 2 | [`cost`] | `n_v` cost model and speedup estimate |
@@ -39,6 +40,7 @@
 pub mod cancel;
 pub mod cost;
 pub mod decode;
+pub mod decode_fold;
 pub mod engine;
 pub mod exec;
 pub mod expr;

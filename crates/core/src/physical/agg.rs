@@ -1,7 +1,8 @@
 //! Aggregation operator bodies: the per-page pipeline (`FusedAgg`,
 //! `DecodeScan → Filter → PartialAgg`), the §III-C symbolic slice
-//! partials, and the two folds that pipeline ends in ([`fold_values`]
-//! over decoded slices, [`fold_tuples`] over `(t, v)` pairs).
+//! partials, and the folds that pipeline ends in ([`FoldCursor`] over
+//! packed deltas, [`fold_values`] over decoded slices, [`fold_tuples`]
+//! over `(t, v)` pairs).
 //!
 //! A page aggregates in one shape — qualifying index range → bucket
 //! subranges → one fold per bucket into a [`PartialState`] — and a
@@ -20,6 +21,7 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
+use crate::decode_fold::FoldCursor;
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff_range, FuseLevel};
@@ -77,44 +79,36 @@ pub(crate) fn fusion_covers(func: AggFunc, val_enc: Encoding, fuse: FuseLevel) -
 
 /// Folds the decoded values of one bucket subrange that pass the
 /// optional value filter into a state, computing only what `func` needs
-/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums). The
-/// filter is a SIMD range mask; without one the dense kernels run.
+/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums).
+/// SUM/COUNT/MIN/MAX under a filter are one compare-and-accumulate pass
+/// over the slice; without a filter the dense kernels run. The moments
+/// FIRST/LAST/VARIANCE read still go through a SIMD range mask.
 pub(crate) fn fold_values(slice: &[i64], value: Option<(i64, i64)>, func: AggFunc) -> AggState {
     let mut state = AggState::new();
     if slice.is_empty() {
         return state;
     }
-    let mask = value.map(|(lo, hi)| {
-        let mut mask = etsqp_simd::filter::new_mask(slice.len());
-        etsqp_simd::filter::range_mask_i64(slice, lo, hi, &mut mask);
-        mask
-    });
-    match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => {
-            (state.sum, state.count) = match &mask {
-                Some(m) => etsqp_simd::agg::masked_sum_i64(slice, m),
-                None => (etsqp_simd::agg::sum_i64(slice), slice.len() as u64),
-            };
+    match (func, value) {
+        (AggFunc::Sum | AggFunc::Avg | AggFunc::Count | AggFunc::Min | AggFunc::Max, Some(v)) => {
+            state = etsqp_simd::agg::fold_range_i64(slice, v.0, v.1);
         }
-        AggFunc::Min | AggFunc::Max => {
-            let (extremes, selected) = match &mask {
-                Some(m) => (
-                    etsqp_simd::agg::masked_min_max_i64(slice, m),
-                    etsqp_simd::filter::count_mask(m, slice.len()),
-                ),
-                None => (etsqp_simd::agg::min_max_i64(slice), slice.len() as u64),
-            };
-            (state.min, state.max) = extremes.unzip();
-            state.count = selected;
+        (AggFunc::Sum | AggFunc::Avg | AggFunc::Count, None) => {
+            (state.sum, state.count) = (etsqp_simd::agg::sum_i64(slice), slice.len() as u64);
+        }
+        (AggFunc::Min | AggFunc::Max, None) => {
+            (state.min, state.max) = etsqp_simd::agg::min_max_i64(slice).unzip();
+            state.count = slice.len() as u64;
         }
         // VARIANCE and FIRST/LAST read the full moments and endpoints.
         // Partial-only aggregates take [`fold_tuples`] (they need
         // timestamps and/or a sketch); the exact moments here mean a
         // planner slip degrades to a sound superset, never silence.
-        _ => match &mask {
-            Some(m) => state.push_masked(slice, m),
-            None => state.push_slice(slice),
-        },
+        (_, Some((lo, hi))) => {
+            let mut mask = etsqp_simd::filter::new_mask(slice.len());
+            etsqp_simd::filter::range_mask_i64(slice, lo, hi, &mut mask);
+            state.push_masked(slice, &mask);
+        }
+        (_, None) => state.push_slice(slice),
     }
     state
 }
@@ -429,22 +423,27 @@ fn agg_page_states(
 
     // ---- Bucket subranges, each folded into one partial state ---------
     // FusedTs2Diff takes every subrange in closed form over the packed
-    // deltas; everything else decodes the values (DecodeScan → Filter →
-    // PartialAgg).
-    let (packed, vals) = match strategy {
-        Strategy::FusedTs2Diff => (Some(ts2diff::parse(&page.val_bytes)?), Vec::new()),
-        _ => {
-            let vals = decode_val_column(page, pred, cfg, stats)?;
-            // Suffix pruning may have stopped the decode short of `b`:
-            // the elements it skipped provably fail the value filter.
-            if a >= vals.len() {
-                return Ok(Vec::new());
+    // deltas. Everything else is DecodeScan → Filter → PartialAgg: run in
+    // registers by a cursor over the packed deltas when the aggregate is
+    // order-insensitive and the column passes the cursor's 32-bit gate,
+    // else over the decoded values.
+    let mut values = match strategy {
+        Strategy::FusedTs2Diff => Values::Packed(ts2diff::parse(&page.val_bytes)?),
+        _ => match open_fold_cursor(page, pred, func, cfg)? {
+            Some(cursor) => Values::Cursor(cursor),
+            None => {
+                let vals = decode_val_column(page, pred, cfg, stats)?;
+                // Suffix pruning may have stopped the decode short of `b`:
+                // the elements it skipped provably fail the value filter.
+                if a >= vals.len() {
+                    return Ok(Vec::new());
+                }
+                b = b.min(vals.len() - 1);
+                Values::Decoded(vals)
             }
-            b = b.min(vals.len() - 1);
-            (None, vals)
-        }
+        },
     };
-    if packed.is_none() && func.partial_only() {
+    if let (Values::Decoded(vals), true) = (&values, func.partial_only()) {
         let ts = match ts {
             Some(ts) => ts,
             None => decode_ts_column(page, cfg, stats)?,
@@ -458,16 +457,65 @@ fn agg_page_states(
         return Ok(windows.into_iter().collect());
     }
     let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), cfg, stats)?;
-    let _a = Stage::Agg.timer(stats);
+    // The cursor's fold *is* the decode pass; nothing runs after it.
+    let _t = match values {
+        Values::Cursor(_) => Stage::Delta,
+        _ => Stage::Agg,
+    }
+    .timer(stats);
     let mut out: WindowStates = Vec::with_capacity(ranges.len());
     for (k, i, j) in ranges {
-        let state = match &packed {
-            Some(parsed) => sum_ts2diff_range(parsed, i, j, &cfg.decode)?,
-            None => fold_values(&vals[i..=j], pred.value, func),
+        let state = match &mut values {
+            Values::Packed(parsed) => sum_ts2diff_range(parsed, i, j, &cfg.decode)?,
+            Values::Cursor(cursor) => cursor.fold_range(i, j),
+            Values::Decoded(vals) => fold_values(&vals[i..=j], pred.value, func),
         };
         if state.count > 0 {
             out.push((k, state.into()));
         }
     }
+    if let Values::Cursor(cursor) = &values {
+        if cursor.pruned() > 0 {
+            stats
+                .tuples_pruned
+                .fetch_add(cursor.pruned() as u64, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
     Ok(out)
+}
+
+/// What the bucket subranges of a page are folded from.
+// The cursor carries its unpack block; it lives on the job's stack so
+// that a page costs no allocation.
+#[allow(clippy::large_enum_variant)]
+enum Values<'a> {
+    /// TS2DIFF deltas for the closed-form sum.
+    Packed(ts2diff::Ts2DiffPage<'a>),
+    /// Packed deltas, decoded and folded in registers.
+    Cursor(FoldCursor<'a>),
+    /// The materialized column.
+    Decoded(Vec<i64>),
+}
+
+/// The decode-and-fold cursor for `page`'s value column, when `func`
+/// reads nothing order-dependent (no FIRST/LAST, no timestamps, no
+/// sketch) and the column passes the cursor's gate; `None` keeps
+/// `decode_val_column` → [`fold_values`].
+fn open_fold_cursor<'a>(
+    page: &'a Page,
+    pred: &Predicate,
+    func: AggFunc,
+    cfg: &PipelineConfig,
+) -> Result<Option<FoldCursor<'a>>> {
+    if func.partial_only() || matches!(func, AggFunc::First | AggFunc::Last) {
+        return Ok(None);
+    }
+    FoldCursor::open(
+        page.header.val_encoding,
+        &page.val_bytes,
+        Some((page.header.min_value, page.header.max_value)),
+        pred.value,
+        cfg.prune,
+        func == AggFunc::Variance,
+    )
 }

@@ -159,16 +159,26 @@ fn require_obligation(d: &crate::physical::node::PageDecision) -> Result<()> {
     }
 }
 
-/// Materializes a pipeline's kept pages, charging its pruned pages to
-/// the §VII-B throughput counters. Pruned pages are checksum-verified
-/// before being dropped — a corrupted header must abort the query, not
-/// skew which pages the §V verdicts exclude.
+/// Drops one pruned page: obligation, checksum, then the §VII-B charge.
+/// Pruned pages are checksum-verified before being dropped — a corrupted
+/// header must abort the query, not skew which pages the §V verdicts
+/// exclude.
+fn discharge_pruned(
+    page: &etsqp_storage::page::Page,
+    d: &crate::physical::node::PageDecision,
+    stats: &ExecStats,
+) -> Result<()> {
+    require_obligation(d)?;
+    verify_pruned(page)?;
+    charge_pruned_page(page, stats);
+    Ok(())
+}
+
+/// Materializes a pipeline's kept pages, discharging its pruned ones.
 fn kept_of(p: &SeriesPipeline, stats: &ExecStats) -> Result<Vec<Arc<etsqp_storage::page::Page>>> {
     for (page, d) in p.pages.iter().zip(&p.decisions) {
         if !d.verdict.kept() {
-            require_obligation(d)?;
-            verify_pruned(page)?;
-            charge_pruned_page(page, stats);
+            discharge_pruned(page, d, stats)?;
         }
     }
     Ok(p.kept().map(|(page, _)| Arc::clone(page)).collect())
@@ -188,27 +198,37 @@ fn aggregate_pipeline(
 ) -> Result<WindowStates> {
     let pred = &pipeline.pred;
     let mut kept: Vec<Arc<etsqp_storage::page::Page>> = Vec::new();
-    let mut strategies: Vec<Strategy> = Vec::new();
-    let mut cacheables: Vec<bool> = Vec::new();
-    for (page, d) in pipeline.pages.iter().zip(&pipeline.decisions) {
+    let mut decided: Vec<(Strategy, bool)> = Vec::new();
+    let mut pruned: Vec<usize> = Vec::new();
+    for (i, (page, d)) in pipeline.pages.iter().zip(&pipeline.decisions).enumerate() {
         match d.strategy {
             Some(s) => {
                 kept.push(Arc::clone(page));
-                strategies.push(s);
-                cacheables.push(d.cacheable);
+                decided.push((s, d.cacheable));
             }
-            None => {
-                require_obligation(d)?;
-                verify_pruned(page)?;
-                charge_pruned_page(page, stats);
-            }
+            None => pruned.push(i),
         }
     }
+    let discharge = |indices: &[usize]| -> Result<()> {
+        indices
+            .iter()
+            .try_for_each(|&i| discharge_pruned(&pipeline.pages[i], &pipeline.decisions[i], stats))
+    };
 
     let items = match pipeline.parallelism {
         Parallelism::Sliced { .. } => distribute(&kept, cfg.threads),
         Parallelism::PerPage { .. } => kept.iter().cloned().map(WorkItem::Page).collect(),
     };
+    // A selective filter prunes most pages of a scan, and their checksums
+    // are work like any other: every job discharges an equal share of the
+    // pruned pages before its own page, so they run on the pool beside
+    // the decodes — no extra job, no long run on one job that the others
+    // then wait for. Only a pipeline that keeps nothing verifies inline.
+    let jobs = items.len();
+    if jobs == 0 {
+        discharge(&pruned)?;
+    }
+    let share = |job: usize| &pruned[job * pruned.len() / jobs..(job + 1) * pruned.len() / jobs];
 
     #[derive(Debug)]
     enum JobOut {
@@ -218,56 +238,46 @@ fn aggregate_pipeline(
             part: usize,
             coeff: SliceCoeff,
         },
-        Err(Error),
     }
 
-    // Tag items with a page sequence: it orders the slice prefix chain
-    // and indexes the planner's per-page strategy (items preserve kept
-    // order, so the seq equals the kept-page index).
-    let mut tagged = Vec::with_capacity(items.len());
+    // Tag items with their job index and a page sequence: the sequence
+    // orders the slice prefix chain and indexes the planner's per-page
+    // strategy (items preserve kept order, so it equals the kept-page
+    // index).
+    let mut tagged = Vec::with_capacity(jobs);
     let mut seq = usize::MAX;
     let mut last_ptr: *const etsqp_storage::page::Page = std::ptr::null();
-    for item in items {
+    for (job, item) in items.into_iter().enumerate() {
         let ptr = Arc::as_ptr(item.page());
         if ptr != last_ptr {
             seq = seq.wrapping_add(1);
             last_ptr = ptr;
         }
-        tagged.push((seq, item));
+        tagged.push((job, seq, item));
     }
 
+    // Outputs return in job order, so which failing page decides the
+    // error is the same at any thread count.
     let outputs = run_jobs(
         tagged,
         cfg.threads,
         stats,
         ctl,
-        |(page_seq, item)| match item {
-            WorkItem::Page(page) => {
-                match agg_page_job(
-                    &page,
-                    pred,
-                    window,
-                    func,
-                    strategies[page_seq],
-                    cacheables[page_seq],
-                    cfg,
-                    stats,
-                    store,
-                ) {
-                    Ok(states) => JobOut::Whole(states),
-                    Err(e) => JobOut::Err(e),
+        |(job, page_seq, item)| -> Result<JobOut> {
+            discharge(share(job))?;
+            Ok(match item {
+                WorkItem::Page(page) => {
+                    let (strategy, cacheable) = decided[page_seq];
+                    JobOut::Whole(agg_page_job(
+                        &page, pred, window, func, strategy, cacheable, cfg, stats, store,
+                    )?)
                 }
-            }
-            WorkItem::Slice { page, part, parts } => {
-                match slice_coeff_job(&page, part, parts, stats, store) {
-                    Ok(coeff) => JobOut::Slice {
-                        page_seq,
-                        part,
-                        coeff,
-                    },
-                    Err(e) => JobOut::Err(e),
-                }
-            }
+                WorkItem::Slice { page, part, parts } => JobOut::Slice {
+                    page_seq,
+                    part,
+                    coeff: slice_coeff_job(&page, part, parts, stats, store)?,
+                },
+            })
         },
     )?;
 
@@ -283,8 +293,7 @@ fn aggregate_pipeline(
         let mut v_pre: i128 = 0;
         let mut cur_page = usize::MAX;
         for out in outputs {
-            match out {
-                JobOut::Err(e) => return Err(e),
+            match out? {
                 JobOut::Whole(states) => {
                     for (k, s) in states {
                         windows.entry(k).or_default().merge(&s);

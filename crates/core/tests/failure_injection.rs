@@ -94,6 +94,84 @@ fn serial_engine_handles_overflow_identically() {
     }
 }
 
+/// Pruned pages are checksum-verified by the jobs of the kept pages, an
+/// equal share each (all of them inline when nothing is kept): wherever
+/// a corrupt page falls — before the first kept page, between kept
+/// pages, after the last, or kept itself — the query must abort, at any
+/// thread count, sliced or not.
+#[test]
+fn every_pruned_page_is_verified_wherever_its_run_lands() {
+    use etsqp_core::expr::Predicate;
+    use etsqp_core::plan::{execute, PipelineConfig};
+    use etsqp_storage::Bytes;
+
+    const POINTS: i64 = 64;
+    // Page p holds values 100·LEVEL[p] + 0..63: the band keeps 2, 3, 5.
+    const LEVEL: [i64; 8] = [0, 5, 1, 1, 7, 1, 9, 3];
+    let build = || {
+        let store = SeriesStore::new(POINTS as usize);
+        store.create_series("s", Encoding::Ts2Diff, Encoding::Ts2Diff);
+        for (p, level) in LEVEL.iter().enumerate() {
+            for i in 0..POINTS {
+                store
+                    .append("s", p as i64 * POINTS + i, 100 * level + i)
+                    .unwrap();
+            }
+        }
+        store.flush("s").unwrap();
+        store
+    };
+    let band = Plan::scan("s")
+        .filter(Predicate::value(100, 163))
+        .aggregate(AggFunc::Sum);
+    let nothing = Plan::scan("s")
+        .filter(Predicate::value(5_000, 6_000))
+        .aggregate(AggFunc::Sum);
+    let configs: Vec<PipelineConfig> = [(1, false), (2, true), (4, false), (8, true)]
+        .into_iter()
+        .map(|(threads, allow_slicing)| PipelineConfig {
+            threads,
+            allow_slicing,
+            partial_cache: false,
+            ..Default::default()
+        })
+        .collect();
+
+    let clean = build();
+    for cfg in &configs {
+        let got = execute(&band, &clean, cfg).unwrap();
+        let per_page: i64 = (0..POINTS).map(|i| 100 + i).sum();
+        assert_eq!(got.rows, vec![vec![Value::Int(3 * per_page)]]);
+        assert_eq!((got.stats.pages_loaded, got.stats.pages_pruned), (3, 5));
+        let got = execute(&nothing, &clean, cfg).unwrap();
+        assert_eq!(got.rows, vec![vec![Value::Null]]);
+        assert_eq!((got.stats.pages_loaded, got.stats.pages_pruned), (0, 8));
+    }
+    for corrupt in 0..LEVEL.len() {
+        let store = build();
+        store
+            .corrupt_page("s", corrupt, |p| {
+                let mut v = p.val_bytes.to_vec();
+                let mid = v.len() / 2;
+                v[mid] ^= 0x04;
+                p.val_bytes = Bytes::from(v);
+            })
+            .unwrap();
+        for cfg in &configs {
+            for (what, plan) in [("band", &band), ("nothing", &nothing)] {
+                let got = execute(plan, &store, cfg);
+                assert!(
+                    matches!(got, Err(etsqp_core::Error::Storage(_))),
+                    "page {corrupt} corrupt, {what}, threads={} slicing={}: {:?}",
+                    cfg.threads,
+                    cfg.allow_slicing,
+                    got.map(|r| r.rows)
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -106,6 +106,32 @@ pub fn encode(values: &[i64]) -> Vec<u8> {
     out
 }
 
+/// `(data bytes, Σ 2^(8·len − 1))` over the first `codes` 2-bit length
+/// codes of control byte `c` — what those codes add to
+/// [`SvbPage::data_len`] and [`SvbPage::rel_bound`].
+const fn codes_summary(c: u8, codes: usize) -> (u8, u64) {
+    let (mut len_sum, mut bound) = (0u8, 0u64);
+    let mut k = 0;
+    while k < codes {
+        let len = ((c >> (2 * k)) & 3) + 1;
+        len_sum += len;
+        bound += 1u64 << (8 * len - 1);
+        k += 1;
+    }
+    (len_sum, bound)
+}
+
+/// [`codes_summary`] of all four codes, per control byte.
+const QUAD_SUMMARY: [(u8, u64); 256] = {
+    let mut table = [(0u8, 0u64); 256];
+    let mut c = 0;
+    while c < 256 {
+        table[c] = codes_summary(c as u8, 4);
+        c += 1;
+    }
+    table
+};
+
 /// Parses the page header and splits the control/data streams,
 /// validating that the data stream holds every declared delta.
 pub fn parse(bytes: &[u8]) -> Result<SvbPage<'_>> {
@@ -166,20 +192,20 @@ pub fn parse(bytes: &[u8]) -> Result<SvbPage<'_>> {
     }
     let (controls, data) = rest.split_at(n_ctrl);
     // One pass over the control stream yields the exact data length and
-    // the prefix-sum magnitude bound the SIMD fast path gates on.
-    let mut data_len = 0usize;
-    let mut rel_bound = 0u128;
-    for (i, &c) in controls.iter().enumerate() {
-        let codes = if (i + 1) * 4 <= n_deltas {
-            4
-        } else {
-            n_deltas - i * 4
-        };
-        for k in 0..codes {
-            let len = ((c >> (2 * k)) & 3) as usize + 1;
-            data_len += len;
-            rel_bound += 1u128 << (8 * len - 1);
-        }
+    // the prefix-sum magnitude bound the SIMD fast path gates on: a table
+    // lookup per full control byte, the per-code sum for the codes a
+    // trailing partial byte actually declares.
+    let (full, partial) = controls.split_at(n_deltas / 4);
+    let (mut data_len, mut rel_bound) = (0usize, 0u128);
+    for &c in full {
+        let (len, bound) = QUAD_SUMMARY[c as usize];
+        data_len += len as usize;
+        rel_bound += bound as u128;
+    }
+    for &c in partial {
+        let (len, bound) = codes_summary(c, n_deltas % 4);
+        data_len += len as usize;
+        rel_bound += bound as u128;
     }
     if data.len() < data_len {
         return Err(Error::corrupt_at_bit(
@@ -301,6 +327,48 @@ mod tests {
             *c = 0xff;
         }
         assert!(parse(&bytes).is_err());
+    }
+
+    #[test]
+    fn control_summary_matches_per_code_definition() {
+        // `data_len` and `rel_bound` gate the SIMD path against hostile
+        // pages: the table-driven pass must give exactly what summing
+        // code by code gives, for every control byte and every delta
+        // count modulo 4 (the trailing byte's unused codes are ignored).
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for n_deltas in (0..=41usize).chain([255, 256, 1023]) {
+            for fill in [Some(0x00u8), Some(0xFF), Some(0xE4), None] {
+                let controls: Vec<u8> = (0..n_deltas.div_ceil(4))
+                    .map(|_| {
+                        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        fill.unwrap_or((seed >> 56) as u8)
+                    })
+                    .collect();
+                let (mut data_len, mut rel_bound) = (0usize, 0u128);
+                for k in 0..n_deltas {
+                    let len = ((controls[k / 4] >> (2 * (k % 4))) & 3) as usize + 1;
+                    data_len += len;
+                    rel_bound += 1u128 << (8 * len - 1);
+                }
+                let mut bytes = vec![0u8; HEADER_BYTES];
+                bytes[..4].copy_from_slice(&((n_deltas + 1) as u32).to_be_bytes());
+                bytes.extend_from_slice(&controls);
+                bytes.resize(bytes.len() + data_len, 0xAB);
+                let page = parse(&bytes).unwrap();
+                assert_eq!(
+                    (page.data_len, page.rel_bound),
+                    (data_len, rel_bound),
+                    "n_deltas={n_deltas} fill={fill:?}"
+                );
+                // One byte short of the declared data is still rejected.
+                if data_len > 0 {
+                    assert!(parse(&bytes[..bytes.len() - 1]).is_err());
+                }
+            }
+        }
+        for c in 0..=255u8 {
+            assert_eq!(QUAD_SUMMARY[c as usize], codes_summary(c, 4));
+        }
     }
 
     #[test]

@@ -33,6 +33,98 @@ pub fn masked_min_max_i64(vals: &[i64], mask: &[u64]) -> Option<(i64, i64)> {
     dispatch!(masked_min_max_i64(vals, mask))
 }
 
+/// Count, exact sum, minimum and maximum of the values inside the
+/// inclusive range `[lo, hi]`, in one compare-and-accumulate pass over
+/// the slice — no mask is built. `min`/`max` are `None` (and the state
+/// empty) when nothing is selected, including when `lo > hi`.
+///
+/// ```
+/// let s = etsqp_simd::agg::fold_range_i64(&[5, -2, 9, 0, 7], 0, 7);
+/// assert_eq!((s.count, s.sum, s.min, s.max), (3, 12, Some(0), Some(7)));
+/// ```
+pub fn fold_range_i64(vals: &[i64], lo: i64, hi: i64) -> AggState {
+    dispatch!(fold_range_i64(vals, lo, hi))
+}
+
+/// Most stored deltas one [`fold_deltas32`] call takes: the block the
+/// page pipelines unpack into between two suffix-pruning checks. The
+/// block accumulators are sized by it (see [`RelFold`]).
+pub const FOLD_BLOCK: usize = 256;
+
+/// How a stored 32-bit delta becomes the wrapping delta it encodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaXform {
+    /// `stored + base`, wrapping (TS2DIFF order 1, `base` the low 32
+    /// bits of `min_delta`).
+    AddBase(u32),
+    /// Un-ZigZag, `(z >> 1) ^ −(z & 1)` (Sprintz, Stream VByte mode 0).
+    ZigZag,
+}
+
+/// What [`fold_deltas32`] accumulates, in *relative* space: every term
+/// is `rel_k = v_k − v₀` as a two's-complement `i32`, so the caller
+/// resolves `Σv = count·v₀ + Σrel` once per subrange.
+///
+/// Exactness: one call sees at most [`FOLD_BLOCK`] values, so its
+/// block-local `Σrel` is below `2⁸·2³¹` and its count below `2⁹` —
+/// 64-bit lanes hold both exactly, and they are widened here once per
+/// call. `Σrel²` is accumulated modulo `2⁶⁴` per call and is therefore
+/// exact when every selected `|rel| < 2²⁸` (`2⁸·2⁵⁶ ≤ 2⁶⁴`); callers ask
+/// for it only when page statistics prove that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelFold {
+    /// Selected values.
+    pub count: u64,
+    /// `Σ rel` over the selected values.
+    pub sum: i128,
+    /// `Σ rel²` over the selected values (only when asked for).
+    pub sum_sq: u128,
+    /// Smallest selected `rel`; `i32::MAX` when nothing is selected.
+    pub min: i32,
+    /// Largest selected `rel`; `i32::MIN` when nothing is selected.
+    pub max: i32,
+}
+
+impl RelFold {
+    /// The empty accumulator.
+    pub fn new() -> Self {
+        RelFold {
+            count: 0,
+            sum: 0,
+            sum_sq: 0,
+            min: i32::MAX,
+            max: i32::MIN,
+        }
+    }
+}
+
+impl Default for RelFold {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Decode-and-fold over one block of unpacked stored deltas, without
+/// writing a value: each delta goes through `xform`, the wrapping
+/// inclusive prefix sum seeded by `*carry` yields `rel_k`, and every
+/// `rel_k` (as `i32`) inside `[lo, hi]` is accumulated into `acc`
+/// (`Σrel²` only when `sum_sq`). `*carry` becomes the last `rel`. An
+/// empty range (`lo > hi`) selects nothing and only advances the carry.
+///
+/// # Panics
+/// If `stored` holds more than [`FOLD_BLOCK`] deltas.
+pub fn fold_deltas32(
+    stored: &[u32],
+    xform: DeltaXform,
+    carry: &mut u32,
+    (lo, hi): (i32, i32),
+    sum_sq: bool,
+    acc: &mut RelFold,
+) {
+    assert!(stored.len() <= FOLD_BLOCK, "fold block too long");
+    dispatch!(fold_deltas32(stored, xform, carry, (lo, hi), sum_sq, acc))
+}
+
 /// Running aggregate state combining partial results from pipeline jobs
 /// (the `Merge` node of Algorithm 2 uses this).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -15,6 +15,8 @@
 
 #![cfg(target_arch = "x86_64")]
 
+use crate::agg::{DeltaXform, RelFold, FOLD_BLOCK};
+use crate::scalar::BlockAcc;
 use crate::tables::{Plan32, Plan64};
 use crate::{LANES32, V32};
 use std::arch::x86_64::*;
@@ -241,21 +243,13 @@ pub unsafe fn chain_delta_decode(vs: &mut [V32], carry: &mut u32) {
     }
 }
 
-/// AVX2 8×8 transpose used to build the Algorithm 1 layout for `n_v = 8`:
-/// output vector `j`, lane `l` := `scratch[l*8 + j]`.
-///
-/// # Safety
-/// AVX2 must be available; `scratch.len() == 64`, `vs.len() == 8`.
+/// Register-only 8×8 transpose of 32-bit lanes: with `r[i]` holding
+/// elements `8i..8i+8`, output vector `j`, lane `l` is element `8l + j`
+/// — the Algorithm 1 layout for `n_v = 8`, every lane a chain of eight
+/// consecutive elements.
 #[target_feature(enable = "avx2")]
-pub unsafe fn layout_transpose8(scratch: &[u32], vs: &mut [V32]) {
-    debug_assert_eq!(scratch.len(), 64);
-    debug_assert_eq!(vs.len(), 8);
-    let mut r = [_mm256_setzero_si256(); 8];
-    for (i, reg) in r.iter_mut().enumerate() {
-        // SAFETY: the fn contract fixes `scratch.len() == 64`, so each
-        // of the eight 8-lane loads is in bounds.
-        *reg = unsafe { _mm256_loadu_si256(scratch.as_ptr().add(i * 8) as *const __m256i) };
-    }
+#[inline]
+fn transpose8(r: [__m256i; 8]) -> [__m256i; 8] {
     // Stage 1: 32-bit interleave.
     let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
     let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
@@ -274,8 +268,9 @@ pub unsafe fn layout_transpose8(scratch: &[u32], vs: &mut [V32]) {
     let u5 = _mm256_unpackhi_epi64(t4, t6);
     let u6 = _mm256_unpacklo_epi64(t5, t7);
     let u7 = _mm256_unpackhi_epi64(t5, t7);
-    // Stage 3: 128-bit lane exchange.
-    let o = [
+    // Stage 3: 128-bit lane exchange. Output `k` holds column `k` of the
+    // 8×8 matrix, i.e. elements [k, 8+k, 16+k, ... 56+k].
+    [
         _mm256_permute2x128_si256(u0, u4, 0x20),
         _mm256_permute2x128_si256(u1, u5, 0x20),
         _mm256_permute2x128_si256(u2, u6, 0x20),
@@ -284,9 +279,25 @@ pub unsafe fn layout_transpose8(scratch: &[u32], vs: &mut [V32]) {
         _mm256_permute2x128_si256(u1, u5, 0x31),
         _mm256_permute2x128_si256(u2, u6, 0x31),
         _mm256_permute2x128_si256(u3, u7, 0x31),
-    ];
-    // o[k] now holds column k of the 8x8 matrix, i.e. elements
-    // [k, 8+k, 16+k, ... 56+k] — exactly layout vector k's lanes.
+    ]
+}
+
+/// AVX2 8×8 transpose used to build the Algorithm 1 layout for `n_v = 8`:
+/// output vector `j`, lane `l` := `scratch[l*8 + j]`.
+///
+/// # Safety
+/// AVX2 must be available; `scratch.len() == 64`, `vs.len() == 8`.
+#[target_feature(enable = "avx2")]
+pub unsafe fn layout_transpose8(scratch: &[u32], vs: &mut [V32]) {
+    debug_assert_eq!(scratch.len(), 64);
+    debug_assert_eq!(vs.len(), 8);
+    let mut r = [_mm256_setzero_si256(); 8];
+    for (i, reg) in r.iter_mut().enumerate() {
+        // SAFETY: the fn contract fixes `scratch.len() == 64`, so each
+        // of the eight 8-lane loads is in bounds.
+        *reg = unsafe { _mm256_loadu_si256(scratch.as_ptr().add(i * 8) as *const __m256i) };
+    }
+    let o = transpose8(r);
     for (j, v) in vs.iter_mut().enumerate() {
         // SAFETY: each `v` is exactly eight u32 lanes.
         unsafe { _mm256_storeu_si256(v.as_mut_ptr() as *mut __m256i, o[j]) };
@@ -567,4 +578,212 @@ pub unsafe fn min_max_i64(vals: &[i64]) -> Option<(i64, i64)> {
         hi = hi.max(v);
     }
     Some((lo, hi))
+}
+
+/// The lane accumulators of one [`fold_deltas32`] call (at most
+/// [`FOLD_BLOCK`] values, so at most 32 per 32-bit lane and 64 per 64-bit
+/// lane), over a non-empty range `[lo, hi]`. Values are kept as unsigned
+/// offsets `t = rel − lo` (wrapping `u32`), which turns the two-sided
+/// compare into one — `rel` is selected iff `t ≤ hi − lo` — and needs no
+/// blend for the extremes: every rejected `t` is larger than every
+/// selected one, so the unsigned minimum over *all* lanes is the
+/// selected minimum as soon as anything is selected, and the maximum
+/// runs over the masked offsets, where rejected lanes are 0.
+///
+/// `good` counts the selected values (−1 each, ≥ −32: exact); `sum`
+/// holds `Σt` of the selected ones zero-extended to 64 bits
+/// (`≤ 2⁶·2³²`: exact); `sq` the squares of the selected `rel` modulo
+/// `2⁶⁴` per lane — the one accumulator allowed to wrap, see
+/// [`BlockAcc`].
+struct FoldLanes {
+    lo: __m256i,
+    span: __m256i,
+    good: __m256i,
+    sum: __m256i,
+    sq: __m256i,
+    min_t: __m256i,
+    max_t: __m256i,
+}
+
+impl FoldLanes {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn new(lo: i32, hi: i32) -> Self {
+        FoldLanes {
+            lo: _mm256_set1_epi32(lo),
+            span: _mm256_set1_epi32(hi.wrapping_sub(lo)),
+            good: _mm256_setzero_si256(),
+            sum: _mm256_setzero_si256(),
+            sq: _mm256_setzero_si256(),
+            min_t: _mm256_set1_epi32(-1),
+            max_t: _mm256_setzero_si256(),
+        }
+    }
+
+    /// Compares the eight `rel` lanes of `x` with `[lo, hi]` and
+    /// accumulates the selected ones.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fold(&mut self, x: __m256i, sum_sq: bool) {
+        let t = _mm256_sub_epi32(x, self.lo);
+        let good = _mm256_cmpeq_epi32(_mm256_min_epu32(t, self.span), t);
+        self.good = _mm256_add_epi32(self.good, good);
+        let sel = _mm256_and_si256(t, good);
+        self.min_t = _mm256_min_epu32(self.min_t, t);
+        self.max_t = _mm256_max_epu32(self.max_t, sel);
+        // Zero-extend the even and the odd 32-bit lanes in place.
+        let even = _mm256_and_si256(sel, _mm256_set1_epi64x(0xFFFF_FFFF));
+        self.sum = _mm256_add_epi64(self.sum, _mm256_add_epi64(even, _mm256_srli_epi64(sel, 32)));
+        if sum_sq {
+            // `mul_epi32` squares the (signed) low half of each 64-bit
+            // lane; the shifted copy brings the odd lanes there.
+            let rel = _mm256_and_si256(x, good);
+            let odd = _mm256_srli_epi64(rel, 32);
+            let squares = _mm256_add_epi64(_mm256_mul_epi32(rel, rel), _mm256_mul_epi32(odd, odd));
+            self.sq = _mm256_add_epi64(self.sq, squares);
+        }
+    }
+
+    /// Reduces the lanes into a block, back in `rel` terms.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn reduce(self, lo: i32) -> BlockAcc {
+        let mut good = [0i32; 8];
+        let mut sum = [0u64; 4];
+        let mut sq = [0u64; 4];
+        let mut min_t = [0u32; 8];
+        let mut max_t = [0u32; 8];
+        // SAFETY: each target is a local array of exactly 256 bits.
+        unsafe {
+            _mm256_storeu_si256(good.as_mut_ptr() as *mut __m256i, self.good);
+            _mm256_storeu_si256(sum.as_mut_ptr() as *mut __m256i, self.sum);
+            _mm256_storeu_si256(sq.as_mut_ptr() as *mut __m256i, self.sq);
+            _mm256_storeu_si256(min_t.as_mut_ptr() as *mut __m256i, self.min_t);
+            _mm256_storeu_si256(max_t.as_mut_ptr() as *mut __m256i, self.max_t);
+        }
+        let mut block = BlockAcc::new();
+        // Every selected value left −1 in its lane of `good`.
+        block.count = good.iter().map(|&g| -(g as i64)).sum::<i64>() as u64;
+        if block.count > 0 {
+            let offsets: u64 = sum.iter().sum();
+            block.sum = offsets as i64 + block.count as i64 * lo as i64;
+            block.sum_sq = sq.iter().fold(0u64, |a, &l| a.wrapping_add(l));
+            let t_min = min_t.iter().fold(u32::MAX, |a, &l| a.min(l));
+            let t_max = max_t.iter().fold(0, |a, &l| a.max(l));
+            block.min = (lo as i64 + t_min as i64) as i32;
+            block.max = (lo as i64 + t_max as i64) as i32;
+        }
+        block
+    }
+}
+
+/// The wrapping deltas eight stored values encode.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn xform_deltas(stored: __m256i, xform: DeltaXform) -> __m256i {
+    match xform {
+        DeltaXform::AddBase(base) => _mm256_add_epi32(stored, _mm256_set1_epi32(base as i32)),
+        DeltaXform::ZigZag => {
+            let sign = _mm256_and_si256(stored, _mm256_set1_epi32(1));
+            _mm256_xor_si256(
+                _mm256_srli_epi32(stored, 1),
+                _mm256_sub_epi32(_mm256_setzero_si256(), sign),
+            )
+        }
+    }
+}
+
+/// Wrapping inclusive prefix sum across the eight lanes of `v`.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn lane_prefix(v: __m256i) -> __m256i {
+    let x = _mm256_add_epi32(v, lane_shift_left::<1>(v));
+    let x = _mm256_add_epi32(x, lane_shift_left::<2>(x));
+    _mm256_add_epi32(x, lane_shift_left::<4>(x))
+}
+
+/// Lane 7 of `v` in every lane.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn broadcast_last(v: __m256i) -> __m256i {
+    _mm256_permutevar8x32_epi32(v, _mm256_set1_epi32(7))
+}
+
+/// AVX2 version of [`crate::scalar::fold_deltas32`]: rounds of 64 deltas
+/// run Algorithm 1's chain layout in registers — transpose, seven
+/// lane-wise partial sums, one scan of the chain totals, broadcast add —
+/// and fold the eight resulting vectors where they stand, since none of
+/// the accumulated quantities depends on order; the remaining vectors of
+/// eight take one in-register scan each, and the last `< 8` deltas the
+/// scalar body, on the same block accumulators.
+///
+/// # Safety
+/// AVX2 must be available.
+#[target_feature(enable = "avx2")]
+pub unsafe fn fold_deltas32(
+    stored: &[u32],
+    xform: DeltaXform,
+    carry: &mut u32,
+    (lo, hi): (i32, i32),
+    sum_sq: bool,
+    acc: &mut RelFold,
+) {
+    debug_assert!(stored.len() <= FOLD_BLOCK);
+    if lo > hi {
+        *carry = crate::scalar::sum_deltas32(stored, xform, *carry);
+        return;
+    }
+    let mut lanes = FoldLanes::new(lo, hi);
+    // The running `rel` (u32, wrapping) in every lane.
+    let mut carry_v = _mm256_set1_epi32(*carry as i32);
+    let vectors = stored.len() / LANES32;
+    let load = |v: usize| {
+        // SAFETY: `v < vectors`, so the eight lanes at `v * 8` lie
+        // inside `stored`.
+        let raw = unsafe { _mm256_loadu_si256(stored.as_ptr().add(v * LANES32) as *const __m256i) };
+        xform_deltas(raw, xform)
+    };
+    let mut v = 0usize;
+    while v + LANES32 <= vectors {
+        let mut o = transpose8([
+            load(v),
+            load(v + 1),
+            load(v + 2),
+            load(v + 3),
+            load(v + 4),
+            load(v + 5),
+            load(v + 6),
+            load(v + 7),
+        ]);
+        for j in 1..LANES32 {
+            o[j] = _mm256_add_epi32(o[j], o[j - 1]);
+        }
+        // Lane `l` of `o[7]` is chain `l`'s total: what precedes chain
+        // `l` is the carry plus the totals of the chains before it.
+        let totals = lane_prefix(o[7]);
+        let before = _mm256_add_epi32(lane_shift_left::<1>(totals), carry_v);
+        carry_v = _mm256_add_epi32(broadcast_last(totals), carry_v);
+        for chain in o {
+            lanes.fold(_mm256_add_epi32(chain, before), sum_sq);
+        }
+        v += LANES32;
+    }
+    while v < vectors {
+        let x = _mm256_add_epi32(lane_prefix(load(v)), carry_v);
+        carry_v = broadcast_last(x);
+        lanes.fold(x, sum_sq);
+        v += 1;
+    }
+    let mut block = lanes.reduce(lo);
+    let mut c = _mm256_extract_epi32(carry_v, 0) as u32;
+    crate::scalar::fold_deltas32_block(
+        &stored[vectors * LANES32..],
+        xform,
+        &mut c,
+        (lo, hi),
+        sum_sq,
+        &mut block,
+    );
+    *carry = c;
+    block.flush(acc);
 }

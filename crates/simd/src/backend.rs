@@ -14,6 +14,7 @@
 //! tests sound everywhere, and it keeps all `unsafe` confined to the
 //! intrinsic module ([`crate::avx2`]).
 
+use crate::agg::{AggState, DeltaXform, RelFold};
 use crate::tables::{plan32, plan64, PLAN32_MAX_WIDTH, PLAN64_MAX_WIDTH};
 use crate::{scalar, LANES32, V32};
 
@@ -28,6 +29,7 @@ use crate::{scalar, LANES32, V32};
 /// * `range_mask_i64` / `masked_*`: `mask.len() * 64 >= vals.len()`.
 /// * `svb_decode_quads`: `out.len() >= n`, `controls.len() * 4 >= n`,
 ///   and `data` holds every byte the control stream declares.
+/// * `fold_deltas32`: `stored.len() <= agg::FOLD_BLOCK`.
 pub trait SimdBackend {
     /// Unpacks `out.len()` big-endian packed values of `width` bits
     /// (0..=32) starting at `start_bit`.
@@ -60,6 +62,21 @@ pub trait SimdBackend {
     /// from the separated `controls`/`data` streams into `out`,
     /// returning the data bytes consumed.
     fn svb_decode_quads(controls: &[u8], data: &[u8], n: usize, out: &mut [u32]) -> usize;
+    /// Count, exact sum, min and max of the values inside `[lo, hi]`,
+    /// one pass, no mask.
+    fn fold_range_i64(vals: &[i64], lo: i64, hi: i64) -> AggState;
+    /// Decode-and-fold over at most [`crate::agg::FOLD_BLOCK`] stored deltas:
+    /// transform, wrapping prefix sum seeded by `*carry`, compare with
+    /// `range`, accumulate into `acc` — nothing is written but `acc`
+    /// and `*carry` (see [`crate::agg::fold_deltas32`]).
+    fn fold_deltas32(
+        stored: &[u32],
+        xform: DeltaXform,
+        carry: &mut u32,
+        range: (i32, i32),
+        sum_sq: bool,
+        acc: &mut RelFold,
+    );
 }
 
 /// Portable scalar kernels — the reference semantics every other
@@ -106,6 +123,19 @@ impl SimdBackend for ScalarBackend {
     }
     fn svb_decode_quads(controls: &[u8], data: &[u8], n: usize, out: &mut [u32]) -> usize {
         scalar::svb_decode_quads(controls, data, n, out)
+    }
+    fn fold_range_i64(vals: &[i64], lo: i64, hi: i64) -> AggState {
+        scalar::fold_range_i64(vals, lo, hi)
+    }
+    fn fold_deltas32(
+        stored: &[u32],
+        xform: DeltaXform,
+        carry: &mut u32,
+        range: (i32, i32),
+        sum_sq: bool,
+        acc: &mut RelFold,
+    ) {
+        scalar::fold_deltas32(stored, xform, carry, range, sum_sq, acc)
     }
 }
 
@@ -260,6 +290,31 @@ impl SimdBackend for Avx2Backend {
             return unsafe { crate::avx2::svb_decode_quads(controls, data, n, out) };
         }
         scalar::svb_decode_quads(controls, data, n, out)
+    }
+
+    fn fold_range_i64(vals: &[i64], lo: i64, hi: i64) -> AggState {
+        // AVX2 has 64-bit compares but no 64-bit min/max: the running
+        // extremes become a compare → blend chain through one register,
+        // and the vector loop measured no faster than the scalar twin
+        // (EXPERIMENTS.md, "Decode-and-fold").
+        scalar::fold_range_i64(vals, lo, hi)
+    }
+
+    fn fold_deltas32(
+        stored: &[u32],
+        xform: DeltaXform,
+        carry: &mut u32,
+        range: (i32, i32),
+        sum_sq: bool,
+        acc: &mut RelFold,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if have_avx2() {
+            // SAFETY: AVX2 presence checked by `have_avx2()` above —
+            // the callee's only safety precondition.
+            return unsafe { crate::avx2::fold_deltas32(stored, xform, carry, range, sum_sq, acc) };
+        }
+        scalar::fold_deltas32(stored, xform, carry, range, sum_sq, acc)
     }
 }
 

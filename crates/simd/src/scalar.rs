@@ -5,6 +5,7 @@
 //! differential property tests assert. They are also the fallback on
 //! non-AVX2 hardware and the tail path for partial rounds.
 
+use crate::agg::{AggState, DeltaXform, RelFold, FOLD_BLOCK};
 use crate::{LANES32, V32};
 
 /// Reads `w` bits (1..=64) at bit position `p` from a big-endian bit
@@ -212,6 +213,130 @@ pub fn masked_min_max_i64(vals: &[i64], mask: &[u64]) -> Option<(i64, i64)> {
     any.then_some((mn, mx))
 }
 
+/// Count, exact sum and extremes of the values inside `[lo, hi]`, one
+/// pass, no mask.
+pub fn fold_range_i64(vals: &[i64], lo: i64, hi: i64) -> AggState {
+    let mut state = AggState::new();
+    let (mut mn, mut mx) = (i64::MAX, i64::MIN);
+    for &v in vals {
+        if v >= lo && v <= hi {
+            state.sum += v as i128;
+            state.count += 1;
+            mn = mn.min(v);
+            mx = mx.max(v);
+        }
+    }
+    if state.count > 0 {
+        (state.min, state.max) = (Some(mn), Some(mx));
+    }
+    state
+}
+
+/// Accumulators of one [`fold_deltas32`] call before they are widened
+/// into a [`RelFold`]. A call sees at most [`FOLD_BLOCK`] values, so
+/// `count ≤ 2⁸` and `|sum| ≤ 2⁸·2³¹` are exact in 64 bits; `sum_sq` is
+/// the sum of squares modulo `2⁶⁴` — the one accumulator allowed to
+/// wrap, identically on every backend because addition modulo `2⁶⁴` does
+/// not care how the terms were grouped into lanes — and exact whenever
+/// every selected `|rel| < 2²⁸`.
+pub(crate) struct BlockAcc {
+    pub(crate) count: u64,
+    pub(crate) sum: i64,
+    pub(crate) sum_sq: u64,
+    pub(crate) min: i32,
+    pub(crate) max: i32,
+}
+
+impl BlockAcc {
+    pub(crate) fn new() -> Self {
+        BlockAcc {
+            count: 0,
+            sum: 0,
+            sum_sq: 0,
+            min: i32::MAX,
+            max: i32::MIN,
+        }
+    }
+
+    /// Widens the block's accumulators into `acc`.
+    pub(crate) fn flush(self, acc: &mut RelFold) {
+        acc.count += self.count;
+        acc.sum += self.sum as i128;
+        acc.sum_sq += self.sum_sq as u128;
+        acc.min = acc.min.min(self.min);
+        acc.max = acc.max.max(self.max);
+    }
+}
+
+/// The wrapping delta a stored value encodes.
+#[inline]
+pub(crate) fn xform_delta(stored: u32, xform: DeltaXform) -> u32 {
+    match xform {
+        DeltaXform::AddBase(base) => stored.wrapping_add(base),
+        DeltaXform::ZigZag => (stored >> 1) ^ (stored & 1).wrapping_neg(),
+    }
+}
+
+/// What an empty range leaves of [`fold_deltas32`]: the prefix moves on
+/// by the (wrapping) sum of the block's deltas.
+pub(crate) fn sum_deltas32(stored: &[u32], xform: DeltaXform, carry: u32) -> u32 {
+    stored
+        .iter()
+        .fold(carry, |c, &s| c.wrapping_add(xform_delta(s, xform)))
+}
+
+/// The value-at-a-time body of [`fold_deltas32`], accumulating into a
+/// block the caller flushes — the reference semantics, and the tail of
+/// the vector backends.
+pub(crate) fn fold_deltas32_block(
+    stored: &[u32],
+    xform: DeltaXform,
+    carry: &mut u32,
+    (lo, hi): (i32, i32),
+    sum_sq: bool,
+    block: &mut BlockAcc,
+) {
+    let mut acc = *carry;
+    for &s in stored {
+        // The prefix is the only arithmetic meant to wrap: `rel` is a
+        // two's-complement offset the page gate bounds inside `i32`.
+        acc = acc.wrapping_add(xform_delta(s, xform));
+        let rel = acc as i32;
+        // Selects instead of a branch: whether a value passes is as good
+        // as random to the predictor at middling selectivities.
+        let pass = rel >= lo && rel <= hi;
+        let r = if pass { rel as i64 } else { 0 };
+        block.count += pass as u64;
+        block.sum += r;
+        block.min = if pass { block.min.min(rel) } else { block.min };
+        block.max = if pass { block.max.max(rel) } else { block.max };
+        if sum_sq {
+            block.sum_sq = block.sum_sq.wrapping_add((r * r) as u64);
+        }
+    }
+    *carry = acc;
+}
+
+/// Decode-and-fold over one block of stored deltas (see
+/// [`crate::agg::fold_deltas32`]).
+pub fn fold_deltas32(
+    stored: &[u32],
+    xform: DeltaXform,
+    carry: &mut u32,
+    range: (i32, i32),
+    sum_sq: bool,
+    acc: &mut RelFold,
+) {
+    debug_assert!(stored.len() <= FOLD_BLOCK);
+    if range.0 > range.1 {
+        *carry = sum_deltas32(stored, xform, *carry);
+        return;
+    }
+    let mut block = BlockAcc::new();
+    fold_deltas32_block(stored, xform, carry, range, sum_sq, &mut block);
+    block.flush(acc);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +397,54 @@ mod tests {
         mask[0] = 0b1010; // elements 1 and 3
         let (s, c) = masked_sum_i64(&vals, &mask);
         assert_eq!((s, c), (4, 2));
+    }
+
+    #[test]
+    fn fold_deltas32_folds_the_prefix_it_never_writes() {
+        // Deltas +5, −3, +10, −20 from carry 7: rel = 12, 9, 19, −1.
+        let zigzag = [10u32, 5, 20, 39];
+        let mut carry = 7u32;
+        let mut acc = RelFold::new();
+        fold_deltas32(
+            &zigzag,
+            DeltaXform::ZigZag,
+            &mut carry,
+            (0, 12),
+            true,
+            &mut acc,
+        );
+        assert_eq!(carry as i32, -1);
+        assert_eq!((acc.count, acc.sum, acc.sum_sq), (2, 21, 144 + 81));
+        assert_eq!((acc.min, acc.max), (9, 12));
+        // The same deltas as base + stored, everything selected; the
+        // accumulator keeps adding up across calls.
+        let stored = [25u32, 17, 30, 0];
+        let base = DeltaXform::AddBase(20u32.wrapping_neg());
+        let mut carry = 7u32;
+        fold_deltas32(
+            &stored,
+            base,
+            &mut carry,
+            (i32::MIN, i32::MAX),
+            false,
+            &mut acc,
+        );
+        assert_eq!(carry as i32, -1);
+        assert_eq!((acc.count, acc.sum, acc.sum_sq), (6, 21 + 39, 144 + 81));
+        assert_eq!((acc.min, acc.max), (-1, 19));
+        // An empty range moves the prefix and nothing else.
+        let before = acc;
+        fold_deltas32(&stored, base, &mut carry, (1, 0), true, &mut acc);
+        assert_eq!((carry as i32, acc), (-9, before));
+    }
+
+    #[test]
+    fn fold_range_i64_is_inclusive_and_exact() {
+        let vals = [i64::MAX, 3, -4, i64::MAX, 0, i64::MIN];
+        let s = fold_range_i64(&vals, 0, i64::MAX);
+        assert_eq!((s.count, s.sum), (4, 2 * i64::MAX as i128 + 3));
+        assert_eq!((s.min, s.max), (Some(0), Some(i64::MAX)));
+        assert_eq!(fold_range_i64(&vals, 4, 2), AggState::new());
     }
 
     #[test]

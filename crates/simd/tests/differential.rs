@@ -9,6 +9,7 @@
 //! adding a backend (or a kernel) extends the table here, not the test
 //! logic.
 
+use etsqp_simd::agg::{DeltaXform, RelFold, FOLD_BLOCK};
 use etsqp_simd::{
     agg, filter, scan, svb, transpose, unpack, Avx2Backend, ScalarBackend, SimdBackend,
 };
@@ -118,6 +119,62 @@ fn svb_quads<B: SimdBackend>(controls: &[u8], data: &[u8], n: usize) -> (Vec<u32
     let mut out = vec![0u32; n];
     let used = B::svb_decode_quads(controls, data, n, &mut out);
     (out, used)
+}
+
+fn fold_range<B: SimdBackend>(vals: &[i64], lo: i64, hi: i64) -> agg::AggState {
+    B::fold_range_i64(vals, lo, hi)
+}
+
+/// Unpack then decode-and-fold on one backend: the two kernels a page
+/// pipeline chains, with everything the fold can mutate returned.
+fn unpack_fold<B: SimdBackend>(
+    bytes: &[u8],
+    width: u8,
+    n: usize,
+    xform: DeltaXform,
+    seed: u32,
+    range: (i32, i32),
+    sum_sq: bool,
+) -> (RelFold, u32) {
+    let mut stored = vec![0u32; n];
+    B::unpack_u32(bytes, 0, width, &mut stored);
+    let mut carry = seed;
+    let mut acc = RelFold::new();
+    B::fold_deltas32(&stored, xform, &mut carry, range, sum_sq, &mut acc);
+    (acc, carry)
+}
+
+/// The fold written out from its definition, sharing no code with the
+/// kernels: `Σrel²` is taken modulo 2⁶⁴ per call, as documented.
+fn naive_fold(
+    stored: &[u32],
+    xform: DeltaXform,
+    seed: u32,
+    (lo, hi): (i32, i32),
+    sum_sq: bool,
+) -> (RelFold, u32) {
+    let mut acc = RelFold::new();
+    let mut sq = 0u64;
+    let mut rel = seed;
+    for &s in stored {
+        let delta = match xform {
+            DeltaXform::AddBase(base) => s.wrapping_add(base),
+            DeltaXform::ZigZag => (s >> 1) ^ (s & 1).wrapping_neg(),
+        };
+        rel = rel.wrapping_add(delta);
+        let r = rel as i32;
+        if lo <= r && r <= hi {
+            acc.count += 1;
+            acc.sum += r as i128;
+            acc.min = acc.min.min(r);
+            acc.max = acc.max.max(r);
+            if sum_sq {
+                sq = sq.wrapping_add((r as i64 * r as i64) as u64);
+            }
+        }
+    }
+    acc.sum_sq = sq as u128;
+    (acc, rel)
 }
 
 proptest! {
@@ -250,6 +307,29 @@ proptest! {
     }
 
     #[test]
+    fn fold_range_all_backends(
+        vals in proptest::collection::vec(any::<i64>(), 0..300),
+        shift in 0u32..64,
+        lo in any::<i64>(),
+        hi in any::<i64>(),
+    ) {
+        // Full-width values overflow the lane sums at once; shifted ones
+        // leave most blocks on the vector sum.
+        let vals: Vec<i64> = vals.iter().map(|v| v >> shift).collect();
+        for (lo, hi) in [(lo, hi), (hi, lo), (lo >> shift, i64::MAX), (i64::MIN, hi >> shift),
+                         (i64::MIN, i64::MAX), (1, 0)] {
+            check_backends!(fold_range(&vals, lo, hi));
+            let got = agg::fold_range_i64(&vals, lo, hi);
+            prop_assert_eq!(got, fold_range::<ScalarBackend>(&vals, lo, hi));
+            // Against the mask kernels it replaces in the engine.
+            let mut mask = filter::new_mask(vals.len().max(1));
+            filter::range_mask_i64(&vals, lo, hi, &mut mask);
+            prop_assert_eq!((got.sum, got.count), agg::masked_sum_i64(&vals, &mask));
+            prop_assert_eq!(got.min.zip(got.max), agg::masked_min_max_i64(&vals, &mask));
+        }
+    }
+
+    #[test]
     fn svb_decode_all_backends(
         raw in proptest::collection::vec(any::<u32>(), 0..500),
         shift in 0u32..32,
@@ -294,5 +374,149 @@ fn unpack_delta_chain_end_to_end() {
     for (i, &d) in deltas.iter().enumerate() {
         acc = acc.wrapping_add(d as u32);
         assert_eq!(decoded[i], acc, "element {i}");
+    }
+}
+
+/// The decode-and-fold kernel, scalar vs AVX2 vs its definition, over
+/// every packing width, the block lengths around each tier of the vector
+/// kernel (64-delta chain rounds, 8-delta scans, scalar tail), both delta
+/// transforms, carries that wrap `u32`, and filters that are empty,
+/// all-pass, one-sided, a band, and pinned at the `i32` limits.
+#[test]
+fn fold_deltas32_all_backends_all_widths() {
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let ranges = [
+        (1, 0),               // empty
+        (i32::MAX, i32::MIN), // empty, at the limits
+        (i32::MIN, i32::MAX), // all-pass
+        (0, i32::MAX),        // one-sided
+        (i32::MIN, -1),
+        (-50_000, 70_000), // band
+        (i32::MAX, i32::MAX),
+        (i32::MIN, i32::MIN),
+    ];
+    let mut cases = 0usize;
+    let mut selected_nothing = 0usize;
+    for width in 0u8..=32 {
+        let mask = (1u64 << width) - 1;
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 255, FOLD_BLOCK] {
+            let vals: Vec<u64> = (0..len).map(|_| next() & mask).collect();
+            let bytes = pack_be(&vals, width as usize, 0);
+            let stored: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
+            let base = (next() as u32) >> (next() % 32);
+            for xform in [
+                DeltaXform::AddBase(base),
+                DeltaXform::AddBase(base.wrapping_neg()),
+                DeltaXform::ZigZag,
+            ] {
+                for seed in [0u32, 1, u32::MAX, 0x8000_0000, 0x7FFF_FFF0, next() as u32] {
+                    for range in ranges {
+                        for sum_sq in [false, true] {
+                            let want = naive_fold(&stored, xform, seed, range, sum_sq);
+                            let scalar = unpack_fold::<ScalarBackend>(
+                                &bytes, width, len, xform, seed, range, sum_sq,
+                            );
+                            let avx2 = unpack_fold::<Avx2Backend>(
+                                &bytes, width, len, xform, seed, range, sum_sq,
+                            );
+                            let label = format!(
+                                "w={width} len={len} {xform:?} seed={seed:#x} range={range:?} \
+                                 sq={sum_sq}"
+                            );
+                            assert_eq!(scalar, want, "scalar vs definition: {label}");
+                            assert_eq!(avx2, want, "avx2 vs definition: {label}");
+                            let mut carry = seed;
+                            let mut acc = RelFold::new();
+                            agg::fold_deltas32(&stored, xform, &mut carry, range, sum_sq, &mut acc);
+                            assert_eq!((acc, carry), want, "dispatch vs definition: {label}");
+                            if want.0.count == 0 {
+                                // Nothing selected: the extremes stay at
+                                // their identities on every backend.
+                                assert_eq!((want.0.min, want.0.max), (i32::MAX, i32::MIN));
+                                selected_nothing += 1;
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        cases > 50_000 && selected_nothing > 1_000,
+        "{cases} / {selected_nothing}"
+    );
+}
+
+/// Blocks accumulate: a column folded in pieces of any length carries
+/// the prefix across calls and adds up to the column folded by the
+/// definition, and `Σrel²` is exact while `|rel| < 2²⁸`.
+#[test]
+fn fold_deltas32_carries_across_blocks() {
+    let stored: Vec<u32> = (0..1023u32)
+        .map(|i| i.wrapping_mul(2654435761) >> 12)
+        .collect();
+    // Mean delta ≈ 0: 2¹⁹ − stored keeps |rel| far below 2²⁸.
+    let xform = DeltaXform::AddBase((1u32 << 19).wrapping_neg());
+    let range = (-6_000_000, -500_000);
+    let (want, want_carry) = {
+        let mut acc = RelFold::new();
+        let (mut rel, mut sq) = (7u32, 0u128);
+        for &s in &stored {
+            rel = rel.wrapping_add(s.wrapping_sub(1 << 19));
+            let r = rel as i32;
+            assert!(r.unsigned_abs() < 1 << 28);
+            if range.0 <= r && r <= range.1 {
+                acc.count += 1;
+                acc.sum += r as i128;
+                sq += (r as i128 * r as i128) as u128;
+                acc.min = acc.min.min(r);
+                acc.max = acc.max.max(r);
+            }
+        }
+        acc.sum_sq = sq;
+        (acc, rel)
+    };
+    assert!(want.count > 100 && (want.count as usize) < stored.len());
+    for piece in [1usize, 5, 64, 100, FOLD_BLOCK] {
+        let mut carry = 7u32;
+        let mut acc = RelFold::new();
+        for block in stored.chunks(piece) {
+            agg::fold_deltas32(block, xform, &mut carry, range, true, &mut acc);
+        }
+        assert_eq!((acc, carry), (want, want_carry), "piece={piece}");
+    }
+}
+
+/// The one-pass `i64` fold across its 4096-value overflow blocks: values
+/// at the `i64` limits overflow every lane sum and must still be exact.
+#[test]
+fn fold_range_i64_extremes_cross_blocks() {
+    let vals: Vec<i64> = (0..9001)
+        .map(|i| match i % 5 {
+            0 => i64::MAX,
+            1 => i64::MIN,
+            2 => i64::MAX - i,
+            3 => -i,
+            _ => i,
+        })
+        .collect();
+    for (lo, hi) in [(i64::MIN, i64::MAX), (0, i64::MAX), (i64::MIN, -1), (5, 4)] {
+        let want = fold_range::<ScalarBackend>(&vals, lo, hi);
+        assert_eq!(fold_range::<Avx2Backend>(&vals, lo, hi), want);
+        assert_eq!(agg::fold_range_i64(&vals, lo, hi), want);
+        let exact: i128 = vals
+            .iter()
+            .filter(|&&v| lo <= v && v <= hi)
+            .map(|&v| v as i128)
+            .sum();
+        assert_eq!(want.sum, exact);
+        assert_eq!(want.count == 0, want.min.is_none() && want.max.is_none());
     }
 }

@@ -1,9 +1,11 @@
 //! Deterministic mutational fuzzer for the untrusted-input surfaces:
 //! every codec decoder, `Page::from_bytes`, `tsfile::read`, the
 //! partial-state wire format (`PartialState::from_bytes`, including the
-//! embedded t-digest parser), and the network wire-frame parser
+//! embedded t-digest parser), the network wire-frame parser
 //! (`etsqp_serve::proto` — hostile length prefixes, truncated and
-//! oversized frames, bad version bytes, lying result/error payloads).
+//! oversized frames, bad version bytes, lying result/error payloads),
+//! and the decode-and-fold cursor (`etsqp_core::decode_fold`) held
+//! against decode-then-fold over the same column bytes.
 //!
 //! ```text
 //! cargo run -p xtask -- fuzz [--iters N] [--seed S] [--corpus <dir>]
@@ -33,6 +35,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use etsqp_core::decode::{decode_column, DecodeOptions};
+use etsqp_core::decode_fold::FoldCursor;
 use etsqp_core::expr::AggFunc;
 use etsqp_core::partial::PartialState;
 use etsqp_core::plan::Value;
@@ -95,6 +99,96 @@ enum Target {
     /// incremental `FrameDecoder` plus the typed error/result payload
     /// parsers behind it.
     Proto,
+    /// `FoldCursor` against `decode_column` + a value-at-a-time fold: a
+    /// [`FOLD_HEAD`]-byte head (codec, flags, filter) followed by the
+    /// column bytes of a TS2DIFF / Sprintz / Stream VByte page.
+    DecodeFold,
+}
+
+/// Bytes of a `decode_fold` input before the column: a selector (codec =
+/// `(b & 3) % 3`, bit 2 suffix pruning, bit 3 `Σv²`, bit 4 pass the
+/// column's true value range) and the inclusive filter `[lo, hi]`,
+/// big-endian.
+const FOLD_HEAD: usize = 17;
+
+/// The codecs the decode-and-fold cursor opens.
+const FOLD_CODECS: [Encoding; 3] = [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte];
+
+/// Where a column of `enc` keeps its big-endian `u32` value count: after
+/// TS2DIFF's order byte, first for the others.
+fn fold_count_offset(enc: Encoding) -> usize {
+    usize::from(enc == Encoding::Ts2Diff)
+}
+
+/// A `decode_fold` input: head plus column.
+fn fold_input(selector: u8, (lo, hi): (i64, i64), column: &[u8]) -> Vec<u8> {
+    let mut input = vec![selector];
+    input.extend_from_slice(&lo.to_be_bytes());
+    input.extend_from_slice(&hi.to_be_bytes());
+    input.extend_from_slice(column);
+    input
+}
+
+/// The `decode_fold` invariant: the cursor and the decoder read one
+/// column with one filter and must end in the same state or the same
+/// typed error (a column the cursor's gate rejects has nothing to
+/// compare). Shared with `tests/corruption.rs` by construction: the
+/// corpus files carry the head.
+fn check_decode_fold(input: &[u8]) -> Result<(), String> {
+    let Some((head, column)) = input.split_at_checked(FOLD_HEAD) else {
+        return Ok(());
+    };
+    let enc = FOLD_CODECS[(head[0] & 3) as usize % FOLD_CODECS.len()];
+    let (prune, sum_sq, ranged) = (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
+    let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
+    let (lo, hi) = (be(&head[1..9]), be(&head[9..17]));
+
+    // A few dozen header bytes can declare 2²⁶ constant values (width 0
+    // needs no payload). The codec targets already pay for decoding
+    // those; a second decode and two folds of them add nothing.
+    let count_at = fold_count_offset(enc);
+    let declared = column
+        .get(count_at..count_at + 4)
+        .map_or(0, |b| be(b) as u32);
+    if declared > 1 << 20 {
+        return Ok(());
+    }
+    let mut values = Vec::new();
+    let decoded = decode_column(enc, column, &DecodeOptions::default(), &mut values);
+    let range = values
+        .iter()
+        .min()
+        .zip(values.iter().max())
+        .filter(|_| ranged && decoded.is_ok())
+        .map(|(&mn, &mx)| (mn, mx));
+    match (
+        FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq),
+        decoded,
+    ) {
+        (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+        (Err(a), other) => Err(format!("cursor refused ({a}), decoder said {other:?}")),
+        (Ok(None), _) => Ok(()),
+        (Ok(Some(_)), Err(b)) => Err(format!("cursor opened a column the decoder refused ({b})")),
+        (Ok(Some(mut cursor)), Ok(_)) => {
+            let got = cursor.fold_range(0, usize::MAX);
+            let mut want = (0u64, 0i128, None::<i64>, None::<i64>, 0i128);
+            for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
+                want.0 += 1;
+                want.1 += v as i128;
+                want.2 = Some(want.2.map_or(v, |m| m.min(v)));
+                want.3 = Some(want.3.map_or(v, |m| m.max(v)));
+                if sum_sq {
+                    // The cursor only opens for Σv² when it cannot overflow.
+                    want.4 += v as i128 * v as i128;
+                }
+            }
+            if (got.count, got.sum, got.min, got.max, got.sum_sq) == want {
+                Ok(())
+            } else {
+                Err(format!("cursor folded {got:?}, decode-then-fold {want:?}"))
+            }
+        }
+    }
 }
 
 impl Target {
@@ -105,6 +199,7 @@ impl Target {
             Target::TsFileImage => "tsfile".to_string(),
             Target::Partial => "partial".to_string(),
             Target::Proto => "proto".to_string(),
+            Target::DecodeFold => "decode_fold".to_string(),
         }
     }
 }
@@ -217,6 +312,26 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
             let mut pipelined = proto::encode_frame(FrameType::Ping, &[]);
             pipelined.extend(proto::encode_frame(FrameType::Query, b"SELECT 1"));
             seeds.push(pipelined);
+            seeds
+        }
+        Target::DecodeFold => {
+            // Every value shape × codec, with a filter cut from the
+            // shape's own values so that some pass and some do not.
+            let mut seeds = Vec::new();
+            for values in int_seed_values(rng) {
+                for enc in FOLD_CODECS {
+                    let pick = |r: &mut Rng| match values.len() {
+                        0 => r.next() as i64,
+                        n => values[r.below(n)],
+                    };
+                    let (a, b) = (pick(rng), pick(rng));
+                    seeds.push(fold_input(
+                        rng.next() as u8,
+                        (a.min(b), a.max(b)),
+                        &enc.encode_i64(&values),
+                    ));
+                }
+            }
             seeds
         }
         Target::TsFileImage => {
@@ -435,6 +550,7 @@ fn check(target: &Target, input: &[u8], scratch: &Path) -> Verdict {
                 }
                 Ok(())
             }
+            Target::DecodeFold => check_decode_fold(input),
             Target::TsFileImage => {
                 let path = scratch.join("fuzz.etsqp");
                 if std::fs::write(&path, input).is_err() {
@@ -522,6 +638,10 @@ fn content_hash(bytes: &[u8]) -> u64 {
 /// - `partial__*`: partial-state wire-format hostility — truncation, a
 ///   count field spliced to `u64::MAX`, a hostile embedded-digest
 ///   centroid count, and a NaN centroid mean;
+/// - `decode_fold__*`: a 17-byte head (codec, flags, filter) plus column
+///   bytes for the decode-and-fold cursor — truncation, a count the
+///   payload cannot back, hostile Stream VByte controls, and a valid
+///   TS2DIFF column whose deltas wrapped `i64` at encode time;
 /// - `proto__*`: network wire-frame hostility — a bad version byte, an
 ///   unknown frame type, a length prefix of `u32::MAX` (must be
 ///   rejected from the header, never buffered), a truncated header, a
@@ -674,6 +794,50 @@ pub fn emit_corpus(dir: &Path) -> std::io::Result<usize> {
         )?;
     }
 
+    // Decode-and-fold: a column cut mid-payload, a count the payload
+    // cannot back, and control bytes that declare more data than there
+    // is must be the decoder's typed error from the cursor too; a valid
+    // column alternating between the `i64` limits has small *wrapped*
+    // deltas and must be left to the decoder, not folded.
+    {
+        let band = (1_200, 1_900);
+        for (enc, name) in FOLD_CODECS.iter().zip(["ts2diff", "sprintz", "svb"]) {
+            let selector = FOLD_CODECS.iter().position(|e| e == enc).unwrap_or(0) as u8 | 4 | 8;
+            let valid = enc.encode_i64(&ints);
+            emit(
+                format!("decode_fold__{name}_truncated"),
+                &fold_input(selector, band, &valid[..valid.len() / 2]),
+            )?;
+            let mut hostile = valid.clone();
+            let count_at = fold_count_offset(*enc);
+            hostile[count_at..count_at + 4].copy_from_slice(&(1u32 << 20).to_be_bytes());
+            emit(
+                format!("decode_fold__{name}_hostile_count"),
+                &fold_input(selector | 16, band, &hostile),
+            )?;
+        }
+        let mut controls = Encoding::StreamVByte.encode_i64(&ints);
+        let head = etsqp_encoding::stream_vbyte::HEADER_BYTES;
+        controls[head..head + (ints.len() - 1).div_ceil(4)].fill(0xFF);
+        emit(
+            "decode_fold__svb_hostile_controls".to_string(),
+            &fold_input(2, band, &controls),
+        )?;
+        let limits: Vec<i64> = (0..200)
+            .map(|i| {
+                if i % 2 == 0 {
+                    i64::MIN + 7
+                } else {
+                    i64::MAX - 7
+                }
+            })
+            .collect();
+        emit(
+            "decode_fold__ts2diff_wrapped_deltas".to_string(),
+            &fold_input(0, (0, i64::MAX), &Encoding::Ts2Diff.encode_i64(&limits)),
+        )?;
+    }
+
     let scratch = std::env::temp_dir().join(format!("etsqp-corpus-{}", std::process::id()));
     std::fs::create_dir_all(&scratch)?;
     let mut rng = Rng::new(1);
@@ -716,6 +880,7 @@ pub fn run(cfg: &FuzzConfig) -> u64 {
             Target::TsFileImage,
             Target::Partial,
             Target::Proto,
+            Target::DecodeFold,
         ])
         .collect();
     let seeds: Vec<Vec<Vec<u8>>> = targets

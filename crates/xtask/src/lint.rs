@@ -48,11 +48,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Engine hot-path files: panics are forbidden, errors must be `Error`s.
-pub const HOT_FILES: [&str; 5] = [
+pub const HOT_FILES: [&str; 6] = [
     "crates/core/src/exec.rs",
     "crates/core/src/pool.rs",
     "crates/core/src/fused.rs",
     "crates/core/src/decode.rs",
+    "crates/core/src/decode_fold.rs",
     "crates/core/src/slice.rs",
 ];
 

@@ -34,10 +34,13 @@ cargo run -q -p xtask -- lint
 echo "==> cargo run -p xtask -- verify-plans"
 cargo run -q -p xtask -- verify-plans
 
-# Deterministic decoder fuzzing (crates/xtask): mutated codec streams,
-# page images, tsfile images, partial-state wire images and network
-# wire frames (the `proto` target) must never panic a decoder or break
-# round-trip consistency — a typed error is the only acceptable failure.
+# Deterministic decoder fuzzing (crates/xtask), 17 targets: mutated
+# codec streams, page images, tsfile images, partial-state wire images
+# and network wire frames (the `proto` target) must never panic a
+# decoder or break round-trip consistency, and mutated TS2DIFF / Sprintz
+# / Stream VByte columns must take the decode-and-fold cursor and the
+# decoder to the same state (the `decode_fold` target) — a typed error
+# is the only acceptable failure.
 # Runs in debug mode on purpose: overflow/shift panics are live there.
 # Scale with ETSQP_FUZZ_ITERS (default 20000, the gating profile).
 echo "==> cargo run -p xtask -- fuzz --iters ${ETSQP_FUZZ_ITERS:-20000} --seed 5"
@@ -51,13 +54,18 @@ cargo test -q --workspace
 # the same kernel, codec and engine suites.
 echo "==> ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core"
 ETSQP_FORCE_SCALAR=1 cargo test -q -p etsqp-simd -p etsqp-encoding -p etsqp-core
+# ... and through the oracle sweep, whose decode-and-fold blocks must
+# give the rows the AVX2 run gave (both are held to the same oracle).
+echo "==> ETSQP_FORCE_SCALAR=1 cargo test -q --test differential"
+ETSQP_FORCE_SCALAR=1 cargo test -q --test differential
 
 # Release-profile semantics: debug builds run the plan verifier inside
 # `pipe::compile` and trap integer overflow, so without this step no
 # gating test executes what a release build executes when either would
 # have objected. The oracle sweep, the Strategy x window x filter shape
-# matrix and the unbucketable-window rejection (all in
-# tests/differential.rs) run again with both switched off.
+# matrix, the decode-and-fold matrix with its gate-rejection block and
+# the unbucketable-window rejection (all in tests/differential.rs) run
+# again with both switched off.
 echo "==> cargo test -q --release --test differential"
 cargo test -q --release --test differential
 
@@ -117,11 +125,16 @@ serve_smoke() (
 serve_smoke || echo "WARN: serve smoke failed (non-gating)"
 
 # Non-gating: Miri over the scalar decode paths (UB detection on the
-# bit-level codecs). Skipped gracefully where the miri component is not
+# bit-level codecs) and the scalar kernel twins, the decode-and-fold
+# block among them (Miri reports no AVX2, so every backend resolves to
+# the scalar twin). Skipped gracefully where the miri component is not
 # installed.
 if cargo miri --version >/dev/null 2>&1; then
     echo "==> cargo miri test -p etsqp-encoding (non-gating)"
     MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p etsqp-encoding \
+        || echo "WARN: miri run failed (non-gating)"
+    echo "==> cargo miri test -p etsqp-simd --lib scalar (non-gating)"
+    MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p etsqp-simd --lib scalar \
         || echo "WARN: miri run failed (non-gating)"
 else
     echo "==> miri unavailable, skipping (non-gating)"

@@ -14,16 +14,21 @@
 //! `<target>__<description>.bin`, where `<target>` is a codec name from
 //! `Encoding::name()`, `page` (a `Page::to_bytes` image), `tsfile`
 //! (an on-disk file image), `partial` (a `PartialState::to_bytes`
-//! wire image with its embedded t-digest), or `proto` (a network
-//! wire-frame byte stream fed to `etsqp_serve::proto::FrameDecoder`).
+//! wire image with its embedded t-digest), `proto` (a network
+//! wire-frame byte stream fed to `etsqp_serve::proto::FrameDecoder`), or
+//! `decode_fold` (a 17-byte head — codec, flags, filter — and the column
+//! bytes the decode-and-fold cursor is held against the decoder on).
 //! Regenerate with `cargo run -p xtask -- fuzz --emit-corpus`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use etsqp::core::decode::{decode_column, DecodeOptions};
+use etsqp::core::decode_fold::FoldCursor;
 use etsqp::core::partial::PartialState;
 use etsqp::encoding::Encoding;
 use etsqp::serve::proto::{self, FrameDecoder, FrameType, DEFAULT_MAX_FRAME_LEN};
+use etsqp::simd::agg::AggState;
 use etsqp::storage::page::Page;
 use etsqp::storage::tsfile;
 
@@ -120,6 +125,50 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                     }
                 }
                 Ok(())
+            }
+            "decode_fold" => {
+                // Same invariant as the fuzzer's `decode_fold` target: a
+                // 17-byte head (codec, flags, inclusive filter), then a
+                // column that the cursor and the decoder must take to the
+                // same state or the same typed error.
+                let Some((head, column)) = bytes.split_at_checked(17) else {
+                    return Ok(());
+                };
+                let enc = [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte]
+                    [(head[0] & 3) as usize % 3];
+                let (prune, sum_sq, ranged) =
+                    (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
+                let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
+                let (lo, hi) = (be(&head[1..9]), be(&head[9..17]));
+                let mut values = Vec::new();
+                let decoded = decode_column(enc, column, &DecodeOptions::default(), &mut values);
+                let range = values
+                    .iter()
+                    .min()
+                    .zip(values.iter().max())
+                    .filter(|_| ranged && decoded.is_ok())
+                    .map(|(&mn, &mx)| (mn, mx));
+                match (
+                    FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq),
+                    decoded,
+                ) {
+                    (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+                    (Err(a), other) => Err(format!("cursor refused ({a}), decoder {other:?}")),
+                    (Ok(None), _) => Ok(()),
+                    (Ok(Some(_)), Err(b)) => Err(format!("cursor opened, decoder refused ({b})")),
+                    (Ok(Some(mut cursor)), Ok(_)) => {
+                        let got = cursor.fold_range(0, usize::MAX);
+                        let mut want = AggState::new();
+                        for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
+                            want.push(v);
+                        }
+                        let same = (got.count, got.sum, got.min, got.max)
+                            == (want.count, want.sum, want.min, want.max)
+                            && (!sum_sq || got.sum_sq == want.sum_sq);
+                        same.then_some(())
+                            .ok_or_else(|| format!("cursor {got:?} != decode-then-fold {want:?}"))
+                    }
+                }
             }
             "tsfile" => {
                 let dir =

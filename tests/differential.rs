@@ -998,3 +998,259 @@ fn unbucketable_window_is_a_plan_error_in_every_profile() {
         "SW(i64::MIN) over negative time",
     );
 }
+
+/// Plans `plan` under `cfg` and reports whether every kept page took
+/// `Strategy::Decode` — the only strategy that reads the value column
+/// value by value, so zero materialized value bytes on such a plan means
+/// the decode-and-fold kernel ran.
+fn all_kept_pages_decode(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> bool {
+    use etsqp::core::physical::node::Strategy;
+    let phys = pipe::compile(plan, store, cfg).unwrap();
+    let mut kept = phys.pipelines[0]
+        .decisions
+        .iter()
+        .filter_map(|d| d.strategy)
+        .peekable();
+    kept.peek().is_some() && kept.all(|s| s == Strategy::Decode)
+}
+
+/// Block L: decode-and-fold. For the three codecs whose packed deltas the
+/// cursor walks × every order-insensitive aggregate × value filters that
+/// are absent, one-sided, two-sided, empty and all-pass × windows that
+/// are absent, page-aligned and half a page early × a time filter that
+/// cuts the first and last page: the vectorized rows equal the
+/// byte-serial rows and the oracle's bit for bit, and no value is ever
+/// materialized — on the constant clock `materialized_bytes` is 0, on a
+/// jittered one exactly the timestamp columns of the two cut pages.
+#[test]
+fn decode_and_fold_matches_serial_and_materializes_no_value() {
+    let vals: Vec<i64> = (0..ROWS as i64)
+        .map(|i| (i * 37) % 101 - 30 + i / 8)
+        .collect();
+    let clocks: [(&str, Vec<i64>); 2] = [
+        (
+            "constant",
+            (0..ROWS as i64).map(|i| 1_000 + i * 10).collect(),
+        ),
+        (
+            "jittered",
+            (0..ROWS as i64).map(|i| 1_000 + i * 10 + i % 3).collect(),
+        ),
+    ];
+    let page_span = PAGE_POINTS as i64 * 10;
+    let windows = [
+        None,
+        Some((1_000, page_span)),
+        Some((1_000 - page_span / 2, page_span)),
+    ];
+    let cut = Predicate::time(1_000 + page_span / 3, 1_000 + 3 * page_span + page_span / 2);
+    let value_filters = [
+        None,
+        Some((21, i64::MAX)), // v > 20
+        Some((i64::MIN, 20)), // v <= 20
+        Some((0, 50)),
+        Some((1_000, 2_000)),             // matches nothing
+        Some((-1_000, 1_000)),            // matches everything
+        Some((i64::MIN, -5_000_000_000)), // beyond i32 of v₀, nothing
+        Some((-5_000_000_000, i64::MAX)), // beyond i32 of v₀, everything
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+    ];
+    // Default planning, and every page forced through DecodeScan with
+    // header pruning off so that empty filters reach the kernel too.
+    let planned = PipelineConfig {
+        threads: 4,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let all_decode = PipelineConfig {
+        prune: false,
+        fuse: FuseLevel::None,
+        ..planned
+    };
+    let serial = PipelineConfig {
+        vectorized: false,
+        ..planned
+    };
+    let mut cases = 0usize;
+    for codec in [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte] {
+        let mut kernel_pages = 0u64;
+        for (clock, ts) in &clocks {
+            let store = store_of(PAGE_POINTS, "s", codec, ts, &vals);
+            for func in funcs {
+                for value in value_filters {
+                    for window in windows {
+                        for time in [None, cut.time] {
+                            let scan = Plan::scan("s").filter(Predicate { time, value });
+                            let plan = match window {
+                                Some((t_min, dt)) => scan.window(t_min, dt, func),
+                                None => scan.aggregate(func),
+                            };
+                            let label = format!(
+                                "FOLD {codec:?} {clock} {func:?} value={value:?} \
+                                 window={window:?} time={time:?}"
+                            );
+                            let want = execute(&plan, &store, &serial).unwrap();
+                            for cfg in [&planned, &all_decode] {
+                                let got = execute(&plan, &store, cfg).unwrap();
+                                assert!(
+                                    got.columns == want.columns && rows_eq(&got.rows, &want.rows),
+                                    "{label} cfg=[{}]: vectorized {:?} != serial {:?}",
+                                    cfg_label(cfg),
+                                    preview(&got.rows),
+                                    preview(&want.rows),
+                                );
+                                assert_oracle(&plan, &store, cfg, &label);
+                                // Timestamps are decoded only where an
+                                // index cannot be solved from the header:
+                                // never on the constant clock; on the
+                                // jittered one, unwindowed, for the two
+                                // pages the time filter cuts.
+                                // (fewer where the value filter let
+                                // the header prune a cut page).
+                                let cut_pages = 2 * PAGE_POINTS as u64 * 8;
+                                let ts_bytes = match (*clock, window, time) {
+                                    ("constant", ..) | (_, None, None) => Some(0..=0),
+                                    (_, None, Some(_)) if !cfg.prune => Some(cut_pages..=cut_pages),
+                                    (_, None, Some(_)) => Some(0..=cut_pages),
+                                    _ => None,
+                                };
+                                if let Some(ts_bytes) = ts_bytes {
+                                    assert!(
+                                        ts_bytes.contains(&got.stats.materialized_bytes),
+                                        "{label} cfg=[{}]: {} bytes materialized, a value column \
+                                         among them",
+                                        cfg_label(cfg),
+                                        got.stats.materialized_bytes,
+                                    );
+                                }
+                                if all_kept_pages_decode(&plan, &store, cfg) {
+                                    kernel_pages += got.stats.pages_loaded;
+                                }
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            kernel_pages > 1_000,
+            "{codec:?}: only {kernel_pages} pages went through the kernel"
+        );
+    }
+    eprintln!("differential decode-and-fold matrix: {cases} cases, no value materialized");
+}
+
+/// Block M: what the cursor's gate rejects keeps decode-then-fold and
+/// still agrees with the oracle: values spanning more than 2³¹ (and a
+/// page alternating between the `i64` limits, whose *wrapped* deltas are
+/// tiny), an order-2 page, a Stream VByte page whose control stream
+/// allows offsets of 2³⁰ and more, a wide-mode Stream VByte page. A
+/// column hugging an `i64` limit passes the gate — the far-side filter
+/// bound is translated without wrapping — except for VARIANCE, whose
+/// `Σv²` would leave `i128`.
+#[test]
+fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
+    let n = PAGE_POINTS as i64;
+    let ts: Vec<i64> = (0..2 * n).map(|i| i * 10).collect();
+    let alternating: Vec<i64> = (0..2 * n)
+        .map(|i| {
+            if i % 2 == 0 {
+                i64::MIN + 7
+            } else {
+                i64::MAX - 7
+            }
+        })
+        .collect();
+    let rejected: [(&str, Encoding, Vec<i64>); 7] = [
+        (
+            "spread>2^31",
+            Encoding::Ts2Diff,
+            (0..2 * n).map(|i| (i % 7) * (1 << 29) - i).collect(),
+        ),
+        (
+            "spread>2^31",
+            Encoding::Sprintz,
+            (0..2 * n).map(|i| (i % 7) * (1 << 29) - i).collect(),
+        ),
+        ("limits", Encoding::Ts2Diff, alternating.clone()),
+        ("limits", Encoding::Sprintz, alternating.clone()),
+        (
+            "order2",
+            Encoding::Ts2DiffOrder2,
+            (0..2 * n).map(|i| i * i - 40 * i).collect(),
+        ),
+        (
+            "rel_bound>=2^30",
+            Encoding::StreamVByte,
+            (0..2 * n).map(|i| i * 2_000_000_000).collect(),
+        ),
+        ("mode1", Encoding::StreamVByte, alternating),
+    ];
+    let cfg = PipelineConfig {
+        threads: 4,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+    ];
+    for (what, codec, vals) in &rejected {
+        let store = store_of(PAGE_POINTS, "s", *codec, &ts, vals);
+        let mid = vals[vals.len() / 2];
+        for func in funcs {
+            for value in [(i64::MIN, mid), (mid.saturating_add(1), i64::MAX), (0, 0)] {
+                let plan = Plan::scan("s")
+                    .filter(Predicate::value(value.0, value.1))
+                    .aggregate(func);
+                let label = format!("GATE {what} {codec:?} {func:?} value={value:?}");
+                assert_oracle(&plan, &store, &cfg, &label);
+                let got = execute(&plan, &store, &cfg).unwrap();
+                assert_eq!(
+                    got.stats.materialized_bytes,
+                    got.stats.pages_loaded * PAGE_POINTS as u64 * 8,
+                    "{label}: the gate should have sent every loaded page to the decoder"
+                );
+            }
+        }
+    }
+    for v0 in [i64::MAX - 5_000, i64::MIN + 5_000] {
+        let vals: Vec<i64> = (0..2 * n).map(|i| v0 + (i * 37) % 101 - 50).collect();
+        for codec in [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte] {
+            let store = store_of(PAGE_POINTS, "s", codec, &ts, &vals);
+            for func in funcs {
+                for value in [
+                    (i64::MIN, 0),      // far side of v₀ = MAX − 5000
+                    (0, i64::MAX),      // far side of v₀ = MIN + 5000
+                    (v0 - 10, v0 + 10), // a band around v₀
+                    (i64::MIN, i64::MAX),
+                ] {
+                    let plan = Plan::scan("s")
+                        .filter(Predicate::value(value.0, value.1))
+                        .aggregate(func);
+                    let label = format!("GATE v0={v0} {codec:?} {func:?} value={value:?}");
+                    assert_oracle(&plan, &store, &cfg, &label);
+                    let got = execute(&plan, &store, &cfg).unwrap();
+                    let decoded = got.stats.materialized_bytes > 0;
+                    assert_eq!(
+                        decoded,
+                        func == AggFunc::Variance && got.stats.pages_loaded > 0,
+                        "{label}: {:?}",
+                        got.stats
+                    );
+                }
+            }
+        }
+    }
+}
