@@ -3,7 +3,7 @@
 //! calls out) and the chain-layout vs straight-scan Delta ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use etsqp_core::decode::{decode_ts2diff, DecodeOptions, DeltaStrategy};
+use etsqp_bench::{decode_ts2diff_ablation, DeltaAccumulation};
 use etsqp_core::fused;
 use etsqp_encoding::{delta_rle, ts2diff};
 
@@ -24,23 +24,14 @@ fn decode_benches(c: &mut Criterion) {
     // Proposition 1 n_v sweep.
     let mut out = Vec::new();
     for nv in [1usize, 2, 4, 8] {
-        let opts = DecodeOptions {
-            n_v: Some(nv),
-            strategy: DeltaStrategy::ChainLayout,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("chain_nv", nv), &opts, |b, opts| {
-            b.iter(|| decode_ts2diff(&page, opts, &mut out).unwrap())
+        let how = DeltaAccumulation::Chain(nv);
+        group.bench_with_input(BenchmarkId::new("chain_nv", nv), &how, |b, &how| {
+            b.iter(|| decode_ts2diff_ablation(&page, how, &mut out))
         });
     }
     // Straight-scan ablation (SBoost-style accumulation).
-    let opts = DecodeOptions {
-        n_v: None,
-        strategy: DeltaStrategy::StraightScan,
-        ..Default::default()
-    };
     group.bench_function("straight_scan", |b| {
-        b.iter(|| decode_ts2diff(&page, &opts, &mut out).unwrap())
+        b.iter(|| decode_ts2diff_ablation(&page, DeltaAccumulation::StraightScan, &mut out))
     });
     // Serial reference decoder.
     group.bench_function("serial_reference", |b| {

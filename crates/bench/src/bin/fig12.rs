@@ -57,6 +57,8 @@ fn part_ab(rows: usize) {
                     let cfg = PipelineConfig {
                         threads: t,
                         prune: false,
+                        // Time the page pipeline, not a cached partial.
+                        partial_cache: false,
                         ..Default::default()
                     };
                     db.execute_with(&plan, &cfg).unwrap().rows.len()
@@ -175,6 +177,7 @@ fn part_ef(rows: usize) {
                 threads: 1,
                 prune,
                 allow_slicing: false,
+                partial_cache: false,
                 ..Default::default()
             };
             let d = time_median(5, || {

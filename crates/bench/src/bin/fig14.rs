@@ -64,6 +64,8 @@ fn part_a(rows: usize) {
                 fuse,
                 prune: false,
                 allow_slicing: false,
+                // The repeats time the page pipeline, not a cached partial.
+                partial_cache: false,
                 ..Default::default()
             };
             let d = time_median(5, || db.execute_with(&plan, &cfg).unwrap().rows.len());
@@ -135,6 +137,7 @@ fn part_cd(rows: usize) {
             threads,
             allow_slicing: true,
             prune: false,
+            partial_cache: false,
             ..Default::default()
         };
         let mut idle_ns = 0u64;

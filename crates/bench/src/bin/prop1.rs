@@ -7,11 +7,10 @@
 //! cargo run --release -p etsqp-bench --bin prop1
 //! ```
 
-use etsqp_bench::{default_rows, time_median};
+use etsqp_bench::{decode_ts2diff_ablation, default_rows, time_median, DeltaAccumulation};
 use etsqp_core::cost::{
     avg_time_per_value, choose_nv, optimal_nv_real, theorem2_speedup, CostConstants,
 };
-use etsqp_core::decode::{decode_ts2diff, DecodeOptions, DeltaStrategy};
 use etsqp_encoding::ts2diff;
 
 fn main() {
@@ -44,14 +43,9 @@ fn main() {
             "n_v", "model[t_op/val]", "measured[Mval/s]"
         );
         let mut out = Vec::new();
-        let vrange = Some((*values.iter().min().unwrap(), *values.iter().max().unwrap()));
         for nv in [1usize, 2, 4, 8] {
-            let opts = DecodeOptions {
-                n_v: Some(nv),
-                strategy: DeltaStrategy::ChainLayout,
-                value_range: vrange,
-            };
-            let d = time_median(5, || decode_ts2diff(&page, &opts, &mut out).unwrap());
+            let how = DeltaAccumulation::Chain(nv);
+            let d = time_median(5, || decode_ts2diff_ablation(&page, how, &mut out));
             println!(
                 "{nv:>8} {:>16.3} {:>18.1}",
                 avg_time_per_value(width, 32, nv, &c),
@@ -59,12 +53,9 @@ fn main() {
             );
         }
         // Straight-scan ablation and the serial reference.
-        let opts = DecodeOptions {
-            n_v: None,
-            strategy: DeltaStrategy::StraightScan,
-            value_range: vrange,
-        };
-        let d = time_median(5, || decode_ts2diff(&page, &opts, &mut out).unwrap());
+        let how = DeltaAccumulation::StraightScan;
+        let d = time_median(5, || decode_ts2diff_ablation(&page, how, &mut out));
+        assert_eq!(out, values, "the ablation decoder is exact");
         println!(
             "{:>8} {:>16} {:>18.1}",
             "scan",

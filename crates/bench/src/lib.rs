@@ -415,6 +415,68 @@ pub fn time_median<R>(iters: usize, mut f: impl FnMut() -> R) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// How the Delta accumulation step of [`decode_ts2diff_ablation`] runs —
+/// the axis Proposition 1 and Fig. 12 sweep. The engine itself fixes
+/// `Chain(8)`, the round its fold kernel uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaAccumulation {
+    /// Algorithm 1's chain layout with `n_v` layout vectors per round
+    /// (one of `etsqp_simd::transpose::SUPPORTED_NV`).
+    Chain(usize),
+    /// One in-vector inclusive scan per 8 values (SBoost-style).
+    StraightScan,
+}
+
+/// Algorithm 1 over a whole order-1 TS2DIFF page in five separate steps —
+/// unpack, add base, accumulate as `how` says, widen — straight from the
+/// `etsqp_simd` kernels, for the `prop1` / `fig12` ablations only. The
+/// caller guarantees the page is inside the 32-bit path (width ≤ 32,
+/// every `|v − v₀| < 2³¹`).
+pub fn decode_ts2diff_ablation(
+    page: &etsqp_encoding::ts2diff::Ts2DiffPage<'_>,
+    how: DeltaAccumulation,
+    out: &mut Vec<i64>,
+) {
+    use etsqp_simd::{scan, transpose, unpack, LANES32};
+    assert_eq!(page.order, 1, "the ablation decodes order-1 pages");
+    let n = page.num_deltas();
+    let mut rel = vec![0u32; n];
+    unpack::unpack_u32(page.payload, 0, page.width, &mut rel);
+    let base = page.min_delta as u32;
+    rel.iter_mut().for_each(|s| *s = s.wrapping_add(base));
+    let mut carry = 0u32;
+    let round = match how {
+        DeltaAccumulation::Chain(n_v) => n_v * LANES32,
+        DeltaAccumulation::StraightScan => LANES32,
+    };
+    let mut vs = vec![[0u32; LANES32]; round / LANES32];
+    let mut rounds = rel.chunks_exact_mut(round);
+    for chunk in &mut rounds {
+        match how {
+            DeltaAccumulation::Chain(_) => {
+                transpose::layout_transpose(chunk, &mut vs);
+                scan::chain_delta_decode(&mut vs, &mut carry);
+                transpose::layout_untranspose(&vs, chunk);
+            }
+            DeltaAccumulation::StraightScan => {
+                vs[0].copy_from_slice(chunk);
+                scan::inclusive_scan_v32(&mut vs[0], &mut carry);
+                chunk.copy_from_slice(&vs[0]);
+            }
+        }
+    }
+    for d in rounds.into_remainder() {
+        carry = carry.wrapping_add(*d);
+        *d = carry;
+    }
+    out.clear();
+    out.extend(page.first.iter().take(page.count.min(1)));
+    out.resize(page.count, 0);
+    if n > 0 {
+        scan::widen_rel_i64(page.first[0], &rel, &mut out[1..]);
+    }
+}
+
 /// Tuples-per-second throughput from a duration.
 pub fn throughput(tuples: u64, d: Duration) -> f64 {
     tuples as f64 / d.as_secs_f64()

@@ -1,33 +1,42 @@
-//! Decode-and-fold: a filtered aggregate over a delta-coded value column
-//! without materializing the column (the paper's Fig. 14(d) pipeline).
+//! The one walker over packed 32-bit deltas: a TS2DIFF, Sprintz or
+//! Stream VByte (mode 0) column is read front to back in blocks of at
+//! most [`FOLD_BLOCK`] stored deltas, unpacked onto the stack
+//! (`unpack_u32` / `svb::decode_quads`), and each block ends in one of
+//! two sinks. Nothing is allocated either way.
 //!
-//! [`FoldCursor`] walks the packed deltas of a TS2DIFF (order 1), Sprintz
-//! or Stream VByte (mode 0) column front to back. A block of at most
-//! [`FOLD_BLOCK`] stored deltas is unpacked onto the stack
-//! (`unpack_u32` / `svb::decode_quads`) and handed to the
-//! [`etsqp_simd::agg::fold_deltas32`] kernel, which adds the base or
-//! un-ZigZags, prefix-sums, compares with the value filter and
-//! accumulates — all in registers. Nothing is allocated and no `i64` is
-//! written.
+//! * The **fold sink** ([`FoldCursor::fold_range`], the paper's
+//!   Fig. 14(d) pipeline) hands the block to the
+//!   [`etsqp_simd::agg::fold_deltas32`] kernel, which adds the base or
+//!   un-ZigZags, prefix-sums, compares with the value filter and
+//!   accumulates — all in registers; no `i64` is written.
+//! * The **write sink** ([`FoldCursor::write`], Algorithm 1) runs the
+//!   same transform and the chain-layout prefix (rounds of 64 deltas) in
+//!   place on the block and widens `base + rel` straight into the
+//!   caller's `Vec<i64>` — one output write per value. Order-2 TS2DIFF
+//!   runs the prefix twice, with two carries.
 //!
 //! Everything happens in *relative* space, `rel_k = v_k − v₀` as an
-//! `i32`: the filter is translated once per page (`lo − v₀`, `hi − v₀`,
-//! clamped to `i32`; a bound beyond the far side selects nothing), and
-//! each subrange resolves `Σv = count·v₀ + Σrel`, `min v = v₀ + min rel`
-//! exactly in `i128`. That is sound under the same header-derived gates
-//! that admit the materializing 32-bit decode
+//! `i32`. [`PackedColumn`] is a parsed column the *decoders'* gates admit
 //! ([`crate::decode::fits_32bit_path`] and its Sprintz / Stream VByte
-//! twins), plus one the decoder does not need: the values must lie
-//! within `i32` reach of `v₀` as integers, not merely modulo `2⁶⁴` (a
-//! page alternating between the `i64` limits has small *wrapped* deltas).
-//! [`FoldCursor::open`] returns `None` for every column these reject —
-//! width above 32, order 2, Stream VByte wide mode or a `rel_bound` of
-//! `2³⁰` and up, a value range of `2³¹` and up, any other codec — and the
-//! caller keeps decode-then-fold for those.
+//! twins): they bound the wrapping offsets, which is all the write sink
+//! needs — its wrapping adds reproduce every value. The fold sink
+//! translates the filter once per page (`lo − v₀`, `hi − v₀`, clamped to
+//! `i32`; a bound beyond the far side selects nothing) and resolves
+//! `Σv = count·v₀ + Σrel`, `min v = v₀ + min rel` exactly in `i128`,
+//! which needs more: order 1, and values within `i32` reach of `v₀` as
+//! integers, not merely modulo `2⁶⁴` (a page alternating between the
+//! `i64` limits has small *wrapped* deltas). Whatever a gate rejects —
+//! width above 32, Stream VByte wide mode or a `rel_bound` of `2³⁰` and
+//! up, a value range of `2³¹` and up, any other codec — the caller
+//! decodes with the codec's serial `decode_from_parts` and, for an
+//! aggregate, folds the values.
 
+use etsqp_encoding::sprintz::SprintzPage;
+use etsqp_encoding::stream_vbyte::SvbPage;
+use etsqp_encoding::ts2diff::Ts2DiffPage;
 use etsqp_encoding::{sprintz, stream_vbyte, ts2diff, Encoding};
 use etsqp_simd::agg::{fold_deltas32, AggState, DeltaXform, RelFold, FOLD_BLOCK};
-use etsqp_simd::{svb, unpack};
+use etsqp_simd::{scan, svb, transpose, unpack, LANES32};
 
 use crate::decode::{
     fits_32bit_path, range_spread, sprintz_fits_32bit, sprintz_rel_bound, svb_fits_32bit,
@@ -55,15 +64,96 @@ enum Deltas<'a> {
     },
 }
 
-/// A forward-only cursor over the values of one delta-coded column that
-/// folds index subranges in ascending order, see the module docs.
-pub struct FoldCursor<'a> {
+/// A parsed column whose decoder's 32-bit gate admits it: what the
+/// walker needs of the page, and all either sink is built from.
+pub struct PackedColumn<'a> {
     deltas: Deltas<'a>,
     xform: DeltaXform,
-    /// The column's first value: `rel = 0`, stored in the header.
-    v0: i64,
+    /// The header's leading values: one, two for TS2DIFF order 2.
+    first: [i64; 2],
+    order: usize,
     /// Values in the column.
     count: usize,
+    /// Header-derived bound on every wrapping `|v_k − v₀|`.
+    rel_bound: u128,
+    /// What Propositions 4–5 read (TS2DIFF order 1 only).
+    bounds: Option<DeltaBounds>,
+}
+
+impl<'a> PackedColumn<'a> {
+    /// A TS2DIFF page inside [`fits_32bit_path`]. `value_range` is the
+    /// known `(min, max)` of the column — page-header statistics — and
+    /// widens the gate as [`DecodeOptions::value_range`] says.
+    pub fn ts2diff(page: &Ts2DiffPage<'a>, value_range: Option<(i64, i64)>) -> Option<Self> {
+        if !fits_32bit_path(page, &DecodeOptions { value_range }) {
+            return None;
+        }
+        Some(PackedColumn {
+            deltas: Deltas::Packed {
+                payload: page.payload,
+                width: page.width,
+            },
+            // Two's complement: the low half of `min_delta` is what a
+            // wrapping 32-bit prefix needs of it.
+            xform: DeltaXform::AddBase(page.min_delta as u32),
+            first: page.first,
+            order: page.order as usize,
+            count: page.count,
+            rel_bound: ts2diff_rel_bound(page),
+            bounds: (page.order == 1).then(|| DeltaBounds::from_ts2diff(page)),
+        })
+    }
+
+    /// A Sprintz page inside the Sprintz twin of the gate.
+    pub fn sprintz(page: &SprintzPage<'a>) -> Option<Self> {
+        if !sprintz_fits_32bit(page) {
+            return None;
+        }
+        Some(PackedColumn {
+            deltas: Deltas::Packed {
+                payload: page.payload,
+                width: page.width,
+            },
+            xform: DeltaXform::ZigZag,
+            first: [page.first, 0],
+            order: 1,
+            count: page.count,
+            rel_bound: sprintz_rel_bound(page),
+            bounds: None,
+        })
+    }
+
+    /// A Stream VByte page inside the Stream VByte twin of the gate.
+    pub fn svb(page: &SvbPage<'a>) -> Option<Self> {
+        if !svb_fits_32bit(page) {
+            return None;
+        }
+        Some(PackedColumn {
+            deltas: Deltas::Svb {
+                controls: page.controls,
+                data: page.data,
+                at: 0,
+            },
+            xform: DeltaXform::ZigZag,
+            first: [page.first, 0],
+            order: 1,
+            count: page.count,
+            rel_bound: page.rel_bound,
+            bounds: None,
+        })
+    }
+
+    /// The value every `rel` is an offset from: the last header value.
+    fn base(&self) -> i64 {
+        self.first[self.order - 1]
+    }
+}
+
+/// A forward-only cursor over the values of one [`PackedColumn`], see
+/// the module docs: it folds index subranges in ascending order, or
+/// writes the column out.
+pub struct FoldCursor<'a> {
+    col: PackedColumn<'a>,
     /// The value filter in relative space.
     range: (i32, i32),
     /// Accumulate `Σrel²` (VARIANCE).
@@ -78,6 +168,8 @@ pub struct FoldCursor<'a> {
     next: usize,
     /// `rel` of value `next − 1`, wrapping.
     carry: u32,
+    /// Order 2 only: the delta that produced value `next − 1`, wrapping.
+    carry_delta: u32,
     /// Stored deltas `[block_at, block_at + block_len)`, unpacked.
     block: [u32; FOLD_BLOCK],
     block_at: usize,
@@ -85,18 +177,9 @@ pub struct FoldCursor<'a> {
 }
 
 impl<'a> FoldCursor<'a> {
-    /// Opens a cursor over the value column `bytes`, or `None` when the
-    /// column has to be decoded instead (see the module docs).
-    ///
-    /// `value_range` is the known `(min, max)` of the column — page-header
-    /// statistics — and widens the gate exactly as
-    /// [`DecodeOptions::value_range`] does for the decoder. `filter` is
-    /// the inclusive value filter (`None` selects everything); with
-    /// `prune` the scan of a TS2DIFF column stops once Propositions 4–5
-    /// prove the rest cannot match it. `sum_sq` asks for `Σv²` as well,
-    /// which needs every `|v − v₀| < 2²⁸` to keep the kernel's 64-bit
-    /// lanes exact, and a `v₀` small enough that `count·v²` stays inside
-    /// `i128` — a column that cannot promise both is not opened.
+    /// Parses the value column `bytes` and opens it for the fold sink,
+    /// or `None` when the column has to be decoded instead: see
+    /// [`FoldCursor::folder`] for the arguments.
     pub fn open(
         encoding: Encoding,
         bytes: &'a [u8],
@@ -105,104 +188,121 @@ impl<'a> FoldCursor<'a> {
         prune: bool,
         sum_sq: bool,
     ) -> Result<Option<Self>> {
-        let (deltas, xform, v0, count, rel_bound, bounds) = match encoding {
+        let col = match encoding {
             Encoding::Ts2Diff | Encoding::Ts2DiffOrder2 => {
-                let page = ts2diff::parse(bytes)?;
-                let opts = DecodeOptions {
-                    value_range,
-                    ..DecodeOptions::default()
-                };
-                if page.order != 1 || !fits_32bit_path(&page, &opts) {
-                    return Ok(None);
-                }
-                (
-                    Deltas::Packed {
-                        payload: page.payload,
-                        width: page.width,
-                    },
-                    // Two's complement: the low half of `min_delta` is
-                    // what a wrapping 32-bit prefix needs of it.
-                    DeltaXform::AddBase(page.min_delta as u32),
-                    page.first[0],
-                    page.count,
-                    ts2diff_rel_bound(&page),
-                    Some(DeltaBounds::from_ts2diff(&page)),
-                )
+                PackedColumn::ts2diff(&ts2diff::parse(bytes)?, value_range)
             }
-            Encoding::Sprintz => {
-                let page = sprintz::parse(bytes)?;
-                if !sprintz_fits_32bit(&page) {
-                    return Ok(None);
-                }
-                (
-                    Deltas::Packed {
-                        payload: page.payload,
-                        width: page.width,
-                    },
-                    DeltaXform::ZigZag,
-                    page.first,
-                    page.count,
-                    sprintz_rel_bound(&page),
-                    None,
-                )
-            }
-            Encoding::StreamVByte => {
-                let page = stream_vbyte::parse(bytes)?;
-                if !svb_fits_32bit(&page) {
-                    return Ok(None);
-                }
-                (
-                    Deltas::Svb {
-                        controls: page.controls,
-                        data: page.data,
-                        at: 0,
-                    },
-                    DeltaXform::ZigZag,
-                    page.first,
-                    page.count,
-                    page.rel_bound,
-                    None,
-                )
-            }
-            _ => return Ok(None),
+            Encoding::Sprintz => PackedColumn::sprintz(&sprintz::parse(bytes)?),
+            Encoding::StreamVByte => PackedColumn::svb(&stream_vbyte::parse(bytes)?),
+            _ => None,
         };
+        Ok(col.and_then(|col| Self::folder(col, value_range, filter, prune, sum_sq)))
+    }
+
+    /// A cursor for the fold sink, or `None` when `col` has to be decoded
+    /// instead (see the module docs).
+    ///
+    /// `value_range` is the known `(min, max)` of the column. `filter` is
+    /// the inclusive value filter (`None` selects everything); with
+    /// `prune` the scan of a TS2DIFF column stops once Propositions 4–5
+    /// prove the rest cannot match it. `sum_sq` asks for `Σv²` as well,
+    /// which needs every `|v − v₀| < 2²⁸` to keep the kernel's 64-bit
+    /// lanes exact, and a `v₀` small enough that `count·v²` stays inside
+    /// `i128` — a column that cannot promise both is not opened.
+    pub fn folder(
+        col: PackedColumn<'a>,
+        value_range: Option<(i64, i64)>,
+        filter: Option<(i64, i64)>,
+        prune: bool,
+        sum_sq: bool,
+    ) -> Option<Self> {
         // The decoders' gates bound the *wrapping* offsets, which is all a
         // decoder needs: its wrapping adds reproduce every value even when
         // a delta wrapped `i64` at encode time. Resolving `v₀ + rel` in
         // `i128` needs the true offsets, so the values themselves must lie
         // within `i32` reach of `v₀`: by the known range, or because `v₀`
         // is further than `rel_bound` from both ends of `i64`.
+        let v0 = col.first[0];
         let (rel_bound, in_reach) = match value_range {
             Some(r) => (range_spread(r), true),
             None => (
-                rel_bound,
-                i64::try_from(rel_bound)
+                col.rel_bound,
+                i64::try_from(col.rel_bound)
                     .is_ok_and(|b| v0.checked_add(b).is_some() && v0.checked_sub(b).is_some()),
             ),
         };
         let true_offsets = in_reach && rel_bound < (1 << 31);
         let squares_exact = rel_bound < (1 << 28) && v0.unsigned_abs() < (1 << 47);
-        if !true_offsets || (sum_sq && !squares_exact) {
-            return Ok(None);
+        if col.order != 1 || !true_offsets || (sum_sq && !squares_exact) {
+            return None;
         }
-        Ok(Some(FoldCursor {
-            deltas,
-            xform,
-            v0,
-            count,
-            range: filter.map_or((i32::MIN, i32::MAX), |f| relative_range(f, v0)),
+        let range = filter.map_or((i32::MIN, i32::MAX), |f| relative_range(f, v0));
+        Some(Self::new(col, range, sum_sq, filter.filter(|_| prune)))
+    }
+
+    fn new(
+        col: PackedColumn<'a>,
+        range: (i32, i32),
+        sum_sq: bool,
+        prune_filter: Option<(i64, i64)>,
+    ) -> Self {
+        FoldCursor {
+            range,
             sum_sq,
-            prune: bounds
-                .zip(filter)
-                .filter(|_| prune)
+            prune: col
+                .bounds
+                .zip(prune_filter)
                 .map(|(b, (c1, c2))| (b, c1, c2)),
-            end: count,
+            end: col.count,
             next: 0,
             carry: 0,
+            carry_delta: col.first[1].wrapping_sub(col.first[0]) as u32,
             block: [0; FOLD_BLOCK],
             block_at: 0,
             block_len: 0,
-        }))
+            col,
+        }
+    }
+
+    /// The write sink: decodes `col` into `out` (cleared first). With a
+    /// `suffix_filter` the scan of a TS2DIFF order-1 column stops at the
+    /// first block end where Propositions 4–5 prove the rest cannot match
+    /// it, and `out` is that prefix; returns how many trailing values
+    /// were left out.
+    pub fn write(
+        col: PackedColumn<'a>,
+        suffix_filter: Option<(i64, i64)>,
+        out: &mut Vec<i64>,
+    ) -> usize {
+        // This sink compares and accumulates nothing: no range, no Σrel².
+        let mut cursor = Self::new(col, NOTHING, false, suffix_filter);
+        let col = &cursor.col;
+        let (order, base, xform) = (col.order, col.base(), col.xform);
+        out.clear();
+        out.reserve(col.count);
+        out.extend_from_slice(&col.first[..order.min(col.count)]);
+        cursor.next = out.len();
+        while cursor.next < cursor.end {
+            cursor.load_block();
+            let rel = &mut cursor.block[..cursor.block_len];
+            match xform {
+                DeltaXform::AddBase(b) => rel.iter_mut().for_each(|s| *s = s.wrapping_add(b)),
+                DeltaXform::ZigZag => rel
+                    .iter_mut()
+                    .for_each(|z| *z = (*z >> 1) ^ (*z & 1).wrapping_neg()),
+            }
+            if order == 2 {
+                // Delta-of-deltas → deltas, then deltas → offsets.
+                prefix_in_place(rel, &mut cursor.carry_delta);
+            }
+            prefix_in_place(rel, &mut cursor.carry);
+            let at = out.len();
+            out.resize(at + rel.len(), 0);
+            scan::widen_rel_i64(base, rel, &mut out[at..]);
+            cursor.next = out.len();
+            cursor.check_suffix();
+        }
+        cursor.pruned()
     }
 
     /// Folds the values at indices `[i, j]` (inclusive, `j` clipped to
@@ -220,7 +320,7 @@ impl<'a> FoldCursor<'a> {
     /// How many trailing values suffix pruning proved outside the filter
     /// and the cursor therefore never produced.
     pub fn pruned(&self) -> usize {
-        self.count - self.end
+        self.col.count - self.end
     }
 
     /// Produces values up to index `to` (exclusive), folding those inside
@@ -246,7 +346,7 @@ impl<'a> FoldCursor<'a> {
             let upto = (to - 1 - self.block_at).min(self.block_len);
             fold_deltas32(
                 &self.block[from..upto],
-                self.xform,
+                self.col.xform,
                 &mut self.carry,
                 range,
                 self.sum_sq,
@@ -263,10 +363,10 @@ impl<'a> FoldCursor<'a> {
     /// order, which is what lets the Stream VByte data offset ride along.
     fn load_block(&mut self) {
         self.block_at += self.block_len;
-        self.block_len = FOLD_BLOCK.min(self.count - 1 - self.block_at);
+        self.block_len = FOLD_BLOCK.min(self.col.count - self.col.order - self.block_at);
         let out = &mut self.block[..self.block_len];
-        match &mut self.deltas {
-            // `parse` checked the payload holds `count − 1` deltas.
+        match &mut self.col.deltas {
+            // `parse` checked the payload holds every delta.
             Deltas::Packed { payload, width } => {
                 unpack::unpack_u32(payload, self.block_at * *width as usize, *width, out)
             }
@@ -279,16 +379,15 @@ impl<'a> FoldCursor<'a> {
         }
     }
 
-    /// The suffix-pruning check, at the cadence of the materializing scan
-    /// it replaces: after every whole block of deltas, on the value just
-    /// produced.
+    /// The suffix-pruning check, after every whole block of deltas, on
+    /// the value just produced.
     fn check_suffix(&mut self) {
         let Some((bounds, c1, c2)) = &self.prune else {
             return;
         };
         let k = self.next - 1;
-        let v_k = self.v0.wrapping_add(self.carry as i32 as i64);
-        if prune_rest(bounds, v_k, k, self.count, *c1, *c2) == PruneDecision::StopRest {
+        let v_k = self.col.base().wrapping_add(self.carry as i32 as i64);
+        if prune_rest(bounds, v_k, k, self.col.count, *c1, *c2) == PruneDecision::StopRest {
             self.end = self.next;
         }
     }
@@ -299,14 +398,14 @@ impl<'a> FoldCursor<'a> {
         if rel.count == 0 {
             return AggState::new();
         }
-        let v0 = self.v0 as i128;
+        let v0 = self.col.base() as i128;
         let n = rel.count as i128;
         AggState {
             count: rel.count,
             sum: n * v0 + rel.sum,
             min: Some((v0 + rel.min as i128) as i64),
             max: Some((v0 + rel.max as i128) as i64),
-            // Σ(v₀ + rel)²; `open` bounded v₀ and rel so that no term
+            // Σ(v₀ + rel)²; `folder` bounded v₀ and rel so that no term
             // nears the i128 limits.
             sum_sq: if self.sum_sq {
                 n * v0 * v0 + 2 * v0 * rel.sum + rel.sum_sq as i128
@@ -315,6 +414,23 @@ impl<'a> FoldCursor<'a> {
             },
             ..AggState::new()
         }
+    }
+}
+
+/// Wrapping inclusive prefix sum of `deltas` in place, seeded by `*carry`
+/// and leaving the total there: Algorithm 1's chain layout in rounds of
+/// 64 (`n_v = 8`, the round the fold kernel uses), scalar over the tail.
+fn prefix_in_place(deltas: &mut [u32], carry: &mut u32) {
+    let mut vs = [[0u32; LANES32]; 8];
+    let mut rounds = deltas.chunks_exact_mut(8 * LANES32);
+    for round in &mut rounds {
+        transpose::layout_transpose(round, &mut vs);
+        scan::chain_delta_decode(&mut vs, carry);
+        transpose::layout_untranspose(&vs, round);
+    }
+    for d in rounds.into_remainder() {
+        *carry = carry.wrapping_add(*d);
+        *d = *carry;
     }
 }
 
@@ -339,7 +455,8 @@ mod tests {
     use super::*;
     use crate::decode::decode_column;
 
-    /// Decode, then fold the slice one value at a time.
+    /// Decode with the codec crate's serial decoder, then fold the slice
+    /// one value at a time.
     fn reference(
         enc: Encoding,
         bytes: &[u8],
@@ -347,8 +464,7 @@ mod tests {
         filter: Option<(i64, i64)>,
         sum_sq: bool,
     ) -> AggState {
-        let mut vals = Vec::new();
-        decode_column(enc, bytes, &DecodeOptions::default(), &mut vals).unwrap();
+        let vals = enc.decode_i64(bytes).unwrap();
         let mut want = AggState::new();
         for &v in vals.iter().take(j.saturating_add(1)).skip(i) {
             if filter.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
@@ -411,6 +527,40 @@ mod tests {
     }
 
     #[test]
+    fn write_sink_matches_the_serial_decoders() {
+        let lengths = [
+            0usize, 1, 2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 257, 258, 1024, 1500,
+        ];
+        for enc in [
+            Encoding::Ts2Diff,
+            Encoding::Ts2DiffOrder2,
+            Encoding::Sprintz,
+            Encoding::StreamVByte,
+        ] {
+            for len in lengths {
+                for slope in [3i64, -7] {
+                    let vals: Vec<i64> = (0..len as i64)
+                        .map(|i| 9_000 + i * slope + (i * 37) % 11 - (i % 3))
+                        .collect();
+                    let bytes = enc.encode_i64(&vals);
+                    let mut out = vec![-1; 5];
+                    decode_column(enc, &bytes, &DecodeOptions::default(), &mut out).unwrap();
+                    assert_eq!(
+                        out,
+                        enc.decode_i64(&bytes).unwrap(),
+                        "{enc:?} {len} {slope}"
+                    );
+                    assert_eq!(out, vals);
+                }
+            }
+        }
+        // All of these were the walker's to write, order 2 included.
+        let curve: Vec<i64> = (0..300i64).map(|i| i * i / 7).collect();
+        let bytes = ts2diff::encode(&curve, 2);
+        assert!(PackedColumn::ts2diff(&ts2diff::parse(&bytes).unwrap(), None).is_some());
+    }
+
+    #[test]
     fn gate_rejects_what_the_32_bit_decode_rejects() {
         let wide: Vec<i64> = (0..100i64).map(|i| i * (1 << 33)).collect();
         let order2: Vec<i64> = (0..100i64).map(|i| i * i).collect();
@@ -453,5 +603,10 @@ mod tests {
         assert_eq!((state.count, state.max), (601, Some(600)));
         // Checked at values 256, 512, 768: the first beyond 600 is 768.
         assert_eq!(cursor.pruned(), 1024 - 769);
+        // The write sink stops at the same check and hands out the prefix.
+        let col = PackedColumn::ts2diff(&ts2diff::parse(&bytes).unwrap(), None).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(FoldCursor::write(col, Some((0, 600)), &mut out), 1024 - 769);
+        assert_eq!(out, vals[..769]);
     }
 }

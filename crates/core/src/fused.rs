@@ -2,26 +2,30 @@
 //!
 //! Two fusion families:
 //!
-//! * **Delta fusion** (TS2DIFF): `Σ v_k = n·v₀ + Σ_j (n−j)·δ_j` — the sum
-//!   needs only the *unpacked* deltas with position weights; the Delta
-//!   accumulation (and any materialization) is skipped entirely. This is
-//!   the `3X₀+3D₁+3D₂+2D₃+D₄+12·base` identity of Example 2.
+//! * **Delta fusion** (TS2DIFF, Stream VByte): the paper's closed form
+//!   `Σ v_k = n·v₀ + Σ_j (n−j)·δ_j` (Example 2's
+//!   `3X₀+3D₁+3D₂+2D₃+D₄+12·base`) is a sum of prefix sums, which is the
+//!   `Σrel` the in-register decode-and-fold of
+//!   [`crate::decode_fold::FoldCursor`] already accumulates — at twice
+//!   the closed form's speed on this backend. So [`sum_ts2diff`] and
+//!   [`sum_svb`] are adapters over the cursor with no filter.
 //! * **Delta–Repeat fusion** (Delta-RLE): per `(Δ, r)` pair the run is an
 //!   arithmetic progression, so `Σ = r·a_n + Δ·r(r+1)/2`, `Σ A² ` and
 //!   `Σ A·B` are degree-2/3 polynomials (the §IV expansion), and COUNT
 //!   within a time range needs no decoding at all. Proposition 3's
-//!   incremental `f·g` shape: `a_n` is carried across pairs.
+//!   incremental `f·g` shape: `a_n` is carried across pairs. This is
+//!   where the closed form is asymptotically better than any walk.
 //!
 //! [`FuseLevel`] grades how many decoders are fused — the ablation axis of
 //! Figure 14(a).
 
 use etsqp_encoding::delta_rle::DeltaRlePage;
-use etsqp_encoding::stream_vbyte::SvbPage;
-use etsqp_encoding::ts2diff::Ts2DiffPage;
+use etsqp_encoding::stream_vbyte::{self, SvbPage};
+use etsqp_encoding::ts2diff::{self, Ts2DiffPage};
 use etsqp_simd::agg::AggState;
-use etsqp_simd::{svb, unpack};
 
-use crate::decode::{decode_svb, decode_ts2diff, DecodeOptions};
+use crate::decode::DecodeOptions;
+use crate::decode_fold::{FoldCursor, PackedColumn};
 use crate::{Error, Result};
 
 /// How many decoders the aggregation is fused across (Figure 14(a)).
@@ -37,44 +41,28 @@ pub enum FuseLevel {
     DeltaRepeat,
 }
 
-/// The closed form all three delta fusions share: with
-/// `v_k = v₀ + Σ_{j<k} δ_j` (delta `j` connects value `j` to `j+1`),
-/// `Σ_{k=a..=b} v_k = (b−a+1)·v₀ + Σ_{j<b} w_j·δ_j`, where delta `j` is
-/// counted once per covered value above it: `w_j = b − max(j+1, a) + 1`.
-/// Over a whole page (`a = 0`) that is the `3X₀+3D₁+3D₂+2D₃+D₄+12·base`
-/// identity of Example 2. MIN/MAX/Σx² still require values and stay
-/// unset (callers needing them decode — see [`FuseLevel::None`]).
-fn weighted_delta_sum(v0: i64, a: usize, b: usize, deltas: impl Iterator<Item = i128>) -> AggState {
-    let len = (b - a + 1) as i128;
-    let mut sum = len * v0 as i128;
-    for (j, d) in deltas.take(b).enumerate() {
-        sum += (b + 1 - (j + 1).max(a)) as i128 * d;
-    }
-    AggState {
-        sum,
-        count: len as u64,
-        ..AggState::new()
-    }
-}
-
-/// The one fallback for pages whose stored deltas are not plain
-/// first-order differences: decode, then aggregate `[a, b]`.
-fn decoded_range_state(
-    a: usize,
-    b: usize,
-    decode: impl FnOnce(&mut Vec<i64>) -> Result<usize>,
+/// SUM and COUNT over a whole column: the cursor's fold with no filter
+/// where its gate admits `col`, else the serial decode summed.
+fn sum_column(
+    col: Option<PackedColumn<'_>>,
+    opts: &DecodeOptions,
+    serial: impl FnOnce() -> etsqp_encoding::Result<Vec<i64>>,
 ) -> Result<AggState> {
-    let mut out = Vec::new();
-    decode(&mut out)?;
-    let mut state = AggState::new();
-    state.push_slice(out.get(a..=b).ok_or(Error::Decode(
-        "decoded column shorter than its header count",
-    ))?);
-    Ok(state)
+    if let Some(mut cursor) =
+        col.and_then(|col| FoldCursor::folder(col, opts.value_range, None, false, false))
+    {
+        return Ok(cursor.fold_range(0, usize::MAX));
+    }
+    let vals = serial()?;
+    Ok(AggState {
+        sum: etsqp_simd::agg::sum_i64(&vals),
+        count: vals.len() as u64,
+        ..AggState::new()
+    })
 }
 
-/// SUM over all values of a TS2DIFF (order-1) page without Delta
-/// decoding: [`sum_ts2diff_range`] over the whole page.
+/// SUM (and COUNT) over all values of a TS2DIFF page, nothing
+/// materialized unless a 32-bit gate rejects the page.
 ///
 /// ```
 /// use etsqp_core::{decode::DecodeOptions, fused::sum_ts2diff};
@@ -84,12 +72,13 @@ fn decoded_range_state(
 /// assert_eq!(state.sum, 100);
 /// ```
 pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    sum_ts2diff_range(page, 0, page.count.saturating_sub(1), opts)
+    sum_column(PackedColumn::ts2diff(page, opts.value_range), opts, || {
+        ts2diff::decode_from_parts(page)
+    })
 }
 
-/// SUM over all values of a Stream VByte page without prefix summing:
-/// the quad-shuffle decode yields the zigzag'd deltas `δ_j` directly and
-/// they feed the same weighted sum as TS2DIFF's bit-packed ones.
+/// SUM (and COUNT) over all values of a Stream VByte page, the twin of
+/// [`sum_ts2diff`]; wide-mode pages (mode 1) decode.
 ///
 /// ```
 /// use etsqp_core::{decode::DecodeOptions, fused::sum_svb};
@@ -98,58 +87,10 @@ pub fn sum_ts2diff(page: &Ts2DiffPage<'_>, opts: &DecodeOptions) -> Result<AggSt
 /// let state = sum_svb(&page, &DecodeOptions::default()).unwrap();
 /// assert_eq!(state.sum, 100);
 /// ```
-///
-/// Wide-mode pages (mode 1: some delta's zigzag exceeded 32 bits) fall
-/// back to decode-then-sum — the closed form needs every stored delta to
-/// be the exact difference, which only mode 0 pages written under the
-/// planner's `spread_fits_i64` gate guarantee.
 pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
-    if page.count == 0 {
-        return Ok(AggState::new());
-    }
-    let b = page.count - 1;
-    if page.mode != 0 {
-        return decoded_range_state(0, b, |out| decode_svb(page, opts, out));
-    }
-    let mut zz = vec![0u32; page.num_deltas()];
-    let used = svb::decode_quads(page.controls, page.data, zz.len(), &mut zz);
-    debug_assert_eq!(used, page.data_len);
-    // δ_j un-zigzags in the 64-bit domain exactly (mode 0 means every
-    // zigzag fit 32 bits).
-    let deltas = zz
-        .iter()
-        .map(|&z| etsqp_encoding::zigzag::decode_zigzag(z as u64) as i128);
-    Ok(weighted_delta_sum(page.first, 0, b, deltas))
-}
-
-/// SUM over the value-index range `[a, b]` (inclusive, `b` clipped to the
-/// page) of a TS2DIFF (order-1) page without Delta decoding:
-/// `δ_j = base + s_j` over the unpacked stored deltas `s_j`.
-///
-/// Order-2 pages fall back to decode-then-sum (double accumulation makes
-/// the closed form cubic; the paper fuses single-Delta formats).
-pub fn sum_ts2diff_range(
-    page: &Ts2DiffPage<'_>,
-    a: usize,
-    b: usize,
-    opts: &DecodeOptions,
-) -> Result<AggState> {
-    if page.count == 0 || a > b || a >= page.count {
-        return Ok(AggState::new());
-    }
-    let b = b.min(page.count - 1);
-    if page.order != 1 {
-        return decoded_range_state(a, b, |out| decode_ts2diff(page, opts, out));
-    }
-    // Unpack the stored deltas below `b` (SIMD) — the only decoder we
-    // keep. Widths up to 64 bits occur whenever the delta spread exceeds
-    // 2³², so the 64-bit unpacker is required (unpack_u32 asserts width
-    // ≤ 32).
-    let mut stored = vec![0u64; b];
-    unpack::unpack_u64(page.payload, 0, page.width, &mut stored);
-    let base = page.min_delta as i128;
-    let deltas = stored.iter().map(|&s| base + s as i128);
-    Ok(weighted_delta_sum(page.first[0], a, b, deltas))
+    sum_column(PackedColumn::svb(page), opts, || {
+        stream_vbyte::decode_from_parts(page)
+    })
 }
 
 /// Full aggregate state over a Delta-RLE page without flattening or
@@ -423,31 +364,6 @@ mod tests {
         let fused = sum_svb(&page, &DecodeOptions::default()).unwrap();
         assert_eq!(fused.sum, values.iter().map(|&v| v as i128).sum::<i128>());
         assert_eq!(fused.count, values.len() as u64);
-    }
-
-    #[test]
-    fn fused_range_sum_matches_slice_sum() {
-        let values: Vec<i64> = (0..300).map(|i| 40 + i * 2 - (i % 5)).collect();
-        let bytes = ts2diff::encode(&values, 1);
-        let page = ts2diff::parse(&bytes).unwrap();
-        for (a, b) in [
-            (0usize, 299usize),
-            (0, 0),
-            (10, 10),
-            (5, 250),
-            (250, 299),
-            (299, 299),
-            (100, 9999),
-        ] {
-            let got = sum_ts2diff_range(&page, a, b, &DecodeOptions::default()).unwrap();
-            let hi = b.min(values.len() - 1);
-            let want: i128 = values[a..=hi].iter().map(|&v| v as i128).sum();
-            assert_eq!(got.sum, want, "range [{a}, {b}]");
-            assert_eq!(got.count, (hi - a + 1) as u64);
-        }
-        // Degenerate: a beyond the page.
-        let empty = sum_ts2diff_range(&page, 500, 600, &DecodeOptions::default()).unwrap();
-        assert_eq!(empty.count, 0);
     }
 
     #[test]

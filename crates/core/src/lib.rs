@@ -7,8 +7,8 @@
 //!
 //! | Paper | Module | What it implements |
 //! |-------|--------|--------------------|
-//! | §III-A, Alg. 1 | [`decode`] | vectorized unpack + Delta-chain layout recovery |
-//! | Fig. 14(d) | [`decode_fold`] | unpack → prefix → filter → accumulate without materializing |
+//! | §III-A, Alg. 1 | [`decode`] | column decode: the 32-bit gates, the walker's write sink or the codec's serial decoder |
+//! | Alg. 1, Fig. 14(d) | [`decode_fold`] | the one walker over packed deltas: unpack → prefix → widen and write, or → filter → accumulate without materializing |
 //! | §III-B | `etsqp_simd::tables` | JIT-style cached shuffle/shift/mask plans |
 //! | §III-C, Fig. 8 | [`slice`], [`exec`] | page distribution, slicing, thread scheduling |
 //! | §III-D, Prop. 1/Thm. 2 | [`cost`] | `n_v` cost model and speedup estimate |

@@ -9,14 +9,16 @@
 //! whole-range aggregate is the one-bucket case of it (`window = None`).
 //! The strategy a page runs is not chosen here: the `Pipe` planner
 //! ([`crate::physical::pipe`]) picks a [`Strategy`] per page from header
-//! statistics, and [`agg_page_job`] executes that decision (with
-//! [`Strategy::Decode`] as the sound fallback whenever a runtime check —
-//! e.g. the resolved index range — falls outside what a whole-page form
-//! handles).
+//! statistics, and [`agg_page_job`] executes that decision: the
+//! whole-page forms ([`Strategy::FusedDeltaRle`],
+//! [`Strategy::HeaderMinMax`]) when the resolved index range is the
+//! whole page inside one bucket, and for every other label the one walk
+//! over the page — the cursor where its gate admits the column, decode
+//! then fold where it does not.
 
 use std::collections::BTreeMap;
 
-use etsqp_encoding::{delta_rle, stream_vbyte, ts2diff, Encoding};
+use etsqp_encoding::{delta_rle, ts2diff, Encoding};
 use etsqp_simd::agg::AggState;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
@@ -24,7 +26,7 @@ use etsqp_storage::store::SeriesStore;
 use crate::decode_fold::FoldCursor;
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::fused::{aggregate_delta_rle, sum_svb, sum_ts2diff_range, FuseLevel};
+use crate::fused::{aggregate_delta_rle, FuseLevel};
 use crate::partial::{CacheKey, PartialCache, PartialState};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
@@ -385,7 +387,7 @@ fn agg_page_states(
         range
     } else {
         let _f = Stage::Filter.timer(stats);
-        let decoded = ts.insert(decode_ts_column(page, cfg, stats)?);
+        let decoded = ts.insert(decode_ts_column(page, stats)?);
         let (a, b) = wide.index_range(decoded);
         (a < b).then(|| (a, b - 1))
     };
@@ -403,10 +405,6 @@ fn agg_page_states(
                 Strategy::FusedDeltaRle => {
                     Some(aggregate_delta_rle(&delta_rle::parse(&page.val_bytes)?)?)
                 }
-                Strategy::FusedSvb => Some(sum_svb(
-                    &stream_vbyte::parse(&page.val_bytes)?,
-                    &cfg.decode,
-                )?),
                 Strategy::HeaderMinMax => Some(AggState {
                     count: count as u64,
                     min: Some(page.header.min_value),
@@ -422,31 +420,27 @@ fn agg_page_states(
     }
 
     // ---- Bucket subranges, each folded into one partial state ---------
-    // FusedTs2Diff takes every subrange in closed form over the packed
-    // deltas. Everything else is DecodeScan → Filter → PartialAgg: run in
-    // registers by a cursor over the packed deltas when the aggregate is
-    // order-insensitive and the column passes the cursor's 32-bit gate,
-    // else over the decoded values.
-    let mut values = match strategy {
-        Strategy::FusedTs2Diff => Values::Packed(ts2diff::parse(&page.val_bytes)?),
-        _ => match open_fold_cursor(page, pred, func, cfg)? {
-            Some(cursor) => Values::Cursor(cursor),
-            None => {
-                let vals = decode_val_column(page, pred, cfg, stats)?;
-                // Suffix pruning may have stopped the decode short of `b`:
-                // the elements it skipped provably fail the value filter.
-                if a >= vals.len() {
-                    return Ok(Vec::new());
-                }
-                b = b.min(vals.len() - 1);
-                Values::Decoded(vals)
+    // DecodeScan → Filter → PartialAgg, whatever the planner labelled the
+    // page: run in registers by the cursor over the packed deltas when
+    // the aggregate is order-insensitive and the column passes the
+    // cursor's 32-bit gate, else over the decoded values.
+    let mut values = match open_fold_cursor(page, pred, func, cfg)? {
+        Some(cursor) => Values::Cursor(cursor),
+        None => {
+            let vals = decode_val_column(page, pred, cfg, stats)?;
+            // Suffix pruning may have stopped the decode short of `b`:
+            // the elements it skipped provably fail the value filter.
+            if a >= vals.len() {
+                return Ok(Vec::new());
             }
-        },
+            b = b.min(vals.len() - 1);
+            Values::Decoded(vals)
+        }
     };
     if let (Values::Decoded(vals), true) = (&values, func.partial_only()) {
         let ts = match ts {
             Some(ts) => ts,
-            None => decode_ts_column(page, cfg, stats)?,
+            None => decode_ts_column(page, stats)?,
         };
         let ts = ts
             .get(a..=b)
@@ -456,17 +450,16 @@ fn agg_page_states(
         fold_tuples(ts, &vals[a..=b], pred, window, func, &mut windows);
         return Ok(windows.into_iter().collect());
     }
-    let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), cfg, stats)?;
+    let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), stats)?;
     // The cursor's fold *is* the decode pass; nothing runs after it.
     let _t = match values {
         Values::Cursor(_) => Stage::Delta,
-        _ => Stage::Agg,
+        Values::Decoded(_) => Stage::Agg,
     }
     .timer(stats);
     let mut out: WindowStates = Vec::with_capacity(ranges.len());
     for (k, i, j) in ranges {
         let state = match &mut values {
-            Values::Packed(parsed) => sum_ts2diff_range(parsed, i, j, &cfg.decode)?,
             Values::Cursor(cursor) => cursor.fold_range(i, j),
             Values::Decoded(vals) => fold_values(&vals[i..=j], pred.value, func),
         };
@@ -489,8 +482,6 @@ fn agg_page_states(
 // that a page costs no allocation.
 #[allow(clippy::large_enum_variant)]
 enum Values<'a> {
-    /// TS2DIFF deltas for the closed-form sum.
-    Packed(ts2diff::Ts2DiffPage<'a>),
     /// Packed deltas, decoded and folded in registers.
     Cursor(FoldCursor<'a>),
     /// The materialized column.

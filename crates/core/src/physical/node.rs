@@ -87,16 +87,18 @@ impl fmt::Display for PruneVerdict {
 /// previously an implicit branch inside the executor, now explicit data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// §IV fused aggregation straight from packed TS2DIFF deltas
-    /// (closed-form, works on any index subrange).
+    /// §IV Delta fusion on a TS2DIFF page: SUM/AVG/COUNT straight from
+    /// the packed deltas on any index subrange. A label — the executor
+    /// runs it, like [`Strategy::Decode`], through the decode-and-fold
+    /// cursor (which subsumes the paper's closed form here), and decodes
+    /// a page the cursor's gate rejects.
     FusedTs2Diff,
     /// §IV fused aggregation from Delta-RLE `(Δ, run)` pairs (whole page
     /// only — the time filter must cover the page).
     FusedDeltaRle,
-    /// Fused SUM/AVG/COUNT straight from Stream VByte length-coded
-    /// deltas: the quad-shuffle decode yields the zigzag'd deltas and the
-    /// closed form `n·v₀ + Σ_j (n−1−j)·δ_j` skips the prefix sum and the
-    /// widening entirely (whole page only, like Delta-RLE fusion).
+    /// [`Strategy::FusedTs2Diff`]'s twin for Stream VByte length-coded
+    /// deltas, labelled on whole pages only (like Delta-RLE fusion); the
+    /// same cursor runs it.
     FusedSvb,
     /// MIN/MAX of a fully covered, value-unfiltered page come straight
     /// from the exact header statistics.

@@ -10,17 +10,15 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use etsqp_encoding::{ts2diff, Encoding};
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
-use crate::decode::{decode_column, DecodeOptions};
+use crate::decode::{decode_column, decode_column_pruned, DecodeOptions};
 use crate::exec::{run_jobs, ExecStats};
 use crate::expr::Predicate;
 use crate::physical::node::{HotScan, PruneVerdict, Stage};
 use crate::plan::PipelineConfig;
-use crate::prune::{prune_rest, DeltaBounds, PruneDecision};
 use crate::{Error, Result};
 
 /// The §VI-C decode-buffer memory budget configured by `cfg`.
@@ -164,16 +162,11 @@ pub(crate) fn charge_page_io(page: &Page, stats: &ExecStats, store: &SeriesStore
 }
 
 /// Decodes a page's timestamp column (vectorized).
-pub(crate) fn decode_ts_column(
-    page: &Page,
-    cfg: &PipelineConfig,
-    stats: &ExecStats,
-) -> Result<Vec<i64>> {
+pub(crate) fn decode_ts_column(page: &Page, stats: &ExecStats) -> Result<Vec<i64>> {
     let _t = Stage::Unpack.timer(stats);
     let mut out = Vec::new();
     let opts = DecodeOptions {
         value_range: Some((page.header.first_ts, page.header.last_ts)),
-        ..cfg.decode
     };
     decode_column(page.header.ts_encoding, &page.ts_bytes, &opts, &mut out)?;
     stats
@@ -183,9 +176,9 @@ pub(crate) fn decode_ts_column(
 }
 
 /// Decodes the value column, applying suffix pruning (Propositions 4–5)
-/// when a value filter is present: the scan decodes in chunks and stops
-/// once the remaining suffix provably cannot match — the result is then
-/// a prefix of the page, shorter than the header count.
+/// when a value filter is present: the walker checks after every block
+/// and stops once the remaining suffix provably cannot match — the result
+/// is then a prefix of the page, shorter than the header count.
 pub(crate) fn decode_val_column(
     page: &Page,
     pred: &Predicate,
@@ -194,66 +187,20 @@ pub(crate) fn decode_val_column(
 ) -> Result<Vec<i64>> {
     let _t = Stage::Delta.timer(stats);
     let mut out = Vec::new();
-    // Suffix pruning applies to TS2DIFF value columns under value filters.
-    if let (true, Some((c1, c2)), Encoding::Ts2Diff) =
-        (cfg.prune, pred.value, page.header.val_encoding)
-    {
-        let parsed = ts2diff::parse(&page.val_bytes)?;
-        if parsed.order == 1 && parsed.count > 0 {
-            let bounds = DeltaBounds::from_ts2diff(&parsed);
-            // Genuinely incremental scan: unpack and accumulate one chunk
-            // of deltas at a time; the Proposition 5 rule check after each
-            // chunk stops the scan — and the remaining unpack/accumulate
-            // work — as soon as the suffix provably cannot match.
-            const CHUNK: usize = 256;
-            let n = parsed.count;
-            out.reserve(n.min(4 * CHUNK));
-            out.push(parsed.first[0]);
-            let mut cur = parsed.first[0];
-            let mut chunk = vec![0u64; CHUNK];
-            let mut pos = 0usize; // delta index
-            let total = parsed.num_deltas();
-            let mut pruned = false;
-            while pos < total {
-                let len = CHUNK.min(total - pos);
-                {
-                    let _u = Stage::Unpack.timer(stats);
-                    etsqp_simd::unpack::unpack_u64(
-                        parsed.payload,
-                        pos * parsed.width as usize,
-                        parsed.width,
-                        &mut chunk[..len],
-                    );
-                }
-                for &s in &chunk[..len] {
-                    cur = cur.wrapping_add(parsed.min_delta.wrapping_add(s as i64));
-                    out.push(cur);
-                }
-                pos += len;
-                if prune_rest(&bounds, cur, pos, n, c1, c2) == PruneDecision::StopRest {
-                    pruned = true;
-                    break;
-                }
-            }
-            if pruned {
-                stats
-                    .tuples_pruned
-                    .fetch_add((n - out.len()) as u64, Ordering::Relaxed);
-            }
-        } else {
-            decode_column(
-                page.header.val_encoding,
-                &page.val_bytes,
-                &cfg.decode,
-                &mut out,
-            )?;
-        }
-    } else {
-        let opts = DecodeOptions {
-            value_range: Some((page.header.min_value, page.header.max_value)),
-            ..cfg.decode
-        };
-        decode_column(page.header.val_encoding, &page.val_bytes, &opts, &mut out)?;
+    let opts = DecodeOptions {
+        value_range: Some((page.header.min_value, page.header.max_value)),
+    };
+    let pruned = decode_column_pruned(
+        page.header.val_encoding,
+        &page.val_bytes,
+        &opts,
+        pred.value.filter(|_| cfg.prune),
+        &mut out,
+    )?;
+    if pruned > 0 {
+        stats
+            .tuples_pruned
+            .fetch_add(pruned as u64, Ordering::Relaxed);
     }
     stats
         .materialized_bytes
@@ -290,13 +237,12 @@ pub(crate) fn scan_rows(
             // (filtered, smaller) output replaces them.
             let _guard = budget.acquire(page.header.count as u64 * 16);
             let (ts, vals) = if cfg.vectorized {
-                let ts = decode_ts_column(&page, cfg, stats)?;
+                let ts = decode_ts_column(&page, stats)?;
                 let mut vals = Vec::new();
                 {
                     let _d = Stage::Delta.timer(stats);
                     let opts = DecodeOptions {
                         value_range: Some((page.header.min_value, page.header.max_value)),
-                        ..cfg.decode
                     };
                     decode_column(page.header.val_encoding, &page.val_bytes, &opts, &mut vals)?;
                 }

@@ -14,7 +14,6 @@ use etsqp_storage::page::Page;
 use crate::exec::ExecStats;
 use crate::expr::SlidingWindow;
 use crate::physical::scan::decode_ts_column;
-use crate::plan::PipelineConfig;
 use crate::prune::constant_interval_positions;
 use crate::{Error, Result};
 
@@ -99,7 +98,6 @@ pub(crate) fn window_index_ranges(
     a: usize,
     b: usize,
     ts: Option<&[i64]>,
-    cfg: &PipelineConfig,
     stats: &ExecStats,
 ) -> Result<Vec<(usize, usize, usize)>> {
     let Some(w) = window else {
@@ -125,7 +123,7 @@ pub(crate) fn window_index_ranges(
                 }
             }
             None => {
-                ts_owned = decode_ts_column(page, cfg, stats)?;
+                ts_owned = decode_ts_column(page, stats)?;
                 Clock::Decoded(&ts_owned)
             }
         },

@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use etsqp_storage::store::SeriesStore;
 
-use crate::decode::DecodeOptions;
 use crate::exec::{ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, PairAggFunc, Plan, Predicate};
 use crate::fused::FuseLevel;
@@ -33,8 +32,6 @@ pub struct PipelineConfig {
     /// Use the vectorized decoders; `false` is the byte-serial engine
     /// ("IoTDB" in Fig. 13, "Serial" in Fig. 10).
     pub vectorized: bool,
-    /// Vectorized-decoder tuning (n_v, delta strategy).
-    pub decode: DecodeOptions,
     /// Allow splitting pages into slices when pages < threads.
     pub allow_slicing: bool,
     /// Byte budget for concurrently materialized decode buffers (paper
@@ -58,7 +55,6 @@ impl Default for PipelineConfig {
             prune: true,
             fuse: FuseLevel::DeltaRepeat,
             vectorized: true,
-            decode: DecodeOptions::default(),
             allow_slicing: true,
             decode_budget_bytes: None,
             partial_cache: true,

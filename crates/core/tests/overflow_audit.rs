@@ -14,7 +14,6 @@
 //!    *asserts* `width <= 32` — any page with a delta spread above 2³²
 //!    panicked the fused path.
 
-use etsqp_core::decode::DecodeOptions;
 use etsqp_core::expr::{AggFunc, Plan};
 use etsqp_core::fused::FuseLevel;
 use etsqp_core::oracle;
@@ -44,7 +43,6 @@ fn sliced_cfg() -> PipelineConfig {
         prune: false,
         fuse: FuseLevel::None,
         vectorized: true,
-        decode: DecodeOptions::default(),
         allow_slicing: true,
         decode_budget_bytes: None,
         partial_cache: true,

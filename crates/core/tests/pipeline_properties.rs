@@ -3,7 +3,6 @@
 //! pruned / sliced engine must agree exactly with a naive in-memory
 //! evaluation.
 
-use etsqp_core::decode::{DecodeOptions, DeltaStrategy};
 use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::expr::{AggFunc, Plan, Predicate};
 use etsqp_core::fused::FuseLevel;
@@ -84,7 +83,7 @@ proptest! {
         enc_idx in 0usize..3,
         t_sel in 0.0f64..1.0,
         v_sel in 0.0f64..1.0,
-        cfg_idx in 0usize..5,
+        cfg_idx in 0usize..4,
     ) {
         let enc = [Encoding::Ts2Diff, Encoding::DeltaRle, Encoding::Sprintz][enc_idx];
         let db = IotDb::new(
@@ -110,10 +109,6 @@ proptest! {
             PipelineConfig { prune: false, fuse: FuseLevel::None, ..Default::default() },
             PipelineConfig { threads: 1, allow_slicing: false, ..Default::default() },
             PipelineConfig { threads: 7, ..Default::default() },
-            PipelineConfig {
-                decode: DecodeOptions { n_v: Some(2), strategy: DeltaStrategy::StraightScan, ..Default::default() },
-                ..Default::default()
-            },
         ][cfg_idx];
 
         let (sum, count, mn, mx) = naive(&s, &pred);

@@ -136,7 +136,6 @@ proptest! {
 
 mod verdict_validation {
     use super::run_length_series;
-    use etsqp_core::decode::DecodeOptions;
     use etsqp_core::expr::{AggFunc, Plan, Predicate};
     use etsqp_core::fused::FuseLevel;
     use etsqp_core::oracle;
@@ -152,7 +151,6 @@ mod verdict_validation {
             prune: true,
             fuse: FuseLevel::DeltaRepeat,
             vectorized: true,
-            decode: DecodeOptions::default(),
             allow_slicing: false,
             decode_budget_bytes: None,
             partial_cache: true,

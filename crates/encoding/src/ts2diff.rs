@@ -200,7 +200,11 @@ pub fn parse(bytes: &[u8]) -> Result<Ts2DiffPage<'_>> {
 /// Decodes a page back to raw values (serial reference decoder — the
 /// vectorized path lives in `etsqp-core`).
 pub fn decode(bytes: &[u8]) -> Result<Vec<i64>> {
-    let page = parse(bytes)?;
+    decode_from_parts(&parse(bytes)?)
+}
+
+/// Serial decode of an already-parsed page.
+pub fn decode_from_parts(page: &Ts2DiffPage<'_>) -> Result<Vec<i64>> {
     let mut out = Vec::with_capacity(page.count);
     let o = page.order as usize;
     for i in 0..o.min(page.count) {

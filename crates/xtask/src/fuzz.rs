@@ -4,8 +4,10 @@
 //! embedded t-digest parser), the network wire-frame parser
 //! (`etsqp_serve::proto` — hostile length prefixes, truncated and
 //! oversized frames, bad version bytes, lying result/error payloads),
-//! and the decode-and-fold cursor (`etsqp_core::decode_fold`) held
-//! against decode-then-fold over the same column bytes.
+//! and the one walker over packed 32-bit deltas
+//! (`etsqp_core::decode_fold`): its write sink (`decode_column`) and its
+//! fold sink held against the codec crate's serial decoder over the same
+//! column bytes.
 //!
 //! ```text
 //! cargo run -p xtask -- fuzz [--iters N] [--seed S] [--corpus <dir>]
@@ -99,25 +101,32 @@ enum Target {
     /// incremental `FrameDecoder` plus the typed error/result payload
     /// parsers behind it.
     Proto,
-    /// `FoldCursor` against `decode_column` + a value-at-a-time fold: a
+    /// `decode_column` (the walker's write sink, or its serial fallback)
+    /// and `FoldCursor` (the fold sink) against `Encoding::decode_i64`,
+    /// the codec crate's serial decoder, + a value-at-a-time fold: a
     /// [`FOLD_HEAD`]-byte head (codec, flags, filter) followed by the
     /// column bytes of a TS2DIFF / Sprintz / Stream VByte page.
     DecodeFold,
 }
 
 /// Bytes of a `decode_fold` input before the column: a selector (codec =
-/// `(b & 3) % 3`, bit 2 suffix pruning, bit 3 `Σv²`, bit 4 pass the
-/// column's true value range) and the inclusive filter `[lo, hi]`,
+/// `FOLD_CODECS[b & 3]`, bit 2 suffix pruning, bit 3 `Σv²`, bit 4 pass
+/// the column's true value range) and the inclusive filter `[lo, hi]`,
 /// big-endian.
 const FOLD_HEAD: usize = 17;
 
-/// The codecs the decode-and-fold cursor opens.
-const FOLD_CODECS: [Encoding; 3] = [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte];
+/// The codecs the walker reads; order 2 only ever reaches its write sink.
+const FOLD_CODECS: [Encoding; 4] = [
+    Encoding::Ts2Diff,
+    Encoding::Sprintz,
+    Encoding::StreamVByte,
+    Encoding::Ts2DiffOrder2,
+];
 
 /// Where a column of `enc` keeps its big-endian `u32` value count: after
 /// TS2DIFF's order byte, first for the others.
 fn fold_count_offset(enc: Encoding) -> usize {
-    usize::from(enc == Encoding::Ts2Diff)
+    usize::from(matches!(enc, Encoding::Ts2Diff | Encoding::Ts2DiffOrder2))
 }
 
 /// A `decode_fold` input: head plus column.
@@ -129,23 +138,24 @@ fn fold_input(selector: u8, (lo, hi): (i64, i64), column: &[u8]) -> Vec<u8> {
     input
 }
 
-/// The `decode_fold` invariant: the cursor and the decoder read one
-/// column with one filter and must end in the same state or the same
-/// typed error (a column the cursor's gate rejects has nothing to
-/// compare). Shared with `tests/corruption.rs` by construction: the
-/// corpus files carry the head.
+/// The `decode_fold` invariant: the codec crate's serial decoder is the
+/// reference; `decode_column` must produce its values and the cursor its
+/// fold under one filter, or each the same typed error (a column the
+/// cursor's gate rejects has no fold to compare). Shared with
+/// `tests/corruption.rs` by construction: the corpus files carry the
+/// head.
 fn check_decode_fold(input: &[u8]) -> Result<(), String> {
     let Some((head, column)) = input.split_at_checked(FOLD_HEAD) else {
         return Ok(());
     };
-    let enc = FOLD_CODECS[(head[0] & 3) as usize % FOLD_CODECS.len()];
+    let enc = FOLD_CODECS[(head[0] & 3) as usize];
     let (prune, sum_sq, ranged) = (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
     let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
     let (lo, hi) = (be(&head[1..9]), be(&head[9..17]));
 
     // A few dozen header bytes can declare 2²⁶ constant values (width 0
     // needs no payload). The codec targets already pay for decoding
-    // those; a second decode and two folds of them add nothing.
+    // those; two more decodes and two folds of them add nothing.
     let count_at = fold_count_offset(enc);
     let declared = column
         .get(count_at..count_at + 4)
@@ -153,23 +163,40 @@ fn check_decode_fold(input: &[u8]) -> Result<(), String> {
     if declared > 1 << 20 {
         return Ok(());
     }
-    let mut values = Vec::new();
-    let decoded = decode_column(enc, column, &DecodeOptions::default(), &mut values);
-    let range = values
-        .iter()
-        .min()
-        .zip(values.iter().max())
-        .filter(|_| ranged && decoded.is_ok())
-        .map(|(&mn, &mx)| (mn, mx));
-    match (
-        FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq),
-        decoded,
-    ) {
-        (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
-        (Err(a), other) => Err(format!("cursor refused ({a}), decoder said {other:?}")),
+    let reference = enc
+        .decode_i64(column)
+        .map_err(|e| etsqp_core::Error::from(e).to_string());
+    let range = reference
+        .as_ref()
+        .ok()
+        .filter(|_| ranged)
+        .and_then(|v| Some((*v.iter().min()?, *v.iter().max()?)));
+    let mut written = Vec::new();
+    let opts = DecodeOptions { value_range: range };
+    let decoded = decode_column(enc, column, &opts, &mut written)
+        .map(|_| written)
+        .map_err(|e| e.to_string());
+    if decoded != reference {
+        let brief = |r: &Result<Vec<i64>, String>| r.as_ref().map(Vec::len).map_err(String::clone);
+        return Err(format!(
+            "decode_column {:?} (values or error), reference decoder {:?}",
+            brief(&decoded),
+            brief(&reference)
+        ));
+    }
+    let cursor = FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq)
+        .map_err(|e| e.to_string());
+    match (cursor, reference) {
+        (Err(a), Err(b)) if a == b => Ok(()),
+        (Err(a), other) => Err(format!(
+            "cursor refused ({a}), reference decoder said {:?}",
+            other.map(|v| v.len())
+        )),
         (Ok(None), _) => Ok(()),
-        (Ok(Some(_)), Err(b)) => Err(format!("cursor opened a column the decoder refused ({b})")),
-        (Ok(Some(mut cursor)), Ok(_)) => {
+        (Ok(Some(_)), Err(b)) => Err(format!(
+            "cursor opened a column the reference decoder refused ({b})"
+        )),
+        (Ok(Some(mut cursor)), Ok(values)) => {
             let got = cursor.fold_range(0, usize::MAX);
             let mut want = (0u64, 0i128, None::<i64>, None::<i64>, 0i128);
             for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
@@ -319,14 +346,14 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
             // shape's own values so that some pass and some do not.
             let mut seeds = Vec::new();
             for values in int_seed_values(rng) {
-                for enc in FOLD_CODECS {
+                for (codec, enc) in FOLD_CODECS.iter().enumerate() {
                     let pick = |r: &mut Rng| match values.len() {
                         0 => r.next() as i64,
                         n => values[r.below(n)],
                     };
                     let (a, b) = (pick(rng), pick(rng));
                     seeds.push(fold_input(
-                        rng.next() as u8,
+                        (rng.next() as u8 & !3) | codec as u8,
                         (a.min(b), a.max(b)),
                         &enc.encode_i64(&values),
                     ));
@@ -639,9 +666,10 @@ fn content_hash(bytes: &[u8]) -> u64 {
 ///   count field spliced to `u64::MAX`, a hostile embedded-digest
 ///   centroid count, and a NaN centroid mean;
 /// - `decode_fold__*`: a 17-byte head (codec, flags, filter) plus column
-///   bytes for the decode-and-fold cursor — truncation, a count the
-///   payload cannot back, hostile Stream VByte controls, and a valid
-///   TS2DIFF column whose deltas wrapped `i64` at encode time;
+///   bytes for the walker over packed deltas — truncation, a count the
+///   payload cannot back, hostile Stream VByte controls, a valid
+///   TS2DIFF column whose deltas wrapped `i64` at encode time, and valid
+///   order-2, width-0, width-32 and partial-control-byte columns;
 /// - `proto__*`: network wire-frame hostility — a bad version byte, an
 ///   unknown frame type, a length prefix of `u32::MAX` (must be
 ///   rejected from the header, never buffered), a truncated header, a
@@ -835,6 +863,36 @@ pub fn emit_corpus(dir: &Path) -> std::io::Result<usize> {
         emit(
             "decode_fold__ts2diff_wrapped_deltas".to_string(),
             &fold_input(0, (0, i64::MAX), &Encoding::Ts2Diff.encode_i64(&limits)),
+        )?;
+        // Valid columns at the edges of the walker's block step: two
+        // prefix passes (order 2, write sink only), no payload at all
+        // (width 0), the widest stored delta the 32-bit unpack takes
+        // (admitted by the true value range alone), and a Stream VByte
+        // page whose last control byte declares fewer than four deltas.
+        let curve: Vec<i64> = (0..700i64).map(|i| 90 + i * i / 50 - 3 * i).collect();
+        emit(
+            "decode_fold__ts2diff_order2".to_string(),
+            &fold_input(3 | 16, band, &Encoding::Ts2DiffOrder2.encode_i64(&curve)),
+        )?;
+        emit(
+            "decode_fold__ts2diff_width0".to_string(),
+            &fold_input(4, band, &Encoding::Ts2Diff.encode_i64(&ints)),
+        )?;
+        emit(
+            "decode_fold__ts2diff_width32".to_string(),
+            &fold_input(
+                4 | 8 | 16,
+                band,
+                &etsqp_encoding::ts2diff::encode_with_width(&curve, 1, 32),
+            ),
+        )?;
+        emit(
+            "decode_fold__svb_partial_control".to_string(),
+            &fold_input(
+                2 | 16,
+                band,
+                &Encoding::StreamVByte.encode_i64(&curve[..202]),
+            ),
         )?;
     }
 

@@ -36,6 +36,10 @@
 //!   sleep under every request, so waits there must block on the event
 //!   itself (socket timeout, channel, condvar). At most
 //!   [`MAX_SLEEP_HATCHES`] escape hatch across the workspace.
+//! * `one-walker` — in the engine ([`WALKER_SCOPE`]) only the cursor
+//!   module ([`WALKER_FILE`]) may call the kernels a walk over packed
+//!   32-bit deltas is made of ([`WALKER_KERNELS`]), so a second walker
+//!   beside it fails here instead of waiting for a design review.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
 //! line or in the comment block directly above suppresses that rule
@@ -112,8 +116,23 @@ pub const SLEEP_SCOPE: &str = "crates/serve/src/";
 /// (the accept loop's back-off after a failed `accept`).
 pub const MAX_SLEEP_HATCHES: usize = 1;
 
+/// Files under this path are subject to the `one-walker` rule.
+pub const WALKER_SCOPE: &str = "crates/core/src/";
+
+/// The one module that walks packed 32-bit deltas.
+pub const WALKER_FILE: &str = "crates/core/src/decode_fold.rs";
+
+/// The `etsqp_simd` kernels such a walk is made of: both unpackers, the
+/// chain-layout prefix and the transpose that feeds it.
+pub const WALKER_KERNELS: [&str; 4] = [
+    "unpack_u32",
+    "decode_quads",
+    "chain_delta_decode",
+    "layout_transpose",
+];
+
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 10] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -123,6 +142,7 @@ pub const RULE_NAMES: [&str; 9] = [
     "no-wrapping-arithmetic",
     "lock-order",
     "no-sleep-poll",
+    "one-walker",
 ];
 
 /// One rule violation at a specific location.
@@ -775,6 +795,29 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
         }
     }
 
+    // Rule: one-walker (engine, non-test code, every file but the
+    // cursor module). Matches calls and imports alike.
+    if rel_path.contains(WALKER_SCOPE) && !rel_path.ends_with(WALKER_FILE) {
+        for (i, line) in lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            for kernel in WALKER_KERNELS {
+                if has_token(&line.code, kernel) && !allowed(i, "one-walker") {
+                    report.violations.push(Violation {
+                        file: rel_path.to_string(),
+                        line: i + 1,
+                        rule: "one-walker".into(),
+                        msg: format!(
+                            "`{kernel}` outside {WALKER_FILE}; packed 32-bit deltas are walked \
+                             by the cursor there, add a sink to it"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
     // Rule: lock-order (static half of the lockdep runtime tracker).
     // Extracts lock-acquisition sites and enforces the declared
     // shard → series → nothing order: while a bound series guard is
@@ -1221,6 +1264,29 @@ pub fn f(v: &[i64]) -> i64 {
         cap_sleep_hatches(&mut r);
         assert_eq!(rules_fired(&r), ["no-sleep-poll"], "{r:?}");
         assert_eq!(r.violations[0].file, "crates/serve/src/server.rs");
+    }
+
+    #[test]
+    fn one_walker_fires_in_core_outside_the_cursor_module() {
+        let bad = include_str!("../fixtures/walker_bad.rs.txt");
+        let good = include_str!("../fixtures/walker_good.rs.txt");
+        let r = analyze_source("crates/core/src/fused.rs", bad);
+        let walkers = rules_fired(&r)
+            .iter()
+            .filter(|r| *r == "one-walker")
+            .count();
+        assert_eq!(walkers, 5, "the import and one call per kernel: {r:?}");
+        // The cursor module is where those calls belong ...
+        let r = analyze_source(WALKER_FILE, bad);
+        assert!(
+            !rules_fired(&r).contains(&"one-walker".to_string()),
+            "{r:?}"
+        );
+        // ... and other crates (benches, the kernels' own) are out of scope.
+        let r = analyze_source("crates/bench/src/lib.rs", bad);
+        assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+        let r = analyze_source("crates/core/src/physical/agg.rs", good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!    A verifier that accepts a corrupted plan — or rejects it for the
 //!    wrong reason — fails the build.
 
-use etsqp_core::decode::DecodeOptions;
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate, TimeRange};
 use etsqp_core::fused::FuseLevel;
 use etsqp_core::physical::node::{Parallelism, PruneVerdict, RootNode, Strategy};
@@ -70,7 +69,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             prune,
                             fuse,
                             vectorized,
-                            decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
                             partial_cache: true,
@@ -90,7 +88,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         prune: false,
         fuse: FuseLevel::None,
         vectorized: false,
-        decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
         partial_cache: true,

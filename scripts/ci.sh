@@ -21,7 +21,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Repo-specific static analysis (crates/xtask): SAFETY comments on every
 # unsafe, no panics in engine hot paths, no lossy kernel casts, no
 # wrapping kernel accumulators, ingest lock-order, no sleep-poll loops
-# in the serve layer, crate hygiene attributes. Prints one `rule: count`
+# in the serve layer, one walker over packed deltas in core, crate
+# hygiene attributes. Prints one `rule: count`
 # summary line on failure.
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint
@@ -38,9 +39,10 @@ cargo run -q -p xtask -- verify-plans
 # codec streams, page images, tsfile images, partial-state wire images
 # and network wire frames (the `proto` target) must never panic a
 # decoder or break round-trip consistency, and mutated TS2DIFF / Sprintz
-# / Stream VByte columns must take the decode-and-fold cursor and the
-# decoder to the same state (the `decode_fold` target) — a typed error
-# is the only acceptable failure.
+# / Stream VByte columns must take `decode_column` (the walker's write
+# sink) and the fold cursor to the values and the state of the codec
+# crate's serial decoder (the `decode_fold` target) — the same typed
+# error is the only acceptable failure.
 # Runs in debug mode on purpose: overflow/shift panics are live there.
 # Scale with ETSQP_FUZZ_ITERS (default 20000, the gating profile).
 echo "==> cargo run -p xtask -- fuzz --iters ${ETSQP_FUZZ_ITERS:-20000} --seed 5"

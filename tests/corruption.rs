@@ -17,7 +17,8 @@
 //! wire image with its embedded t-digest), `proto` (a network
 //! wire-frame byte stream fed to `etsqp_serve::proto::FrameDecoder`), or
 //! `decode_fold` (a 17-byte head — codec, flags, filter — and the column
-//! bytes the decode-and-fold cursor is held against the decoder on).
+//! bytes that `decode_column` and the fold cursor are held against the
+//! codec crate's serial decoder on).
 //! Regenerate with `cargo run -p xtask -- fuzz --emit-corpus`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,34 +130,46 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
             "decode_fold" => {
                 // Same invariant as the fuzzer's `decode_fold` target: a
                 // 17-byte head (codec, flags, inclusive filter), then a
-                // column that the cursor and the decoder must take to the
-                // same state or the same typed error.
+                // column that `decode_column`, the cursor and the codec
+                // crate's serial decoder must take to the same values,
+                // the same state or the same typed error.
                 let Some((head, column)) = bytes.split_at_checked(17) else {
                     return Ok(());
                 };
-                let enc = [Encoding::Ts2Diff, Encoding::Sprintz, Encoding::StreamVByte]
-                    [(head[0] & 3) as usize % 3];
+                let enc = [
+                    Encoding::Ts2Diff,
+                    Encoding::Sprintz,
+                    Encoding::StreamVByte,
+                    Encoding::Ts2DiffOrder2,
+                ][(head[0] & 3) as usize];
                 let (prune, sum_sq, ranged) =
                     (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
                 let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
                 let (lo, hi) = (be(&head[1..9]), be(&head[9..17]));
-                let mut values = Vec::new();
-                let decoded = decode_column(enc, column, &DecodeOptions::default(), &mut values);
-                let range = values
-                    .iter()
-                    .min()
-                    .zip(values.iter().max())
-                    .filter(|_| ranged && decoded.is_ok())
-                    .map(|(&mn, &mx)| (mn, mx));
-                match (
-                    FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq),
-                    decoded,
-                ) {
-                    (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
-                    (Err(a), other) => Err(format!("cursor refused ({a}), decoder {other:?}")),
+                let reference = enc
+                    .decode_i64(column)
+                    .map_err(|e| etsqp::core::Error::from(e).to_string());
+                let range = reference
+                    .as_ref()
+                    .ok()
+                    .filter(|_| ranged)
+                    .and_then(|v| Some((*v.iter().min()?, *v.iter().max()?)));
+                let mut written = Vec::new();
+                let opts = DecodeOptions { value_range: range };
+                let decoded = decode_column(enc, column, &opts, &mut written)
+                    .map(|_| written)
+                    .map_err(|e| e.to_string());
+                if decoded != reference {
+                    return Err("decode_column and the reference decoder disagree".into());
+                }
+                let cursor = FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq)
+                    .map_err(|e| e.to_string());
+                match (cursor, reference) {
+                    (Err(a), Err(b)) if a == b => Ok(()),
+                    (Err(a), _) => Err(format!("cursor refused ({a}), the decoder did not")),
                     (Ok(None), _) => Ok(()),
                     (Ok(Some(_)), Err(b)) => Err(format!("cursor opened, decoder refused ({b})")),
-                    (Ok(Some(mut cursor)), Ok(_)) => {
+                    (Ok(Some(mut cursor)), Ok(values)) => {
                         let got = cursor.fold_range(0, usize::MAX);
                         let mut want = AggState::new();
                         for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {

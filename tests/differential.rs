@@ -6,7 +6,6 @@
 //! (`DIFF spec=… codec=… cfg=… query=… rows=…`) before panicking, so a
 //! failure in CI pins down the exact (codec × config × query) cell.
 
-use etsqp::core::decode::DecodeOptions;
 use etsqp::core::expr::{BinOp, CmpOp, PairAggFunc};
 use etsqp::core::oracle;
 use etsqp::core::physical::pipe;
@@ -55,7 +54,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                             prune,
                             fuse,
                             vectorized,
-                            decode: DecodeOptions::default(),
                             allow_slicing,
                             decode_budget_bytes: None,
                             partial_cache: true,
@@ -75,7 +73,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         prune: false,
         fuse: FuseLevel::None,
         vectorized: false,
-        decode: DecodeOptions::default(),
         allow_slicing: false,
         decode_budget_bytes: None,
         partial_cache: true,
@@ -1016,9 +1013,10 @@ fn all_kept_pages_decode(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig)
 
 /// Block L: decode-and-fold. For the three codecs whose packed deltas the
 /// cursor walks × every order-insensitive aggregate × value filters that
-/// are absent, one-sided, two-sided, empty and all-pass × windows that
-/// are absent, page-aligned and half a page early × a time filter that
-/// cuts the first and last page: the vectorized rows equal the
+/// are absent (then under every fusion level: a page labelled fused runs
+/// the same cursor), one-sided, two-sided, empty and all-pass × windows
+/// that are absent, page-aligned and half a page early × a time filter
+/// that cuts the first and last page: the vectorized rows equal the
 /// byte-serial rows and the oracle's bit for bit, and no value is ever
 /// materialized — on the constant clock `materialized_bytes` is 0, on a
 /// jittered one exactly the timestamp columns of the two cut pages.
@@ -1074,6 +1072,12 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
         fuse: FuseLevel::None,
         ..planned
     };
+    // The middle fusion level differs from `planned` only where the
+    // planner may label a page fused: without a value filter.
+    let fuse_delta = PipelineConfig {
+        fuse: FuseLevel::Delta,
+        ..planned
+    };
     let serial = PipelineConfig {
         vectorized: false,
         ..planned
@@ -1097,7 +1101,8 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
                                  window={window:?} time={time:?}"
                             );
                             let want = execute(&plan, &store, &serial).unwrap();
-                            for cfg in [&planned, &all_decode] {
+                            let unfiltered = value.is_none().then_some(&fuse_delta);
+                            for cfg in [&planned, &all_decode].into_iter().chain(unfiltered) {
                                 let got = execute(&plan, &store, cfg).unwrap();
                                 assert!(
                                     got.columns == want.columns && rows_eq(&got.rows, &want.rows),
@@ -1152,12 +1157,15 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
 /// still agrees with the oracle: values spanning more than 2³¹ (and a
 /// page alternating between the `i64` limits, whose *wrapped* deltas are
 /// tiny), an order-2 page, a Stream VByte page whose control stream
-/// allows offsets of 2³⁰ and more, a wide-mode Stream VByte page. A
+/// allows offsets of 2³⁰ and more, a wide-mode Stream VByte page — and,
+/// unfiltered, the pages the planner labels `FusedTs2Diff` / `FusedSvb`
+/// although their packing width is above 32 or their mode is 1. A
 /// column hugging an `i64` limit passes the gate — the far-side filter
 /// bound is translated without wrapping — except for VARIANCE, whose
 /// `Σv²` would leave `i128`.
 #[test]
 fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
+    use etsqp::core::physical::node::Strategy;
     let n = PAGE_POINTS as i64;
     let ts: Vec<i64> = (0..2 * n).map(|i| i * 10).collect();
     let alternating: Vec<i64> = (0..2 * n)
@@ -1217,6 +1225,62 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
                 let label = format!("GATE {what} {codec:?} {func:?} value={value:?}");
                 assert_oracle(&plan, &store, &cfg, &label);
                 let got = execute(&plan, &store, &cfg).unwrap();
+                assert_eq!(
+                    got.stats.materialized_bytes,
+                    got.stats.pages_loaded * PAGE_POINTS as u64 * 8,
+                    "{label}: the gate should have sent every loaded page to the decoder"
+                );
+            }
+        }
+    }
+    // Pages the planner labels fused — no value filter, a spread inside
+    // `i64` — that the walker's gate rejects all the same: a packing
+    // width above 32 and Stream VByte's wide mode. The closed form used
+    // to own these; now they decode and fold.
+    let wide: Vec<i64> = (0..2 * n).map(|i| (i % 2) << 40).collect();
+    // Two TS2DIFF pages on four threads would be sliced, not walked.
+    let whole_pages = PipelineConfig {
+        allow_slicing: false,
+        ..cfg
+    };
+    let serial = PipelineConfig {
+        vectorized: false,
+        ..cfg
+    };
+    let span = n * 10;
+    let straddling = Some((-span / 2, span));
+    for (codec, fused) in [
+        (Encoding::Ts2Diff, Strategy::FusedTs2Diff),
+        (Encoding::StreamVByte, Strategy::FusedSvb),
+    ] {
+        let store = store_of(PAGE_POINTS, "s", codec, &ts, &wide);
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count] {
+            for window in [None, Some((0, span)), straddling] {
+                let plan = match window {
+                    Some((t_min, dt)) => Plan::scan("s").window(t_min, dt, func),
+                    None => Plan::scan("s").aggregate(func),
+                };
+                let label = format!("GATE wide {codec:?} {func:?} window={window:?}");
+                let phys = pipe::compile(&plan, &store, &whole_pages).unwrap();
+                let labelled = phys.pipelines[0]
+                    .decisions
+                    .iter()
+                    .all(|d| d.strategy == Some(fused));
+                // Stream VByte fuses whole pages inside one bucket only.
+                assert_eq!(
+                    labelled,
+                    codec == Encoding::Ts2Diff || window != straddling,
+                    "{label}"
+                );
+                let want = execute(&plan, &store, &serial).unwrap();
+                let got = execute(&plan, &store, &whole_pages).unwrap();
+                assert!(
+                    got.columns == want.columns && rows_eq(&got.rows, &want.rows),
+                    "{label}: vectorized {:?} != serial {:?}",
+                    preview(&got.rows),
+                    preview(&want.rows),
+                );
+                assert_oracle(&plan, &store, &whole_pages, &label);
                 assert_eq!(
                     got.stats.materialized_bytes,
                     got.stats.pages_loaded * PAGE_POINTS as u64 * 8,
