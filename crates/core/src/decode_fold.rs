@@ -1,21 +1,31 @@
-//! The one walker over packed 32-bit deltas: a TS2DIFF, Sprintz or
-//! Stream VByte (mode 0) column is read front to back in blocks of at
-//! most [`FOLD_BLOCK`] stored deltas, unpacked onto the stack
-//! (`unpack_u32` / `svb::decode_quads`), and each block ends in one of
-//! two sinks. Nothing is allocated either way.
+//! The fold cursor: an aggregate over the value column of a page,
+//! computed from the encoded bytes without building the column
+//! ([`FoldCursor::fold_range`], the paper's Fig. 14(d) pipeline). Five
+//! codecs, three sources, one per codec family — a page costs what its
+//! fold costs:
 //!
-//! * The **fold sink** ([`FoldCursor::fold_range`], the paper's
-//!   Fig. 14(d) pipeline) hands the block to the
+//! * **Packed 32-bit deltas** (TS2DIFF order 1, Sprintz, Stream VByte
+//!   mode 0; this file). The one walker over them: the column is read
+//!   front to back in blocks of at most [`FOLD_BLOCK`] stored deltas,
+//!   unpacked onto the stack (`unpack_u32` / `svb::decode_quads`), and
+//!   the fold sink hands each block to the
 //!   [`etsqp_simd::agg::fold_deltas32`] kernel, which adds the base or
 //!   un-ZigZags, prefix-sums, compares with the value filter and
-//!   accumulates — all in registers; no `i64` is written.
-//! * The **write sink** ([`FoldCursor::write`], Algorithm 1) runs the
-//!   same transform and the chain-layout prefix (rounds of 64 deltas) in
-//!   place on the block and widens `base + rel` straight into the
-//!   caller's `Vec<i64>` — one output write per value. Order-2 TS2DIFF
-//!   runs the prefix twice, with two carries.
+//!   accumulates — all in registers; no `i64` is written. The same
+//!   walker has a **write sink** ([`FoldCursor::write`], Algorithm 1),
+//!   which is `decode_column` for these codecs, order 2 included: the
+//!   same transform, the chain-layout prefix (rounds of 64 deltas) in
+//!   place on the block, and `base + rel` widened straight into the
+//!   caller's `Vec<i64>`.
+//! * **Delta-RLE in run space** (`runs.rs`, paper §IV): a `(Δ, run)` pair
+//!   is an arithmetic progression; its ends decide the filter, closed
+//!   forms give the moments. The whole-page Delta–Repeat forms of
+//!   [`crate::fused`] are this source with no filter.
+//! * **Gorilla off the bit window** (`xor.rs`): the delta-of-delta chain
+//!   is bit-serial, so values come off `gorilla::IntValues` onto a stack
+//!   block and each block is folded like a decoded slice.
 //!
-//! Everything happens in *relative* space, `rel_k = v_k − v₀` as an
+//! The packed source works in *relative* space, `rel_k = v_k − v₀` as an
 //! `i32`. [`PackedColumn`] is a parsed column the *decoders'* gates admit
 //! ([`crate::decode::fits_32bit_path`] and its Sprintz / Stream VByte
 //! twins): they bound the wrapping offsets, which is all the write sink
@@ -25,12 +35,16 @@
 //! `Σv = count·v₀ + Σrel`, `min v = v₀ + min rel` exactly in `i128`,
 //! which needs more: order 1, and values within `i32` reach of `v₀` as
 //! integers, not merely modulo `2⁶⁴` (a page alternating between the
-//! `i64` limits has small *wrapped* deltas). Whatever a gate rejects —
-//! width above 32, Stream VByte wide mode or a `rel_bound` of `2³⁰` and
-//! up, a value range of `2³¹` and up, any other codec — the caller
-//! decodes with the codec's serial `decode_from_parts` and, for an
-//! aggregate, folds the values.
+//! `i64` limits has small *wrapped* deltas). Run space needs the same of
+//! its deltas — a known value range whose spread fits `i64` — and, for
+//! `Σv²`, `|v| < 2⁴⁷`; Gorilla values are exact `i64`s and need no gate.
+//! Whatever a gate rejects — width above 32, Stream VByte wide mode or a
+//! `rel_bound` of `2³⁰` and up, a value range of `2³¹` and up (packed) or
+//! beyond `i64` (runs), any other codec — the caller decodes with the
+//! codec's serial decoder and, for an aggregate, folds the values
+//! (`fold_values`).
 
+use etsqp_encoding::delta_rle;
 use etsqp_encoding::sprintz::SprintzPage;
 use etsqp_encoding::stream_vbyte::SvbPage;
 use etsqp_encoding::ts2diff::Ts2DiffPage;
@@ -44,6 +58,12 @@ use crate::decode::{
 };
 use crate::prune::{prune_rest, DeltaBounds, PruneDecision};
 use crate::Result;
+
+mod runs;
+mod xor;
+pub(crate) use runs::Runs;
+pub(crate) use xor::fold_values;
+use xor::Xor;
 
 /// A relative-space range no `i32` lies in: the kernel then only
 /// advances the prefix.
@@ -149,37 +169,31 @@ impl<'a> PackedColumn<'a> {
     }
 }
 
-/// A forward-only cursor over the values of one [`PackedColumn`], see
-/// the module docs: it folds index subranges in ascending order, or
-/// writes the column out.
-pub struct FoldCursor<'a> {
-    col: PackedColumn<'a>,
-    /// The value filter in relative space.
-    range: (i32, i32),
-    /// Accumulate `Σrel²` (VARIANCE).
-    sum_sq: bool,
-    /// Propositions 4–5 over the original filter, checked whenever a
-    /// block of deltas has been consumed.
-    prune: Option<(DeltaBounds, i64, i64)>,
-    /// Values `[end, count)` provably fail the filter (suffix pruning);
-    /// `count` until a check says so.
-    end: usize,
-    /// The next value index to produce.
-    next: usize,
-    /// `rel` of value `next − 1`, wrapping.
-    carry: u32,
-    /// Order 2 only: the delta that produced value `next − 1`, wrapping.
-    carry_delta: u32,
-    /// Stored deltas `[block_at, block_at + block_len)`, unpacked.
-    block: [u32; FOLD_BLOCK],
-    block_at: usize,
-    block_len: usize,
+/// A forward-only cursor over the values of one column, see the module
+/// docs: it folds index subranges in ascending order.
+pub struct FoldCursor<'a>(Source<'a>);
+
+/// What a cursor reads, one source per codec family.
+// A source carries its unpack block; the cursor lives on the job's
+// stack so that a page costs no allocation.
+#[allow(clippy::large_enum_variant)]
+enum Source<'a> {
+    Packed(Packed<'a>),
+    Runs(Runs<'a>),
+    Xor(Xor<'a>),
 }
 
 impl<'a> FoldCursor<'a> {
     /// Parses the value column `bytes` and opens it for the fold sink,
-    /// or `None` when the column has to be decoded instead: see
-    /// [`FoldCursor::folder`] for the arguments.
+    /// or `None` when the column has to be decoded instead.
+    ///
+    /// `value_range` is the known `(min, max)` of the column. `filter` is
+    /// the inclusive value filter (`None` selects everything); with
+    /// `prune` the scan of a TS2DIFF column stops once Propositions 4–5
+    /// prove the rest cannot match it. `sum_sq` asks for `Σv²` as well.
+    /// Each source has its gate: [`FoldCursor::folder`]'s for packed
+    /// deltas; for Delta-RLE a known range whose spread fits `i64`, and
+    /// `|v| < 2⁴⁷` under `sum_sq`; none for Gorilla.
     pub fn open(
         encoding: Encoding,
         bytes: &'a [u8],
@@ -188,27 +202,37 @@ impl<'a> FoldCursor<'a> {
         prune: bool,
         sum_sq: bool,
     ) -> Result<Option<Self>> {
-        let col = match encoding {
-            Encoding::Ts2Diff | Encoding::Ts2DiffOrder2 => {
-                PackedColumn::ts2diff(&ts2diff::parse(bytes)?, value_range)
-            }
-            Encoding::Sprintz => PackedColumn::sprintz(&sprintz::parse(bytes)?),
-            Encoding::StreamVByte => PackedColumn::svb(&stream_vbyte::parse(bytes)?),
-            _ => None,
+        let packed = |col: Option<PackedColumn<'a>>| {
+            col.and_then(|col| Self::folder(col, value_range, filter, prune, sum_sq))
         };
-        Ok(col.and_then(|col| Self::folder(col, value_range, filter, prune, sum_sq)))
+        Ok(match encoding {
+            Encoding::Ts2Diff | Encoding::Ts2DiffOrder2 => {
+                packed(PackedColumn::ts2diff(&ts2diff::parse(bytes)?, value_range))
+            }
+            Encoding::Sprintz => packed(PackedColumn::sprintz(&sprintz::parse(bytes)?)),
+            Encoding::StreamVByte => packed(PackedColumn::svb(&stream_vbyte::parse(bytes)?)),
+            Encoding::DeltaRle => {
+                let page = delta_rle::parse(bytes)?;
+                // A spread inside `i64` means no stored delta wrapped, so
+                // `a + k·Δ` in `i128` is the value the decoder produces;
+                // values below 2⁴⁷ keep a page's `Σv²` inside `i128`.
+                let small = |v: i64| v.unsigned_abs() < (1 << 47);
+                let admitted = value_range.is_some_and(|(mn, mx)| {
+                    mx.checked_sub(mn).is_some() && (!sum_sq || (small(mn) && small(mx)))
+                });
+                admitted.then(|| FoldCursor(Source::Runs(Runs::new(&page, filter, sum_sq))))
+            }
+            Encoding::Gorilla => Some(FoldCursor(Source::Xor(Xor::open(bytes, filter, sum_sq)?))),
+            _ => None,
+        })
     }
 
-    /// A cursor for the fold sink, or `None` when `col` has to be decoded
-    /// instead (see the module docs).
-    ///
-    /// `value_range` is the known `(min, max)` of the column. `filter` is
-    /// the inclusive value filter (`None` selects everything); with
-    /// `prune` the scan of a TS2DIFF column stops once Propositions 4–5
-    /// prove the rest cannot match it. `sum_sq` asks for `Σv²` as well,
-    /// which needs every `|v − v₀| < 2²⁸` to keep the kernel's 64-bit
-    /// lanes exact, and a `v₀` small enough that `count·v²` stays inside
-    /// `i128` — a column that cannot promise both is not opened.
+    /// A cursor for the fold sink of a packed column, or `None` when
+    /// `col` has to be decoded instead (see the module docs); the
+    /// arguments are [`FoldCursor::open`]'s. `sum_sq` needs every
+    /// `|v − v₀| < 2²⁸` to keep the kernel's 64-bit lanes exact, and a `v₀`
+    /// small enough that `count·v²` stays inside `i128` — a column that
+    /// cannot promise both is not opened.
     pub fn folder(
         col: PackedColumn<'a>,
         value_range: Option<(i64, i64)>,
@@ -237,31 +261,8 @@ impl<'a> FoldCursor<'a> {
             return None;
         }
         let range = filter.map_or((i32::MIN, i32::MAX), |f| relative_range(f, v0));
-        Some(Self::new(col, range, sum_sq, filter.filter(|_| prune)))
-    }
-
-    fn new(
-        col: PackedColumn<'a>,
-        range: (i32, i32),
-        sum_sq: bool,
-        prune_filter: Option<(i64, i64)>,
-    ) -> Self {
-        FoldCursor {
-            range,
-            sum_sq,
-            prune: col
-                .bounds
-                .zip(prune_filter)
-                .map(|(b, (c1, c2))| (b, c1, c2)),
-            end: col.count,
-            next: 0,
-            carry: 0,
-            carry_delta: col.first[1].wrapping_sub(col.first[0]) as u32,
-            block: [0; FOLD_BLOCK],
-            block_at: 0,
-            block_len: 0,
-            col,
-        }
+        let packed = Packed::new(col, range, sum_sq, filter.filter(|_| prune));
+        Some(FoldCursor(Source::Packed(packed)))
     }
 
     /// The write sink: decodes `col` into `out` (cleared first). With a
@@ -275,7 +276,7 @@ impl<'a> FoldCursor<'a> {
         out: &mut Vec<i64>,
     ) -> usize {
         // This sink compares and accumulates nothing: no range, no Σrel².
-        let mut cursor = Self::new(col, NOTHING, false, suffix_filter);
+        let mut cursor = Packed::new(col, NOTHING, false, suffix_filter);
         let col = &cursor.col;
         let (order, base, xform) = (col.order, col.base(), col.xform);
         out.clear();
@@ -308,8 +309,81 @@ impl<'a> FoldCursor<'a> {
     /// Folds the values at indices `[i, j]` (inclusive, `j` clipped to
     /// the column) that pass the filter. Ranges must ascend: indices
     /// below an earlier call's `j` are behind the cursor and contribute
-    /// nothing.
-    pub fn fold_range(&mut self, i: usize, j: usize) -> AggState {
+    /// nothing. Runs and Gorilla codes are checked as they are read, so
+    /// a stream that breaks inside the range is the decoder's typed error.
+    pub fn fold_range(&mut self, i: usize, j: usize) -> Result<AggState> {
+        match &mut self.0 {
+            Source::Packed(packed) => Ok(packed.fold_range(i, j)),
+            Source::Runs(runs) => runs.fold_range(i, j),
+            Source::Xor(xor) => xor.fold_range(i, j),
+        }
+    }
+
+    /// Reads what the folds left unread of a stream that is only checked
+    /// by reading it, so that a column fails here exactly when its
+    /// decoder fails; returns how many trailing values suffix pruning
+    /// proved outside the filter and the cursor therefore never produced.
+    pub fn finish(mut self) -> Result<usize> {
+        match &mut self.0 {
+            Source::Packed(packed) => Ok(packed.pruned()),
+            Source::Runs(runs) => runs.finish().map(|()| 0),
+            Source::Xor(xor) => xor.finish().map(|()| 0),
+        }
+    }
+}
+
+/// The packed-delta source: blocks of stored deltas through the
+/// [`fold_deltas32`] kernel.
+struct Packed<'a> {
+    col: PackedColumn<'a>,
+    /// The value filter in relative space.
+    range: (i32, i32),
+    /// Accumulate `Σrel²` (VARIANCE).
+    sum_sq: bool,
+    /// Propositions 4–5 over the original filter, checked whenever a
+    /// block of deltas has been consumed.
+    prune: Option<(DeltaBounds, i64, i64)>,
+    /// Values `[end, count)` provably fail the filter (suffix pruning);
+    /// `count` until a check says so.
+    end: usize,
+    /// The next value index to produce.
+    next: usize,
+    /// `rel` of value `next − 1`, wrapping.
+    carry: u32,
+    /// Order 2 only: the delta that produced value `next − 1`, wrapping.
+    carry_delta: u32,
+    /// Stored deltas `[block_at, block_at + block_len)`, unpacked.
+    block: [u32; FOLD_BLOCK],
+    block_at: usize,
+    block_len: usize,
+}
+
+impl<'a> Packed<'a> {
+    fn new(
+        col: PackedColumn<'a>,
+        range: (i32, i32),
+        sum_sq: bool,
+        prune_filter: Option<(i64, i64)>,
+    ) -> Self {
+        Packed {
+            range,
+            sum_sq,
+            prune: col
+                .bounds
+                .zip(prune_filter)
+                .map(|(b, (c1, c2))| (b, c1, c2)),
+            end: col.count,
+            next: 0,
+            carry: 0,
+            carry_delta: col.first[1].wrapping_sub(col.first[0]) as u32,
+            block: [0; FOLD_BLOCK],
+            block_at: 0,
+            block_len: 0,
+            col,
+        }
+    }
+
+    fn fold_range(&mut self, i: usize, j: usize) -> AggState {
         let mut skipped = RelFold::new();
         self.advance(i, NOTHING, &mut skipped);
         let mut acc = RelFold::new();
@@ -317,9 +391,7 @@ impl<'a> FoldCursor<'a> {
         self.resolve(&acc)
     }
 
-    /// How many trailing values suffix pruning proved outside the filter
-    /// and the cursor therefore never produced.
-    pub fn pruned(&self) -> usize {
+    fn pruned(&self) -> usize {
         self.col.count - self.end
     }
 
@@ -454,6 +526,7 @@ fn relative_range((lo, hi): (i64, i64), v0: i64) -> (i32, i32) {
 mod tests {
     use super::*;
     use crate::decode::decode_column;
+    use crate::Error;
 
     /// Decode with the codec crate's serial decoder, then fold the slice
     /// one value at a time.
@@ -515,7 +588,7 @@ mod tests {
                                 .expect("inside the 32-bit gate");
                         for range in [(0, 0), (1, 255), (256, 256), (300, 1100), (1101, 9999)] {
                             assert_eq!(
-                                cursor.fold_range(range.0, range.1),
+                                cursor.fold_range(range.0, range.1).unwrap(),
                                 reference(enc, &bytes, range, filter, sum_sq),
                                 "{enc:?} {filter:?} prune={prune} sq={sum_sq} {range:?}"
                             );
@@ -573,7 +646,25 @@ mod tests {
         assert!(!open(Encoding::Sprintz, &wide, false));
         assert!(!open(Encoding::StreamVByte, &wide, false));
         assert!(!open(Encoding::Ts2DiffOrder2, &order2, false));
+        assert!(!open(Encoding::Rle, &order2, false));
+        // Delta-RLE needs a known range (`open` here passes none) ...
         assert!(!open(Encoding::DeltaRle, &order2, false));
+        let ranged = |vals: &[i64], sum_sq| {
+            let range = Some((*vals.iter().min().unwrap(), *vals.iter().max().unwrap()));
+            let bytes = Encoding::DeltaRle.encode_i64(vals);
+            FoldCursor::open(Encoding::DeltaRle, &bytes, range, None, false, sum_sq)
+                .unwrap()
+                .is_some()
+        };
+        // ... whose spread fits `i64`, and |v| < 2⁴⁷ for Σv².
+        assert!(ranged(&order2, true));
+        assert!(!ranged(&[i64::MIN, -1, i64::MAX - 1], false));
+        assert!(ranged(&[i64::MIN, -1], false));
+        assert!(!ranged(&[i64::MIN, -1], true));
+        assert!(ranged(&[0, (1 << 47) - 1], true));
+        assert!(!ranged(&[0, 1 << 47], true));
+        // Gorilla has no gate.
+        assert!(open(Encoding::Gorilla, &wide, true));
         assert!(open(Encoding::Ts2Diff, &order2, false));
         // Σv² needs the tighter bounds: |rel| < 2²⁸ and a modest v₀.
         assert!(open(Encoding::Ts2Diff, &order2, true));
@@ -599,14 +690,109 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        let state = cursor.fold_range(0, 1023);
+        let state = cursor.fold_range(0, 1023).unwrap();
         assert_eq!((state.count, state.max), (601, Some(600)));
         // Checked at values 256, 512, 768: the first beyond 600 is 768.
-        assert_eq!(cursor.pruned(), 1024 - 769);
+        assert_eq!(cursor.finish().unwrap(), 1024 - 769);
         // The write sink stops at the same check and hands out the prefix.
         let col = PackedColumn::ts2diff(&ts2diff::parse(&bytes).unwrap(), None).unwrap();
         let mut out = Vec::new();
         assert_eq!(FoldCursor::write(col, Some((0, 600)), &mut out), 1024 - 769);
         assert_eq!(out, vals[..769]);
+    }
+
+    /// Runs of every slope, length 1 included, constant stretches, and a
+    /// jittery stretch whose runs are all length 1.
+    fn runs_and_noise() -> Vec<i64> {
+        let mut vals = vec![1_000i64];
+        for (slope, len) in [
+            (5i64, 300usize),
+            (0, 77),
+            (-9, 200),
+            (1, 1),
+            (0, 1),
+            (-1, 400),
+        ] {
+            for _ in 0..len {
+                vals.push(vals[vals.len() - 1] + slope);
+            }
+        }
+        for i in 0..300i64 {
+            vals.push(vals[vals.len() - 1] + (i * 37) % 23 - 11);
+        }
+        vals
+    }
+
+    #[test]
+    fn run_space_and_xor_space_folds_match_decode_then_fold() {
+        let vals = runs_and_noise();
+        let (mn, mx) = (*vals.iter().min().unwrap(), *vals.iter().max().unwrap());
+        let filters = [
+            None,
+            Some((0, 1_500)),
+            Some((1_200, i64::MAX)),
+            Some((i64::MIN, 700)),
+            Some((2_500, 2_500)),
+            Some((i64::MIN, i64::MAX)),
+            Some((9_000, 10_000)),
+            Some((10, 5)),
+        ];
+        let ranges = [(0, 0), (1, 255), (256, 256), (300, 1100), (1101, 9999)];
+        for enc in [Encoding::DeltaRle, Encoding::Gorilla] {
+            let bytes = enc.encode_i64(&vals);
+            for filter in filters {
+                for sum_sq in [false, true] {
+                    let open = || {
+                        FoldCursor::open(enc, &bytes, Some((mn, mx)), filter, true, sum_sq)
+                            .unwrap()
+                            .expect("admitted")
+                    };
+                    let mut cursor = open();
+                    for range in ranges {
+                        assert_eq!(
+                            cursor.fold_range(range.0, range.1).unwrap(),
+                            reference(enc, &bytes, range, filter, sum_sq),
+                            "{enc:?} {filter:?} sq={sum_sq} {range:?}"
+                        );
+                    }
+                    assert_eq!(cursor.finish().unwrap(), 0);
+                    // One range ending mid-run, then the walk to the end.
+                    let mut cursor = open();
+                    assert_eq!(
+                        cursor.fold_range(10, 450).unwrap(),
+                        reference(enc, &bytes, (10, 450), filter, sum_sq)
+                    );
+                    assert_eq!(cursor.finish().unwrap(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_that_breaks_past_the_folded_range_fails_at_finish() {
+        let vals = runs_and_noise();
+        let range = Some((*vals.iter().min().unwrap(), *vals.iter().max().unwrap()));
+        // Gorilla: the last bytes are gone. Delta-RLE: the header declares
+        // more values than the runs hold.
+        let gorilla = Encoding::Gorilla.encode_i64(&vals);
+        let mut delta_rle = Encoding::DeltaRle.encode_i64(&vals);
+        delta_rle[..4].copy_from_slice(&(vals.len() as u32 + 9).to_be_bytes());
+        for (enc, bytes) in [
+            (Encoding::Gorilla, &gorilla[..gorilla.len() - 20]),
+            (Encoding::DeltaRle, &delta_rle[..]),
+        ] {
+            let want = enc.decode_i64(bytes).map_err(Error::from).unwrap_err();
+            let mut cursor = FoldCursor::open(enc, bytes, range, None, false, false)
+                .unwrap()
+                .unwrap();
+            let head = cursor.fold_range(0, 99).unwrap();
+            assert_eq!(head.count, 100, "{enc:?}: the head is intact");
+            assert_eq!(cursor.finish().unwrap_err().to_string(), want.to_string());
+            let mut cursor = FoldCursor::open(enc, bytes, range, None, false, false)
+                .unwrap()
+                .unwrap();
+            let whole = cursor.fold_range(0, usize::MAX).unwrap_err();
+            assert_eq!(whole.to_string(), want.to_string(), "{enc:?}");
+        }
     }
 }

@@ -14,7 +14,12 @@
 //!   `Σ A·B` are degree-2/3 polynomials (the §IV expansion), and COUNT
 //!   within a time range needs no decoding at all. Proposition 3's
 //!   incremental `f·g` shape: `a_n` is carried across pairs. This is
-//!   where the closed form is asymptotically better than any walk.
+//!   where the closed form is asymptotically better than any walk. The
+//!   single-column forms live in the cursor's run-space source
+//!   ([`crate::decode_fold`]), which also clips a run to a value filter;
+//!   [`aggregate_delta_rle`] and [`count_in_range_delta_rle`] are that
+//!   walker with no filter and with the range as its filter. Only the
+//!   two-column [`dot_product_delta_rle`] walks pairs here.
 //!
 //! [`FuseLevel`] grades how many decoders are fused — the ablation axis of
 //! Figure 14(a).
@@ -25,7 +30,7 @@ use etsqp_encoding::ts2diff::{self, Ts2DiffPage};
 use etsqp_simd::agg::AggState;
 
 use crate::decode::DecodeOptions;
-use crate::decode_fold::{FoldCursor, PackedColumn};
+use crate::decode_fold::{FoldCursor, PackedColumn, Runs};
 use crate::{Error, Result};
 
 /// How many decoders the aggregation is fused across (Figure 14(a)).
@@ -51,7 +56,7 @@ fn sum_column(
     if let Some(mut cursor) =
         col.and_then(|col| FoldCursor::folder(col, opts.value_range, None, false, false))
     {
-        return Ok(cursor.fold_range(0, usize::MAX));
+        return cursor.fold_range(0, usize::MAX);
     }
     let vals = serial()?;
     Ok(AggState {
@@ -94,52 +99,19 @@ pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
 }
 
 /// Full aggregate state over a Delta-RLE page without flattening or
-/// accumulation: SUM/COUNT/MIN/MAX/Σx² from `(Δ, run)` pairs.
+/// accumulation: COUNT/SUM/MIN/MAX/Σx² from `(Δ, run)` pairs by the
+/// run-space walker with no filter, plus the two ends of the walk for
+/// FIRST/LAST. Pairs that disagree with the declared count are the
+/// decoder's typed error; values that leave `i64` are [`Error::Overflow`].
 pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
-    let mut state = AggState::new();
-    if page.count == 0 {
-        return Ok(state);
+    let mut runs = Runs::new(page, None, true);
+    let mut state = runs.fold_range(0, usize::MAX)?;
+    if state.count > 0 {
+        state.first = Some(page.first);
+        // Regression: differential oracle case
+        // `spec=Atm codec=DeltaRle fuse=DeltaRepeat query=LAST(all)`.
+        state.last = Some(runs.last());
     }
-    state.push(page.first);
-    let mut a = page.first as i128; // running value a_n (Proposition 3 carry)
-    for (delta, run) in page.pairs() {
-        let r = run as i128;
-        let d = delta as i128;
-        // Σ_{i=1..r} (a + iΔ) = r·a + Δ·r(r+1)/2. Hostile headers can
-        // push the carry far outside i64; saturate like sum_sq below
-        // instead of tripping debug overflow checks.
-        let tri = r * (r + 1) / 2;
-        state.sum = state
-            .sum
-            .saturating_add(r.saturating_mul(a).saturating_add(d.saturating_mul(tri)));
-        // Σ (a + iΔ)² = r·a² + 2aΔ·tri + Δ²·Σi² ; Σi² = r(r+1)(2r+1)/6.
-        // Second-order terms saturate like AggState::sum_sq does.
-        let sq = r * (r + 1) * (2 * r + 1) / 6;
-        state.sum_sq = state.sum_sq.saturating_add(
-            r.saturating_mul(a.saturating_mul(a))
-                .saturating_add((2 * a).saturating_mul(d.saturating_mul(tri)))
-                .saturating_add(d.saturating_mul(d).saturating_mul(sq)),
-        );
-        state.count = state.count.saturating_add(run);
-        // The run is monotonic: extremes are its endpoints.
-        let end = a + d * r;
-        let first_of_run = a + d;
-        let (lo, hi) = if d >= 0 {
-            (first_of_run, end)
-        } else {
-            (end, first_of_run)
-        };
-        let lo = i128_to_i64(lo)?;
-        let hi = i128_to_i64(hi)?;
-        state.min = Some(state.min.map_or(lo, |m| m.min(lo)));
-        state.max = Some(state.max.map_or(hi, |m| m.max(hi)));
-        a = end;
-    }
-    // `state.push(page.first)` above left `last` at the page's *first*
-    // value; LAST must track the running carry through every run.
-    // Regression: differential oracle case
-    // `spec=Atm codec=DeltaRle fuse=DeltaRepeat query=LAST(all)`.
-    state.last = Some(i128_to_i64(a)?);
     Ok(state)
 }
 
@@ -207,70 +179,10 @@ pub fn dot_product_delta_rle(a: &DeltaRlePage<'_>, b: &DeltaRlePage<'_>) -> Resu
 /// from a Delta-RLE-encoded timestamp page without decoding: within a run
 /// the timestamps form an arithmetic progression, so the count per run is
 /// solved directly (Figure 12(c-d)'s "directly counting the satisfied
-/// tuples").
-pub fn count_in_range_delta_rle(page: &DeltaRlePage<'_>, t_lo: i64, t_hi: i64) -> u64 {
-    if page.count == 0 || t_lo > t_hi {
-        return 0;
-    }
-    let mut count = 0u64;
-    let mut t = page.first as i128;
-    if t >= t_lo as i128 && t <= t_hi as i128 {
-        count = count.saturating_add(1);
-    }
-    for (delta, run) in page.pairs() {
-        let d = delta as i128;
-        let r = run as i128;
-        // Values t + i·d for i in 1..=r.
-        let (lo, hi) = (t_lo as i128, t_hi as i128);
-        count = count.saturating_add(count_progression_in_range(t, d, r, lo, hi));
-        t = t.saturating_add(d.saturating_mul(r));
-    }
-    count
-}
-
-/// Number of i in `1..=r` with `lo <= t0 + i·d <= hi`.
-fn count_progression_in_range(t0: i128, d: i128, r: i128, lo: i128, hi: i128) -> u64 {
-    if r <= 0 {
-        return 0;
-    }
-    if d == 0 {
-        return if t0 >= lo && t0 <= hi { r as u64 } else { 0 };
-    }
-    // Solve lo ≤ t0 + i·d ≤ hi for i.
-    let (i_min, i_max) = if d > 0 {
-        (div_ceil(lo - t0, d), div_floor(hi - t0, d))
-    } else {
-        (div_ceil(hi - t0, d), div_floor(lo - t0, d))
-    };
-    let i_min = i_min.max(1);
-    let i_max = i_max.min(r);
-    if i_max >= i_min {
-        (i_max - i_min + 1) as u64
-    } else {
-        0
-    }
-}
-
-fn div_floor(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-fn div_ceil(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) == (b < 0)) {
-        q + 1
-    } else {
-        q
-    }
-}
-
-fn i128_to_i64(v: i128) -> Result<i64> {
-    i64::try_from(v).map_err(|_| Error::Overflow)
+/// tuples") — the run-space walker with the range as its filter.
+pub fn count_in_range_delta_rle(page: &DeltaRlePage<'_>, t_lo: i64, t_hi: i64) -> Result<u64> {
+    let state = Runs::new(page, Some((t_lo, t_hi)), false).fold_range(0, usize::MAX)?;
+    Ok(state.count)
 }
 
 #[cfg(test)]
@@ -419,7 +331,7 @@ mod tests {
             (5990, 6010),
             (9000, 1),
         ] {
-            let got = count_in_range_delta_rle(&page, lo, hi);
+            let got = count_in_range_delta_rle(&page, lo, hi).unwrap();
             let want = ts.iter().filter(|&&t| t >= lo && t <= hi).count() as u64;
             assert_eq!(got, want, "range [{lo}, {hi}]");
         }
@@ -431,18 +343,8 @@ mod tests {
         let vals: Vec<i64> = (0..300).map(|i| 10_000 - i * 7).collect();
         let bytes = delta_rle::encode(&vals);
         let page = delta_rle::parse(&bytes).unwrap();
-        let got = count_in_range_delta_rle(&page, 8000, 9000);
+        let got = count_in_range_delta_rle(&page, 8000, 9000).unwrap();
         let want = vals.iter().filter(|&&v| (8000..=9000).contains(&v)).count() as u64;
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn progression_count_edge_cases() {
-        // d = 0 inside/outside.
-        assert_eq!(count_progression_in_range(5, 0, 10, 0, 10), 10);
-        assert_eq!(count_progression_in_range(50, 0, 10, 0, 10), 0);
-        // Exact boundary hits.
-        assert_eq!(count_progression_in_range(0, 10, 5, 10, 50), 5);
-        assert_eq!(count_progression_in_range(0, 10, 5, 11, 49), 3);
     }
 }

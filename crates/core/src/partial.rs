@@ -562,7 +562,7 @@ impl From<AggState> for PartialState {
 /// FNV checksum plus every exact header statistic and the aggregate
 /// function. Two pages colliding on the full key while differing in
 /// content would need an FNV-32 collision *and* identical header
-/// statistics; the hit path still re-verifies the page checksum before
+/// statistics; the hit path still requires the page checksum verified before
 /// trusting the entry (the cache-obligation invariant), so a stale or
 /// colliding entry can never silently stand in for corrupted bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

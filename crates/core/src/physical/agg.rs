@@ -23,7 +23,7 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
-use crate::decode_fold::FoldCursor;
+use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::fused::{aggregate_delta_rle, FuseLevel};
@@ -77,42 +77,6 @@ pub(crate) fn fusion_covers(func: AggFunc, val_enc: Encoding, fuse: FuseLevel) -
         }
         _ => false,
     }
-}
-
-/// Folds the decoded values of one bucket subrange that pass the
-/// optional value filter into a state, computing only what `func` needs
-/// (Σx² is expensive and only VARIANCE reads it; MIN/MAX skip sums).
-/// SUM/COUNT/MIN/MAX under a filter are one compare-and-accumulate pass
-/// over the slice; without a filter the dense kernels run. The moments
-/// FIRST/LAST/VARIANCE read still go through a SIMD range mask.
-pub(crate) fn fold_values(slice: &[i64], value: Option<(i64, i64)>, func: AggFunc) -> AggState {
-    let mut state = AggState::new();
-    if slice.is_empty() {
-        return state;
-    }
-    match (func, value) {
-        (AggFunc::Sum | AggFunc::Avg | AggFunc::Count | AggFunc::Min | AggFunc::Max, Some(v)) => {
-            state = etsqp_simd::agg::fold_range_i64(slice, v.0, v.1);
-        }
-        (AggFunc::Sum | AggFunc::Avg | AggFunc::Count, None) => {
-            (state.sum, state.count) = (etsqp_simd::agg::sum_i64(slice), slice.len() as u64);
-        }
-        (AggFunc::Min | AggFunc::Max, None) => {
-            (state.min, state.max) = etsqp_simd::agg::min_max_i64(slice).unzip();
-            state.count = slice.len() as u64;
-        }
-        // VARIANCE and FIRST/LAST read the full moments and endpoints.
-        // Partial-only aggregates take [`fold_tuples`] (they need
-        // timestamps and/or a sketch); the exact moments here mean a
-        // planner slip degrades to a sound superset, never silence.
-        (_, Some((lo, hi))) => {
-            let mut mask = etsqp_simd::filter::new_mask(slice.len());
-            etsqp_simd::filter::range_mask_i64(slice, lo, hi, &mut mask);
-            state.push_masked(slice, &mask);
-        }
-        (_, None) => state.push_slice(slice),
-    }
-    state
 }
 
 /// Folds time-ordered tuples that pass `pred` into their buckets' states
@@ -219,7 +183,7 @@ pub(crate) fn slice_coeff_job(
     // enough: every part of a page runs, and one failure aborts the
     // query.
     if part == 0 {
-        page.verify().map_err(Error::Storage)?;
+        page.ensure_verified().map_err(Error::Storage)?;
     }
     let parsed = ts2diff::parse(&page.val_bytes)?;
     let count = parsed.count;
@@ -282,9 +246,9 @@ pub(crate) fn slice_coeff_job(
 /// `cacheable` is the planner's [`crate::physical::node::PageDecision::cacheable`]
 /// verdict: the page's whole-range partial is content-addressed in the
 /// global [`PartialCache`]. The hit path still charges I/O and
-/// re-verifies the page checksum first (the cache-obligation
-/// invariant), so a cached entry can never stand in for corrupted
-/// bytes.
+/// requires the page's checksum verified first (the cache-obligation
+/// invariant, hashed once per resident page object), so a cached entry
+/// can never stand in for corrupted bytes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_page_job(
     page: &Page,
@@ -301,9 +265,11 @@ pub(crate) fn agg_page_job(
     // Every non-serial strategy below reads chunk bytes without going
     // through the checksum-verified Page::decode — the fused closed
     // forms would otherwise turn corruption into a silently wrong
-    // aggregate rather than an error. The checksum re-verification also
-    // discharges the cache hit path: the cache key embeds this checksum.
-    page.verify().map_err(Error::Storage)?;
+    // aggregate rather than an error. The first job to touch this page
+    // object hashes it; after that the check is its verified mark. It
+    // also discharges the cache hit path: the cache key embeds this
+    // checksum.
+    page.ensure_verified().map_err(Error::Storage)?;
 
     // The planner only marks pages cacheable when the whole page
     // qualifies and lands in one bucket; re-derive the bucket index
@@ -460,18 +426,19 @@ fn agg_page_states(
     let mut out: WindowStates = Vec::with_capacity(ranges.len());
     for (k, i, j) in ranges {
         let state = match &mut values {
-            Values::Cursor(cursor) => cursor.fold_range(i, j),
+            Values::Cursor(cursor) => cursor.fold_range(i, j)?,
             Values::Decoded(vals) => fold_values(&vals[i..=j], pred.value, func),
         };
         if state.count > 0 {
             out.push((k, state.into()));
         }
     }
-    if let Values::Cursor(cursor) = &values {
-        if cursor.pruned() > 0 {
+    if let Values::Cursor(cursor) = values {
+        let pruned = cursor.finish()? as u64;
+        if pruned > 0 {
             stats
                 .tuples_pruned
-                .fetch_add(cursor.pruned() as u64, std::sync::atomic::Ordering::Relaxed);
+                .fetch_add(pruned, std::sync::atomic::Ordering::Relaxed);
         }
     }
     Ok(out)

@@ -160,9 +160,9 @@ fn require_obligation(d: &crate::physical::node::PageDecision) -> Result<()> {
 }
 
 /// Drops one pruned page: obligation, checksum, then the §VII-B charge.
-/// Pruned pages are checksum-verified before being dropped — a corrupted
-/// header must abort the query, not skew which pages the §V verdicts
-/// exclude.
+/// Pruned pages are checksum-verified (once per resident page object)
+/// before being dropped — a corrupted header must abort the query, not
+/// skew which pages the §V verdicts exclude.
 fn discharge_pruned(
     page: &etsqp_storage::page::Page,
     d: &crate::physical::node::PageDecision,
@@ -199,36 +199,24 @@ fn aggregate_pipeline(
     let pred = &pipeline.pred;
     let mut kept: Vec<Arc<etsqp_storage::page::Page>> = Vec::new();
     let mut decided: Vec<(Strategy, bool)> = Vec::new();
-    let mut pruned: Vec<usize> = Vec::new();
-    for (i, (page, d)) in pipeline.pages.iter().zip(&pipeline.decisions).enumerate() {
+    // Pruned pages are discharged here, before any job runs: on a resident
+    // page the checksum obligation is a load of its verified mark, and a
+    // first touch hashes it once (sharing these out among the jobs read
+    // no faster; EXPERIMENTS.md "Fold-only pages").
+    for (page, d) in pipeline.pages.iter().zip(&pipeline.decisions) {
         match d.strategy {
             Some(s) => {
                 kept.push(Arc::clone(page));
                 decided.push((s, d.cacheable));
             }
-            None => pruned.push(i),
+            None => discharge_pruned(page, d, stats)?,
         }
     }
-    let discharge = |indices: &[usize]| -> Result<()> {
-        indices
-            .iter()
-            .try_for_each(|&i| discharge_pruned(&pipeline.pages[i], &pipeline.decisions[i], stats))
-    };
 
     let items = match pipeline.parallelism {
         Parallelism::Sliced { .. } => distribute(&kept, cfg.threads),
         Parallelism::PerPage { .. } => kept.iter().cloned().map(WorkItem::Page).collect(),
     };
-    // A selective filter prunes most pages of a scan, and their checksums
-    // are work like any other: every job discharges an equal share of the
-    // pruned pages before its own page, so they run on the pool beside
-    // the decodes — no extra job, no long run on one job that the others
-    // then wait for. Only a pipeline that keeps nothing verifies inline.
-    let jobs = items.len();
-    if jobs == 0 {
-        discharge(&pruned)?;
-    }
-    let share = |job: usize| &pruned[job * pruned.len() / jobs..(job + 1) * pruned.len() / jobs];
 
     #[derive(Debug)]
     enum JobOut {
@@ -240,20 +228,19 @@ fn aggregate_pipeline(
         },
     }
 
-    // Tag items with their job index and a page sequence: the sequence
-    // orders the slice prefix chain and indexes the planner's per-page
-    // strategy (items preserve kept order, so it equals the kept-page
-    // index).
-    let mut tagged = Vec::with_capacity(jobs);
+    // Tag items with a page sequence: it orders the slice prefix chain
+    // and indexes the planner's per-page strategy (items preserve kept
+    // order, so it equals the kept-page index).
+    let mut tagged = Vec::with_capacity(items.len());
     let mut seq = usize::MAX;
     let mut last_ptr: *const etsqp_storage::page::Page = std::ptr::null();
-    for (job, item) in items.into_iter().enumerate() {
+    for item in items {
         let ptr = Arc::as_ptr(item.page());
         if ptr != last_ptr {
             seq = seq.wrapping_add(1);
             last_ptr = ptr;
         }
-        tagged.push((job, seq, item));
+        tagged.push((seq, item));
     }
 
     // Outputs return in job order, so which failing page decides the
@@ -263,8 +250,7 @@ fn aggregate_pipeline(
         cfg.threads,
         stats,
         ctl,
-        |(job, page_seq, item)| -> Result<JobOut> {
-            discharge(share(job))?;
+        |(page_seq, item)| -> Result<JobOut> {
             Ok(match item {
                 WorkItem::Page(page) => {
                     let (strategy, cacheable) = decided[page_seq];

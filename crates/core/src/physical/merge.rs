@@ -229,8 +229,8 @@ pub(crate) fn fused_pair_aggregate(
         // The fused kernels consume (Δ, run) pairs straight from the
         // chunk bytes, so checksum verification is the only thing
         // standing between a flipped bit and a silently wrong moment.
-        a.verify().map_err(Error::Storage)?;
-        b.verify().map_err(Error::Storage)?;
+        a.ensure_verified().map_err(Error::Storage)?;
+        b.ensure_verified().map_err(Error::Storage)?;
         let pa = delta_rle::parse(&a.val_bytes)?;
         let pb = delta_rle::parse(&b.val_bytes)?;
         m.sum_ab = m.sum_ab.saturating_add(dot_product_delta_rle(&pa, &pb)?);

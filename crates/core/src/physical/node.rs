@@ -146,7 +146,7 @@ pub struct PageDecision {
     /// the page's content: the page is kept, no value filter applies,
     /// the time filter covers the whole page, and (under a windowed
     /// aggregate) the page lies inside a single bucket. The executor's
-    /// hit path still re-verifies the page checksum — the
+    /// hit path still requires the page checksum verified — the
     /// cache-obligation invariant checked by
     /// [`crate::physical::verify`].
     pub cacheable: bool,

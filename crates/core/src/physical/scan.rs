@@ -116,10 +116,11 @@ pub(crate) fn charge_pruned_hot(hot: &HotScan, stats: &ExecStats) {
 /// Validates a page that a §V verdict is about to exclude. Pruning
 /// trusts header min/max without decoding, so the checksum is the only
 /// thing standing between a corrupted header and a silently wrong
-/// pruned answer — a kept page is re-verified at decode anyway, but an
-/// excluded one would otherwise never be looked at again.
+/// pruned answer — a kept page is verified at decode anyway, but an
+/// excluded one would otherwise never be looked at again. Hashed on the
+/// first touch of a resident page object, its verified mark afterwards.
 pub(crate) fn verify_pruned(page: &Page) -> Result<()> {
-    page.verify().map_err(Error::Storage)
+    page.ensure_verified().map_err(Error::Storage)
 }
 
 /// Applies [`page_verdict`] to a page list, charging pruned pages/tuples
@@ -231,7 +232,7 @@ pub(crate) fn scan_rows(
             // The vectorized branch parses chunk bytes directly (no
             // Page::decode), so corruption must be caught here, before
             // any fast path trusts the payload.
-            page.verify().map_err(Error::Storage)?;
+            page.ensure_verified().map_err(Error::Storage)?;
             // Gradual loading (§VI-C): reserve decode-buffer memory before
             // materializing this page's vectors; released when the job's
             // (filtered, smaller) output replaces them.

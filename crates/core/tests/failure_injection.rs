@@ -18,12 +18,12 @@ fn db_with_corrupt_value_page() -> IotDb {
     // Corrupt: truncate the value payload but keep the header claiming
     // 100 tuples.
     // The stale checksum models real corruption: nothing reseals it.
-    let bad = Page {
-        header: good.header,
-        ts_bytes: good.ts_bytes.clone(),
-        val_bytes: good.val_bytes.slice(0..good.val_bytes.len() / 2),
-        checksum: good.checksum,
-    };
+    let bad = Page::from_parts(
+        good.header,
+        good.ts_bytes.clone(),
+        good.val_bytes.slice(0..good.val_bytes.len() / 2),
+        good.checksum,
+    );
     store.insert_pages("s", vec![bad]);
     IotDb::with_store(store, EngineOptions::default())
 }
@@ -172,6 +172,146 @@ fn every_pruned_page_is_verified_wherever_its_run_lands() {
     }
 }
 
+/// A Delta-RLE column built pair by pair, lies and all: `count` is what
+/// the column header declares, whatever the runs add up to.
+fn raw_delta_rle(count: u32, first: i64, pairs: &[(i64, u64)]) -> Vec<u8> {
+    use etsqp_encoding::bitio::{bits_needed_u64, BitWriter};
+    let min_delta = pairs.iter().map(|p| p.0).min().unwrap_or(0);
+    let width = |it: &mut dyn Iterator<Item = u64>| it.map(bits_needed_u64).max().unwrap_or(0);
+    let dw = width(&mut pairs.iter().map(|p| p.0.wrapping_sub(min_delta) as u64));
+    let rw = width(&mut pairs.iter().map(|p| p.1));
+    let mut w = BitWriter::new();
+    w.write_bits(count as u64, 32);
+    w.write_bits(first as u64, 64);
+    w.write_bits(pairs.len() as u64, 32);
+    w.write_bits(min_delta as u64, 64);
+    w.write_bits(dw as u64, 8);
+    w.write_bits(rw as u64, 8);
+    for &(d, r) in pairs {
+        w.write_bits(d.wrapping_sub(min_delta) as u64, dw);
+        w.write_bits(r, rw);
+    }
+    w.finish()
+}
+
+/// The Delta–Repeat closed form used to trust its runs: it never held
+/// `1 + Σ run` against the declared count, so pairs that disagree with it
+/// answered a wrong COUNT / SUM under `Strategy::FusedDeltaRle` where
+/// `Strategy::Decode` answered the decoder's typed error. Both are one
+/// run-space walker now: the same error, whichever strategy, filtered or
+/// not; and what run space cannot represent goes to the decoder.
+#[test]
+fn delta_rle_closed_form_checks_its_runs() {
+    use etsqp_core::expr::Predicate;
+    use etsqp_core::fused::{aggregate_delta_rle, FuseLevel};
+    use etsqp_core::plan::{execute, PipelineConfig};
+    use etsqp_encoding::delta_rle;
+    use etsqp_storage::page::PageHeader;
+    use etsqp_storage::Bytes;
+
+    const N: u32 = 40;
+    let ts: Vec<i64> = (0..N as i64).collect();
+    // A sealed page (valid checksum) around a value column taken as is.
+    let store_of = |column: &[u8], (min_value, max_value): (i64, i64)| {
+        let header = PageHeader {
+            count: N,
+            first_ts: 0,
+            last_ts: N as i64 - 1,
+            min_value,
+            max_value,
+            ts_encoding: Encoding::Ts2Diff,
+            val_encoding: Encoding::DeltaRle,
+        };
+        let store = SeriesStore::new(64);
+        let ts_bytes = Bytes::from(Encoding::Ts2Diff.encode_i64(&ts));
+        let page = Page::new(header, ts_bytes, Bytes::copy_from_slice(column));
+        store.insert_pages("s", vec![page]);
+        store
+    };
+    let fused = PipelineConfig {
+        fuse: FuseLevel::DeltaRepeat,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let decode = PipelineConfig {
+        fuse: FuseLevel::None,
+        ..fused
+    };
+
+    // Runs short of the count, long of it, and one run of `u32::MAX`.
+    let hostile: [(&str, Vec<u8>); 3] = [
+        ("short", raw_delta_rle(N, 5, &[(1, 9), (0, 20)])),
+        ("long", raw_delta_rle(N, 5, &[(1, 9), (0, 20), (2, 30)])),
+        ("u32::MAX", raw_delta_rle(N, 5, &[(1, u32::MAX as u64)])),
+    ];
+    for (what, column) in &hostile {
+        let want = etsqp_core::Error::from(delta_rle::decode(column).unwrap_err()).to_string();
+        let page = delta_rle::parse(column).unwrap();
+        assert_eq!(
+            aggregate_delta_rle(&page).unwrap_err().to_string(),
+            want,
+            "{what}"
+        );
+        let store = store_of(column, (0, 100));
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Last,
+            AggFunc::Variance,
+        ] {
+            let whole = Plan::scan("s").aggregate(func);
+            let band = Plan::scan("s")
+                .filter(Predicate::value(6, i64::MAX))
+                .aggregate(func);
+            for (plan, cfg) in [(&whole, &fused), (&whole, &decode), (&band, &fused)] {
+                let got = execute(plan, &store, cfg).map(|r| r.rows);
+                assert_eq!(
+                    got.as_ref().map_err(|e| e.to_string()),
+                    Err(want.clone()),
+                    "{what} {func:?} fuse={:?}",
+                    cfg.fuse
+                );
+            }
+        }
+    }
+
+    // Steps of `i64::MIN` (the encoder's wrapped deltas) and values at
+    // both limits: run space refuses what it cannot represent, the gates
+    // send such a page to the decoder, and filter bounds at the limits
+    // clip without wrapping. Answers are the oracle's.
+    let flips: Vec<i64> = (0..N as i64).map(|i| (i % 2) * i64::MIN).collect();
+    let heights: Vec<i64> = (0..N as i64).map(|i| (i % 2) * i64::MAX).collect();
+    let ramps: Vec<i64> = (0..N as i64).map(|i| i64::MAX - 3 * (i / 4)).collect();
+    for (what, vals) in [("flips", &flips), ("heights", &heights), ("ramps", &ramps)] {
+        let column = delta_rle::encode(vals);
+        let page = delta_rle::parse(&column).unwrap();
+        match aggregate_delta_rle(&page) {
+            Ok(state) => assert_eq!(state.sum, vals.iter().map(|&v| v as i128).sum::<i128>()),
+            Err(e) => assert!(matches!(e, etsqp_core::Error::Overflow), "{what}: {e}"),
+        }
+        let range = (*vals.iter().min().unwrap(), *vals.iter().max().unwrap());
+        let store = store_of(&column, range);
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+            for value in [
+                None,
+                Some((i64::MIN, i64::MAX)),
+                Some((i64::MAX, i64::MAX)),
+                Some((i64::MIN, i64::MIN)),
+                Some((i64::MIN + 1, i64::MAX - 1)),
+            ] {
+                let plan = Plan::scan("s")
+                    .filter(Predicate { time: None, value })
+                    .aggregate(func);
+                let (_, want) = etsqp_core::oracle::execute(&plan, &store).unwrap();
+                for cfg in [&fused, &decode] {
+                    let got = execute(&plan, &store, cfg).unwrap();
+                    assert_eq!(got.rows, want, "{what} {func:?} {value:?} {:?}", cfg.fuse);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -214,12 +354,12 @@ proptest! {
             }
         }
         let store = SeriesStore::new(1024);
-        store.insert_pages("s", vec![Page {
-            header: good.header,
-            ts_bytes: good.ts_bytes.clone(),
-            val_bytes: val_bytes.into(),
-            checksum: good.checksum,
-        }]);
+        store.insert_pages("s", vec![Page::from_parts(
+            good.header,
+            good.ts_bytes.clone(),
+            val_bytes.into(),
+            good.checksum,
+        )]);
         let db = IotDb::with_store(store, EngineOptions::default());
         let _ = db.query("SELECT SUM(s) FROM s"); // must not panic
         let _ = db.query("SELECT * FROM s");

@@ -4,6 +4,13 @@
 //! paper's Figure 1(b)); every codec in this crate serializes through
 //! these two types, and the SIMD unpack kernels of `etsqp-simd` consume
 //! the same byte order.
+//!
+//! A read is one unaligned 8-byte big-endian load and two shifts (plus
+//! the ninth byte for a field that runs past the word), whatever the
+//! width; only inside the last eight bytes of a stream, where there is
+//! no whole word to load, does the byte loop of
+//! `etsqp_simd::scalar::read_bits_be` still run. Delta-RLE pairs, RLBE,
+//! Fibonacci, Chimp, Elf and every header parse read through it.
 
 /// Append-only big-endian bit writer.
 #[derive(Debug, Default, Clone)]
@@ -113,6 +120,11 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `n` bits (0..=64) MSB-first; `None` when the stream is short.
+    ///
+    /// One unaligned big-endian word, plus the ninth byte when the field
+    /// runs past it. Within eight bytes of the end there is no whole word
+    /// to load and the byte loop reads instead.
+    #[inline]
     pub fn read_bits(&mut self, n: u8) -> Option<u64> {
         if n == 0 {
             return Some(0);
@@ -120,7 +132,19 @@ impl<'a> BitReader<'a> {
         if self.remaining_bits() < n as usize {
             return None;
         }
-        let v = etsqp_simd::scalar::read_bits_be(self.src, self.pos, n as usize);
+        let (byte, bit) = (self.pos / 8, self.pos % 8);
+        let v = match self.src.get(byte..).and_then(|s| s.first_chunk::<8>()) {
+            Some(word) => {
+                // Bits before `pos` shifted out at the top, then the
+                // field moved down.
+                let v = (u64::from_be_bytes(*word) << bit) >> (64 - n as usize);
+                match (bit + n as usize).checked_sub(64) {
+                    Some(over @ 1..) => v | (self.src[byte + 8] >> (8 - over)) as u64,
+                    _ => v,
+                }
+            }
+            None => etsqp_simd::scalar::read_bits_be(self.src, self.pos, n as usize),
+        };
         self.pos += n as usize;
         Some(v)
     }
@@ -206,6 +230,46 @@ mod tests {
         assert_eq!(r.read_bits(8), Some(0xAB));
         assert_eq!(r.read_bits(1), None);
         assert_eq!(r.read_bits(0), Some(0));
+    }
+
+    /// The word path against the byte loop it replaced: every `pos % 8`,
+    /// every width, every distance from the end of the buffer where the
+    /// load, the ninth byte and the fallback trade places.
+    #[test]
+    fn word_reads_equal_the_byte_loop_at_every_alignment_and_tail_distance() {
+        let src: Vec<u8> = (0..40u32).map(|i| (i * 151 + 89) as u8).collect();
+        for n in 1..=64u8 {
+            for bit in 0..8usize {
+                for tail in 0..=9usize {
+                    // The field's last byte sits `tail` bytes before the end.
+                    let field_bytes = (bit + n as usize).div_ceil(8);
+                    let Some(byte) = src.len().checked_sub(tail + field_bytes) else {
+                        continue;
+                    };
+                    let pos = byte * 8 + bit;
+                    let want = etsqp_simd::scalar::read_bits_be(&src, pos, n as usize);
+                    let mut r = BitReader::at(&src, pos);
+                    assert_eq!(r.read_bits(n), Some(want), "n={n} bit={bit} tail={tail}");
+                    assert_eq!(r.bit_pos(), pos + n as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_streams_read_none_and_do_not_move() {
+        let src = [0xA5u8; 9];
+        for pos in 0..=src.len() * 8 + 3 {
+            let left = (src.len() * 8).saturating_sub(pos);
+            for n in 1..=64u8 {
+                let mut r = BitReader::at(&src, pos);
+                let got = r.read_bits(n);
+                assert_eq!(got.is_some(), n as usize <= left, "pos={pos} n={n}");
+                if got.is_none() {
+                    assert_eq!(r.bit_pos(), pos);
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,23 @@ impl<'a> DeltaRlePage<'a> {
         }
     }
 
+    /// Iterates the `(Δ, run)` pairs held against the declared count:
+    /// what [`decode`] flattens, and what a consumer that stays in run
+    /// space must walk to fail where `decode` fails. An empty page has no
+    /// runs, whatever its pairs say.
+    pub fn runs(&self) -> CheckedRuns<'a> {
+        let mut pairs = self.pairs();
+        if self.count == 0 {
+            pairs.remaining = 0;
+        }
+        CheckedRuns {
+            pairs,
+            count: self.count,
+            left: self.count.saturating_sub(1),
+            stream_len: HEADER_BYTES + self.payload.len(),
+        }
+    }
+
     /// Iterates the `(Δ, run)` pairs.
     pub fn pairs(&self) -> DeltaRleIter<'a> {
         DeltaRleIter {
@@ -97,6 +114,48 @@ impl Iterator for DeltaRleIter<'_> {
         let stored = self.reader.read_bits(self.delta_width)?;
         let run = self.reader.read_bits(self.run_width)?;
         Some((self.min_delta.wrapping_add(stored as i64), run))
+    }
+}
+
+/// Bytes of the page header ahead of the packed pairs.
+const HEADER_BYTES: usize = 4 + 8 + 4 + 8 + 1 + 1;
+
+/// The pairs of a page, each run checked against what is left of the
+/// declared count (`count = 1 + Σ run`); see [`DeltaRlePage::runs`].
+#[derive(Debug, Clone)]
+pub struct CheckedRuns<'a> {
+    pairs: DeltaRleIter<'a>,
+    count: usize,
+    /// Values the runs still owe the declared count.
+    left: usize,
+    stream_len: usize,
+}
+
+impl Iterator for CheckedRuns<'_> {
+    type Item = Result<(i64, usize)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let Some((delta, run)) = self.pairs.next() else {
+            // The pairs are through: they must have covered the count.
+            let short = std::mem::take(&mut self.left);
+            return (short > 0).then(|| {
+                Err(Error::BadCount {
+                    declared: self.count as u64,
+                    available: (self.count - short) as u64,
+                })
+            });
+        };
+        if run > self.left as u64 {
+            self.pairs.remaining = 0;
+            self.left = 0;
+            return Some(Err(Error::Corrupt {
+                codec: "delta_rle",
+                offset: self.stream_len,
+                reason: "run overflows declared count",
+            }));
+        }
+        self.left -= run as usize;
+        Some(Ok((delta, run as usize)))
     }
 }
 
@@ -199,24 +258,12 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<i64>> {
     let mut out = Vec::with_capacity(page.count.min(1 << 16));
     out.push(page.first);
     let mut cur = page.first;
-    for (delta, run) in page.pairs() {
-        if run as usize > page.count - out.len() {
-            return Err(Error::Corrupt {
-                codec: "delta_rle",
-                offset: bytes.len(),
-                reason: "run overflows declared count",
-            });
-        }
+    for pair in page.runs() {
+        let (delta, run) = pair?;
         for _ in 0..run {
             cur = cur.wrapping_add(delta);
             out.push(cur);
         }
-    }
-    if out.len() != page.count {
-        return Err(Error::BadCount {
-            declared: page.count as u64,
-            available: out.len() as u64,
-        });
     }
     Ok(out)
 }
@@ -268,6 +315,47 @@ mod tests {
         // stored max = 5 → width 3 → D_M = 2 + 7 = 9.
         assert_eq!(page.delta_upper_bound(), 9);
         assert_eq!(page.run_upper_bound(), 3); // max run 3 → width 2
+    }
+
+    /// Pairs that disagree with the declared count: the checked walk
+    /// names the fault `decode` always named, at the same offset.
+    #[test]
+    fn runs_are_held_to_the_declared_count() {
+        let vals: Vec<i64> = (0..40).map(|i| i / 10).collect();
+        let bytes = encode(&vals);
+        let recount = |count: u32| {
+            let mut b = bytes.clone();
+            b[..4].copy_from_slice(&count.to_be_bytes());
+            b
+        };
+        let long = recount(60);
+        assert_eq!(
+            decode(&long),
+            Err(Error::BadCount {
+                declared: 60,
+                available: 40
+            })
+        );
+        let short = recount(30);
+        assert_eq!(
+            decode(&short),
+            Err(Error::Corrupt {
+                codec: "delta_rle",
+                offset: short.len(),
+                reason: "run overflows declared count"
+            })
+        );
+        // An error ends the walk.
+        let page = parse(&short).unwrap();
+        let mut runs = page.runs();
+        assert!(runs.by_ref().any(|r| r.is_err()));
+        assert!(runs.next().is_none());
+        // An empty page has no runs, whatever its one allowed pair says.
+        let mut ramp = encode(&[5, 6, 7, 8]);
+        ramp[..4].copy_from_slice(&0u32.to_be_bytes());
+        let page = parse(&ramp).unwrap();
+        assert_eq!((page.n_pairs, page.runs().count()), (1, 0));
+        assert_eq!(decode(&ramp), Ok(Vec::new()));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Encoded pages: the unit of storage, decoding, pruning and scheduling.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use bytes::Bytes;
 use etsqp_encoding::Encoding;
 
@@ -132,7 +134,7 @@ fn read8(bytes: &[u8], off: usize) -> [u8; 8] {
 ///
 /// Chunks are cheaply cloneable [`Bytes`], so pipeline jobs on different
 /// threads share the underlying buffers without copying.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Page {
     /// Page statistics and codec tags.
     pub header: PageHeader,
@@ -144,29 +146,78 @@ pub struct Page {
     /// load time. [`Page::verify`] recomputes it before payloads are
     /// trusted; [`Page::to_bytes`] persists it as the image trailer.
     pub checksum: u32,
+    /// Set by the first successful [`Page::ensure_verified`] of this very
+    /// object and by nothing else; nothing clears it. The fields above are
+    /// `pub`, so neither a constructor nor a clone may vouch for them.
+    /// Relaxed: the mark publishes no data — a reader that misses it
+    /// hashes the page again and reaches the same verdict.
+    verified: AtomicBool,
+}
+
+/// A clone is a new object nobody has hashed: it starts unmarked, so
+/// `SeriesStore::corrupt_page` (clone, mutate, swap in) yields a page the
+/// next query verifies.
+impl Clone for Page {
+    fn clone(&self) -> Page {
+        Page::from_parts(
+            self.header,
+            self.ts_bytes.clone(),
+            self.val_bytes.clone(),
+            self.checksum,
+        )
+    }
 }
 
 impl Page {
     /// Assembles a page from parts, sealing it with a fresh checksum.
     pub fn new(header: PageHeader, ts_bytes: Bytes, val_bytes: Bytes) -> Page {
         let checksum = page_checksum(&[&header.to_bytes(), &ts_bytes, &val_bytes]);
+        Page::from_parts(header, ts_bytes, val_bytes, checksum)
+    }
+
+    /// Assembles a page around a checksum taken as given — not recomputed,
+    /// not yet verified.
+    pub fn from_parts(
+        header: PageHeader,
+        ts_bytes: Bytes,
+        val_bytes: Bytes,
+        checksum: u32,
+    ) -> Page {
         Page {
             header,
             ts_bytes,
             val_bytes,
             checksum,
+            verified: AtomicBool::new(false),
         }
     }
 
     /// Recomputes the checksum and compares it against the sealed one,
     /// catching payload corruption before a decoder or a fused kernel
-    /// consumes the chunk bytes.
+    /// consumes the chunk bytes. Hashes on every call.
     pub fn verify(&self) -> Result<()> {
         let now = page_checksum(&[&self.header.to_bytes(), &self.ts_bytes, &self.val_bytes]);
         if now != self.checksum {
             return Err(Error::corrupt(0, "page checksum mismatch"));
         }
         Ok(())
+    }
+
+    /// [`Page::verify`], paid once per resident page object: the first
+    /// success marks the page and later calls are one relaxed load. A
+    /// failure leaves it unmarked, so every reader of a corrupt page gets
+    /// the error.
+    pub fn ensure_verified(&self) -> Result<()> {
+        if !self.is_verified() {
+            self.verify()?;
+            self.verified.store(true, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Whether an [`Page::ensure_verified`] of this object has succeeded.
+    pub fn is_verified(&self) -> bool {
+        self.verified.load(Ordering::Relaxed)
     }
 
     /// Builds a page by encoding `(timestamps, values)` with the given
@@ -341,12 +392,7 @@ impl Page {
             return Err(Error::corrupt(chunks_end as u64, "page checksum mismatch"));
         }
         Ok((
-            Page {
-                header,
-                ts_bytes,
-                val_bytes,
-                checksum: stored,
-            },
+            Page::from_parts(header, ts_bytes, val_bytes, stored),
             chunks_end + 4,
         ))
     }
@@ -429,6 +475,59 @@ mod tests {
             let q_lo = etsqp_encoding::f64_to_ordered_i64(100.0);
             assert!(!page.header.overlaps_value(q_lo, i64::MAX));
         }
+    }
+
+    #[test]
+    fn failed_verification_leaves_the_page_unmarked() {
+        let good = sample_page();
+        let bad = Page::from_parts(
+            good.header,
+            good.ts_bytes.clone(),
+            good.val_bytes.slice(1..),
+            good.checksum,
+        );
+        assert!(bad.ensure_verified().is_err());
+        assert!(!bad.is_verified());
+        assert!(
+            bad.ensure_verified().is_err(),
+            "and the next reader errs too"
+        );
+    }
+
+    #[test]
+    fn clone_of_a_marked_page_is_unmarked() {
+        let page = sample_page();
+        assert!(!page.is_verified(), "sealing does not vouch for pub fields");
+        page.ensure_verified().unwrap();
+        assert!(page.is_verified());
+        let mut copy = page.clone();
+        assert!(!copy.is_verified());
+        // What `corrupt_page` does next: the copy is hashed when read.
+        copy.header.count += 1;
+        assert!(copy.ensure_verified().is_err());
+        assert!(page.is_verified());
+    }
+
+    #[test]
+    fn shared_page_is_marked_once_for_every_thread() {
+        let page = std::sync::Arc::new(sample_page());
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    barrier.wait();
+                    page.ensure_verified().unwrap();
+                    assert!(page.is_verified());
+                });
+            }
+        });
+        // The mark, not the bytes, answers from here on: were the page
+        // hashed again this would fail (in-memory corruption after the
+        // first verification is outside the model, DESIGN.md §10).
+        let mut edited = std::sync::Arc::try_unwrap(page).unwrap();
+        edited.checksum ^= 1;
+        assert!(edited.ensure_verified().is_ok());
+        assert!(edited.verify().is_err(), "verify() still hashes");
     }
 
     #[test]

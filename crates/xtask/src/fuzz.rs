@@ -4,10 +4,11 @@
 //! embedded t-digest parser), the network wire-frame parser
 //! (`etsqp_serve::proto` — hostile length prefixes, truncated and
 //! oversized frames, bad version bytes, lying result/error payloads),
-//! and the one walker over packed 32-bit deltas
-//! (`etsqp_core::decode_fold`): its write sink (`decode_column`) and its
-//! fold sink held against the codec crate's serial decoder over the same
-//! column bytes.
+//! and the fold cursor (`etsqp_core::decode_fold`): `decode_column`
+//! (the packed-delta walker's write sink, or the serial fallback) and the
+//! cursor's fold over its five codecs — packed deltas, Delta-RLE in run
+//! space, Gorilla off the bit window — held against the codec crate's
+//! serial decoder over the same column bytes.
 //!
 //! ```text
 //! cargo run -p xtask -- fuzz [--iters N] [--seed S] [--corpus <dir>]
@@ -40,6 +41,7 @@ use std::time::Instant;
 use etsqp_core::decode::{decode_column, DecodeOptions};
 use etsqp_core::decode_fold::FoldCursor;
 use etsqp_core::expr::AggFunc;
+use etsqp_core::fused::aggregate_delta_rle;
 use etsqp_core::partial::PartialState;
 use etsqp_core::plan::Value;
 use etsqp_encoding::Encoding;
@@ -105,23 +107,37 @@ enum Target {
     /// and `FoldCursor` (the fold sink) against `Encoding::decode_i64`,
     /// the codec crate's serial decoder, + a value-at-a-time fold: a
     /// [`FOLD_HEAD`]-byte head (codec, flags, filter) followed by the
-    /// column bytes of a TS2DIFF / Sprintz / Stream VByte page.
+    /// column bytes of a TS2DIFF / Sprintz / Stream VByte / Delta-RLE /
+    /// Gorilla page.
     DecodeFold,
 }
 
 /// Bytes of a `decode_fold` input before the column: a selector (codec =
-/// `FOLD_CODECS[b & 3]`, bit 2 suffix pruning, bit 3 `Σv²`, bit 4 pass
-/// the column's true value range) and the inclusive filter `[lo, hi]`,
-/// big-endian.
+/// [`fold_codec`] of bits 0, 1 and 5, bit 2 suffix pruning, bit 3 `Σv²`,
+/// bit 4 pass the column's true value range) and the inclusive filter
+/// `[lo, hi]`, big-endian.
 const FOLD_HEAD: usize = 17;
 
-/// The codecs the walker reads; order 2 only ever reaches its write sink.
-const FOLD_CODECS: [Encoding; 4] = [
+/// The codecs the cursor reads; order 2 only ever reaches the write sink.
+const FOLD_CODECS: [Encoding; 6] = [
     Encoding::Ts2Diff,
     Encoding::Sprintz,
     Encoding::StreamVByte,
     Encoding::Ts2DiffOrder2,
+    Encoding::DeltaRle,
+    Encoding::Gorilla,
 ];
+
+/// The codec a selector byte names: bits 0–1, and bit 5 as the third
+/// index bit (heads written when there were four codecs keep theirs).
+fn fold_codec(selector: u8) -> Encoding {
+    FOLD_CODECS[((selector & 3) | (selector >> 3 & 4)) as usize % FOLD_CODECS.len()]
+}
+
+/// The selector bits that name `FOLD_CODECS[index]`.
+fn fold_selector(index: usize) -> u8 {
+    (index as u8 & 3) | (index as u8 & 4) << 3
+}
 
 /// Where a column of `enc` keeps its big-endian `u32` value count: after
 /// TS2DIFF's order byte, first for the others.
@@ -141,14 +157,16 @@ fn fold_input(selector: u8, (lo, hi): (i64, i64), column: &[u8]) -> Vec<u8> {
 /// The `decode_fold` invariant: the codec crate's serial decoder is the
 /// reference; `decode_column` must produce its values and the cursor its
 /// fold under one filter, or each the same typed error (a column the
-/// cursor's gate rejects has no fold to compare). Shared with
-/// `tests/corruption.rs` by construction: the corpus files carry the
-/// head.
+/// cursor's gate rejects has no fold to compare). Delta-RLE's gate wants
+/// a known range, which a column the decoder refuses does not have, so
+/// its walker is also run ungated — `fused::aggregate_delta_rle` — and
+/// held to the same errors. Shared with `tests/corruption.rs` by
+/// construction: the corpus files carry the head.
 fn check_decode_fold(input: &[u8]) -> Result<(), String> {
     let Some((head, column)) = input.split_at_checked(FOLD_HEAD) else {
         return Ok(());
     };
-    let enc = FOLD_CODECS[(head[0] & 3) as usize];
+    let enc = fold_codec(head[0]);
     let (prune, sum_sq, ranged) = (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
     let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
     let (lo, hi) = (be(&head[1..9]), be(&head[9..17]));
@@ -184,31 +202,78 @@ fn check_decode_fold(input: &[u8]) -> Result<(), String> {
             brief(&reference)
         ));
     }
+    // Count, sum, min, max and Σv² of the values inside `[lo, hi]`.
+    let fold = |values: &[i64], (lo, hi): (i64, i64), sum_sq: bool| {
+        let mut want = (0u64, 0i128, None::<i64>, None::<i64>, 0i128);
+        for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
+            want.0 += 1;
+            want.1 += v as i128;
+            want.2 = Some(want.2.map_or(v, |m| m.min(v)));
+            want.3 = Some(want.3.map_or(v, |m| m.max(v)));
+            if sum_sq {
+                want.4 = want.4.saturating_add(v as i128 * v as i128);
+            }
+        }
+        want
+    };
+    if enc == Encoding::DeltaRle {
+        let whole = etsqp_encoding::delta_rle::parse(column)
+            .map_err(etsqp_core::Error::from)
+            .and_then(|page| aggregate_delta_rle(&page))
+            .map_err(|e| e.to_string());
+        let overflow = etsqp_core::Error::Overflow.to_string();
+        match (&whole, &reference) {
+            // Deltas that wrapped `i64` at encode time: the decoder's
+            // wrapping adds undo them, run space refuses them — before
+            // it gets to whatever else the decoder then objects to.
+            (Err(a), Err(b)) if a == b || *a == overflow => {}
+            (Ok(got), Ok(values)) => {
+                // The closed form's Σv² is exact below 2⁴⁷ (the cursor's gate).
+                let exact_sq = values.iter().all(|v| v.unsigned_abs() < 1 << 47);
+                let want = fold(values, (i64::MIN, i64::MAX), exact_sq);
+                let sq = if exact_sq { got.sum_sq } else { 0 };
+                if (got.count, got.sum, got.min, got.max, sq) != want
+                    || (got.first, got.last) != (values.first().copied(), values.last().copied())
+                {
+                    return Err(format!("run-space fold {got:?}, decode-then-fold {want:?}"));
+                }
+            }
+            (Err(a), Ok(values))
+                if *a == overflow
+                    && values
+                        .iter()
+                        .max()
+                        .zip(values.iter().min())
+                        .is_some_and(|(mx, mn)| mx.checked_sub(*mn).is_none()) => {}
+            _ => {
+                return Err(format!(
+                    "run-space fold {:?}, reference decoder {:?}",
+                    whole.map(|s| s.count),
+                    reference.map(|v| v.len())
+                ))
+            }
+        }
+    }
     let cursor = FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq)
         .map_err(|e| e.to_string());
-    match (cursor, reference) {
+    let folded = match cursor {
+        Ok(None) => return Ok(()),
+        Ok(Some(mut cursor)) => cursor.fold_range(0, usize::MAX).map_err(|e| e.to_string()),
+        Err(e) => Err(e),
+    };
+    match (folded, reference) {
         (Err(a), Err(b)) if a == b => Ok(()),
         (Err(a), other) => Err(format!(
             "cursor refused ({a}), reference decoder said {:?}",
             other.map(|v| v.len())
         )),
-        (Ok(None), _) => Ok(()),
-        (Ok(Some(_)), Err(b)) => Err(format!(
-            "cursor opened a column the reference decoder refused ({b})"
+        (Ok(_), Err(b)) => Err(format!(
+            "cursor folded a column the reference decoder refused ({b})"
         )),
-        (Ok(Some(mut cursor)), Ok(values)) => {
-            let got = cursor.fold_range(0, usize::MAX);
-            let mut want = (0u64, 0i128, None::<i64>, None::<i64>, 0i128);
-            for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
-                want.0 += 1;
-                want.1 += v as i128;
-                want.2 = Some(want.2.map_or(v, |m| m.min(v)));
-                want.3 = Some(want.3.map_or(v, |m| m.max(v)));
-                if sum_sq {
-                    // The cursor only opens for Σv² when it cannot overflow.
-                    want.4 += v as i128 * v as i128;
-                }
-            }
+        (Ok(got), Ok(values)) => {
+            // The cursor only opens for Σv² when it cannot overflow (or,
+            // for Gorilla, saturates value by value like this fold).
+            let want = fold(&values, (lo, hi), sum_sq);
             if (got.count, got.sum, got.min, got.max, got.sum_sq) == want {
                 Ok(())
             } else {
@@ -353,7 +418,7 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
                     };
                     let (a, b) = (pick(rng), pick(rng));
                     seeds.push(fold_input(
-                        (rng.next() as u8 & !3) | codec as u8,
+                        (rng.next() as u8 & !(3 | 32)) | fold_selector(codec),
                         (a.min(b), a.max(b)),
                         &enc.encode_i64(&values),
                     ));
@@ -666,10 +731,12 @@ fn content_hash(bytes: &[u8]) -> u64 {
 ///   count field spliced to `u64::MAX`, a hostile embedded-digest
 ///   centroid count, and a NaN centroid mean;
 /// - `decode_fold__*`: a 17-byte head (codec, flags, filter) plus column
-///   bytes for the walker over packed deltas — truncation, a count the
-///   payload cannot back, hostile Stream VByte controls, a valid
-///   TS2DIFF column whose deltas wrapped `i64` at encode time, and valid
-///   order-2, width-0, width-32 and partial-control-byte columns;
+///   bytes for the fold cursor — truncation, a count the payload cannot
+///   back, hostile Stream VByte controls, a valid TS2DIFF column whose
+///   deltas wrapped `i64` at encode time, valid order-2, width-0,
+///   width-32 and partial-control-byte columns, Delta-RLE pairs that run
+///   over and short of the declared count and a run stepping by
+///   `i64::MIN`, and a run of Gorilla escapes whole and cut mid-payload;
 /// - `proto__*`: network wire-frame hostility — a bad version byte, an
 ///   unknown frame type, a length prefix of `u32::MAX` (must be
 ///   rejected from the header, never buffered), a truncated header, a
@@ -893,6 +960,37 @@ pub fn emit_corpus(dir: &Path) -> std::io::Result<usize> {
                 band,
                 &Encoding::StreamVByte.encode_i64(&curve[..202]),
             ),
+        )?;
+
+        // Run space: pairs that cover more and fewer values than the
+        // header declares are the decoder's `Corrupt` / `BadCount` from
+        // the walker too; a valid column stepping by `i64::MIN` (deltas
+        // that wrapped) decodes, and run space refuses it as overflow.
+        let (rle, all) = (fold_selector(4), (i64::MIN, i64::MAX));
+        let stairs: Vec<i64> = (0..400i64).map(|i| 70 + i / 25 * 3).collect();
+        for (name, count) in [("run_overflow", 300u32), ("short_runs", 450)] {
+            let mut column = Encoding::DeltaRle.encode_i64(&stairs);
+            column[..4].copy_from_slice(&count.to_be_bytes());
+            emit(
+                format!("decode_fold__delta_rle_{name}"),
+                &fold_input(rle | 8 | 16, band, &column),
+            )?;
+        }
+        let flips: Vec<i64> = (0..200).map(|i| (i % 2) * i64::MIN).collect();
+        emit(
+            "decode_fold__delta_rle_extreme_delta".to_string(),
+            &fold_input(rle | 16, all, &Encoding::DeltaRle.encode_i64(&flips)),
+        )?;
+        // The bit window: a run of 68-bit escapes, which no window holds,
+        // whole and cut inside an escape's payload.
+        let gorilla = Encoding::Gorilla.encode_i64(&limits);
+        emit(
+            "decode_fold__gorilla_escape_run".to_string(),
+            &fold_input(fold_selector(5) | 8, all, &gorilla),
+        )?;
+        emit(
+            "decode_fold__gorilla_truncated_escape".to_string(),
+            &fold_input(fold_selector(5), all, &gorilla[..gorilla.len() - 5]),
         )?;
     }
 

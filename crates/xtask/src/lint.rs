@@ -40,6 +40,11 @@
 //!   module ([`WALKER_FILE`]) may call the kernels a walk over packed
 //!   32-bit deltas is made of ([`WALKER_KERNELS`]), so a second walker
 //!   beside it fails here instead of waiting for a design review.
+//! * `verify-once` — in the physical executor ([`VERIFY_ONCE_SCOPE`]) a
+//!   page's checksum is recomputed ([`VERIFY_ONCE_CALL`]) only inside
+//!   [`VERIFY_ONCE_HOME`]; every job-time check goes through
+//!   `Page::ensure_verified`, which hashes a resident page object once,
+//!   so one more re-hash per query fails here, not at a re-anchor.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
 //! line or in the comment block directly above suppresses that rule
@@ -70,14 +75,16 @@ pub const HOT_FILES: [&str; 6] = [
 /// every backend consumes byte streams handed up from untrusted pages,
 /// so its safe wrappers must reject bad shapes as errors upstream, not
 /// panic mid-kernel — and the same goes for the FastLanes and SIMD-boost
-/// comparator crates, whose decode entry points take page payloads.
+/// comparator crates, whose decode entry points take page payloads. The
+/// fold cursor's source modules sit beside their hot-file parent.
 /// The network service crate faces the most hostile input of all —
 /// arbitrary bytes from remote peers — so it is covered wholesale: a
 /// panic in a frame parser or connection handler is a remote DoS.
-pub const HOT_DIRS: [&str; 7] = [
+pub const HOT_DIRS: [&str; 8] = [
     "crates/encoding/src/",
     "crates/storage/src/",
     "crates/core/src/physical/",
+    "crates/core/src/decode_fold/",
     "crates/simd/src/",
     "crates/fastlanes/src/",
     "crates/sboost/src/",
@@ -131,8 +138,18 @@ pub const WALKER_KERNELS: [&str; 4] = [
     "layout_transpose",
 ];
 
+/// Files under this path are subject to the `verify-once` rule.
+pub const VERIFY_ONCE_SCOPE: &str = "crates/core/src/physical/";
+
+/// The call that hashes a page on every use.
+pub const VERIFY_ONCE_CALL: &str = ".verify()";
+
+/// The one place in scope that may make it: (file, function) — the deep
+/// plan check, which exists to recompute every pruned page's digest.
+pub const VERIFY_ONCE_HOME: (&str, &str) = ("crates/core/src/physical/verify.rs", "verify_deep");
+
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 11] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -143,6 +160,7 @@ pub const RULE_NAMES: [&str; 10] = [
     "lock-order",
     "no-sleep-poll",
     "one-walker",
+    "verify-once",
 ];
 
 /// One rule violation at a specific location.
@@ -818,6 +836,54 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
         }
     }
 
+    // Rule: verify-once (physical executor, non-test code, everywhere
+    // but the body of the home function, found by brace depth).
+    if rel_path.contains(VERIFY_ONCE_SCOPE) {
+        let (home_file, home_fn) = VERIFY_ONCE_HOME;
+        let mut depth = 0usize;
+        let mut entering = false; // saw `fn <home>`, its `{` still to come
+        let mut home: Option<usize> = None; // depth the home body opened at
+        for (i, line) in lines.iter().enumerate() {
+            let code = line.code.as_str();
+            if rel_path.ends_with(home_file) && code.contains("fn ") && has_token(code, home_fn) {
+                entering = true;
+            }
+            if !line.in_test
+                && !entering
+                && home.is_none()
+                && code.contains(VERIFY_ONCE_CALL)
+                && !allowed(i, "verify-once")
+            {
+                report.violations.push(Violation {
+                    file: rel_path.to_string(),
+                    line: i + 1,
+                    rule: "verify-once".into(),
+                    msg: format!(
+                        "`{VERIFY_ONCE_CALL}` re-hashes the page on every query; job-time \
+                         checks go through `ensure_verified` (only `{home_fn}` recomputes)"
+                    ),
+                });
+            }
+            for c in code.chars() {
+                match c {
+                    '{' => {
+                        if std::mem::take(&mut entering) {
+                            home = Some(depth);
+                        }
+                        depth += 1;
+                    }
+                    '}' => {
+                        depth = depth.saturating_sub(1);
+                        if home == Some(depth) {
+                            home = None;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
     // Rule: lock-order (static half of the lockdep runtime tracker).
     // Extracts lock-acquisition sites and enforces the declared
     // shard → series → nothing order: while a bound series guard is
@@ -1287,6 +1353,31 @@ pub fn f(v: &[i64]) -> i64 {
         assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
         let r = analyze_source("crates/core/src/physical/agg.rs", good);
         assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+    }
+
+    #[test]
+    fn verify_once_fires_in_the_executor_outside_the_deep_check() {
+        let bad = include_str!("../fixtures/verify_once_bad.rs.txt");
+        let good = include_str!("../fixtures/verify_once_good.rs.txt");
+        let r = analyze_source("crates/core/src/physical/agg.rs", bad);
+        assert_eq!(
+            rules_fired(&r),
+            ["verify-once", "verify-once"],
+            "one per job-time re-hash: {r:?}"
+        );
+        // The deep check's body is the call's home; the same file's other
+        // functions are not.
+        let (home, _) = VERIFY_ONCE_HOME;
+        let r = analyze_source(home, good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+        let r = analyze_source(home, bad);
+        assert_eq!(rules_fired(&r), ["verify-once", "verify-once"], "{r:?}");
+        // A function of that name elsewhere in scope is no licence ...
+        let r = analyze_source("crates/core/src/physical/scan.rs", good);
+        assert_eq!(rules_fired(&r), ["verify-once"], "{r:?}");
+        // ... and the storage crate, the oracle and the benches hash freely.
+        let r = analyze_source("crates/core/src/oracle.rs", bad);
+        assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
     }
 
     #[test]

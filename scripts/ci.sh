@@ -35,14 +35,16 @@ cargo run -q -p xtask -- lint
 echo "==> cargo run -p xtask -- verify-plans"
 cargo run -q -p xtask -- verify-plans
 
-# Deterministic decoder fuzzing (crates/xtask), 17 targets: mutated
-# codec streams, page images, tsfile images, partial-state wire images
-# and network wire frames (the `proto` target) must never panic a
+# Deterministic decoder fuzzing (crates/xtask), 17 targets: the nine
+# integer and three float codecs, `page`, `tsfile`, `partial`, `proto`
+# and `decode_fold`. Mutated codec streams, page images, tsfile images,
+# partial-state wire images and network wire frames must never panic a
 # decoder or break round-trip consistency, and mutated TS2DIFF / Sprintz
-# / Stream VByte columns must take `decode_column` (the walker's write
-# sink) and the fold cursor to the values and the state of the codec
-# crate's serial decoder (the `decode_fold` target) — the same typed
-# error is the only acceptable failure.
+# / Stream VByte / Delta-RLE / Gorilla columns must take `decode_column`
+# (the walker's write sink, or the serial fallback), the fold cursor
+# and, for Delta-RLE, the ungated run-space walk to the values and the
+# state of the codec crate's serial decoder (the `decode_fold` target) —
+# the same typed error is the only acceptable failure.
 # Runs in debug mode on purpose: overflow/shift panics are live there.
 # Scale with ETSQP_FUZZ_ITERS (default 20000, the gating profile).
 echo "==> cargo run -p xtask -- fuzz --iters ${ETSQP_FUZZ_ITERS:-20000} --seed 5"

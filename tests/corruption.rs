@@ -17,8 +17,9 @@
 //! wire image with its embedded t-digest), `proto` (a network
 //! wire-frame byte stream fed to `etsqp_serve::proto::FrameDecoder`), or
 //! `decode_fold` (a 17-byte head — codec, flags, filter — and the column
-//! bytes that `decode_column` and the fold cursor are held against the
-//! codec crate's serial decoder on).
+//! bytes that `decode_column`, the fold cursor and, for Delta-RLE, the
+//! ungated run-space walk are held against the codec crate's serial
+//! decoder on).
 //! Regenerate with `cargo run -p xtask -- fuzz --emit-corpus`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,6 +27,7 @@ use std::path::{Path, PathBuf};
 
 use etsqp::core::decode::{decode_column, DecodeOptions};
 use etsqp::core::decode_fold::FoldCursor;
+use etsqp::core::fused::aggregate_delta_rle;
 use etsqp::core::partial::PartialState;
 use etsqp::encoding::Encoding;
 use etsqp::serve::proto::{self, FrameDecoder, FrameType, DEFAULT_MAX_FRAME_LEN};
@@ -132,7 +134,8 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                 // 17-byte head (codec, flags, inclusive filter), then a
                 // column that `decode_column`, the cursor and the codec
                 // crate's serial decoder must take to the same values,
-                // the same state or the same typed error.
+                // the same state or the same typed error — and, for
+                // Delta-RLE, the ungated run-space walk as well.
                 let Some((head, column)) = bytes.split_at_checked(17) else {
                     return Ok(());
                 };
@@ -141,7 +144,9 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                     Encoding::Sprintz,
                     Encoding::StreamVByte,
                     Encoding::Ts2DiffOrder2,
-                ][(head[0] & 3) as usize];
+                    Encoding::DeltaRle,
+                    Encoding::Gorilla,
+                ][((head[0] & 3) | (head[0] >> 3 & 4)) as usize % 6];
                 let (prune, sum_sq, ranged) =
                     (head[0] & 4 != 0, head[0] & 8 != 0, head[0] & 16 != 0);
                 let be = |b: &[u8]| b.iter().fold(0i64, |acc, &x| (acc << 8) | x as i64);
@@ -162,23 +167,65 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                 if decoded != reference {
                     return Err("decode_column and the reference decoder disagree".into());
                 }
+                let fold = |values: &[i64], (lo, hi): (i64, i64)| {
+                    let mut want = AggState::new();
+                    for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
+                        want.push(v);
+                    }
+                    want
+                };
+                let same = |got: &AggState, want: &AggState, sq: bool| {
+                    (got.count, got.sum, got.min, got.max)
+                        == (want.count, want.sum, want.min, want.max)
+                        && (!sq || got.sum_sq == want.sum_sq)
+                };
+                if enc == Encoding::DeltaRle {
+                    let whole = etsqp::encoding::delta_rle::parse(column)
+                        .map_err(etsqp::core::Error::from)
+                        .and_then(|page| aggregate_delta_rle(&page))
+                        .map_err(|e| e.to_string());
+                    let overflow = etsqp::core::Error::Overflow.to_string();
+                    match (&whole, &reference) {
+                        // Deltas that wrapped at encode time: decodable,
+                        // and refused by run space as overflow — before
+                        // whatever else the decoder then objects to.
+                        (Err(a), Err(b)) if a == b || *a == overflow => {}
+                        (Ok(got), Ok(values)) => {
+                            let want = fold(values, (i64::MIN, i64::MAX));
+                            let exact_sq = values.iter().all(|v| v.unsigned_abs() < 1 << 47);
+                            if !same(got, &want, exact_sq)
+                                || (got.first, got.last) != (want.first, want.last)
+                            {
+                                return Err(format!("run space {got:?} != {want:?}"));
+                            }
+                        }
+                        (Err(a), Ok(values))
+                            if *a == overflow
+                                && values
+                                    .iter()
+                                    .max()
+                                    .zip(values.iter().min())
+                                    .is_some_and(|(mx, mn)| mx.checked_sub(*mn).is_none()) => {}
+                        _ => return Err("run space and the decoder disagree".into()),
+                    }
+                }
                 let cursor = FoldCursor::open(enc, column, range, Some((lo, hi)), prune, sum_sq)
                     .map_err(|e| e.to_string());
-                match (cursor, reference) {
+                let folded = match cursor {
+                    Ok(None) => return Ok(()),
+                    Ok(Some(mut cursor)) => {
+                        cursor.fold_range(0, usize::MAX).map_err(|e| e.to_string())
+                    }
+                    Err(e) => Err(e),
+                };
+                match (folded, reference) {
                     (Err(a), Err(b)) if a == b => Ok(()),
                     (Err(a), _) => Err(format!("cursor refused ({a}), the decoder did not")),
-                    (Ok(None), _) => Ok(()),
-                    (Ok(Some(_)), Err(b)) => Err(format!("cursor opened, decoder refused ({b})")),
-                    (Ok(Some(mut cursor)), Ok(values)) => {
-                        let got = cursor.fold_range(0, usize::MAX);
-                        let mut want = AggState::new();
-                        for &v in values.iter().filter(|&&v| lo <= v && v <= hi) {
-                            want.push(v);
-                        }
-                        let same = (got.count, got.sum, got.min, got.max)
-                            == (want.count, want.sum, want.min, want.max)
-                            && (!sum_sq || got.sum_sq == want.sum_sq);
-                        same.then_some(())
+                    (Ok(_), Err(b)) => Err(format!("cursor folded, decoder refused ({b})")),
+                    (Ok(got), Ok(values)) => {
+                        let want = fold(&values, (lo, hi));
+                        same(&got, &want, sum_sq)
+                            .then_some(())
                             .ok_or_else(|| format!("cursor {got:?} != decode-then-fold {want:?}"))
                     }
                 }

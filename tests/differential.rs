@@ -1318,3 +1318,286 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
         }
     }
 }
+
+/// Block N: run space and XOR space. The two codecs the cursor reads
+/// without a packed-delta kernel — Delta-RLE as `(Δ, run)` progressions,
+/// Gorilla a stack block at a time off the bit window — × every
+/// order-insensitive aggregate × the value filters of block L × windows
+/// that are absent, page-aligned and half a page early × a time filter
+/// that cuts the first and last page × both clocks × `threads ∈ {1, 2,
+/// 8}`: rows equal the byte-serial rows and the oracle's, and no value
+/// column is materialized — `materialized_bytes` is 0 on the constant
+/// clock, on the jittered one exactly the cut pages' timestamps.
+#[test]
+fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
+    // Stairs of every slope with steps of one point among them, so runs
+    // of length 1 sit beside long ones and every filter straddles some.
+    let vals: Vec<i64> = (0..ROWS as i64)
+        .map(|i| (i / 9) * 7 % 60 - 20 + (i % 13 == 0) as i64 * 35 + i / 50)
+        .collect();
+    let clocks: [(&str, Vec<i64>); 2] = [
+        (
+            "constant",
+            (0..ROWS as i64).map(|i| 1_000 + i * 10).collect(),
+        ),
+        (
+            "jittered",
+            (0..ROWS as i64).map(|i| 1_000 + i * 10 + i % 3).collect(),
+        ),
+    ];
+    let page_span = PAGE_POINTS as i64 * 10;
+    let windows = [
+        None,
+        Some((1_000, page_span)),
+        Some((1_000 - page_span / 2, page_span)),
+    ];
+    let cut = Predicate::time(1_000 + page_span / 3, 1_000 + 3 * page_span + page_span / 2);
+    let value_filters = [
+        None,
+        Some((21, i64::MAX)),
+        Some((i64::MIN, 20)),
+        Some((0, 50)),
+        Some((1_000, 2_000)),
+        Some((-1_000, 1_000)),
+        Some((i64::MIN, -5_000_000_000)),
+        Some((-5_000_000_000, i64::MAX)),
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+    ];
+    let serial = PipelineConfig {
+        vectorized: false,
+        threads: 4,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let mut cases = 0usize;
+    for codec in [Encoding::DeltaRle, Encoding::Gorilla] {
+        let mut cursor_pages = 0u64;
+        for (clock, ts) in &clocks {
+            let store = store_of(PAGE_POINTS, "s", codec, ts, &vals);
+            for func in funcs {
+                for value in value_filters {
+                    for window in windows {
+                        for time in [None, cut.time] {
+                            let scan = Plan::scan("s").filter(Predicate { time, value });
+                            let plan = match window {
+                                Some((t_min, dt)) => scan.window(t_min, dt, func),
+                                None => scan.aggregate(func),
+                            };
+                            let label = format!(
+                                "FOLD {codec:?} {clock} {func:?} value={value:?} \
+                                 window={window:?} time={time:?}"
+                            );
+                            let want = execute(&plan, &store, &serial).unwrap();
+                            for threads in [1usize, 2, 8] {
+                                // Default planning, and every page forced
+                                // through DecodeScan with header pruning off.
+                                let planned = PipelineConfig {
+                                    vectorized: true,
+                                    threads,
+                                    ..serial
+                                };
+                                let all_decode = PipelineConfig {
+                                    prune: false,
+                                    fuse: FuseLevel::None,
+                                    ..planned
+                                };
+                                for cfg in [&planned, &all_decode] {
+                                    let got = execute(&plan, &store, cfg).unwrap();
+                                    assert!(
+                                        got.columns == want.columns
+                                            && rows_eq(&got.rows, &want.rows),
+                                        "{label} cfg=[{}]: vectorized {:?} != serial {:?}",
+                                        cfg_label(cfg),
+                                        preview(&got.rows),
+                                        preview(&want.rows),
+                                    );
+                                    assert_oracle(&plan, &store, cfg, &label);
+                                    // As in block L: timestamps only where
+                                    // an index cannot be solved from the
+                                    // header, values never.
+                                    let cut_pages = 2 * PAGE_POINTS as u64 * 8;
+                                    let ts_bytes = match (*clock, window, time) {
+                                        ("constant", ..) | (_, None, None) => Some(0..=0),
+                                        (_, None, Some(_)) if !cfg.prune => {
+                                            Some(cut_pages..=cut_pages)
+                                        }
+                                        (_, None, Some(_)) => Some(0..=cut_pages),
+                                        _ => None,
+                                    };
+                                    if let Some(ts_bytes) = ts_bytes {
+                                        assert!(
+                                            ts_bytes.contains(&got.stats.materialized_bytes),
+                                            "{label} cfg=[{}]: {} bytes materialized, a value \
+                                             column among them",
+                                            cfg_label(cfg),
+                                            got.stats.materialized_bytes,
+                                        );
+                                    }
+                                    if all_kept_pages_decode(&plan, &store, cfg) {
+                                        cursor_pages += got.stats.pages_loaded;
+                                    }
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            cursor_pages > 1_000,
+            "{codec:?}: only {cursor_pages} pages went through the cursor"
+        );
+    }
+    eprintln!("differential run/xor-space matrix: {cases} cases, no value materialized");
+}
+
+/// Block O: a page is hashed once, and corruption still aborts. Two
+/// queries warm every page through the kept, the pruned and the
+/// cache-hit path, so that all of them carry the verified mark; then
+/// each page in turn is replaced by a corrupted copy
+/// (`SeriesStore::corrupt_page` clones, and a clone is unmarked) and
+/// every query, under every canonical config, must abort — a mark on the
+/// old object, or on its neighbours, vouches for nothing.
+#[test]
+fn verified_once_still_aborts_on_corruption() {
+    use etsqp::storage::page::Page;
+    use etsqp::storage::Bytes;
+
+    type Mutation = (&'static str, fn(&mut Page));
+    let mutations: [Mutation; 3] = [
+        ("payload_flip", |p| {
+            let mut v = p.val_bytes.to_vec();
+            let mid = v.len() / 2;
+            v[mid] ^= 0x10;
+            p.val_bytes = Bytes::from(v);
+        }),
+        ("minmax_lie", |p| {
+            p.header.min_value = i64::MAX - 1;
+            p.header.max_value = i64::MAX;
+        }),
+        ("count_lie", |p| p.header.count += 1),
+    ];
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
+    // Page p sits at level 100·p: a band over one level prunes the rest.
+    let vals: Vec<i64> = (0..ROWS as i64)
+        .map(|i| 100 * (i / PAGE_POINTS as i64) + i % 7)
+        .collect();
+    let whole = Plan::scan("s").aggregate(AggFunc::Sum);
+    let band = Plan::scan("s")
+        .filter(Predicate::value(100, 199))
+        .aggregate(AggFunc::Max);
+    let warm = PipelineConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    let pages = ROWS / PAGE_POINTS;
+    let mut cases = 0usize;
+    for codec in [Encoding::Ts2Diff, Encoding::DeltaRle, Encoding::Gorilla] {
+        for page in 0..pages {
+            for (mname, mutate) in mutations {
+                let store = store_of(PAGE_POINTS, "s", codec, &ts, &vals);
+                // Kept and cached, then cache hits, then three pages pruned.
+                for plan in [&whole, &whole, &band] {
+                    assert_oracle(plan, &store, &warm, "warm-up");
+                }
+                let marked = |store: &SeriesStore| -> Vec<bool> {
+                    let pages = store.peek_pages("s").unwrap();
+                    pages.iter().map(|p| p.is_verified()).collect()
+                };
+                assert_eq!(
+                    marked(&store),
+                    vec![true; pages],
+                    "{codec:?}: warm-up marks all"
+                );
+                store.corrupt_page("s", page, mutate).unwrap();
+                let mut expect = vec![true; pages];
+                expect[page] = false;
+                assert_eq!(marked(&store), expect, "{codec:?}: the copy is unmarked");
+                for cfg in canonical_configs() {
+                    for (qname, plan) in [("whole", &whole), ("band", &band)] {
+                        let got = execute(plan, &store, &cfg);
+                        assert!(
+                            got.is_err(),
+                            "FAULT {codec:?} page={page} mutation={mname} cfg=[{}] query={qname}: \
+                             corrupted page produced Ok({:?})",
+                            cfg_label(&cfg),
+                            got.as_ref().map(|r| preview(&r.rows)),
+                        );
+                        cases += 1;
+                    }
+                }
+                assert_eq!(
+                    marked(&store),
+                    expect,
+                    "{codec:?}: a failed check marks nothing"
+                );
+            }
+        }
+    }
+    assert!(cases >= 250, "fault sweep too small: {cases} cases");
+    eprintln!("differential verified-once fault sweep: {cases} cases, all aborted");
+}
+
+/// Block P: what the run-space gate rejects keeps decode-then-fold and
+/// agrees with the oracle — a spread beyond `i64` (deltas that wrapped
+/// at encode time) under every aggregate, and values of 2⁴⁷ and up under
+/// VARIANCE alone, whose `Σv²` the closed form could not hold exactly.
+#[test]
+fn delta_rle_gate_rejections_materialize_and_agree_with_oracle() {
+    let n = PAGE_POINTS as i64;
+    let ts: Vec<i64> = (0..2 * n).map(|i| i * 10).collect();
+    let cfg = PipelineConfig {
+        threads: 4,
+        partial_cache: false,
+        ..Default::default()
+    };
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+    ];
+    let limits: Vec<i64> = (0..2 * n)
+        .map(|i| {
+            if i / 8 % 2 == 0 {
+                i64::MIN + 7
+            } else {
+                i64::MAX - 7
+            }
+        })
+        .collect();
+    let tall: Vec<i64> = (0..2 * n).map(|i| (1 << 47) + (i / 8) * 3).collect();
+    for (what, vals, folds) in [
+        ("spread>i64", &limits, &[][..]),
+        ("|v|>=2^47", &tall, &funcs[..4]),
+    ] {
+        let store = store_of(PAGE_POINTS, "s", Encoding::DeltaRle, &ts, vals);
+        let mid = vals[vals.len() / 2];
+        for func in funcs {
+            for value in [(i64::MIN, mid), (mid.saturating_add(1), i64::MAX), (0, 0)] {
+                let plan = Plan::scan("s")
+                    .filter(Predicate::value(value.0, value.1))
+                    .aggregate(func);
+                let label = format!("GATE {what} DeltaRle {func:?} value={value:?}");
+                assert_oracle(&plan, &store, &cfg, &label);
+                let got = execute(&plan, &store, &cfg).unwrap();
+                let decoded = got.stats.pages_loaded * PAGE_POINTS as u64 * 8;
+                let want = if folds.contains(&func) { 0 } else { decoded };
+                assert_eq!(
+                    got.stats.materialized_bytes, want,
+                    "{label}: {:?}",
+                    got.stats
+                );
+            }
+        }
+    }
+}
