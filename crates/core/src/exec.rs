@@ -47,10 +47,10 @@ pub struct ExecStats {
     pub local_pops: AtomicU64,
     /// Morsels stolen from the shared queue or a sibling runner's deque.
     pub steals: AtomicU64,
-    /// Whole-page partials served from the global partial cache.
+    /// Whole-page partials served from a page memo or the digest cache.
     pub cache_hits: AtomicU64,
     /// Cache-eligible pages whose partial had to be computed (and was
-    /// then inserted).
+    /// then memoized or inserted).
     pub cache_misses: AtomicU64,
 }
 

@@ -7,9 +7,13 @@
 //!
 //! * **page-level pruning** — float min/max live in page headers through
 //!   the order-preserving `f64 → i64` mapping, so time ranges *and* float
-//!   value ranges skip pages without decoding;
+//!   value ranges skip pages without decoding (each skipped page
+//!   checksum-verified once, as on the integer path: the header it was
+//!   judged by must be the one that was sealed);
 //! * **core-level parallelism** — pages decode as independent jobs on the
 //!   scheduler; partials combine in a merge fold.
+
+use std::sync::atomic::Ordering;
 
 use etsqp_encoding::f64_to_ordered_i64;
 #[cfg(test)]
@@ -21,6 +25,7 @@ use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, TimeRange};
 use crate::physical::node::Stage;
+use crate::physical::scan::{charge_page_io, charge_pruned_page, verify_pruned};
 use crate::plan::PipelineConfig;
 use crate::{Error, Result};
 
@@ -171,40 +176,21 @@ pub fn aggregate_f64_ctl(
         None => None,
     };
     let mapped = vrange.map(|r| (f64_to_ordered_i64(r.lo), f64_to_ordered_i64(r.hi)));
-    let mut kept = Vec::with_capacity(pages.len());
-    for page in pages {
-        let keep = !cfg.prune
+    let (kept, pruned): (Vec<_>, Vec<_>) = pages.into_iter().partition(|page| {
+        !cfg.prune
             || (trange.is_none_or(|t| page.header.overlaps_time(t.lo, t.hi))
-                && mapped.is_none_or(|(lo, hi)| page.header.overlaps_value(lo, hi)));
-        if keep {
-            kept.push(page);
-        } else {
-            stats
-                .pages_pruned
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            stats.tuples_pruned.fetch_add(
-                page.header.count as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
+                && mapped.is_none_or(|(lo, hi)| page.header.overlaps_value(lo, hi)))
+    });
+    for page in &pruned {
+        verify_pruned(page)?;
+        charge_pruned_page(page, &stats);
     }
     let outputs = run_jobs(kept, cfg.threads, &stats, ctl, |page| -> Result<FloatAgg> {
-        {
-            let _io = Stage::Io.timer(&stats);
-            store.io().record_page(page.encoded_len());
-            stats
-                .pages_loaded
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            stats.tuples_scanned.fetch_add(
-                page.header.count as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
-        let decoded = {
+        charge_page_io(&page, &stats, store);
+        let (ts, vals) = {
             let _delta = Stage::Delta.timer(&stats);
             page.decode_f64().map_err(Error::Storage)?
         };
-        let (ts, vals) = decoded;
         let _agg = Stage::Agg.timer(&stats);
         let (a, b) = index_range(trange, &ts);
         let mut agg = FloatAgg::default();
@@ -220,7 +206,7 @@ pub fn aggregate_f64_ctl(
     if let Some(h) = &hot {
         stats
             .tuples_scanned
-            .fetch_add(h.ts.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(h.ts.len() as u64, Ordering::Relaxed);
         let _agg = Stage::Agg.timer(&stats);
         let (a, b) = index_range(trange, &h.ts);
         total.push_in_range(&h.vals[a..b], vrange);
@@ -258,11 +244,9 @@ pub fn scan_f64_ctl(
         Some(HotSnapshot::Float(h)) => Some(h),
         _ => None,
     };
-    let kept: Vec<_> = snap
-        .pages
-        .into_iter()
-        .filter(|p| !cfg.prune || trange.is_none_or(|t| p.header.overlaps_time(t.lo, t.hi)))
-        .collect();
+    let (kept, pruned): (Vec<_>, Vec<_>) = (snap.pages.into_iter())
+        .partition(|p| !cfg.prune || trange.is_none_or(|t| p.header.overlaps_time(t.lo, t.hi)));
+    pruned.iter().try_for_each(|page| verify_pruned(page))?;
     let outputs = run_jobs(
         kept,
         cfg.threads,

@@ -1,7 +1,9 @@
 //! Partializable aggregate states: the mergeable per-page/per-bucket
 //! partials behind `GROUP BY time(..)`, `rate()`/`delta()` and the
-//! sketch-based `p50/p95/p99` quantiles, plus the process-global
-//! partial cache keyed by page checksums.
+//! sketch-based `p50/p95/p99` quantiles, plus the process-global cache
+//! of whole-page quantile digests keyed by page checksums. (Exact
+//! whole-page moments are not cached here: they are memoized on the
+//! resident page itself, `Page::moments`.)
 //!
 //! The paper's §IV closed-form polynomials already compute page-local
 //! moments without decoding — exactly a partial aggregate. This module
@@ -34,7 +36,7 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
 use etsqp_simd::agg::AggState;
-use etsqp_storage::page::Page;
+use etsqp_storage::page::{forget_all_moments, memoized_pages, Page, PageHeader};
 
 use crate::expr::AggFunc;
 use crate::{Error, Result};
@@ -558,27 +560,20 @@ impl From<AggState> for PartialState {
     }
 }
 
-/// Content-addressed key of one cached whole-page partial: the page's
-/// FNV checksum plus every exact header statistic and the aggregate
-/// function. Two pages colliding on the full key while differing in
-/// content would need an FNV-32 collision *and* identical header
-/// statistics; the hit path still requires the page checksum verified before
-/// trusting the entry (the cache-obligation invariant), so a stale or
-/// colliding entry can never silently stand in for corrupted bytes.
+/// Content-addressed key of one cached whole-page digest partial: the
+/// page's FNV checksum plus its whole header (every exact statistic and
+/// both codec tags) and the quantile function. Two pages colliding on the
+/// full key while differing in content would need an FNV-32 collision
+/// *and* identical header statistics; the hit path still requires the
+/// page checksum verified before trusting the entry (the cache-obligation
+/// invariant), so a stale or colliding entry can never silently stand in
+/// for corrupted bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Page FNV checksum ([`Page::checksum`]).
     pub checksum: u32,
-    /// Header tuple count.
-    pub count: u32,
-    /// Header first timestamp.
-    pub first_ts: i64,
-    /// Header last timestamp.
-    pub last_ts: i64,
-    /// Header minimum value.
-    pub min_value: i64,
-    /// Header maximum value.
-    pub max_value: i64,
+    /// The page header.
+    pub header: PageHeader,
     /// The aggregate the partial was computed for.
     pub func: AggFunc,
 }
@@ -588,11 +583,7 @@ impl CacheKey {
     pub fn for_page(page: &Page, func: AggFunc) -> CacheKey {
         CacheKey {
             checksum: page.checksum,
-            count: page.header.count,
-            first_ts: page.header.first_ts,
-            last_ts: page.header.last_ts,
-            min_value: page.header.min_value,
-            max_value: page.header.max_value,
+            header: page.header,
             func,
         }
     }
@@ -609,15 +600,19 @@ struct CacheInner {
 /// Maximum cached entries (FIFO-evicted beyond this).
 const CACHE_MAX_ENTRIES: usize = 8192;
 
-/// Approximate byte budget for cached states (digests dominate).
+/// Approximate byte budget for cached states.
 const CACHE_MAX_BYTES: usize = 8 << 20;
 
-/// The process-global cache of whole-page partial aggregate states,
-/// keyed by [`CacheKey`] (content-addressed — safe to share across
-/// stores and queries). Bounded by entry count and approximate bytes
-/// with FIFO eviction; `EXPLAIN` renders the static `[cacheable]`
-/// eligibility and [`crate::exec::ExecStats`] counts the live
-/// hits/misses (EXPLAIN text must stay a pure function of the plan).
+/// The process-global cache of whole-page quantile partials (a digest
+/// beside the moments), keyed by [`CacheKey`] (content-addressed — safe
+/// to share across stores and queries). Bounded by entry count and
+/// approximate bytes with FIFO eviction; `EXPLAIN` renders the static
+/// `[cacheable]` eligibility and [`crate::exec::ExecStats`] counts the
+/// live hits/misses (EXPLAIN text must stay a pure function of the plan).
+///
+/// It is also the handle on the page memos the exact aggregates are
+/// served from: [`PartialCache::clear`] forgets them and
+/// [`PartialCache::len`] counts them.
 #[derive(Debug, Default)]
 pub struct PartialCache {
     inner: Mutex<CacheInner>,
@@ -642,13 +637,11 @@ impl PartialCache {
         self.lock().map.get(key).cloned()
     }
 
-    /// Inserts a whole-page partial, evicting FIFO past the bounds.
-    /// The digest (if any) is compressed first so cached entries hold
-    /// their minimal form.
-    pub fn insert(&self, key: CacheKey, mut state: PartialState) {
-        if let Some(d) = &mut state.digest {
-            d.compress();
-        }
+    /// Inserts a whole-page partial, evicting FIFO past the bounds. The
+    /// state is stored as given: a hit must answer exactly what the miss
+    /// that filled it answered, so the caller hands in the page's partial
+    /// in the form its query merged (digest compressed once, by the job).
+    pub fn insert(&self, key: CacheKey, state: PartialState) {
         let bytes = state.approx_bytes();
         let mut inner = self.lock();
         if inner.map.insert(key, state).is_none() {
@@ -665,18 +658,20 @@ impl PartialCache {
         }
     }
 
-    /// Current entry count.
+    /// Live page memos plus cached digest entries.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        memoized_pages() + self.lock().map.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether no page memo and no digest entry is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every entry (benchmark cold-start; tests).
+    /// Forgets every page memo and drops every digest entry (benchmark
+    /// cold-start; tests).
     pub fn clear(&self) {
+        forget_all_moments();
         let mut inner = self.lock();
         inner.map.clear();
         inner.order.clear();
@@ -687,6 +682,7 @@ impl PartialCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etsqp_encoding::Encoding;
 
     fn digest_of(vals: &[i64]) -> TDigest {
         let mut d = TDigest::new();
@@ -760,21 +756,16 @@ mod tests {
     #[test]
     fn cache_bounds_and_clear() {
         let cache = PartialCache::default();
-        let mut key = CacheKey {
-            checksum: 0,
-            count: 1,
-            first_ts: 0,
-            last_ts: 0,
-            min_value: 0,
-            max_value: 0,
-            func: AggFunc::Sum,
-        };
+        let page = Page::encode(&[0], &[0], Encoding::Plain, Encoding::Plain).unwrap();
+        let mut key = CacheKey::for_page(&page, AggFunc::P95);
         for i in 0..(CACHE_MAX_ENTRIES + 10) as u32 {
             key.checksum = i;
             cache.insert(key, PartialState::default());
         }
-        assert!(cache.len() <= CACHE_MAX_ENTRIES);
+        // The digest entries alone: `len` also counts the process's memos.
+        let entries = |cache: &PartialCache| cache.lock().map.len();
+        assert_eq!(entries(&cache), CACHE_MAX_ENTRIES);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(entries(&cache), 0);
     }
 }

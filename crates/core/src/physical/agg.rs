@@ -15,19 +15,28 @@
 //! whole page inside one bucket, and for every other label the one walk
 //! over the page — the cursor where its gate admits the column, decode
 //! then fold where it does not.
+//!
+//! A page the planner marks `[cacheable]` (whole page, one bucket, no
+//! value filter) remembers what such a fold computed: the groups of
+//! whole-page moments an exact aggregate rests on are memoized on the
+//! resident page ([`Page::memoize`]), and the driver serves later queries
+//! from header plus memo ([`memoized`]) on its own thread, without a job.
+//! A quantile's digest is not memoized; its whole-page partial goes
+//! through the process-global digest cache ([`digest_partial`], the one
+//! user of [`PartialCache::global`]).
 
-use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
 use etsqp_encoding::{delta_rle, ts2diff, Encoding};
 use etsqp_simd::agg::AggState;
-use etsqp_storage::page::Page;
+use etsqp_storage::page::{Page, PageMoments};
 use etsqp_storage::store::SeriesStore;
 
 use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::fused::{aggregate_delta_rle, FuseLevel};
-use crate::partial::{CacheKey, PartialCache, PartialState};
+use crate::partial::{CacheKey, PartialCache, PartialState, TDigest};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
 use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
@@ -35,8 +44,38 @@ use crate::plan::PipelineConfig;
 use crate::slice::slice_range;
 use crate::{Error, Result};
 
-/// Partial aggregate states keyed by window index (0 when unwindowed).
+/// Partial aggregate states keyed by window index (0 when unwindowed),
+/// ascending.
 pub(crate) type WindowStates = Vec<(usize, PartialState)>;
+
+/// The state of bucket `k` in `windows`, created by `init` if absent.
+/// Time-ordered input mostly extends the last bucket, so that is looked
+/// at first; any other is found, or inserted, by binary search, so
+/// `windows` stays sorted whatever order arrives.
+pub(crate) fn bucket_mut(
+    windows: &mut WindowStates,
+    k: usize,
+    init: impl FnOnce() -> PartialState,
+) -> &mut PartialState {
+    let at = match windows.last().map(|w| w.0) {
+        Some(last) if last == k => windows.len() - 1,
+        _ => windows
+            .binary_search_by_key(&k, |w| w.0)
+            .unwrap_or_else(|at| {
+                windows.insert(at, (k, init()));
+                at
+            }),
+    };
+    &mut windows[at].1
+}
+
+/// Merges each of `states` into its bucket of `windows`, after what that
+/// holds: [`PartialState::merge`]'s time order.
+pub(crate) fn merge_states(windows: &mut WindowStates, states: &[(usize, PartialState)]) {
+    for (k, state) in states {
+        bucket_mut(windows, *k, PartialState::default).merge(state);
+    }
+}
 
 /// True when the page's value spread `max − min` is representable in
 /// `i64`, which guarantees every pairwise difference — in particular
@@ -90,11 +129,8 @@ pub(crate) fn fold_tuples(
     pred: &Predicate,
     window: Option<SlidingWindow>,
     func: AggFunc,
-    windows: &mut BTreeMap<usize, PartialState>,
+    windows: &mut WindowStates,
 ) {
-    // Ascending time means ascending buckets: look the state up once per
-    // bucket, not once per tuple.
-    let mut cur: Option<(usize, &mut PartialState)> = None;
     for (&t, &v) in ts.iter().zip(vals) {
         if pred.time.is_some_and(|tr| !tr.contains(t))
             || pred.value.is_some_and(|(lo, hi)| v < lo || v > hi)
@@ -108,12 +144,7 @@ pub(crate) fn fold_tuples(
             },
             None => 0,
         };
-        let state = match cur.take() {
-            Some((ck, state)) if ck == k => state,
-            _ => windows.entry(k).or_insert_with(|| PartialState::new(func)),
-        };
-        state.push_tv(t, v);
-        cur = Some((k, state));
+        bucket_mut(windows, k, || PartialState::new(func)).push_tv(t, v);
     }
 }
 
@@ -239,16 +270,69 @@ pub(crate) fn slice_coeff_job(
     Ok(coeff)
 }
 
+/// The memo groups `[Σ, Σ², ends]` a whole-page answer for `func` rests
+/// on beyond the exact header: what every path that answers `func`
+/// computes, so what its fold memoizes and what serving it needs. COUNT
+/// shares SUM's group; `None` for a quantile, whose digest no page
+/// memoizes.
+fn memo_groups(func: AggFunc) -> Option<[bool; 3]> {
+    Some(match func {
+        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => [true, false, false],
+        AggFunc::Variance => [true, true, false],
+        AggFunc::First | AggFunc::Last | AggFunc::Rate | AggFunc::Delta => [false, false, true],
+        AggFunc::Min | AggFunc::Max => [false; 3],
+        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => return None,
+    })
+}
+
+/// A `[cacheable]` page's whole-page partial for `func` and the bucket it
+/// lands in, from the exact header (count, min, max, timestamp bounds)
+/// and the page's memo — or `None` when the memo lacks a group `func`
+/// rests on. A hit needs some whole-page fold of this very object since
+/// the last `PartialCache::clear` (MIN and MAX, which rest on the header
+/// alone, included), and `Page::moments` answers only after the object's
+/// checksum was verified. Groups `func` does not read ride along.
+pub(crate) fn memoized(
+    page: &Page,
+    func: AggFunc,
+    window: Option<SlidingWindow>,
+) -> Option<(usize, PartialState)> {
+    let [sum, sum_sq, ends] = memo_groups(func)?;
+    let m = page.moments();
+    let lacks = (sum && m.sum.is_none()) || (sum_sq && m.sum_sq.is_none());
+    if lacks || (ends && m.ends.is_none()) || m == PageMoments::default() {
+        return None;
+    }
+    let h = &page.header;
+    let agg = AggState {
+        sum: m.sum.unwrap_or(0),
+        sum_sq: m.sum_sq.unwrap_or(0),
+        count: u64::from(h.count),
+        min: Some(h.min_value),
+        max: Some(h.max_value),
+        first: m.ends.map(|e| e.0),
+        last: m.ends.map(|e| e.1),
+    };
+    let state = PartialState {
+        agg,
+        first_ts: Some(h.first_ts),
+        last_ts: Some(h.last_ts),
+        digest: None,
+    };
+    Some((whole_page_bucket(page, window)?, state))
+}
+
 /// The per-page aggregation pipeline, executing the planner's
 /// [`Strategy`]. Returns partial states keyed by window index (0 when
 /// unwindowed).
 ///
 /// `cacheable` is the planner's [`crate::physical::node::PageDecision::cacheable`]
-/// verdict: the page's whole-range partial is content-addressed in the
-/// global [`PartialCache`]. The hit path still charges I/O and
-/// requires the page's checksum verified first (the cache-obligation
-/// invariant, hashed once per resident page object), so a cached entry
-/// can never stand in for corrupted bytes.
+/// verdict: the whole page qualifies and lands in one bucket. Such a
+/// page's fold memoizes what it computed on the page, for [`memoized`]
+/// to serve; a quantile's partial goes through [`digest_partial`]. Both
+/// come after the page's checksum is verified (the cache-obligation
+/// invariant, hashed once per resident page object), so neither a memo
+/// nor a cached digest can stand in for corrupted bytes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_page_job(
     page: &Page,
@@ -267,49 +351,65 @@ pub(crate) fn agg_page_job(
     // forms would otherwise turn corruption into a silently wrong
     // aggregate rather than an error. The first job to touch this page
     // object hashes it; after that the check is its verified mark. It
-    // also discharges the cache hit path: the cache key embeds this
-    // checksum.
+    // also discharges the digest cache's hit path (the key embeds this
+    // checksum) and lets the page take a memo.
     page.ensure_verified().map_err(Error::Storage)?;
 
+    let fold = || -> Result<WindowStates> {
+        let mut out = agg_page_states(page, pred, window, func, strategy, cfg, stats)?;
+        // A digest leaves its page compressed, once, on every path: what
+        // the digest cache holds is then what a miss merged, and rows do
+        // not depend on whether it was on.
+        let digests = out.iter_mut().filter_map(|(_, s)| s.digest.as_mut());
+        digests.for_each(TDigest::compress);
+        Ok(out)
+    };
     // The planner only marks pages cacheable when the whole page
     // qualifies and lands in one bucket; re-derive the bucket index
-    // defensively (a straddling page just skips the cache).
-    let cached_bucket = if cacheable {
-        whole_page_bucket(page, window).map(|k| (k, CacheKey::for_page(page, func)))
-    } else {
-        None
+    // defensively (a straddling page just folds).
+    let Some(k) = whole_page_bucket(page, window).filter(|_| cacheable) else {
+        return fold();
     };
-    if let Some((k, key)) = &cached_bucket {
-        if let Some(state) = PartialCache::global().get(key) {
-            stats
-                .cache_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if state.agg.count == 0 {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![(*k, state)]);
-        }
-        stats
-            .cache_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    if func.needs_digest() {
+        return digest_partial(CacheKey::for_page(page, func), k, stats, fold);
     }
-    let out = agg_page_states(page, pred, window, func, strategy, cfg, stats)?;
-    if let Some((_, key)) = cached_bucket {
-        // Cache-eligible pages aggregate whole-page into one bucket, so
-        // `out` holds at most one state; an empty page caches an empty
-        // partial (served as "no states" above).
-        let state = out
-            .first()
-            .map(|(_, s)| s.clone())
-            .unwrap_or_else(|| PartialState::new(func));
-        PartialCache::global().insert(key, state);
+    let out = fold()?;
+    if let ([(_, s)], Some([sum, sum_sq, ends])) = (out.as_slice(), memo_groups(func)) {
+        page.memoize(PageMoments {
+            sum: Some(s.agg.sum).filter(|_| sum),
+            sum_sq: Some(s.agg.sum_sq).filter(|_| sum_sq),
+            ends: s.agg.first.zip(s.agg.last).filter(|_| ends),
+        });
     }
     Ok(out)
 }
 
-/// Body of [`agg_page_job`] (everything after the I/O charge, checksum
-/// verification and cache probe): index range → bucket subranges → one
-/// fold per bucket.
+/// The one user of the process-global digest cache: a quantile's
+/// whole-page partial (moments and digest) for bucket `k`, probed under
+/// `key`, or computed by `fold` and inserted. Exact aggregates never come here —
+/// their pages memoize them.
+fn digest_partial(
+    key: CacheKey,
+    k: usize,
+    stats: &ExecStats,
+    fold: impl FnOnce() -> Result<WindowStates>,
+) -> Result<WindowStates> {
+    if let Some(state) = PartialCache::global().get(&key) {
+        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        return Ok(vec![(k, state)]);
+    }
+    stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+    let out = fold()?;
+    // A whole page in one bucket folds into one state; only that is kept.
+    if let [(_, state)] = out.as_slice() {
+        PartialCache::global().insert(key, state.clone());
+    }
+    Ok(out)
+}
+
+/// Body of [`agg_page_job`] (everything after the I/O charge and the
+/// checksum verification): index range → bucket subranges → one fold
+/// per bucket.
 fn agg_page_states(
     page: &Page,
     pred: &Predicate,
@@ -326,14 +426,13 @@ fn agg_page_states(
             let _d = Stage::Delta.timer(stats);
             page.decode().map_err(Error::Storage)?
         };
-        stats.materialized_bytes.fetch_add(
-            (ts.len() + vals.len()) as u64 * 8,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        stats
+            .materialized_bytes
+            .fetch_add((ts.len() + vals.len()) as u64 * 8, Ordering::Relaxed);
         let _a = Stage::Agg.timer(stats);
-        let mut windows = BTreeMap::new();
+        let mut windows = WindowStates::new();
         fold_tuples(&ts, &vals, pred, window, func, &mut windows);
-        return Ok(windows.into_iter().collect());
+        return Ok(windows);
     }
 
     // ---- The qualifying index range [a, b] ----------------------------
@@ -412,9 +511,9 @@ fn agg_page_states(
             .get(a..=b)
             .ok_or(Error::Decode("column length mismatch (corrupt page)"))?;
         let _a = Stage::Agg.timer(stats);
-        let mut windows = BTreeMap::new();
+        let mut windows = WindowStates::new();
         fold_tuples(ts, &vals[a..=b], pred, window, func, &mut windows);
-        return Ok(windows.into_iter().collect());
+        return Ok(windows);
     }
     let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), stats)?;
     // The cursor's fold *is* the decode pass; nothing runs after it.
@@ -436,9 +535,7 @@ fn agg_page_states(
     if let Values::Cursor(cursor) = values {
         let pruned = cursor.finish()? as u64;
         if pruned > 0 {
-            stats
-                .tuples_pruned
-                .fetch_add(pruned, std::sync::atomic::Ordering::Relaxed);
+            stats.tuples_pruned.fetch_add(pruned, Ordering::Relaxed);
         }
     }
     Ok(out)

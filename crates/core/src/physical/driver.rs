@@ -3,7 +3,14 @@
 //! per-page partial states through `MergeConcat`, §III-C slice
 //! coefficients through the sequential prefix-sum chain, and binary
 //! operators through their partitioned merge nodes.
+//!
+//! An aggregation's calling thread does the page work that needs no
+//! job: it discharges the pruned pages and folds every `[cacheable]` page
+//! whose memo answers the aggregate (header plus memo, see
+//! [`crate::physical::agg`]), so only the remaining pages are dispatched
+//! — none at all when every kept page is memoized.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use etsqp_storage::store::SeriesStore;
@@ -12,11 +19,14 @@ use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, Predicate, SlidingWindow};
 use crate::partial::PartialState;
-use crate::physical::agg::{agg_page_job, fold_tuples, slice_coeff_job, SliceCoeff, WindowStates};
+use crate::physical::agg::{
+    agg_page_job, bucket_mut, fold_tuples, memoized, merge_states, slice_coeff_job, SliceCoeff,
+    WindowStates,
+};
 use crate::physical::merge::{
     binary_merge_partitioned, fused_pair_aggregate, merge_join_moments, BinaryKind,
 };
-use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Strategy};
+use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Stage};
 use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{
     charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
@@ -184,8 +194,10 @@ fn kept_of(p: &SeriesPipeline, stats: &ExecStats) -> Result<Vec<Arc<etsqp_storag
     Ok(p.kept().map(|(page, _)| Arc::clone(page)).collect())
 }
 
-/// Runs one aggregation pipeline: job generation per the planner's
-/// [`Parallelism`], scheduler dispatch, and the sequential merge node
+/// Runs one aggregation pipeline: the calling thread discharges the
+/// pruned pages and folds the memoized ones, the pool runs a job per
+/// remaining page (or slice, per the planner's [`Parallelism`]), and the
+/// sequential merge node stitches everything in kept-page time order
 /// (including the §III-C prefix-sum stitch across slices).
 fn aggregate_pipeline(
     store: &SeriesStore,
@@ -197,21 +209,47 @@ fn aggregate_pipeline(
     ctl: &CancellationToken,
 ) -> Result<WindowStates> {
     let pred = &pipeline.pred;
-    let mut kept: Vec<Arc<etsqp_storage::page::Page>> = Vec::new();
-    let mut decided: Vec<(Strategy, bool)> = Vec::new();
-    // Pruned pages are discharged here, before any job runs: on a resident
-    // page the checksum obligation is a load of its verified mark, and a
-    // first touch hashes it once (sharing these out among the jobs read
-    // no faster; EXPERIMENTS.md "Fold-only pages").
+    let (mut kept, mut decided) = (Vec::new(), Vec::new());
+    // Memoized pages folded here, in runs: run `(j, states)` precedes job
+    // page `j` (or follows them all).
+    let mut runs: Vec<(usize, WindowStates)> = Vec::new();
+    let (mut served, mut missed, mut bytes, mut tuples) = (0, 0, 0, 0);
+    let io = Stage::Io.timer(stats);
+    // Pruned pages are discharged here, before any job runs: on a
+    // resident page the checksum obligation is a load of its verified
+    // mark, and a first touch hashes it once (sharing these out among
+    // the jobs read no faster; EXPERIMENTS.md "Fold-only pages"). A
+    // `[cacheable]` page whose memo answers `func` costs a page read
+    // and a few loads here, under the loop's one timer, and no job.
     for (page, d) in pipeline.pages.iter().zip(&pipeline.decisions) {
-        match d.strategy {
-            Some(s) => {
-                kept.push(Arc::clone(page));
-                decided.push((s, d.cacheable));
+        let Some(strategy) = d.strategy else {
+            discharge_pruned(page, d, stats)?;
+            continue;
+        };
+        let memo = d.cacheable && !func.needs_digest();
+        match memo.then(|| memoized(page, func, window)).flatten() {
+            Some((k, state)) => {
+                served += 1;
+                bytes += page.encoded_len() as u64;
+                tuples += u64::from(page.header.count);
+                match runs.last_mut() {
+                    Some((j, run)) if *j == kept.len() => merge_states(run, &[(k, state)]),
+                    _ => runs.push((kept.len(), vec![(k, state)])),
+                }
             }
-            None => discharge_pruned(page, d, stats)?,
+            None => {
+                missed += u64::from(memo);
+                kept.push(Arc::clone(page));
+                decided.push((strategy, d.cacheable));
+            }
         }
     }
+    store.io().record_pages(served, bytes);
+    stats.pages_loaded.fetch_add(served, Ordering::Relaxed);
+    stats.tuples_scanned.fetch_add(tuples, Ordering::Relaxed);
+    drop(io);
+    stats.cache_hits.fetch_add(served, Ordering::Relaxed);
+    stats.cache_misses.fetch_add(missed, Ordering::Relaxed);
 
     let items = match pipeline.parallelism {
         Parallelism::Sliced { .. } => distribute(&kept, cfg.threads),
@@ -221,88 +259,80 @@ fn aggregate_pipeline(
     #[derive(Debug)]
     enum JobOut {
         Whole(WindowStates),
-        Slice {
-            page_seq: usize,
-            part: usize,
-            coeff: SliceCoeff,
-        },
+        Slice { part: usize, coeff: SliceCoeff },
     }
 
-    // Tag items with a page sequence: it orders the slice prefix chain
-    // and indexes the planner's per-page strategy (items preserve kept
-    // order, so it equals the kept-page index).
-    let mut tagged = Vec::with_capacity(items.len());
+    // Tag items with their job page's index: it orders the slice prefix
+    // chain and indexes the planner's per-page strategy (items keep job
+    // page order, a page's slices from part 0 up).
     let mut seq = usize::MAX;
-    let mut last_ptr: *const etsqp_storage::page::Page = std::ptr::null();
-    for item in items {
-        let ptr = Arc::as_ptr(item.page());
-        if ptr != last_ptr {
+    let mut tag = |item: WorkItem| {
+        if !matches!(item, WorkItem::Slice { part, .. } if part > 0) {
             seq = seq.wrapping_add(1);
-            last_ptr = ptr;
         }
-        tagged.push((seq, item));
-    }
+        (seq, item)
+    };
 
     // Outputs return in job order, so which failing page decides the
-    // error is the same at any thread count.
-    let outputs = run_jobs(
-        tagged,
-        cfg.threads,
-        stats,
-        ctl,
-        |(page_seq, item)| -> Result<JobOut> {
-            Ok(match item {
-                WorkItem::Page(page) => {
-                    let (strategy, cacheable) = decided[page_seq];
-                    JobOut::Whole(agg_page_job(
-                        &page, pred, window, func, strategy, cacheable, cfg, stats, store,
-                    )?)
-                }
-                WorkItem::Slice { page, part, parts } => JobOut::Slice {
-                    page_seq,
-                    part,
-                    coeff: slice_coeff_job(&page, part, parts, stats, store)?,
-                },
-            })
-        },
-    )?;
-
-    let mut windows: std::collections::BTreeMap<usize, PartialState> =
-        std::collections::BTreeMap::new();
-    {
-        // Merge node (sequential, timed). Job outputs arrive in kept-page
-        // time order, so each per-window merge chain is itself
-        // time-ordered — the PartialState::merge contract that keeps
-        // FIRST/LAST, timestamp bounds and digest merges deterministic
-        // across thread counts.
-        let _m = crate::physical::node::Stage::Merge.timer(stats);
-        let mut v_pre: i128 = 0;
-        let mut cur_page = usize::MAX;
-        for out in outputs {
-            match out? {
-                JobOut::Whole(states) => {
-                    for (k, s) in states {
-                        windows.entry(k).or_default().merge(&s);
+    // error is the same at any thread count. A query whose every kept
+    // page was served above dispatches nothing.
+    let outputs = if items.is_empty() {
+        Vec::new()
+    } else {
+        run_jobs(
+            items.into_iter().map(&mut tag).collect(),
+            cfg.threads,
+            stats,
+            ctl,
+            |(page_seq, item)| -> Result<(usize, JobOut)> {
+                let out = match item {
+                    WorkItem::Page(page) => {
+                        let (strategy, cacheable) = decided[page_seq];
+                        JobOut::Whole(agg_page_job(
+                            &page, pred, window, func, strategy, cacheable, cfg, stats, store,
+                        )?)
                     }
-                }
-                JobOut::Slice {
-                    page_seq,
-                    part,
-                    coeff,
-                } => {
-                    if page_seq != cur_page {
-                        cur_page = page_seq;
-                        debug_assert_eq!(part, 0, "slices arrive in order");
+                    WorkItem::Slice { page, part, parts } => JobOut::Slice {
+                        part,
+                        coeff: slice_coeff_job(&page, part, parts, stats, store)?,
+                    },
+                };
+                Ok((page_seq, out))
+            },
+        )?
+    };
+
+    // Merge node (sequential, timed): served runs and job outputs in
+    // kept-page time order, so each per-window merge chain is itself
+    // time-ordered — the PartialState::merge contract that keeps
+    // FIRST/LAST, timestamp bounds and digest merges deterministic
+    // across thread counts.
+    let mut windows = WindowStates::new();
+    {
+        let _m = Stage::Merge.timer(stats);
+        let mut runs = runs.into_iter().peekable();
+        let mut v_pre: i128 = 0;
+        for out in outputs {
+            let (seq, out) = out?;
+            while let Some((_, run)) = runs.next_if(|(j, _)| *j <= seq) {
+                merge_states(&mut windows, &run);
+            }
+            match out {
+                JobOut::Whole(states) => merge_states(&mut windows, &states),
+                JobOut::Slice { part, coeff } => {
+                    if part == 0 {
                         v_pre = coeff.first_value as i128;
                     }
-                    // Slices only exist for non-partial-only aggregates;
-                    // the coefficients resolve into the exact moments.
-                    let state = windows.entry(0).or_default();
+                    // Slices only exist for unwindowed, non-partial-only
+                    // aggregates; the coefficients resolve into the exact
+                    // moments of bucket 0.
+                    let state = bucket_mut(&mut windows, 0, PartialState::default);
                     coeff.fold_into(&mut state.agg, v_pre);
                     v_pre += coeff.delta_total as i128;
                 }
             }
         }
+        runs.for_each(|(_, run)| merge_states(&mut windows, &run));
     }
     // The hot-chunk source folds last: its timestamps are strictly
     // greater than every sealed timestamp, so pushing after all page
@@ -311,7 +341,7 @@ fn aggregate_pipeline(
     if let Some(hot) = &pipeline.hot {
         if hot.verdict.kept() {
             let (hts, hvals) = hot_rows(hot, pred, stats);
-            let _a = crate::physical::node::Stage::Agg.timer(stats);
+            let _a = Stage::Agg.timer(stats);
             // `hot_rows` already applied the predicate.
             let all = Predicate::default();
             fold_tuples(&hts, &hvals, &all, window, func, &mut windows);
@@ -319,5 +349,5 @@ fn aggregate_pipeline(
             charge_pruned_hot(hot, stats);
         }
     }
-    Ok(windows.into_iter().collect())
+    Ok(windows)
 }

@@ -140,10 +140,12 @@ pub struct PageDecision {
     /// every pruned decision; the verifier and the driver both refuse to
     /// drop a page that lacks it.
     pub checksum_obligation: bool,
-    /// Whether the page's whole-range partial state may be served from /
-    /// inserted into the global [`crate::partial::PartialCache`]. The
-    /// planner grants this only when the partial is a pure function of
-    /// the page's content: the page is kept, no value filter applies,
+    /// Whether the page's whole-range partial state may be served from
+    /// the page's memo (exact aggregates) or the global digest cache
+    /// [`crate::partial::PartialCache`] (quantiles), and memoized /
+    /// inserted there. The planner grants this only when the partial is a
+    /// pure function of the page's content: the page is kept, no value
+    /// filter applies,
     /// the time filter covers the whole page, and (under a windowed
     /// aggregate) the page lies inside a single bucket. The executor's
     /// hit path still requires the page checksum verified — the

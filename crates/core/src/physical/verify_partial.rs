@@ -96,8 +96,9 @@ pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> Veri
     Ok(())
 }
 
-/// Re-derives every `[cacheable]` marking: a page may only probe/fill
-/// the partial cache when the whole-page partial is the query's exact
+/// Re-derives every `[cacheable]` marking: a page may only be served
+/// from / memoize into its memo or the digest cache when the whole-page
+/// partial is the query's exact
 /// contribution for that page — cache enabled, page kept, no value
 /// filter, time range covers the page, single bucket, and not sliced
 /// (slice jobs never see the cache).

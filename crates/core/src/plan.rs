@@ -37,10 +37,13 @@ pub struct PipelineConfig {
     /// Byte budget for concurrently materialized decode buffers (paper
     /// §VI-C, gradual page loading); `None` = unlimited.
     pub decode_budget_bytes: Option<u64>,
-    /// Serve/store whole-page partial aggregate states through the
-    /// process-global [`crate::partial::PartialCache`] (content-
-    /// addressed by page checksum + header statistics + function).
-    /// `EXPLAIN` renders the static eligibility as `[cacheable]`;
+    /// Serve whole-page partials of eligible pages without folding them:
+    /// an exact aggregate from the page's exact header plus the moments a
+    /// whole-page fold memoized on the resident page (`Page::moments`), a
+    /// quantile from the process-global digest cache
+    /// [`crate::partial::PartialCache`] (content-addressed by page
+    /// checksum + header statistics + function). `EXPLAIN` renders the
+    /// static eligibility as `[cacheable]`;
     /// [`StatsSnapshot::cache_hits`]/[`StatsSnapshot::cache_misses`]
     /// count the live traffic.
     pub partial_cache: bool,

@@ -12,7 +12,6 @@
 
 use etsqp_encoding::delta_rle::DeltaRlePage;
 use etsqp_encoding::ts2diff::Ts2DiffPage;
-use etsqp_storage::page::PageHeader;
 
 /// A half-open decision produced by the pruning rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,17 +113,6 @@ pub fn prune_rest(
         return PruneDecision::StopRest;
     }
     PruneDecision::Continue
-}
-
-/// Page-level time pruning: should this page be loaded at all for the
-/// time range `[t_lo, t_hi]`?
-pub fn page_overlaps_time(header: &PageHeader, t_lo: i64, t_hi: i64) -> bool {
-    header.overlaps_time(t_lo, t_hi)
-}
-
-/// Page-level value pruning for a value range `[v_lo, v_hi]`.
-pub fn page_overlaps_value(header: &PageHeader, v_lo: i64, v_hi: i64) -> bool {
-    header.overlaps_value(v_lo, v_hi)
 }
 
 /// For ordered timestamps with a constant known interval (width 0 pages:

@@ -35,14 +35,6 @@ pub enum WorkItem {
 }
 
 impl WorkItem {
-    /// The page this item reads.
-    pub fn page(&self) -> &Arc<Page> {
-        match self {
-            WorkItem::Page(p) => p,
-            WorkItem::Slice { page, .. } => page,
-        }
-    }
-
     /// Number of tuples this item covers.
     pub fn tuple_count(&self) -> usize {
         match self {

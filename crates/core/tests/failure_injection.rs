@@ -172,6 +172,60 @@ fn every_pruned_page_is_verified_wherever_its_run_lands() {
     }
 }
 
+/// Float pages are pruned on their header bounds like integer pages, so
+/// a pruned float page is checksum-verified like one too: a page whose
+/// `max_value` (or `last_ts`) was lowered below the filter must abort
+/// the aggregate (or the scan), not silently drop out of it.
+#[test]
+fn float_pages_pruned_on_a_lying_header_abort() {
+    use etsqp_core::expr::TimeRange;
+    use etsqp_core::float::{aggregate_f64, scan_f64, FloatRange};
+    use etsqp_core::plan::PipelineConfig;
+    use etsqp_encoding::f64_to_ordered_i64;
+
+    let build = || {
+        let store = SeriesStore::new(64);
+        store.create_series_f64("f", Encoding::Ts2Diff, Encoding::GorillaFloat);
+        for i in 0..256i64 {
+            store.append_f64("f", i, 10.0 + i as f64 / 8.0).unwrap();
+        }
+        store.flush("f").unwrap();
+        store
+    };
+    let cfg = PipelineConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    // Values run 10.0 ..= 41.875; the last page holds 34.0 and up.
+    let above = Some(FloatRange { lo: 35.0, hi: 50.0 });
+    let late = Some(TimeRange { lo: 200, hi: 300 });
+    let clean = build();
+    let (agg, _) = aggregate_f64(&clean, "f", None, above, &cfg).unwrap();
+    assert_eq!(agg.count, 56);
+    assert_eq!(scan_f64(&clean, "f", late, &cfg).unwrap().0.len(), 56);
+
+    let store = build();
+    store
+        .corrupt_page("f", 3, |p| p.header.max_value = f64_to_ordered_i64(20.0))
+        .unwrap();
+    let got = aggregate_f64(&store, "f", None, above, &cfg);
+    assert!(
+        matches!(got, Err(etsqp_core::Error::Storage(_))),
+        "value-pruned on a lie: {:?}",
+        got.map(|(a, _)| a)
+    );
+    let store = build();
+    store
+        .corrupt_page("f", 3, |p| p.header.last_ts = 150)
+        .unwrap();
+    let got = scan_f64(&store, "f", late, &cfg);
+    assert!(
+        matches!(got, Err(etsqp_core::Error::Storage(_))),
+        "time-pruned on a lie: {:?}",
+        got.map(|(t, _)| t.len())
+    );
+}
+
 /// A Delta-RLE column built pair by pair, lies and all: `count` is what
 /// the column header declares, whatever the runs add up to.
 fn raw_delta_rle(count: u32, first: i64, pairs: &[(i64, u64)]) -> Vec<u8> {

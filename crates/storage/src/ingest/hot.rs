@@ -114,8 +114,9 @@ impl HotChunk {
 
     /// Appends one point; timestamps must be strictly increasing across
     /// the whole series (buffered *and* previously sealed points).
-    /// Returns the sealed page when this point crossed a threshold.
-    pub fn push(&mut self, ts: i64, value: i64) -> Result<Option<Page>> {
+    /// Returns the sealed page when this point crossed a threshold —
+    /// already shared, so the per-point return value stays a pointer.
+    pub fn push(&mut self, ts: i64, value: i64) -> Result<Option<Arc<Page>>> {
         check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
         self.ts.push(ts);
         self.vals.push(value);
@@ -133,7 +134,7 @@ impl HotChunk {
 
     /// Seals the buffer into a checksummed page; `None` when empty.
     /// On error the buffer and chunk state are unchanged.
-    pub fn seal(&mut self) -> Result<Option<Page>> {
+    pub fn seal(&mut self) -> Result<Option<Arc<Page>>> {
         if self.ts.is_empty() {
             return Ok(None);
         }
@@ -146,7 +147,7 @@ impl HotChunk {
         self.last_sealed_ts = Some(page.header.last_ts);
         self.ts.clear();
         self.vals.clear();
-        Ok(Some(page))
+        Ok(Some(Arc::new(page)))
     }
 
     /// Immutable copy of the buffered columns; `None` when empty.
@@ -214,7 +215,7 @@ impl HotChunkF64 {
     }
 
     /// Appends one float point; see [`HotChunk::push`].
-    pub fn push(&mut self, ts: i64, value: f64) -> Result<Option<Page>> {
+    pub fn push(&mut self, ts: i64, value: f64) -> Result<Option<Arc<Page>>> {
         check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
         self.ts.push(ts);
         self.vals.push(value);
@@ -231,7 +232,7 @@ impl HotChunkF64 {
     }
 
     /// Seals the buffer into a checksummed page; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Page>> {
+    pub fn seal(&mut self) -> Result<Option<Arc<Page>>> {
         if self.ts.is_empty() {
             return Ok(None);
         }
@@ -239,7 +240,7 @@ impl HotChunkF64 {
         self.last_sealed_ts = Some(page.header.last_ts);
         self.ts.clear();
         self.vals.clear();
-        Ok(Some(page))
+        Ok(Some(Arc::new(page)))
     }
 
     /// Immutable copy of the buffered columns; `None` when empty.
@@ -286,7 +287,7 @@ impl Hot {
     }
 
     /// Seals either kind; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Page>> {
+    pub fn seal(&mut self) -> Result<Option<Arc<Page>>> {
         match self {
             Hot::Int(h) => h.seal(),
             Hot::Float(h) => h.seal(),

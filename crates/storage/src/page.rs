@@ -1,6 +1,6 @@
 //! Encoded pages: the unit of storage, decoding, pruning and scheduling.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use etsqp_encoding::Encoding;
@@ -9,7 +9,7 @@ use crate::{Error, Result};
 
 /// Statistics and codec tags stored ahead of every page's payload —
 /// the header the pruning rules of paper §V read without decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageHeader {
     /// Number of (timestamp, value) tuples in the page.
     pub count: u32,
@@ -152,11 +152,108 @@ pub struct Page {
     /// Relaxed: the mark publishes no data — a reader that misses it
     /// hashes the page again and reaches the same verdict.
     verified: AtomicBool,
+    /// What whole-page folds of this object computed: see
+    /// [`Page::moments`]. Obeys the mark's rules.
+    memo: MomentsMemo,
 }
 
-/// A clone is a new object nobody has hashed: it starts unmarked, so
-/// `SeriesStore::corrupt_page` (clone, mutate, swap in) yields a page the
-/// next query verifies.
+/// Whole-page, unfiltered moments of a page's value column, one optional
+/// group each: the part of IoTDB's per-page statistics the header does
+/// not hold (count, min, max and the timestamp bounds it does, exactly).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PageMoments {
+    /// `Σv`.
+    pub sum: Option<i128>,
+    /// `Σv²`, saturating at the `i128` limit like the engine's states.
+    pub sum_sq: Option<i128>,
+    /// The first and the last value in time order.
+    pub ends: Option<(i64, i64)>,
+}
+
+/// The memo epoch: a memo tagged with an older one is invisible, so a
+/// bump forgets every memo at once.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// Live pages holding a memo of the current epoch — exact unless a
+/// [`forget_all_moments`] races a fold or a drop.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Forgets every page's memo: later reads miss until a fold memoizes
+/// again. The memo analogue of clearing a cache.
+pub fn forget_all_moments() {
+    LIVE.store(0, Ordering::Relaxed);
+    EPOCH.fetch_add(1, Ordering::Release);
+}
+
+/// How many live pages hold a memo of the current epoch.
+pub fn memoized_pages() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// The memo cell, 56 bytes: `state` is the epoch above a bit per group
+/// published in it, `words` two per group. It needs no lock: every fold
+/// of one page object computes the same moments, so a word is only ever
+/// rewritten with the value it holds, and a reader loads the words of the
+/// groups whose bits it saw set (acquire) after they were written
+/// (release).
+#[derive(Debug, Default)]
+struct MomentsMemo {
+    state: AtomicU64,
+    words: [AtomicU64; 6],
+}
+
+impl MomentsMemo {
+    fn load(&self, epoch: u64) -> PageMoments {
+        let s = self.state.load(Ordering::Acquire);
+        let has = |g: u32| s >> 3 == epoch && s & 1 << g != 0;
+        let w = |i: usize| self.words[i].load(Ordering::Relaxed);
+        let wide = |i: usize| (u128::from(w(i + 1)) << 64 | u128::from(w(i))) as i128;
+        PageMoments {
+            sum: has(0).then(|| wide(0)),
+            sum_sq: has(1).then(|| wide(2)),
+            ends: has(2).then(|| (w(4) as i64, w(5) as i64)),
+        }
+    }
+
+    /// Publishes the groups of `m` the cell does not hold in `epoch`
+    /// (none over a newer epoch's, none when another writer won the
+    /// race); returns whether it held none before.
+    fn store(&self, epoch: u64, m: PageMoments) -> bool {
+        let s = self.state.load(Ordering::Acquire);
+        let held = if s >> 3 == epoch { s & 0b111 } else { 0 };
+        let wide = |v: i128| [v as u64, (v >> 64) as u64];
+        let ends = m.ends.map(|(first, last)| [first as u64, last as u64]);
+        let (groups, mut new) = ([m.sum.map(wide), m.sum_sq.map(wide), ends], 0);
+        for (g, pair) in groups.iter().enumerate() {
+            if let (Some(pair), 0) = (pair, held & 1 << g) {
+                new |= 1 << g;
+                self.words[2 * g].store(pair[0], Ordering::Relaxed);
+                self.words[2 * g + 1].store(pair[1], Ordering::Relaxed);
+            }
+        }
+        let next = epoch << 3 | held | new;
+        new != 0
+            && s >> 3 <= epoch
+            && (self.state)
+                .compare_exchange(s, next, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            && held == 0
+    }
+}
+
+/// A dropped page leaves the count of memos.
+impl Drop for Page {
+    fn drop(&mut self) {
+        let s = *self.memo.state.get_mut();
+        if s >> 3 == EPOCH.load(Ordering::Relaxed) && s & 0b111 != 0 {
+            let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        }
+    }
+}
+
+/// A clone is a new object nobody has hashed: it starts unmarked and
+/// without a memo, so `SeriesStore::corrupt_page` (clone, mutate, swap
+/// in) yields a page the next query verifies and folds.
 impl Clone for Page {
     fn clone(&self) -> Page {
         Page::from_parts(
@@ -189,6 +286,7 @@ impl Page {
             val_bytes,
             checksum,
             verified: AtomicBool::new(false),
+            memo: MomentsMemo::default(),
         }
     }
 
@@ -218,6 +316,27 @@ impl Page {
     /// Whether an [`Page::ensure_verified`] of this object has succeeded.
     pub fn is_verified(&self) -> bool {
         self.verified.load(Ordering::Relaxed)
+    }
+
+    /// The whole-page moments memoized on this object since the last
+    /// [`forget_all_moments`], one group each; nothing before an
+    /// [`Page::ensure_verified`] of this object succeeded.
+    pub fn moments(&self) -> PageMoments {
+        if !self.is_verified() {
+            return PageMoments::default();
+        }
+        self.memo.load(EPOCH.load(Ordering::Acquire))
+    }
+
+    /// Memoizes the groups of `m` that are present and not memoized yet.
+    /// Only a whole-page, unfiltered fold of this object may call it, and
+    /// only with the groups it computed; a group is not rewritten until
+    /// the next [`forget_all_moments`]. A no-op before the object is
+    /// verified.
+    pub fn memoize(&self, m: PageMoments) {
+        if self.is_verified() && self.memo.store(EPOCH.load(Ordering::Acquire), m) {
+            LIVE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Builds a page by encoding `(timestamps, values)` with the given
@@ -528,6 +647,105 @@ mod tests {
         edited.checksum ^= 1;
         assert!(edited.ensure_verified().is_ok());
         assert!(edited.verify().is_err(), "verify() still hashes");
+    }
+
+    /// Tests that read a memo back hold this, so that the epoch bump of
+    /// another cannot land between their write and their read.
+    static EPOCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn moments(sum: i128) -> PageMoments {
+        PageMoments {
+            sum: Some(sum),
+            sum_sq: Some(-sum),
+            ends: Some((i64::MIN, i64::MAX)),
+        }
+    }
+
+    #[test]
+    fn memo_round_trips_group_by_group_and_is_written_once() {
+        let _e = EPOCH.lock().unwrap_or_else(|p| p.into_inner());
+        let page = sample_page();
+        page.ensure_verified().unwrap();
+        let sum = i128::MIN + 3;
+        page.memoize(PageMoments {
+            sum: Some(sum),
+            ..PageMoments::default()
+        });
+        assert_eq!(page.moments().sum, Some(sum));
+        assert_eq!(page.moments().sum_sq, None, "a group nobody computed");
+        // Another fold adds what it computed; published groups stay put.
+        page.memoize(moments(7));
+        assert_eq!(
+            page.moments(),
+            PageMoments {
+                sum: Some(sum),
+                ..moments(7)
+            }
+        );
+    }
+
+    #[test]
+    fn clone_of_a_memoized_page_has_no_memo() {
+        let _e = EPOCH.lock().unwrap_or_else(|p| p.into_inner());
+        let page = sample_page();
+        page.ensure_verified().unwrap();
+        page.memoize(moments(5));
+        let copy = page.clone();
+        copy.ensure_verified().unwrap();
+        assert_eq!(copy.moments(), PageMoments::default());
+        assert_eq!(page.moments(), moments(5));
+    }
+
+    #[test]
+    fn an_epoch_bump_hides_every_memo() {
+        let _e = EPOCH.lock().unwrap_or_else(|p| p.into_inner());
+        let pages: Vec<Page> = (0..3).map(|_| sample_page()).collect();
+        for (i, p) in pages.iter().enumerate() {
+            p.ensure_verified().unwrap();
+            p.memoize(moments(i as i128));
+        }
+        assert!(memoized_pages() >= 3);
+        forget_all_moments();
+        assert_eq!(memoized_pages(), 0);
+        assert!(pages.iter().all(|p| p.moments() == PageMoments::default()));
+        // The next fold publishes afresh, and a dropped page leaves the count.
+        pages[0].memoize(moments(9));
+        assert_eq!(pages[0].moments(), moments(9));
+        assert_eq!(memoized_pages(), 1);
+        drop(pages);
+        assert_eq!(memoized_pages(), 0);
+    }
+
+    #[test]
+    fn a_page_that_failed_verification_never_exposes_a_memo() {
+        let _e = EPOCH.lock().unwrap_or_else(|p| p.into_inner());
+        let good = sample_page();
+        let bad = Page::from_parts(
+            good.header,
+            good.ts_bytes.clone(),
+            good.val_bytes.slice(1..),
+            good.checksum,
+        );
+        bad.memoize(moments(1));
+        assert!(bad.ensure_verified().is_err());
+        bad.memoize(moments(1));
+        assert_eq!(bad.moments(), PageMoments::default());
+        // Unverified is not failed: a good page's memo waits for its hash.
+        good.memoize(moments(2));
+        good.ensure_verified().unwrap();
+        assert_eq!(
+            good.moments(),
+            PageMoments::default(),
+            "published unverified"
+        );
+    }
+
+    #[test]
+    fn the_memo_adds_at_most_64_bytes_to_a_page() {
+        #[allow(dead_code)]
+        struct Unmemoized(PageHeader, Bytes, Bytes, u32, AtomicBool);
+        let growth = std::mem::size_of::<Page>() - std::mem::size_of::<Unmemoized>();
+        assert!(growth <= 64, "{growth} bytes");
     }
 
     #[test]

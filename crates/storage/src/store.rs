@@ -36,8 +36,13 @@ pub struct IoStats {
 impl IoStats {
     /// Records one page read of `bytes` encoded bytes.
     pub fn record_page(&self, bytes: usize) {
-        self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.pages_read.fetch_add(1, Ordering::Relaxed);
+        self.record_pages(1, bytes as u64);
+    }
+
+    /// Records `pages` page reads of `bytes` encoded bytes in all.
+    pub fn record_pages(&self, pages: u64, bytes: u64) {
+        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.pages_read.fetch_add(pages, Ordering::Relaxed);
     }
 
     /// Encoded bytes handed out so far.
@@ -204,7 +209,7 @@ impl SeriesStore {
         self.with_series(name, |state| match state.hot.as_mut() {
             Some(Hot::Int(h)) => {
                 if let Some(page) = h.push(ts, value)? {
-                    state.pages.push(Arc::new(page));
+                    state.pages.push(page);
                 }
                 Ok(())
             }
@@ -218,7 +223,7 @@ impl SeriesStore {
         self.with_series(name, |state| match state.hot.as_mut() {
             Some(Hot::Float(h)) => {
                 if let Some(page) = h.push(ts, value)? {
-                    state.pages.push(Arc::new(page));
+                    state.pages.push(page);
                 }
                 Ok(())
             }
@@ -235,7 +240,7 @@ impl SeriesStore {
             Some(Hot::Int(h)) => {
                 for (&t, &v) in ts.iter().zip(values) {
                     if let Some(page) = h.push(t, v)? {
-                        state.pages.push(Arc::new(page));
+                        state.pages.push(page);
                     }
                 }
                 Ok(())
@@ -252,7 +257,7 @@ impl SeriesStore {
         self.with_series(name, |state| {
             if let Some(hot) = state.hot.as_mut() {
                 if let Some(page) = hot.seal()? {
-                    state.pages.push(Arc::new(page));
+                    state.pages.push(page);
                 }
             }
             Ok(())

@@ -40,11 +40,17 @@
 //!   module ([`WALKER_FILE`]) may call the kernels a walk over packed
 //!   32-bit deltas is made of ([`WALKER_KERNELS`]), so a second walker
 //!   beside it fails here instead of waiting for a design review.
-//! * `verify-once` — in the physical executor ([`VERIFY_ONCE_SCOPE`]) a
-//!   page's checksum is recomputed ([`VERIFY_ONCE_CALL`]) only inside
-//!   [`VERIFY_ONCE_HOME`]; every job-time check goes through
-//!   `Page::ensure_verified`, which hashes a resident page object once,
-//!   so one more re-hash per query fails here, not at a re-anchor.
+//! * `verify-once` — in the engine a page's checksum is recomputed
+//!   (`.verify()`) only inside the deep plan check; every job-time check
+//!   goes through `Page::ensure_verified`, which hashes a resident page
+//!   object once, so one more re-hash per query fails here, not at a
+//!   re-anchor.
+//! * `digest-cache-only` — in the engine `PartialCache::global()` is
+//!   taken only inside the one function that probes and fills the
+//!   quantile-digest cache; exact aggregates are memoized on their pages.
+//!
+//! The last two are rows of one table, [`HOME_BOUND`]: a call that may
+//! appear in its scope only inside one home function.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
 //! line or in the comment block directly above suppresses that rule
@@ -138,18 +144,49 @@ pub const WALKER_KERNELS: [&str; 4] = [
     "layout_transpose",
 ];
 
-/// Files under this path are subject to the `verify-once` rule.
-pub const VERIFY_ONCE_SCOPE: &str = "crates/core/src/physical/";
+/// A call that, in the files under `scope`, may appear only inside one
+/// function — found by brace depth, so nested blocks stay inside it.
+pub struct HomeBound {
+    /// Rule name.
+    pub rule: &'static str,
+    /// Files under this path are subject to the rule.
+    pub scope: &'static str,
+    /// The call, matched as a substring of the masked code.
+    pub call: &'static str,
+    /// The one place in scope that may make it: (file, function).
+    pub home: (&'static str, &'static str),
+    /// Why, for the violation message.
+    pub why: &'static str,
+}
 
-/// The call that hashes a page on every use.
-pub const VERIFY_ONCE_CALL: &str = ".verify()";
-
-/// The one place in scope that may make it: (file, function) — the deep
-/// plan check, which exists to recompute every pruned page's digest.
-pub const VERIFY_ONCE_HOME: (&str, &str) = ("crates/core/src/physical/verify.rs", "verify_deep");
+/// The home-bound calls of the engine:
+///
+/// * `verify-once` — `.verify()` hashes a page on every use; only the deep
+///   plan check, which exists to recompute every pruned page's digest,
+///   makes it.
+/// * `digest-cache-only` — the process-global partial cache holds quantile
+///   digests alone; exact aggregates are memoized on their pages, so only
+///   the one digest function probes or fills it.
+pub const HOME_BOUND: [HomeBound; 2] = [
+    HomeBound {
+        rule: "verify-once",
+        scope: "crates/core/src/",
+        call: ".verify()",
+        home: ("crates/core/src/physical/verify.rs", "verify_deep"),
+        why: "re-hashes the page on every query; job-time checks go through `ensure_verified`",
+    },
+    HomeBound {
+        rule: "digest-cache-only",
+        scope: "crates/core/src/",
+        call: "PartialCache::global()",
+        home: ("crates/core/src/physical/agg.rs", "digest_partial"),
+        why: "is the quantile-digest cache; an exact aggregate is memoized on its page \
+              (`Page::memoize`)",
+    },
+];
 
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 11] = [
+pub const RULE_NAMES: [&str; 12] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -161,6 +198,7 @@ pub const RULE_NAMES: [&str; 11] = [
     "no-sleep-poll",
     "one-walker",
     "verify-once",
+    "digest-cache-only",
 ];
 
 /// One rule violation at a specific location.
@@ -836,10 +874,10 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
         }
     }
 
-    // Rule: verify-once (physical executor, non-test code, everywhere
-    // but the body of the home function, found by brace depth).
-    if rel_path.contains(VERIFY_ONCE_SCOPE) {
-        let (home_file, home_fn) = VERIFY_ONCE_HOME;
+    // Rules: the home-bound calls (non-test code, everywhere in scope but
+    // the body of the home function, found by brace depth).
+    for bound in HOME_BOUND.iter().filter(|b| rel_path.contains(b.scope)) {
+        let (home_file, home_fn) = bound.home;
         let mut depth = 0usize;
         let mut entering = false; // saw `fn <home>`, its `{` still to come
         let mut home: Option<usize> = None; // depth the home body opened at
@@ -851,17 +889,14 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
             if !line.in_test
                 && !entering
                 && home.is_none()
-                && code.contains(VERIFY_ONCE_CALL)
-                && !allowed(i, "verify-once")
+                && code.contains(bound.call)
+                && !allowed(i, bound.rule)
             {
                 report.violations.push(Violation {
                     file: rel_path.to_string(),
                     line: i + 1,
-                    rule: "verify-once".into(),
-                    msg: format!(
-                        "`{VERIFY_ONCE_CALL}` re-hashes the page on every query; job-time \
-                         checks go through `ensure_verified` (only `{home_fn}` recomputes)"
-                    ),
+                    rule: bound.rule.into(),
+                    msg: format!("`{}` {} (only `{home_fn}` may)", bound.call, bound.why),
                 });
             }
             for c in code.chars() {
@@ -1355,8 +1390,17 @@ pub fn f(v: &[i64]) -> i64 {
         assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
     }
 
+    /// The home file of a [`HOME_BOUND`] rule.
+    fn home_of(rule: &str) -> &'static str {
+        HOME_BOUND
+            .iter()
+            .find(|b| b.rule == rule)
+            .map(|b| b.home.0)
+            .unwrap()
+    }
+
     #[test]
-    fn verify_once_fires_in_the_executor_outside_the_deep_check() {
+    fn verify_once_fires_in_the_engine_outside_the_deep_check() {
         let bad = include_str!("../fixtures/verify_once_bad.rs.txt");
         let good = include_str!("../fixtures/verify_once_good.rs.txt");
         let r = analyze_source("crates/core/src/physical/agg.rs", bad);
@@ -1367,7 +1411,7 @@ pub fn f(v: &[i64]) -> i64 {
         );
         // The deep check's body is the call's home; the same file's other
         // functions are not.
-        let (home, _) = VERIFY_ONCE_HOME;
+        let home = home_of("verify-once");
         let r = analyze_source(home, good);
         assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
         let r = analyze_source(home, bad);
@@ -1375,8 +1419,42 @@ pub fn f(v: &[i64]) -> i64 {
         // A function of that name elsewhere in scope is no licence ...
         let r = analyze_source("crates/core/src/physical/scan.rs", good);
         assert_eq!(rules_fired(&r), ["verify-once"], "{r:?}");
-        // ... and the storage crate, the oracle and the benches hash freely.
-        let r = analyze_source("crates/core/src/oracle.rs", bad);
+        // ... the whole engine is in scope, the float executor too ...
+        let r = analyze_source("crates/core/src/float.rs", bad);
+        assert_eq!(rules_fired(&r), ["verify-once", "verify-once"], "{r:?}");
+        // ... and the storage crate and the benches hash freely.
+        for path in ["crates/storage/src/page.rs", "crates/bench/src/lib.rs"] {
+            let r = analyze_source(path, bad);
+            assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+        }
+    }
+
+    #[test]
+    fn digest_cache_only_fires_in_the_engine_outside_the_digest_function() {
+        let bad = include_str!("../fixtures/digest_cache_bad.rs.txt");
+        let good = include_str!("../fixtures/digest_cache_good.rs.txt");
+        let r = analyze_source("crates/core/src/physical/driver.rs", bad);
+        assert_eq!(
+            rules_fired(&r),
+            ["digest-cache-only", "digest-cache-only"],
+            "one per use of the global cache: {r:?}"
+        );
+        // The digest function's body is the home; the same file's other
+        // functions are not.
+        let home = home_of("digest-cache-only");
+        let r = analyze_source(home, good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+        let r = analyze_source(home, bad);
+        assert_eq!(rules_fired(&r).len(), 2, "{r:?}");
+        // A function of that name elsewhere in the engine is no licence ...
+        let r = analyze_source("crates/core/src/partial.rs", good);
+        assert_eq!(
+            rules_fired(&r),
+            ["digest-cache-only", "digest-cache-only"],
+            "{r:?}"
+        );
+        // ... and the benches clear the cache freely.
+        let r = analyze_source("crates/bench/src/lib.rs", bad);
         assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
     }
 

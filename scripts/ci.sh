@@ -21,8 +21,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Repo-specific static analysis (crates/xtask): SAFETY comments on every
 # unsafe, no panics in engine hot paths, no lossy kernel casts, no
 # wrapping kernel accumulators, ingest lock-order, no sleep-poll loops
-# in the serve layer, one walker over packed deltas in core, crate
-# hygiene attributes. Prints one `rule: count`
+# in the serve layer, one walker over packed deltas in core, one page
+# re-hash site and one user of the digest cache in core, crate hygiene
+# attributes. Prints one `rule: count`
 # summary line on failure.
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint

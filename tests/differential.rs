@@ -1459,16 +1459,17 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
     eprintln!("differential run/xor-space matrix: {cases} cases, no value materialized");
 }
 
-/// Block O: a page is hashed once, and corruption still aborts. Two
-/// queries warm every page through the kept, the pruned and the
-/// cache-hit path, so that all of them carry the verified mark; then
-/// each page in turn is replaced by a corrupted copy
-/// (`SeriesStore::corrupt_page` clones, and a clone is unmarked) and
-/// every query, under every canonical config, must abort — a mark on the
-/// old object, or on its neighbours, vouches for nothing.
+/// Block O: a page is hashed once, and corruption still aborts. Queries
+/// warm every page through the kept, the pruned and the memo-hit path,
+/// so that all of them carry the verified mark and a memo of every
+/// group; then each page in turn is replaced by a corrupted copy
+/// (`SeriesStore::corrupt_page` clones, and a clone has neither mark nor
+/// memo) and every query, under every canonical config, must abort — a
+/// mark or a memo on the old object, or on its neighbours, vouches for
+/// nothing.
 #[test]
 fn verified_once_still_aborts_on_corruption() {
-    use etsqp::storage::page::Page;
+    use etsqp::storage::page::{Page, PageMoments};
     use etsqp::storage::Bytes;
 
     type Mutation = (&'static str, fn(&mut Page));
@@ -1494,6 +1495,8 @@ fn verified_once_still_aborts_on_corruption() {
     let band = Plan::scan("s")
         .filter(Predicate::value(100, 199))
         .aggregate(AggFunc::Max);
+    let variance = Plan::scan("s").aggregate(AggFunc::Variance);
+    let last = Plan::scan("s").aggregate(AggFunc::Last);
     let warm = PipelineConfig {
         threads: 2,
         ..Default::default()
@@ -1504,25 +1507,46 @@ fn verified_once_still_aborts_on_corruption() {
         for page in 0..pages {
             for (mname, mutate) in mutations {
                 let store = store_of(PAGE_POINTS, "s", codec, &ts, &vals);
-                // Kept and cached, then cache hits, then three pages pruned.
-                for plan in [&whole, &whole, &band] {
+                // Kept and memoized (Σ; Σ and Σ²; the ends), then memo
+                // hits, then three pages pruned.
+                for plan in [&whole, &variance, &last, &whole, &variance, &last, &band] {
                     assert_oracle(plan, &store, &warm, "warm-up");
                 }
-                let marked = |store: &SeriesStore| -> Vec<bool> {
+                let marked = |store: &SeriesStore| -> Vec<(bool, bool)> {
                     let pages = store.peek_pages("s").unwrap();
-                    pages.iter().map(|p| p.is_verified()).collect()
+                    pages
+                        .iter()
+                        .map(|p| {
+                            let m = p.moments();
+                            let all = m.sum.is_some() && m.sum_sq.is_some() && m.ends.is_some();
+                            assert!(all || m == PageMoments::default(), "{m:?}");
+                            (p.is_verified(), all)
+                        })
+                        .collect()
                 };
-                assert_eq!(
-                    marked(&store),
-                    vec![true; pages],
-                    "{codec:?}: warm-up marks all"
-                );
+                // A concurrent test's `PartialCache::clear` may have
+                // forgotten the memos; then a round re-publishes them.
+                let mut rounds = 0;
+                while marked(&store) != vec![(true, true); pages] {
+                    rounds += 1;
+                    assert!(rounds < 100, "{codec:?}: warm-up never memoized all");
+                    for plan in [&whole, &variance, &last] {
+                        assert_oracle(plan, &store, &warm, "re-warm");
+                    }
+                }
                 store.corrupt_page("s", page, mutate).unwrap();
-                let mut expect = vec![true; pages];
-                expect[page] = false;
-                assert_eq!(marked(&store), expect, "{codec:?}: the copy is unmarked");
+                assert_eq!(
+                    marked(&store)[page],
+                    (false, false),
+                    "{codec:?}: the copy has no mark and no memo"
+                );
                 for cfg in canonical_configs() {
-                    for (qname, plan) in [("whole", &whole), ("band", &band)] {
+                    for (qname, plan) in [
+                        ("whole", &whole),
+                        ("variance", &variance),
+                        ("last", &last),
+                        ("band", &band),
+                    ] {
                         let got = execute(plan, &store, &cfg);
                         assert!(
                             got.is_err(),
@@ -1534,10 +1558,10 @@ fn verified_once_still_aborts_on_corruption() {
                         cases += 1;
                     }
                 }
-                assert_eq!(
-                    marked(&store),
-                    expect,
-                    "{codec:?}: a failed check marks nothing"
+                let after = marked(&store);
+                assert!(
+                    after[page] == (false, false) && after.iter().all(|m| m.0 || *m == after[page]),
+                    "{codec:?}: a failed check marks and memoizes nothing: {after:?}"
                 );
             }
         }
@@ -1600,4 +1624,158 @@ fn delta_rle_gate_rejections_materialize_and_agree_with_oracle() {
             }
         }
     }
+}
+
+/// Block Q: page memos. Every aggregate, P95 included, × windows that are
+/// absent, page-aligned and half a page early × time filters that are
+/// absent, cover every page and cut the first and last × the five delta
+/// codecs × `threads ∈ {1, 2, 8}`: the rows of a memo-cold run, a
+/// memo-warm re-run, a run after `PartialCache::clear`, and a run with
+/// `partial_cache` off are one and the same, bit for bit and at every
+/// thread count, and they are the oracle's (quantiles within the rank
+/// bound of block F). Hit counts are asserted in `crates/core/tests/
+/// page_memo.rs`, where no other test clears the memos under them.
+#[test]
+fn page_memos_answer_bit_identically_to_folds_and_the_oracle() {
+    use etsqp::core::partial::{PartialCache, TDigest};
+
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
+    let vals: Vec<i64> = (0..ROWS as i64)
+        .map(|i| (i * 37) % 101 - 30 + i / 8 + (i % 29 == 0) as i64 * 400)
+        .collect();
+    let page_span = PAGE_POINTS as i64 * 10;
+    let windows = [
+        None,
+        Some((1_000, page_span)),
+        Some((1_000 - page_span / 2, page_span)),
+    ];
+    let times = [
+        None,
+        Some(TimeRange { lo: 0, hi: 1 << 40 }),
+        Some(TimeRange {
+            lo: 1_000 + page_span / 3,
+            hi: 1_000 + 3 * page_span + page_span / 2,
+        }),
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
+        AggFunc::Rate,
+        AggFunc::Delta,
+        AggFunc::P50,
+        AggFunc::P95,
+        AggFunc::P99,
+    ];
+    // The engine's quantile, ranked among its bucket's exact values.
+    let within_rank = |est: &Value, start: i64, dt: i64, time: Option<TimeRange>, q: f64| {
+        let Value::Float(est) = *est else {
+            return false;
+        };
+        let mut bucket: Vec<i64> = ts
+            .iter()
+            .zip(&vals)
+            .filter(|(&t, _)| t >= start && t - start < dt && time.is_none_or(|r| r.contains(t)))
+            .map(|(_, &v)| v)
+            .collect();
+        bucket.sort_unstable();
+        let rank = bucket.partition_point(|&v| (v as f64) <= est) as f64;
+        (rank - q * bucket.len() as f64).abs() <= TDigest::rank_error_bound(bucket.len() as u64)
+    };
+    let mut cases = 0usize;
+    for codec in [
+        Encoding::Ts2Diff,
+        Encoding::DeltaRle,
+        Encoding::Sprintz,
+        Encoding::StreamVByte,
+        Encoding::Gorilla,
+    ] {
+        let store = store_of(PAGE_POINTS, "s", codec, &ts, &vals);
+        for func in funcs {
+            for window in windows {
+                for time in times {
+                    let scan = Plan::scan("s").filter(Predicate { time, value: None });
+                    let plan = match window {
+                        Some((t_min, dt)) => scan.window(t_min, dt, func),
+                        None => scan.aggregate(func),
+                    };
+                    let label = format!("MEMO {codec:?} {func:?} window={window:?} time={time:?}");
+                    let (ocols, orows) = oracle::execute(&plan, &store).unwrap();
+                    let mut want: Option<String> = None;
+                    for threads in [1usize, 2, 8] {
+                        let on = PipelineConfig {
+                            threads,
+                            ..Default::default()
+                        };
+                        let off = PipelineConfig {
+                            partial_cache: false,
+                            ..on
+                        };
+                        let run = |cfg: &PipelineConfig| {
+                            let got = execute(&plan, &store, cfg)
+                                .unwrap_or_else(|e| panic!("{label}: engine error {e}"));
+                            assert_eq!(got.columns, ocols, "{label}");
+                            got.rows
+                        };
+                        PartialCache::global().clear();
+                        let cold = run(&on);
+                        let runs = [
+                            ("warm", run(&on)),
+                            ("cleared", {
+                                PartialCache::global().clear();
+                                run(&on)
+                            }),
+                            ("cache off", run(&off)),
+                        ];
+                        // Debug formatting is exact: it round-trips every
+                        // float and tells -0.0 from 0.0.
+                        let cold_text = format!("{cold:?}");
+                        for (what, rows) in &runs {
+                            assert_eq!(
+                                format!("{rows:?}"),
+                                cold_text,
+                                "{label} threads={threads}: {what} rows differ from memo-cold"
+                            );
+                        }
+                        assert_eq!(
+                            want.get_or_insert_with(|| cold_text.clone()),
+                            &cold_text,
+                            "{label}: threads={threads} differs from threads=1"
+                        );
+                        match func.quantile() {
+                            None => assert!(
+                                rows_eq(&cold, &orows),
+                                "{label}: engine {:?} != oracle {:?}",
+                                preview(&cold),
+                                preview(&orows)
+                            ),
+                            Some(q) => {
+                                assert_eq!(cold.len(), orows.len(), "{label}: row count");
+                                for row in &cold {
+                                    let ok = match (window, &row[..]) {
+                                        (None, [est]) => {
+                                            within_rank(est, i64::MIN / 2, i64::MAX, time, q)
+                                        }
+                                        (Some((_, dt)), [Value::Int(start), est]) => {
+                                            within_rank(est, *start, dt, time, q)
+                                        }
+                                        _ => false,
+                                    };
+                                    assert!(ok, "{label}: {row:?} outside the rank bound");
+                                }
+                            }
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 5 * 13 * 3 * 3 * 3);
+    eprintln!("differential page-memo sweep: {cases} cases, cold = warm = cleared = off");
 }
