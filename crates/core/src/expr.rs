@@ -2,6 +2,8 @@
 //! (filters, aggregations, sliding windows, concatenation, natural join),
 //! the input to the `Pipe` pipeline generator (Algorithm 2).
 
+use etsqp_storage::page::PageHeader;
+
 /// Aggregation functions (`f` in `f(e, mask)` / `G_sw:f`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
@@ -121,6 +123,13 @@ impl TimeRange {
         t >= self.lo && t <= self.hi
     }
 
+    /// Whether every timestamp of the page `header` describes lies inside
+    /// (`[first_ts, last_ts]` is exact, so this is "the qualifying index
+    /// range is the whole page").
+    pub fn covers(&self, header: &PageHeader) -> bool {
+        self.lo <= header.first_ts && header.last_ts <= self.hi
+    }
+
     /// The half-open index range `[a, b)` of the ascending timestamps
     /// `ts` that lie inside (`a == b` when none do): ordered time makes
     /// every time filter an index range.
@@ -177,6 +186,25 @@ impl Predicate {
     /// True when neither conjunct is present.
     pub fn is_trivial(&self) -> bool {
         self.time.is_none() && self.value.is_none()
+    }
+
+    /// The conjuncts `header` does not prove for every tuple of its page:
+    /// the time conjunct goes when `[first_ts, last_ts]` lies inside it
+    /// ([`TimeRange::covers`]), the value conjunct when `[min_value,
+    /// max_value]` does and `prune` is on (with the §V rules off no value
+    /// bound is trusted; a covered time conjunct is exact index
+    /// arithmetic and goes regardless). The page's exact contribution
+    /// under `self` is its contribution under the residual — a trivial
+    /// residual means "every tuple qualifies", the converse of a §V
+    /// prune. The one coverage rule of the engine; it trusts the header,
+    /// so an executor takes it only after the page's checksum.
+    pub fn residual(&self, header: &PageHeader, prune: bool) -> Predicate {
+        Predicate {
+            time: self.time.filter(|t| !t.covers(header)),
+            value: self
+                .value
+                .filter(|&(lo, hi)| !prune || lo > header.min_value || hi < header.max_value),
+        }
     }
 }
 
@@ -425,6 +453,38 @@ mod tests {
         assert_eq!(p.value, Some((5, 50)));
         let q = p.and(&Predicate::time(50, 200));
         assert_eq!(q.time, Some(TimeRange { lo: 50, hi: 100 }));
+    }
+
+    #[test]
+    fn residual_keeps_what_the_header_does_not_prove() {
+        let header = PageHeader {
+            count: 10,
+            first_ts: 100,
+            last_ts: 190,
+            min_value: -500,
+            max_value: 700,
+            ts_encoding: etsqp_encoding::Encoding::Ts2Diff,
+            val_encoding: etsqp_encoding::Encoding::Ts2Diff,
+        };
+        let r = |p: Predicate| p.residual(&header, true);
+        // Bounds exactly on the header's prove; one past them does not.
+        let covering = Predicate::time(100, 190).and(&Predicate::value(-500, 700));
+        assert!(r(covering).is_trivial());
+        // With pruning off only the time conjunct is proven.
+        assert_eq!(
+            covering.residual(&header, false),
+            Predicate::value(-500, 700)
+        );
+        assert_eq!(r(Predicate::time(101, 190)), Predicate::time(101, 190));
+        assert_eq!(r(Predicate::time(100, 189)), Predicate::time(100, 189));
+        assert_eq!(r(Predicate::value(-499, 700)), Predicate::value(-499, 700));
+        assert_eq!(r(Predicate::value(-500, 699)), Predicate::value(-500, 699));
+        // Each conjunct on its own: a covered time, a cut value.
+        let mixed = Predicate::time(0, 1_000).and(&Predicate::value(0, i64::MAX));
+        assert_eq!(r(mixed), Predicate::value(0, i64::MAX));
+        assert_eq!(r(Predicate::default()), Predicate::default());
+        // An empty conjunct proves nothing.
+        assert_eq!(r(Predicate::value(5, 4)), Predicate::value(5, 4));
     }
 
     #[test]

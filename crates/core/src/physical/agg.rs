@@ -16,11 +16,15 @@
 //! over the page — the cursor where its gate admits the column, decode
 //! then fold where it does not.
 //!
-//! A page the planner marks `[cacheable]` (whole page, one bucket, no
-//! value filter) remembers what such a fold computed: the groups of
-//! whole-page moments an exact aggregate rests on are memoized on the
-//! resident page ([`Page::memoize`]), and the driver serves later queries
-//! from header plus memo ([`memoized`]) on its own thread, without a job.
+//! A page runs under its residual predicate, taken once its checksum is
+//! verified: the conjuncts its header does not prove. A page its filter
+//! covers therefore folds every tuple, with no filter at all. A page the
+//! planner marks `[cacheable]` (a trivial residual, one bucket)
+//! remembers what such a fold computed: the groups of whole-page moments
+//! an exact aggregate rests on are memoized on the resident page
+//! ([`Page::memoize`]), and the driver serves later queries from header
+//! plus memo ([`memoized`]) on its own thread, without a job, filtered
+//! or not.
 //! A quantile's digest is not memoized; its whole-page partial goes
 //! through the process-global digest cache ([`digest_partial`], the one
 //! user of [`PartialCache::global`]).
@@ -326,8 +330,11 @@ pub(crate) fn memoized(
 /// [`Strategy`]. Returns partial states keyed by window index (0 when
 /// unwindowed).
 ///
-/// `cacheable` is the planner's [`crate::physical::node::PageDecision::cacheable`]
-/// verdict: the whole page qualifies and lands in one bucket. Such a
+/// `pred` is the pipeline's predicate; the page folds under its
+/// residual, which trusts the header and is therefore taken after the
+/// checksum. `cacheable` is the planner's
+/// [`crate::physical::node::PageDecision::cacheable`] verdict: every
+/// tuple of the page qualifies and the page lands in one bucket. Such a
 /// page's fold memoizes what it computed on the page, for [`memoized`]
 /// to serve; a quantile's partial goes through [`digest_partial`]. Both
 /// come after the page's checksum is verified (the cache-obligation
@@ -354,6 +361,9 @@ pub(crate) fn agg_page_job(
     // also discharges the digest cache's hit path (the key embeds this
     // checksum) and lets the page take a memo.
     page.ensure_verified().map_err(Error::Storage)?;
+    // Only now is the header trusted to prove conjuncts: a page the
+    // filter covers folds as an unfiltered one.
+    let pred = &pred.residual(&page.header, cfg.prune);
 
     let fold = || -> Result<WindowStates> {
         let mut out = agg_page_states(page, pred, window, func, strategy, cfg, stats)?;
@@ -365,9 +375,10 @@ pub(crate) fn agg_page_job(
         Ok(out)
     };
     // The planner only marks pages cacheable when the whole page
-    // qualifies and lands in one bucket; re-derive the bucket index
-    // defensively (a straddling page just folds).
-    let Some(k) = whole_page_bucket(page, window).filter(|_| cacheable) else {
+    // qualifies and lands in one bucket; re-derive both defensively (a
+    // partly covered or straddling page just folds).
+    let whole = cacheable && pred.is_trivial();
+    let Some(k) = whole_page_bucket(page, window).filter(|_| whole) else {
         return fold();
     };
     if func.needs_digest() {
@@ -446,7 +457,7 @@ fn agg_page_states(
         ..trange
     });
     let mut ts: Option<Vec<i64>> = None;
-    let range = if wide.lo <= page.header.first_ts && wide.hi >= page.header.last_ts {
+    let range = if wide.covers(&page.header) {
         Some((0, count.saturating_sub(1)))
     } else if let Some(range) = constant_positions(page, wide.lo, wide.hi) {
         range
@@ -463,7 +474,7 @@ fn agg_page_states(
     // ---- The planner's whole-page forms (FusedAgg node) ---------------
     // Chosen from exact header bounds; re-checked here so any mismatch
     // falls through to the decode path below.
-    if a == 0 && b + 1 == count {
+    if a == 0 && b + 1 == count && pred.value.is_none() {
         if let Some(k) = whole_page_bucket(page, window) {
             let _a = Stage::Agg.timer(stats);
             let state = match strategy {

@@ -100,8 +100,8 @@ pub enum Strategy {
     /// deltas, labelled on whole pages only (like Delta-RLE fusion); the
     /// same cursor runs it.
     FusedSvb,
-    /// MIN/MAX of a fully covered, value-unfiltered page come straight
-    /// from the exact header statistics.
+    /// MIN/MAX of a page its predicate covers (no residual conjunct)
+    /// come straight from the exact header statistics.
     HeaderMinMax,
     /// The general path: Algorithm 1 vectorized decode (with §V suffix
     /// pruning under value filters) + masked SIMD aggregation.
@@ -144,12 +144,12 @@ pub struct PageDecision {
     /// the page's memo (exact aggregates) or the global digest cache
     /// [`crate::partial::PartialCache`] (quantiles), and memoized /
     /// inserted there. The planner grants this only when the partial is a
-    /// pure function of the page's content: the page is kept, no value
-    /// filter applies,
-    /// the time filter covers the whole page, and (under a windowed
-    /// aggregate) the page lies inside a single bucket. The executor's
-    /// hit path still requires the page checksum verified — the
-    /// cache-obligation invariant checked by
+    /// pure function of the page's content: the page is kept, its header
+    /// proves every conjunct of the predicate (no residual conjunct: the
+    /// time filter and any value filter cover the whole page), and
+    /// (under a windowed aggregate) the page lies inside a single bucket.
+    /// The executor's hit path still requires the page checksum verified
+    /// — the cache-obligation invariant checked by
     /// [`crate::physical::verify`].
     pub cacheable: bool,
 }

@@ -7,6 +7,12 @@
 //! ([`crate::physical::driver::run`]) and `EXPLAIN`
 //! ([`PhysicalPlan::render`]) — what the snapshot tests pin is by
 //! construction what the executor does.
+//!
+//! Past its §V verdict, a kept page is planned from its residual
+//! ([`Predicate::residual`]): the conjuncts its header
+//! does not prove. A page the value filter covers therefore takes the
+//! strategy, `[cacheable]` marking and `EXPLAIN` chain of an unfiltered
+//! page, and the executor folds it under the same residual.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -239,8 +245,11 @@ fn build_pipeline(
     let mut kept: Vec<Arc<Page>> = Vec::new();
     for (index, page) in pages.iter().enumerate() {
         let verdict = page_verdict(page, &pred, cfg.prune);
+        let residual = pred.residual(&page.header, cfg.prune);
         let strategy = verdict.kept().then(|| match &role {
-            Role::Agg { func, window } => choose_page_strategy(page, &pred, *window, *func, cfg),
+            Role::Agg { func, window } => {
+                choose_page_strategy(page, &residual, *window, *func, cfg)
+            }
             Role::Rows => {
                 if cfg.vectorized {
                     Strategy::Decode
@@ -261,7 +270,7 @@ fn build_pipeline(
             // pruned page carries the obligation to checksum-verify
             // before it is dropped (§V verify-before-prune).
             checksum_obligation: !verdict.kept(),
-            cacheable: cacheable_page(page, &pred, &role, verdict.kept(), cfg),
+            cacheable: cacheable_page(page, &residual, &role, verdict.kept(), cfg),
         });
     }
     let parallelism = match &role {
@@ -293,11 +302,11 @@ fn build_pipeline(
 /// The static partial-cache eligibility of one page (rendered as
 /// `[cacheable]` in `EXPLAIN`; checked by the cache-obligation
 /// invariant): the whole-page partial must be a pure function of the
-/// page content — kept, no value filter, time filter covering the whole
-/// page, and (under a windowed aggregate) the page inside one bucket.
+/// page content — kept, every tuple qualifying (a trivial `residual`),
+/// and (under a windowed aggregate) the page inside one bucket.
 fn cacheable_page(
     page: &Page,
-    pred: &Predicate,
+    residual: &Predicate,
     role: &Role,
     kept: bool,
     cfg: &PipelineConfig,
@@ -305,11 +314,7 @@ fn cacheable_page(
     let Role::Agg { window, .. } = role else {
         return false;
     };
-    cfg.partial_cache
-        && kept
-        && pred.value.is_none()
-        && time_covers_page(page, pred)
-        && whole_page_bucket(page, *window).is_some()
+    cfg.partial_cache && kept && residual.is_trivial() && whole_page_bucket(page, *window).is_some()
 }
 
 /// Whether the §III-C slicing morsel shape applies: unfiltered,
@@ -335,19 +340,13 @@ pub(crate) fn sliceable(
             .all(|p| p.header.val_encoding == Encoding::Ts2Diff && spread_fits_i64(p))
 }
 
-/// Whether the time conjunct (if any) covers the whole page — header
-/// first/last timestamps are exact, so this equals "the qualifying index
-/// range is the full page".
-pub(crate) fn time_covers_page(page: &Page, pred: &Predicate) -> bool {
-    pred.time
-        .is_none_or(|t| t.lo <= page.header.first_ts && t.hi >= page.header.last_ts)
-}
-
 /// The per-page strategy choice — previously an implicit branch chain in
 /// the executor, now a planner decision from header statistics alone.
+/// It reads the page's `residual`: a page its value filter covers
+/// chooses as an unfiltered page does.
 fn choose_page_strategy(
     page: &Page,
-    pred: &Predicate,
+    residual: &Predicate,
     window: Option<SlidingWindow>,
     func: AggFunc,
     cfg: &PipelineConfig,
@@ -355,7 +354,7 @@ fn choose_page_strategy(
     if !cfg.vectorized {
         return Strategy::Serial;
     }
-    if pred.value.is_some() {
+    if residual.value.is_some() {
         return Strategy::Decode;
     }
     let enc = page.header.val_encoding;
@@ -364,7 +363,7 @@ fn choose_page_strategy(
     // whole-page forms (Delta-RLE, SVB, header MIN/MAX) apply when the
     // page is fully covered by the time filter and inside a single
     // bucket (always, when unwindowed) — so only straddling pages decode.
-    let whole = time_covers_page(page, pred) && whole_page_bucket(page, window).is_some();
+    let whole = residual.time.is_none() && whole_page_bucket(page, window).is_some();
     if covers && enc == Encoding::Ts2Diff {
         Strategy::FusedTs2Diff
     } else if covers && enc == Encoding::DeltaRle && whole {
@@ -612,15 +611,23 @@ impl PhysicalPlan {
             let _ = writeln!(out, "    pred: {}", fmt_pred(&p.pred));
             let _ = writeln!(out, "    parallelism: {}", p.parallelism);
             let sliced = matches!(p.parallelism, Parallelism::Sliced { .. });
-            // Group consecutive pages with the same verdict + strategy.
+            // A kept page runs what its header leaves of the predicate.
+            let residual = |i: usize| {
+                let kept = p.decisions[i].strategy.is_some();
+                kept.then(|| p.pred.residual(&p.pages[i].header, cfg.prune))
+            };
+            // Group consecutive pages with the same verdict + strategy +
+            // residual.
             let mut i = 0;
             while i < p.decisions.len() {
                 let d = &p.decisions[i];
+                let r = residual(i);
                 let mut j = i;
                 while j + 1 < p.decisions.len()
                     && p.decisions[j + 1].verdict == d.verdict
                     && p.decisions[j + 1].strategy == d.strategy
                     && p.decisions[j + 1].cacheable == d.cacheable
+                    && residual(j + 1) == r
                 {
                     j += 1;
                 }
@@ -633,13 +640,13 @@ impl PhysicalPlan {
                 // counts, which would break the EXPLAIN purity check
                 // (`verify_explain` re-renders byte-identically).
                 let cache_tag = if d.cacheable { " [cacheable]" } else { "" };
-                match d.strategy {
-                    Some(s) => {
+                match d.strategy.zip(r.as_ref()) {
+                    Some((s, r)) => {
                         let _ = writeln!(
                             out,
                             "    {span}: {} -> {}{cache_tag}",
                             d.verdict,
-                            chain(s, &p.pred, role_func, sliced)
+                            chain(s, r, role_func, sliced)
                         );
                     }
                     None => {

@@ -5,7 +5,11 @@
 //! Both the `Pipe` planner ([`crate::physical::pipe`]) and the runtime
 //! partition scans of binary operators ([`crate::physical::merge`]) go
 //! through [`page_verdict`], so the pruning decision rendered by
-//! `EXPLAIN` is by construction the one the executor acts on.
+//! `EXPLAIN` is by construction the one the executor acts on. A §V
+//! verdict has three outcomes: pruned (no tuple can qualify), kept with
+//! the conjuncts its header leaves open, and kept covered (every tuple
+//! qualifies) — the last two are the page's [`Predicate::residual`],
+//! which the planner, EXPLAIN and the executor all take.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -257,7 +261,8 @@ pub(crate) fn scan_rows(
                 return Err(Error::Decode("column length mismatch (corrupt page)"));
             }
             let _f = Stage::Filter.timer(stats);
-            Ok(filter_rows(&ts, &vals, pred))
+            let residual = pred.residual(&page.header, cfg.prune);
+            Ok(filter_rows(&ts, &vals, &residual))
         },
     )?;
     let _m = Stage::Merge.timer(stats);

@@ -18,7 +18,9 @@
 //! * [`Invariant::PartitionTiling`] — binary-merge partitions tile
 //!   `[i64::MIN, i64::MAX]` disjointly and completely (§VI merge order).
 //! * [`Invariant::FusionAdmissibility`] — §IV fused strategies only
-//!   appear when codec, fuse level, predicate, and aggregate admit them
+//!   appear when codec, fuse level, predicate, and aggregate admit them:
+//!   no residual value conjunct (the page header proves any value
+//!   filter), and for the whole-page forms no residual time conjunct
 //!   (including the root-level pair-fusion fast path).
 //! * [`Invariant::HotFoldsLast`] — a hot-chunk source only appears on
 //!   unary pipelines and its timestamps strictly follow every sealed
@@ -31,11 +33,14 @@
 //!   tile the time axis without gap or overlap.
 //! * [`Invariant::CacheObligation`] — a `[cacheable]` page decision only
 //!   appears where the partial cache is sound: cache enabled, page kept,
-//!   no value filter, time range covers the page, the page lands in a
-//!   single bucket, and the pipeline is not sliced.
+//!   no residual value conjunct, time range covers the page, the page
+//!   lands in a single bucket, and the pipeline is not sliced.
 //! * [`Invariant::PartialMergeOrder`] — kept pages are strictly
 //!   time-ordered and internally consistent, so the sequential partial
 //!   merge (FIRST/LAST, timestamp bounds, sketches) is order-safe.
+//!
+//! Coverage — which conjuncts a page header proves — is re-derived by
+//! [`header_proves`], never by the planner's residual.
 //!
 //! [`verify`] is pure header/IR analysis and runs as a debug-assertion
 //! post-compile hook inside [`crate::physical::pipe::compile`];
@@ -51,7 +56,7 @@ use etsqp_storage::page::Page;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::physical::agg::{fusion_covers, spread_fits_i64};
 use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Strategy};
-use crate::physical::pipe::{pair_fusible, sliceable, time_covers_page, PhysicalPlan};
+use crate::physical::pipe::{pair_fusible, sliceable, PhysicalPlan};
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::verify_partial::{
     check_bucket_tiling, check_cache_obligations, check_partial_merge_order,
@@ -427,6 +432,22 @@ fn check_slice_bounds(p: &SeriesPipeline, role: &VerifyRole, cfg: &PipelineConfi
     Ok(())
 }
 
+/// Which conjuncts of `pred` the header of `page` proves for every tuple
+/// of it, `(time, value)` — an absent conjunct is proven, and with
+/// pruning off no value conjunct is. Re-derived here from the header and
+/// the predicate, not through the planner's residual, so that a planner
+/// bug in coverage cannot vouch for itself.
+pub(super) fn header_proves(page: &Page, pred: &Predicate, prune: bool) -> (bool, bool) {
+    let h = &page.header;
+    let time = pred
+        .time
+        .is_none_or(|t| t.lo <= h.first_ts && h.last_ts <= t.hi);
+    let value = pred
+        .value
+        .is_none_or(|(lo, hi)| prune && lo <= h.min_value && h.max_value <= hi);
+    (time, value)
+}
+
 /// Whether `strategy` is admissible for `page` under `role` and `cfg` —
 /// deliberately re-derived from first principles (codec, fuse level,
 /// predicate, aggregate) rather than by re-running the planner's choice
@@ -454,9 +475,10 @@ fn admissible(
         VerifyRole::Agg { func, window } => (*func, window),
     };
     let enc = page.header.val_encoding;
+    let (time_proved, value_proved) = header_proves(page, pred, cfg.prune);
     let fused_ok = |want: Encoding| -> Result<(), String> {
-        if pred.value.is_some() {
-            return Err(format!("{strategy} under a value filter"));
+        if !value_proved {
+            return Err(format!("{strategy} under a residual value conjunct"));
         }
         if enc != want {
             return Err(format!("{strategy} on a {} value column", enc.name()));
@@ -487,7 +509,7 @@ fn admissible(
                     return Err("fused(delta_rle) on a page straddling a bucket boundary".into());
                 }
             }
-            if !time_covers_page(page, pred) {
+            if !time_proved {
                 return Err("fused(delta_rle) on a partially covered page".into());
             }
             Ok(())
@@ -499,7 +521,7 @@ fn admissible(
                     return Err("fused(svb) on a page straddling a bucket boundary".into());
                 }
             }
-            if !time_covers_page(page, pred) {
+            if !time_proved {
                 return Err("fused(svb) on a partially covered page".into());
             }
             Ok(())
@@ -513,10 +535,10 @@ fn admissible(
                     return Err("header(min/max) on a page straddling a bucket boundary".into());
                 }
             }
-            if pred.value.is_some() {
-                return Err("header(min/max) under a value filter".into());
+            if !value_proved {
+                return Err("header(min/max) under a residual value conjunct".into());
             }
-            if !time_covers_page(page, pred) {
+            if !time_proved {
                 return Err("header(min/max) on a partially covered page".into());
             }
             Ok(())

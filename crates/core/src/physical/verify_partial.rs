@@ -7,8 +7,7 @@
 //! pipeline and share its [`VerifyRole`] / [`fail`] plumbing.
 
 use crate::physical::node::{Parallelism, SeriesPipeline};
-use crate::physical::pipe::time_covers_page;
-use crate::physical::verify::{fail, Invariant, VerifyResult, VerifyRole};
+use crate::physical::verify::{fail, header_proves, Invariant, VerifyResult, VerifyRole};
 use crate::physical::window::single_bucket_index;
 use crate::plan::PipelineConfig;
 
@@ -99,9 +98,9 @@ pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> Veri
 /// Re-derives every `[cacheable]` marking: a page may only be served
 /// from / memoize into its memo or the digest cache when the whole-page
 /// partial is the query's exact
-/// contribution for that page — cache enabled, page kept, no value
-/// filter, time range covers the page, single bucket, and not sliced
-/// (slice jobs never see the cache).
+/// contribution for that page — cache enabled, page kept, no residual
+/// value conjunct, time range covers the page, single bucket, and not
+/// sliced (slice jobs never see the cache).
 pub(super) fn check_cache_obligations(
     p: &SeriesPipeline,
     role: &VerifyRole,
@@ -111,15 +110,16 @@ pub(super) fn check_cache_obligations(
         if !d.cacheable {
             continue;
         }
+        let (time_proved, value_proved) = header_proves(page, &p.pred, cfg.prune);
         let why = if !matches!(role, VerifyRole::Agg { .. }) {
             Some("cacheable page on a non-aggregate pipeline")
         } else if !cfg.partial_cache {
             Some("cacheable page while the partial cache is disabled")
         } else if !d.verdict.kept() {
             Some("cacheable page that is pruned")
-        } else if p.pred.value.is_some() {
-            Some("cacheable page under a value filter")
-        } else if !time_covers_page(page, &p.pred) {
+        } else if !value_proved {
+            Some("cacheable page under a residual value conjunct")
+        } else if !time_proved {
             Some("cacheable page not fully covered by the time range")
         } else if matches!(p.parallelism, Parallelism::Sliced { .. }) {
             Some("cacheable page on a sliced pipeline")

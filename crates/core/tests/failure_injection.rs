@@ -226,6 +226,76 @@ fn float_pages_pruned_on_a_lying_header_abort() {
     );
 }
 
+/// A header that lies its way into coverage: page 0 truly holds
+/// −500 ..= 700, and its header is narrowed to 1 ..= 700 so that `v > 0`
+/// seems to cover it — the page would then fold unfiltered, negatives
+/// and all, or answer MAX from the header. The covering verdict trusts
+/// the header, so the checksum must come first: SUM, VARIANCE and MAX
+/// abort memo-cold and memo-warm (every page, the liar's old object
+/// included, folded and memoized before the lie), at 1, 2 and 8 threads.
+#[test]
+fn a_header_narrowed_into_coverage_aborts() {
+    use etsqp_core::expr::Predicate;
+    use etsqp_core::plan::{execute, PipelineConfig};
+
+    const POINTS: i64 = 64;
+    // Page 0 straddles the filter, page 1 lies inside it, page 2 below
+    // it, page 3 straddles it again.
+    let level = |p: i64, i: i64| match p {
+        0 => -500 + i * 1200 / (POINTS - 1),
+        1 => 1 + i * 9,
+        2 => -300 + i,
+        _ => -200 + i * 17,
+    };
+    let build = || {
+        let store = SeriesStore::new(POINTS as usize);
+        store.create_series("s", Encoding::Ts2Diff, Encoding::Ts2Diff);
+        for p in 0..4 {
+            for i in 0..POINTS {
+                store.append("s", p * POINTS + i, level(p, i)).unwrap();
+            }
+        }
+        store.flush("s").unwrap();
+        store
+    };
+    let positive = Predicate::value(1, i64::MAX);
+    let funcs = [AggFunc::Sum, AggFunc::Variance, AggFunc::Max];
+    let narrow = |p: &mut Page| {
+        assert_eq!((p.header.min_value, p.header.max_value), (-500, 700));
+        p.header.min_value = 1;
+    };
+    for threads in [1usize, 2, 8] {
+        let cfg = PipelineConfig {
+            threads,
+            ..Default::default()
+        };
+        for warm in [false, true] {
+            let store = build();
+            if warm {
+                for func in funcs {
+                    for pred in [Predicate::default(), positive] {
+                        let plan = Plan::scan("s").filter(pred).aggregate(func);
+                        let (_, want) = etsqp_core::oracle::execute(&plan, &store).unwrap();
+                        for _ in 0..2 {
+                            assert_eq!(execute(&plan, &store, &cfg).unwrap().rows, want);
+                        }
+                    }
+                }
+            }
+            store.corrupt_page("s", 0, narrow).unwrap();
+            for func in funcs {
+                let plan = Plan::scan("s").filter(positive).aggregate(func);
+                let got = execute(&plan, &store, &cfg);
+                assert!(
+                    matches!(got, Err(etsqp_core::Error::Storage(_))),
+                    "{func:?} threads={threads} warm={warm}: a lying header answered {:?}",
+                    got.map(|r| r.rows)
+                );
+            }
+        }
+    }
+}
+
 /// A Delta-RLE column built pair by pair, lies and all: `count` is what
 /// the column header declares, whatever the runs add up to.
 fn raw_delta_rle(count: u32, first: i64, pairs: &[(i64, u64)]) -> Vec<u8> {

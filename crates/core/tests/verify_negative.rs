@@ -344,8 +344,9 @@ fn bucket_tiling_rejects_degenerate_widths() {
 fn cache_obligation_rejects_value_filtered_pages() {
     let store = store_with(&["a"]);
     let cfg = cfg();
-    // A value filter means a page's whole-page partial is not its exact
-    // contribution, so no decision may be marked cacheable.
+    // A value filter the header does not prove means a page's whole-page
+    // partial is not its exact contribution, so no decision may be
+    // marked cacheable.
     let plan = Plan::scan("a")
         .filter(Predicate::value(100, 110))
         .aggregate(AggFunc::Sum);
@@ -361,6 +362,51 @@ fn cache_obligation_rejects_value_filtered_pages() {
         .expect("fixture keeps at least one page");
     phys.pipelines[0].decisions[kept].cacheable = true;
     expect_invariant(verify(&phys, &cfg), Invariant::CacheObligation);
+}
+
+/// Every fixture page holds 100 ..= 136. `[100, 136]` covers each one, so
+/// the header's MIN/MAX and memo answer the filtered query and the
+/// planner says so; `[100, 130]` only partly covers them, and a
+/// `[cacheable]` or `header(min/max)` decision there is rejected.
+#[test]
+fn value_filter_coverage_is_re_derived_from_the_header() {
+    let store = store_with(&["a"]);
+    let cfg = cfg();
+    let max_under = |lo, hi| {
+        Plan::scan("a")
+            .filter(Predicate::value(lo, hi))
+            .aggregate(AggFunc::Max)
+    };
+    let covered = compile(&max_under(100, 136), &store, &cfg).unwrap();
+    verify(&covered, &cfg).unwrap();
+    assert!(
+        covered.pipelines[0]
+            .decisions
+            .iter()
+            .all(|d| d.cacheable && d.strategy == Some(Strategy::HeaderMinMax)),
+        "covered pages plan as unfiltered ones"
+    );
+
+    let partly = compile(&max_under(100, 130), &store, &cfg).unwrap();
+    verify(&partly, &cfg).unwrap();
+    let d = &partly.pipelines[0].decisions[1];
+    assert!(!d.cacheable && d.strategy == Some(Strategy::Decode));
+    let mut header = partly.clone();
+    header.pipelines[0].decisions[1].strategy = Some(Strategy::HeaderMinMax);
+    expect_invariant(verify(&header, &cfg), Invariant::FusionAdmissibility);
+    let mut cacheable = partly.clone();
+    cacheable.pipelines[0].decisions[1].cacheable = true;
+    expect_invariant(verify(&cacheable, &cfg), Invariant::CacheObligation);
+
+    // With pruning off the header proves no value conjunct either.
+    let unpruned = PipelineConfig {
+        prune: false,
+        ..cfg
+    };
+    let mut phys = compile(&max_under(100, 136), &store, &unpruned).unwrap();
+    assert!(phys.pipelines[0].decisions.iter().all(|d| !d.cacheable));
+    phys.pipelines[0].decisions[0].cacheable = true;
+    expect_invariant(verify(&phys, &unpruned), Invariant::CacheObligation);
 }
 
 #[test]

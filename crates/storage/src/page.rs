@@ -329,8 +329,9 @@ impl Page {
     }
 
     /// Memoizes the groups of `m` that are present and not memoized yet.
-    /// Only a whole-page, unfiltered fold of this object may call it, and
-    /// only with the groups it computed; a group is not rewritten until
+    /// Only a fold over every tuple of this object may call it (a filter
+    /// the header proves the page passes whole included), and only with
+    /// the groups it computed; a group is not rewritten until
     /// the next [`forget_all_moments`]. A no-op before the object is
     /// verified.
     pub fn memoize(&self, m: PageMoments) {

@@ -48,9 +48,13 @@
 //! * `digest-cache-only` — in the engine `PartialCache::global()` is
 //!   taken only inside the one function that probes and fills the
 //!   quantile-digest cache; exact aggregates are memoized on their pages.
+//! * `residual-predicate` — in the physical IR a page-header bound meets
+//!   a predicate conjunct's `lo` / `hi` only in the §V verdicts and the
+//!   verifier's re-derivation; everything else asks the residual
+//!   predicate, so a second coverage rule fails here.
 //!
-//! The last two are rows of one table, [`HOME_BOUND`]: a call that may
-//! appear in its scope only inside one home function.
+//! The last three are rows of one table, [`HOME_BOUND`]: a construct that
+//! may appear in its scope only inside its home functions.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
 //! line or in the comment block directly above suppresses that rule
@@ -144,22 +148,42 @@ pub const WALKER_KERNELS: [&str; 4] = [
     "layout_transpose",
 ];
 
-/// A call that, in the files under `scope`, may appear only inside one
-/// function — found by brace depth, so nested blocks stay inside it.
+/// A construct that, in the files under `scope`, may appear only inside
+/// its home functions — found by brace depth, so nested blocks stay
+/// inside them.
 pub struct HomeBound {
     /// Rule name.
     pub rule: &'static str,
     /// Files under this path are subject to the rule.
     pub scope: &'static str,
-    /// The call, matched as a substring of the masked code.
+    /// The construct, as the violation message names it.
     pub call: &'static str,
-    /// The one place in scope that may make it: (file, function).
-    pub home: (&'static str, &'static str),
+    /// Whether a line of masked code makes it.
+    pub made_by: fn(&str) -> bool,
+    /// The places in scope that may make it: (file, function).
+    pub homes: &'static [(&'static str, &'static str)],
     /// Why, for the violation message.
     pub why: &'static str,
 }
 
-/// The home-bound calls of the engine:
+/// Page-header bounds, and the header's own overlap tests against them.
+const HEADER_BOUNDS: [&str; 6] = [
+    "first_ts",
+    "last_ts",
+    "min_value",
+    "max_value",
+    "overlaps_time",
+    "overlaps_value",
+];
+
+/// A header bound and a predicate conjunct's bound (`lo` / `hi`) on one
+/// line: a coverage or overlap comparison.
+fn compares_header_to_conjunct(code: &str) -> bool {
+    HEADER_BOUNDS.iter().any(|b| has_token(code, b))
+        && (has_token(code, "lo") || has_token(code, "hi"))
+}
+
+/// The home-bound constructs of the engine:
 ///
 /// * `verify-once` — `.verify()` hashes a page on every use; only the deep
 ///   plan check, which exists to recompute every pruned page's digest,
@@ -167,26 +191,46 @@ pub struct HomeBound {
 /// * `digest-cache-only` — the process-global partial cache holds quantile
 ///   digests alone; exact aggregates are memoized on their pages, so only
 ///   the one digest function probes or fills it.
-pub const HOME_BOUND: [HomeBound; 2] = [
+/// * `residual-predicate` — in the physical IR a page's header bounds are
+///   held against a predicate's conjuncts only by the §V verdicts and by
+///   the verifier's independent re-derivation; everything else asks
+///   `Predicate::residual` or, for a bare time range, `TimeRange::covers`
+///   (`crates/core/src/expr.rs`, outside the scope),
+///   so a second coverage rule cannot drift from the first.
+pub const HOME_BOUND: [HomeBound; 3] = [
     HomeBound {
         rule: "verify-once",
         scope: "crates/core/src/",
         call: ".verify()",
-        home: ("crates/core/src/physical/verify.rs", "verify_deep"),
+        made_by: |code| code.contains(".verify()"),
+        homes: &[("crates/core/src/physical/verify.rs", "verify_deep")],
         why: "re-hashes the page on every query; job-time checks go through `ensure_verified`",
     },
     HomeBound {
         rule: "digest-cache-only",
         scope: "crates/core/src/",
         call: "PartialCache::global()",
-        home: ("crates/core/src/physical/agg.rs", "digest_partial"),
+        made_by: |code| code.contains("PartialCache::global()"),
+        homes: &[("crates/core/src/physical/agg.rs", "digest_partial")],
         why: "is the quantile-digest cache; an exact aggregate is memoized on its page \
               (`Page::memoize`)",
+    },
+    HomeBound {
+        rule: "residual-predicate",
+        scope: "crates/core/src/physical/",
+        call: "header bound vs. conjunct bound",
+        made_by: compares_header_to_conjunct,
+        homes: &[
+            ("crates/core/src/physical/scan.rs", "page_verdict"),
+            ("crates/core/src/physical/scan.rs", "hot_verdict"),
+            ("crates/core/src/physical/verify.rs", "header_proves"),
+        ],
+        why: "is a coverage rule of its own; ask `Predicate::residual` or `TimeRange::covers`",
     },
 ];
 
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 12] = [
+pub const RULE_NAMES: [&str; 13] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -199,6 +243,7 @@ pub const RULE_NAMES: [&str; 12] = [
     "one-walker",
     "verify-once",
     "digest-cache-only",
+    "residual-predicate",
 ];
 
 /// One rule violation at a specific location.
@@ -874,29 +919,39 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
         }
     }
 
-    // Rules: the home-bound calls (non-test code, everywhere in scope but
-    // the body of the home function, found by brace depth).
+    // Rules: the home-bound constructs (non-test code, everywhere in scope
+    // but the bodies of the home functions, found by brace depth).
     for bound in HOME_BOUND.iter().filter(|b| rel_path.contains(b.scope)) {
-        let (home_file, home_fn) = bound.home;
+        let is_home = |code: &str| {
+            code.contains("fn ")
+                && (bound.homes.iter())
+                    .any(|&(file, func)| rel_path.ends_with(file) && has_token(code, func))
+        };
         let mut depth = 0usize;
         let mut entering = false; // saw `fn <home>`, its `{` still to come
         let mut home: Option<usize> = None; // depth the home body opened at
         for (i, line) in lines.iter().enumerate() {
             let code = line.code.as_str();
-            if rel_path.ends_with(home_file) && code.contains("fn ") && has_token(code, home_fn) {
+            if is_home(code) {
                 entering = true;
             }
             if !line.in_test
                 && !entering
                 && home.is_none()
-                && code.contains(bound.call)
+                && (bound.made_by)(code)
                 && !allowed(i, bound.rule)
             {
+                let homes: Vec<String> = bound.homes.iter().map(|h| format!("`{}`", h.1)).collect();
                 report.violations.push(Violation {
                     file: rel_path.to_string(),
                     line: i + 1,
                     rule: bound.rule.into(),
-                    msg: format!("`{}` {} (only `{home_fn}` may)", bound.call, bound.why),
+                    msg: format!(
+                        "`{}` {} (only {} may)",
+                        bound.call,
+                        bound.why,
+                        homes.join(", ")
+                    ),
                 });
             }
             for c in code.chars() {
@@ -1390,12 +1445,12 @@ pub fn f(v: &[i64]) -> i64 {
         assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
     }
 
-    /// The home file of a [`HOME_BOUND`] rule.
+    /// The (first) home file of a [`HOME_BOUND`] rule.
     fn home_of(rule: &str) -> &'static str {
         HOME_BOUND
             .iter()
             .find(|b| b.rule == rule)
-            .map(|b| b.home.0)
+            .map(|b| b.homes[0].0)
             .unwrap()
     }
 
@@ -1456,6 +1511,35 @@ pub fn f(v: &[i64]) -> i64 {
         // ... and the benches clear the cache freely.
         let r = analyze_source("crates/bench/src/lib.rs", bad);
         assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+    }
+
+    #[test]
+    fn residual_predicate_fires_on_a_second_coverage_rule() {
+        let bad = include_str!("../fixtures/residual_bad.rs.txt");
+        let good = include_str!("../fixtures/residual_good.rs.txt");
+        let r = analyze_source("crates/core/src/physical/pipe.rs", bad);
+        assert_eq!(
+            rules_fired(&r),
+            ["residual-predicate"; 3],
+            "a time cover, a value cover and an overlap test: {r:?}"
+        );
+        // The verdict is a home; the residual and conjunct-free header
+        // reads are no comparison at all.
+        let r = analyze_source(home_of("residual-predicate"), good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+        // The verifier re-derives coverage in its one home, nowhere else.
+        let proves = "pub(super) fn header_proves(page: &Page, pred: &Predicate) -> bool {\n    \
+                      pred.time.is_none_or(|t| t.lo <= page.header.first_ts)\n}\n";
+        let r = analyze_source("crates/core/src/physical/verify.rs", proves);
+        assert!(r.violations.is_empty(), "{r:?}");
+        let r = analyze_source("crates/core/src/physical/verify_partial.rs", proves);
+        assert_eq!(rules_fired(&r), ["residual-predicate"], "{r:?}");
+        // Outside the physical IR (the residual itself, the float
+        // executor) the rule does not apply.
+        for path in ["crates/core/src/expr.rs", "crates/core/src/float.rs"] {
+            let r = analyze_source(path, bad);
+            assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+        }
     }
 
     #[test]

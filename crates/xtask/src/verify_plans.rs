@@ -2,7 +2,7 @@
 //!
 //! Two passes, both gating in `scripts/ci.sh`:
 //!
-//! 1. **Enumeration** — compiles the 20-query differential battery over
+//! 1. **Enumeration** — compiles the 21-query differential battery over
 //!    every Table II dataset × value codec cell (plus the timestamp-codec
 //!    and hot+sealed cells) under the full pipeline-config cross, and runs
 //!    each compiled [`PhysicalPlan`] through
@@ -127,8 +127,9 @@ fn cfg_label(cfg: &PipelineConfig) -> String {
 }
 
 /// Builds the store for one (spec × value codec × ts codec) cell and the
-/// 20-query battery derived from the generated data's actual ranges —
-/// the same battery the differential oracle suite executes.
+/// 21-query battery derived from the generated data's actual ranges —
+/// the differential oracle suite's battery plus a value filter covering
+/// every page.
 fn cell(
     spec: Spec,
     val_codec: Encoding,
@@ -216,6 +217,14 @@ fn cell(
             scan_a().filter(v_band).window(w_min, w_dt, AggFunc::Count),
         ),
         ("P95(all)".into(), scan_a().aggregate(AggFunc::P95)),
+        // Every page inside the filter: the headers prove it, so the
+        // pages plan as unfiltered ones (header MIN/MAX, `[cacheable]`).
+        (
+            "MAX(vcover)".into(),
+            scan_a()
+                .filter(Predicate::value(vmin, vmax))
+                .aggregate(AggFunc::Max),
+        ),
         ("WP50".into(), scan_a().window(w_min, w_dt, AggFunc::P50)),
         (
             "WRATE(time)".into(),
@@ -578,9 +587,29 @@ fn mutation_pass(report: &mut Report) {
         report,
     );
 
-    // cache-obligation: a page under a value filter marked cacheable
-    // (a cache keyed only on (checksum, func) statistics would serve a
-    // filtered partial as if it were the whole page).
+    // fusion-admissibility: header(min/max) on a page the value filter
+    // only partly covers (its header maximum 136 lies above the filter's
+    // 130, so the header's MAX is not the filtered one).
+    let band_max = Plan::scan("m")
+        .filter(Predicate::value(100, 130))
+        .aggregate(AggFunc::Max);
+    let mut phys = pipe::compile(&band_max, &store, &cfg).unwrap();
+    let d = phys.pipelines[0]
+        .decisions
+        .iter_mut()
+        .find(|d| d.strategy == Some(Strategy::Decode))
+        .expect("fixture keeps a partly covered page");
+    d.strategy = Some(Strategy::HeaderMinMax);
+    expect(
+        "fusion-admissibility/value-partly-covered",
+        Invariant::FusionAdmissibility,
+        verify(&phys, &cfg),
+        report,
+    );
+
+    // cache-obligation: a page the value filter only partly covers marked
+    // cacheable (a memo holds the whole page's moments, which would be
+    // served as the filtered partial).
     let filtered = Plan::scan("m")
         .filter(Predicate::value(100, 130))
         .aggregate(AggFunc::Sum);

@@ -155,6 +155,21 @@ ETSQP_BENCH_SERVE_MAX_CLIENTS="${ETSQP_BENCH_SERVE_MAX_CLIENTS:-64}" \
     bash scripts/bench.sh \
     || echo "WARN: bench smoke failed (non-gating)"
 
+# Non-gating: a fresh untraced benchmark run (seed 1, all five workloads,
+# about two minutes) against the committed baseline
+# results/spine/set-A.json. A `worse` or `unresolved` row is a signal to
+# look at, not a failure: another host, or a busy hour on this one, reads
+# differently (bench/README.md "What compare.sh decides").
+echo "==> bench/compare.sh results/spine/set-A.json <fresh run> (non-gating)"
+bench_compare() (
+    set -euo pipefail
+    mkdir -p bench/out
+    cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+        --workload all --seed 1 --trace 0 --out bench/out/ci.json >/dev/null
+    bash bench/compare.sh results/spine/set-A.json bench/out/ci.json
+)
+bench_compare || echo "WARN: benchmark drifted from results/spine/set-A.json (non-gating)"
+
 # Non-gating: the ROADMAP item 3 scoreboard (non-test code lines).
 echo "==> scripts/loc.sh (non-gating)"
 bash scripts/loc.sh || echo "WARN: loc.sh failed (non-gating)"

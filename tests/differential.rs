@@ -731,6 +731,50 @@ fn store_of(
     store
 }
 
+/// Per page of series `s`: its header's value bounds and what `func`
+/// materializes on it with no value filter (the page alone, picked by a
+/// time filter its header covers). A page a value filter covers is
+/// aggregated as an unfiltered page, so this is what it costs then.
+fn unfiltered_cost(
+    store: &SeriesStore,
+    func: AggFunc,
+    cfg: &PipelineConfig,
+) -> Vec<((i64, i64), u64)> {
+    let pages = store.peek_pages("s").unwrap();
+    pages
+        .iter()
+        .map(|p| {
+            let h = p.header;
+            let alone = Plan::scan("s")
+                .filter(Predicate::time(h.first_ts, h.last_ts))
+                .aggregate(func);
+            let bytes = execute(&alone, store, cfg)
+                .unwrap()
+                .stats
+                .materialized_bytes;
+            ((h.min_value, h.max_value), bytes)
+        })
+        .collect()
+}
+
+/// What the value filter `[lo, hi]` materializes over the pages of
+/// `yardstick`: nothing for a page it misses (pruned), the unfiltered
+/// cost for a page it covers, `partial` for one it cuts.
+fn filtered_cost(yardstick: &[((i64, i64), u64)], (lo, hi): (i64, i64), partial: u64) -> u64 {
+    yardstick
+        .iter()
+        .map(|&((min, max), unfiltered)| {
+            if max < lo || min > hi {
+                0
+            } else if lo <= min && max <= hi {
+                unfiltered
+            } else {
+                partial
+            }
+        })
+        .sum()
+}
+
 /// Engine rows under `cfg` equal the oracle's, with a one-line label.
 fn assert_oracle(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig, label: &str) {
     let (ocols, orows) = oracle::execute(plan, store).unwrap();
@@ -1162,7 +1206,8 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
 /// although their packing width is above 32 or their mode is 1. A
 /// column hugging an `i64` limit passes the gate — the far-side filter
 /// bound is translated without wrapping — except for VARIANCE, whose
-/// `Σv²` would leave `i128`.
+/// `Σv²` would leave `i128`. A page the value filter covers is no
+/// filtered fold: it costs what it costs unfiltered.
 #[test]
 fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
     use etsqp::core::physical::node::Strategy;
@@ -1218,6 +1263,7 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
         let store = store_of(PAGE_POINTS, "s", *codec, &ts, vals);
         let mid = vals[vals.len() / 2];
         for func in funcs {
+            let yardstick = unfiltered_cost(&store, func, &cfg);
             for value in [(i64::MIN, mid), (mid.saturating_add(1), i64::MAX), (0, 0)] {
                 let plan = Plan::scan("s")
                     .filter(Predicate::value(value.0, value.1))
@@ -1227,8 +1273,8 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
                 let got = execute(&plan, &store, &cfg).unwrap();
                 assert_eq!(
                     got.stats.materialized_bytes,
-                    got.stats.pages_loaded * PAGE_POINTS as u64 * 8,
-                    "{label}: the gate should have sent every loaded page to the decoder"
+                    filtered_cost(&yardstick, value, PAGE_POINTS as u64 * 8),
+                    "{label}: the gate should have sent every partly covered page to the decoder"
                 );
             }
         }
@@ -1466,14 +1512,14 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
 /// (`SeriesStore::corrupt_page` clones, and a clone has neither mark nor
 /// memo) and every query, under every canonical config, must abort — a
 /// mark or a memo on the old object, or on its neighbours, vouches for
-/// nothing.
+/// nothing, and neither do header bounds narrowed into a filter's cover.
 #[test]
 fn verified_once_still_aborts_on_corruption() {
     use etsqp::storage::page::{Page, PageMoments};
     use etsqp::storage::Bytes;
 
     type Mutation = (&'static str, fn(&mut Page));
-    let mutations: [Mutation; 3] = [
+    let mutations: [Mutation; 4] = [
         ("payload_flip", |p| {
             let mut v = p.val_bytes.to_vec();
             let mid = v.len() / 2;
@@ -1485,15 +1531,27 @@ fn verified_once_still_aborts_on_corruption() {
             p.header.max_value = i64::MAX;
         }),
         ("count_lie", |p| p.header.count += 1),
+        // Bounds narrowed into the narrow band: page 1 (100 ..= 106) then
+        // seems covered by 102 ..= 199, and its MAX would come from the
+        // header.
+        ("narrowed_bounds", |p| {
+            p.header.min_value += 2;
+            p.header.max_value -= 1;
+        }),
     ];
     let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
-    // Page p sits at level 100·p: a band over one level prunes the rest.
+    // Page p sits at level 100·p: a band over one level prunes the rest
+    // and covers that level's page (served from header or memo); the
+    // narrow band cuts it.
     let vals: Vec<i64> = (0..ROWS as i64)
         .map(|i| 100 * (i / PAGE_POINTS as i64) + i % 7)
         .collect();
     let whole = Plan::scan("s").aggregate(AggFunc::Sum);
     let band = Plan::scan("s")
         .filter(Predicate::value(100, 199))
+        .aggregate(AggFunc::Max);
+    let narrow = Plan::scan("s")
+        .filter(Predicate::value(102, 199))
         .aggregate(AggFunc::Max);
     let variance = Plan::scan("s").aggregate(AggFunc::Variance);
     let last = Plan::scan("s").aggregate(AggFunc::Last);
@@ -1517,9 +1575,10 @@ fn verified_once_still_aborts_on_corruption() {
                     pages
                         .iter()
                         .map(|p| {
+                            // An unverified page shows no memo at all.
                             let m = p.moments();
+                            assert!(p.is_verified() || m == PageMoments::default(), "{m:?}");
                             let all = m.sum.is_some() && m.sum_sq.is_some() && m.ends.is_some();
-                            assert!(all || m == PageMoments::default(), "{m:?}");
                             (p.is_verified(), all)
                         })
                         .collect()
@@ -1546,6 +1605,7 @@ fn verified_once_still_aborts_on_corruption() {
                         ("variance", &variance),
                         ("last", &last),
                         ("band", &band),
+                        ("narrow", &narrow),
                     ] {
                         let got = execute(plan, &store, &cfg);
                         assert!(
@@ -1573,7 +1633,8 @@ fn verified_once_still_aborts_on_corruption() {
 /// Block P: what the run-space gate rejects keeps decode-then-fold and
 /// agrees with the oracle — a spread beyond `i64` (deltas that wrapped
 /// at encode time) under every aggregate, and values of 2⁴⁷ and up under
-/// VARIANCE alone, whose `Σv²` the closed form could not hold exactly.
+/// VARIANCE alone, whose `Σv²` the filtered walk could not hold exactly.
+/// A page the value filter covers costs what it costs unfiltered.
 #[test]
 fn delta_rle_gate_rejections_materialize_and_agree_with_oracle() {
     let n = PAGE_POINTS as i64;
@@ -1607,6 +1668,7 @@ fn delta_rle_gate_rejections_materialize_and_agree_with_oracle() {
         let store = store_of(PAGE_POINTS, "s", Encoding::DeltaRle, &ts, vals);
         let mid = vals[vals.len() / 2];
         for func in funcs {
+            let yardstick = unfiltered_cost(&store, func, &cfg);
             for value in [(i64::MIN, mid), (mid.saturating_add(1), i64::MAX), (0, 0)] {
                 let plan = Plan::scan("s")
                     .filter(Predicate::value(value.0, value.1))
@@ -1614,8 +1676,12 @@ fn delta_rle_gate_rejections_materialize_and_agree_with_oracle() {
                 let label = format!("GATE {what} DeltaRle {func:?} value={value:?}");
                 assert_oracle(&plan, &store, &cfg, &label);
                 let got = execute(&plan, &store, &cfg).unwrap();
-                let decoded = got.stats.pages_loaded * PAGE_POINTS as u64 * 8;
-                let want = if folds.contains(&func) { 0 } else { decoded };
+                let decoded = if folds.contains(&func) {
+                    0
+                } else {
+                    PAGE_POINTS as u64 * 8
+                };
+                let want = filtered_cost(&yardstick, value, decoded);
                 assert_eq!(
                     got.stats.materialized_bytes, want,
                     "{label}: {:?}",
@@ -1778,4 +1844,291 @@ fn page_memos_answer_bit_identically_to_folds_and_the_oracle() {
     }
     assert_eq!(cases, 5 * 13 * 3 * 3 * 3);
     eprintln!("differential page-memo sweep: {cases} cases, cold = warm = cleared = off");
+}
+
+/// Block R: residual predicates. Value filters sit exactly on page
+/// bounds — a page's `[min, max]`, each end moved one inward and one
+/// outward, one-sided at either end — and cover every page, none, and
+/// half of them. Crossed with every aggregate, P95, FIRST, LAST, RATE
+/// and DELTA included × windows that are absent, page-aligned and half a
+/// page early × time filters that are absent, cover every page and cut
+/// the first and last × the five codecs the cursor folds plus a TS2DIFF
+/// series with one gate-rejected page × `threads ∈ {1, 2, 8}`: the rows
+/// of a memo-cold run (fresh page objects), a memo-warm re-run, a run
+/// with `partial_cache` off and, once per plan, a run after
+/// `PartialCache::clear` are one and the same, bit for bit and at every
+/// thread count, and they are the oracle's (quantiles within the rank
+/// bound of block F). A page whose
+/// header misses the filter is pruned, and only pages the filter cuts
+/// add to `tuples_pruned` beyond the pruned pages' tuples. A filter that
+/// covers every page costs what no filter costs, and once memoized
+/// covered pages materialize nothing.
+#[test]
+fn residual_predicates_fold_covered_pages_as_unfiltered_ones() {
+    use etsqp::core::partial::{PartialCache, TDigest};
+
+    let pages = ROWS / PAGE_POINTS;
+    let page_span = PAGE_POINTS as i64 * 10;
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10).collect();
+    // Page p sits at its own level, a stair of three-point steps on it:
+    // 0 ..= 39, 20 ..= 59, -30 ..= 9 and 70 ..= 109.
+    const LEVEL: [i64; 4] = [0, 20, -30, 70];
+    let vals: Vec<i64> = (0..ROWS)
+        .map(|i| LEVEL[i / PAGE_POINTS] + (i % PAGE_POINTS / 3) as i64 * 13 % 41)
+        .collect();
+    // One spike 2³³ high packs the last page wider than the cursor's gate.
+    let mut spiked = vals.clone();
+    spiked[3 * PAGE_POINTS + 32] += 1 << 33;
+    let cells: [(&str, Encoding, &Vec<i64>); 6] = [
+        ("ts2diff", Encoding::Ts2Diff, &vals),
+        ("delta_rle", Encoding::DeltaRle, &vals),
+        ("sprintz", Encoding::Sprintz, &vals),
+        ("stream_vbyte", Encoding::StreamVByte, &vals),
+        ("gorilla", Encoding::Gorilla, &vals),
+        ("gate-rejected", Encoding::Ts2Diff, &spiked),
+    ];
+    let windows = [
+        None,
+        Some((1_000, page_span)),
+        Some((1_000 - page_span / 2, page_span)),
+    ];
+    let times = [
+        None,
+        Some(TimeRange { lo: 0, hi: 1 << 40 }),
+        Some(TimeRange {
+            lo: 1_000 + page_span / 3,
+            hi: 1_000 + 3 * page_span + page_span / 2,
+        }),
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
+        AggFunc::Rate,
+        AggFunc::Delta,
+        AggFunc::P50,
+        AggFunc::P95,
+        AggFunc::P99,
+    ];
+    let (mut cases, mut served) = (0usize, 0u64);
+    for (cell, codec, vals) in cells {
+        let store = store_of(PAGE_POINTS, "s", codec, &ts, vals);
+        let bounds: Vec<(i64, i64)> = vals
+            .chunks(PAGE_POINTS)
+            .map(|c| (*c.iter().min().unwrap(), *c.iter().max().unwrap()))
+            .collect();
+        let all = (
+            bounds.iter().map(|b| b.0).min().unwrap(),
+            bounds.iter().map(|b| b.1).max().unwrap(),
+        );
+        let (lo, hi) = bounds[1];
+        let filters = [
+            all,
+            (all.1 + 1, i64::MAX),
+            (bounds[0].0.min(lo), bounds[0].1.max(hi)),
+            (lo, hi),
+            (lo - 1, hi + 1),
+            (lo + 1, hi),
+            (lo, hi - 1),
+            (lo, i64::MAX),
+            (lo + 1, i64::MAX),
+            (i64::MIN, hi),
+            (i64::MIN, hi - 1),
+        ];
+        for func in funcs {
+            for window in windows {
+                for time in times {
+                    for value in filters {
+                        let pred = Predicate {
+                            time,
+                            value: Some(value),
+                        };
+                        let scan = Plan::scan("s").filter(pred);
+                        let plan = match window {
+                            Some((t_min, dt)) => scan.window(t_min, dt, func),
+                            None => scan.aggregate(func),
+                        };
+                        let label = format!(
+                            "RESIDUAL {cell} {func:?} window={window:?} time={time:?} \
+                             value={value:?}"
+                        );
+                        // Per page, from the data: missed (pruned), cut
+                        // by the value filter, or covered by it.
+                        let (mut pruned, mut cut) = (0u64, 0u64);
+                        for (p, &(min, max)) in bounds.iter().enumerate() {
+                            let (first, last) =
+                                (ts[p * PAGE_POINTS], ts[(p + 1) * PAGE_POINTS - 1]);
+                            let time_misses = time.is_some_and(|t| last < t.lo || first > t.hi);
+                            if time_misses || max < value.0 || min > value.1 {
+                                pruned += 1;
+                            } else if min < value.0 || max > value.1 {
+                                cut += 1;
+                            }
+                        }
+                        let page_tuples = PAGE_POINTS as u64;
+                        let (ocols, orows) = oracle::execute(&plan, &store).unwrap();
+                        let mut want: Option<String> = None;
+                        for threads in [1usize, 2, 8] {
+                            let on = PipelineConfig {
+                                threads,
+                                ..Default::default()
+                            };
+                            let off = PipelineConfig {
+                                partial_cache: false,
+                                ..on
+                            };
+                            // Memo-cold: fresh page objects, neither
+                            // marked nor memoized.
+                            let store = store_of(PAGE_POINTS, "s", codec, &ts, vals);
+                            let phys = pipe::compile(&plan, &store, &on).unwrap();
+                            let decisions = &phys.pipelines[0].decisions;
+                            let kept = decisions.iter().filter(|d| d.verdict.kept()).count();
+                            let cacheable = decisions.iter().filter(|d| d.cacheable).count();
+                            let run = |cfg: &PipelineConfig| {
+                                let got = execute(&plan, &store, cfg)
+                                    .unwrap_or_else(|e| panic!("{label}: engine error {e}"));
+                                assert_eq!(got.columns, ocols, "{label}");
+                                let s = &got.stats;
+                                assert_eq!(s.pages_pruned, pruned, "{label}: pruned pages {s:?}");
+                                let beyond = s.tuples_pruned - pruned * page_tuples;
+                                assert!(
+                                    s.tuples_pruned >= pruned * page_tuples
+                                        && beyond <= cut * page_tuples,
+                                    "{label}: a covered page pruned tuples ({cut} cut) {s:?}"
+                                );
+                                got
+                            };
+                            let cold = run(&on);
+                            let warm = run(&on);
+                            // A concurrent test's `PartialCache::clear`
+                            // may have forgotten the memos between the two
+                            // runs; only a warm run that was served every
+                            // covered page shows what covered pages cost.
+                            if cacheable == kept && warm.stats.cache_hits == kept as u64 {
+                                assert_eq!(
+                                    warm.stats.materialized_bytes, 0,
+                                    "{label} threads={threads}: served covered pages materialized"
+                                );
+                                served += u64::from(kept > 0);
+                            }
+                            let mut runs = vec![("warm", warm.rows), ("cache off", run(&off).rows)];
+                            // Forgetting every memo of the process (once
+                            // per plan: the other tests' memos go too).
+                            if threads == 1 {
+                                PartialCache::global().clear();
+                                runs.push(("cleared", run(&on).rows));
+                            }
+                            let cold_text = format!("{:?}", cold.rows);
+                            for (what, rows) in &runs {
+                                assert_eq!(
+                                    format!("{rows:?}"),
+                                    cold_text,
+                                    "{label} threads={threads}: {what} rows differ from memo-cold"
+                                );
+                            }
+                            assert_eq!(
+                                want.get_or_insert_with(|| cold_text.clone()),
+                                &cold_text,
+                                "{label}: threads={threads} differs from threads=1"
+                            );
+                            // Every page covered: the filter costs nothing
+                            // over no filter at all (page by page: only an
+                            // unfiltered query is ever sliced).
+                            if value == all {
+                                let off = PipelineConfig {
+                                    allow_slicing: false,
+                                    ..off
+                                };
+                                let bare = Predicate { time, value: None };
+                                let scan = Plan::scan("s").filter(bare);
+                                let unfiltered = match window {
+                                    Some((t_min, dt)) => scan.window(t_min, dt, func),
+                                    None => scan.aggregate(func),
+                                };
+                                let a = run(&off).stats;
+                                let b = execute(&unfiltered, &store, &off).unwrap().stats;
+                                let key = |s: &etsqp::core::exec::StatsSnapshot| {
+                                    (
+                                        s.pages_loaded,
+                                        s.pages_pruned,
+                                        s.tuples_scanned,
+                                        s.tuples_pruned,
+                                        s.materialized_bytes,
+                                    )
+                                };
+                                assert_eq!(key(&a), key(&b), "{label}: covered != unfiltered");
+                            }
+                            match func.quantile() {
+                                None => assert!(
+                                    rows_eq(&cold.rows, &orows),
+                                    "{label}: engine {:?} != oracle {:?}",
+                                    preview(&cold.rows),
+                                    preview(&orows)
+                                ),
+                                Some(q) => {
+                                    assert_eq!(cold.rows.len(), orows.len(), "{label}: row count");
+                                    for row in &cold.rows {
+                                        let (start, dt, est) = match (window, &row[..]) {
+                                            (None, [est]) => (i64::MIN / 2, i64::MAX, est),
+                                            (Some((_, dt)), [Value::Int(start), est]) => {
+                                                (*start, dt, est)
+                                            }
+                                            _ => panic!("{label}: malformed row {row:?}"),
+                                        };
+                                        let mut bucket: Vec<i64> = ts
+                                            .iter()
+                                            .zip(vals.iter())
+                                            .filter(|(&t, &v)| {
+                                                t >= start
+                                                    && t - start < dt
+                                                    && time.is_none_or(|r| r.contains(t))
+                                                    && v >= value.0
+                                                    && v <= value.1
+                                            })
+                                            .map(|(_, &v)| v)
+                                            .collect();
+                                        bucket.sort_unstable();
+                                        let n = bucket.len() as u64;
+                                        let est = match *est {
+                                            Value::Float(est) if n > 0 => est,
+                                            Value::Null if n == 0 => continue,
+                                            _ => panic!("{label}: quantile cell {est:?} of {n}"),
+                                        };
+                                        // The stairs repeat values: the estimate
+                                        // holds every rank among its ties.
+                                        let below =
+                                            bucket.partition_point(|&v| (v as f64) < est) as f64;
+                                        let upto =
+                                            bucket.partition_point(|&v| (v as f64) <= est) as f64;
+                                        let (target, bound) =
+                                            (q * n as f64, TDigest::rank_error_bound(n));
+                                        assert!(
+                                            below - bound <= target && target <= upto + bound,
+                                            "{label}: {row:?} outside the rank bound"
+                                        );
+                                    }
+                                }
+                            }
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(pages, bounds.len());
+    }
+    assert_eq!(cases, 6 * 13 * 3 * 3 * 11 * 3);
+    assert!(
+        served > 500,
+        "only {served} runs served covered pages alone"
+    );
+    eprintln!(
+        "differential residual-predicate sweep: {cases} cases, cold = warm = cleared = off, \
+         {served} served from headers and memos"
+    );
 }

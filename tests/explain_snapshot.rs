@@ -1,5 +1,5 @@
 //! Snapshot tests for `EXPLAIN`: the rendered physical pipeline for the
-//! 23-query battery is pinned byte for byte against
+//! 25-query battery is pinned byte for byte against
 //! `tests/snapshots/explain.snap`, through both the library entry point
 //! (`IotDb::query` / `IotDb::explain`) and the `etsqp-cli` binary.
 //!
@@ -74,6 +74,12 @@ fn battery() -> Vec<&'static str> {
         "SELECT RATE(A) FROM snap_a WHERE time >= 1750 AND time <= 3240",
         "SELECT DELTA(A) FROM snap_a SW(1000, 640)",
         "SELECT P99(A) FROM snap_a WHERE A >= 10 AND A <= 60",
+        // Value filters the headers prove: pages 1 and 3 lie inside
+        // [-40, 76] and plan as unfiltered pages (no Filter[value]); the
+        // other three peak at 79 and keep the filter. `A >= -40` covers
+        // every page, so MAX answers from the headers.
+        "SELECT SUM(A) FROM snap_a WHERE A >= -40 AND A <= 76",
+        "SELECT MAX(A) FROM snap_a WHERE A >= -40",
     ]
 }
 
