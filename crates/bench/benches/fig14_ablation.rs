@@ -1,12 +1,14 @@
-//! Criterion bench mirroring Figure 14's ablations: fusion levels,
-//! pruning on/off, and sliced vs paged execution.
+//! Criterion bench mirroring Figure 14's ablations: fused decoder count
+//! on Delta-RLE pages, pruning on/off, and two-phase slices of one page.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use etsqp_bench::custom_store;
+use etsqp_bench::{custom_store, sliced_sum_ts2diff, sum_flattened_deltas};
+use etsqp_core::decode::{decode_column, DecodeOptions};
+use etsqp_core::exec::ExecStats;
 use etsqp_core::expr::{AggFunc, Plan, Predicate};
-use etsqp_core::fused::FuseLevel;
+use etsqp_core::fused;
 use etsqp_core::plan::PipelineConfig;
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{delta_rle, ts2diff, Encoding};
 
 const N: usize = 65_536;
 
@@ -28,25 +30,36 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(100));
     group.throughput(Throughput::Elements(N as u64));
 
-    // (a) Fusion levels on Delta-RLE values.
+    // (a) Fused decoder count on Delta-RLE pages: decode then sum, runs
+    // flattened to weighted deltas, the run-space closed form.
     let db = custom_store(&ts, &vals, Encoding::DeltaRle, 4096);
-    let plan = Plan::scan("a").aggregate(AggFunc::Sum);
-    for (name, fuse) in [
-        ("none", FuseLevel::None),
-        ("delta", FuseLevel::Delta),
-        ("delta_repeat", FuseLevel::DeltaRepeat),
-    ] {
-        let cfg = PipelineConfig {
-            threads: 1,
-            fuse,
-            prune: false,
-            allow_slicing: false,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("fuse", name), &cfg, |b, cfg| {
-            b.iter(|| db.execute_with(&plan, cfg).unwrap().rows.len())
-        });
-    }
+    let pages = db.store().peek_pages("a").unwrap();
+    let mut buf = Vec::new();
+    group.bench_function(BenchmarkId::new("fuse", "none"), |b| {
+        b.iter(|| {
+            for p in &pages {
+                let opts = DecodeOptions::default();
+                decode_column(Encoding::DeltaRle, &p.val_bytes, &opts, &mut buf).unwrap();
+                criterion::black_box(etsqp_simd::agg::sum_i64(&buf));
+            }
+        })
+    });
+    group.bench_function(BenchmarkId::new("fuse", "delta"), |b| {
+        b.iter(|| {
+            for p in &pages {
+                let page = delta_rle::parse(&p.val_bytes).unwrap();
+                criterion::black_box(sum_flattened_deltas(&page, &mut buf));
+            }
+        })
+    });
+    group.bench_function(BenchmarkId::new("fuse", "delta_repeat"), |b| {
+        b.iter(|| {
+            for p in &pages {
+                let page = delta_rle::parse(&p.val_bytes).unwrap();
+                criterion::black_box(fused::aggregate_delta_rle(&page).unwrap().sum);
+            }
+        })
+    });
 
     // Pruning on/off under a selective time filter.
     let db2 = custom_store(&ts, &vals, Encoding::Ts2Diff, 1024);
@@ -57,7 +70,6 @@ fn bench(c: &mut Criterion) {
         let cfg = PipelineConfig {
             threads: 1,
             prune,
-            allow_slicing: false,
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("pruning", name), &cfg, |b, cfg| {
@@ -65,22 +77,20 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // (c-d) Sliced vs paged full-scan aggregation (one big page).
+    // (c-d) One big page: one fold vs two-phase symbolic slices.
     let db3 = custom_store(&ts, &vals, Encoding::Ts2Diff, N);
-    let full = Plan::scan("a").aggregate(AggFunc::Sum);
-    for (name, slicing, threads) in [
-        ("paged_1t", false, 1usize),
-        ("sliced_4t", true, 4),
-        ("sliced_16t", true, 16),
-    ] {
-        let cfg = PipelineConfig {
-            threads,
-            prune: false,
-            allow_slicing: slicing,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("slicing", name), &cfg, |b, cfg| {
-            b.iter(|| db3.execute_with(&full, cfg).unwrap().rows.len())
+    let pages = db3.store().peek_pages("a").unwrap();
+    let page = ts2diff::parse(&pages[0].val_bytes).unwrap();
+    group.bench_function(BenchmarkId::new("slicing", "unsliced"), |b| {
+        b.iter(|| {
+            fused::sum_ts2diff(&page, &DecodeOptions::default())
+                .unwrap()
+                .sum
+        })
+    });
+    for parts in [4usize, 16] {
+        group.bench_with_input(BenchmarkId::new("slicing", parts), &parts, |b, &parts| {
+            b.iter(|| sliced_sum_ts2diff(&page, parts, &ExecStats::default()))
         });
     }
     group.finish();

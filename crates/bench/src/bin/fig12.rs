@@ -176,7 +176,6 @@ fn part_ef(rows: usize) {
             let cfg = PipelineConfig {
                 threads: 1,
                 prune,
-                allow_slicing: false,
                 partial_cache: false,
                 ..Default::default()
             };

@@ -1,30 +1,90 @@
-//! Figure 14 — ablation study of the parallel pipeline designs:
+//! Figure 14 — ablation study of the parallel pipeline designs. The
+//! engine has one fold per page and no fusion or slicing knob, so (a)
+//! and (c–d) measure the arms directly on the codec and kernel layers:
 //!
-//! * (a) throughput vs number of fused decoders (none / Delta /
-//!   Delta+Repeat);
+//! * (a) throughput vs number of fused decoders, per substrate: decode
+//!   then sum (none); the Delta decoder fused into the aggregate (Delta:
+//!   `fused::sum_ts2diff`, or Delta-RLE runs flattened to deltas and
+//!   weighted by `Σ(n−j)·δⱼ`); both decoders fused into Delta-RLE's
+//!   run-space closed form (Delta+Repeat: `fused::aggregate_delta_rle`);
 //! * (b) staged time breakdown (I/O, unpack, delta, filter, aggregate,
-//!   merge, idle);
-//! * (c–d) page slices: execution time, worker idle time and
-//!   materialized bytes as the slice count grows — ETSQP's two-phase
-//!   symbolic slices vs SBoost's synchronized slice chain.
+//!   merge, idle) of a windowed SUM through the engine;
+//! * (c–d) page slices: the two-phase symbolic slice (every slice
+//!   unpacked and folded with carry 0 on the pool, then stitched) against
+//!   one unsliced fold and SBoost's synchronized slice chain, as the
+//!   slice count grows.
+//!
+//! Every arm of (a) and (c–d) must give the exact SUM; the binary panics
+//! otherwise.
 //!
 //! ```sh
 //! cargo run --release -p etsqp-bench --bin fig14
 //! ```
 
-use etsqp_bench::{custom_store, default_rows, fmt_mtps, throughput, time_median};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use etsqp_bench::{
+    custom_store, default_rows, fmt_mtps, sliced_sum_ts2diff, sum_flattened_deltas, throughput,
+    time_median,
+};
+use etsqp_core::decode::{decode_column, DecodeOptions};
 use etsqp_core::engine::{EngineOptions, IotDb};
+use etsqp_core::exec::ExecStats;
 use etsqp_core::expr::{AggFunc, Plan};
-use etsqp_core::fused::FuseLevel;
+use etsqp_core::fused;
 use etsqp_core::plan::PipelineConfig;
 use etsqp_datasets::Spec;
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{delta_rle, ts2diff, Encoding};
+use etsqp_simd::agg::sum_i64;
+use etsqp_storage::page::Page;
 
 fn main() {
     let rows = default_rows();
     part_a(rows);
     part_b(rows);
     part_cd(rows);
+}
+
+/// How many of a delta codec's decoders the SUM is fused across.
+#[derive(Debug, Clone, Copy)]
+enum Fused {
+    None,
+    Delta,
+    DeltaRepeat,
+}
+
+/// What the engine's scan passes a decoder: the header's value range.
+fn opts(page: &Page) -> DecodeOptions {
+    DecodeOptions {
+        value_range: Some((page.header.min_value, page.header.max_value)),
+    }
+}
+
+/// SUM over every page's value column, the way `fused` says.
+fn sum_pages(enc: Encoding, fused: Fused, pages: &[Arc<Page>], buf: &mut Vec<i64>) -> i128 {
+    let mut sum = 0;
+    for p in pages {
+        let bytes = &p.val_bytes[..];
+        sum += match (enc, fused) {
+            (_, Fused::None) => {
+                decode_column(enc, bytes, &opts(p), buf).expect("decodes");
+                sum_i64(buf)
+            }
+            (Encoding::Ts2Diff, Fused::Delta) => {
+                let page = ts2diff::parse(bytes).expect("parses");
+                fused::sum_ts2diff(&page, &opts(p)).expect("sums").sum
+            }
+            (_, Fused::Delta) => {
+                sum_flattened_deltas(&delta_rle::parse(bytes).expect("parses"), buf)
+            }
+            (_, Fused::DeltaRepeat) => {
+                let page = delta_rle::parse(bytes).expect("parses");
+                fused::aggregate_delta_rle(&page).expect("sums").sum
+            }
+        };
+    }
+    sum
 }
 
 /// (a) Fused decoder count.
@@ -40,37 +100,43 @@ fn part_a(rows: usize) {
         v += 2;
         vals.push(v);
     }
+    let want: i128 = vals.iter().map(|&v| v as i128).sum();
     let ts: Vec<i64> = (0..rows as i64).map(|i| i * 10).collect();
-    let plan = Plan::scan("a").aggregate(AggFunc::Sum);
-    // Each fusion level on the substrate whose decoder it skips: Delta
-    // fusion applies to TS2DIFF (skips accumulation); Delta+Repeat fusion
-    // applies to Delta-RLE (skips flattening and accumulation).
-    for (substrate, enc) in [
-        ("TS2DIFF", Encoding::Ts2Diff),
-        ("Delta-RLE", Encoding::DeltaRle),
+    // Each fusion level on the substrate whose decoders it skips: Delta
+    // fusion skips TS2DIFF's accumulation; Delta+Repeat fusion skips
+    // Delta-RLE's flattening too.
+    let none = ("  none (decode_column + sum_i64)", Fused::None);
+    for (substrate, enc, arms) in [
+        (
+            "TS2DIFF",
+            Encoding::Ts2Diff,
+            &[none, ("  Delta (fused::sum_ts2diff)", Fused::Delta)][..],
+        ),
+        (
+            "Delta-RLE",
+            Encoding::DeltaRle,
+            &[
+                none,
+                ("  Delta (flattened runs, Σ(n−j)·δⱼ)", Fused::Delta),
+                (
+                    "  Delta+Repeat (fused::aggregate_delta_rle)",
+                    Fused::DeltaRepeat,
+                ),
+            ][..],
+        ),
     ] {
         let db = custom_store(&ts, &vals, enc, 4096);
+        let pages = db.store().peek_pages("a").expect("pages");
         println!("value column encoded as {substrate}:");
-        for (name, fuse) in [
-            ("  fuse none (unpack+flatten+accumulate)", FuseLevel::None),
-            ("  fuse Delta (skip accumulate)", FuseLevel::Delta),
-            (
-                "  fuse Delta+Repeat (skip flatten too)",
-                FuseLevel::DeltaRepeat,
-            ),
-        ] {
-            let cfg = PipelineConfig {
-                threads: 1,
-                fuse,
-                prune: false,
-                allow_slicing: false,
-                // The repeats time the page pipeline, not a cached partial.
-                partial_cache: false,
-                ..Default::default()
-            };
-            let d = time_median(5, || db.execute_with(&plan, &cfg).unwrap().rows.len());
+        let mut buf = Vec::new();
+        for &(name, fused) in arms {
+            let d = time_median(5, || {
+                let sum = sum_pages(enc, fused, &pages, &mut buf);
+                assert_eq!(sum, want, "{substrate} {fused:?}: wrong SUM");
+                sum
+            });
             println!(
-                "{name:<42} {} M tuples/s",
+                "{name:<46} {} M tuples/s",
                 fmt_mtps(throughput(rows as u64, d))
             );
         }
@@ -89,9 +155,7 @@ fn part_b(rows: usize) {
     db.flush().unwrap();
     let span = d.timestamps.last().unwrap() - d.timestamps[0];
     let dt = (span / (rows as i64 / 1000).max(1)).max(1);
-    // Disable fusion so every stage actually runs.
     let cfg = PipelineConfig {
-        fuse: FuseLevel::None,
         threads: 2,
         ..Default::default()
     };
@@ -99,7 +163,7 @@ fn part_b(rows: usize) {
     let r = db.execute_with(&plan, &cfg).unwrap();
     let s = r.stats;
     let stages = [
-        ("I/O + distribute", s.io_ns),
+        ("I/O", s.io_ns),
         ("unpack", s.unpack_ns),
         ("delta/flatten", s.delta_ns),
         ("filter", s.filter_ns),
@@ -118,60 +182,60 @@ fn part_b(rows: usize) {
     println!("(windows: {}, wall time {:?})\n", r.rows.len(), r.elapsed);
 }
 
-/// (c–d) Slice-count sweep: idle vs materialization.
+/// (c–d) Slice-count sweep: two-phase slices vs one fold vs SBoost.
 fn part_cd(rows: usize) {
-    println!("Figure 14(c-d): slices vs idle/materialization, one page of {rows} rows\n");
+    println!("Figure 14(c-d): slices of one {rows}-row TS2DIFF page, SUM\n");
     let ts: Vec<i64> = (0..rows as i64).collect();
     let vals: Vec<i64> = (0..rows as i64).map(|i| 1000 + (i % 313) - 150).collect();
-    // One giant page so slicing is forced.
+    let want: i128 = vals.iter().map(|&v| v as i128).sum();
     let db = custom_store(&ts, &vals, Encoding::Ts2Diff, rows);
-    let plan = Plan::scan("a").aggregate(AggFunc::Sum);
+    let pages = db.store().peek_pages("a").expect("pages");
+    assert_eq!(pages.len(), 1, "one page");
+    let page = ts2diff::parse(&pages[0].val_bytes).expect("parses");
+    let d_one = time_median(5, || {
+        let sum = fused::sum_ts2diff(&page, &opts(&pages[0]))
+            .expect("sums")
+            .sum;
+        assert_eq!(sum, want, "unsliced: wrong SUM");
+        sum
+    });
+    println!(
+        "one unsliced fold (fused::sum_ts2diff): {:.3} ms\n",
+        d_one.as_secs_f64() * 1e3
+    );
     let sboost = etsqp_sboost::SboostEngine::from_store(db.store(), "a").unwrap();
 
     println!(
-        "{:<8} {:>14} {:>12} {:>14} {:>14} {:>14}",
-        "slices", "etsqp[ms]", "idle[ms]", "mat[KB]", "sboost[ms]", "sync[ms]"
+        "{:<8} {:>14} {:>12} {:>14} {:>14}",
+        "slices", "two-phase[ms]", "idle[ms]", "sboost[ms]", "sync[ms]"
     );
-    for threads in [1usize, 2, 4, 8, 16, 32] {
-        let cfg = PipelineConfig {
-            threads,
-            allow_slicing: true,
-            prune: false,
-            partial_cache: false,
-            ..Default::default()
-        };
+    for slices in [1usize, 2, 4, 8, 16, 32] {
         let mut idle_ns = 0u64;
-        let mut mat = 0u64;
-        let d_etsqp = time_median(3, || {
-            let r = db.execute_with(&plan, &cfg).unwrap();
-            idle_ns = r.stats.idle_ns;
-            mat = r.stats.materialized_bytes;
-            r.rows.len()
+        let d_sliced = time_median(5, || {
+            let stats = ExecStats::default();
+            let sum = sliced_sum_ts2diff(&page, slices, &stats);
+            assert_eq!(sum, want, "{slices} slices: wrong SUM");
+            idle_ns = stats.idle_ns.load(Ordering::Relaxed);
+            sum
         });
-        let stats_before = sboost
-            .stats()
-            .sync_wait_ns
-            .load(std::sync::atomic::Ordering::Relaxed);
-        let d_sboost = time_median(3, || {
-            sboost
-                .sum_in_time_range(i64::MIN, i64::MAX, threads)
-                .unwrap()
-                .1
+        let stats_before = sboost.stats().sync_wait_ns.load(Ordering::Relaxed);
+        let d_sboost = time_median(5, || {
+            let (sum, _) = sboost
+                .sum_in_time_range(i64::MIN, i64::MAX, slices)
+                .unwrap();
+            assert_eq!(sum, want, "sboost {slices} slices: wrong SUM");
+            sum
         });
-        let sync_ns = sboost
-            .stats()
-            .sync_wait_ns
-            .load(std::sync::atomic::Ordering::Relaxed)
-            - stats_before;
+        let sync_ns = sboost.stats().sync_wait_ns.load(Ordering::Relaxed) - stats_before;
         println!(
-            "{threads:<8} {:>14.2} {:>12.3} {:>14.1} {:>14.2} {:>14.3}",
-            d_etsqp.as_secs_f64() * 1e3,
+            "{slices:<8} {:>14.3} {:>12.3} {:>14.3} {:>14.3}",
+            d_sliced.as_secs_f64() * 1e3,
             idle_ns as f64 / 1e6,
-            mat as f64 / 1e3,
             d_sboost.as_secs_f64() * 1e3,
-            sync_ns as f64 / 1e6 / 4.0, // 3 timed runs + warmup
+            sync_ns as f64 / 1e6 / 6.0, // 5 timed runs + warm-up
         );
     }
-    println!("\n(ETSQP slice jobs are symbolic — no waiting, no materialized vectors;");
-    println!(" SBoost threads block on the predecessor slice's prefix value.)");
+    println!("\n(Two-phase slices are symbolic — no slice waits for another's prefix");
+    println!(" sum, and each materializes one 1 KiB unpack block; SBoost threads");
+    println!(" block on the predecessor slice's prefix value.)");
 }

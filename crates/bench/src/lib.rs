@@ -477,6 +477,85 @@ pub fn decode_ts2diff_ablation(
     }
 }
 
+/// Fig. 14(a)'s Delta arm on a Delta-RLE page: the Repeat decoder runs
+/// (runs flattened into `deltas`, one per value after the first), the
+/// Delta decoder does not — `Σv = n·v₀ + Σⱼ (n−j)·δⱼ` weights each delta
+/// by the values it reaches instead of prefix-summing them.
+pub fn sum_flattened_deltas(
+    page: &etsqp_encoding::delta_rle::DeltaRlePage<'_>,
+    deltas: &mut Vec<i64>,
+) -> i128 {
+    deltas.clear();
+    for (delta, run) in page.pairs() {
+        let room = page.count.saturating_sub(1 + deltas.len());
+        deltas.extend(std::iter::repeat_n(delta, room.min(run as usize)));
+    }
+    let n = page.count as i128;
+    let weighted: i128 = (deltas.iter().enumerate())
+        .map(|(j, &d)| (n - 1 - j as i128) * d as i128)
+        .sum();
+    n * page.first as i128 + weighted
+}
+
+/// Phase 1 of Fig. 14(c)'s two-phase slice over an order-1 TS2DIFF page
+/// inside the 32-bit path: stored deltas `[lo, hi)`, unpacked a block at
+/// a time at their bit offset and folded with carry 0, so every value is
+/// relative to the (still unknown) value before the slice. Returns that
+/// fold and the slice's total delta, which offsets the next slice.
+fn slice_fold(
+    page: &etsqp_encoding::ts2diff::Ts2DiffPage<'_>,
+    (lo, hi): (usize, usize),
+) -> (etsqp_simd::agg::RelFold, u32) {
+    use etsqp_simd::agg::{fold_deltas32, DeltaXform, RelFold, FOLD_BLOCK};
+    let xform = DeltaXform::AddBase(page.min_delta as u32);
+    let (mut acc, mut carry) = (RelFold::new(), 0u32);
+    let mut block = [0u32; FOLD_BLOCK];
+    for start in (lo..hi).step_by(FOLD_BLOCK) {
+        let block = &mut block[..(hi - start).min(FOLD_BLOCK)];
+        let bit = start * page.width as usize;
+        etsqp_simd::unpack::unpack_u32(page.payload, bit, page.width, block);
+        fold_deltas32(
+            block,
+            xform,
+            &mut carry,
+            (i32::MIN, i32::MAX),
+            false,
+            &mut acc,
+        );
+    }
+    (acc, carry)
+}
+
+/// Fig. 14(c–d)'s two-phase symbolic slicing of one page's SUM: `parts`
+/// `slice_fold` jobs on the engine's pool (none waits for another's
+/// prefix sum), then a sequential stitch in which slice `s` starts at
+/// `v₀` plus the carries of the slices before it.
+pub fn sliced_sum_ts2diff(
+    page: &etsqp_encoding::ts2diff::Ts2DiffPage<'_>,
+    parts: usize,
+    stats: &etsqp_core::exec::ExecStats,
+) -> i128 {
+    assert!(
+        page.order == 1 && page.width <= 32,
+        "outside the 32-bit path"
+    );
+    let n = page.num_deltas();
+    let parts = parts.clamp(1, n.max(1));
+    let ranges: Vec<(usize, usize)> = (0..parts)
+        .map(|p| (p * n / parts, (p + 1) * n / parts))
+        .collect();
+    let none = etsqp_core::cancel::CancellationToken::none();
+    let slices = etsqp_core::exec::run_jobs(ranges, parts, stats, &none, |r| slice_fold(page, r))
+        .expect("slice jobs");
+    let mut start = page.first[0] as i128;
+    let mut sum = if page.count == 0 { 0 } else { start };
+    for (acc, carry) in slices {
+        sum += acc.count as i128 * start + acc.sum;
+        start += carry as i32 as i128;
+    }
+    sum
+}
+
 /// Tuples-per-second throughput from a duration.
 pub fn throughput(tuples: u64, d: Duration) -> f64 {
     tuples as f64 / d.as_secs_f64()

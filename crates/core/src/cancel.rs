@@ -8,7 +8,7 @@
 //! the batch drain as errors instead of executing.
 //!
 //! The check is cooperative rather than preemptive on purpose: morsels
-//! are bounded (one page or slice), so the worst-case overshoot past a
+//! are bounded (one page), so the worst-case overshoot past a
 //! deadline is a single page's decode, and no locks or thread state are
 //! ever abandoned mid-update.
 

@@ -4,7 +4,6 @@
 use etsqp_encoding::Encoding;
 use etsqp_storage::store::SeriesStore;
 
-use crate::fused::FuseLevel;
 use crate::plan::{execute, PipelineConfig, QueryResult};
 use crate::sql;
 use crate::Result;
@@ -12,7 +11,7 @@ use crate::Result;
 /// Engine-level options (per-database defaults for every query).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Pipeline configuration (threads, pruning, fusion, vectorization).
+    /// Pipeline configuration (threads, pruning, vectorization, caching).
     pub pipeline: PipelineConfig,
     /// Points per flushed page.
     pub page_points: usize,
@@ -62,9 +61,7 @@ impl EngineOptions {
         let mut o = Self::default();
         o.pipeline.vectorized = false;
         o.pipeline.prune = false;
-        o.pipeline.fuse = FuseLevel::None;
         o.pipeline.threads = 1;
-        o.pipeline.allow_slicing = false;
         o
     }
 

@@ -1,12 +1,12 @@
 //! Job scheduler and execution statistics.
 //!
 //! Pipeline jobs (built by Algorithm 2 in [`crate::physical::pipe`]) are
-//! independent units of work over pages or slices. [`run_jobs`] runs them
+//! independent units of work, one per page. [`run_jobs`] runs them
 //! morsel-driven on the process-wide persistent worker pool
-//! ([`crate::pool`]). Workers never wait on each other (slice
-//! dependencies are resolved by a sequential merge after the parallel
-//! phase — §III-C / Fig. 14(c-d)), so the only blocking is queue
-//! starvation, which is measured and reported as idle time.
+//! ([`crate::pool`]). Workers never wait on each other (partials are
+//! combined by a sequential merge after the parallel phase), so the only
+//! blocking is queue starvation, which is measured and reported as idle
+//! time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -21,8 +21,11 @@
 //!   walker with no filter and with the range as its filter. Only the
 //!   two-column [`dot_product_delta_rle`] walks pairs here.
 //!
-//! [`FuseLevel`] grades how many decoders are fused — the ablation axis of
-//! Figure 14(a).
+//! Only the Delta-RLE whole-page form is a planner strategy
+//! (`Strategy::FusedDeltaRle`): TS2DIFF and Stream VByte pages take the
+//! cursor like any other page. Figure 14(a)'s fusion ablation (none /
+//! Delta / Delta+Repeat) is measured over these functions by the
+//! `crates/bench` binary `fig14`.
 
 use etsqp_encoding::delta_rle::DeltaRlePage;
 use etsqp_encoding::stream_vbyte::{self, SvbPage};
@@ -32,19 +35,6 @@ use etsqp_simd::agg::AggState;
 use crate::decode::DecodeOptions;
 use crate::decode_fold::{FoldCursor, PackedColumn, Runs};
 use crate::{Error, Result};
-
-/// How many decoders the aggregation is fused across (Figure 14(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FuseLevel {
-    /// Decode everything (unpack + flatten + accumulate), then aggregate.
-    None,
-    /// Fuse the aggregation with the Delta decoder: aggregate from
-    /// unpacked deltas, skipping accumulation.
-    Delta,
-    /// Fuse across Delta *and* Repeat: aggregate from `(Δ, run)` pairs,
-    /// skipping both flattening and accumulation.
-    DeltaRepeat,
-}
 
 /// SUM and COUNT over a whole column: the cursor's fold with no filter
 /// where its gate admits `col`, else the serial decode summed.
@@ -109,7 +99,7 @@ pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
     if state.count > 0 {
         state.first = Some(page.first);
         // Regression: differential oracle case
-        // `spec=Atm codec=DeltaRle fuse=DeltaRepeat query=LAST(all)`.
+        // `spec=Atm codec=DeltaRle query=LAST(all)`.
         state.last = Some(runs.last());
     }
     Ok(state)

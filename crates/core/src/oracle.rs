@@ -1,14 +1,14 @@
 //! Differential-testing oracle: a deliberately naive reference executor.
 //!
 //! Every fast path in this crate — vectorized unpacking, operator fusion
-//! (§IV), pruning (§V), slicing and multi-threaded scheduling (§III-C) —
+//! (§IV), pruning (§V) and multi-threaded scheduling (§III-C) —
 //! is an *optimization* of one simple semantics: decode everything,
 //! filter tuple by tuple, aggregate with exact arithmetic. This module
 //! implements that semantics directly, with none of the optimizations:
 //!
 //! * every page is fully decoded with the serial reference decoders
 //!   ([`Page::decode`]); no page pruning, no suffix pruning, no fusion,
-//!   no slicing, no threads;
+//!   no threads;
 //! * filters are evaluated per tuple, in time order;
 //! * aggregates accumulate in `i128` ([`AggState`] / [`PairMoments`]),
 //!   so no intermediate result ever wraps.

@@ -1,8 +1,7 @@
 //! Aggregation operator bodies: the per-page pipeline (`FusedAgg`,
-//! `DecodeScan → Filter → PartialAgg`), the §III-C symbolic slice
-//! partials, and the folds that pipeline ends in ([`FoldCursor`] over
-//! packed deltas, [`fold_values`] over decoded slices, [`fold_tuples`]
-//! over `(t, v)` pairs).
+//! `DecodeScan → Filter → PartialAgg`) and the folds it ends in
+//! ([`FoldCursor`] over packed deltas, [`fold_values`] over decoded
+//! values, [`fold_tuples`] over `(t, v)` pairs).
 //!
 //! A page aggregates in one shape — qualifying index range → bucket
 //! subranges → one fold per bucket into a [`PartialState`] — and a
@@ -12,9 +11,9 @@
 //! statistics, and [`agg_page_job`] executes that decision: the
 //! whole-page forms ([`Strategy::FusedDeltaRle`],
 //! [`Strategy::HeaderMinMax`]) when the resolved index range is the
-//! whole page inside one bucket, and for every other label the one walk
-//! over the page — the cursor where its gate admits the column, decode
-//! then fold where it does not.
+//! whole page inside one bucket, and otherwise the one walk over the
+//! page — the cursor where its gate admits the column, decode then fold
+//! where it does not.
 //!
 //! A page runs under its residual predicate, taken once its checksum is
 //! verified: the conjuncts its header does not prove. A page its filter
@@ -31,7 +30,7 @@
 
 use std::sync::atomic::Ordering;
 
-use etsqp_encoding::{delta_rle, ts2diff, Encoding};
+use etsqp_encoding::delta_rle;
 use etsqp_simd::agg::AggState;
 use etsqp_storage::page::{Page, PageMoments};
 use etsqp_storage::store::SeriesStore;
@@ -39,13 +38,12 @@ use etsqp_storage::store::SeriesStore;
 use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::fused::{aggregate_delta_rle, FuseLevel};
+use crate::fused::aggregate_delta_rle;
 use crate::partial::{CacheKey, PartialCache, PartialState, TDigest};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
 use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
 use crate::plan::PipelineConfig;
-use crate::slice::slice_range;
 use crate::{Error, Result};
 
 /// Partial aggregate states keyed by window index (0 when unwindowed),
@@ -85,41 +83,18 @@ pub(crate) fn merge_states(windows: &mut WindowStates, states: &[(usize, Partial
 /// `i64`, which guarantees every pairwise difference — in particular
 /// every encoded delta — equals the true mathematical difference.
 ///
-/// The fused closed forms (§IV) and the slice-coefficient chain (§III-C)
-/// sum *stored deltas* symbolically in `i128`; that widening is only
-/// exact when the deltas did not wrap at encode time. The decode paths
-/// are immune (their wrapping adds reproduce each value bit-exactly), so
+/// The Delta-RLE closed forms (§IV, single-column and pair fusion) sum
+/// *stored deltas* symbolically in `i128`; that widening is only exact
+/// when the deltas did not wrap at encode time. The decode paths are
+/// immune (their wrapping adds reproduce each value bit-exactly), so
 /// pages failing this check simply fall back to decode-then-aggregate.
 /// Regression: `overflow_audit.rs` (values spanning more than `i64::MAX`
-/// used to wrap SUM on the sliced and fused paths).
+/// used to wrap SUM on the fused paths).
 pub(crate) fn spread_fits_i64(page: &Page) -> bool {
     page.header
         .max_value
         .checked_sub(page.header.min_value)
         .is_some()
-}
-
-/// Whether the fused path can produce what `func` needs without decode.
-pub(crate) fn fusion_covers(func: AggFunc, val_enc: Encoding, fuse: FuseLevel) -> bool {
-    // Quantile sketches and rate/delta need per-tuple values and
-    // timestamps; no closed form over (Δ, run-length) pairs produces
-    // them. This gate must stay ahead of the per-encoding arms — the
-    // Delta-RLE arm below claims *all* remaining functions.
-    if func.partial_only() {
-        return false;
-    }
-    match val_enc {
-        Encoding::Ts2Diff => {
-            fuse >= FuseLevel::Delta && matches!(func, AggFunc::Sum | AggFunc::Avg | AggFunc::Count)
-        }
-        Encoding::DeltaRle => fuse >= FuseLevel::DeltaRepeat,
-        // Stream VByte stores length-coded deltas: fusing skips the
-        // prefix sum (the Delta decoder), same family as TS2DIFF.
-        Encoding::StreamVByte => {
-            fuse >= FuseLevel::Delta && matches!(func, AggFunc::Sum | AggFunc::Avg | AggFunc::Count)
-        }
-        _ => false,
-    }
 }
 
 /// Folds time-ordered tuples that pass `pred` into their buckets' states
@@ -150,128 +125,6 @@ pub(crate) fn fold_tuples(
         };
         bucket_mut(windows, k, || PartialState::new(func)).push_tv(t, v);
     }
-}
-
-/// Symbolic partial of a slice over a TS2DIFF value column: every term is
-/// expressed relative to the unknown slice-start value `v_pre`, so slice
-/// jobs never wait on each other's prefix sums (§III-C / Fig. 14(c)).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SliceCoeff {
-    /// Values covered by the slice.
-    len: u64,
-    /// Σ rel_k where `rel_k = v_k − v_pre`.
-    rel_sum: i128,
-    /// Σ rel_k².
-    rel_sq: i128,
-    /// min rel_k.
-    rel_min: i64,
-    /// max rel_k.
-    rel_max: i64,
-    /// `v_first − v_pre` (the slice's first covered value, relative).
-    rel_first: i64,
-    /// `v_last − v_pre`: carried into the next slice's `v_pre`.
-    pub(crate) delta_total: i64,
-    /// The page's first value (meaningful on part 0; seeds the chain).
-    pub(crate) first_value: i64,
-}
-
-impl SliceCoeff {
-    /// Resolves the symbolic partial against the now-known `v_pre` and
-    /// folds it into `state` — the prefix-stitching merge node.
-    pub(crate) fn fold_into(&self, state: &mut AggState, v_pre: i128) {
-        if self.len == 0 {
-            return;
-        }
-        let n = self.len as i128;
-        state.sum += n * v_pre + self.rel_sum;
-        state.sum_sq = state.sum_sq.saturating_add(
-            n.saturating_mul(v_pre.saturating_mul(v_pre))
-                .saturating_add((2 * v_pre).saturating_mul(self.rel_sum))
-                .saturating_add(self.rel_sq),
-        );
-        state.count += self.len;
-        let lo = (v_pre + self.rel_min as i128) as i64;
-        let hi = (v_pre + self.rel_max as i128) as i64;
-        state.min = Some(state.min.map_or(lo, |m| m.min(lo)));
-        state.max = Some(state.max.map_or(hi, |m| m.max(hi)));
-        state
-            .first
-            .get_or_insert((v_pre + self.rel_first as i128) as i64);
-        state.last = Some((v_pre + self.delta_total as i128) as i64);
-    }
-}
-
-/// Slice phase-1 job: unpack the slice's delta range and summarize it
-/// relative to the unknown start value.
-pub(crate) fn slice_coeff_job(
-    page: &Page,
-    part: usize,
-    parts: usize,
-    stats: &ExecStats,
-    store: &SeriesStore,
-) -> Result<SliceCoeff> {
-    if part == 0 {
-        charge_page_io(page, stats, store);
-    }
-    // Slice jobs unpack chunk bytes directly; reject corrupt payloads
-    // before the symbolic coefficients are built from them. Part 0 is
-    // enough: every part of a page runs, and one failure aborts the
-    // query.
-    if part == 0 {
-        page.ensure_verified().map_err(Error::Storage)?;
-    }
-    let parsed = ts2diff::parse(&page.val_bytes)?;
-    let count = parsed.count;
-    let (lo, hi) = slice_range(count, part, parts);
-    if lo >= hi {
-        return Ok(SliceCoeff {
-            first_value: parsed.first[0],
-            ..Default::default()
-        });
-    }
-    // Deltas connecting the slice's values: indices (max(lo,1)−1)..(hi−1).
-    let d_lo = lo.saturating_sub(1);
-    let d_hi = hi.saturating_sub(1);
-    let n_deltas = d_hi - d_lo;
-    let mut stored = vec![0u64; n_deltas];
-    {
-        let _u = Stage::Unpack.timer(stats);
-        etsqp_simd::unpack::unpack_u64(
-            parsed.payload,
-            d_lo * parsed.width as usize,
-            parsed.width,
-            &mut stored,
-        );
-    }
-    let _d = Stage::Delta.timer(stats);
-    let mut coeff = SliceCoeff {
-        first_value: parsed.first[0],
-        ..Default::default()
-    };
-    let mut rel: i64 = 0;
-    let push = |r: i64, c: &mut SliceCoeff| {
-        c.len += 1;
-        c.rel_sum += r as i128;
-        c.rel_sq = c.rel_sq.saturating_add((r as i128) * (r as i128));
-        if c.len == 1 {
-            c.rel_min = r;
-            c.rel_max = r;
-            c.rel_first = r;
-        } else {
-            c.rel_min = c.rel_min.min(r);
-            c.rel_max = c.rel_max.max(r);
-        }
-    };
-    if lo == 0 {
-        // Value 0 itself has rel 0.
-        push(0, &mut coeff);
-    }
-    for &s in &stored {
-        rel = rel.wrapping_add(parsed.min_delta.wrapping_add(s as i64));
-        push(rel, &mut coeff);
-    }
-    coeff.delta_total = rel;
-    Ok(coeff)
 }
 
 /// The memo groups `[Σ, Σ², ends]` a whole-page answer for `func` rests
@@ -496,10 +349,10 @@ fn agg_page_states(
     }
 
     // ---- Bucket subranges, each folded into one partial state ---------
-    // DecodeScan → Filter → PartialAgg, whatever the planner labelled the
-    // page: run in registers by the cursor over the packed deltas when
-    // the aggregate is order-insensitive and the column passes the
-    // cursor's 32-bit gate, else over the decoded values.
+    // DecodeScan → Filter → PartialAgg: run in registers by the cursor
+    // over the packed deltas when the aggregate is order-insensitive and
+    // the column passes the cursor's 32-bit gate, else over the decoded
+    // values.
     let mut values = match open_fold_cursor(page, pred, func, cfg)? {
         Some(cursor) => Values::Cursor(cursor),
         None => {

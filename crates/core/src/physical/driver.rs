@@ -1,7 +1,6 @@
-//! The pipeline driver: maps a compiled [`PhysicalPlan`]'s morsels onto
-//! the work-stealing pool and stitches the partials back together —
-//! per-page partial states through `MergeConcat`, §III-C slice
-//! coefficients through the sequential prefix-sum chain, and binary
+//! The pipeline driver: maps a compiled [`PhysicalPlan`]'s pages onto the
+//! work-stealing pool, one job per page, and stitches the partials back
+//! together — per-page partial states through `MergeConcat`, binary
 //! operators through their partitioned merge nodes.
 //!
 //! An aggregation's calling thread does the page work that needs no
@@ -19,20 +18,16 @@ use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, Predicate, SlidingWindow};
 use crate::partial::PartialState;
-use crate::physical::agg::{
-    agg_page_job, bucket_mut, fold_tuples, memoized, merge_states, slice_coeff_job, SliceCoeff,
-    WindowStates,
-};
+use crate::physical::agg::{agg_page_job, fold_tuples, memoized, merge_states, WindowStates};
 use crate::physical::merge::{
     binary_merge_partitioned, fused_pair_aggregate, merge_join_moments, BinaryKind,
 };
-use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Stage};
+use crate::physical::node::{RootNode, SeriesPipeline, Stage};
 use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{
     charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
 };
 use crate::plan::{finalize, finalize_pair, PipelineConfig, Value};
-use crate::slice::{distribute, WorkItem};
 use crate::{Error, Result};
 
 /// Executes a compiled plan, returning column names and rows.
@@ -196,9 +191,8 @@ fn kept_of(p: &SeriesPipeline, stats: &ExecStats) -> Result<Vec<Arc<etsqp_storag
 
 /// Runs one aggregation pipeline: the calling thread discharges the
 /// pruned pages and folds the memoized ones, the pool runs a job per
-/// remaining page (or slice, per the planner's [`Parallelism`]), and the
-/// sequential merge node stitches everything in kept-page time order
-/// (including the §III-C prefix-sum stitch across slices).
+/// remaining page, and the sequential merge node stitches everything in
+/// kept-page time order.
 fn aggregate_pipeline(
     store: &SeriesStore,
     pipeline: &SeriesPipeline,
@@ -209,9 +203,9 @@ fn aggregate_pipeline(
     ctl: &CancellationToken,
 ) -> Result<WindowStates> {
     let pred = &pipeline.pred;
-    let (mut kept, mut decided) = (Vec::new(), Vec::new());
+    let mut jobs = Vec::new();
     // Memoized pages folded here, in runs: run `(j, states)` precedes job
-    // page `j` (or follows them all).
+    // `j` (or follows them all).
     let mut runs: Vec<(usize, WindowStates)> = Vec::new();
     let (mut served, mut missed, mut bytes, mut tuples) = (0, 0, 0, 0);
     let io = Stage::Io.timer(stats);
@@ -233,14 +227,13 @@ fn aggregate_pipeline(
                 bytes += page.encoded_len() as u64;
                 tuples += u64::from(page.header.count);
                 match runs.last_mut() {
-                    Some((j, run)) if *j == kept.len() => merge_states(run, &[(k, state)]),
-                    _ => runs.push((kept.len(), vec![(k, state)])),
+                    Some((j, run)) if *j == jobs.len() => merge_states(run, &[(k, state)]),
+                    _ => runs.push((jobs.len(), vec![(k, state)])),
                 }
             }
             None => {
                 missed += u64::from(memo);
-                kept.push(Arc::clone(page));
-                decided.push((strategy, d.cacheable));
+                jobs.push((Arc::clone(page), strategy, d.cacheable));
             }
         }
     }
@@ -251,56 +244,20 @@ fn aggregate_pipeline(
     stats.cache_hits.fetch_add(served, Ordering::Relaxed);
     stats.cache_misses.fetch_add(missed, Ordering::Relaxed);
 
-    let items = match pipeline.parallelism {
-        Parallelism::Sliced { .. } => distribute(&kept, cfg.threads),
-        Parallelism::PerPage { .. } => kept.iter().cloned().map(WorkItem::Page).collect(),
-    };
-
-    #[derive(Debug)]
-    enum JobOut {
-        Whole(WindowStates),
-        Slice { part: usize, coeff: SliceCoeff },
-    }
-
-    // Tag items with their job page's index: it orders the slice prefix
-    // chain and indexes the planner's per-page strategy (items keep job
-    // page order, a page's slices from part 0 up).
-    let mut seq = usize::MAX;
-    let mut tag = |item: WorkItem| {
-        if !matches!(item, WorkItem::Slice { part, .. } if part > 0) {
-            seq = seq.wrapping_add(1);
-        }
-        (seq, item)
-    };
-
     // Outputs return in job order, so which failing page decides the
     // error is the same at any thread count. A query whose every kept
     // page was served above dispatches nothing.
-    let outputs = if items.is_empty() {
-        Vec::new()
-    } else {
-        run_jobs(
-            items.into_iter().map(&mut tag).collect(),
-            cfg.threads,
-            stats,
-            ctl,
-            |(page_seq, item)| -> Result<(usize, JobOut)> {
-                let out = match item {
-                    WorkItem::Page(page) => {
-                        let (strategy, cacheable) = decided[page_seq];
-                        JobOut::Whole(agg_page_job(
-                            &page, pred, window, func, strategy, cacheable, cfg, stats, store,
-                        )?)
-                    }
-                    WorkItem::Slice { page, part, parts } => JobOut::Slice {
-                        part,
-                        coeff: slice_coeff_job(&page, part, parts, stats, store)?,
-                    },
-                };
-                Ok((page_seq, out))
-            },
-        )?
-    };
+    let outputs = run_jobs(
+        jobs,
+        cfg.threads,
+        stats,
+        ctl,
+        |(page, strategy, cacheable)| {
+            agg_page_job(
+                &page, pred, window, func, strategy, cacheable, cfg, stats, store,
+            )
+        },
+    )?;
 
     // Merge node (sequential, timed): served runs and job outputs in
     // kept-page time order, so each per-window merge chain is itself
@@ -311,26 +268,11 @@ fn aggregate_pipeline(
     {
         let _m = Stage::Merge.timer(stats);
         let mut runs = runs.into_iter().peekable();
-        let mut v_pre: i128 = 0;
-        for out in outputs {
-            let (seq, out) = out?;
-            while let Some((_, run)) = runs.next_if(|(j, _)| *j <= seq) {
+        for (j, states) in outputs.into_iter().enumerate() {
+            while let Some((_, run)) = runs.next_if(|(r, _)| *r <= j) {
                 merge_states(&mut windows, &run);
             }
-            match out {
-                JobOut::Whole(states) => merge_states(&mut windows, &states),
-                JobOut::Slice { part, coeff } => {
-                    if part == 0 {
-                        v_pre = coeff.first_value as i128;
-                    }
-                    // Slices only exist for unwindowed, non-partial-only
-                    // aggregates; the coefficients resolve into the exact
-                    // moments of bucket 0.
-                    let state = bucket_mut(&mut windows, 0, PartialState::default);
-                    coeff.fold_into(&mut state.agg, v_pre);
-                    v_pre += coeff.delta_total as i128;
-                }
-            }
+            merge_states(&mut windows, &states?);
         }
         runs.for_each(|(_, run)| merge_states(&mut windows, &run));
     }

@@ -4,12 +4,12 @@
 //! into a [`pipe::PhysicalPlan`] — an explicit DAG of typed nodes
 //! ([`node`]) recording, as data, every decision the old interpreter
 //! buried in control flow: per-page §V prune verdicts, the fused /
-//! decode / serial strategy per kept page (§IV), the page-vs-slice
-//! morsel shape (§III-C), and the time-range partitions of binary merge
-//! nodes. The crate-internal `driver` module then maps that DAG onto
-//! the work-stealing pool, and [`pipe::explain`] renders it — `EXPLAIN`
-//! output and execution share one compiled artifact, so the planner
-//! cannot silently diverge from the executor.
+//! decode / serial strategy per kept page (§IV), and the time-range
+//! partitions of binary merge nodes. The crate-internal `driver` module
+//! then maps that DAG onto the work-stealing pool, one job per kept page,
+//! and [`pipe::explain`] renders it — `EXPLAIN` output and execution
+//! share one compiled artifact, so the planner cannot silently diverge
+//! from the executor.
 //!
 //! Operator bodies live beside the IR: scan-side in `scan`, aggregation
 //! in `agg`, binary merges in `merge` (all crate-internal).

@@ -2,12 +2,11 @@
 //!
 //! Every planner decision the executor acts on is a value of one of these
 //! types: a [`PruneVerdict`] per page (§V), a [`Strategy`] per kept page
-//! (§IV fusion vs. Algorithm 1 decode), a [`Parallelism`] per series
-//! (§III-C pages vs. slices), and a [`RootNode`] naming the merge that
-//! stitches the partials (Figure 9). [`Node`] renders the operator chain
-//! a page group runs through, and [`Node::stage`] names the [`Stage`]
-//! timer that chain charges — the link between the pipeline IR and the
-//! Fig. 14(b) stage breakdown in [`ExecStats`].
+//! (§IV fusion vs. Algorithm 1 decode), and a [`RootNode`] naming the
+//! merge that stitches the partials (Figure 9). Each kept page the memo
+//! does not answer is one job. [`Node`] renders the operator chain a page
+//! group runs through; [`Stage`] names the Fig. 14(b) timers of
+//! [`ExecStats`] that operator bodies charge.
 
 use std::fmt;
 use std::sync::atomic::AtomicU64;
@@ -87,18 +86,15 @@ impl fmt::Display for PruneVerdict {
 /// previously an implicit branch inside the executor, now explicit data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// §IV Delta fusion on a TS2DIFF page: SUM/AVG/COUNT straight from
-    /// the packed deltas on any index subrange. A label — the executor
-    /// runs it, like [`Strategy::Decode`], through the decode-and-fold
-    /// cursor (which subsumes the paper's closed form here), and decodes
-    /// a page the cursor's gate rejects.
+    /// No longer planned: a TS2DIFF page's §IV Delta fusion is the
+    /// decode-and-fold cursor, which [`Strategy::Decode`] runs. The
+    /// verifier rejects this label.
     FusedTs2Diff,
     /// §IV fused aggregation from Delta-RLE `(Δ, run)` pairs (whole page
     /// only — the time filter must cover the page).
     FusedDeltaRle,
-    /// [`Strategy::FusedTs2Diff`]'s twin for Stream VByte length-coded
-    /// deltas, labelled on whole pages only (like Delta-RLE fusion); the
-    /// same cursor runs it.
+    /// No longer planned, as [`Strategy::FusedTs2Diff`], for Stream VByte
+    /// pages.
     FusedSvb,
     /// MIN/MAX of a page its predicate covers (no residual conjunct)
     /// come straight from the exact header statistics.
@@ -154,38 +150,6 @@ pub struct PageDecision {
     pub cacheable: bool,
 }
 
-/// How a series' work is cut into scheduler morsels (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One pipeline instance per kept page.
-    PerPage {
-        /// Number of page jobs.
-        jobs: usize,
-    },
-    /// Pages split into slices with symbolic prefix-sum stitching
-    /// (fewer pages than threads, Fig. 14(c)).
-    Sliced {
-        /// Kept pages being sliced.
-        pages: usize,
-        /// Total slice jobs across those pages.
-        jobs: usize,
-    },
-}
-
-impl fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Parallelism::PerPage { jobs } => write!(f, "per-page ({jobs} jobs)"),
-            Parallelism::Sliced { pages, jobs } => {
-                write!(
-                    f,
-                    "sliced ({pages} pages -> {jobs} slice jobs, prefix-stitched)"
-                )
-            }
-        }
-    }
-}
-
 /// The hot-chunk scan source of a pipeline: a point-in-time copy of the
 /// series' unsealed append buffer, captured atomically with the sealed
 /// page list at plan-compile time via `SeriesStore::snapshot`. The
@@ -216,8 +180,6 @@ pub struct SeriesPipeline {
     pub pages: Vec<Arc<Page>>,
     /// Per-page verdict + strategy, aligned with `pages`.
     pub decisions: Vec<PageDecision>,
-    /// Morsel shape for the kept pages.
-    pub parallelism: Parallelism,
     /// The live hot-chunk snapshot, when the series had unsealed points
     /// at compile time (unary pipelines only — binary operators
     /// materialize the snapshot as a transient page instead, so their
@@ -274,8 +236,7 @@ pub enum RootNode {
 }
 
 /// A pipeline operator, used to render the per-page-group chain in
-/// `EXPLAIN` output. [`Node::stage`] names the stage counter the
-/// operator's execution charges.
+/// `EXPLAIN` output.
 #[derive(Debug, Clone)]
 pub enum Node {
     /// Source: hands encoded pages to the pipeline.
@@ -283,10 +244,6 @@ pub enum Node {
     /// Source: hands the hot-chunk snapshot's decoded columns to the
     /// pipeline (no unpack/delta work — the buffer was never encoded).
     SourceHot,
-    /// §V header pruning.
-    Prune,
-    /// §III-C page slicing (symbolic partials).
-    Slice,
     /// Algorithm 1 decode of the value (and, when filtered, timestamp)
     /// columns.
     DecodeScan {
@@ -320,27 +277,11 @@ pub enum Node {
     MergeJoin,
 }
 
-impl Node {
-    /// The stage counter this operator's execution charges.
-    pub fn stage(&self) -> Stage {
-        match self {
-            Node::SourcePages | Node::SourceHot | Node::Prune => Stage::Io,
-            Node::Slice => Stage::Delta,
-            Node::DecodeScan { .. } => Stage::Delta,
-            Node::FusedAgg { .. } | Node::PartialAgg { .. } => Stage::Agg,
-            Node::Filter { .. } => Stage::Filter,
-            Node::MergeConcat | Node::MergeUnion | Node::MergeJoin => Stage::Merge,
-        }
-    }
-}
-
 impl fmt::Display for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Node::SourcePages => write!(f, "SourcePages"),
             Node::SourceHot => write!(f, "SourceHot"),
-            Node::Prune => write!(f, "Prune"),
-            Node::Slice => write!(f, "Slice"),
             Node::DecodeScan { serial: false } => write!(f, "DecodeScan"),
             Node::DecodeScan { serial: true } => write!(f, "DecodeScan[serial]"),
             Node::FusedAgg { strategy, func } => {

@@ -1,7 +1,7 @@
 //! The Algorithm 2 `Pipe` generator: compiles a logical [`Plan`] plus
 //! per-page encoding statistics into an explicit pipeline DAG
-//! ([`PhysicalPlan`]), making every fused/decoded/sliced and prune
-//! decision *data* instead of control flow buried in the executor.
+//! ([`PhysicalPlan`]), making every fused/decoded and prune decision
+//! *data* instead of control flow buried in the executor.
 //!
 //! The same compiled plan drives both execution
 //! ([`crate::physical::driver::run`]) and `EXPLAIN`
@@ -23,16 +23,12 @@ use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow, TimeRange};
-use crate::fused::FuseLevel;
-use crate::physical::agg::{fusion_covers, spread_fits_i64};
+use crate::physical::agg::spread_fits_i64;
 use crate::physical::merge::merge_partitions;
-use crate::physical::node::{
-    HotScan, Node, PageDecision, Parallelism, RootNode, SeriesPipeline, Strategy,
-};
+use crate::physical::node::{HotScan, Node, PageDecision, RootNode, SeriesPipeline, Strategy};
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::window::whole_page_bucket;
 use crate::plan::{flatten_scan, PipelineConfig};
-use crate::slice::distribute;
 use crate::{Error, Result};
 
 /// A compiled physical pipeline DAG: per-series pipelines feeding the
@@ -231,8 +227,8 @@ fn binary_sides(
     Ok((lpipe, rpipe, partitions))
 }
 
-/// Builds one per-series pipeline: §V verdict per page, strategy per
-/// kept page, and the §III-C morsel shape.
+/// Builds one per-series pipeline: §V verdict per page and strategy per
+/// kept page.
 fn build_pipeline(
     series: String,
     pred: Predicate,
@@ -242,7 +238,6 @@ fn build_pipeline(
     cfg: &PipelineConfig,
 ) -> SeriesPipeline {
     let mut decisions = Vec::with_capacity(pages.len());
-    let mut kept: Vec<Arc<Page>> = Vec::new();
     for (index, page) in pages.iter().enumerate() {
         let verdict = page_verdict(page, &pred, cfg.prune);
         let residual = pred.residual(&page.header, cfg.prune);
@@ -258,9 +253,6 @@ fn build_pipeline(
                 }
             }
         });
-        if verdict.kept() {
-            kept.push(Arc::clone(page));
-        }
         decisions.push(PageDecision {
             index,
             tuples: page.header.count as u64,
@@ -273,28 +265,11 @@ fn build_pipeline(
             cacheable: cacheable_page(page, &residual, &role, verdict.kept(), cfg),
         });
     }
-    let parallelism = match &role {
-        Role::Agg { func, window } if sliceable(&kept, &pred, window.is_some(), *func, cfg) => {
-            Parallelism::Sliced {
-                pages: kept.len(),
-                jobs: distribute(&kept, cfg.threads).len(),
-            }
-        }
-        _ => Parallelism::PerPage { jobs: kept.len() },
-    };
-    if matches!(parallelism, Parallelism::Sliced { .. }) {
-        // Sliced pipelines run slice-coefficient jobs, which never probe
-        // the partial cache; a `[cacheable]` tag would be a lie.
-        for d in &mut decisions {
-            d.cacheable = false;
-        }
-    }
     SeriesPipeline {
         series,
         pred,
         pages,
         decisions,
-        parallelism,
         hot,
     }
 }
@@ -317,29 +292,6 @@ fn cacheable_page(
     cfg.partial_cache && kept && residual.is_trivial() && whole_page_bucket(page, *window).is_some()
 }
 
-/// Whether the §III-C slicing morsel shape applies: unfiltered,
-/// unwindowed TS2DIFF scans with fewer kept pages than threads, where
-/// the slice partials combine symbolically. Partial-only aggregates
-/// (quantiles, rate/delta) never slice — a symbolic slice coefficient
-/// cannot carry a sketch or the covered timestamps.
-pub(crate) fn sliceable(
-    kept: &[Arc<Page>],
-    pred: &Predicate,
-    windowed: bool,
-    func: AggFunc,
-    cfg: &PipelineConfig,
-) -> bool {
-    cfg.allow_slicing
-        && cfg.vectorized
-        && !windowed
-        && !func.partial_only()
-        && pred.is_trivial()
-        && kept.len() < cfg.threads
-        && kept
-            .iter()
-            .all(|p| p.header.val_encoding == Encoding::Ts2Diff && spread_fits_i64(p))
-}
-
 /// The per-page strategy choice — previously an implicit branch chain in
 /// the executor, now a planner decision from header statistics alone.
 /// It reads the page's `residual`: a page its value filter covers
@@ -354,23 +306,22 @@ fn choose_page_strategy(
     if !cfg.vectorized {
         return Strategy::Serial;
     }
-    if residual.value.is_some() {
+    // The whole-page forms (Delta-RLE run space, header MIN/MAX) apply
+    // when every tuple qualifies and the page lies inside a single bucket
+    // (always, when unwindowed). Every other page runs the fold cursor,
+    // or decodes where the cursor's gate rejects its column.
+    if !residual.is_trivial() || whole_page_bucket(page, window).is_none() {
         return Strategy::Decode;
     }
-    let enc = page.header.val_encoding;
-    let covers = fusion_covers(func, enc, cfg.fuse) && spread_fits_i64(page);
-    // TS2DIFF fuses per-bucket index subranges on any page; the
-    // whole-page forms (Delta-RLE, SVB, header MIN/MAX) apply when the
-    // page is fully covered by the time filter and inside a single
-    // bucket (always, when unwindowed) — so only straddling pages decode.
-    let whole = residual.time.is_none() && whole_page_bucket(page, window).is_some();
-    if covers && enc == Encoding::Ts2Diff {
-        Strategy::FusedTs2Diff
-    } else if covers && enc == Encoding::DeltaRle && whole {
+    // Delta-RLE's closed form sums stored deltas in `i128`, exact only
+    // when they did not wrap; it answers every exact aggregate, FIRST
+    // and LAST included, which the cursor does not.
+    if page.header.val_encoding == Encoding::DeltaRle
+        && !func.partial_only()
+        && spread_fits_i64(page)
+    {
         Strategy::FusedDeltaRle
-    } else if covers && enc == Encoding::StreamVByte && whole {
-        Strategy::FusedSvb
-    } else if matches!(func, AggFunc::Min | AggFunc::Max) && whole {
+    } else if matches!(func, AggFunc::Min | AggFunc::Max) {
         Strategy::HeaderMinMax
     } else {
         Strategy::Decode
@@ -380,7 +331,7 @@ fn choose_page_strategy(
 /// The §IV pair-fusion alignment check: pairwise-aligned pages (identical
 /// clocks, bit for bit) with Delta-RLE value columns on both sides.
 pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &PipelineConfig) -> bool {
-    if cfg.fuse < FuseLevel::DeltaRepeat || !cfg.vectorized || left.len() != right.len() {
+    if !cfg.vectorized || left.len() != right.len() {
         return false;
     }
     left.iter().zip(right).all(|(a, b)| {
@@ -400,14 +351,6 @@ pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &Pipeli
 /// Compiles and renders in one step — the engine's `EXPLAIN` entry point.
 pub fn explain(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<String> {
     Ok(compile(plan, store, cfg)?.render(cfg))
-}
-
-fn fuse_name(level: FuseLevel) -> &'static str {
-    match level {
-        FuseLevel::None => "none",
-        FuseLevel::Delta => "delta",
-        FuseLevel::DeltaRepeat => "delta-repeat",
-    }
 }
 
 fn on_off(flag: bool) -> &'static str {
@@ -465,19 +408,13 @@ fn binop_name(op: BinOp) -> &'static str {
 
 /// The operator chain a page group runs through, built from [`Node`]
 /// renderings so `EXPLAIN` and the node catalogue cannot drift apart.
-fn chain(strategy: Strategy, pred: &Predicate, role_func: Option<AggFunc>, sliced: bool) -> String {
+fn chain(strategy: Strategy, pred: &Predicate, role_func: Option<AggFunc>) -> String {
     let filter = Node::Filter {
         time: pred.time.is_some(),
         value: pred.value.is_some(),
     };
     let mut nodes: Vec<Node> = vec![Node::SourcePages];
     match (strategy, role_func) {
-        _ if sliced => {
-            nodes.push(Node::Slice);
-            if let Some(func) = role_func {
-                nodes.push(Node::PartialAgg { func });
-            }
-        }
         (
             Strategy::FusedTs2Diff
             | Strategy::FusedDeltaRle
@@ -516,12 +453,10 @@ impl PhysicalPlan {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "physical plan (threads={}, prune={}, fuse={}, vectorized={}, slicing={}, cache={})",
+            "physical plan (threads={}, prune={}, vectorized={}, cache={})",
             cfg.threads,
             on_off(cfg.prune),
-            fuse_name(cfg.fuse),
             on_off(cfg.vectorized),
-            on_off(cfg.allow_slicing),
             on_off(cfg.partial_cache),
         );
         let role_func = match &self.root {
@@ -609,8 +544,6 @@ impl PhysicalPlan {
                 encs
             );
             let _ = writeln!(out, "    pred: {}", fmt_pred(&p.pred));
-            let _ = writeln!(out, "    parallelism: {}", p.parallelism);
-            let sliced = matches!(p.parallelism, Parallelism::Sliced { .. });
             // A kept page runs what its header leaves of the predicate.
             let residual = |i: usize| {
                 let kept = p.decisions[i].strategy.is_some();
@@ -646,7 +579,7 @@ impl PhysicalPlan {
                             out,
                             "    {span}: {} -> {}{cache_tag}",
                             d.verdict,
-                            chain(s, r, role_func, sliced)
+                            chain(s, r, role_func)
                         );
                     }
                     None => {

@@ -12,16 +12,14 @@
 //!   the page header under the plan's config, pruned pages carry the
 //!   checksum-verification obligation (the PR 5 `verify_pruned`
 //!   discipline), and verdict/strategy presence agree.
-//! * [`Invariant::SliceBounds`] — morsel shape is consistent: job counts
-//!   match the kept-page set and every §III-C slice index lies within
-//!   its page's tuple count.
 //! * [`Invariant::PartitionTiling`] — binary-merge partitions tile
 //!   `[i64::MIN, i64::MAX]` disjointly and completely (§VI merge order).
-//! * [`Invariant::FusionAdmissibility`] — §IV fused strategies only
-//!   appear when codec, fuse level, predicate, and aggregate admit them:
-//!   no residual value conjunct (the page header proves any value
-//!   filter), and for the whole-page forms no residual time conjunct
-//!   (including the root-level pair-fusion fast path).
+//! * [`Invariant::FusionAdmissibility`] — the whole-page strategies
+//!   (Delta-RLE fusion, header MIN/MAX) only appear where codec,
+//!   predicate, and aggregate admit them: no residual conjunct (the page
+//!   header proves the filter) and one bucket; the labels
+//!   `fused(ts2diff)` / `fused(svb)` are no longer planned and never
+//!   admitted; pair fusion only over aligned Delta-RLE pages.
 //! * [`Invariant::HotFoldsLast`] — a hot-chunk source only appears on
 //!   unary pipelines and its timestamps strictly follow every sealed
 //!   page, so FIRST/LAST folding order is safe.
@@ -33,8 +31,8 @@
 //!   tile the time axis without gap or overlap.
 //! * [`Invariant::CacheObligation`] — a `[cacheable]` page decision only
 //!   appears where the partial cache is sound: cache enabled, page kept,
-//!   no residual value conjunct, time range covers the page, the page
-//!   lands in a single bucket, and the pipeline is not sliced.
+//!   no residual value conjunct, time range covers the page, and the
+//!   page lands in a single bucket.
 //! * [`Invariant::PartialMergeOrder`] — kept pages are strictly
 //!   time-ordered and internally consistent, so the sequential partial
 //!   merge (FIRST/LAST, timestamp bounds, sketches) is order-safe.
@@ -54,16 +52,15 @@ use etsqp_encoding::Encoding;
 use etsqp_storage::page::Page;
 
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::physical::agg::{fusion_covers, spread_fits_i64};
-use crate::physical::node::{Parallelism, RootNode, SeriesPipeline, Strategy};
-use crate::physical::pipe::{pair_fusible, sliceable, PhysicalPlan};
+use crate::physical::agg::spread_fits_i64;
+use crate::physical::node::{RootNode, SeriesPipeline, Strategy};
+use crate::physical::pipe::{pair_fusible, PhysicalPlan};
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::verify_partial::{
     check_bucket_tiling, check_cache_obligations, check_partial_merge_order,
 };
 use crate::physical::window::single_bucket_index;
 use crate::plan::PipelineConfig;
-use crate::slice::{distribute, slice_range, WorkItem};
 
 /// The invariant classes of the verifier catalog (one negative test per
 /// class lives in `crates/core/tests/verify_negative.rs`).
@@ -74,8 +71,6 @@ pub enum Invariant {
     /// §V verdicts re-derive and pruned pages carry their checksum
     /// obligation (`verify_pruned` discipline).
     PruneSoundness,
-    /// Morsel shape consistency and §III-C slice index bounds.
-    SliceBounds,
     /// Binary-merge partitions tile the time domain disjointly.
     PartitionTiling,
     /// §IV fused strategies only where codec/expression admit them.
@@ -100,7 +95,6 @@ impl Invariant {
         match self {
             Invariant::PlanShape => "plan-shape",
             Invariant::PruneSoundness => "prune-soundness",
-            Invariant::SliceBounds => "slice-bounds",
             Invariant::PartitionTiling => "partition-tiling",
             Invariant::FusionAdmissibility => "fusion-admissibility",
             Invariant::HotFoldsLast => "hot-folds-last",
@@ -166,7 +160,6 @@ pub fn verify(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyResult {
     };
     for (i, p) in plan.pipelines.iter().enumerate() {
         check_prune_soundness(p, cfg)?;
-        check_slice_bounds(p, &role(i), cfg)?;
         check_fusion_admissibility(p, &role(i), cfg)?;
         check_hot_folds_last(p, &plan.root, cfg)?;
         check_bucket_tiling(p, &role(i))?;
@@ -337,101 +330,6 @@ fn check_prune_soundness(p: &SeriesPipeline, cfg: &PipelineConfig) -> VerifyResu
     Ok(())
 }
 
-fn kept_pages(p: &SeriesPipeline) -> Vec<std::sync::Arc<Page>> {
-    p.kept()
-        .map(|(page, _)| std::sync::Arc::clone(page))
-        .collect()
-}
-
-fn check_slice_bounds(p: &SeriesPipeline, role: &VerifyRole, cfg: &PipelineConfig) -> VerifyResult {
-    let kept = kept_pages(p);
-    match p.parallelism {
-        Parallelism::PerPage { jobs } => {
-            if jobs != kept.len() {
-                return fail(
-                    Invariant::SliceBounds,
-                    format!(
-                        "pipeline {}: per-page parallelism claims {jobs} jobs for {} kept pages",
-                        p.series,
-                        kept.len()
-                    ),
-                );
-            }
-        }
-        Parallelism::Sliced { pages, jobs } => {
-            let (windowed, func) = match role {
-                VerifyRole::Agg { func, window } => (window.is_some(), *func),
-                VerifyRole::Rows => {
-                    return fail(
-                        Invariant::SliceBounds,
-                        format!(
-                            "pipeline {}: sliced morsels on a row-producing scan",
-                            p.series
-                        ),
-                    )
-                }
-            };
-            if pages != kept.len() {
-                return fail(
-                    Invariant::SliceBounds,
-                    format!(
-                        "pipeline {}: sliced parallelism claims {pages} pages, {} kept",
-                        p.series,
-                        kept.len()
-                    ),
-                );
-            }
-            if !sliceable(&kept, &p.pred, windowed, func, cfg) {
-                return fail(
-                    Invariant::SliceBounds,
-                    format!(
-                        "pipeline {}: sliced morsels where §III-C slicing is inadmissible",
-                        p.series
-                    ),
-                );
-            }
-            let items = distribute(&kept, cfg.threads);
-            if jobs != items.len() {
-                return fail(
-                    Invariant::SliceBounds,
-                    format!(
-                        "pipeline {}: sliced parallelism claims {jobs} jobs, distribute yields {}",
-                        p.series,
-                        items.len()
-                    ),
-                );
-            }
-            for item in &items {
-                if let WorkItem::Slice { page, part, parts } = item {
-                    let count = page.header.count as usize;
-                    if *part >= *parts || *parts == 0 || *parts > count.max(1) {
-                        return fail(
-                            Invariant::SliceBounds,
-                            format!(
-                                "pipeline {}: slice {part}/{parts} out of bounds for a \
-                                 {count}-tuple page",
-                                p.series
-                            ),
-                        );
-                    }
-                    let (lo, hi) = slice_range(count, *part, *parts);
-                    if lo > hi || hi > count {
-                        return fail(
-                            Invariant::SliceBounds,
-                            format!(
-                                "pipeline {}: slice {part}/{parts} covers [{lo}, {hi}) of a \
-                                 {count}-tuple page",
-                                p.series
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Which conjuncts of `pred` the header of `page` proves for every tuple
 /// of it, `(time, value)` — an absent conjunct is proven, and with
 /// pruning off no value conjunct is. Re-derived here from the header and
@@ -449,9 +347,9 @@ pub(super) fn header_proves(page: &Page, pred: &Predicate, prune: bool) -> (bool
 }
 
 /// Whether `strategy` is admissible for `page` under `role` and `cfg` —
-/// deliberately re-derived from first principles (codec, fuse level,
-/// predicate, aggregate) rather than by re-running the planner's choice
-/// function, so a planner bug cannot vouch for itself.
+/// deliberately re-derived from first principles (codec, predicate,
+/// aggregate) rather than by re-running the planner's choice function,
+/// so a planner bug cannot vouch for itself.
 fn admissible(
     page: &Page,
     pred: &Predicate,
@@ -472,76 +370,49 @@ fn admissible(
                 other => Err(format!("row-producing scan cannot run {other}")),
             }
         }
-        VerifyRole::Agg { func, window } => (*func, window),
+        VerifyRole::Agg { func, window } => (*func, *window),
     };
-    let enc = page.header.val_encoding;
-    let (time_proved, value_proved) = header_proves(page, pred, cfg.prune);
-    let fused_ok = |want: Encoding| -> Result<(), String> {
+    // A whole-page form answers for every tuple of the page at once:
+    // the header must prove every conjunct, and the page must land in
+    // one bucket.
+    let whole = || -> Result<(), String> {
+        let (time_proved, value_proved) = header_proves(page, pred, cfg.prune);
         if !value_proved {
             return Err(format!("{strategy} under a residual value conjunct"));
         }
-        if enc != want {
-            return Err(format!("{strategy} on a {} value column", enc.name()));
+        if !time_proved {
+            return Err(format!("{strategy} on a partially covered page"));
         }
-        if !fusion_covers(func, enc, cfg.fuse) {
-            return Err(format!(
-                "{strategy} not covered for {} at fuse level {:?}",
-                func.name(),
-                cfg.fuse
-            ));
-        }
-        if !spread_fits_i64(page) {
-            return Err(format!(
-                "{strategy} on a page whose value spread overflows i64"
-            ));
+        if window.is_some_and(|w| single_bucket_index(page, &w).is_none()) {
+            return Err(format!("{strategy} on a page straddling a bucket boundary"));
         }
         Ok(())
     };
     match strategy {
         Strategy::Decode | Strategy::Serial => Ok(()),
-        Strategy::FusedTs2Diff => fused_ok(Encoding::Ts2Diff),
-        Strategy::FusedDeltaRle => {
-            fused_ok(Encoding::DeltaRle)?;
-            if let Some(w) = window {
-                // A windowed whole-page fusion is only exact when the
-                // page lands in a single bucket.
-                if single_bucket_index(page, w).is_none() {
-                    return Err("fused(delta_rle) on a page straddling a bucket boundary".into());
-                }
-            }
-            if !time_proved {
-                return Err("fused(delta_rle) on a partially covered page".into());
-            }
-            Ok(())
+        Strategy::FusedTs2Diff | Strategy::FusedSvb => {
+            Err(format!("{strategy} is no longer planned"))
         }
-        Strategy::FusedSvb => {
-            fused_ok(Encoding::StreamVByte)?;
-            if let Some(w) = window {
-                if single_bucket_index(page, w).is_none() {
-                    return Err("fused(svb) on a page straddling a bucket boundary".into());
-                }
+        Strategy::FusedDeltaRle => {
+            let enc = page.header.val_encoding;
+            if enc != Encoding::DeltaRle {
+                return Err(format!("{strategy} on a {} value column", enc.name()));
             }
-            if !time_proved {
-                return Err("fused(svb) on a partially covered page".into());
+            if func.partial_only() {
+                return Err(format!("{strategy} for {}", func.name()));
             }
-            Ok(())
+            if !spread_fits_i64(page) {
+                return Err(format!(
+                    "{strategy} on a page whose value spread overflows i64"
+                ));
+            }
+            whole()
         }
         Strategy::HeaderMinMax => {
             if !matches!(func, AggFunc::Min | AggFunc::Max) {
-                return Err(format!("header(min/max) for {}", func.name()));
+                return Err(format!("{strategy} for {}", func.name()));
             }
-            if let Some(w) = window {
-                if single_bucket_index(page, w).is_none() {
-                    return Err("header(min/max) on a page straddling a bucket boundary".into());
-                }
-            }
-            if !value_proved {
-                return Err("header(min/max) under a residual value conjunct".into());
-            }
-            if !time_proved {
-                return Err("header(min/max) on a partially covered page".into());
-            }
-            Ok(())
+            whole()
         }
     }
 }
@@ -710,7 +581,6 @@ mod tests {
         let all = [
             Invariant::PlanShape,
             Invariant::PruneSoundness,
-            Invariant::SliceBounds,
             Invariant::PartitionTiling,
             Invariant::FusionAdmissibility,
             Invariant::HotFoldsLast,

@@ -6,7 +6,7 @@
 //! They are called from [`crate::physical::verify::verify`] on every
 //! pipeline and share its [`VerifyRole`] / [`fail`] plumbing.
 
-use crate::physical::node::{Parallelism, SeriesPipeline};
+use crate::physical::node::SeriesPipeline;
 use crate::physical::verify::{fail, header_proves, Invariant, VerifyResult, VerifyRole};
 use crate::physical::window::single_bucket_index;
 use crate::plan::PipelineConfig;
@@ -99,8 +99,7 @@ pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> Veri
 /// from / memoize into its memo or the digest cache when the whole-page
 /// partial is the query's exact
 /// contribution for that page — cache enabled, page kept, no residual
-/// value conjunct, time range covers the page, single bucket, and not
-/// sliced (slice jobs never see the cache).
+/// value conjunct, time range covers the page, and single bucket.
 pub(super) fn check_cache_obligations(
     p: &SeriesPipeline,
     role: &VerifyRole,
@@ -121,8 +120,6 @@ pub(super) fn check_cache_obligations(
             Some("cacheable page under a residual value conjunct")
         } else if !time_proved {
             Some("cacheable page not fully covered by the time range")
-        } else if matches!(p.parallelism, Parallelism::Sliced { .. }) {
-            Some("cacheable page on a sliced pipeline")
         } else {
             match role {
                 VerifyRole::Agg {

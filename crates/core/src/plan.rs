@@ -4,8 +4,8 @@
 //! Execution itself lives in [`crate::physical`]: [`execute`] compiles
 //! the logical [`Plan`] with the Algorithm 2 generator
 //! ([`crate::physical::pipe::compile`]) into an explicit pipeline DAG —
-//! per-page §V prune verdicts, §IV fusion strategies, §III-C morsel
-//! shapes and Figure 9 merge partitions, all as inspectable data — and
+//! per-page §V prune verdicts, §IV fusion strategies and Figure 9 merge
+//! partitions, all as inspectable data — and
 //! hands that DAG to the pipeline driver. `EXPLAIN` renders the same
 //! compiled artifact, so the textual plan is the executed plan.
 
@@ -15,7 +15,6 @@ use etsqp_storage::store::SeriesStore;
 
 use crate::exec::{ExecStats, StatsSnapshot};
 use crate::expr::{AggFunc, PairAggFunc, Plan, Predicate};
-use crate::fused::FuseLevel;
 use crate::partial::PartialState;
 use crate::physical::{driver, pipe};
 use crate::{Error, Result};
@@ -27,13 +26,9 @@ pub struct PipelineConfig {
     pub threads: usize,
     /// Enable the §V pruning rules (ETSQP-prune vs ETSQP).
     pub prune: bool,
-    /// Operator-fusion level (§IV / Fig. 14(a) ablation).
-    pub fuse: FuseLevel,
     /// Use the vectorized decoders; `false` is the byte-serial engine
     /// ("IoTDB" in Fig. 13, "Serial" in Fig. 10).
     pub vectorized: bool,
-    /// Allow splitting pages into slices when pages < threads.
-    pub allow_slicing: bool,
     /// Byte budget for concurrently materialized decode buffers (paper
     /// §VI-C, gradual page loading); `None` = unlimited.
     pub decode_budget_bytes: Option<u64>,
@@ -56,9 +51,7 @@ impl Default for PipelineConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             prune: true,
-            fuse: FuseLevel::DeltaRepeat,
             vectorized: true,
-            allow_slicing: true,
             decode_budget_bytes: None,
             partial_cache: true,
         }
@@ -112,7 +105,7 @@ pub fn execute(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result
 
 /// [`execute`] under a [`crate::cancel::CancellationToken`]: the token is
 /// checked at every morsel boundary, so cancellation or a deadline stops
-/// the query within one page/slice of work.
+/// the query within one page of work.
 pub fn execute_ctl(
     plan: &Plan,
     store: &SeriesStore,

@@ -10,13 +10,13 @@
 //!   query and sized to the hardware (`ETSQP_POOL_THREADS` overrides).
 //!   Workers are detached daemon threads that park when idle; after
 //!   warmup no query ever spawns or joins a thread.
-//! * **Morsel-driven scheduling**: every page/slice job of a query is a
+//! * **Morsel-driven scheduling**: every page job of a query is a
 //!   stealable morsel in a per-query [`deque::Injector`]. Runners grab
 //!   batches into local [`deque::Worker`] deques and steal from each
 //!   other when they run dry, so a straggler page rebalances dynamically
 //!   instead of stalling its statically-assigned thread. Results land in
-//!   per-index slots, so outputs still return in job order and the slice
-//!   prefix-sum stitching of [`crate::plan`] is untouched.
+//!   per-index slots, so outputs still return in job order and the
+//!   driver's time-ordered partial merge is untouched.
 //! * **Shared across concurrent queries**: runner tasks from any number
 //!   of queries interleave on the same workers ([`crate::engine::IotDb`]
 //!   is `Sync` and usable behind `Arc` from many OS threads). A panic in

@@ -94,11 +94,10 @@ fn serial_engine_handles_overflow_identically() {
     }
 }
 
-/// Pruned pages are checksum-verified by the jobs of the kept pages, an
-/// equal share each (all of them inline when nothing is kept): wherever
-/// a corrupt page falls — before the first kept page, between kept
-/// pages, after the last, or kept itself — the query must abort, at any
-/// thread count, sliced or not.
+/// Pruned pages are checksum-verified on the calling thread before any
+/// kept page's job runs: wherever a corrupt page falls — before the
+/// first kept page, between kept pages, after the last, or kept itself
+/// — the query must abort, at any thread count.
 #[test]
 fn every_pruned_page_is_verified_wherever_its_run_lands() {
     use etsqp_core::expr::Predicate;
@@ -127,11 +126,10 @@ fn every_pruned_page_is_verified_wherever_its_run_lands() {
     let nothing = Plan::scan("s")
         .filter(Predicate::value(5_000, 6_000))
         .aggregate(AggFunc::Sum);
-    let configs: Vec<PipelineConfig> = [(1, false), (2, true), (4, false), (8, true)]
+    let configs: Vec<PipelineConfig> = [1, 2, 4, 8]
         .into_iter()
-        .map(|(threads, allow_slicing)| PipelineConfig {
+        .map(|threads| PipelineConfig {
             threads,
-            allow_slicing,
             partial_cache: false,
             ..Default::default()
         })
@@ -162,9 +160,8 @@ fn every_pruned_page_is_verified_wherever_its_run_lands() {
                 let got = execute(plan, &store, cfg);
                 assert!(
                     matches!(got, Err(etsqp_core::Error::Storage(_))),
-                    "page {corrupt} corrupt, {what}, threads={} slicing={}: {:?}",
+                    "page {corrupt} corrupt, {what}, threads={}: {:?}",
                     cfg.threads,
-                    cfg.allow_slicing,
                     got.map(|r| r.rows)
                 );
             }
@@ -327,7 +324,7 @@ fn raw_delta_rle(count: u32, first: i64, pairs: &[(i64, u64)]) -> Vec<u8> {
 #[test]
 fn delta_rle_closed_form_checks_its_runs() {
     use etsqp_core::expr::Predicate;
-    use etsqp_core::fused::{aggregate_delta_rle, FuseLevel};
+    use etsqp_core::fused::aggregate_delta_rle;
     use etsqp_core::plan::{execute, PipelineConfig};
     use etsqp_encoding::delta_rle;
     use etsqp_storage::page::PageHeader;
@@ -352,15 +349,13 @@ fn delta_rle_closed_form_checks_its_runs() {
         store.insert_pages("s", vec![page]);
         store
     };
-    let fused = PipelineConfig {
-        fuse: FuseLevel::DeltaRepeat,
+    let cfg = PipelineConfig {
         partial_cache: false,
         ..Default::default()
     };
-    let decode = PipelineConfig {
-        fuse: FuseLevel::None,
-        ..fused
-    };
+    // A page the filter covers takes `Strategy::FusedDeltaRle`; with its
+    // first tuple cut off by time, the same page takes `Strategy::Decode`.
+    let cut = Predicate::time(1, i64::MAX);
 
     // Runs short of the count, long of it, and one run of `u32::MAX`.
     let hostile: [(&str, Vec<u8>); 3] = [
@@ -384,16 +379,16 @@ fn delta_rle_closed_form_checks_its_runs() {
             AggFunc::Variance,
         ] {
             let whole = Plan::scan("s").aggregate(func);
+            let decoded = Plan::scan("s").filter(cut).aggregate(func);
             let band = Plan::scan("s")
                 .filter(Predicate::value(6, i64::MAX))
                 .aggregate(func);
-            for (plan, cfg) in [(&whole, &fused), (&whole, &decode), (&band, &fused)] {
-                let got = execute(plan, &store, cfg).map(|r| r.rows);
+            for (how, plan) in [("whole", &whole), ("decoded", &decoded), ("band", &band)] {
+                let got = execute(plan, &store, &cfg).map(|r| r.rows);
                 assert_eq!(
                     got.as_ref().map_err(|e| e.to_string()),
                     Err(want.clone()),
-                    "{what} {func:?} fuse={:?}",
-                    cfg.fuse
+                    "{what} {func:?} {how}"
                 );
             }
         }
@@ -423,13 +418,13 @@ fn delta_rle_closed_form_checks_its_runs() {
                 Some((i64::MIN, i64::MIN)),
                 Some((i64::MIN + 1, i64::MAX - 1)),
             ] {
-                let plan = Plan::scan("s")
-                    .filter(Predicate { time: None, value })
-                    .aggregate(func);
-                let (_, want) = etsqp_core::oracle::execute(&plan, &store).unwrap();
-                for cfg in [&fused, &decode] {
-                    let got = execute(&plan, &store, cfg).unwrap();
-                    assert_eq!(got.rows, want, "{what} {func:?} {value:?} {:?}", cfg.fuse);
+                for time in [None, cut.time] {
+                    let plan = Plan::scan("s")
+                        .filter(Predicate { time, value })
+                        .aggregate(func);
+                    let (_, want) = etsqp_core::oracle::execute(&plan, &store).unwrap();
+                    let got = execute(&plan, &store, &cfg).unwrap();
+                    assert_eq!(got.rows, want, "{what} {func:?} {value:?} {time:?}");
                 }
             }
         }

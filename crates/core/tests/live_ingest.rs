@@ -112,7 +112,6 @@ fn hot_plus_sealed_matches_oracle_bitwise() {
         PipelineConfig {
             vectorized: false,
             threads: 1,
-            allow_slicing: false,
             ..cfg()
         },
     ];

@@ -4,9 +4,10 @@
 //! Three historical wrap/crash sites, each now guarded by
 //! `spread_fits_i64` (fall back to the exact decode path) or widened:
 //!
-//! 1. the slice-coefficient chain accumulated `rel: i64` with wrapping
-//!    adds, so sliced SUM over a page spanning more than `i64::MAX` was
-//!    silently wrong;
+//! 1. the slice-coefficient chain (since deleted with page slicing)
+//!    accumulated `rel: i64` with wrapping adds, so sliced SUM over a
+//!    page spanning more than `i64::MAX` was silently wrong; the same
+//!    page now runs as one job on a multi-threaded config;
 //! 2. the fused TS2DIFF/Delta-RLE closed forms widen *stored* deltas to
 //!    `i128`, which is only exact when the deltas did not wrap at encode
 //!    time;
@@ -15,7 +16,6 @@
 //!    panicked the fused path.
 
 use etsqp_core::expr::{AggFunc, Plan};
-use etsqp_core::fused::FuseLevel;
 use etsqp_core::oracle;
 use etsqp_core::plan::{execute, PipelineConfig, Value};
 use etsqp_encoding::Encoding;
@@ -37,32 +37,25 @@ fn run(store: &SeriesStore, plan: &Plan, cfg: &PipelineConfig) -> Vec<Vec<Value>
     orows
 }
 
-fn sliced_cfg() -> PipelineConfig {
+/// Four threads, pruning off: one page is one job, whatever the thread
+/// count.
+fn threaded_cfg() -> PipelineConfig {
     PipelineConfig {
         threads: 4,
         prune: false,
-        fuse: FuseLevel::None,
         vectorized: true,
-        allow_slicing: true,
         decode_budget_bytes: None,
         partial_cache: true,
     }
 }
 
-fn fused_cfg() -> PipelineConfig {
-    PipelineConfig {
-        fuse: FuseLevel::DeltaRepeat,
-        allow_slicing: false,
-        ..sliced_cfg()
-    }
-}
-
-/// Regression 1: sliced SUM over a single page whose value spread
-/// exceeds `i64::MAX` (deltas wrapped at encode time). One page and
-/// `threads > pages` forces the slicing path; the spread guard must
-/// reject it and fall back to the exact decode pipeline.
+/// Regression 1: SUM over a single page whose value spread exceeds
+/// `i64::MAX` (deltas wrapped at encode time), on more threads than
+/// pages — the shape that used to slice. The page is one job; the
+/// spread guard keeps it off every closed form, and its 64-bit deltas
+/// off the cursor, so it decodes exactly.
 #[test]
-fn sliced_sum_near_i64_extremes_does_not_wrap() {
+fn one_page_sum_near_i64_extremes_does_not_wrap() {
     let ts: Vec<i64> = (0..64).map(|i| i * 10).collect();
     let vals: Vec<i64> = (0..64)
         .map(|i| {
@@ -77,7 +70,7 @@ fn sliced_sum_near_i64_extremes_does_not_wrap() {
     let rows = run(
         &store,
         &Plan::scan("s").aggregate(AggFunc::Sum),
-        &sliced_cfg(),
+        &threaded_cfg(),
     );
     // 32 pairs of (MIN+7, MAX-7): each pair sums to -1, total -32.
     assert_eq!(rows[0][0], Value::Int(-32));
@@ -100,12 +93,12 @@ fn fused_sum_with_wrapped_deltas_matches_oracle() {
     run(
         &store,
         &Plan::scan("s").aggregate(AggFunc::Sum),
-        &fused_cfg(),
+        &threaded_cfg(),
     );
     run(
         &store,
         &Plan::scan("s").window(0, 40, AggFunc::Sum),
-        &fused_cfg(),
+        &threaded_cfg(),
     );
 }
 
@@ -116,7 +109,7 @@ fn sum_exceeding_i64_widens_to_float() {
     let ts: Vec<i64> = (0..8).map(|i| i * 10).collect();
     let vals: Vec<i64> = vec![i64::MAX - 1; 8];
     let store = store_with(Encoding::Ts2Diff, &ts, &vals);
-    for cfg in [sliced_cfg(), fused_cfg(), PipelineConfig::default()] {
+    for cfg in [threaded_cfg(), PipelineConfig::default()] {
         let rows = run(&store, &Plan::scan("s").aggregate(AggFunc::Sum), &cfg);
         match rows[0][0] {
             Value::Float(f) => assert_eq!(f, (i64::MAX - 1) as f64 * 8.0),
@@ -138,13 +131,13 @@ fn fused_sum_with_wide_deltas_uses_64bit_unpack() {
     let rows = run(
         &store,
         &Plan::scan("s").aggregate(AggFunc::Sum),
-        &fused_cfg(),
+        &threaded_cfg(),
     );
     assert_eq!(rows[0][0], Value::Int(24 * big));
     run(
         &store,
         &Plan::scan("s").window(0, 45, AggFunc::Sum),
-        &fused_cfg(),
+        &threaded_cfg(),
     );
 }
 
@@ -157,7 +150,7 @@ fn variance_near_i64_max_is_never_negative() {
     let ts: Vec<i64> = (0..8).map(|i| i * 10).collect();
     let vals: Vec<i64> = vec![i64::MAX - 1; 8];
     let store = store_with(Encoding::Ts2Diff, &ts, &vals);
-    for cfg in [sliced_cfg(), fused_cfg(), PipelineConfig::default()] {
+    for cfg in [threaded_cfg(), PipelineConfig::default()] {
         let rows = run(&store, &Plan::scan("s").aggregate(AggFunc::Variance), &cfg);
         match rows[0][0] {
             Value::Float(f) => assert!(f >= 0.0, "negative variance {f} under {cfg:?}"),
@@ -169,7 +162,7 @@ fn variance_near_i64_max_is_never_negative() {
 /// Regression 4: fused Delta-RLE LAST returned the page's *first* value
 /// (`aggregate_delta_rle` never advanced `state.last` past the seed).
 /// Found by the differential sweep:
-/// `spec=Atm codec=DeltaRle fuse=DeltaRepeat query=LAST(all)`.
+/// `spec=Atm codec=DeltaRle query=LAST(all)`.
 #[test]
 fn fused_delta_rle_last_is_the_final_value() {
     let ts: Vec<i64> = (0..60).map(|i| i * 10).collect();
@@ -178,7 +171,7 @@ fn fused_delta_rle_last_is_the_final_value() {
     let rows = run(
         &store,
         &Plan::scan("s").aggregate(AggFunc::Last),
-        &fused_cfg(),
+        &threaded_cfg(),
     );
     assert_eq!(rows[0][0], Value::Int(*vals.last().unwrap()));
 }

@@ -1,9 +1,11 @@
 //! Page memos by their counters: what a memo-cold and a memo-warm query
-//! fold, dispatch and charge. In a binary of its own, one test, because
+//! fold, dispatch and charge. In a binary of its own, because
 //! `PartialCache::clear` forgets the memos of the whole process and
-//! would make any concurrent test's hits misses.
+//! would make any concurrent test's hits misses; the one other test here
+//! runs with the cache off, so it memoizes nothing.
 
 use etsqp_core::expr::{AggFunc, Plan, Predicate};
+use etsqp_core::oracle;
 use etsqp_core::partial::PartialCache;
 use etsqp_core::plan::{execute, PipelineConfig, QueryResult};
 use etsqp_encoding::Encoding;
@@ -27,7 +29,6 @@ fn store(codec: Encoding) -> SeriesStore {
 fn memoized_pages_are_served_without_a_job_and_charged_like_loaded_ones() {
     let cfg = PipelineConfig {
         threads: 2,
-        allow_slicing: false,
         ..Default::default()
     };
     let run = |store: &SeriesStore, plan: &Plan| -> QueryResult {
@@ -154,5 +155,45 @@ fn memoized_pages_are_served_without_a_job_and_charged_like_loaded_ones() {
         };
         let r = execute(&whole(AggFunc::Sum), &store, &off).unwrap();
         assert_eq!((hits(&r), r.rows.clone()), ((0, 0), cold.rows), "{codec:?}");
+    }
+}
+
+/// A page is one job, however many threads there are: a one-page series
+/// at eight threads folds on the calling thread and dispatches nothing
+/// to the pool (the cache is off, so every query folds).
+#[test]
+fn a_one_page_series_is_one_job_at_any_thread_count() {
+    let store = SeriesStore::new(POINTS as usize);
+    store.create_series("one", Encoding::Ts2Diff, Encoding::Ts2Diff);
+    let ts: Vec<i64> = (0..POINTS as i64).map(|i| 1_000 + i * 10).collect();
+    let vals: Vec<i64> = (0..POINTS as i64).map(|i| (i * 37) % 101 - 30).collect();
+    store.append_all("one", &ts, &vals).unwrap();
+    store.flush("one").unwrap();
+    assert_eq!(store.page_count("one").unwrap(), 1);
+    let cfg = PipelineConfig {
+        threads: 8,
+        partial_cache: false,
+        ..Default::default()
+    };
+    for func in [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+    ] {
+        let plan = Plan::scan("one").aggregate(func);
+        let r = execute(&plan, &store, &cfg).unwrap();
+        assert_eq!(
+            r.rows,
+            oracle::execute(&plan, &store).unwrap().1,
+            "{func:?}"
+        );
+        assert_eq!(r.stats.pages_loaded, 1, "{func:?}");
+        assert_eq!(
+            r.stats.local_pops + r.stats.steals,
+            0,
+            "{func:?}: one page, one job, run inline"
+        );
     }
 }

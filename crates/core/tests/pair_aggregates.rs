@@ -2,8 +2,8 @@
 //! SQL surface, fused Delta-RLE fast path, and agreement with naive math.
 
 use etsqp_core::engine::{EngineOptions, IotDb};
-use etsqp_core::expr::{PairAggFunc, Plan};
-use etsqp_core::plan::{PipelineConfig, Value};
+use etsqp_core::expr::{PairAggFunc, Plan, Predicate};
+use etsqp_core::plan::Value;
 use etsqp_encoding::Encoding;
 
 fn naive_corr(a: &[i64], b: &[i64]) -> f64 {
@@ -78,20 +78,18 @@ fn dot_and_cov_match_naive() {
 
 #[test]
 fn fused_delta_rle_path_agrees_with_decode_path() {
-    // Aligned Delta-RLE pages hit the fused §IV path; forcing fusion off
-    // exercises the decode+merge-join fallback. Both must agree exactly.
+    // Aligned Delta-RLE pages hit the fused §IV path; a predicate on
+    // either side (here one every tuple passes) takes the decode +
+    // merge-join fallback. Both must agree exactly.
     let (db, _, _) = aligned_db(Encoding::DeltaRle);
-    let plan = Plan::JoinAggregate {
-        left: Box::new(Plan::scan("a")),
+    let pair = |left: Plan| Plan::JoinAggregate {
+        left: Box::new(left),
         right: Box::new(Plan::scan("b")),
         func: PairAggFunc::Correlation,
     };
-    let fused = db.execute(&plan).unwrap();
-    let unfused_cfg = PipelineConfig {
-        fuse: etsqp_core::fused::FuseLevel::None,
-        ..Default::default()
-    };
-    let unfused = db.execute_with(&plan, &unfused_cfg).unwrap();
+    let fused = db.execute(&pair(Plan::scan("a"))).unwrap();
+    let all = Predicate::time(i64::MIN, i64::MAX);
+    let unfused = db.execute(&pair(Plan::scan("a").filter(all))).unwrap();
     let (Value::Float(x), Value::Float(y)) = (fused.rows[0][0], unfused.rows[0][0]) else {
         panic!("{:?} {:?}", fused.rows, unfused.rows)
     };

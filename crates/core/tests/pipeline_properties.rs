@@ -1,11 +1,10 @@
 //! Property tests for the whole pipeline: for arbitrary sensor-like
 //! series, predicates and engine configurations, the vectorized / fused /
-//! pruned / sliced engine must agree exactly with a naive in-memory
-//! evaluation.
+//! pruned / multi-threaded engine must agree exactly with a naive
+//! in-memory evaluation.
 
 use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::expr::{AggFunc, Plan, Predicate};
-use etsqp_core::fused::FuseLevel;
 use etsqp_core::plan::{PipelineConfig, Value};
 use etsqp_encoding::Encoding;
 use proptest::prelude::*;
@@ -106,8 +105,8 @@ proptest! {
 
         let cfg = [
             PipelineConfig::default(),
-            PipelineConfig { prune: false, fuse: FuseLevel::None, ..Default::default() },
-            PipelineConfig { threads: 1, allow_slicing: false, ..Default::default() },
+            PipelineConfig { prune: false, ..Default::default() },
+            PipelineConfig { threads: 1, ..Default::default() },
             PipelineConfig { threads: 7, ..Default::default() },
         ][cfg_idx];
 

@@ -3,7 +3,6 @@
 //! Algorithm 2 compiler + driver).
 
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate};
-use etsqp_core::fused::FuseLevel;
 use etsqp_core::plan::{execute, finalize, PipelineConfig, Value};
 use etsqp_encoding::Encoding;
 use etsqp_simd::agg::AggState;
@@ -134,57 +133,6 @@ fn serial_and_vectorized_agree() {
 }
 
 #[test]
-fn fusion_levels_agree() {
-    let ts: Vec<i64> = (0..3000).map(|i| i * 3).collect();
-    let vals: Vec<i64> = (0..3000).map(|i| 10 + (i % 7)).collect();
-    let store = store_with("s", &ts, &vals, 500);
-    let plan = Plan::scan("s").aggregate(AggFunc::Sum);
-    let mut results = Vec::new();
-    for fuse in [FuseLevel::None, FuseLevel::Delta, FuseLevel::DeltaRepeat] {
-        let c = PipelineConfig {
-            fuse,
-            allow_slicing: false,
-            ..cfg()
-        };
-        results.push(execute(&plan, &store, &c).unwrap().rows);
-    }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[1], results[2]);
-}
-
-#[test]
-fn sliced_execution_agrees_with_paged() {
-    // 2 pages, 8 threads → slices; result must match unsliced.
-    let ts: Vec<i64> = (0..2000).collect();
-    let vals: Vec<i64> = (0..2000).map(|i| (i % 97) - 48).collect();
-    let store = store_with("s", &ts, &vals, 1000);
-    let plan = Plan::scan("s").aggregate(AggFunc::Sum);
-    let sliced = PipelineConfig {
-        threads: 8,
-        allow_slicing: true,
-        ..cfg()
-    };
-    let paged = PipelineConfig {
-        threads: 8,
-        allow_slicing: false,
-        ..cfg()
-    };
-    let a = execute(&plan, &store, &sliced).unwrap();
-    let b = execute(&plan, &store, &paged).unwrap();
-    assert_eq!(a.rows, b.rows);
-    // Min/max/variance also survive the symbolic slice merge.
-    for func in [AggFunc::Min, AggFunc::Max, AggFunc::Variance, AggFunc::Avg] {
-        let plan = Plan::scan("s").aggregate(func);
-        let a = execute(&plan, &store, &sliced).unwrap();
-        let b = execute(&plan, &store, &paged).unwrap();
-        match (a.rows[0][0], b.rows[0][0]) {
-            (Value::Float(x), Value::Float(y)) => assert!((x - y).abs() < 1e-6, "{func:?}"),
-            (x, y) => assert_eq!(x, y, "{func:?}"),
-        }
-    }
-}
-
-#[test]
 fn union_and_join_match_naive() {
     let t1: Vec<i64> = (0..100).map(|i| i * 2).collect(); // evens
     let v1: Vec<i64> = (0..100).collect();
@@ -253,7 +201,7 @@ fn first_last_aggregates_match_naive() {
     let ts: Vec<i64> = (0..3000).map(|i| i * 5).collect();
     let vals: Vec<i64> = (0..3000).map(|i| (i * 37) % 1009 - 200).collect();
     let store = store_with("s", &ts, &vals, 256);
-    // Whole series, sliced and unsliced.
+    // Whole series, on one thread and on many.
     for threads in [1usize, 8] {
         let c = PipelineConfig { threads, ..cfg() };
         let first = execute(&Plan::scan("s").aggregate(AggFunc::First), &store, &c).unwrap();
@@ -417,7 +365,7 @@ fn tight_decode_budget_still_answers_correctly() {
 }
 
 #[test]
-fn stream_vbyte_values_use_svb_fusion() {
+fn stream_vbyte_whole_page_sums_run_the_cursor() {
     let ts: Vec<i64> = (0..2048).collect();
     let vals: Vec<i64> = (0..2048)
         .map(|i| 900 + (i * 13) % 512 - (i % 7) * 40)
@@ -426,19 +374,21 @@ fn stream_vbyte_values_use_svb_fusion() {
     store.create_series("s", Encoding::Ts2Diff, Encoding::StreamVByte);
     store.append_all("s", &ts, &vals).unwrap();
     store.flush("s").unwrap();
-    let config = PipelineConfig {
-        allow_slicing: false,
-        ..cfg()
-    };
-    // SUM/AVG/COUNT take the fused(svb) closed form; the plan must say so.
+    let config = cfg();
+    // SUM/AVG/COUNT run the decode-and-fold cursor, which is the §IV
+    // Delta fusion; the plan says so, and no value is materialized.
     let plan = Plan::scan("s").aggregate(AggFunc::Sum);
     let rendered = etsqp_core::physical::pipe::compile(&plan, &store, &config)
         .unwrap()
         .render(&config);
-    assert!(rendered.contains("fused(svb)"), "plan was:\n{rendered}");
+    assert!(
+        rendered.contains("DecodeScan -> Filter[none] -> PartialAgg[SUM]"),
+        "plan was:\n{rendered}"
+    );
     for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count] {
         let plan = Plan::scan("s").aggregate(func);
         let r = execute(&plan, &store, &config).unwrap();
+        assert_eq!(r.stats.materialized_bytes, 0, "{func:?}");
         let mut naive = AggState::new();
         vals.iter().for_each(|&v| naive.push(v));
         let want = finalize(func, &naive.into());
@@ -462,32 +412,6 @@ fn stream_vbyte_values_use_svb_fusion() {
 }
 
 #[test]
-fn stream_vbyte_fusion_disabled_matches_decode() {
-    // With fusion off the same query runs the DecodeScan path; both
-    // levels must produce identical sums.
-    let ts: Vec<i64> = (0..3000).collect();
-    let vals: Vec<i64> = (0..3000).map(|i| (i * 31) % 997 - 400).collect();
-    let store = SeriesStore::new(600);
-    store.create_series("s", Encoding::Ts2Diff, Encoding::StreamVByte);
-    store.append_all("s", &ts, &vals).unwrap();
-    store.flush("s").unwrap();
-    let plan = Plan::scan("s").aggregate(AggFunc::Sum);
-    let fused = execute(&plan, &store, &cfg()).unwrap();
-    let unfused = execute(
-        &plan,
-        &store,
-        &PipelineConfig {
-            fuse: FuseLevel::None,
-            ..cfg()
-        },
-    )
-    .unwrap();
-    assert_eq!(fused.rows, unfused.rows);
-    let want: i64 = vals.iter().sum();
-    assert_eq!(fused.rows[0][0], Value::Int(want));
-}
-
-#[test]
 fn delta_rle_values_use_full_fusion() {
     let ts: Vec<i64> = (0..2048).collect();
     let vals: Vec<i64> = (0..2048).map(|i| 5 + (i / 100)).collect(); // long runs
@@ -497,15 +421,7 @@ fn delta_rle_values_use_full_fusion() {
     store.flush("s").unwrap();
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Variance] {
         let plan = Plan::scan("s").aggregate(func);
-        let r = execute(
-            &plan,
-            &store,
-            &PipelineConfig {
-                allow_slicing: false,
-                ..cfg()
-            },
-        )
-        .unwrap();
+        let r = execute(&plan, &store, &cfg()).unwrap();
         let mut naive = AggState::new();
         vals.iter().for_each(|&v| naive.push(v));
         let want = finalize(func, &naive.into());

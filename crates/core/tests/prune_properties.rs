@@ -137,7 +137,6 @@ proptest! {
 mod verdict_validation {
     use super::run_length_series;
     use etsqp_core::expr::{AggFunc, Plan, Predicate};
-    use etsqp_core::fused::FuseLevel;
     use etsqp_core::oracle;
     use etsqp_core::plan::{execute, PipelineConfig};
     use etsqp_encoding::Encoding;
@@ -149,9 +148,7 @@ mod verdict_validation {
         PipelineConfig {
             threads: 1,
             prune: true,
-            fuse: FuseLevel::DeltaRepeat,
             vectorized: true,
-            allow_slicing: false,
             decode_budget_bytes: None,
             partial_cache: true,
         }

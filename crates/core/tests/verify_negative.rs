@@ -6,8 +6,7 @@
 use std::sync::Arc;
 
 use etsqp_core::expr::{AggFunc, Plan, Predicate, TimeRange};
-use etsqp_core::fused::FuseLevel;
-use etsqp_core::physical::node::{Parallelism, PruneVerdict, RootNode, Strategy};
+use etsqp_core::physical::node::{PruneVerdict, RootNode, Strategy};
 use etsqp_core::physical::pipe::{compile, PhysicalPlan};
 use etsqp_core::physical::verify::{verify, verify_deep, verify_explain, Invariant, VerifyResult};
 use etsqp_core::plan::PipelineConfig;
@@ -124,41 +123,6 @@ fn prune_soundness_rejects_missing_checksum_obligation() {
 }
 
 #[test]
-fn slice_bounds_rejects_wrong_job_counts() {
-    let store = store_with(&["a"]);
-    // 4 pages, 8 threads, trivial predicate: the planner slices.
-    let cfg = PipelineConfig {
-        threads: 8,
-        ..Default::default()
-    };
-    let mut phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
-    let Parallelism::Sliced { pages, jobs } = phys.pipelines[0].parallelism else {
-        panic!("fixture must compile to sliced parallelism");
-    };
-    phys.pipelines[0].parallelism = Parallelism::Sliced {
-        pages,
-        jobs: jobs + 1,
-    };
-    expect_invariant(verify(&phys, &cfg), Invariant::SliceBounds);
-
-    // Per-page job count disagreeing with the kept-page set.
-    let cfg = cfg_with_threads(2);
-    let mut phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
-    let Parallelism::PerPage { jobs } = phys.pipelines[0].parallelism else {
-        panic!("fixture must compile to per-page parallelism");
-    };
-    phys.pipelines[0].parallelism = Parallelism::PerPage { jobs: jobs + 1 };
-    expect_invariant(verify(&phys, &cfg), Invariant::SliceBounds);
-}
-
-fn cfg_with_threads(threads: usize) -> PipelineConfig {
-    PipelineConfig {
-        threads,
-        ..Default::default()
-    }
-}
-
-#[test]
 fn partition_tiling_rejects_gaps_and_overlaps() {
     let store = store_with(&["a", "b"]);
     let cfg = cfg();
@@ -201,23 +165,22 @@ fn with_partitions(phys: &mut PhysicalPlan, f: impl FnOnce(&mut Vec<TimeRange>))
 #[test]
 fn fusion_admissibility_rejects_uncovered_strategies() {
     let store = store_with(&["a"]);
-    // Fusion disabled: every kept page must decode.
-    let cfg = PipelineConfig {
-        threads: 2,
-        fuse: FuseLevel::None,
-        allow_slicing: false,
-        ..Default::default()
-    };
-    let mut phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
-    assert_eq!(
-        phys.pipelines[0].decisions[0].strategy,
-        Some(Strategy::Decode)
-    );
-    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedTs2Diff);
-    expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
+    // The retired labels: an unfiltered TS2DIFF SUM under the default
+    // config runs the cursor, labelled decode, and neither
+    // fused(ts2diff) nor fused(svb) is admitted in its place.
+    let cfg = cfg();
+    let phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
+    assert!(phys.pipelines[0]
+        .decisions
+        .iter()
+        .all(|d| d.strategy == Some(Strategy::Decode)));
+    for retired in [Strategy::FusedTs2Diff, Strategy::FusedSvb] {
+        let mut phys = phys.clone();
+        phys.pipelines[0].decisions[0].strategy = Some(retired);
+        expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
+    }
 
     // A fused strategy whose codec does not match the value column.
-    let cfg = cfg_with_threads(2);
     let mut phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
     phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedDeltaRle);
     expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);

@@ -330,9 +330,8 @@ impl SboostEngine {
     }
 }
 
-/// Balanced `[lo, hi)` split of `count` elements (mirror of
-/// `etsqp_core::slice::slice_range`, duplicated to keep baselines
-/// dependency-free of the core crate).
+/// Balanced `[lo, hi)` split of `count` elements, slice `part` of
+/// `parts` (the baseline stays dependency-free of the core crate).
 fn balanced_range(count: usize, part: usize, parts: usize) -> (usize, usize) {
     let base = count / parts;
     let extra = count % parts;

@@ -18,8 +18,7 @@
 //!    wrong reason — fails the build.
 
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate, TimeRange};
-use etsqp_core::fused::FuseLevel;
-use etsqp_core::physical::node::{Parallelism, PruneVerdict, RootNode, Strategy};
+use etsqp_core::physical::node::{PruneVerdict, RootNode, Strategy};
 use etsqp_core::physical::pipe;
 use etsqp_core::physical::verify::{verify, verify_deep, verify_explain, Invariant, VerifyResult};
 use etsqp_core::plan::PipelineConfig;
@@ -55,25 +54,21 @@ const TS_CODECS: [Encoding; 6] = [
     Encoding::StreamVByte,
 ];
 
-/// The full ablation cross: vectorized/serial × fuse × prune × threads ×
-/// slicing (72 configs).
+/// The full ablation cross: vectorized/serial × prune × threads ×
+/// partial cache (24 configs).
 fn all_configs() -> Vec<PipelineConfig> {
     let mut out = Vec::new();
     for vectorized in [true, false] {
-        for fuse in [FuseLevel::None, FuseLevel::Delta, FuseLevel::DeltaRepeat] {
-            for prune in [true, false] {
-                for threads in [1usize, 4, 8] {
-                    for allow_slicing in [true, false] {
-                        out.push(PipelineConfig {
-                            threads,
-                            prune,
-                            fuse,
-                            vectorized,
-                            allow_slicing,
-                            decode_budget_bytes: None,
-                            partial_cache: true,
-                        });
-                    }
+        for prune in [true, false] {
+            for threads in [1usize, 4, 8] {
+                for partial_cache in [true, false] {
+                    out.push(PipelineConfig {
+                        threads,
+                        prune,
+                        vectorized,
+                        decode_budget_bytes: None,
+                        partial_cache,
+                    });
                 }
             }
         }
@@ -86,9 +81,7 @@ fn canonical_configs() -> Vec<PipelineConfig> {
     let base = PipelineConfig {
         threads: 1,
         prune: false,
-        fuse: FuseLevel::None,
         vectorized: false,
-        allow_slicing: false,
         decode_budget_bytes: None,
         partial_cache: true,
     };
@@ -96,18 +89,14 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         base,
         PipelineConfig {
             vectorized: true,
-            fuse: FuseLevel::DeltaRepeat,
             prune: true,
             threads: 4,
-            allow_slicing: true,
             ..base
         },
         PipelineConfig {
             vectorized: true,
-            fuse: FuseLevel::Delta,
             prune: true,
             threads: 8,
-            allow_slicing: true,
             ..base
         },
         PipelineConfig {
@@ -121,8 +110,8 @@ fn canonical_configs() -> Vec<PipelineConfig> {
 
 fn cfg_label(cfg: &PipelineConfig) -> String {
     format!(
-        "vec={} fuse={:?} prune={} threads={} slice={}",
-        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing
+        "vec={} prune={} threads={} cache={}",
+        cfg.vectorized, cfg.prune, cfg.threads, cfg.partial_cache
     )
 }
 
@@ -348,7 +337,7 @@ pub fn run() -> Report {
                 run_case(qname, plan, cfg);
             }
         }
-        // The full 72-config ablation cross, rotating deterministically
+        // The full 24-config ablation cross, rotating deterministically
         // through the battery (every config sees several query shapes;
         // across cells every (query × config) pair is covered).
         if full_cross {
@@ -498,26 +487,6 @@ fn mutation_pass(report: &mut Report) {
         report,
     );
 
-    // slice-bounds: a sliced morsel count that disagrees with distribute.
-    let cfg8 = PipelineConfig {
-        threads: 8,
-        ..Default::default()
-    };
-    let mut phys = pipe::compile(&sum_m, &store, &cfg8).unwrap();
-    let Parallelism::Sliced { pages, jobs } = phys.pipelines[0].parallelism else {
-        panic!("mutation fixture must compile to sliced parallelism");
-    };
-    phys.pipelines[0].parallelism = Parallelism::Sliced {
-        pages,
-        jobs: jobs + 1,
-    };
-    expect(
-        "slice-bounds/phantom-job",
-        Invariant::SliceBounds,
-        verify(&phys, &cfg8),
-        report,
-    );
-
     // partition-tiling: a gap between merge partitions.
     let union = Plan::Union {
         left: Box::new(Plan::scan("m")),
@@ -540,6 +509,17 @@ fn mutation_pass(report: &mut Report) {
     phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedDeltaRle);
     expect(
         "fusion-admissibility/codec-mismatch",
+        Invariant::FusionAdmissibility,
+        verify(&phys, &cfg),
+        report,
+    );
+
+    // fusion-admissibility: a label the planner no longer emits, on the
+    // very page (TS2DIFF, unfiltered SUM) it used to label.
+    let mut phys = pipe::compile(&sum_m, &store, &cfg).unwrap();
+    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedTs2Diff);
+    expect(
+        "fusion-admissibility/retired-label",
         Invariant::FusionAdmissibility,
         verify(&phys, &cfg),
         report,

@@ -1,7 +1,7 @@
 //! Down-sampling a high-rate sensor with sliding-window aggregation —
 //! the workload the paper's introduction motivates — and comparing the
-//! engine configurations the evaluation studies: serial, vectorized,
-//! vectorized+fusion, vectorized+fusion+pruning.
+//! engine configurations the evaluation studies: serial, vectorized
+//! (decode-and-fold, fused where the codec allows), vectorized+pruning.
 //!
 //! ```sh
 //! cargo run --release --example down_sampling
@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use etsqp::core::plan::PipelineConfig;
-use etsqp::{EngineOptions, FuseLevel, IotDb, Plan};
+use etsqp::{EngineOptions, IotDb, Plan};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rows = 2_000_000usize;
@@ -32,24 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dt = (span / 1000).max(1);
     let plan = Plan::scan("temp").window(dataset.timestamps[0], dt, etsqp::AggFunc::Avg);
 
-    let configs: [(&str, PipelineConfig); 4] = [
+    let configs: [(&str, PipelineConfig); 3] = [
         ("serial (1 thread)", EngineOptions::serial().pipeline),
         (
-            "vectorized, no fusion",
-            PipelineConfig {
-                fuse: FuseLevel::None,
-                prune: false,
-                ..PipelineConfig::default()
-            },
-        ),
-        (
-            "vectorized + fusion",
+            "vectorized",
             PipelineConfig {
                 prune: false,
                 ..PipelineConfig::default()
             },
         ),
-        ("vectorized + fusion + pruning", PipelineConfig::default()),
+        ("vectorized + pruning", PipelineConfig::default()),
     ];
 
     let mut reference: Option<Vec<(f64, f64)>> = None;

@@ -81,6 +81,13 @@ cargo test -q --release --test differential
 echo "==> cargo build --release --offline --manifest-path bench/Cargo.toml"
 cargo build --release --offline --manifest-path bench/Cargo.toml
 
+# The Fig. 14 ablations live in crates/bench, outside the engine: run the
+# binary at a small scale so its arms keep compiling, keep running, and
+# keep asserting that every arm (decode then sum, Delta, Delta+Repeat,
+# two-phase slices, SBoost's chain) gives the same SUM.
+echo "==> ETSQP_BENCH_ROWS=20000 cargo run --release -q -p etsqp-bench --bin fig14"
+ETSQP_BENCH_ROWS=20000 cargo run --release -q -p etsqp-bench --bin fig14 >/dev/null
+
 # Deterministic interleaving model checks (shims/loom): deque
 # push/steal/pop triangle and the pool latch shutdown/panic protocol,
 # explored over bounded schedule permutations.

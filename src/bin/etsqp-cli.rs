@@ -19,8 +19,8 @@
 //! * `.gen <spec> <rows>` — ingest a synthetic Table II dataset
 //!   (atm | clim | gas | time | sine | tpch);
 //! * `.series` — list series with page/point counts;
-//! * `.config [threads N] [prune on|off] [fuse none|delta|repeat]
-//!   [vectorized on|off]` — inspect / adjust the pipeline;
+//! * `.config [threads N] [prune on|off] [vectorized on|off]` — inspect /
+//!   adjust the pipeline;
 //! * `.stats` — I/O counters; `.help`; `.quit`.
 
 use std::io::{BufRead, Write};
@@ -31,7 +31,7 @@ use std::time::Duration;
 use etsqp::core::cancel::CancellationToken;
 use etsqp::core::plan::PipelineConfig;
 use etsqp::datasets::Spec;
-use etsqp::{EngineOptions, FuseLevel, IotDb, Value};
+use etsqp::{EngineOptions, IotDb, Value};
 
 /// Exit status for a database file rejected as corrupt — distinct from
 /// the generic failure(1) so scripts can react to hostile input.
@@ -252,9 +252,7 @@ fn dot_command(rest: &str, db: &mut IotDb, cfg: &mut PipelineConfig) -> bool {
             println!(".load <path> | .save <path> | .gen <spec> <rows> | .series");
             println!("EXPLAIN <sql> — render the compiled physical pipeline");
             println!(".explain <sql> — same, plus per-series storage statistics");
-            println!(
-                ".config [threads N] [prune on|off] [fuse none|delta|repeat] [vectorized on|off]"
-            );
+            println!(".config [threads N] [prune on|off] [vectorized on|off]");
             println!(".stats | .quit — anything else is parsed as SQL");
         }
         "load" => match parts.next() {
@@ -325,15 +323,12 @@ fn dot_command(rest: &str, db: &mut IotDb, cfg: &mut PipelineConfig) -> bool {
                     }
                     ("prune", v) => cfg.prune = v == "on",
                     ("vectorized", v) => cfg.vectorized = v == "on",
-                    ("fuse", "none") => cfg.fuse = FuseLevel::None,
-                    ("fuse", "delta") => cfg.fuse = FuseLevel::Delta,
-                    ("fuse", "repeat") => cfg.fuse = FuseLevel::DeltaRepeat,
                     other => eprintln!("unknown option {other:?}"),
                 }
             }
             println!(
-                "threads={} prune={} fuse={:?} vectorized={} slicing={}",
-                cfg.threads, cfg.prune, cfg.fuse, cfg.vectorized, cfg.allow_slicing
+                "threads={} prune={} vectorized={}",
+                cfg.threads, cfg.prune, cfg.vectorized
             );
         }
         "stats" => {

@@ -97,12 +97,20 @@ fn errors_do_not_kill_the_shell() {
 #[test]
 fn config_switches_apply() {
     let script = ".gen sine 2000\n\
-                  .config threads 1 prune off fuse none vectorized off\n\
+                  .config threads 1 prune off vectorized off\n\
                   SELECT SUM(sine_sine0) FROM sine_sine0\n\
-                  .config prune on vectorized on fuse repeat\n\
+                  .config prune on vectorized on\n\
                   SELECT SUM(sine_sine0) FROM sine_sine0\n\
                   .quit\n";
     let out = run_cli(script, &[]);
+    assert!(
+        out.contains("threads=1 prune=false vectorized=false"),
+        "{out}"
+    );
+    assert!(
+        out.contains("threads=1 prune=true vectorized=true"),
+        "{out}"
+    );
     // Both engine configurations produce the same SUM line twice.
     let sums: Vec<&str> = out
         .lines()

@@ -12,7 +12,7 @@ use etsqp::core::physical::pipe;
 use etsqp::core::plan::execute;
 use etsqp::datasets::Spec;
 use etsqp::storage::store::SeriesStore;
-use etsqp::{AggFunc, Encoding, FuseLevel, PipelineConfig, Plan, Predicate, TimeRange, Value};
+use etsqp::{AggFunc, Encoding, PipelineConfig, Plan, Predicate, TimeRange, Value};
 
 const ROWS: usize = 256;
 const PAGE_POINTS: usize = 64;
@@ -40,25 +40,21 @@ const TS_CODECS: [Encoding; 6] = [
     Encoding::StreamVByte,
 ];
 
-/// The full config cross: vectorized/serial × fuse × prune × threads ×
-/// slicing (the ablation axes of Fig. 10/13/14).
+/// The full config cross: vectorized/serial × prune × threads × partial
+/// cache (24 configs; the ablation axes of Fig. 10/13).
 fn all_configs() -> Vec<PipelineConfig> {
     let mut out = Vec::new();
     for vectorized in [true, false] {
-        for fuse in [FuseLevel::None, FuseLevel::Delta, FuseLevel::DeltaRepeat] {
-            for prune in [true, false] {
-                for threads in [1usize, 4, 8] {
-                    for allow_slicing in [true, false] {
-                        out.push(PipelineConfig {
-                            threads,
-                            prune,
-                            fuse,
-                            vectorized,
-                            allow_slicing,
-                            decode_budget_bytes: None,
-                            partial_cache: true,
-                        });
-                    }
+        for prune in [true, false] {
+            for threads in [1usize, 4, 8] {
+                for partial_cache in [true, false] {
+                    out.push(PipelineConfig {
+                        threads,
+                        prune,
+                        vectorized,
+                        decode_budget_bytes: None,
+                        partial_cache,
+                    });
                 }
             }
         }
@@ -71,9 +67,7 @@ fn canonical_configs() -> Vec<PipelineConfig> {
     let base = PipelineConfig {
         threads: 1,
         prune: false,
-        fuse: FuseLevel::None,
         vectorized: false,
-        allow_slicing: false,
         decode_budget_bytes: None,
         partial_cache: true,
     };
@@ -81,18 +75,14 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         base,
         PipelineConfig {
             vectorized: true,
-            fuse: FuseLevel::DeltaRepeat,
             prune: true,
             threads: 4,
-            allow_slicing: true,
             ..base
         },
         PipelineConfig {
             vectorized: true,
-            fuse: FuseLevel::Delta,
             prune: true,
             threads: 8,
-            allow_slicing: true,
             ..base
         },
         PipelineConfig {
@@ -106,8 +96,8 @@ fn canonical_configs() -> Vec<PipelineConfig> {
 
 fn cfg_label(cfg: &PipelineConfig) -> String {
     format!(
-        "vec={} fuse={:?} prune={} threads={} slice={}",
-        cfg.vectorized, cfg.fuse, cfg.prune, cfg.threads, cfg.allow_slicing
+        "vec={} prune={} threads={} cache={}",
+        cfg.vectorized, cfg.prune, cfg.threads, cfg.partial_cache
     )
 }
 
@@ -364,7 +354,7 @@ fn preview(rows: &[Vec<Value>]) -> &[Vec<Value>] {
     &rows[..rows.len().min(8)]
 }
 
-/// Block A: the full 72-config cross on every (spec × value codec) cell,
+/// Block A: the full 24-config cross on every (spec × value codec) cell,
 /// rotating deterministically through the query battery.
 #[test]
 fn every_config_agrees_with_oracle() {
@@ -427,8 +417,8 @@ fn timestamp_codecs_agree_with_oracle() {
 /// Block E: Stream VByte under live ingestion. The fixture flushes, then
 /// appends an unsealed hot tail to both series, so every query in the
 /// battery runs against a mix of sealed SVB pages and the hot-chunk
-/// snapshot (the `SourceHot` pipeline source) — the planner's fused(svb)
-/// partials must merge correctly with the decoded hot partial.
+/// snapshot (the `SourceHot` pipeline source) — the sealed pages'
+/// cursor partials must merge correctly with the decoded hot partial.
 #[test]
 fn stream_vbyte_hot_and_sealed_agree_with_oracle() {
     let configs = canonical_configs();
@@ -652,12 +642,12 @@ fn quantile_sketches_stay_within_rank_bound() {
 
 /// Block G: thread-count invariance. Job outputs return in job order and
 /// the merge node folds them sequentially, so the answer may not depend
-/// on how many runners executed the jobs or on whether pages were cut
-/// into slices. With the partial cache off (every partial is computed by
-/// this run), the whole battery plus whole-range and bucketed
-/// P50/P95/P99 must give rows at `threads ∈ {2, 8}`, slicing on and off,
-/// that are bit-identical to `threads = 1` — equality, not the rank
-/// bound Block F holds quantiles to against the oracle.
+/// on how many runners executed the jobs. With the partial cache off
+/// (every partial is computed by this run), the whole battery plus
+/// whole-range and bucketed P50/P95/P99 must give rows at
+/// `threads ∈ {2, 8}` that are bit-identical to `threads = 1` —
+/// equality, not the rank bound Block F holds quantiles to against the
+/// oracle.
 #[test]
 fn rows_are_bit_identical_across_thread_counts() {
     let serial = PipelineConfig {
@@ -689,24 +679,18 @@ fn rows_are_bit_identical_across_thread_counts() {
                 for (qname, plan) in &fx.queries {
                     let want = execute(plan, &fx.store, &serial).unwrap();
                     for threads in [2usize, 8] {
-                        for allow_slicing in [true, false] {
-                            let cfg = PipelineConfig {
-                                threads,
-                                allow_slicing,
-                                ..serial
-                            };
-                            let got = execute(plan, &fx.store, &cfg).unwrap();
-                            assert!(
-                                got.columns == want.columns && rows_eq(&got.rows, &want.rows),
-                                "THREADS spec={} codec={codec:?} hot={hot} cfg=[{}] \
-                                 query={qname}: {:?} != threads=1 {:?}",
-                                spec.label(),
-                                cfg_label(&cfg),
-                                preview(&got.rows),
-                                preview(&want.rows),
-                            );
-                            cases += 1;
-                        }
+                        let cfg = PipelineConfig { threads, ..serial };
+                        let got = execute(plan, &fx.store, &cfg).unwrap();
+                        assert!(
+                            got.columns == want.columns && rows_eq(&got.rows, &want.rows),
+                            "THREADS spec={} codec={codec:?} hot={hot} cfg=[{}] \
+                             query={qname}: {:?} != threads=1 {:?}",
+                            spec.label(),
+                            cfg_label(&cfg),
+                            preview(&got.rows),
+                            preview(&want.rows),
+                        );
+                        cases += 1;
                     }
                 }
             }
@@ -880,7 +864,7 @@ fn suffix_pruned_prefix_splits_across_misaligned_buckets() {
                 );
             }
         }
-        // Unfiltered, the same straddling pages fuse per bucket subrange:
+        // Unfiltered, the same straddling pages fold per bucket subrange:
         // no value is materialized, and a jittered clock is decoded once
         // per page — through the accounted `decode_ts_column`, so the
         // bytes show up in the stats (a constant clock decodes nothing).
@@ -988,13 +972,17 @@ fn every_strategy_matches_serial_bit_for_bit() {
         }
     }
     for s in [
-        Strategy::FusedTs2Diff,
         Strategy::FusedDeltaRle,
-        Strategy::FusedSvb,
         Strategy::HeaderMinMax,
         Strategy::Decode,
     ] {
         assert!(seen.contains(&s), "the matrix never planned {s}: {seen:?}");
+    }
+    for s in [Strategy::FusedTs2Diff, Strategy::FusedSvb] {
+        assert!(
+            !seen.contains(&s),
+            "the planner emitted retired {s}: {seen:?}"
+        );
     }
     eprintln!("differential shape matrix: {cases} cases, vectorized == serial bit for bit");
 }
@@ -1057,8 +1045,7 @@ fn all_kept_pages_decode(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig)
 
 /// Block L: decode-and-fold. For the three codecs whose packed deltas the
 /// cursor walks × every order-insensitive aggregate × value filters that
-/// are absent (then under every fusion level: a page labelled fused runs
-/// the same cursor), one-sided, two-sided, empty and all-pass × windows
+/// are absent, one-sided, two-sided, empty and all-pass × windows
 /// that are absent, page-aligned and half a page early × a time filter
 /// that cuts the first and last page: the vectorized rows equal the
 /// byte-serial rows and the oracle's bit for bit, and no value is ever
@@ -1104,8 +1091,8 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
         AggFunc::Max,
         AggFunc::Variance,
     ];
-    // Default planning, and every page forced through DecodeScan with
-    // header pruning off so that empty filters reach the kernel too.
+    // Default planning, and header pruning off so that empty filters
+    // reach the kernel too.
     let planned = PipelineConfig {
         threads: 4,
         partial_cache: false,
@@ -1113,13 +1100,6 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
     };
     let all_decode = PipelineConfig {
         prune: false,
-        fuse: FuseLevel::None,
-        ..planned
-    };
-    // The middle fusion level differs from `planned` only where the
-    // planner may label a page fused: without a value filter.
-    let fuse_delta = PipelineConfig {
-        fuse: FuseLevel::Delta,
         ..planned
     };
     let serial = PipelineConfig {
@@ -1145,8 +1125,7 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
                                  window={window:?} time={time:?}"
                             );
                             let want = execute(&plan, &store, &serial).unwrap();
-                            let unfiltered = value.is_none().then_some(&fuse_delta);
-                            for cfg in [&planned, &all_decode].into_iter().chain(unfiltered) {
+                            for cfg in [&planned, &all_decode] {
                                 let got = execute(&plan, &store, cfg).unwrap();
                                 assert!(
                                     got.columns == want.columns && rows_eq(&got.rows, &want.rows),
@@ -1202,15 +1181,13 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
 /// page alternating between the `i64` limits, whose *wrapped* deltas are
 /// tiny), an order-2 page, a Stream VByte page whose control stream
 /// allows offsets of 2³⁰ and more, a wide-mode Stream VByte page — and,
-/// unfiltered, the pages the planner labels `FusedTs2Diff` / `FusedSvb`
-/// although their packing width is above 32 or their mode is 1. A
-/// column hugging an `i64` limit passes the gate — the far-side filter
-/// bound is translated without wrapping — except for VARIANCE, whose
-/// `Σv²` would leave `i128`. A page the value filter covers is no
-/// filtered fold: it costs what it costs unfiltered.
+/// unfiltered, TS2DIFF / Stream VByte pages whose packing width is above
+/// 32 or whose mode is 1. A column hugging an `i64` limit passes the
+/// gate — the far-side filter bound is translated without wrapping —
+/// except for VARIANCE, whose `Σv²` would leave `i128`. A page the value
+/// filter covers is no filtered fold: it costs what it costs unfiltered.
 #[test]
 fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
-    use etsqp::core::physical::node::Strategy;
     let n = PAGE_POINTS as i64;
     let ts: Vec<i64> = (0..2 * n).map(|i| i * 10).collect();
     let alternating: Vec<i64> = (0..2 * n)
@@ -1279,26 +1256,18 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
             }
         }
     }
-    // Pages the planner labels fused — no value filter, a spread inside
-    // `i64` — that the walker's gate rejects all the same: a packing
-    // width above 32 and Stream VByte's wide mode. The closed form used
-    // to own these; now they decode and fold.
+    // Unfiltered pages — no value filter, a spread inside `i64` — that
+    // the walker's gate rejects all the same: a packing width above 32
+    // and Stream VByte's wide mode. The closed form used to own these;
+    // now they decode and fold.
     let wide: Vec<i64> = (0..2 * n).map(|i| (i % 2) << 40).collect();
-    // Two TS2DIFF pages on four threads would be sliced, not walked.
-    let whole_pages = PipelineConfig {
-        allow_slicing: false,
-        ..cfg
-    };
     let serial = PipelineConfig {
         vectorized: false,
         ..cfg
     };
     let span = n * 10;
     let straddling = Some((-span / 2, span));
-    for (codec, fused) in [
-        (Encoding::Ts2Diff, Strategy::FusedTs2Diff),
-        (Encoding::StreamVByte, Strategy::FusedSvb),
-    ] {
+    for codec in [Encoding::Ts2Diff, Encoding::StreamVByte] {
         let store = store_of(PAGE_POINTS, "s", codec, &ts, &wide);
         for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Count] {
             for window in [None, Some((0, span)), straddling] {
@@ -1307,26 +1276,16 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
                     None => Plan::scan("s").aggregate(func),
                 };
                 let label = format!("GATE wide {codec:?} {func:?} window={window:?}");
-                let phys = pipe::compile(&plan, &store, &whole_pages).unwrap();
-                let labelled = phys.pipelines[0]
-                    .decisions
-                    .iter()
-                    .all(|d| d.strategy == Some(fused));
-                // Stream VByte fuses whole pages inside one bucket only.
-                assert_eq!(
-                    labelled,
-                    codec == Encoding::Ts2Diff || window != straddling,
-                    "{label}"
-                );
+                assert!(all_kept_pages_decode(&plan, &store, &cfg), "{label}");
                 let want = execute(&plan, &store, &serial).unwrap();
-                let got = execute(&plan, &store, &whole_pages).unwrap();
+                let got = execute(&plan, &store, &cfg).unwrap();
                 assert!(
                     got.columns == want.columns && rows_eq(&got.rows, &want.rows),
                     "{label}: vectorized {:?} != serial {:?}",
                     preview(&got.rows),
                     preview(&want.rows),
                 );
-                assert_oracle(&plan, &store, &whole_pages, &label);
+                assert_oracle(&plan, &store, &cfg, &label);
                 assert_eq!(
                     got.stats.materialized_bytes,
                     got.stats.pages_loaded * PAGE_POINTS as u64 * 8,
@@ -1451,7 +1410,6 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
                                 };
                                 let all_decode = PipelineConfig {
                                     prune: false,
-                                    fuse: FuseLevel::None,
                                     ..planned
                                 };
                                 for cfg in [&planned, &all_decode] {
@@ -2037,13 +1995,8 @@ fn residual_predicates_fold_covered_pages_as_unfiltered_ones() {
                                 "{label}: threads={threads} differs from threads=1"
                             );
                             // Every page covered: the filter costs nothing
-                            // over no filter at all (page by page: only an
-                            // unfiltered query is ever sliced).
+                            // over no filter at all.
                             if value == all {
-                                let off = PipelineConfig {
-                                    allow_slicing: false,
-                                    ..off
-                                };
                                 let bare = Predicate { time, value: None };
                                 let scan = Plan::scan("s").filter(bare);
                                 let unfiltered = match window {

@@ -3,7 +3,7 @@
 
 use etsqp::core::plan::PipelineConfig;
 use etsqp::datasets::Spec;
-use etsqp::{AggFunc, Encoding, EngineOptions, FuseLevel, IotDb, Plan, Predicate, Value};
+use etsqp::{AggFunc, Encoding, EngineOptions, IotDb, Plan, Predicate, Value};
 
 /// Loads one dataset column into a fresh database.
 fn load(spec: Spec, rows: usize, opts: EngineOptions) -> (IotDb, Vec<i64>, Vec<i64>) {
@@ -62,19 +62,18 @@ fn engine_configs_agree_on_selective_aggregations() {
             ..Default::default()
         },
         PipelineConfig {
-            fuse: FuseLevel::None,
+            partial_cache: false,
             ..Default::default()
         },
         PipelineConfig {
-            fuse: FuseLevel::Delta,
             prune: false,
+            partial_cache: false,
             ..Default::default()
         },
         PipelineConfig {
             vectorized: false,
             threads: 1,
             prune: false,
-            fuse: FuseLevel::None,
             ..Default::default()
         },
         PipelineConfig {
@@ -83,7 +82,6 @@ fn engine_configs_agree_on_selective_aggregations() {
         },
         PipelineConfig {
             threads: 8,
-            allow_slicing: true,
             ..Default::default()
         },
     ];
