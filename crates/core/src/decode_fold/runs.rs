@@ -1,6 +1,8 @@
 //! The Delta-RLE source of [`super::FoldCursor`], in run space: also
 //! what [`crate::fused`]'s whole-page Delta–Repeat forms are adapters
 //! over, so the closed form and the filtered fold are one walker.
+//! FIRST / LAST are the ends of the first and last intervals folded,
+//! exact under a filter too.
 
 use etsqp_encoding::delta_rle::{self, DeltaRlePage};
 use etsqp_simd::agg::AggState;
@@ -47,19 +49,13 @@ impl<'a> Runs<'a> {
         self.base.wrapping_add(self.delta.wrapping_mul(k as i64))
     }
 
-    /// The last value of the current run: once the walk is through, the
-    /// column's.
-    pub(crate) fn last(&self) -> i64 {
-        self.value(self.len)
-    }
-
     /// Steps to the next run; `false` once the pairs are through.
     fn next_run(&mut self) -> Result<bool> {
         let Some(pair) = self.runs.next() else {
             return Ok(false);
         };
         let (delta, len) = pair?;
-        (self.base, self.at) = (self.last(), self.at + self.len);
+        (self.base, self.at) = (self.value(self.len), self.at + self.len);
         (self.delta, self.len) = (delta, len);
         // Monotone from a value inside `i64`: the far end decides.
         i64::try_from(self.base as i128 + delta as i128 * len as i128)
@@ -111,6 +107,10 @@ impl<'a> Runs<'a> {
             (k1, k2) = (c1 as usize, c2 as usize);
             (first, last) = (self.value(k1), self.value(k2));
         }
+        // Intervals are folded in index order: the first one's start and
+        // the latest one's end are the ends of the whole fold.
+        acc.first = acc.first.or(Some(first));
+        acc.last = Some(last);
         let (n, first, last) = ((k2 - k1 + 1) as i128, first as i128, last as i128);
         acc.count += n as u64;
         acc.sum += (first + last) * n / 2;

@@ -13,6 +13,8 @@ use crate::Result;
 pub(super) struct Xor<'a> {
     values: gorilla::IntValues<'a>,
     filter: (i64, i64),
+    /// Report the first and the last value folded (no filter).
+    ends: bool,
     sum_sq: bool,
     /// Index of the value `values` yields next.
     next: usize,
@@ -23,6 +25,7 @@ impl<'a> Xor<'a> {
         Ok(Xor {
             values: gorilla::values_i64(bytes)?,
             filter: filter.unwrap_or((i64::MIN, i64::MAX)),
+            ends: filter.is_none(),
             sum_sq,
             next: 0,
         })
@@ -55,10 +58,16 @@ impl<'a> Xor<'a> {
                 break;
             }
             self.next += n;
-            state.merge(&fold_values(&block[..n], Some(self.filter), func));
+            let mut part = fold_values(&block[..n], Some(self.filter), func);
+            // Unfiltered, a block's ends are its first and last values;
+            // filtered, FIRST / LAST are not this fold's to give.
+            (part.first, part.last) = if self.ends {
+                (Some(block[0]), Some(block[n - 1]))
+            } else {
+                (None, None)
+            };
+            state.merge(&part);
         }
-        // A fold is order-insensitive; FIRST / LAST are not its to give.
-        (state.first, state.last) = (None, None);
         Ok(state)
     }
 }

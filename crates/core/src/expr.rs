@@ -79,7 +79,7 @@ impl AggFunc {
     }
 
     /// Aggregates computable only from tuple-level partials: they never
-    /// take the §IV closed-form fused path or the fold cursor — every
+    /// take the fold cursor — every
     /// kept page decodes (with its timestamps) into a
     /// [`crate::partial::PartialState`].
     pub fn partial_only(self) -> bool {

@@ -21,11 +21,12 @@
 //!   walker with no filter and with the range as its filter. Only the
 //!   two-column [`dot_product_delta_rle`] walks pairs here.
 //!
-//! Only the Delta-RLE whole-page form is a planner strategy
-//! (`Strategy::FusedDeltaRle`): TS2DIFF and Stream VByte pages take the
-//! cursor like any other page. Figure 14(a)'s fusion ablation (none /
-//! Delta / Delta+Repeat) is measured over these functions by the
-//! `crates/bench` binary `fig14`.
+//! None of these is a planner strategy: every kept page takes the cursor
+//! (`Strategy::Decode`), Delta-RLE pages in run space, FIRST / LAST
+//! included, and only the page-aligned pair aggregation calls in here
+//! ([`aggregate_delta_rle`], [`dot_product_delta_rle`]). Figure 14(a)'s
+//! fusion ablation (none / Delta / Delta+Repeat) is measured over these
+//! functions by the `crates/bench` binary `fig14`.
 
 use etsqp_encoding::delta_rle::DeltaRlePage;
 use etsqp_encoding::stream_vbyte::{self, SvbPage};
@@ -89,20 +90,11 @@ pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
 }
 
 /// Full aggregate state over a Delta-RLE page without flattening or
-/// accumulation: COUNT/SUM/MIN/MAX/Σx² from `(Δ, run)` pairs by the
-/// run-space walker with no filter, plus the two ends of the walk for
-/// FIRST/LAST. Pairs that disagree with the declared count are the
+/// accumulation: COUNT/SUM/MIN/MAX/Σx²/FIRST/LAST from `(Δ, run)` pairs
+/// by the run-space walker with no filter. Pairs that disagree with the declared count are the
 /// decoder's typed error; values that leave `i64` are [`Error::Overflow`].
 pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
-    let mut runs = Runs::new(page, None, true);
-    let mut state = runs.fold_range(0, usize::MAX)?;
-    if state.count > 0 {
-        state.first = Some(page.first);
-        // Regression: differential oracle case
-        // `spec=Atm codec=DeltaRle query=LAST(all)`.
-        state.last = Some(runs.last());
-    }
-    Ok(state)
+    Runs::new(page, None, true).fold_range(0, usize::MAX)
 }
 
 /// `Σ A_i·B_i` over two aligned Delta-RLE pages (same timestamps) — the

@@ -1,36 +1,36 @@
-//! Aggregation operator bodies: the per-page pipeline (`FusedAgg`,
-//! `DecodeScan → Filter → PartialAgg`) and the folds it ends in
-//! ([`FoldCursor`] over packed deltas, [`fold_values`] over decoded
+//! Aggregation operator bodies: the per-page pipeline
+//! (`DecodeScan → Filter → PartialAgg`) and the folds it ends in
+//! ([`FoldCursor`] over the encoded column, [`fold_values`] over decoded
 //! values, [`fold_tuples`] over `(t, v)` pairs).
 //!
 //! A page aggregates in one shape — qualifying index range → bucket
 //! subranges → one fold per bucket into a [`PartialState`] — and a
 //! whole-range aggregate is the one-bucket case of it (`window = None`).
-//! The strategy a page runs is not chosen here: the `Pipe` planner
-//! ([`crate::physical::pipe`]) picks a [`Strategy`] per page from header
-//! statistics, and [`agg_page_job`] executes that decision: the
-//! whole-page forms ([`Strategy::FusedDeltaRle`],
-//! [`Strategy::HeaderMinMax`]) when the resolved index range is the
-//! whole page inside one bucket, and otherwise the one walk over the
-//! page — the cursor where its gate admits the column, decode then fold
-//! where it does not.
+//! The planner ([`crate::physical::pipe`]) plans every kept page
+//! [`Strategy::Decode`] (`Strategy::Serial` on the byte-serial engine),
+//! and a page is answered in the first of three ways that applies:
+//!
+//! 1. header plus memo ([`memoized`]), on the driver's thread, or in the
+//!    page's job right after its first hash: a `[cacheable]`,
+//!    checksum-verified page answers COUNT, MIN and MAX from its exact
+//!    header alone, and the other exact aggregates once a whole-page fold
+//!    memoized the moments they rest on;
+//! 2. else one cursor fold ([`agg_page_job`]), where the cursor's gate
+//!    admits the column — FIRST / LAST too when no value conjunct is
+//!    left;
+//! 3. else decode, then fold.
 //!
 //! A page runs under its residual predicate, taken once its checksum is
 //! verified: the conjuncts its header does not prove. A page its filter
-//! covers therefore folds every tuple, with no filter at all. A page the
-//! planner marks `[cacheable]` (a trivial residual, one bucket)
-//! remembers what such a fold computed: the groups of whole-page moments
-//! an exact aggregate rests on are memoized on the resident page
-//! ([`Page::memoize`]), and the driver serves later queries from header
-//! plus memo ([`memoized`]) on its own thread, without a job, filtered
-//! or not.
+//! covers therefore folds every tuple, with no filter at all, and a
+//! `[cacheable]` page's fold memoizes the groups of whole-page moments it
+//! computed ([`Page::memoize`]).
 //! A quantile's digest is not memoized; its whole-page partial goes
 //! through the process-global digest cache ([`digest_partial`], the one
 //! user of [`PartialCache::global`]).
 
 use std::sync::atomic::Ordering;
 
-use etsqp_encoding::delta_rle;
 use etsqp_simd::agg::AggState;
 use etsqp_storage::page::{Page, PageMoments};
 use etsqp_storage::store::SeriesStore;
@@ -38,7 +38,6 @@ use etsqp_storage::store::SeriesStore;
 use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::fused::aggregate_delta_rle;
 use crate::partial::{CacheKey, PartialCache, PartialState, TDigest};
 use crate::physical::node::{Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
@@ -79,24 +78,6 @@ pub(crate) fn merge_states(windows: &mut WindowStates, states: &[(usize, Partial
     }
 }
 
-/// True when the page's value spread `max − min` is representable in
-/// `i64`, which guarantees every pairwise difference — in particular
-/// every encoded delta — equals the true mathematical difference.
-///
-/// The Delta-RLE closed forms (§IV, single-column and pair fusion) sum
-/// *stored deltas* symbolically in `i128`; that widening is only exact
-/// when the deltas did not wrap at encode time. The decode paths are
-/// immune (their wrapping adds reproduce each value bit-exactly), so
-/// pages failing this check simply fall back to decode-then-aggregate.
-/// Regression: `overflow_audit.rs` (values spanning more than `i64::MAX`
-/// used to wrap SUM on the fused paths).
-pub(crate) fn spread_fits_i64(page: &Page) -> bool {
-    page.header
-        .max_value
-        .checked_sub(page.header.min_value)
-        .is_some()
-}
-
 /// Folds time-ordered tuples that pass `pred` into their buckets' states
 /// (bucket 0 when unwindowed), tuple at a time with timestamps — what
 /// quantile sketches and rate/delta need, what the byte-serial baseline
@@ -129,26 +110,27 @@ pub(crate) fn fold_tuples(
 
 /// The memo groups `[Σ, Σ², ends]` a whole-page answer for `func` rests
 /// on beyond the exact header: what every path that answers `func`
-/// computes, so what its fold memoizes and what serving it needs. COUNT
-/// shares SUM's group; `None` for a quantile, whose digest no page
-/// memoizes.
+/// computes, so what its fold memoizes and what serving it needs. COUNT,
+/// MIN and MAX rest on the header alone; `None` for a quantile, whose
+/// digest no page memoizes.
 fn memo_groups(func: AggFunc) -> Option<[bool; 3]> {
     Some(match func {
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => [true, false, false],
+        AggFunc::Sum | AggFunc::Avg => [true, false, false],
         AggFunc::Variance => [true, true, false],
         AggFunc::First | AggFunc::Last | AggFunc::Rate | AggFunc::Delta => [false, false, true],
-        AggFunc::Min | AggFunc::Max => [false; 3],
+        AggFunc::Count | AggFunc::Min | AggFunc::Max => [false; 3],
         AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => return None,
     })
 }
 
 /// A `[cacheable]` page's whole-page partial for `func` and the bucket it
 /// lands in, from the exact header (count, min, max, timestamp bounds)
-/// and the page's memo — or `None` when the memo lacks a group `func`
-/// rests on. A hit needs some whole-page fold of this very object since
-/// the last `PartialCache::clear` (MIN and MAX, which rest on the header
-/// alone, included), and `Page::moments` answers only after the object's
-/// checksum was verified. Groups `func` does not read ride along.
+/// and the page's memo — or `None` when the page object's checksum has
+/// not been verified, or the memo lacks a group `func` rests on. COUNT,
+/// MIN and MAX therefore hit on any verified page, with no fold since the
+/// last `PartialCache::clear`; the others after a whole-page fold of
+/// this very object memoized their groups. Groups `func` does not read
+/// ride along.
 pub(crate) fn memoized(
     page: &Page,
     func: AggFunc,
@@ -157,7 +139,7 @@ pub(crate) fn memoized(
     let [sum, sum_sq, ends] = memo_groups(func)?;
     let m = page.moments();
     let lacks = (sum && m.sum.is_none()) || (sum_sq && m.sum_sq.is_none());
-    if lacks || (ends && m.ends.is_none()) || m == PageMoments::default() {
+    if lacks || (ends && m.ends.is_none()) || !page.is_verified() {
         return None;
     }
     let h = &page.header;
@@ -206,10 +188,11 @@ pub(crate) fn agg_page_job(
     store: &SeriesStore,
 ) -> Result<WindowStates> {
     charge_page_io(page, stats, store);
-    // Every non-serial strategy below reads chunk bytes without going
-    // through the checksum-verified Page::decode — the fused closed
-    // forms would otherwise turn corruption into a silently wrong
-    // aggregate rather than an error. The first job to touch this page
+    // The cursor and the vectorized decoders read chunk bytes without
+    // going through the checksum-verified Page::decode, and the header
+    // answers COUNT / MIN / MAX alone — both would otherwise turn
+    // corruption into a silently wrong aggregate rather than an error.
+    // The first job to touch this page
     // object hashes it; after that the check is its verified mark. It
     // also discharges the digest cache's hit path (the key embeds this
     // checksum) and lets the page take a memo.
@@ -236,6 +219,11 @@ pub(crate) fn agg_page_job(
     };
     if func.needs_digest() {
         return digest_partial(CacheKey::for_page(page, func), k, stats, fold);
+    }
+    // Verified just now, the page answers what its header holds (COUNT,
+    // MIN, MAX) without a fold on its first touch too.
+    if let Some(hit) = memoized(page, func, window) {
+        return Ok(vec![hit]);
     }
     let out = fold()?;
     if let ([(_, s)], Some([sum, sum_sq, ends])) = (out.as_slice(), memo_groups(func)) {
@@ -324,35 +312,10 @@ fn agg_page_states(
         return Ok(Vec::new());
     };
 
-    // ---- The planner's whole-page forms (FusedAgg node) ---------------
-    // Chosen from exact header bounds; re-checked here so any mismatch
-    // falls through to the decode path below.
-    if a == 0 && b + 1 == count && pred.value.is_none() {
-        if let Some(k) = whole_page_bucket(page, window) {
-            let _a = Stage::Agg.timer(stats);
-            let state = match strategy {
-                Strategy::FusedDeltaRle => {
-                    Some(aggregate_delta_rle(&delta_rle::parse(&page.val_bytes)?)?)
-                }
-                Strategy::HeaderMinMax => Some(AggState {
-                    count: count as u64,
-                    min: Some(page.header.min_value),
-                    max: Some(page.header.max_value),
-                    ..AggState::new()
-                }),
-                _ => None,
-            };
-            if let Some(state) = state {
-                return Ok(vec![(k, state.into())]);
-            }
-        }
-    }
-
     // ---- Bucket subranges, each folded into one partial state ---------
-    // DecodeScan → Filter → PartialAgg: run in registers by the cursor
-    // over the packed deltas when the aggregate is order-insensitive and
-    // the column passes the cursor's 32-bit gate, else over the decoded
-    // values.
+    // DecodeScan → Filter → PartialAgg: run by the cursor over the
+    // encoded column when its gate admits the column and the aggregate
+    // reads no timestamp, else over the decoded values.
     let mut values = match open_fold_cursor(page, pred, func, cfg)? {
         Some(cursor) => Values::Cursor(cursor),
         None => {
@@ -417,16 +380,17 @@ enum Values<'a> {
 }
 
 /// The decode-and-fold cursor for `page`'s value column, when `func`
-/// reads nothing order-dependent (no FIRST/LAST, no timestamps, no
-/// sketch) and the column passes the cursor's gate; `None` keeps
-/// `decode_val_column` → [`fold_values`].
+/// reads no timestamp and no sketch, FIRST / LAST only with no value
+/// conjunct left (an unfiltered fold's ends), and the column passes the
+/// cursor's gate; `None` keeps `decode_val_column` → [`fold_values`].
 fn open_fold_cursor<'a>(
     page: &'a Page,
     pred: &Predicate,
     func: AggFunc,
     cfg: &PipelineConfig,
 ) -> Result<Option<FoldCursor<'a>>> {
-    if func.partial_only() || matches!(func, AggFunc::First | AggFunc::Last) {
+    let ends = matches!(func, AggFunc::First | AggFunc::Last);
+    if func.partial_only() || (ends && pred.value.is_some()) {
         return Ok(None);
     }
     FoldCursor::open(

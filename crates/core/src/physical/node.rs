@@ -2,9 +2,9 @@
 //!
 //! Every planner decision the executor acts on is a value of one of these
 //! types: a [`PruneVerdict`] per page (§V), a [`Strategy`] per kept page
-//! (§IV fusion vs. Algorithm 1 decode), and a [`RootNode`] naming the
-//! merge that stitches the partials (Figure 9). Each kept page the memo
-//! does not answer is one job. [`Node`] renders the operator chain a page
+//! (vectorized or byte-serial), and a [`RootNode`] naming the merge that
+//! stitches the partials (Figure 9). Each kept page the header and memo
+//! do not answer is one job. [`Node`] renders the operator chain a page
 //! group runs through; [`Stage`] names the Fig. 14(b) timers of
 //! [`ExecStats`] that operator bodies charge.
 
@@ -82,25 +82,27 @@ impl fmt::Display for PruneVerdict {
     }
 }
 
-/// The aggregation strategy the planner picked for one kept page —
-/// previously an implicit branch inside the executor, now explicit data.
+/// The strategy the planner picked for one kept page. Only
+/// [`Strategy::Decode`] and [`Strategy::Serial`] are planned; the four
+/// whole-page labels keep their names for callers that match on them,
+/// and the verifier rejects each as no longer planned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// No longer planned: a TS2DIFF page's §IV Delta fusion is the
-    /// decode-and-fold cursor, which [`Strategy::Decode`] runs. The
-    /// verifier rejects this label.
+    /// decode-and-fold cursor, which [`Strategy::Decode`] runs.
     FusedTs2Diff,
-    /// §IV fused aggregation from Delta-RLE `(Δ, run)` pairs (whole page
-    /// only — the time filter must cover the page).
+    /// No longer planned: the Delta–Repeat closed form is the cursor's
+    /// run-space source, FIRST / LAST included.
     FusedDeltaRle,
     /// No longer planned, as [`Strategy::FusedTs2Diff`], for Stream VByte
     /// pages.
     FusedSvb,
-    /// MIN/MAX of a page its predicate covers (no residual conjunct)
-    /// come straight from the exact header statistics.
+    /// No longer planned: a covered page's MIN / MAX (and COUNT) come
+    /// from its verified header on the driver's thread.
     HeaderMinMax,
-    /// The general path: Algorithm 1 vectorized decode (with §V suffix
-    /// pruning under value filters) + masked SIMD aggregation.
+    /// The one vectorized path: header plus memo, else the fold cursor,
+    /// else Algorithm 1 decode (with §V suffix pruning under value
+    /// filters) + masked SIMD aggregation.
     Decode,
     /// Byte-serial per-tuple baseline (the non-vectorized engine).
     Serial,
@@ -250,13 +252,6 @@ pub enum Node {
         /// True on the byte-serial baseline.
         serial: bool,
     },
-    /// §IV fused aggregation (no decode).
-    FusedAgg {
-        /// The fused strategy.
-        strategy: Strategy,
-        /// Aggregation function.
-        func: AggFunc,
-    },
     /// Predicate evaluation over decoded vectors.
     Filter {
         /// A time conjunct is present.
@@ -284,9 +279,6 @@ impl fmt::Display for Node {
             Node::SourceHot => write!(f, "SourceHot"),
             Node::DecodeScan { serial: false } => write!(f, "DecodeScan"),
             Node::DecodeScan { serial: true } => write!(f, "DecodeScan[serial]"),
-            Node::FusedAgg { strategy, func } => {
-                write!(f, "FusedAgg[{strategy}, {}]", func.name())
-            }
             Node::Filter { time, value } => {
                 write!(f, "Filter[")?;
                 match (time, value) {

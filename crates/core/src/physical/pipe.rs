@@ -1,7 +1,11 @@
 //! The Algorithm 2 `Pipe` generator: compiles a logical [`Plan`] plus
 //! per-page encoding statistics into an explicit pipeline DAG
-//! ([`PhysicalPlan`]), making every fused/decoded and prune decision
-//! *data* instead of control flow buried in the executor.
+//! ([`PhysicalPlan`]), making every prune and pair-fusion decision
+//! *data* instead of control flow buried in the executor. A kept page
+//! has one strategy, [`Strategy::Decode`] (`Strategy::Serial` on the
+//! byte-serial engine): the executor answers it from header plus memo,
+//! else by one cursor fold, else by decoding (see
+//! [`crate::physical::agg`]).
 //!
 //! The same compiled plan drives both execution
 //! ([`crate::physical::driver::run`]) and `EXPLAIN`
@@ -11,8 +15,8 @@
 //! Past its §V verdict, a kept page is planned from its residual
 //! ([`Predicate::residual`]): the conjuncts its header
 //! does not prove. A page the value filter covers therefore takes the
-//! strategy, `[cacheable]` marking and `EXPLAIN` chain of an unfiltered
-//! page, and the executor folds it under the same residual.
+//! `[cacheable]` marking and `EXPLAIN` chain of an unfiltered page, and
+//! the executor folds it under the same residual.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -23,7 +27,6 @@ use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow, TimeRange};
-use crate::physical::agg::spread_fits_i64;
 use crate::physical::merge::merge_partitions;
 use crate::physical::node::{HotScan, Node, PageDecision, RootNode, SeriesPipeline, Strategy};
 use crate::physical::scan::{hot_verdict, page_verdict};
@@ -42,13 +45,11 @@ pub struct PhysicalPlan {
     pub pipelines: Vec<SeriesPipeline>,
 }
 
-/// What the pages of a pipeline feed — decides the per-page strategy.
+/// What the pages of a pipeline feed — decides whether a page may be
+/// `[cacheable]`.
 enum Role {
-    /// Partial aggregation (`FusedAgg` / `PartialAgg` pipelines).
-    Agg {
-        func: AggFunc,
-        window: Option<SlidingWindow>,
-    },
+    /// Partial aggregation (`PartialAgg` pipelines).
+    Agg { window: Option<SlidingWindow> },
     /// Row production (scans and binary-operator sides).
     Rows,
 }
@@ -185,7 +186,7 @@ fn aggregate_plan(
             w.t_min, w.dt
         )));
     }
-    let pipeline = build_pipeline(series, pred, pages, hot, Role::Agg { func, window }, cfg);
+    let pipeline = build_pipeline(series, pred, pages, hot, Role::Agg { window }, cfg);
     Ok(PhysicalPlan {
         root: RootNode::Aggregate { func, window },
         pipelines: vec![pipeline],
@@ -227,8 +228,8 @@ fn binary_sides(
     Ok((lpipe, rpipe, partitions))
 }
 
-/// Builds one per-series pipeline: §V verdict per page and strategy per
-/// kept page.
+/// Builds one per-series pipeline: §V verdict per page, and the one
+/// strategy of the engine for every kept page.
 fn build_pipeline(
     series: String,
     pred: Predicate,
@@ -237,22 +238,16 @@ fn build_pipeline(
     role: Role,
     cfg: &PipelineConfig,
 ) -> SeriesPipeline {
+    let kept_strategy = if cfg.vectorized {
+        Strategy::Decode
+    } else {
+        Strategy::Serial
+    };
     let mut decisions = Vec::with_capacity(pages.len());
     for (index, page) in pages.iter().enumerate() {
         let verdict = page_verdict(page, &pred, cfg.prune);
         let residual = pred.residual(&page.header, cfg.prune);
-        let strategy = verdict.kept().then(|| match &role {
-            Role::Agg { func, window } => {
-                choose_page_strategy(page, &residual, *window, *func, cfg)
-            }
-            Role::Rows => {
-                if cfg.vectorized {
-                    Strategy::Decode
-                } else {
-                    Strategy::Serial
-                }
-            }
-        });
+        let strategy = verdict.kept().then_some(kept_strategy);
         decisions.push(PageDecision {
             index,
             tuples: page.header.count as u64,
@@ -292,42 +287,6 @@ fn cacheable_page(
     cfg.partial_cache && kept && residual.is_trivial() && whole_page_bucket(page, *window).is_some()
 }
 
-/// The per-page strategy choice — previously an implicit branch chain in
-/// the executor, now a planner decision from header statistics alone.
-/// It reads the page's `residual`: a page its value filter covers
-/// chooses as an unfiltered page does.
-fn choose_page_strategy(
-    page: &Page,
-    residual: &Predicate,
-    window: Option<SlidingWindow>,
-    func: AggFunc,
-    cfg: &PipelineConfig,
-) -> Strategy {
-    if !cfg.vectorized {
-        return Strategy::Serial;
-    }
-    // The whole-page forms (Delta-RLE run space, header MIN/MAX) apply
-    // when every tuple qualifies and the page lies inside a single bucket
-    // (always, when unwindowed). Every other page runs the fold cursor,
-    // or decodes where the cursor's gate rejects its column.
-    if !residual.is_trivial() || whole_page_bucket(page, window).is_none() {
-        return Strategy::Decode;
-    }
-    // Delta-RLE's closed form sums stored deltas in `i128`, exact only
-    // when they did not wrap; it answers every exact aggregate, FIRST
-    // and LAST included, which the cursor does not.
-    if page.header.val_encoding == Encoding::DeltaRle
-        && !func.partial_only()
-        && spread_fits_i64(page)
-    {
-        Strategy::FusedDeltaRle
-    } else if matches!(func, AggFunc::Min | AggFunc::Max) {
-        Strategy::HeaderMinMax
-    } else {
-        Strategy::Decode
-    }
-}
-
 /// The §IV pair-fusion alignment check: pairwise-aligned pages (identical
 /// clocks, bit for bit) with Delta-RLE value columns on both sides.
 pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &PipelineConfig) -> bool {
@@ -346,6 +305,24 @@ pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &Pipeli
             && spread_fits_i64(b)
             && a.ts_bytes == b.ts_bytes // identical clocks, bit for bit
     })
+}
+
+/// True when the page's value spread `max − min` is representable in
+/// `i64`, which guarantees every pairwise difference — in particular
+/// every encoded delta — equals the true mathematical difference.
+///
+/// Pair fusion's Delta-RLE closed forms (§IV) sum *stored deltas*
+/// symbolically in `i128`; that widening is only exact when the deltas
+/// did not wrap at encode time. The decode paths are immune (their
+/// wrapping adds reproduce each value bit-exactly), so page pairs failing
+/// this check simply take the merge join. Regression: `overflow_audit.rs`
+/// (values spanning more than `i64::MAX` used to wrap SUM on the fused
+/// paths).
+fn spread_fits_i64(page: &Page) -> bool {
+    page.header
+        .max_value
+        .checked_sub(page.header.min_value)
+        .is_some()
 }
 
 /// Compiles and renders in one step — the engine's `EXPLAIN` entry point.
@@ -413,30 +390,15 @@ fn chain(strategy: Strategy, pred: &Predicate, role_func: Option<AggFunc>) -> St
         time: pred.time.is_some(),
         value: pred.value.is_some(),
     };
-    let mut nodes: Vec<Node> = vec![Node::SourcePages];
-    match (strategy, role_func) {
-        (
-            Strategy::FusedTs2Diff
-            | Strategy::FusedDeltaRle
-            | Strategy::FusedSvb
-            | Strategy::HeaderMinMax,
-            Some(func),
-        ) => {
-            nodes.push(Node::FusedAgg { strategy, func });
-        }
-        (s, Some(func)) => {
-            nodes.push(Node::DecodeScan {
-                serial: s == Strategy::Serial,
-            });
-            nodes.push(filter);
-            nodes.push(Node::PartialAgg { func });
-        }
-        (s, None) => {
-            nodes.push(Node::DecodeScan {
-                serial: s == Strategy::Serial,
-            });
-            nodes.push(filter);
-        }
+    let mut nodes = vec![
+        Node::SourcePages,
+        Node::DecodeScan {
+            serial: strategy == Strategy::Serial,
+        },
+        filter,
+    ];
+    if let Some(func) = role_func {
+        nodes.push(Node::PartialAgg { func });
     }
     nodes
         .iter()

@@ -25,14 +25,6 @@ use crate::physical::node::{HotScan, PruneVerdict, Stage};
 use crate::plan::PipelineConfig;
 use crate::{Error, Result};
 
-/// The §VI-C decode-buffer memory budget configured by `cfg`.
-pub(crate) fn budget_of(cfg: &PipelineConfig) -> etsqp_storage::budget::MemoryBudget {
-    match cfg.decode_budget_bytes {
-        Some(b) => etsqp_storage::budget::MemoryBudget::new(b),
-        None => etsqp_storage::budget::MemoryBudget::unlimited(),
-    }
-}
-
 /// §V header pruning for one page: the single pruning rule shared by the
 /// planner and every runtime scan.
 pub(crate) fn page_verdict(page: &Page, pred: &Predicate, prune: bool) -> PruneVerdict {
@@ -225,7 +217,6 @@ pub(crate) fn scan_rows(
     stats: &ExecStats,
     ctl: &CancellationToken,
 ) -> Result<(Vec<i64>, Vec<i64>)> {
-    let budget = budget_of(cfg);
     let outputs = run_jobs(
         kept,
         cfg.threads,
@@ -237,10 +228,6 @@ pub(crate) fn scan_rows(
             // Page::decode), so corruption must be caught here, before
             // any fast path trusts the payload.
             page.ensure_verified().map_err(Error::Storage)?;
-            // Gradual loading (§VI-C): reserve decode-buffer memory before
-            // materializing this page's vectors; released when the job's
-            // (filtered, smaller) output replaces them.
-            let _guard = budget.acquire(page.header.count as u64 * 16);
             let (ts, vals) = if cfg.vectorized {
                 let ts = decode_ts_column(&page, stats)?;
                 let mut vals = Vec::new();

@@ -14,11 +14,10 @@
 //!   discipline), and verdict/strategy presence agree.
 //! * [`Invariant::PartitionTiling`] — binary-merge partitions tile
 //!   `[i64::MIN, i64::MAX]` disjointly and completely (§VI merge order).
-//! * [`Invariant::FusionAdmissibility`] — the whole-page strategies
-//!   (Delta-RLE fusion, header MIN/MAX) only appear where codec,
-//!   predicate, and aggregate admit them: no residual conjunct (the page
-//!   header proves the filter) and one bucket; the labels
-//!   `fused(ts2diff)` / `fused(svb)` are no longer planned and never
+//! * [`Invariant::FusionAdmissibility`] — every kept page runs `decode`,
+//!   or `serial` exactly when the plan is not vectorized; the four
+//!   whole-page labels (`fused(ts2diff)`, `fused(delta_rle)`,
+//!   `fused(svb)`, `header(min/max)`) are no longer planned and never
 //!   admitted; pair fusion only over aligned Delta-RLE pages.
 //! * [`Invariant::HotFoldsLast`] — a hot-chunk source only appears on
 //!   unary pipelines and its timestamps strictly follow every sealed
@@ -48,18 +47,15 @@
 
 use std::fmt;
 
-use etsqp_encoding::Encoding;
 use etsqp_storage::page::Page;
 
-use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::physical::agg::spread_fits_i64;
+use crate::expr::{Predicate, SlidingWindow, TimeRange};
 use crate::physical::node::{RootNode, SeriesPipeline, Strategy};
 use crate::physical::pipe::{pair_fusible, PhysicalPlan};
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::verify_partial::{
     check_bucket_tiling, check_cache_obligations, check_partial_merge_order,
 };
-use crate::physical::window::single_bucket_index;
 use crate::plan::PipelineConfig;
 
 /// The invariant classes of the verifier catalog (one negative test per
@@ -73,7 +69,8 @@ pub enum Invariant {
     PruneSoundness,
     /// Binary-merge partitions tile the time domain disjointly.
     PartitionTiling,
-    /// §IV fused strategies only where codec/expression admit them.
+    /// Kept pages run `decode` (`serial` unvectorized), and §IV pair
+    /// fusion only over aligned Delta-RLE pages.
     FusionAdmissibility,
     /// Hot-chunk sources fold last (unary only, timestamps after all
     /// sealed pages).
@@ -139,10 +136,7 @@ pub(super) fn fail(invariant: Invariant, detail: String) -> VerifyResult {
 /// What a pipeline's kept pages feed — mirrors the planner's `Role`, but
 /// derived here from the root node so the two cannot share a bug.
 pub(super) enum VerifyRole {
-    Agg {
-        func: AggFunc,
-        window: Option<SlidingWindow>,
-    },
+    Agg { window: Option<SlidingWindow> },
     Rows,
 }
 
@@ -152,15 +146,12 @@ pub(super) enum VerifyRole {
 pub fn verify(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyResult {
     check_shape(plan)?;
     let role = |i: usize| match &plan.root {
-        RootNode::Aggregate { func, window } if i == 0 => VerifyRole::Agg {
-            func: *func,
-            window: *window,
-        },
+        RootNode::Aggregate { window, .. } if i == 0 => VerifyRole::Agg { window: *window },
         _ => VerifyRole::Rows,
     };
     for (i, p) in plan.pipelines.iter().enumerate() {
         check_prune_soundness(p, cfg)?;
-        check_fusion_admissibility(p, &role(i), cfg)?;
+        check_fusion_admissibility(p, cfg)?;
         check_hot_folds_last(p, &plan.root, cfg)?;
         check_bucket_tiling(p, &role(i))?;
         check_cache_obligations(p, &role(i), cfg)?;
@@ -346,90 +337,30 @@ pub(super) fn header_proves(page: &Page, pred: &Predicate, prune: bool) -> (bool
     (time, value)
 }
 
-/// Whether `strategy` is admissible for `page` under `role` and `cfg` —
-/// deliberately re-derived from first principles (codec, predicate,
-/// aggregate) rather than by re-running the planner's choice function,
-/// so a planner bug cannot vouch for itself.
-fn admissible(
-    page: &Page,
-    pred: &Predicate,
-    role: &VerifyRole,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-) -> Result<(), String> {
+/// Whether `strategy` is admissible under `cfg` — re-derived from the
+/// config, not by re-running the planner, so a planner bug cannot vouch
+/// for itself: `serial` exactly when the plan is not vectorized, and
+/// never a whole-page label.
+fn admissible(strategy: Strategy, cfg: &PipelineConfig) -> Result<(), String> {
     if matches!(strategy, Strategy::Serial) != !cfg.vectorized {
         return Err(format!(
             "strategy {strategy} contradicts vectorized={}",
             cfg.vectorized
         ));
     }
-    let (func, window) = match role {
-        VerifyRole::Rows => {
-            return match strategy {
-                Strategy::Decode | Strategy::Serial => Ok(()),
-                other => Err(format!("row-producing scan cannot run {other}")),
-            }
-        }
-        VerifyRole::Agg { func, window } => (*func, *window),
-    };
-    // A whole-page form answers for every tuple of the page at once:
-    // the header must prove every conjunct, and the page must land in
-    // one bucket.
-    let whole = || -> Result<(), String> {
-        let (time_proved, value_proved) = header_proves(page, pred, cfg.prune);
-        if !value_proved {
-            return Err(format!("{strategy} under a residual value conjunct"));
-        }
-        if !time_proved {
-            return Err(format!("{strategy} on a partially covered page"));
-        }
-        if window.is_some_and(|w| single_bucket_index(page, &w).is_none()) {
-            return Err(format!("{strategy} on a page straddling a bucket boundary"));
-        }
-        Ok(())
-    };
     match strategy {
         Strategy::Decode | Strategy::Serial => Ok(()),
-        Strategy::FusedTs2Diff | Strategy::FusedSvb => {
-            Err(format!("{strategy} is no longer planned"))
-        }
-        Strategy::FusedDeltaRle => {
-            let enc = page.header.val_encoding;
-            if enc != Encoding::DeltaRle {
-                return Err(format!("{strategy} on a {} value column", enc.name()));
-            }
-            if func.partial_only() {
-                return Err(format!("{strategy} for {}", func.name()));
-            }
-            if !spread_fits_i64(page) {
-                return Err(format!(
-                    "{strategy} on a page whose value spread overflows i64"
-                ));
-            }
-            whole()
-        }
-        Strategy::HeaderMinMax => {
-            if !matches!(func, AggFunc::Min | AggFunc::Max) {
-                return Err(format!("{strategy} for {}", func.name()));
-            }
-            whole()
-        }
+        retired => Err(format!("{retired} is no longer planned")),
     }
 }
 
-fn check_fusion_admissibility(
-    p: &SeriesPipeline,
-    role: &VerifyRole,
-    cfg: &PipelineConfig,
-) -> VerifyResult {
-    for (page, d) in p.pages.iter().zip(&p.decisions) {
-        if let Some(s) = d.strategy {
-            if let Err(why) = admissible(page, &p.pred, role, s, cfg) {
-                return fail(
-                    Invariant::FusionAdmissibility,
-                    format!("pipeline {}: page {}: {why}", p.series, d.index),
-                );
-            }
+fn check_fusion_admissibility(p: &SeriesPipeline, cfg: &PipelineConfig) -> VerifyResult {
+    for d in &p.decisions {
+        if let Err(why) = d.strategy.map_or(Ok(()), |s| admissible(s, cfg)) {
+            return fail(
+                Invariant::FusionAdmissibility,
+                format!("pipeline {}: page {}: {why}", p.series, d.index),
+            );
         }
     }
     Ok(())

@@ -15,10 +15,7 @@ use crate::plan::PipelineConfig;
 /// arithmetic for every kept page, monotone bucket indices within each
 /// page, and gap/overlap-free bucket ranges across the kept span.
 pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> VerifyResult {
-    let VerifyRole::Agg {
-        window: Some(w), ..
-    } = role
-    else {
+    let VerifyRole::Agg { window: Some(w) } = role else {
         return Ok(());
     };
     if w.dt <= 0 {
@@ -122,9 +119,7 @@ pub(super) fn check_cache_obligations(
             Some("cacheable page not fully covered by the time range")
         } else {
             match role {
-                VerifyRole::Agg {
-                    window: Some(w), ..
-                } if single_bucket_index(page, w).is_none() => {
+                VerifyRole::Agg { window: Some(w) } if single_bucket_index(page, w).is_none() => {
                     Some("cacheable page straddling a bucket boundary")
                 }
                 _ => None,

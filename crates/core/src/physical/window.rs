@@ -4,8 +4,8 @@
 //! ([`crate::physical::verify`]): the one splitter from a page's
 //! qualifying index range to per-bucket subranges, the §V-A
 //! constant-interval position arithmetic, and the single-bucket test
-//! that lets bucket-aligned pages stay on the §IV whole-page forms under
-//! `GROUP BY time(..)`. An unwindowed aggregate is the one-bucket case
+//! that lets bucket-aligned pages be answered from header plus memo
+//! under `GROUP BY time(..)`. An unwindowed aggregate is the one-bucket case
 //! of all three.
 
 use etsqp_encoding::{ts2diff, Encoding};

@@ -29,9 +29,6 @@ pub struct PipelineConfig {
     /// Use the vectorized decoders; `false` is the byte-serial engine
     /// ("IoTDB" in Fig. 13, "Serial" in Fig. 10).
     pub vectorized: bool,
-    /// Byte budget for concurrently materialized decode buffers (paper
-    /// §VI-C, gradual page loading); `None` = unlimited.
-    pub decode_budget_bytes: Option<u64>,
     /// Serve whole-page partials of eligible pages without folding them:
     /// an exact aggregate from the page's exact header plus the moments a
     /// whole-page fold memoized on the resident page (`Page::moments`), a
@@ -52,7 +49,6 @@ impl Default for PipelineConfig {
                 .unwrap_or(4),
             prune: true,
             vectorized: true,
-            decode_budget_bytes: None,
             partial_cache: true,
         }
     }

@@ -223,6 +223,55 @@ fn float_pages_pruned_on_a_lying_header_abort() {
     );
 }
 
+/// A kept page is hashed once on every path, the float executor's and
+/// the byte-serial engine's included: `Page::decode` / `decode_f64` go
+/// through the verified mark, so after one query every kept page carries
+/// it (and the next query pays a load, not a hash).
+#[test]
+fn kept_float_and_serial_pages_are_marked_verified() {
+    use etsqp_core::float::aggregate_f64;
+    use etsqp_core::plan::{execute, PipelineConfig};
+
+    let cfg = PipelineConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    let store = SeriesStore::new(64);
+    store.create_series_f64("f", Encoding::Ts2Diff, Encoding::GorillaFloat);
+    store.create_series("s", Encoding::Ts2Diff, Encoding::Ts2Diff);
+    for i in 0..256i64 {
+        store.append_f64("f", i, 10.0 + i as f64 / 8.0).unwrap();
+        store.append("s", i, i * 3 % 101).unwrap();
+    }
+    store.flush("f").unwrap();
+    store.flush("s").unwrap();
+    let marked = |series| {
+        store
+            .peek_pages(series)
+            .unwrap()
+            .iter()
+            .all(|p| p.is_verified())
+    };
+    assert!(
+        !marked("f") && !marked("s"),
+        "nothing has read the pages yet"
+    );
+
+    aggregate_f64(&store, "f", None, None, &cfg).unwrap();
+    assert!(marked("f"), "aggregate_f64 left a kept page unmarked");
+    let serial = PipelineConfig {
+        vectorized: false,
+        ..cfg
+    };
+    for plan in [Plan::scan("s").aggregate(AggFunc::Sum), Plan::scan("s")] {
+        execute(&plan, &store, &serial).unwrap();
+    }
+    assert!(
+        marked("s"),
+        "a vectorized: false query left a kept page unmarked"
+    );
+}
+
 /// A header that lies its way into coverage: page 0 truly holds
 /// −500 ..= 700, and its header is narrowed to 1 ..= 700 so that `v > 0`
 /// seems to cover it — the page would then fold unfiltered, negatives
@@ -317,10 +366,11 @@ fn raw_delta_rle(count: u32, first: i64, pairs: &[(i64, u64)]) -> Vec<u8> {
 
 /// The Delta–Repeat closed form used to trust its runs: it never held
 /// `1 + Σ run` against the declared count, so pairs that disagree with it
-/// answered a wrong COUNT / SUM under `Strategy::FusedDeltaRle` where
-/// `Strategy::Decode` answered the decoder's typed error. Both are one
-/// run-space walker now: the same error, whichever strategy, filtered or
-/// not; and what run space cannot represent goes to the decoder.
+/// answered a wrong COUNT / SUM as a whole-page form where decoding
+/// answered the decoder's typed error. Every page is one run-space walker
+/// now, the cursor's: the same error whether the page is whole, cut by
+/// time or filtered by value; and what run space cannot represent goes to
+/// the decoder.
 #[test]
 fn delta_rle_closed_form_checks_its_runs() {
     use etsqp_core::expr::Predicate;
@@ -353,8 +403,9 @@ fn delta_rle_closed_form_checks_its_runs() {
         partial_cache: false,
         ..Default::default()
     };
-    // A page the filter covers takes `Strategy::FusedDeltaRle`; with its
-    // first tuple cut off by time, the same page takes `Strategy::Decode`.
+    // The whole page runs the cursor (FIRST / LAST too, with no value
+    // filter); with its first tuple cut off by time, the cursor folds a
+    // subrange; LAST under a value band decodes.
     let cut = Predicate::time(1, i64::MAX);
 
     // Runs short of the count, long of it, and one run of `u32::MAX`.

@@ -44,7 +44,6 @@ fn threaded_cfg() -> PipelineConfig {
         threads: 4,
         prune: false,
         vectorized: true,
-        decode_budget_bytes: None,
         partial_cache: true,
     }
 }

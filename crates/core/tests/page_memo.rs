@@ -83,7 +83,7 @@ fn memoized_pages_are_served_without_a_job_and_charged_like_loaded_ones() {
             "{codec:?}: nothing folded"
         );
 
-        // Σ also answers AVG and COUNT; MIN and MAX need no group; the
+        // Σ also answers AVG; COUNT, MIN and MAX need no group; the
         // others wait for a fold that computes theirs, then hit.
         for func in [AggFunc::Avg, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
             assert_eq!(
@@ -141,9 +141,18 @@ fn memoized_pages_are_served_without_a_job_and_charged_like_loaded_ones() {
             "{codec:?}: memos plus digests"
         );
 
-        // Clearing forgets the memos: cold again, same rows.
+        // Clearing forgets the memos: cold again, same rows — except
+        // for COUNT, MIN and MAX, which a verified header answers alone.
         PartialCache::global().clear();
         assert_eq!(PartialCache::global().len(), 0, "{codec:?}");
+        for func in [AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            let r = run(&store, &whole(func));
+            assert_eq!(
+                (hits(&r), dispatched(&r)),
+                ((PAGES, 0), 0),
+                "{codec:?} {func:?}"
+            );
+        }
         let again = run(&store, &whole(AggFunc::Sum));
         assert_eq!(hits(&again), (0, PAGES), "{codec:?}");
         assert_eq!(again.rows, cold.rows, "{codec:?}");

@@ -344,27 +344,6 @@ fn partitioned_merge_agrees_with_single_thread() {
 }
 
 #[test]
-fn tight_decode_budget_still_answers_correctly() {
-    // §VI-C gradual loading: a budget smaller than one page's decode
-    // buffers must not deadlock (oversized grants) and a budget that
-    // serializes page decodes must still produce the right rows.
-    let ts: Vec<i64> = (0..5000).collect();
-    let vals: Vec<i64> = (0..5000).map(|i| i % 77).collect();
-    let store = store_with("s", &ts, &vals, 512);
-    let plan = Plan::scan("s").filter(Predicate::value(10, 50));
-    let unlimited = execute(&plan, &store, &cfg()).unwrap();
-    for budget in [1u64, 512 * 16, 10_000_000] {
-        let c = PipelineConfig {
-            threads: 4,
-            decode_budget_bytes: Some(budget),
-            ..cfg()
-        };
-        let r = execute(&plan, &store, &c).unwrap();
-        assert_eq!(r.rows, unlimited.rows, "budget {budget}");
-    }
-}
-
-#[test]
 fn stream_vbyte_whole_page_sums_run_the_cursor() {
     let ts: Vec<i64> = (0..2048).collect();
     let vals: Vec<i64> = (0..2048)

@@ -149,7 +149,6 @@ mod verdict_validation {
             threads: 1,
             prune: true,
             vectorized: true,
-            decode_budget_bytes: None,
             partial_cache: true,
         }
     }

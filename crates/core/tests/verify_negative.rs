@@ -163,32 +163,45 @@ fn with_partitions(phys: &mut PhysicalPlan, f: impl FnOnce(&mut Vec<TimeRange>))
 }
 
 #[test]
-fn fusion_admissibility_rejects_uncovered_strategies() {
+fn fusion_admissibility_rejects_retired_labels() {
     let store = store_with(&["a"]);
-    // The retired labels: an unfiltered TS2DIFF SUM under the default
-    // config runs the cursor, labelled decode, and neither
-    // fused(ts2diff) nor fused(svb) is admitted in its place.
+    // Every kept page plans decode; none of the four whole-page labels is
+    // admitted in its place, on an aggregate or a row scan.
     let cfg = cfg();
-    let phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
-    assert!(phys.pipelines[0]
-        .decisions
-        .iter()
-        .all(|d| d.strategy == Some(Strategy::Decode)));
-    for retired in [Strategy::FusedTs2Diff, Strategy::FusedSvb] {
-        let mut phys = phys.clone();
-        phys.pipelines[0].decisions[0].strategy = Some(retired);
-        expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
+    for plan in [
+        sum_plan("a"),
+        Plan::scan("a").aggregate(AggFunc::Max),
+        Plan::scan("a").aggregate(AggFunc::Last),
+        Plan::scan("a"),
+    ] {
+        let phys = compile(&plan, &store, &cfg).unwrap();
+        assert!(phys.pipelines[0]
+            .decisions
+            .iter()
+            .all(|d| d.strategy == Some(Strategy::Decode)));
+        for retired in [
+            Strategy::FusedTs2Diff,
+            Strategy::FusedDeltaRle,
+            Strategy::FusedSvb,
+            Strategy::HeaderMinMax,
+        ] {
+            let mut phys = phys.clone();
+            phys.pipelines[0].decisions[0].strategy = Some(retired);
+            expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
+        }
     }
 
-    // A fused strategy whose codec does not match the value column.
+    // `serial` in a vectorized plan, and `decode` in a byte-serial one.
     let mut phys = compile(&sum_plan("a"), &store, &cfg).unwrap();
-    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedDeltaRle);
+    phys.pipelines[0].decisions[0].strategy = Some(Strategy::Serial);
     expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
-
-    // Row-producing scans may never run fused aggregation.
-    let mut phys = compile(&Plan::scan("a"), &store, &cfg).unwrap();
-    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedTs2Diff);
-    expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
+    let serial = PipelineConfig {
+        vectorized: false,
+        ..cfg
+    };
+    let mut phys = compile(&sum_plan("a"), &store, &serial).unwrap();
+    phys.pipelines[0].decisions[0].strategy = Some(Strategy::Decode);
+    expect_invariant(verify(&phys, &serial), Invariant::FusionAdmissibility);
 }
 
 #[test]
@@ -329,8 +342,8 @@ fn cache_obligation_rejects_value_filtered_pages() {
 
 /// Every fixture page holds 100 ..= 136. `[100, 136]` covers each one, so
 /// the header's MIN/MAX and memo answer the filtered query and the
-/// planner says so; `[100, 130]` only partly covers them, and a
-/// `[cacheable]` or `header(min/max)` decision there is rejected.
+/// planner says so (`[cacheable]`); `[100, 130]` only partly covers them,
+/// and a `[cacheable]` decision there is rejected.
 #[test]
 fn value_filter_coverage_is_re_derived_from_the_header() {
     let store = store_with(&["a"]);
@@ -346,7 +359,7 @@ fn value_filter_coverage_is_re_derived_from_the_header() {
         covered.pipelines[0]
             .decisions
             .iter()
-            .all(|d| d.cacheable && d.strategy == Some(Strategy::HeaderMinMax)),
+            .all(|d| d.cacheable && d.strategy == Some(Strategy::Decode)),
         "covered pages plan as unfiltered ones"
     );
 
@@ -354,9 +367,6 @@ fn value_filter_coverage_is_re_derived_from_the_header() {
     verify(&partly, &cfg).unwrap();
     let d = &partly.pipelines[0].decisions[1];
     assert!(!d.cacheable && d.strategy == Some(Strategy::Decode));
-    let mut header = partly.clone();
-    header.pipelines[0].decisions[1].strategy = Some(Strategy::HeaderMinMax);
-    expect_invariant(verify(&header, &cfg), Invariant::FusionAdmissibility);
     let mut cacheable = partly.clone();
     cacheable.pipelines[0].decisions[1].cacheable = true;
     expect_invariant(verify(&cacheable, &cfg), Invariant::CacheObligation);

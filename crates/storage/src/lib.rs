@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod ingest;
 pub mod page;
 pub mod store;

@@ -292,7 +292,8 @@ impl Page {
 
     /// Recomputes the checksum and compares it against the sealed one,
     /// catching payload corruption before a decoder or a fused kernel
-    /// consumes the chunk bytes. Hashes on every call.
+    /// consumes the chunk bytes. Hashes on every call; readers go through
+    /// [`Page::ensure_verified`].
     pub fn verify(&self) -> Result<()> {
         let now = page_checksum(&[&self.header.to_bytes(), &self.ts_bytes, &self.val_bytes]);
         if now != self.checksum {
@@ -412,9 +413,10 @@ impl Page {
         ))
     }
 
-    /// Decodes a float page's columns (checksum-verified).
+    /// Decodes a float page's columns (checksum-verified, once per
+    /// object: [`Page::ensure_verified`]).
     pub fn decode_f64(&self) -> Result<(Vec<i64>, Vec<f64>)> {
-        self.verify()?;
+        self.ensure_verified()?;
         let ts = self.header.ts_encoding.decode_i64(&self.ts_bytes)?;
         let vals = self.header.val_encoding.decode_f64(&self.val_bytes)?;
         if vals.len() != ts.len() {
@@ -424,9 +426,10 @@ impl Page {
         Ok((ts, vals))
     }
 
-    /// Serial reference decode of both columns (checksum-verified).
+    /// Serial reference decode of both columns (checksum-verified, once
+    /// per object: [`Page::ensure_verified`]).
     pub fn decode(&self) -> Result<(Vec<i64>, Vec<i64>)> {
-        self.verify()?;
+        self.ensure_verified()?;
         let ts = self.header.ts_encoding.decode_i64(&self.ts_bytes)?;
         let vals = self.header.val_encoding.decode_i64(&self.val_bytes)?;
         if vals.len() != ts.len() {
@@ -648,6 +651,30 @@ mod tests {
         edited.checksum ^= 1;
         assert!(edited.ensure_verified().is_ok());
         assert!(edited.verify().is_err(), "verify() still hashes");
+    }
+
+    #[test]
+    fn decodes_go_through_the_mark() {
+        // A checksum edited after the mark is what a re-hash would catch:
+        // the decoders do not hash a marked page again, and they mark an
+        // unmarked one.
+        let ts: Vec<i64> = (0..50).collect();
+        let floats: Vec<f64> = ts.iter().map(|&t| t as f64 / 4.0).collect();
+        let float = Page::encode_f64(&ts, &floats, Encoding::Ts2Diff, Encoding::Chimp).unwrap();
+        for mut page in [sample_page(), float] {
+            let decode = |p: &Page| {
+                if p.header.val_encoding.is_float() {
+                    p.decode_f64().map(drop)
+                } else {
+                    p.decode().map(drop)
+                }
+            };
+            decode(&page).unwrap();
+            assert!(page.is_verified());
+            page.checksum ^= 1;
+            assert!(decode(&page).is_ok(), "decoded by re-hashing");
+            assert!(page.clone().ensure_verified().is_err());
+        }
     }
 
     /// Tests that read a memo back hold this, so that the epoch bump of

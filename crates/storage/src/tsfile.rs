@@ -42,20 +42,15 @@ pub fn write(store: &SeriesStore, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Reads a TsFile back into a fresh [`SeriesStore`] with an unlimited
-/// transient-allocation budget.
-pub fn read(path: &Path) -> Result<SeriesStore> {
-    read_with_budget(path, &crate::budget::MemoryBudget::unlimited())
-}
-
-/// Reads a TsFile, bounding transient page-image allocations by `budget`.
+/// Reads a TsFile back into a fresh [`SeriesStore`], one page image in
+/// memory at a time.
 ///
 /// The reader treats the file as hostile input: every length field is
 /// validated against the real file size *before* any allocation sized by
 /// it, so a flipped length byte yields [`Error::Corrupt`] (with the byte
 /// offset of the bad field) instead of an OOM, and truncation surfaces as
 /// a typed error rather than a bare I/O failure.
-pub fn read_with_budget(path: &Path, budget: &crate::budget::MemoryBudget) -> Result<SeriesStore> {
+pub fn read(path: &Path) -> Result<SeriesStore> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut input = Tracked {
@@ -93,9 +88,6 @@ pub fn read_with_budget(path: &Path, budget: &crate::budget::MemoryBudget) -> Re
             if page_len > file_len.saturating_sub(input.offset) {
                 return Err(Error::corrupt(len_at, "page image exceeds file size"));
             }
-            // Bound the transient image allocation: hostile files cannot
-            // reserve more than the budget allows at once.
-            let _guard = budget.acquire(page_len);
             let page_at = input.offset;
             let mut image = vec![0u8; page_len as usize];
             input.read_exact(&mut image, "truncated page image")?;

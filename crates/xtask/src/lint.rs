@@ -40,9 +40,10 @@
 //!   module ([`WALKER_FILE`]) may call the kernels a walk over packed
 //!   deltas is made of ([`WALKER_KERNELS`]), so a second walker
 //!   beside it fails here instead of waiting for a design review.
-//! * `verify-once` — in the engine a page's checksum is recomputed
-//!   (`.verify()`) only inside the deep plan check; every job-time check
-//!   goes through `Page::ensure_verified`, which hashes a resident page
+//! * `verify-once` — in the engine and in `Page` itself a page's checksum
+//!   is recomputed (`.verify()`) only inside the deep plan check and
+//!   `Page::ensure_verified`; every other check, the page's own decoders
+//!   included, goes through the latter, which hashes a resident page
 //!   object once, so one more re-hash per query fails here, not at a
 //!   re-anchor.
 //! * `digest-cache-only` — in the engine `PartialCache::global()` is
@@ -136,7 +137,7 @@ pub const MAX_SLEEP_HATCHES: usize = 1;
 pub const WALKER_SCOPE: &str = "crates/core/src/";
 
 /// The one module that walks packed 32-bit deltas.
-pub const WALKER_FILE: &str = "crates/core/src/decode_fold.rs";
+pub const WALKER_FILE: &str = "crates/core/src/decode_fold/packed.rs";
 
 /// The `etsqp_simd` kernels such a walk is made of: the bit unpackers
 /// (32- and 64-bit lanes), the Stream VByte quad decoder, the
@@ -155,8 +156,8 @@ pub const WALKER_KERNELS: [&str; 5] = [
 pub struct HomeBound {
     /// Rule name.
     pub rule: &'static str,
-    /// Files under this path are subject to the rule.
-    pub scope: &'static str,
+    /// Files under these paths are subject to the rule.
+    pub scopes: &'static [&'static str],
     /// The construct, as the violation message names it.
     pub call: &'static str,
     /// Whether a line of masked code makes it.
@@ -188,7 +189,7 @@ fn compares_header_to_conjunct(code: &str) -> bool {
 ///
 /// * `verify-once` — `.verify()` hashes a page on every use; only the deep
 ///   plan check, which exists to recompute every pruned page's digest,
-///   makes it.
+///   and `Page::ensure_verified`, which hashes once and marks, make it.
 /// * `digest-cache-only` — the process-global partial cache holds quantile
 ///   digests alone; exact aggregates are memoized on their pages, so only
 ///   the one digest function probes or fills it.
@@ -201,15 +202,18 @@ fn compares_header_to_conjunct(code: &str) -> bool {
 pub const HOME_BOUND: [HomeBound; 3] = [
     HomeBound {
         rule: "verify-once",
-        scope: "crates/core/src/",
+        scopes: &["crates/core/src/", "crates/storage/src/page.rs"],
         call: ".verify()",
         made_by: |code| code.contains(".verify()"),
-        homes: &[("crates/core/src/physical/verify.rs", "verify_deep")],
+        homes: &[
+            ("crates/core/src/physical/verify.rs", "verify_deep"),
+            ("crates/storage/src/page.rs", "ensure_verified"),
+        ],
         why: "re-hashes the page on every query; job-time checks go through `ensure_verified`",
     },
     HomeBound {
         rule: "digest-cache-only",
-        scope: "crates/core/src/",
+        scopes: &["crates/core/src/"],
         call: "PartialCache::global()",
         made_by: |code| code.contains("PartialCache::global()"),
         homes: &[("crates/core/src/physical/agg.rs", "digest_partial")],
@@ -218,7 +222,7 @@ pub const HOME_BOUND: [HomeBound; 3] = [
     },
     HomeBound {
         rule: "residual-predicate",
-        scope: "crates/core/src/physical/",
+        scopes: &["crates/core/src/physical/"],
         call: "header bound vs. conjunct bound",
         made_by: compares_header_to_conjunct,
         homes: &[
@@ -922,7 +926,7 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
 
     // Rules: the home-bound constructs (non-test code, everywhere in scope
     // but the bodies of the home functions, found by brace depth).
-    for bound in HOME_BOUND.iter().filter(|b| rel_path.contains(b.scope)) {
+    for bound in (HOME_BOUND.iter()).filter(|b| b.scopes.iter().any(|s| rel_path.contains(s))) {
         let is_home = |code: &str| {
             code.contains("fn ")
                 && (bound.homes.iter())
@@ -1478,8 +1482,14 @@ pub fn f(v: &[i64]) -> i64 {
         // ... the whole engine is in scope, the float executor too ...
         let r = analyze_source("crates/core/src/float.rs", bad);
         assert_eq!(rules_fired(&r), ["verify-once", "verify-once"], "{r:?}");
-        // ... and the storage crate and the benches hash freely.
-        for path in ["crates/storage/src/page.rs", "crates/bench/src/lib.rs"] {
+        // ... and so is the page: its decoders go through the mark, whose
+        // body alone hashes ...
+        let page = include_str!("../fixtures/verify_once_page.rs.txt");
+        let r = analyze_source("crates/storage/src/page.rs", page);
+        assert_eq!(rules_fired(&r), ["verify-once"], "{r:?}");
+        assert_eq!(r.violations[0].line, 16, "the decoder's re-hash: {r:?}");
+        // ... while the rest of the storage crate and the benches hash freely.
+        for path in ["crates/storage/src/store.rs", "crates/bench/src/lib.rs"] {
             let r = analyze_source(path, bad);
             assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
         }

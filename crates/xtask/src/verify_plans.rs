@@ -66,7 +66,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                         threads,
                         prune,
                         vectorized,
-                        decode_budget_bytes: None,
                         partial_cache,
                     });
                 }
@@ -82,7 +81,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         threads: 1,
         prune: false,
         vectorized: false,
-        decode_budget_bytes: None,
         partial_cache: true,
     };
     vec![
@@ -207,7 +205,8 @@ fn cell(
         ),
         ("P95(all)".into(), scan_a().aggregate(AggFunc::P95)),
         // Every page inside the filter: the headers prove it, so the
-        // pages plan as unfiltered ones (header MIN/MAX, `[cacheable]`).
+        // pages plan as unfiltered ones (`[cacheable]`, MAX from the
+        // header).
         (
             "MAX(vcover)".into(),
             scan_a()
@@ -399,14 +398,21 @@ fn expect(name: &str, want: Invariant, res: VerifyResult, report: &mut Report) {
 }
 
 /// A deterministic fixture store: sealed series `m`/`n`, a series `h`
-/// with a live hot tail, and a series `d` whose page 2 is corrupted
-/// after sealing (its checksum no longer matches).
+/// with a live hot tail, a series `d` whose page 2 is corrupted after
+/// sealing (its checksum no longer matches), and Delta-RLE series `r` /
+/// `q` whose clocks are five ticks apart (pages not aligned).
 fn mutation_store() -> SeriesStore {
     let store = SeriesStore::new(PAGE_POINTS);
     let ts: Vec<i64> = (0..ROWS as i64).map(|i| i * 10).collect();
     let vals: Vec<i64> = (0..ROWS as i64).map(|i| 100 + (i % 37)).collect();
     for s in ["m", "n", "h", "d"] {
         store.create_series(s, Encoding::Ts2Diff, Encoding::Ts2Diff);
+        store.append_all(s, &ts, &vals).unwrap();
+        store.flush(s).unwrap();
+    }
+    for (s, shift) in [("r", 0), ("q", 5)] {
+        let ts: Vec<i64> = ts.iter().map(|t| t + shift).collect();
+        store.create_series(s, Encoding::Ts2Diff, Encoding::DeltaRle);
         store.append_all(s, &ts, &vals).unwrap();
         store.flush(s).unwrap();
     }
@@ -504,22 +510,29 @@ fn mutation_pass(report: &mut Report) {
         report,
     );
 
-    // fusion-admissibility: a fused strategy whose codec mismatches.
-    let mut phys = pipe::compile(&sum_m, &store, &cfg).unwrap();
-    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedDeltaRle);
-    expect(
-        "fusion-admissibility/codec-mismatch",
-        Invariant::FusionAdmissibility,
-        verify(&phys, &cfg),
-        report,
-    );
+    // fusion-admissibility: each label the planner no longer emits, on
+    // the very page (TS2DIFF, unfiltered SUM) the first one used to label.
+    for retired in [
+        Strategy::FusedTs2Diff,
+        Strategy::FusedDeltaRle,
+        Strategy::FusedSvb,
+        Strategy::HeaderMinMax,
+    ] {
+        let mut phys = pipe::compile(&sum_m, &store, &cfg).unwrap();
+        phys.pipelines[0].decisions[0].strategy = Some(retired);
+        expect(
+            &format!("fusion-admissibility/retired-label/{retired}"),
+            Invariant::FusionAdmissibility,
+            verify(&phys, &cfg),
+            report,
+        );
+    }
 
-    // fusion-admissibility: a label the planner no longer emits, on the
-    // very page (TS2DIFF, unfiltered SUM) it used to label.
+    // fusion-admissibility: a byte-serial page in a vectorized plan.
     let mut phys = pipe::compile(&sum_m, &store, &cfg).unwrap();
-    phys.pipelines[0].decisions[0].strategy = Some(Strategy::FusedTs2Diff);
+    phys.pipelines[0].decisions[0].strategy = Some(Strategy::Serial);
     expect(
-        "fusion-admissibility/retired-label",
+        "fusion-admissibility/serial-in-vectorized",
         Invariant::FusionAdmissibility,
         verify(&phys, &cfg),
         report,
@@ -567,21 +580,20 @@ fn mutation_pass(report: &mut Report) {
         report,
     );
 
-    // fusion-admissibility: header(min/max) on a page the value filter
-    // only partly covers (its header maximum 136 lies above the filter's
-    // 130, so the header's MAX is not the filtered one).
-    let band_max = Plan::scan("m")
-        .filter(Predicate::value(100, 130))
-        .aggregate(AggFunc::Max);
-    let mut phys = pipe::compile(&band_max, &store, &cfg).unwrap();
-    let d = phys.pipelines[0]
-        .decisions
-        .iter_mut()
-        .find(|d| d.strategy == Some(Strategy::Decode))
-        .expect("fixture keeps a partly covered page");
-    d.strategy = Some(Strategy::HeaderMinMax);
+    // fusion-admissibility: pair fusion forced over Delta-RLE pages whose
+    // clocks are not aligned.
+    let dot = Plan::JoinAggregate {
+        left: Box::new(Plan::scan("r")),
+        right: Box::new(Plan::scan("q")),
+        func: PairAggFunc::Dot,
+    };
+    let mut phys = pipe::compile(&dot, &store, &cfg).unwrap();
+    match &mut phys.root {
+        RootNode::PairAgg { fused, .. } if !*fused => *fused = true,
+        other => panic!("misaligned pair fixture compiled to {other:?}"),
+    }
     expect(
-        "fusion-admissibility/value-partly-covered",
+        "fusion-admissibility/misaligned-pair",
         Invariant::FusionAdmissibility,
         verify(&phys, &cfg),
         report,

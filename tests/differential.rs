@@ -52,7 +52,6 @@ fn all_configs() -> Vec<PipelineConfig> {
                         threads,
                         prune,
                         vectorized,
-                        decode_budget_bytes: None,
                         partial_cache,
                     });
                 }
@@ -68,7 +67,6 @@ fn canonical_configs() -> Vec<PipelineConfig> {
         threads: 1,
         prune: false,
         vectorized: false,
-        decode_budget_bytes: None,
         partial_cache: true,
     };
     vec![
@@ -887,8 +885,9 @@ fn suffix_pruned_prefix_splits_across_misaligned_buckets() {
     }
 }
 
-/// Block J: one aggregation shape. For every strategy the planner can
-/// emit × `window ∈ {none, page-aligned, straddling}` × time filter ∈
+/// Block J: one aggregation shape. The planner emits `decode` for every
+/// kept page, never one of the four retired whole-page labels; for each
+/// cell × `window ∈ {none, page-aligned, straddling}` × time filter ∈
 /// {none, partial pages}, the vectorized rows equal the byte-serial
 /// (`Strategy::Serial`) rows bit for bit — quantiles included, since the
 /// decode leg and the serial leg end in the same tuple fold — and the
@@ -971,14 +970,13 @@ fn every_strategy_matches_serial_bit_for_bit() {
             }
         }
     }
+    assert!(seen.contains(&Strategy::Decode), "{seen:?}");
     for s in [
+        Strategy::FusedTs2Diff,
         Strategy::FusedDeltaRle,
+        Strategy::FusedSvb,
         Strategy::HeaderMinMax,
-        Strategy::Decode,
     ] {
-        assert!(seen.contains(&s), "the matrix never planned {s}: {seen:?}");
-    }
-    for s in [Strategy::FusedTs2Diff, Strategy::FusedSvb] {
         assert!(
             !seen.contains(&s),
             "the planner emitted retired {s}: {seen:?}"
@@ -1029,9 +1027,8 @@ fn unbucketable_window_is_a_plan_error_in_every_profile() {
 }
 
 /// Plans `plan` under `cfg` and reports whether every kept page took
-/// `Strategy::Decode` — the only strategy that reads the value column
-/// value by value, so zero materialized value bytes on such a plan means
-/// the decode-and-fold kernel ran.
+/// `Strategy::Decode` — the vectorized strategy, so zero materialized
+/// value bytes on such a plan means the decode-and-fold cursor ran.
 fn all_kept_pages_decode(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> bool {
     use etsqp::core::physical::node::Strategy;
     let phys = pipe::compile(plan, store, cfg).unwrap();
@@ -1043,14 +1040,31 @@ fn all_kept_pages_decode(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig)
     kept.peek().is_some() && kept.all(|s| s == Strategy::Decode)
 }
 
+/// Whether `func` is FIRST / LAST under a value filter that leaves a
+/// conjunct on some page of a column spanning `vmin ..= vmax`: such a
+/// page decodes its values, since FIRST / LAST are the ends of an
+/// unfiltered fold only.
+fn ends_under_a_filter(
+    func: AggFunc,
+    value: Option<(i64, i64)>,
+    cfg: &PipelineConfig,
+    (vmin, vmax): (i64, i64),
+) -> bool {
+    matches!(func, AggFunc::First | AggFunc::Last)
+        && value.is_some_and(|(lo, hi)| !cfg.prune || lo > vmin || hi < vmax)
+}
+
 /// Block L: decode-and-fold. For the three codecs whose packed deltas the
-/// cursor walks × every order-insensitive aggregate × value filters that
-/// are absent, one-sided, two-sided, empty and all-pass × windows
-/// that are absent, page-aligned and half a page early × a time filter
-/// that cuts the first and last page: the vectorized rows equal the
-/// byte-serial rows and the oracle's bit for bit, and no value is ever
-/// materialized — on the constant clock `materialized_bytes` is 0, on a
-/// jittered one exactly the timestamp columns of the two cut pages.
+/// cursor walks × every exact aggregate × value filters that are absent,
+/// one-sided, two-sided, empty and all-pass × windows that are absent,
+/// page-aligned and half a page early × a time filter that cuts the
+/// first and last page: the vectorized rows equal the byte-serial rows
+/// and the oracle's bit for bit, and no value is ever materialized — on
+/// the constant clock `materialized_bytes` is 0, on a jittered one
+/// exactly the timestamp columns of the two cut pages. FIRST / LAST are
+/// the ends of an unfiltered fold: with a value conjunct left on some
+/// page (a filter that does not cover every value, or pruning off) they
+/// decode it, as before.
 #[test]
 fn decode_and_fold_matches_serial_and_materializes_no_value() {
     let vals: Vec<i64> = (0..ROWS as i64)
@@ -1090,7 +1104,10 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
         AggFunc::Min,
         AggFunc::Max,
         AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
     ];
+    let (vmin, vmax) = (*vals.iter().min().unwrap(), *vals.iter().max().unwrap());
     // Default planning, and header pruning off so that empty filters
     // reach the kernel too.
     let planned = PipelineConfig {
@@ -1143,7 +1160,10 @@ fn decode_and_fold_matches_serial_and_materializes_no_value() {
                                 // (fewer where the value filter let
                                 // the header prune a cut page).
                                 let cut_pages = 2 * PAGE_POINTS as u64 * 8;
+                                let ends_filtered =
+                                    ends_under_a_filter(func, value, cfg, (vmin, vmax));
                                 let ts_bytes = match (*clock, window, time) {
+                                    _ if ends_filtered => None,
                                     ("constant", ..) | (_, None, None) => Some(0..=0),
                                     (_, None, Some(_)) if !cfg.prune => Some(cut_pages..=cut_pages),
                                     (_, None, Some(_)) => Some(0..=cut_pages),
@@ -1326,8 +1346,8 @@ fn gate_rejected_pages_fall_back_and_agree_with_oracle() {
 
 /// Block N: run space and XOR space. The two codecs the cursor reads
 /// without a packed-delta kernel — Delta-RLE as `(Δ, run)` progressions,
-/// Gorilla a stack block at a time off the bit window — × every
-/// order-insensitive aggregate × the value filters of block L × windows
+/// Gorilla a stack block at a time off the bit window — × every exact
+/// aggregate (FIRST / LAST as in block L) × the value filters of block L × windows
 /// that are absent, page-aligned and half a page early × a time filter
 /// that cuts the first and last page × both clocks × `threads ∈ {1, 2,
 /// 8}`: rows equal the byte-serial rows and the oracle's, and no value
@@ -1374,7 +1394,10 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
         AggFunc::Min,
         AggFunc::Max,
         AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
     ];
+    let (vmin, vmax) = (*vals.iter().min().unwrap(), *vals.iter().max().unwrap());
     let serial = PipelineConfig {
         vectorized: false,
         threads: 4,
@@ -1427,7 +1450,10 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
                                     // an index cannot be solved from the
                                     // header, values never.
                                     let cut_pages = 2 * PAGE_POINTS as u64 * 8;
+                                    let ends_filtered =
+                                        ends_under_a_filter(func, value, cfg, (vmin, vmax));
                                     let ts_bytes = match (*clock, window, time) {
+                                        _ if ends_filtered => None,
                                         ("constant", ..) | (_, None, None) => Some(0..=0),
                                         (_, None, Some(_)) if !cfg.prune => {
                                             Some(cut_pages..=cut_pages)
