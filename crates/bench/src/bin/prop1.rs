@@ -7,10 +7,10 @@
 //! cargo run --release -p etsqp-bench --bin prop1
 //! ```
 
-use etsqp_bench::{decode_ts2diff_ablation, default_rows, time_median, DeltaAccumulation};
-use etsqp_core::cost::{
+use etsqp_bench::cost::{
     avg_time_per_value, choose_nv, optimal_nv_real, theorem2_speedup, CostConstants,
 };
+use etsqp_bench::{decode_ts2diff_ablation, default_rows, time_median, DeltaAccumulation};
 use etsqp_encoding::ts2diff;
 
 fn main() {

@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cost;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -14,11 +14,13 @@
 //!   scheduler; partials combine in a merge fold.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use etsqp_encoding::f64_to_ordered_i64;
 #[cfg(test)]
 use etsqp_encoding::Encoding;
-use etsqp_storage::ingest::HotSnapshot;
+use etsqp_storage::ingest::{HotFloatSnapshot, HotSnapshot};
+use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
@@ -161,20 +163,7 @@ pub fn aggregate_f64_ctl(
     ctl: &CancellationToken,
 ) -> Result<(FloatAgg, StatsSnapshot)> {
     let stats = ExecStats::default();
-    let snap = store.snapshot(series)?;
-    let pages = snap.pages;
-    if let Some(p) = pages.first() {
-        if !p.header.val_encoding.is_float() {
-            return Err(Error::Plan(format!("{series} is not a float series")));
-        }
-    }
-    let hot = match snap.hot {
-        Some(HotSnapshot::Float(h)) => Some(h),
-        Some(HotSnapshot::Int(_)) => {
-            return Err(Error::Plan(format!("{series} is not a float series")))
-        }
-        None => None,
-    };
+    let (pages, hot) = float_snapshot(store, series)?;
     let mapped = vrange.map(|r| (f64_to_ordered_i64(r.lo), f64_to_ordered_i64(r.hi)));
     let (kept, pruned): (Vec<_>, Vec<_>) = pages.into_iter().partition(|page| {
         !cfg.prune
@@ -214,6 +203,24 @@ pub fn aggregate_f64_ctl(
     Ok((total, stats.snapshot()))
 }
 
+/// A float series' sealed pages and hot points; an integer series, hot
+/// or sealed, is a typed plan error.
+fn float_snapshot(
+    store: &SeriesStore,
+    series: &str,
+) -> Result<(Vec<Arc<Page>>, Option<HotFloatSnapshot>)> {
+    let snap = store.snapshot(series)?;
+    let not_float = || Err(Error::Plan(format!("{series} is not a float series")));
+    if (snap.pages.first()).is_some_and(|p| !p.header.val_encoding.is_float()) {
+        return not_float();
+    }
+    match snap.hot {
+        Some(HotSnapshot::Int(_)) => not_float(),
+        Some(HotSnapshot::Float(h)) => Ok((snap.pages, Some(h))),
+        None => Ok((snap.pages, None)),
+    }
+}
+
 /// Ordered timestamps make the optional time filter a half-open index
 /// range (the whole column without one).
 fn index_range(trange: Option<TimeRange>, ts: &[i64]) -> (usize, usize) {
@@ -239,12 +246,8 @@ pub fn scan_f64_ctl(
     ctl: &CancellationToken,
 ) -> Result<(Vec<i64>, Vec<f64>)> {
     let stats = ExecStats::default();
-    let snap = store.snapshot(series)?;
-    let hot = match snap.hot {
-        Some(HotSnapshot::Float(h)) => Some(h),
-        _ => None,
-    };
-    let (kept, pruned): (Vec<_>, Vec<_>) = (snap.pages.into_iter())
+    let (pages, hot) = float_snapshot(store, series)?;
+    let (kept, pruned): (Vec<_>, Vec<_>) = (pages.into_iter())
         .partition(|p| !cfg.prune || trange.is_none_or(|t| p.header.overlaps_time(t.lo, t.hi)));
     pruned.iter().try_for_each(|page| verify_pruned(page))?;
     let outputs = run_jobs(
@@ -390,10 +393,17 @@ mod tests {
     #[test]
     fn integer_series_rejected() {
         let store = SeriesStore::new(64);
-        store.create_series("i", Encoding::Ts2Diff, Encoding::Ts2Diff);
-        store.append("i", 1, 1).unwrap();
-        store.flush("i").unwrap();
-        assert!(aggregate_f64(&store, "i", None, None, &cfg()).is_err());
+        for (name, seal) in [("hot", false), ("sealed", true)] {
+            store.create_series(name, Encoding::Ts2Diff, Encoding::Ts2Diff);
+            store.append(name, 1, 1).unwrap();
+            if seal {
+                store.flush(name).unwrap();
+            }
+            let agg = aggregate_f64(&store, name, None, None, &cfg());
+            assert!(matches!(agg, Err(Error::Plan(_))), "{name}: {agg:?}");
+            let scan = scan_f64(&store, name, None, &cfg());
+            assert!(matches!(scan, Err(Error::Plan(_))), "{name}: {scan:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | Alg. 1, Fig. 14(d) | [`decode_fold`] | the one walker over packed deltas: unpack → prefix → widen and write, or → filter → accumulate without materializing |
 //! | §III-B | `etsqp_simd::tables` | JIT-style cached shuffle/shift/mask plans |
 //! | §III-C, Fig. 8 | [`exec`], [`pool`] | one job per kept page, work-stealing thread scheduling (no page slicing) |
-//! | §III-D, Prop. 1/Thm. 2 | [`cost`] | `n_v` cost model and speedup estimate |
 //! | §IV, Prop. 3 | [`fused`] | aggregation without decoding (Delta / Delta-Repeat) |
 //! | §V, Prop. 4/5 | [`prune`] | time/value pruning from encoding statistics |
 //! | §VI, Alg. 2 | [`plan`], [`expr`] | `Pipe`: logical plan → pipeline jobs + merge nodes |
@@ -38,7 +37,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cancel;
-pub mod cost;
 pub mod decode;
 pub mod decode_fold;
 pub mod engine;

@@ -25,11 +25,6 @@
 //!   the exact sorted ranks stays within [`TDigest::rank_error_bound`]
 //!   (`3·n/δ + 2`), regardless of how the input was split into merged
 //!   partials.
-//!
-//! The serialized form ([`PartialState::to_bytes`]) is the wire format
-//! future scatter-gather shard layers ship between sub-pipelines; it is
-//! fuzzed (hostile centroid counts, non-finite means, weight lies) by
-//! the `partial` target of `cargo run -p xtask -- fuzz`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -39,7 +34,6 @@ use etsqp_simd::agg::AggState;
 use etsqp_storage::page::{forget_all_moments, memoized_pages, Page, PageHeader};
 
 use crate::expr::AggFunc;
-use crate::{Error, Result};
 
 /// t-digest compression factor `δ`: the sketch keeps roughly `δ..2δ`
 /// centroids after compression, giving a worst-case rank error that
@@ -56,10 +50,6 @@ const TDIGEST_BUFFER: usize = 4 * TDIGEST_COMPRESSION;
 /// block would re-traverse the whole accumulator per merge. 64 KiB of
 /// transient centroids buys an amortized-linear chain.
 const TDIGEST_MERGE_BUFFER: usize = 4096;
-
-/// Hard ceiling on centroid counts accepted by [`TDigest::from_bytes`]
-/// — a hostile length prefix must not drive allocation.
-const TDIGEST_MAX_SERIALIZED: usize = 4096;
 
 /// One weighted cluster of the sketch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,6 +97,11 @@ impl TDigest {
     /// Current centroid count (compressed + buffered).
     pub fn centroid_count(&self) -> usize {
         self.centroids.len()
+    }
+
+    /// The centroids: the compressed run, then the raw append buffer.
+    pub fn centroids(&self) -> &[Centroid] {
+        &self.centroids
     }
 
     /// Exact minimum pushed value, if any.
@@ -247,122 +242,6 @@ impl TDigest {
         self.max
     }
 
-    /// Canonical serialized form: compressed centroids as
-    /// `[m: u32][m × (mean: f64, weight: u64)][count: u64][min: f64]
-    /// [max: f64]`, all little-endian. Round-trips bit-exactly through
-    /// [`TDigest::from_bytes`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let canon;
-        let src = if self.unsorted > 0 {
-            let mut c = self.clone();
-            c.compress();
-            canon = c;
-            &canon
-        } else {
-            self
-        };
-        let mut out = Vec::with_capacity(4 + src.centroids.len() * 16 + 24);
-        out.extend_from_slice(&(src.centroids.len() as u32).to_le_bytes());
-        for c in &src.centroids {
-            out.extend_from_slice(&c.mean.to_le_bytes());
-            out.extend_from_slice(&c.weight.to_le_bytes());
-        }
-        out.extend_from_slice(&src.count.to_le_bytes());
-        out.extend_from_slice(&src.min.to_le_bytes());
-        out.extend_from_slice(&src.max.to_le_bytes());
-        out
-    }
-
-    /// Parses and validates a serialized sketch. Every structural lie a
-    /// hostile stream can tell — oversized centroid counts, non-finite
-    /// or unsorted means, zero weights, weight sums that disagree with
-    /// the count, means outside the `[min, max]` envelope, truncation
-    /// or trailing bytes — is a typed [`Error::Decode`], never a panic.
-    pub fn from_bytes(data: &[u8]) -> Result<TDigest> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = pos
-                .checked_add(n)
-                .ok_or(Error::Decode("tdigest: length overflow"))?;
-            let s = data
-                .get(*pos..end)
-                .ok_or(Error::Decode("tdigest: truncated"))?;
-            *pos = end;
-            Ok(s)
-        };
-        let m_bytes: [u8; 4] = take(&mut pos, 4)?
-            .try_into()
-            .map_err(|_| Error::Decode("tdigest: truncated count"))?;
-        let m = u32::from_le_bytes(m_bytes) as usize;
-        if m > TDIGEST_MAX_SERIALIZED {
-            return Err(Error::Decode("tdigest: hostile centroid count"));
-        }
-        let mut centroids = Vec::with_capacity(m);
-        let mut weight_sum: u64 = 0;
-        let mut prev = f64::NEG_INFINITY;
-        for _ in 0..m {
-            let mean_b: [u8; 8] = take(&mut pos, 8)?
-                .try_into()
-                .map_err(|_| Error::Decode("tdigest: truncated mean"))?;
-            let w_b: [u8; 8] = take(&mut pos, 8)?
-                .try_into()
-                .map_err(|_| Error::Decode("tdigest: truncated weight"))?;
-            let mean = f64::from_le_bytes(mean_b);
-            let weight = u64::from_le_bytes(w_b);
-            if !mean.is_finite() {
-                return Err(Error::Decode("tdigest: non-finite mean"));
-            }
-            if weight == 0 {
-                return Err(Error::Decode("tdigest: zero-weight centroid"));
-            }
-            if mean < prev {
-                return Err(Error::Decode("tdigest: unsorted means"));
-            }
-            prev = mean;
-            weight_sum = weight_sum
-                .checked_add(weight)
-                .ok_or(Error::Decode("tdigest: weight sum overflow"))?;
-            centroids.push(Centroid { mean, weight });
-        }
-        let count_b: [u8; 8] = take(&mut pos, 8)?
-            .try_into()
-            .map_err(|_| Error::Decode("tdigest: truncated total"))?;
-        let count = u64::from_le_bytes(count_b);
-        let min_b: [u8; 8] = take(&mut pos, 8)?
-            .try_into()
-            .map_err(|_| Error::Decode("tdigest: truncated min"))?;
-        let max_b: [u8; 8] = take(&mut pos, 8)?
-            .try_into()
-            .map_err(|_| Error::Decode("tdigest: truncated max"))?;
-        let (min, max) = (f64::from_le_bytes(min_b), f64::from_le_bytes(max_b));
-        if pos != data.len() {
-            return Err(Error::Decode("tdigest: trailing bytes"));
-        }
-        if count != weight_sum {
-            return Err(Error::Decode("tdigest: count disagrees with weights"));
-        }
-        if count > 0 {
-            if !min.is_finite() || !max.is_finite() || min > max {
-                return Err(Error::Decode("tdigest: bad min/max envelope"));
-            }
-            if centroids.is_empty() {
-                return Err(Error::Decode("tdigest: count without centroids"));
-            }
-            if centroids.iter().any(|c| c.mean < min || c.mean > max) {
-                return Err(Error::Decode("tdigest: mean outside envelope"));
-            }
-        } else if !centroids.is_empty() {
-            return Err(Error::Decode("tdigest: centroids without count"));
-        }
-        Ok(TDigest {
-            centroids,
-            unsorted: 0,
-            count,
-            min,
-            max,
-        })
-    }
-
     /// Approximate heap footprint, for the cache's byte accounting.
     fn approx_bytes(&self) -> usize {
         48 + self.centroids.capacity() * std::mem::size_of::<Centroid>()
@@ -425,124 +304,6 @@ impl PartialState {
             (d @ None, Some(b)) => *d = Some(b.clone()),
             _ => {}
         }
-    }
-
-    /// Serialized wire form:
-    /// `[sum: i128][sum_sq: i128][count: u64][6 × option(i64)]`
-    /// `[option(digest bytes)]`, options as a `0/1` tag byte. This is
-    /// the format sub-pipelines will ship partials in (ROADMAP item 4);
-    /// it round-trips through [`PartialState::from_bytes`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96);
-        out.extend_from_slice(&self.agg.sum.to_le_bytes());
-        out.extend_from_slice(&self.agg.sum_sq.to_le_bytes());
-        out.extend_from_slice(&self.agg.count.to_le_bytes());
-        let opt = |out: &mut Vec<u8>, v: Option<i64>| match v {
-            Some(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            None => out.push(0),
-        };
-        opt(&mut out, self.agg.min);
-        opt(&mut out, self.agg.max);
-        opt(&mut out, self.agg.first);
-        opt(&mut out, self.agg.last);
-        opt(&mut out, self.first_ts);
-        opt(&mut out, self.last_ts);
-        match &self.digest {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_bytes());
-            }
-            None => out.push(0),
-        }
-        out
-    }
-
-    /// Parses and validates a serialized partial. Structural lies —
-    /// bad option tags, inverted min/max, counts that disagree with
-    /// presence, a corrupt embedded digest — are typed
-    /// [`Error::Decode`]s, never panics.
-    pub fn from_bytes(data: &[u8]) -> Result<PartialState> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let end = pos
-                .checked_add(n)
-                .ok_or(Error::Decode("partial: length overflow"))?;
-            let s = data
-                .get(*pos..end)
-                .ok_or(Error::Decode("partial: truncated"))?;
-            *pos = end;
-            Ok(s)
-        };
-        let i128_of = |b: &[u8]| -> Result<i128> {
-            b.try_into()
-                .map(i128::from_le_bytes)
-                .map_err(|_| Error::Decode("partial: truncated i128"))
-        };
-        let sum = i128_of(take(&mut pos, 16)?)?;
-        let sum_sq = i128_of(take(&mut pos, 16)?)?;
-        let count_b: [u8; 8] = take(&mut pos, 8)?
-            .try_into()
-            .map_err(|_| Error::Decode("partial: truncated count"))?;
-        let count = u64::from_le_bytes(count_b);
-        let opt = |pos: &mut usize| -> Result<Option<i64>> {
-            let tag = take(pos, 1)?[0];
-            match tag {
-                0 => Ok(None),
-                1 => {
-                    let b: [u8; 8] = take(pos, 8)?
-                        .try_into()
-                        .map_err(|_| Error::Decode("partial: truncated option"))?;
-                    Ok(Some(i64::from_le_bytes(b)))
-                }
-                _ => Err(Error::Decode("partial: bad option tag")),
-            }
-        };
-        let min = opt(&mut pos)?;
-        let max = opt(&mut pos)?;
-        let first = opt(&mut pos)?;
-        let last = opt(&mut pos)?;
-        let first_ts = opt(&mut pos)?;
-        let last_ts = opt(&mut pos)?;
-        let digest = match take(&mut pos, 1)?[0] {
-            0 => None,
-            1 => Some(TDigest::from_bytes(
-                data.get(pos..).ok_or(Error::Decode("partial: truncated"))?,
-            )?),
-            _ => return Err(Error::Decode("partial: bad digest tag")),
-        };
-        if digest.is_none() && pos != data.len() {
-            return Err(Error::Decode("partial: trailing bytes"));
-        }
-        if let (Some(lo), Some(hi)) = (min, max) {
-            if lo > hi {
-                return Err(Error::Decode("partial: inverted min/max"));
-            }
-        }
-        if let (Some(ft), Some(lt)) = (first_ts, last_ts) {
-            if ft > lt {
-                return Err(Error::Decode("partial: inverted timestamps"));
-            }
-        }
-        if count == 0 && (min.is_some() || first.is_some() || first_ts.is_some()) {
-            return Err(Error::Decode("partial: fields present on empty state"));
-        }
-        let mut agg = AggState::new();
-        agg.sum = sum;
-        agg.sum_sq = sum_sq;
-        agg.count = count;
-        agg.min = min;
-        agg.max = max;
-        agg.first = first;
-        agg.last = last;
-        Ok(PartialState {
-            agg,
-            first_ts,
-            last_ts,
-            digest,
-        })
     }
 
     /// Approximate heap footprint, for the cache's byte accounting.
@@ -711,23 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn tdigest_roundtrip_and_rejects_lies() {
-        let d = digest_of(&[5, 1, 9, 3, 3, 7]);
-        let bytes = d.to_bytes();
-        let back = TDigest::from_bytes(&bytes).unwrap();
-        assert_eq!(back.to_bytes(), bytes, "canonical form round-trips");
-        assert_eq!(back.count(), 6);
-        // Truncation, hostile counts, non-finite means: typed errors.
-        assert!(TDigest::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut hostile = bytes.clone();
-        hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TDigest::from_bytes(&hostile).is_err());
-        let mut nan = bytes.clone();
-        nan[4..12].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(TDigest::from_bytes(&nan).is_err());
-    }
-
-    #[test]
     fn empty_merge_is_identity() {
         let mut d = digest_of(&[1, 2, 3]);
         let before = d.clone();
@@ -735,22 +479,7 @@ mod tests {
         assert_eq!(d, before);
         let mut empty = TDigest::new();
         empty.merge(&before);
-        assert_eq!(empty.to_bytes(), before.to_bytes());
-    }
-
-    #[test]
-    fn partial_state_roundtrip() {
-        let mut p = PartialState::new(AggFunc::P95);
-        for (t, v) in [(10, 4), (20, -1), (30, 9)] {
-            p.push_tv(t, v);
-        }
-        let bytes = p.to_bytes();
-        let back = PartialState::from_bytes(&bytes).unwrap();
-        assert_eq!(back.agg.count, 3);
-        assert_eq!(back.first_ts, Some(10));
-        assert_eq!(back.last_ts, Some(30));
-        assert_eq!(back.to_bytes(), bytes);
-        assert!(PartialState::from_bytes(&bytes[..5]).is_err());
+        assert_eq!(empty, before);
     }
 
     #[test]

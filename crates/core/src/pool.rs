@@ -82,11 +82,6 @@ fn pool() -> &'static Pool {
     p
 }
 
-/// Number of worker threads the persistent pool runs with.
-pub fn pool_threads() -> usize {
-    pool().threads
-}
-
 /// Threads spawned by the pool since process start. Constant after the
 /// first parallel query — the "no spawn/join on the hot path" invariant.
 pub fn spawned_threads() -> usize {

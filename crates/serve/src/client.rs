@@ -1,9 +1,9 @@
 //! A small blocking client for the wire protocol.
 //!
-//! Used by the load generator (`crates/bench/src/bin/serve_bench.rs`),
-//! the chaos suite, the CI smoke, and `etsqp-serve query`. One
-//! connection, strictly sequential request/response — a client wanting
-//! concurrency opens more [`Client`]s.
+//! Used by the benchmark's `wire_short` callers, the chaos suite, the
+//! CI smoke, and `etsqp-serve query`. One connection, strictly
+//! sequential request/response — a client wanting concurrency opens
+//! more [`Client`]s.
 //!
 //! The client treats the server as untrusted: response bytes go through
 //! the same bounded [`FrameDecoder`] and typed payload parsers the

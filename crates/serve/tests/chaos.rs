@@ -275,14 +275,25 @@ fn full_queue_burst_sheds_typed_and_recovers() {
     );
 
     // Burst: 8 concurrent clients into capacity 1+1. Every response must
-    // be either rows or a typed Overloaded with a usable retry hint.
+    // be either rows or a typed Overloaded with a usable retry hint, and
+    // an accepted query answers within a fixed bound: it waits behind at
+    // most `max_inflight + max_queue − 1` others, so shedding keeps its
+    // queueing bounded however large the burst.
     let addr = handle.addr();
     let mut joins = Vec::new();
     for _ in 0..8 {
         joins.push(std::thread::spawn(move || {
             let mut c = Client::connect(addr).expect("connect");
+            let sent = Instant::now();
             match c.query(SLOW_SQL).expect("wire query") {
-                Response::Rows(_) => (1u64, 0u64),
+                Response::Rows(_) => {
+                    let took = sent.elapsed();
+                    assert!(
+                        took < Duration::from_secs(5),
+                        "accepted query took {took:?}"
+                    );
+                    (1u64, 0u64)
+                }
                 Response::ServerError(e) => {
                     assert_eq!(e.code, ErrorCode::Overloaded, "unexpected error: {e}");
                     assert!(e.retry_after_ms >= 1, "shed without a retry hint");

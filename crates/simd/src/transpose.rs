@@ -7,7 +7,7 @@
 //! transpose in registers. The resulting layout — and therefore the Delta
 //! recovery structure of Algorithm 1 — is identical; the transpose is
 //! itself a register-only shuffle stage whose cost the `n_v` cost model
-//! absorbs (see `etsqp_core::cost`).
+//! absorbs (see `etsqp_bench::cost`).
 
 use crate::backend::dispatch;
 use crate::V32;

@@ -1,9 +1,8 @@
 //! Deterministic mutational fuzzer for the untrusted-input surfaces:
-//! every codec decoder, `Page::from_bytes`, `tsfile::read`, the
-//! partial-state wire format (`PartialState::from_bytes`, including the
-//! embedded t-digest parser), the network wire-frame parser
-//! (`etsqp_serve::proto` — hostile length prefixes, truncated and
-//! oversized frames, bad version bytes, lying result/error payloads),
+//! every codec decoder, `Page::from_bytes`, `tsfile::read`, the network
+//! wire-frame parser (`etsqp_serve::proto` — hostile length prefixes,
+//! truncated and oversized frames, bad version bytes, lying
+//! result/error payloads),
 //! and the fold cursor (`etsqp_core::decode_fold`): `decode_column`
 //! (the packed-delta walker's write sink, or the serial fallback) and the
 //! cursor's fold over its five codecs — packed deltas, Delta-RLE in run
@@ -32,7 +31,7 @@
 //! Exit status: 0 when every iteration upheld the invariant, 1
 //! otherwise. The final line is machine-readable
 //! (`fuzz OK: <iters> iters, <targets> targets, <secs>s, <execs/sec>
-//! execs/sec`) for `scripts/bench.sh`.
+//! execs/sec`), the figure `BENCH_fuzz.json` records.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -40,9 +39,7 @@ use std::time::Instant;
 
 use etsqp_core::decode::{decode_column, DecodeOptions};
 use etsqp_core::decode_fold::FoldCursor;
-use etsqp_core::expr::AggFunc;
 use etsqp_core::fused::aggregate_delta_rle;
-use etsqp_core::partial::PartialState;
 use etsqp_core::plan::Value;
 use etsqp_encoding::Encoding;
 use etsqp_serve::proto::{
@@ -95,10 +92,6 @@ enum Target {
     Float(Encoding),
     PageImage,
     TsFileImage,
-    /// `PartialState::from_bytes` — the partial-aggregate wire format,
-    /// including the embedded t-digest (hostile centroid counts,
-    /// non-finite means/weights, envelope lies).
-    Partial,
     /// The network wire-frame grammar (`etsqp_serve::proto`): the
     /// incremental `FrameDecoder` plus the typed error/result payload
     /// parsers behind it.
@@ -289,7 +282,6 @@ impl Target {
             Target::Int(e) | Target::Float(e) => e.name().to_string(),
             Target::PageImage => "page".to_string(),
             Target::TsFileImage => "tsfile".to_string(),
-            Target::Partial => "partial".to_string(),
             Target::Proto => "proto".to_string(),
             Target::DecodeFold => "decode_fold".to_string(),
         }
@@ -372,20 +364,6 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
             if let Ok(p) = Page::encode_f64(&ts, &vals, Encoding::Ts2Diff, Encoding::Chimp) {
                 seeds.push(p.to_bytes());
             }
-            seeds
-        }
-        Target::Partial => {
-            // Valid serialized partials across the state shapes: plain
-            // moments, timestamp bounds, quantile sketch, and empty.
-            let mut seeds = Vec::new();
-            for func in [AggFunc::Sum, AggFunc::P95, AggFunc::First, AggFunc::Rate] {
-                let mut s = PartialState::new(func);
-                for i in 0..300i64 {
-                    s.push_tv(1_000 + i * 10, (i * 37) % 211 - 100);
-                }
-                seeds.push(s.to_bytes());
-            }
-            seeds.push(PartialState::new(AggFunc::Count).to_bytes());
             seeds
         }
         Target::Proto => {
@@ -562,36 +540,6 @@ fn check(target: &Target, input: &[u8], scratch: &Path) -> Verdict {
                 }
                 Ok(())
             }
-            Target::Partial => {
-                if let Ok(state) = PartialState::from_bytes(input) {
-                    // Accepted partials must re-serialize canonically…
-                    let canon = state.to_bytes();
-                    let back = PartialState::from_bytes(&canon)
-                        .map_err(|e| format!("accepted partial fails re-parse: {e}"))?;
-                    if back.to_bytes() != canon {
-                        return Err("accepted partial breaks canonical round-trip".into());
-                    }
-                    // …merge panic-free (the hot cross-page path)…
-                    let mut doubled = state.clone();
-                    doubled.merge(&state);
-                    // …and keep quantile estimates inside the envelope.
-                    if let Some(d) = &state.digest {
-                        for q in [0.0, 0.5, 1.0] {
-                            let est = d.quantile(q);
-                            if d.count() > 0 {
-                                let lo = d.min().unwrap_or(f64::NEG_INFINITY);
-                                let hi = d.max().unwrap_or(f64::INFINITY);
-                                if !(est >= lo && est <= hi) {
-                                    return Err(format!(
-                                        "quantile({q}) = {est} escaped [{lo}, {hi}]"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
             Target::Proto => {
                 // Drive the whole input through the incremental decoder.
                 // Every complete frame must re-encode to a stream that
@@ -727,9 +675,6 @@ fn content_hash(bytes: &[u8]) -> u64 {
 /// - `page__payload_bitflip`: a valid page image with one payload bit
 ///   flipped — must be rejected by the checksum trailer;
 /// - `tsfile__bad_magic` / `tsfile__truncated`: file-level corruption;
-/// - `partial__*`: partial-state wire-format hostility — truncation, a
-///   count field spliced to `u64::MAX`, a hostile embedded-digest
-///   centroid count, and a NaN centroid mean;
 /// - `decode_fold__*`: a 17-byte head (codec, flags, filter) plus column
 ///   bytes for the fold cursor — truncation, a count the payload cannot
 ///   back, hostile Stream VByte controls, a valid TS2DIFF column whose
@@ -808,37 +753,6 @@ pub fn emit_corpus(dir: &Path) -> std::io::Result<usize> {
         flipped[mid] ^= 0x10;
         emit("page__payload_bitflip".to_string(), &flipped)?;
         emit("page__truncated".to_string(), &image[..image.len() / 2])?;
-    }
-
-    // Partial-state wire format: one valid quantile partial, then the
-    // hostile variants the parser must reject as typed errors.
-    {
-        let mut state = PartialState::new(AggFunc::P95);
-        for i in 0..300i64 {
-            state.push_tv(1_000 + i * 10, (i * 37) % 211 - 100);
-        }
-        let valid = state.to_bytes();
-        emit("partial__truncated".to_string(), &valid[..valid.len() / 2])?;
-        // The count field (offset 32, u64 LE) lies: presence checks must
-        // catch a count that disagrees with the digest's weights.
-        let mut hostile = valid.clone();
-        hostile[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
-        emit("partial__hostile_count".to_string(), &hostile)?;
-        // The embedded digest trails the fixed fields; locate it by
-        // length so the splice targets its leading centroid count and
-        // first centroid mean regardless of option-tag layout.
-        let dbytes = state
-            .digest
-            .as_ref()
-            .map(|d| d.to_bytes())
-            .unwrap_or_default();
-        let doff = valid.len() - dbytes.len();
-        let mut hostile_m = valid.clone();
-        hostile_m[doff..doff + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        emit("partial__hostile_centroids".to_string(), &hostile_m)?;
-        let mut nan_mean = valid.clone();
-        nan_mean[doff + 4..doff + 12].copy_from_slice(&f64::NAN.to_le_bytes());
-        emit("partial__nan_mean".to_string(), &nan_mean)?;
     }
 
     // Network wire-frame hostility. Each is a deterministic byte-level
@@ -1034,7 +948,6 @@ pub fn run(cfg: &FuzzConfig) -> u64 {
         .chain([
             Target::PageImage,
             Target::TsFileImage,
-            Target::Partial,
             Target::Proto,
             Target::DecodeFold,
         ])

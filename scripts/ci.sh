@@ -36,11 +36,11 @@ cargo run -q -p xtask -- lint
 echo "==> cargo run -p xtask -- verify-plans"
 cargo run -q -p xtask -- verify-plans
 
-# Deterministic decoder fuzzing (crates/xtask), 17 targets: the nine
-# integer and three float codecs, `page`, `tsfile`, `partial`, `proto`
-# and `decode_fold`. Mutated codec streams, page images, tsfile images,
-# partial-state wire images and network wire frames must never panic a
-# decoder or break round-trip consistency, and mutated TS2DIFF / Sprintz
+# Deterministic decoder fuzzing (crates/xtask), 16 targets: the nine
+# integer and three float codecs, `page`, `tsfile`, `proto` and
+# `decode_fold`. Mutated codec streams, page images, tsfile images and
+# network wire frames must never panic a decoder or break round-trip
+# consistency, and mutated TS2DIFF / Sprintz
 # / Stream VByte / Delta-RLE / Gorilla columns must take `decode_column`
 # (the walker's write sink, or the serial fallback), the fold cursor
 # and, for Delta-RLE, the ungated run-space walk to the values and the
@@ -151,16 +151,6 @@ if cargo miri --version >/dev/null 2>&1; then
 else
     echo "==> miri unavailable, skipping (non-gating)"
 fi
-
-# Non-gating perf smoke: pool short-query throughput per configured
-# thread count (BENCH_pool.json). A perf regression here is a signal,
-# not a failure.
-echo "==> scripts/bench.sh (non-gating smoke)"
-ETSQP_BENCH_QUERIES="${ETSQP_BENCH_QUERIES:-100}" \
-ETSQP_BENCH_SERVE_QUERIES="${ETSQP_BENCH_SERVE_QUERIES:-200}" \
-ETSQP_BENCH_SERVE_MAX_CLIENTS="${ETSQP_BENCH_SERVE_MAX_CLIENTS:-64}" \
-    bash scripts/bench.sh \
-    || echo "WARN: bench smoke failed (non-gating)"
 
 # Non-gating: a fresh untraced benchmark run (seed 1, all five workloads,
 # about two minutes) against the committed baseline

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Non-test code lines per crate (ROADMAP item 3 scoreboard): lines under
+# Non-test code lines per crate (ROADMAP item 9 scoreboard): lines under
 # crates/{simd,core,storage,serve}/src that are neither blank nor
 # comment-only and come before the file's `#[cfg(test)] mod`.
 #

@@ -13,9 +13,8 @@
 //! bits used to overflow a shift by 64). File names are
 //! `<target>__<description>.bin`, where `<target>` is a codec name from
 //! `Encoding::name()`, `page` (a `Page::to_bytes` image), `tsfile`
-//! (an on-disk file image), `partial` (a `PartialState::to_bytes`
-//! wire image with its embedded t-digest), `proto` (a network
-//! wire-frame byte stream fed to `etsqp_serve::proto::FrameDecoder`), or
+//! (an on-disk file image), `proto` (a network wire-frame byte stream
+//! fed to `etsqp_serve::proto::FrameDecoder`), or
 //! `decode_fold` (a 17-byte head — codec, flags, filter — and the column
 //! bytes that `decode_column`, the fold cursor and, for Delta-RLE, the
 //! ungated run-space walk are held against the codec crate's serial
@@ -28,7 +27,6 @@ use std::path::{Path, PathBuf};
 use etsqp::core::decode::{decode_column, DecodeOptions};
 use etsqp::core::decode_fold::FoldCursor;
 use etsqp::core::fused::aggregate_delta_rle;
-use etsqp::core::partial::PartialState;
 use etsqp::encoding::Encoding;
 use etsqp::serve::proto::{self, FrameDecoder, FrameType, DEFAULT_MAX_FRAME_LEN};
 use etsqp::simd::agg::AggState;
@@ -70,19 +68,6 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                     } else {
                         let _ = page.decode();
                     }
-                }
-                Ok(())
-            }
-            "partial" => {
-                if let Ok(state) = PartialState::from_bytes(bytes) {
-                    let canon = state.to_bytes();
-                    let back = PartialState::from_bytes(&canon)
-                        .map_err(|e| format!("accepted partial fails re-parse: {e}"))?;
-                    if back.to_bytes() != canon {
-                        return Err("accepted partial breaks canonical round-trip".into());
-                    }
-                    let mut doubled = state.clone();
-                    doubled.merge(&state);
                 }
                 Ok(())
             }
