@@ -1,12 +1,18 @@
 //! The integrated IoT database facade (paper §VI): storage + SQL +
 //! pipeline engine behind one handle.
 
+use std::time::Instant;
+
 use etsqp_encoding::Encoding;
 use etsqp_storage::store::SeriesStore;
 
-use crate::plan::{execute, PipelineConfig, QueryResult};
+use crate::cancel::CancellationToken;
+use crate::expr::{AggFunc, Plan, Predicate, TimeRange};
+use crate::float::FloatRange;
+use crate::physical::pipe::{self, PhysicalPlan};
+use crate::plan::{execute, run_compiled, PipelineConfig, QueryResult, Value};
 use crate::sql;
-use crate::Result;
+use crate::{Error, Result};
 
 /// Engine-level options (per-database defaults for every query).
 #[derive(Debug, Clone, Copy)]
@@ -189,33 +195,68 @@ impl IotDb {
         Ok(())
     }
 
-    /// Aggregates a float series over optional time/value ranges.
+    /// Aggregates a float series over optional time / value ranges: a
+    /// plan whose value conjunct is `vrange`'s key range
+    /// ([`FloatRange::keys`]), run by the engine. `None` when no value
+    /// qualifies; COUNT as an `f64`. An integer series is a plan error.
     pub fn aggregate_f64(
         &self,
         series: &str,
-        trange: Option<crate::expr::TimeRange>,
-        vrange: Option<crate::float::FloatRange>,
-        func: crate::expr::AggFunc,
+        trange: Option<TimeRange>,
+        vrange: Option<FloatRange>,
+        func: AggFunc,
     ) -> Result<Option<f64>> {
-        let (agg, _) =
-            crate::float::aggregate_f64(&self.store, series, trange, vrange, &self.opts.pipeline)?;
-        Ok(agg.finish(func))
+        let pred = Predicate {
+            time: trange,
+            value: vrange.map(|r| r.keys()),
+        };
+        let r = self.float_query(&Plan::scan(series).filter(pred).aggregate(func))?;
+        Ok(match r.rows[0][0] {
+            Value::Float(v) => Some(v),
+            Value::Int(count) => Some(count as f64),
+            Value::Null => None,
+        })
     }
 
     /// Scans a float series' qualifying rows.
     pub fn scan_f64(
         &self,
         series: &str,
-        trange: Option<crate::expr::TimeRange>,
+        trange: Option<TimeRange>,
     ) -> Result<(Vec<i64>, Vec<f64>)> {
-        crate::float::scan_f64(&self.store, series, trange, &self.opts.pipeline)
+        let pred = Predicate {
+            time: trange,
+            value: None,
+        };
+        let r = self.float_query(&Plan::scan(series).filter(pred))?;
+        let mut out = (Vec::with_capacity(r.rows.len()), Vec::new());
+        for row in r.rows {
+            if let [Value::Int(t), Value::Float(v)] = row[..] {
+                out.0.push(t);
+                out.1.push(v);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Runs a plan over one series, refusing an integer one (an empty
+    /// series has no kind, and answers nothing).
+    fn float_query(&self, plan: &Plan) -> Result<QueryResult> {
+        let start = Instant::now();
+        let cfg = &self.opts.pipeline;
+        let phys = pipe::compile(plan, &self.store, cfg)?;
+        let p = &phys.pipelines[0];
+        if !p.float && (!p.pages.is_empty() || p.hot.is_some()) {
+            return Err(Error::Plan(format!("{} is not a float series", p.series)));
+        }
+        run_compiled(&phys, &self.store, cfg, &CancellationToken::none(), start)
     }
 
     /// Parses and executes one SQL statement. An `EXPLAIN <query>`
     /// statement compiles the query's physical pipeline and returns its
     /// rendering in [`QueryResult::explain`] instead of rows.
     pub fn query(&self, sql_text: &str) -> Result<QueryResult> {
-        self.query_ctl(sql_text, &crate::cancel::CancellationToken::none())
+        self.query_ctl(sql_text, &CancellationToken::none())
     }
 
     /// [`IotDb::query`] with a per-query deadline: past `timeout` the
@@ -226,61 +267,77 @@ impl IotDb {
         sql_text: &str,
         timeout: std::time::Duration,
     ) -> Result<QueryResult> {
-        self.query_ctl(
-            sql_text,
-            &crate::cancel::CancellationToken::with_timeout(timeout),
-        )
+        self.query_ctl(sql_text, &CancellationToken::with_timeout(timeout))
     }
 
     /// [`IotDb::query`] under a caller-held [`CancellationToken`]:
     /// calling [`CancellationToken::cancel`] from another thread stops
     /// the query within one morsel with [`crate::Error::Cancelled`].
-    ///
-    /// [`CancellationToken`]: crate::cancel::CancellationToken
-    /// [`CancellationToken::cancel`]: crate::cancel::CancellationToken::cancel
-    pub fn query_ctl(
+    pub fn query_ctl(&self, sql_text: &str, ctl: &CancellationToken) -> Result<QueryResult> {
+        self.query_with(sql_text, &self.opts.pipeline, ctl)
+    }
+
+    /// [`IotDb::query_ctl`] under a one-off pipeline configuration.
+    pub fn query_with(
         &self,
         sql_text: &str,
-        ctl: &crate::cancel::CancellationToken,
+        cfg: &PipelineConfig,
+        ctl: &CancellationToken,
     ) -> Result<QueryResult> {
-        match sql::parse_statement(sql_text)? {
-            sql::Statement::Query(plan) => {
-                crate::plan::execute_ctl(&plan, &self.store, &self.opts.pipeline, ctl)
-            }
-            sql::Statement::Explain(plan) => {
-                let start = std::time::Instant::now();
-                let text = crate::physical::pipe::explain(&plan, &self.store, &self.opts.pipeline)?;
-                Ok(QueryResult {
-                    columns: vec!["plan".into()],
-                    rows: Vec::new(),
-                    stats: crate::exec::ExecStats::default().snapshot(),
-                    elapsed: start.elapsed(),
-                    explain: Some(text),
-                })
-            }
+        let start = Instant::now();
+        let (plan, explain) = match sql::parse_statement(sql_text)? {
+            sql::Statement::Query(plan) => (plan, false),
+            sql::Statement::Explain(plan) => (plan, true),
+        };
+        let phys = self.compile_sql(&plan, cfg)?;
+        if !explain {
+            return run_compiled(&phys, &self.store, cfg, ctl, start);
         }
+        Ok(QueryResult {
+            columns: vec!["plan".into()],
+            rows: Vec::new(),
+            stats: crate::exec::ExecStats::default().snapshot(),
+            elapsed: start.elapsed(),
+            explain: Some(phys.render(cfg)),
+        })
     }
 
     /// Compiles `sql_text`'s query under the engine configuration and
     /// returns the rendered physical pipeline (the `EXPLAIN` text).
     pub fn explain(&self, sql_text: &str) -> Result<String> {
+        self.explain_with(sql_text, &self.opts.pipeline)
+    }
+
+    /// [`IotDb::explain`] under a one-off pipeline configuration.
+    pub fn explain_with(&self, sql_text: &str, cfg: &PipelineConfig) -> Result<String> {
         let plan = match sql::parse_statement(sql_text)? {
             sql::Statement::Query(plan) | sql::Statement::Explain(plan) => plan,
         };
-        crate::physical::pipe::explain(&plan, &self.store, &self.opts.pipeline)
+        Ok(self.compile_sql(&plan, cfg)?.render(cfg))
+    }
+
+    /// Compiles a plan parsed from SQL. SQL bounds values with integer
+    /// literals, which cannot state a float bound (a float series is
+    /// filtered on its ordered keys), so a value conjunct on a float
+    /// series is a plan error.
+    fn compile_sql(&self, plan: &Plan, cfg: &PipelineConfig) -> Result<PhysicalPlan> {
+        let phys = pipe::compile(plan, &self.store, cfg)?;
+        match (phys.pipelines.iter()).find(|p| p.float && p.pred.value.is_some()) {
+            Some(p) => Err(Error::Plan(format!(
+                "{} is a float series: an integer literal cannot bound its values",
+                p.series
+            ))),
+            None => Ok(phys),
+        }
     }
 
     /// Executes a pre-built logical plan.
-    pub fn execute(&self, plan: &crate::expr::Plan) -> Result<QueryResult> {
+    pub fn execute(&self, plan: &Plan) -> Result<QueryResult> {
         execute(plan, &self.store, &self.opts.pipeline)
     }
 
     /// Executes a plan under a one-off pipeline configuration.
-    pub fn execute_with(
-        &self,
-        plan: &crate::expr::Plan,
-        cfg: &PipelineConfig,
-    ) -> Result<QueryResult> {
+    pub fn execute_with(&self, plan: &Plan, cfg: &PipelineConfig) -> Result<QueryResult> {
         execute(plan, &self.store, cfg)
     }
 
@@ -288,9 +345,9 @@ impl IotDb {
     /// token.
     pub fn execute_ctl(
         &self,
-        plan: &crate::expr::Plan,
+        plan: &Plan,
         cfg: &PipelineConfig,
-        ctl: &crate::cancel::CancellationToken,
+        ctl: &CancellationToken,
     ) -> Result<QueryResult> {
         crate::plan::execute_ctl(plan, &self.store, cfg, ctl)
     }
@@ -299,7 +356,6 @@ impl IotDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Value;
 
     fn seeded_db(opts: EngineOptions) -> IotDb {
         let db = IotDb::new(opts);

@@ -22,13 +22,15 @@
 
 use std::collections::BTreeMap;
 
+use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
 
 use crate::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate, SlidingWindow};
 use crate::partial::PartialState;
+use crate::physical::pipe::snapshot_unary;
 use crate::plan::{finalize, finalize_pair, flatten_scan, PairMoments, Value};
-use crate::Result;
+use crate::{Error, Result};
 
 /// Evaluates `plan` naively. Returns `(columns, rows)` shaped exactly
 /// like [`crate::plan::execute`]'s `QueryResult` (same column names, same
@@ -37,9 +39,9 @@ pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec
     match plan {
         Plan::Aggregate { input, func } => {
             let (series, pred) = flatten_scan(input)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
+            let tuples = scan_tuples(store, &series, &pred)?;
             let col = format!("{}({series})", func.name());
-            Ok((vec![col], vec![vec![exact_agg(*func, &ts, &vals)]]))
+            Ok((vec![col], vec![vec![exact_agg(*func, &tuples)]]))
         }
         Plan::WindowAggregate {
             input,
@@ -47,15 +49,14 @@ pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec
             func,
         } => {
             let (series, pred) = flatten_scan(input)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
-            let per_window = window_tuples(&ts, &vals, window);
+            let tuples = scan_tuples(store, &series, &pred)?;
             let col = format!("{}({series})", func.name());
-            let rows = per_window
+            let rows = window_tuples(&tuples, window)
                 .into_iter()
-                .map(|(k, (wts, wvals))| {
+                .map(|(k, bucket)| {
                     vec![
                         Value::Int(window.t_min + k as i64 * window.dt),
-                        exact_agg(*func, &wts, &wvals),
+                        exact_agg(*func, &bucket),
                     ]
                 })
                 .collect();
@@ -63,11 +64,9 @@ pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec
         }
         Plan::Scan { .. } | Plan::Filter { .. } => {
             let (series, pred) = flatten_scan(plan)?;
-            let (ts, vals) = scan_tuples(store, &series, &pred)?;
-            let rows = ts
-                .into_iter()
-                .zip(vals)
-                .map(|(t, v)| vec![Value::Int(t), Value::Int(v)])
+            let t = scan_tuples(store, &series, &pred)?;
+            let rows = (t.ts.iter().zip(&t.vals))
+                .map(|(&ts, &v)| vec![Value::Int(ts), Value::of(v, t.float)])
                 .collect();
             Ok((vec!["time".into(), series], rows))
         }
@@ -109,6 +108,39 @@ pub fn execute(plan: &Plan, store: &SeriesStore) -> Result<(Vec<String>, Vec<Vec
     }
 }
 
+/// The qualifying tuples of one series, in time order. On a float
+/// series (`float`) the values are ordered keys, and `page[i]` is the
+/// sealed page tuple `i` came from (`None`: the hot chunk): a float
+/// SUM's rounding depends on that grouping. An integer series' exact
+/// moments do not, and leave `page` empty.
+#[derive(Default)]
+struct Tuples {
+    ts: Vec<i64>,
+    vals: Vec<i64>,
+    page: Vec<Option<usize>>,
+    float: bool,
+}
+
+impl Tuples {
+    /// Appends one tuple of `page`.
+    fn push(&mut self, t: i64, v: i64, page: Option<usize>) {
+        self.ts.push(t);
+        self.vals.push(v);
+        if self.float {
+            self.page.push(page);
+        }
+    }
+
+    /// Appends the tuples of `(ts, vals)` that pass `pred`.
+    fn extend(&mut self, ts: &[i64], vals: &[i64], page: Option<usize>, pred: &Predicate) {
+        for (&t, &v) in ts.iter().zip(vals) {
+            if tuple_qualifies(pred, t, v) {
+                self.push(t, v, page);
+            }
+        }
+    }
+}
+
 /// Whether one tuple passes the conjunctive predicate.
 fn tuple_qualifies(pred: &Predicate, t: i64, v: i64) -> bool {
     if let Some(tr) = pred.time {
@@ -128,57 +160,57 @@ fn tuple_qualifies(pred: &Predicate, t: i64, v: i64) -> bool {
 /// decoders, then walks the hot chunk's buffered columns — both halves
 /// of one atomic [`SeriesStore::snapshot`], so the oracle sees exactly
 /// the prefix of the append stream a concurrently planned engine query
-/// would. Tuples pass `pred` one at a time.
-fn scan_tuples(
-    store: &SeriesStore,
-    series: &str,
-    pred: &Predicate,
-) -> Result<(Vec<i64>, Vec<i64>)> {
-    let mut out_ts = Vec::new();
-    let mut out_vals = Vec::new();
-    let snap = store.snapshot(series)?;
-    for page in snap.pages {
+/// would. The snapshot is the planner's, unpruned: a float column is
+/// read as its ordered keys, hot chunk included. Tuples pass `pred` one
+/// at a time.
+fn scan_tuples(store: &SeriesStore, series: &str, pred: &Predicate) -> Result<Tuples> {
+    let (pages, hot, float) = snapshot_unary(store, series, &Predicate::default(), false)?;
+    let mut out = Tuples {
+        float,
+        ..Tuples::default()
+    };
+    for (i, page) in pages.iter().enumerate() {
         let (ts, vals) = page.decode()?;
-        for (&t, &v) in ts.iter().zip(&vals) {
-            if tuple_qualifies(pred, t, v) {
-                out_ts.push(t);
-                out_vals.push(v);
-            }
-        }
+        out.extend(&ts, &vals, Some(i), pred);
     }
-    if let Some(etsqp_storage::ingest::HotSnapshot::Int(hot)) = snap.hot {
-        for (&t, &v) in hot.ts.iter().zip(hot.vals.iter()) {
-            if tuple_qualifies(pred, t, v) {
-                out_ts.push(t);
-                out_vals.push(v);
-            }
-        }
+    if let Some(hot) = hot {
+        out.extend(&hot.ts, &hot.vals, None, pred);
     }
-    Ok((out_ts, out_vals))
+    Ok(out)
 }
 
 /// The exact (reference) aggregate over time-ordered qualifying tuples.
 ///
 /// * Quantiles use the **nearest-rank** definition over a full sorted
-///   copy — `sorted[round(q·(n−1))]`. The engine's t-digest answer is
+///   copy — `sorted[round(q·(n−1))]`, of the finite values on a float
+///   series (the sketch takes no other). The engine's t-digest answer is
 ///   *not* expected to match this bit-for-bit; the differential harness
 ///   compares by rank within [`crate::partial::TDigest::rank_error_bound`].
 /// * `RATE`/`DELTA` use the same `i128` first/last formulas as
 ///   [`finalize`], so they compare bit-exact.
+/// * A float series' other aggregates are [`float_agg`]'s.
 /// * Everything else accumulates through [`AggState`] and shares
 ///   [`finalize`]'s widening rules with the engine.
-pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
+fn exact_agg(func: AggFunc, t: &Tuples) -> Value {
+    let (ts, vals) = (&t.ts, &t.vals);
     if vals.is_empty() {
         return Value::Null;
     }
+    if let Some(q) = func.quantile() {
+        let finite = |&k: &i64| !t.float || ordered_i64_to_f64(k).is_finite();
+        let mut sorted: Vec<i64> = vals.iter().copied().filter(finite).collect();
+        sorted.sort_unstable();
+        let idx = ((sorted.len().max(1) - 1) as f64 * q).round() as usize;
+        return match sorted.get(idx) {
+            Some(&v) if t.float => Value::Float(ordered_i64_to_f64(v)),
+            Some(&v) => Value::Float(v as f64),
+            None => Value::Null,
+        };
+    }
+    if t.float {
+        return float_agg(func, t);
+    }
     match func {
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
-            let q = func.quantile().unwrap_or(0.5);
-            let mut sorted = vals.to_vec();
-            sorted.sort_unstable();
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            Value::Float(sorted[idx.min(sorted.len() - 1)] as f64)
-        }
         AggFunc::Rate => {
             let (ft, lt) = (ts[0], ts[ts.len() - 1]);
             if ft == lt {
@@ -204,22 +236,44 @@ pub fn exact_agg(func: AggFunc, ts: &[i64], vals: &[i64]) -> Value {
     }
 }
 
+/// A float series' reference aggregate, in the summation order that
+/// defines its real moments: each sealed page's tuples from zero into
+/// one partial, the partials added in storage order, hot tuples pushed
+/// last one at a time; [`finalize`] reads the result.
+fn float_agg(func: AggFunc, t: &Tuples) -> Value {
+    let mut total = PartialState::new_for(func, true);
+    let mut part: Option<(usize, PartialState)> = None;
+    for ((&ts, &v), &page) in t.ts.iter().zip(&t.vals).zip(&t.page) {
+        if part.as_ref().map(|p| Some(p.0)) != Some(page) {
+            if let Some((_, done)) = part.take() {
+                total.merge(&done);
+            }
+            part = page.map(|i| (i, PartialState::new_for(func, true)));
+        }
+        match &mut part {
+            Some((_, p)) => p.push_tv(ts, v),
+            None => total.push_tv(ts, v),
+        }
+    }
+    if let Some((_, done)) = part {
+        total.merge(&done);
+    }
+    finalize(func, &total)
+}
+
 /// Buckets qualifying tuples into per-window tuple lists, ascending by
 /// window index; only non-empty windows appear (matching the engine
 /// contract). Tuples stay in time order inside each bucket, which the
 /// order-sensitive reference aggregates (FIRST/LAST/RATE/DELTA) rely on.
-#[allow(clippy::type_complexity)]
-fn window_tuples(
-    ts: &[i64],
-    vals: &[i64],
-    w: &SlidingWindow,
-) -> Vec<(usize, (Vec<i64>, Vec<i64>))> {
-    let mut windows: BTreeMap<usize, (Vec<i64>, Vec<i64>)> = BTreeMap::new();
-    for (&t, &v) in ts.iter().zip(vals) {
-        if let Some(k) = w.window_of(t) {
-            let bucket = windows.entry(k).or_default();
-            bucket.0.push(t);
-            bucket.1.push(v);
+fn window_tuples(t: &Tuples, w: &SlidingWindow) -> Vec<(usize, Tuples)> {
+    let mut windows: BTreeMap<usize, Tuples> = BTreeMap::new();
+    for (i, &ts) in t.ts.iter().enumerate() {
+        if let Some(k) = w.window_of(ts) {
+            let bucket = windows.entry(k).or_insert_with(|| Tuples {
+                float: t.float,
+                ..Tuples::default()
+            });
+            bucket.push(ts, t.vals[i], t.page.get(i).copied().flatten());
         }
     }
     windows.into_iter().collect()
@@ -234,9 +288,11 @@ fn both_sides(
 ) -> Result<(Vec<i64>, Vec<i64>, String, Vec<i64>, Vec<i64>, String)> {
     let (ls, lp) = flatten_scan(left)?;
     let (rs, rp) = flatten_scan(right)?;
-    let (lt, lv) = scan_tuples(store, &ls, &lp)?;
-    let (rt, rv) = scan_tuples(store, &rs, &rp)?;
-    Ok((lt, lv, ls, rt, rv, rs))
+    let (l, r) = (scan_tuples(store, &ls, &lp)?, scan_tuples(store, &rs, &rp)?);
+    if let Some(s) = [(&l, &ls), (&r, &rs)].iter().find(|(t, _)| t.float) {
+        return Err(Error::Plan(format!("{} is a float series", s.1)));
+    }
+    Ok((l.ts, l.vals, ls, r.ts, r.vals, rs))
 }
 
 /// Time-ordered two-way merge; ties emit the left tuple first.

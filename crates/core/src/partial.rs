@@ -30,6 +30,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
+use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_simd::agg::AggState;
 use etsqp_storage::page::{forget_all_moments, memoized_pages, Page, PageHeader};
 
@@ -248,14 +249,31 @@ impl TDigest {
     }
 }
 
+/// Real-valued Σ and Σ² of a float series' values.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RealMoments {
+    /// Σ v.
+    pub sum: f64,
+    /// Σ v².
+    pub sum_sq: f64,
+}
+
 /// A mergeable partial aggregate state: the exact moments plus the
 /// timestamp bounds (`rate`/`delta`) and the optional quantile sketch.
 /// [`PartialState::merge`] must be called **in time order** — the same
 /// contract [`AggState::merge`] already documents for FIRST/LAST.
+///
+/// A float series' state folds the values' ordered keys into `agg`
+/// (COUNT, MIN, MAX, FIRST, LAST in key order) and the real values into
+/// `real` and the digest. Its SUM / AVG / VARIANCE therefore depend on
+/// the merge order, which the driver fixes: each page from zero, pages
+/// in storage order, hot values pushed last.
 #[derive(Debug, Clone, Default)]
 pub struct PartialState {
     /// Exact first-order/second-order moments, min/max, first/last.
     pub agg: AggState,
+    /// Real-valued moments: `Some` exactly on a float series' state.
+    pub real: Option<RealMoments>,
     /// Timestamp of the first qualifying tuple (set on tuple-level
     /// paths; fused whole-page paths leave it `None` — only
     /// `rate()`/`delta()` read it, and those never fuse).
@@ -276,13 +294,28 @@ impl PartialState {
         }
     }
 
-    /// Folds one qualifying tuple, tracking timestamps and the sketch.
+    /// [`PartialState::new`] for a float series (`float`): `real` set.
+    pub fn new_for(func: AggFunc, float: bool) -> Self {
+        PartialState {
+            real: float.then(RealMoments::default),
+            ..PartialState::new(func)
+        }
+    }
+
+    /// Folds one qualifying tuple, tracking timestamps and the sketch; on
+    /// a float state `v` is an ordered key and its real value feeds the
+    /// real moments and the sketch.
     pub fn push_tv(&mut self, t: i64, v: i64) {
         self.agg.push(v);
         self.first_ts.get_or_insert(t);
         self.last_ts = Some(t);
+        let x = self.real.map_or(v as f64, |_| ordered_i64_to_f64(v));
+        if let Some(r) = &mut self.real {
+            r.sum += x;
+            r.sum_sq += x * x;
+        }
         if let Some(d) = &mut self.digest {
-            d.push(v as f64);
+            d.push(x);
         }
     }
 
@@ -293,6 +326,14 @@ impl PartialState {
             return;
         }
         self.agg.merge(&other.agg);
+        match (&mut self.real, other.real) {
+            (Some(a), Some(b)) => {
+                a.sum += b.sum;
+                a.sum_sq += b.sum_sq;
+            }
+            (r @ None, b) => *r = b,
+            _ => {}
+        }
         if self.first_ts.is_none() {
             self.first_ts = other.first_ts;
         }

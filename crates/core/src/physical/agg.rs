@@ -39,7 +39,7 @@ use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::partial::{CacheKey, PartialCache, PartialState, TDigest};
-use crate::physical::node::{Stage, Strategy};
+use crate::physical::node::{SeriesPipeline, Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
 use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
 use crate::plan::PipelineConfig;
@@ -81,14 +81,16 @@ pub(crate) fn merge_states(windows: &mut WindowStates, states: &[(usize, Partial
 /// Folds time-ordered tuples that pass `pred` into their buckets' states
 /// (bucket 0 when unwindowed), tuple at a time with timestamps — what
 /// quantile sketches and rate/delta need, what the byte-serial baseline
-/// is, and how the driver folds the hot chunk. States already in
-/// `windows` keep accumulating, so a sketch sees one push sequence.
+/// and a float page are, and how the driver folds the hot chunk. States
+/// already in `windows` keep accumulating, so a sketch sees one push
+/// sequence; a new one is a float series' state when `float`.
 pub(crate) fn fold_tuples(
     ts: &[i64],
     vals: &[i64],
     pred: &Predicate,
     window: Option<SlidingWindow>,
     func: AggFunc,
+    float: bool,
     windows: &mut WindowStates,
 ) {
     for (&t, &v) in ts.iter().zip(vals) {
@@ -104,7 +106,7 @@ pub(crate) fn fold_tuples(
             },
             None => 0,
         };
-        bucket_mut(windows, k, || PartialState::new(func)).push_tv(t, v);
+        bucket_mut(windows, k, || PartialState::new_for(func, float)).push_tv(t, v);
     }
 }
 
@@ -154,6 +156,7 @@ pub(crate) fn memoized(
     };
     let state = PartialState {
         agg,
+        real: None,
         first_ts: Some(h.first_ts),
         last_ts: Some(h.last_ts),
         digest: None,
@@ -165,9 +168,10 @@ pub(crate) fn memoized(
 /// [`Strategy`]. Returns partial states keyed by window index (0 when
 /// unwindowed).
 ///
-/// `pred` is the pipeline's predicate; the page folds under its
-/// residual, which trusts the header and is therefore taken after the
-/// checksum. `cacheable` is the planner's
+/// The page folds under the residual of `p`'s predicate, which trusts
+/// the header and is therefore taken after the checksum; a page of a
+/// float series (`p.float`) folds its ordered keys tuple at a time.
+/// `cacheable` is the planner's
 /// [`crate::physical::node::PageDecision::cacheable`] verdict: every
 /// tuple of the page qualifies and the page lands in one bucket. Such a
 /// page's fold memoizes what it computed on the page, for [`memoized`]
@@ -178,7 +182,7 @@ pub(crate) fn memoized(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_page_job(
     page: &Page,
-    pred: &Predicate,
+    p: &SeriesPipeline,
     window: Option<SlidingWindow>,
     func: AggFunc,
     strategy: Strategy,
@@ -199,10 +203,14 @@ pub(crate) fn agg_page_job(
     page.ensure_verified().map_err(Error::Storage)?;
     // Only now is the header trusted to prove conjuncts: a page the
     // filter covers folds as an unfiltered one.
-    let pred = &pred.residual(&page.header, cfg.prune);
+    let pred = &p.pred.residual(&page.header, cfg.prune);
 
     let fold = || -> Result<WindowStates> {
-        let mut out = agg_page_states(page, pred, window, func, strategy, cfg, stats)?;
+        let mut out = if strategy == Strategy::Serial || p.float {
+            fold_page_tuples(page, pred, window, func, p.float, stats)?
+        } else {
+            agg_page_states(page, pred, window, func, cfg, stats)?
+        };
         // A digest leaves its page compressed, once, on every path: what
         // the digest cache holds is then what a miss merged, and rows do
         // not depend on whether it was on.
@@ -259,34 +267,42 @@ fn digest_partial(
     Ok(out)
 }
 
-/// Body of [`agg_page_job`] (everything after the I/O charge and the
-/// checksum verification): index range → bucket subranges → one fold
-/// per bucket.
+/// The tuple-at-a-time body of [`agg_page_job`]: decode value-at-a-time
+/// with the reference decoders, branch per tuple. The "Serial"/"IoTDB"
+/// baseline, and every page of a float series, whose keys no cursor or
+/// packed kernel folds.
+fn fold_page_tuples(
+    page: &Page,
+    pred: &Predicate,
+    window: Option<SlidingWindow>,
+    func: AggFunc,
+    float: bool,
+    stats: &ExecStats,
+) -> Result<WindowStates> {
+    let (ts, vals) = {
+        let _d = Stage::Delta.timer(stats);
+        page.decode().map_err(Error::Storage)?
+    };
+    stats
+        .materialized_bytes
+        .fetch_add((ts.len() + vals.len()) as u64 * 8, Ordering::Relaxed);
+    let _a = Stage::Agg.timer(stats);
+    let mut windows = WindowStates::new();
+    fold_tuples(&ts, &vals, pred, window, func, float, &mut windows);
+    Ok(windows)
+}
+
+/// The vectorized body of [`agg_page_job`] (everything after the I/O
+/// charge and the checksum verification): index range → bucket
+/// subranges → one fold per bucket.
 fn agg_page_states(
     page: &Page,
     pred: &Predicate,
     window: Option<SlidingWindow>,
     func: AggFunc,
-    strategy: Strategy,
     cfg: &PipelineConfig,
     stats: &ExecStats,
 ) -> Result<WindowStates> {
-    if strategy == Strategy::Serial {
-        // The "Serial"/"IoTDB" baseline: decode value-at-a-time with the
-        // reference decoders, branch per tuple.
-        let (ts, vals) = {
-            let _d = Stage::Delta.timer(stats);
-            page.decode().map_err(Error::Storage)?
-        };
-        stats
-            .materialized_bytes
-            .fetch_add((ts.len() + vals.len()) as u64 * 8, Ordering::Relaxed);
-        let _a = Stage::Agg.timer(stats);
-        let mut windows = WindowStates::new();
-        fold_tuples(&ts, &vals, pred, window, func, &mut windows);
-        return Ok(windows);
-    }
-
     // ---- The qualifying index range [a, b] ----------------------------
     // Ordered timestamps make the time filter, cut below at the window
     // origin, an index range; header bounds are exact, so a page they
@@ -339,7 +355,7 @@ fn agg_page_states(
             .ok_or(Error::Decode("column length mismatch (corrupt page)"))?;
         let _a = Stage::Agg.timer(stats);
         let mut windows = WindowStates::new();
-        fold_tuples(ts, &vals[a..=b], pred, window, func, &mut windows);
+        fold_tuples(ts, &vals[a..=b], pred, window, func, false, &mut windows);
         return Ok(windows);
     }
     let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), stats)?;

@@ -90,7 +90,7 @@ pub(crate) fn run(
             let rows = ts
                 .into_iter()
                 .zip(vals)
-                .map(|(t, v)| vec![Value::Int(t), Value::Int(v)])
+                .map(|(t, v)| vec![Value::Int(t), Value::of(v, p.float)])
                 .collect();
             Ok((vec!["time".into(), p.series.clone()], rows))
         }
@@ -254,7 +254,7 @@ fn aggregate_pipeline(
         ctl,
         |(page, strategy, cacheable)| {
             agg_page_job(
-                &page, pred, window, func, strategy, cacheable, cfg, stats, store,
+                &page, pipeline, window, func, strategy, cacheable, cfg, stats, store,
             )
         },
     )?;
@@ -286,7 +286,15 @@ fn aggregate_pipeline(
             let _a = Stage::Agg.timer(stats);
             // `hot_rows` already applied the predicate.
             let all = Predicate::default();
-            fold_tuples(&hts, &hvals, &all, window, func, &mut windows);
+            fold_tuples(
+                &hts,
+                &hvals,
+                &all,
+                window,
+                func,
+                pipeline.float,
+                &mut windows,
+            );
         } else {
             charge_pruned_hot(hot, stats);
         }

@@ -154,8 +154,9 @@ pub struct PageDecision {
 
 /// The hot-chunk scan source of a pipeline: a point-in-time copy of the
 /// series' unsealed append buffer, captured atomically with the sealed
-/// page list at plan-compile time via `SeriesStore::snapshot`. The
-/// columns are already decoded — the executor filters and folds them
+/// page list at plan-compile time via `SeriesStore::snapshot`, a float
+/// buffer as its ordered keys. The columns are already decoded — the
+/// executor filters and folds them
 /// directly, after every sealed-page partial (hot timestamps are
 /// strictly greater than all sealed ones, so first/last-sensitive
 /// merges stay ordered).
@@ -187,6 +188,10 @@ pub struct SeriesPipeline {
     /// materialize the snapshot as a transient page instead, so their
     /// partitioned merges see one uniform page list).
     pub hot: Option<HotScan>,
+    /// The series-kind bit, read once from the snapshot: a float series,
+    /// whose value column every path reads as its ordered keys. Its
+    /// states carry real-valued moments and its rows map back to `f64`.
+    pub float: bool,
 }
 
 impl SeriesPipeline {

@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{f64_to_ordered_i64, Encoding};
 use etsqp_storage::ingest::HotSnapshot;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
@@ -57,36 +57,66 @@ enum Role {
 /// Captures a series' atomic `(sealed pages, hot snapshot)` pair and
 /// compiles the hot half into the [`HotScan`] source of a unary
 /// pipeline, including its §V verdict over the snapshot's exact
-/// statistics. Float hot chunks are not compiled here — float queries go
-/// through [`crate::float`], which snapshots on its own.
-fn snapshot_unary(
+/// statistics; the third field is the series-kind bit (a float series).
+/// A float hot chunk compiles to its ordered keys, the form its pages
+/// decode to and its min/max are kept in, so it prunes, filters and
+/// folds like an integer one.
+pub(crate) fn snapshot_unary(
     store: &SeriesStore,
     series: &str,
     pred: &Predicate,
-    cfg: &PipelineConfig,
-) -> Result<(Vec<Arc<Page>>, Option<HotScan>)> {
+    prune: bool,
+) -> Result<(Vec<Arc<Page>>, Option<HotScan>, bool)> {
     let snap = store.snapshot(series).map_err(Error::Storage)?;
-    let hot = match snap.hot {
-        Some(HotSnapshot::Int(h)) => Some(HotScan {
-            verdict: hot_verdict(&h.ts, h.min_value, h.max_value, pred, cfg.prune),
-            ts: h.ts,
-            vals: h.vals,
-        }),
-        _ => None,
-    };
-    Ok((snap.pages, hot))
+    let mut float = float_pages(&snap.pages);
+    let hot = snap.hot.map(|hot| {
+        let (ts, vals, min, max) = match hot {
+            HotSnapshot::Int(h) => (h.ts, h.vals, h.min_value, h.max_value),
+            HotSnapshot::Float(h) => {
+                float = true;
+                let keys = h.vals.iter().map(|&v| f64_to_ordered_i64(v)).collect();
+                (h.ts, Arc::new(keys), h.min_value, h.max_value)
+            }
+        };
+        HotScan {
+            verdict: hot_verdict(&ts, min, max, pred, prune),
+            ts,
+            vals,
+        }
+    });
+    Ok((snap.pages, hot, float))
+}
+
+/// Whether sealed pages hold a float column (a series' pages share its
+/// value codec).
+fn float_pages(pages: &[Arc<Page>]) -> bool {
+    pages
+        .first()
+        .is_some_and(|p| p.header.val_encoding.is_float())
 }
 
 /// Captures a series' snapshot for a binary-operator side, materializing
 /// any hot points as one transient checksummed page (encoded with the
 /// series' own codecs) appended after the sealed pages. Partitioned
 /// merge nodes then see a single uniform page list — partitioning,
-/// pruning and pair-fusion checks all apply to live data unchanged.
+/// pruning and pair-fusion checks all apply to live data unchanged. A
+/// float side is a plan error: the merges pair, compare and combine
+/// integer values.
 fn pages_with_hot(store: &SeriesStore, series: &str) -> Result<Vec<Arc<Page>>> {
     let snap = store.snapshot(series).map_err(Error::Storage)?;
     let mut pages = snap.pages;
-    if let Some(HotSnapshot::Int(h)) = snap.hot {
-        pages.push(Arc::new(h.to_page().map_err(Error::Storage)?));
+    let float = match snap.hot {
+        Some(HotSnapshot::Int(h)) => {
+            pages.push(Arc::new(h.to_page().map_err(Error::Storage)?));
+            false
+        }
+        Some(HotSnapshot::Float(_)) => true,
+        None => float_pages(&pages),
+    };
+    if float {
+        return Err(Error::Plan(format!(
+            "{series} is a float series: binary operators take integer series"
+        )));
     }
     Ok(pages)
 }
@@ -125,8 +155,8 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
         } => aggregate_plan(input, *func, Some(*window), store, cfg),
         Plan::Scan { .. } | Plan::Filter { .. } => {
             let (series, pred) = flatten_scan(plan)?;
-            let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
-            let pipeline = build_pipeline(series, pred, pages, hot, Role::Rows, cfg);
+            let (pages, hot, float) = snapshot_unary(store, &series, &pred, cfg.prune)?;
+            let pipeline = build_pipeline(series, pred, pages, hot, float, Role::Rows, cfg);
             Ok(PhysicalPlan {
                 root: RootNode::Rows,
                 pipelines: vec![pipeline],
@@ -147,8 +177,8 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
             let lpages = pages_with_hot(store, &ls)?;
             let rpages = pages_with_hot(store, &rs)?;
             let fused = lp.is_trivial() && rp.is_trivial() && pair_fusible(&lpages, &rpages, cfg);
-            let lpipe = build_pipeline(ls, lp, lpages, None, Role::Rows, cfg);
-            let rpipe = build_pipeline(rs, rp, rpages, None, Role::Rows, cfg);
+            let lpipe = build_pipeline(ls, lp, lpages, None, false, Role::Rows, cfg);
+            let rpipe = build_pipeline(rs, rp, rpages, None, false, Role::Rows, cfg);
             Ok(PhysicalPlan {
                 root: RootNode::PairAgg { func: *func, fused },
                 pipelines: vec![lpipe, rpipe],
@@ -171,7 +201,7 @@ fn aggregate_plan(
     cfg: &PipelineConfig,
 ) -> Result<PhysicalPlan> {
     let (series, pred) = flatten_scan(input)?;
-    let (pages, hot) = snapshot_unary(store, &series, &pred, cfg)?;
+    let (pages, hot, float) = snapshot_unary(store, &series, &pred, cfg.prune)?;
     // Hot timestamps follow every sealed one; an empty series still
     // refuses a non-positive width.
     let last_ts = match &hot {
@@ -186,7 +216,8 @@ fn aggregate_plan(
             w.t_min, w.dt
         )));
     }
-    let pipeline = build_pipeline(series, pred, pages, hot, Role::Agg { window }, cfg);
+    let role = Role::Agg { window };
+    let pipeline = build_pipeline(series, pred, pages, hot, float, role, cfg);
     Ok(PhysicalPlan {
         root: RootNode::Aggregate { func, window },
         pipelines: vec![pipeline],
@@ -223,8 +254,8 @@ fn binary_sides(
     let lpages = pages_with_hot(store, &ls)?;
     let rpages = pages_with_hot(store, &rs)?;
     let partitions = merge_partitions(&lpages, &rpages, cfg.threads);
-    let lpipe = build_pipeline(ls, lp, lpages, None, Role::Rows, cfg);
-    let rpipe = build_pipeline(rs, rp, rpages, None, Role::Rows, cfg);
+    let lpipe = build_pipeline(ls, lp, lpages, None, false, Role::Rows, cfg);
+    let rpipe = build_pipeline(rs, rp, rpages, None, false, Role::Rows, cfg);
     Ok((lpipe, rpipe, partitions))
 }
 
@@ -235,6 +266,7 @@ fn build_pipeline(
     pred: Predicate,
     pages: Vec<Arc<Page>>,
     hot: Option<HotScan>,
+    float: bool,
     role: Role,
     cfg: &PipelineConfig,
 ) -> SeriesPipeline {
@@ -257,7 +289,7 @@ fn build_pipeline(
             // pruned page carries the obligation to checksum-verify
             // before it is dropped (§V verify-before-prune).
             checksum_obligation: !verdict.kept(),
-            cacheable: cacheable_page(page, &residual, &role, verdict.kept(), cfg),
+            cacheable: !float && cacheable_page(page, &residual, &role, verdict.kept(), cfg),
         });
     }
     SeriesPipeline {
@@ -266,6 +298,7 @@ fn build_pipeline(
         pages,
         decisions,
         hot,
+        float,
     }
 }
 
@@ -273,7 +306,8 @@ fn build_pipeline(
 /// `[cacheable]` in `EXPLAIN`; checked by the cache-obligation
 /// invariant): the whole-page partial must be a pure function of the
 /// page content — kept, every tuple qualifying (a trivial `residual`),
-/// and (under a windowed aggregate) the page inside one bucket.
+/// and (under a windowed aggregate) the page inside one bucket. A float
+/// series' page never is: its memo words would be integer Σ of keys.
 fn cacheable_page(
     page: &Page,
     residual: &Predicate,

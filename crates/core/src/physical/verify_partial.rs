@@ -96,7 +96,9 @@ pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> Veri
 /// from / memoize into its memo or the digest cache when the whole-page
 /// partial is the query's exact
 /// contribution for that page — cache enabled, page kept, no residual
-/// value conjunct, time range covers the page, and single bucket.
+/// value conjunct, time range covers the page, and single bucket — and
+/// the page is no float page, whose memo words would be integer Σ of
+/// its keys.
 pub(super) fn check_cache_obligations(
     p: &SeriesPipeline,
     role: &VerifyRole,
@@ -113,6 +115,8 @@ pub(super) fn check_cache_obligations(
             Some("cacheable page while the partial cache is disabled")
         } else if !d.verdict.kept() {
             Some("cacheable page that is pruned")
+        } else if page.header.val_encoding.is_float() {
+            Some("cacheable page of a float series")
         } else if !value_proved {
             Some("cacheable page under a residual value conjunct")
         } else if !time_proved {

@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_storage::store::SeriesStore;
 
 use crate::exec::{ExecStats, StatsSnapshot};
@@ -67,6 +68,16 @@ pub enum Value {
 }
 
 impl Value {
+    /// The cell of a column value `v`; a float series' (`float`) value
+    /// is its ordered key, which maps back to the `f64`.
+    pub(crate) fn of(v: i64, float: bool) -> Value {
+        if float {
+            Value::Float(ordered_i64_to_f64(v))
+        } else {
+            Value::Int(v)
+        }
+    }
+
     /// The value as f64 (NaN for NULL) — convenient in tests/benches.
     pub fn as_f64(&self) -> f64 {
         match self {
@@ -108,10 +119,21 @@ pub fn execute_ctl(
     cfg: &PipelineConfig,
     ctl: &crate::cancel::CancellationToken,
 ) -> Result<QueryResult> {
-    let stats = ExecStats::default();
     let start = Instant::now();
     let phys = pipe::compile(plan, store, cfg)?;
-    let (columns, rows) = driver::run(&phys, store, cfg, &stats, ctl)?;
+    run_compiled(&phys, store, cfg, ctl, start)
+}
+
+/// The driver half of [`execute_ctl`]: runs a plan compiled at `start`.
+pub(crate) fn run_compiled(
+    phys: &pipe::PhysicalPlan,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+    ctl: &crate::cancel::CancellationToken,
+    start: Instant,
+) -> Result<QueryResult> {
+    let stats = ExecStats::default();
+    let (columns, rows) = driver::run(phys, store, cfg, &stats, ctl)?;
     Ok(QueryResult {
         columns,
         rows,
@@ -210,47 +232,58 @@ pub(crate) fn flatten_scan(plan: &Plan) -> Result<(String, Predicate)> {
 /// first/last values and timestamps, and everything else reads the
 /// embedded exact moments. A state built from a bare `AggState`
 /// (`PartialState::from`) carries neither sketch nor timestamps, so the
-/// quantiles and `RATE` answer `Null` on it.
+/// quantiles and `RATE` answer `Null` on it. A float series' state
+/// answers in `f64`: MIN / MAX / FIRST / LAST mapped back from their
+/// ordered keys, SUM / AVG / VARIANCE from its real moments, RATE /
+/// DELTA from its real ends; COUNT stays an `Int`.
 pub fn finalize(func: AggFunc, state: &PartialState) -> Value {
     let agg = &state.agg;
     if agg.count == 0 {
         return Value::Null;
     }
-    match func {
-        AggFunc::Sum => i64::try_from(agg.sum)
+    let real = state.real;
+    let value = |k: Option<i64>| k.map_or(Value::Null, |k| Value::of(k, real.is_some()));
+    // `last − first`, real, or in i128: the span may exceed i64 even
+    // though each end fits.
+    let span = |f: i64, l: i64| match real {
+        Some(_) => ordered_i64_to_f64(l) - ordered_i64_to_f64(f),
+        None => (l as i128 - f as i128) as f64,
+    };
+    let n = agg.count as f64;
+    match (func, real) {
+        (AggFunc::Sum, Some(r)) => Value::Float(r.sum),
+        (AggFunc::Sum, None) => i64::try_from(agg.sum)
             .map(Value::Int)
             .unwrap_or(Value::Float(agg.sum as f64)),
-        AggFunc::Count => Value::Int(agg.count as i64),
-        AggFunc::Avg => agg.avg().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::Min => agg.min.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Max => agg.max.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Variance => agg.variance().map(Value::Float).unwrap_or(Value::Null),
-        AggFunc::First => agg.first.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::Last => agg.last.map(Value::Int).unwrap_or(Value::Null),
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => {
+        (AggFunc::Count, _) => Value::Int(agg.count as i64),
+        (AggFunc::Avg, Some(r)) => Value::Float(r.sum / n),
+        (AggFunc::Avg, None) => agg.avg().map(Value::Float).unwrap_or(Value::Null),
+        // Clamp: population variance is non-negative, but the
+        // E[x²]−mean² form can round below zero in f64.
+        (AggFunc::Variance, Some(r)) => Value::Float((r.sum_sq / n - (r.sum / n).powi(2)).max(0.0)),
+        (AggFunc::Variance, None) => agg.variance().map(Value::Float).unwrap_or(Value::Null),
+        (AggFunc::Min, _) => value(agg.min),
+        (AggFunc::Max, _) => value(agg.max),
+        (AggFunc::First, _) => value(agg.first),
+        (AggFunc::Last, _) => value(agg.last),
+        (AggFunc::P50 | AggFunc::P95 | AggFunc::P99, _) => {
             let q = func.quantile().unwrap_or(0.5);
             match &state.digest {
                 Some(d) if d.count() > 0 => Value::Float(d.quantile(q)),
                 _ => Value::Null,
             }
         }
-        AggFunc::Rate => match (agg.first, agg.last, state.first_ts, state.last_ts) {
+        (AggFunc::Rate, _) => match (agg.first, agg.last, state.first_ts, state.last_ts) {
             (Some(f), Some(l), Some(ft), Some(lt)) if ft != lt => {
-                // i128 intermediates: the value or time span may exceed
-                // i64 even though each endpoint fits.
-                let dv = l as i128 - f as i128;
-                let dt = lt as i128 - ft as i128;
-                Value::Float(dv as f64 / dt as f64)
+                Value::Float(span(f, l) / (lt as i128 - ft as i128) as f64)
             }
             _ => Value::Null, // fewer than two distinct instants
         },
-        AggFunc::Delta => match (agg.first, agg.last) {
-            (Some(f), Some(l)) => {
-                let dv = l as i128 - f as i128;
-                i64::try_from(dv)
-                    .map(Value::Int)
-                    .unwrap_or(Value::Float(dv as f64))
-            }
+        (AggFunc::Delta, _) => match (agg.first, agg.last) {
+            (Some(f), Some(l)) if real.is_none() => i64::try_from(l as i128 - f as i128)
+                .map(Value::Int)
+                .unwrap_or(Value::Float(span(f, l))),
+            (Some(f), Some(l)) => Value::Float(span(f, l)),
             _ => Value::Null,
         },
     }

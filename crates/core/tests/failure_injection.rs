@@ -176,7 +176,7 @@ fn every_pruned_page_is_verified_wherever_its_run_lands() {
 #[test]
 fn float_pages_pruned_on_a_lying_header_abort() {
     use etsqp_core::expr::TimeRange;
-    use etsqp_core::float::{aggregate_f64, scan_f64, FloatRange};
+    use etsqp_core::float::FloatRange;
     use etsqp_core::plan::PipelineConfig;
     use etsqp_encoding::f64_to_ordered_i64;
 
@@ -187,35 +187,37 @@ fn float_pages_pruned_on_a_lying_header_abort() {
             store.append_f64("f", i, 10.0 + i as f64 / 8.0).unwrap();
         }
         store.flush("f").unwrap();
-        store
-    };
-    let cfg = PipelineConfig {
-        threads: 2,
-        ..Default::default()
+        let opts = EngineOptions {
+            pipeline: PipelineConfig {
+                threads: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        IotDb::with_store(store, opts)
     };
     // Values run 10.0 ..= 41.875; the last page holds 34.0 and up.
     let above = Some(FloatRange { lo: 35.0, hi: 50.0 });
     let late = Some(TimeRange { lo: 200, hi: 300 });
     let clean = build();
-    let (agg, _) = aggregate_f64(&clean, "f", None, above, &cfg).unwrap();
-    assert_eq!(agg.count, 56);
-    assert_eq!(scan_f64(&clean, "f", late, &cfg).unwrap().0.len(), 56);
+    let count = clean.aggregate_f64("f", None, above, AggFunc::Count);
+    assert_eq!(count.unwrap(), Some(56.0));
+    assert_eq!(clean.scan_f64("f", late).unwrap().0.len(), 56);
 
-    let store = build();
-    store
+    let db = build();
+    db.store()
         .corrupt_page("f", 3, |p| p.header.max_value = f64_to_ordered_i64(20.0))
         .unwrap();
-    let got = aggregate_f64(&store, "f", None, above, &cfg);
+    let got = db.aggregate_f64("f", None, above, AggFunc::Count);
     assert!(
         matches!(got, Err(etsqp_core::Error::Storage(_))),
-        "value-pruned on a lie: {:?}",
-        got.map(|(a, _)| a)
+        "value-pruned on a lie: {got:?}"
     );
-    let store = build();
-    store
+    let db = build();
+    db.store()
         .corrupt_page("f", 3, |p| p.header.last_ts = 150)
         .unwrap();
-    let got = scan_f64(&store, "f", late, &cfg);
+    let got = db.scan_f64("f", late);
     assert!(
         matches!(got, Err(etsqp_core::Error::Storage(_))),
         "time-pruned on a lie: {:?}",
@@ -223,13 +225,12 @@ fn float_pages_pruned_on_a_lying_header_abort() {
     );
 }
 
-/// A kept page is hashed once on every path, the float executor's and
-/// the byte-serial engine's included: `Page::decode` / `decode_f64` go
-/// through the verified mark, so after one query every kept page carries
-/// it (and the next query pays a load, not a hash).
+/// A kept page is hashed once on every path, a float page's and the
+/// byte-serial engine's included: `Page::decode` goes through the
+/// verified mark, so after one query every kept page carries it (and the
+/// next query pays a load, not a hash).
 #[test]
 fn kept_float_and_serial_pages_are_marked_verified() {
-    use etsqp_core::float::aggregate_f64;
     use etsqp_core::plan::{execute, PipelineConfig};
 
     let cfg = PipelineConfig {
@@ -257,8 +258,8 @@ fn kept_float_and_serial_pages_are_marked_verified() {
         "nothing has read the pages yet"
     );
 
-    aggregate_f64(&store, "f", None, None, &cfg).unwrap();
-    assert!(marked("f"), "aggregate_f64 left a kept page unmarked");
+    execute(&Plan::scan("f").aggregate(AggFunc::Sum), &store, &cfg).unwrap();
+    assert!(marked("f"), "a float aggregate left a kept page unmarked");
     let serial = PipelineConfig {
         vectorized: false,
         ..cfg

@@ -6,8 +6,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::expr::{AggFunc, PairAggFunc, Plan, Predicate, TimeRange};
-use etsqp_core::float::{aggregate_f64, scan_f64, FloatRange};
+use etsqp_core::float::FloatRange;
 use etsqp_core::oracle;
 use etsqp_core::plan::{execute, PipelineConfig, Value};
 use etsqp_encoding::Encoding;
@@ -194,27 +195,33 @@ fn float_queries_see_hot_points() {
         want_sum += v;
     }
     assert!(store.buffered_points("f").unwrap() > 0);
-    let (agg, _) = aggregate_f64(&store, "f", None, None, &cfg()).unwrap();
-    assert_eq!(agg.count, 300);
-    assert!((agg.sum - want_sum).abs() < 1e-9);
-    let (ts, vals) = scan_f64(&store, "f", None, &cfg()).unwrap();
+    let opts = EngineOptions {
+        pipeline: cfg(),
+        ..Default::default()
+    };
+    let db = IotDb::with_store(store.clone(), opts);
+    let agg = |vrange, func| db.aggregate_f64("f", None, vrange, func).unwrap();
+    assert_eq!(agg(None, AggFunc::Count), Some(300.0));
+    assert!((agg(None, AggFunc::Sum).unwrap() - want_sum).abs() < 1e-9);
+    let (ts, vals) = db.scan_f64("f", None).unwrap();
     assert_eq!(ts.len(), 300);
     assert_eq!(vals.len(), 300);
     assert!(ts.windows(2).all(|w| w[0] < w[1]), "time-ordered");
     // Value-filtered: hot rows obey the range filter like sealed ones.
-    let (agg, _) = aggregate_f64(
-        &store,
-        "f",
-        None,
-        Some(FloatRange { lo: 0.0, hi: 10.0 }),
-        &cfg(),
-    )
-    .unwrap();
+    let range = Some(FloatRange { lo: 0.0, hi: 10.0 });
     let want = (0..300)
         .map(|i| (i as f64 * 0.37).sin() * 10.0)
         .filter(|v| (0.0..=10.0).contains(v))
-        .count() as u64;
-    assert_eq!(agg.count, want);
+        .count();
+    assert_eq!(agg(range, AggFunc::Count), Some(want as f64));
+    // The same hot chunk through SQL, and as the oracle reads it.
+    for sql in ["SELECT SUM(f) FROM f", "SELECT * FROM f WHERE time >= 98"] {
+        let plan = etsqp_core::sql::parse(sql).unwrap();
+        let got = db.query(sql).unwrap();
+        let (_, want) = oracle::execute(&plan, &store).unwrap();
+        assert!(!want.is_empty() && want[0][want[0].len() - 1] != Value::Null);
+        assert_eq!(format!("{:?}", got.rows), format!("{want:?}"), "{sql}");
+    }
 }
 
 /// Concurrent append-while-query: 8 query threads hammer a series that a

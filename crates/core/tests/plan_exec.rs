@@ -2,8 +2,11 @@
 //! `plan.rs` unit-test battery, now driving the public API through the
 //! Algorithm 2 compiler + driver).
 
-use etsqp_core::expr::{AggFunc, BinOp, CmpOp, Plan, Predicate};
+use etsqp_core::engine::{EngineOptions, IotDb};
+use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate};
+use etsqp_core::float::FloatRange;
 use etsqp_core::plan::{execute, finalize, PipelineConfig, Value};
+use etsqp_core::Error;
 use etsqp_encoding::Encoding;
 use etsqp_simd::agg::AggState;
 use etsqp_storage::store::SeriesStore;
@@ -407,6 +410,162 @@ fn delta_rle_values_use_full_fusion() {
         match (r.rows[0][0], want) {
             (Value::Float(a), Value::Float(b)) => assert!((a - b).abs() < 1e-9, "{func:?}"),
             (a, b) => assert_eq!(a, b, "{func:?}"),
+        }
+    }
+}
+
+/// A float series with 101.5 as its largest value: 100 points at
+/// `page_points` 64, flushed (`sealed`) or left in the hot chunk.
+fn float_db(sealed: bool) -> IotDb {
+    let db = IotDb::new(EngineOptions::default().with_page_points(if sealed { 64 } else { 1024 }));
+    db.create_series_f64("f", Encoding::Chimp).unwrap();
+    for i in 0..100i64 {
+        let v = 2.0 + i as f64 + if i == 99 { 0.5 } else { 0.0 };
+        db.append_f64("f", i, v).unwrap();
+    }
+    if sealed {
+        db.flush().unwrap();
+    }
+    db
+}
+
+/// SQL over a float series answers in floats, hot or sealed: SUM and MAX
+/// are the values' (not `Null`, not an ordered key, not a "float codec
+/// dispatched as integer column" error), and `SELECT *` returns the rows.
+#[test]
+fn sql_over_a_float_series_answers_in_floats() {
+    for sealed in [false, true] {
+        let db = float_db(sealed);
+        assert_eq!(
+            db.store().buffered_points("f").unwrap() == 0,
+            sealed,
+            "sealed={sealed}"
+        );
+        let cell = |sql: &str| db.query(sql).unwrap().rows[0][0];
+        let want_sum: f64 = (0..100).map(|i| 2.0 + i as f64).sum::<f64>() + 0.5;
+        assert_eq!(cell("SELECT SUM(f) FROM f"), Value::Float(want_sum));
+        assert_eq!(cell("SELECT MAX(f) FROM f"), Value::Float(101.5));
+        assert_eq!(cell("SELECT MIN(f) FROM f"), Value::Float(2.0));
+        assert_eq!(cell("SELECT COUNT(f) FROM f"), Value::Int(100));
+        let rows = db.query("SELECT * FROM f WHERE time >= 98").unwrap().rows;
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(98), Value::Float(100.0)],
+                vec![Value::Int(99), Value::Float(101.5)],
+            ],
+            "sealed={sealed}"
+        );
+    }
+}
+
+/// `FloatRange` bounds at ±0.0 select what IEEE `>=` / `<=` select, and
+/// pruning agrees with the filter: −0.0 lies in `[0.0, 10.0]` and +0.0 in
+/// `[-10.0, -0.0]` whether or not the page holding it is judged by its
+/// header first.
+#[test]
+fn signed_zero_bounds_agree_with_and_without_pruning() {
+    let store = SeriesStore::new(4);
+    store.create_series_f64("z", Encoding::Ts2Diff, Encoding::GorillaFloat);
+    let vals = [
+        -3.0, -2.0, -1.0, -0.0, // page 0: max is −0.0
+        0.0, 1.0, 2.0, 3.0, // page 1: min is +0.0
+        4.0, 5.0, 6.0, 7.0,
+    ];
+    for (i, &v) in vals.iter().enumerate() {
+        store.append_f64("z", i as i64, v).unwrap();
+    }
+    store.flush("z").unwrap();
+    for (lo, hi, want) in [
+        (0.0, 10.0, 9),
+        (-0.0, 10.0, 9),
+        (-10.0, -0.0, 5),
+        (-10.0, 0.0, 5),
+        (0.0, -0.0, 2),
+    ] {
+        let want_ieee = vals.iter().filter(|&&v| v >= lo && v <= hi).count();
+        assert_eq!(want, want_ieee);
+        let range = FloatRange { lo, hi };
+        let plan = Plan::scan("z")
+            .filter(range.predicate())
+            .aggregate(AggFunc::Count);
+        for prune in [true, false] {
+            for vectorized in [true, false] {
+                let config = PipelineConfig {
+                    prune,
+                    vectorized,
+                    ..cfg()
+                };
+                let r = execute(&plan, &store, &config).unwrap();
+                let label = format!("[{lo:?}, {hi:?}] prune={prune} vectorized={vectorized}");
+                assert_eq!(r.rows[0][0], Value::Int(want as i64), "{label}");
+                let opts = EngineOptions {
+                    pipeline: config,
+                    ..Default::default()
+                };
+                let db = IotDb::with_store(store.clone(), opts);
+                let count = db.aggregate_f64("z", None, Some(range), AggFunc::Count);
+                assert_eq!(count.unwrap(), Some(want as f64), "{label}");
+            }
+        }
+    }
+}
+
+/// What a float series cannot take is a typed plan error, hot or sealed:
+/// an integer literal bounding its values in SQL (queried or explained),
+/// and a float side of any binary operator.
+#[test]
+fn float_value_literals_and_binary_operators_are_plan_errors() {
+    for sealed in [false, true] {
+        let db = float_db(sealed);
+        db.create_series("i").unwrap();
+        for t in 0..100i64 {
+            db.append("i", t, t * 3).unwrap();
+        }
+        let plan_err = |r: Result<String, Error>, what: &str| {
+            assert!(
+                matches!(r, Err(Error::Plan(_))),
+                "{what} sealed={sealed}: {r:?}"
+            );
+        };
+        for sql in [
+            "SELECT SUM(f) FROM f WHERE f > 20",
+            "SELECT * FROM f WHERE f >= 3 AND time >= 5",
+            "SELECT COUNT(f) FROM (SELECT * FROM f WHERE f < 7) GROUP BY TIME(10)",
+            "EXPLAIN SELECT MAX(f) FROM f WHERE f > 1",
+        ] {
+            plan_err(db.query(sql).map(|r| format!("{:?}", r.rows)), sql);
+            plan_err(db.explain(sql), sql);
+        }
+        // Time filters stay fine in SQL.
+        assert!(db.query("SELECT SUM(f) FROM f WHERE time >= 5").is_ok());
+        for (left, right) in [("f", "i"), ("i", "f")] {
+            let (l, r) = (Box::new(Plan::scan(left)), Box::new(Plan::scan(right)));
+            let plans = [
+                Plan::Union {
+                    left: l.clone(),
+                    right: r.clone(),
+                },
+                Plan::Join {
+                    left: l.clone(),
+                    right: r.clone(),
+                    on: Some(CmpOp::Lt),
+                },
+                Plan::JoinExpr {
+                    left: l.clone(),
+                    right: r.clone(),
+                    op: BinOp::Add,
+                },
+                Plan::JoinAggregate {
+                    left: l,
+                    right: r,
+                    func: PairAggFunc::Dot,
+                },
+            ];
+            for plan in plans {
+                let what = format!("{plan:?}");
+                plan_err(db.execute(&plan).map(|r| format!("{:?}", r.rows)), &what);
+            }
         }
     }
 }

@@ -265,10 +265,11 @@ impl Encoding {
         }
     }
 
-    /// Decodes an integer column encoded with this codec.
-    ///
-    /// Dispatching a float codec here returns [`Error::Corrupt`] rather
-    /// than panicking, for the same reason as [`Encoding::decode_f64`].
+    /// Decodes a column as integers. A float column read as integers is
+    /// its ordered keys: [`Encoding::decode_f64`] mapped through
+    /// [`f64_to_ordered_i64`], the order its page headers already keep
+    /// min/max in. The mapping is a bijection on bits, so
+    /// [`ordered_i64_to_f64`] gives every value back bit-exact.
     pub fn decode_i64(self, bytes: &[u8]) -> Result<Vec<i64>> {
         match self {
             Encoding::Plain => plain::decode(bytes),
@@ -279,11 +280,10 @@ impl Encoding {
             Encoding::StreamVByte => stream_vbyte::decode(bytes),
             Encoding::Rlbe => rlbe::decode(bytes),
             Encoding::Gorilla => gorilla::decode_i64(bytes),
-            Encoding::Chimp | Encoding::Elf | Encoding::GorillaFloat => Err(Error::Corrupt {
-                codec: self.name(),
-                offset: 0,
-                reason: "float codec dispatched as integer column",
-            }),
+            Encoding::Chimp | Encoding::Elf | Encoding::GorillaFloat => {
+                let vals = self.decode_f64(bytes)?;
+                Ok(vals.into_iter().map(f64_to_ordered_i64).collect())
+            }
         }
     }
 }
@@ -398,6 +398,12 @@ mod tests {
             for (a, b) in back.iter().zip(&vals) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}", enc.name());
             }
+            // Read as integers, a float column is its ordered keys.
+            let keys = enc.decode_i64(&bytes).unwrap();
+            let want: Vec<i64> = vals.iter().map(|&v| f64_to_ordered_i64(v)).collect();
+            assert_eq!(keys, want, "{}", enc.name());
+            let cut = &bytes[..1];
+            assert_eq!(enc.decode_i64(cut).err(), enc.decode_f64(cut).err());
         }
         assert!(!Encoding::Ts2Diff.is_float());
     }

@@ -24,6 +24,9 @@
 //!    re-encodable losslessly — anything else is silent corruption);
 //! 3. otherwise a typed `Err` — fine, that is the contract.
 //!
+//! A float codec's target also holds `decode_i64` to `decode_f64` mapped
+//! to ordered keys: the same values, and the same error where it fails.
+//!
 //! Violations are greedily minimized and written to the corpus
 //! directory (default `tests/corpus/`) so `tests/corruption.rs` replays
 //! them forever after. The run is fully deterministic in `--seed`.
@@ -41,7 +44,7 @@ use etsqp_core::decode::{decode_column, DecodeOptions};
 use etsqp_core::decode_fold::FoldCursor;
 use etsqp_core::fused::aggregate_delta_rle;
 use etsqp_core::plan::Value;
-use etsqp_encoding::Encoding;
+use etsqp_encoding::{f64_to_ordered_i64, Encoding};
 use etsqp_serve::proto::{
     self, ErrorCode, FrameDecoder, FrameType, WireResult, DEFAULT_MAX_FRAME_LEN,
 };
@@ -512,6 +515,19 @@ fn check(target: &Target, input: &[u8], scratch: &Path) -> Verdict {
                 Ok(())
             }
             Target::Float(enc) => {
+                // Read as integers, a float column is its ordered keys,
+                // and fails exactly where its float decode fails.
+                let keys = enc.decode_i64(input);
+                let want = enc
+                    .decode_f64(input)
+                    .map(|v| v.into_iter().map(f64_to_ordered_i64).collect::<Vec<_>>());
+                if keys != want {
+                    return Err(format!(
+                        "decode_i64 is not the ordered keys of decode_f64: {:?} vs {:?}",
+                        keys.as_ref().map(Vec::len),
+                        want.as_ref().map(Vec::len)
+                    ));
+                }
                 if let Ok(values) = enc.decode_f64(input) {
                     let back = enc
                         .decode_f64(&enc.encode_f64(&values))

@@ -1479,7 +1479,7 @@ pub fn f(v: &[i64]) -> i64 {
         // A function of that name elsewhere in scope is no licence ...
         let r = analyze_source("crates/core/src/physical/scan.rs", good);
         assert_eq!(rules_fired(&r), ["verify-once"], "{r:?}");
-        // ... the whole engine is in scope, the float executor too ...
+        // ... the whole engine is in scope, the float key mapping too ...
         let r = analyze_source("crates/core/src/float.rs", bad);
         assert_eq!(rules_fired(&r), ["verify-once", "verify-once"], "{r:?}");
         // ... and so is the page: its decoders go through the mark, whose
@@ -1545,8 +1545,8 @@ pub fn f(v: &[i64]) -> i64 {
         assert!(r.violations.is_empty(), "{r:?}");
         let r = analyze_source("crates/core/src/physical/verify_partial.rs", proves);
         assert_eq!(rules_fired(&r), ["residual-predicate"], "{r:?}");
-        // Outside the physical IR (the residual itself, the float
-        // executor) the rule does not apply.
+        // Outside the physical IR (the residual itself, the float key
+        // mapping) the rule does not apply.
         for path in ["crates/core/src/expr.rs", "crates/core/src/float.rs"] {
             let r = analyze_source(path, bad);
             assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");

@@ -3,8 +3,9 @@
 //! Two passes, both gating in `scripts/ci.sh`:
 //!
 //! 1. **Enumeration** — compiles the 21-query differential battery over
-//!    every Table II dataset × value codec cell (plus the timestamp-codec
-//!    and hot+sealed cells) under the full pipeline-config cross, and runs
+//!    every Table II dataset × value codec cell (plus the timestamp-codec,
+//!    hot+sealed and float-codec cells) under the full pipeline-config
+//!    cross, and runs
 //!    each compiled [`PhysicalPlan`] through
 //!    [`verify_deep`](etsqp_core::physical::verify::verify_deep) (which
 //!    also discharges every checksum obligation) and
@@ -18,6 +19,7 @@
 //!    wrong reason — fails the build.
 
 use etsqp_core::expr::{AggFunc, BinOp, CmpOp, PairAggFunc, Plan, Predicate, TimeRange};
+use etsqp_core::float::FloatRange;
 use etsqp_core::physical::node::{PruneVerdict, RootNode, Strategy};
 use etsqp_core::physical::pipe;
 use etsqp_core::physical::verify::{verify, verify_deep, verify_explain, Invariant, VerifyResult};
@@ -266,6 +268,64 @@ fn cell(
     (store, queries)
 }
 
+/// A float cell: one series under a float codec, sealed or with a hot
+/// tail, and the unary queries of the battery (a binary operator refuses
+/// a float side), their value conjuncts `FloatRange` key ranges.
+fn float_cell(codec: Encoding, hot_tail: bool) -> (SeriesStore, Vec<(String, Plan)>) {
+    let store = SeriesStore::new(PAGE_POINTS);
+    store.create_series_f64("f", Encoding::Ts2Diff, codec);
+    let n = ROWS as i64 + if hot_tail { 40 } else { 0 };
+    for i in 0..n {
+        let v = (i as f64 * 0.37).sin() * 40.0 + (i % 7) as f64 * 0.1;
+        store.append_f64("f", i * 10, v).unwrap();
+        if i + 1 == ROWS as i64 {
+            store.flush("f").unwrap();
+        }
+    }
+    let t_mid = Predicate::time(ROWS as i64 * 10 / 4, ROWS as i64 * 30 / 4);
+    let v_band = FloatRange {
+        lo: -20.0,
+        hi: 20.0,
+    }
+    .predicate();
+    let cover = FloatRange {
+        lo: -50.0,
+        hi: 50.0,
+    }
+    .predicate();
+    let (w_min, w_dt) = (ROWS as i64 * 2, ROWS as i64);
+    let scan = || Plan::scan("f");
+    let queries: Vec<(String, Plan)> = vec![
+        ("SUM(all)".into(), scan().aggregate(AggFunc::Sum)),
+        (
+            "AVG(time)".into(),
+            scan().filter(t_mid).aggregate(AggFunc::Avg),
+        ),
+        (
+            "COUNT(value)".into(),
+            scan().filter(v_band).aggregate(AggFunc::Count),
+        ),
+        (
+            "MIN(both)".into(),
+            scan().filter(t_mid.and(&v_band)).aggregate(AggFunc::Min),
+        ),
+        (
+            "MAX(vcover)".into(),
+            scan().filter(cover).aggregate(AggFunc::Max),
+        ),
+        ("VARIANCE(all)".into(), scan().aggregate(AggFunc::Variance)),
+        ("LAST(all)".into(), scan().aggregate(AggFunc::Last)),
+        ("WSUM".into(), scan().window(w_min, w_dt, AggFunc::Sum)),
+        ("P95(all)".into(), scan().aggregate(AggFunc::P95)),
+        (
+            "WRATE(time)".into(),
+            scan().filter(t_mid).window(w_min, w_dt, AggFunc::Rate),
+        ),
+        ("SCAN(both)".into(), scan().filter(t_mid.and(&v_band))),
+    ];
+    (store, queries)
+}
+
 /// Compile + deep-verify + EXPLAIN-round-trip one plan under one config.
 fn check_one(store: &SeriesStore, plan: &Plan, cfg: &PipelineConfig) -> Result<(), String> {
     let phys = pipe::compile(plan, store, cfg).map_err(|e| format!("compile: {e}"))?;
@@ -367,6 +427,28 @@ pub fn run() -> Report {
         }
     }
 
+    // Float cells under the full cross: their pages are never
+    // `[cacheable]`, whatever the configuration.
+    for codec in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
+        for hot in [false, true] {
+            let (store, queries) = float_cell(codec, hot);
+            report.cells += 1;
+            for (qname, plan) in &queries {
+                for cfg in &cross {
+                    report.plans += 1;
+                    if let Err(e) = check_one(&store, plan, cfg) {
+                        report.violations += 1;
+                        eprintln!(
+                            "verify-plans: VIOLATION float val={codec:?} hot={hot} cfg=[{}] \
+                             query={qname}: {e}",
+                            cfg_label(cfg),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     mutation_pass(&mut report);
     report
 }
@@ -400,7 +482,8 @@ fn expect(name: &str, want: Invariant, res: VerifyResult, report: &mut Report) {
 /// A deterministic fixture store: sealed series `m`/`n`, a series `h`
 /// with a live hot tail, a series `d` whose page 2 is corrupted after
 /// sealing (its checksum no longer matches), and Delta-RLE series `r` /
-/// `q` whose clocks are five ticks apart (pages not aligned).
+/// `q` whose clocks are five ticks apart (pages not aligned), and a
+/// sealed float series `fl`.
 fn mutation_store() -> SeriesStore {
     let store = SeriesStore::new(PAGE_POINTS);
     let ts: Vec<i64> = (0..ROWS as i64).map(|i| i * 10).collect();
@@ -421,6 +504,11 @@ fn mutation_store() -> SeriesStore {
             .append("h", ROWS as i64 * 10 + i * 10, 500 + i)
             .unwrap();
     }
+    store.create_series_f64("fl", Encoding::Ts2Diff, Encoding::Chimp);
+    for (&t, &v) in ts.iter().zip(&vals) {
+        store.append_f64("fl", t, v as f64 / 8.0).unwrap();
+    }
+    store.flush("fl").unwrap();
     store
         .corrupt_page("d", 2, |p| {
             let mut v = p.val_bytes.to_vec();
@@ -614,6 +702,17 @@ fn mutation_pass(report: &mut Report) {
     d.cacheable = true;
     expect(
         "cache-obligation/value-filtered",
+        Invariant::CacheObligation,
+        verify(&phys, &cfg),
+        report,
+    );
+
+    // cache-obligation: a float page marked cacheable (its memo words
+    // would be integer Σ of ordered keys, served as a real SUM).
+    let mut phys = pipe::compile(&Plan::scan("fl").aggregate(AggFunc::Sum), &store, &cfg).unwrap();
+    phys.pipelines[0].decisions[0].cacheable = true;
+    expect(
+        "cache-obligation/float-page",
         Invariant::CacheObligation,
         verify(&phys, &cfg),
         report,

@@ -1,13 +1,14 @@
 //! Float sensor columns end-to-end: ingest f64 readings under the XOR
 //! codec family (Gorilla / Chimp / Elf), compare their footprints, and
-//! run pruned range aggregations.
+//! run pruned range aggregations, through the `aggregate_f64` shim and
+//! SQL alike.
 //!
 //! ```sh
 //! cargo run --release --example float_sensors
 //! ```
 
 use etsqp::core::float::FloatRange;
-use etsqp::{AggFunc, Encoding, EngineOptions, IotDb, TimeRange};
+use etsqp::{AggFunc, Encoding, EngineOptions, IotDb, TimeRange, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = IotDb::new(EngineOptions::default());
@@ -63,6 +64,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AggFunc::Count,
     )?;
     println!("COUNT(temp > 24.5): {:?}", hot);
+
+    // The same series through SQL: hourly averages over the second half
+    // (GROUP BY TIME snaps its origin to a multiple of the width). Each
+    // bucket is the shim's AVG over the bucket's time range, bit for bit:
+    // both sum every page's slice from zero, pages in storage order.
+    let hour = 3_600_000;
+    let sql = format!(
+        "SELECT AVG(temp_elf) FROM temp_elf WHERE time >= {} GROUP BY TIME({hour})",
+        recent.lo
+    );
+    let hourly = db.query(&sql)?;
+    for row in &hourly.rows {
+        let (Value::Int(start), Value::Float(avg)) = (row[0], row[1]) else {
+            return Err(format!("malformed row {row:?}").into());
+        };
+        let bucket = TimeRange {
+            lo: start.max(recent.lo),
+            hi: start + hour - 1,
+        };
+        let shim = db.aggregate_f64("temp_elf", Some(bucket), None, AggFunc::Avg)?;
+        assert_eq!(shim.map(f64::to_bits), Some(avg.to_bits()), "hour {start}");
+    }
+    println!(
+        "{} hourly AVG(temp_elf) rows through SQL, each equal to the shim's ✔",
+        hourly.rows.len()
+    );
 
     // Verify all three codecs agree on every aggregate.
     for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Variance] {

@@ -81,6 +81,12 @@ cargo test -q --release --test differential
 echo "==> cargo build --release --offline --manifest-path bench/Cargo.toml"
 cargo build --release --offline --manifest-path bench/Cargo.toml
 
+# The float example asserts that its three codecs agree and that SQL's
+# GROUP BY TIME answers what the `aggregate_f64` shim answers, bit for
+# bit, on a 200 000-point series per codec.
+echo "==> cargo run --release -q --example float_sensors"
+cargo run --release -q --example float_sensors >/dev/null
+
 # The Fig. 14 ablations live in crates/bench, outside the engine: run the
 # binary at a small scale so its arms keep compiling, keep running, and
 # keep asserting that every arm (decode then sum, Delta, Delta+Repeat,

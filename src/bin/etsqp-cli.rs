@@ -29,7 +29,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use etsqp::core::cancel::CancellationToken;
-use etsqp::core::plan::PipelineConfig;
+use etsqp::core::plan::{PipelineConfig, QueryResult};
+use etsqp::core::sql::{parse_statement, Statement};
+use etsqp::core::Error;
 use etsqp::datasets::Spec;
 use etsqp::{EngineOptions, IotDb, Value};
 
@@ -130,25 +132,15 @@ fn is_corrupt(mut e: &(dyn std::error::Error + 'static)) -> bool {
 }
 
 fn run_sql(db: &IotDb, cfg: &PipelineConfig, timeout: Option<Duration>, sql: &str) {
-    let plan = match etsqp::core::sql::parse_statement(sql) {
-        Ok(etsqp::core::sql::Statement::Query(p)) => p,
-        Ok(etsqp::core::sql::Statement::Explain(p)) => {
-            match etsqp::core::physical::pipe::explain(&p, db.store(), cfg) {
-                Ok(text) => print!("{text}"),
-                Err(e) => eprintln!("error: {e}"),
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return;
-        }
-    };
     let ctl = match timeout {
         Some(t) => CancellationToken::with_timeout(t),
         None => CancellationToken::none(),
     };
-    match db.execute_ctl(&plan, cfg, &ctl) {
+    match db.query_with(sql, cfg, &ctl) {
+        Ok(QueryResult {
+            explain: Some(text),
+            ..
+        }) => print!("{text}"),
         Ok(r) => {
             println!("{}", r.columns.join(" | "));
             let shown = r.rows.len().min(20);
@@ -169,6 +161,7 @@ fn run_sql(db: &IotDb, cfg: &PipelineConfig, timeout: Option<Duration>, sql: &st
                 r.stats.tuples_pruned,
             );
         }
+        Err(e @ Error::Sql(_)) => eprintln!("parse error: {e}"),
         Err(e) => eprintln!("error: {e}"),
     }
 }
@@ -177,22 +170,16 @@ fn run_sql(db: &IotDb, cfg: &PipelineConfig, timeout: Option<Duration>, sql: &st
 /// as the SQL `EXPLAIN <query>` verb), followed by per-series storage
 /// statistics from the page headers.
 fn explain(db: &IotDb, cfg: &PipelineConfig, sql: &str) {
-    let plan = match etsqp::core::sql::parse_statement(sql) {
-        Ok(etsqp::core::sql::Statement::Query(p)) | Ok(etsqp::core::sql::Statement::Explain(p)) => {
-            p
-        }
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return;
-        }
-    };
-    match etsqp::core::physical::pipe::explain(&plan, db.store(), cfg) {
+    match db.explain_with(sql, cfg) {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("error: {e}");
             return;
         }
     }
+    let Ok(Statement::Query(plan) | Statement::Explain(plan)) = parse_statement(sql) else {
+        return;
+    };
     for name in db.store().series_names() {
         if !format!("{plan:?}").contains(&format!("\"{name}\"")) {
             continue;

@@ -53,6 +53,6 @@ pub use etsqp_storage as storage;
 
 pub use etsqp_core::engine::{EngineOptions, IotDb};
 pub use etsqp_core::expr::{AggFunc, Plan, Predicate, SlidingWindow, TimeRange};
-pub use etsqp_core::float::{FloatAgg, FloatRange};
+pub use etsqp_core::float::FloatRange;
 pub use etsqp_core::plan::{PipelineConfig, QueryResult, Value};
 pub use etsqp_encoding::Encoding;

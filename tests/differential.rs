@@ -12,7 +12,9 @@ use etsqp::core::physical::pipe;
 use etsqp::core::plan::execute;
 use etsqp::datasets::Spec;
 use etsqp::storage::store::SeriesStore;
-use etsqp::{AggFunc, Encoding, PipelineConfig, Plan, Predicate, TimeRange, Value};
+use etsqp::{
+    AggFunc, Encoding, EngineOptions, IotDb, PipelineConfig, Plan, Predicate, TimeRange, Value,
+};
 
 const ROWS: usize = 256;
 const PAGE_POINTS: usize = 64;
@@ -2110,4 +2112,215 @@ fn residual_predicates_fold_covered_pages_as_unfiltered_ones() {
         "differential residual-predicate sweep: {cases} cases, cold = warm = cleared = off, \
          {served} served from headers and memos"
     );
+}
+
+/// A cell as its bits: floats compare bit for bit (NaN payload and the
+/// sign of zero included), not by `==`.
+fn cell_bits(v: &Value) -> (u8, u64) {
+    match v {
+        Value::Int(i) => (0, *i as u64),
+        Value::Float(f) => (1, f.to_bits()),
+        Value::Null => (2, 0),
+    }
+}
+
+/// Block S: float series. Each float codec × every aggregate × time
+/// filters × `FloatRange` filters (their key ranges, through `execute`)
+/// × windows that are absent, page-aligned (`SW`) and half a page early
+/// × a hot tail or none × `threads ∈ {1, 2, 8}` × vectorized on and off
+/// × pruning on and off. The values hold NaN, ±0.0 and ±∞. Rows equal
+/// the oracle's bit for bit — the real SUM / AVG / VARIANCE in the
+/// merge order that defines them — except quantiles, which stay within
+/// the t-digest rank bound of the finite values. No float page is
+/// `[cacheable]`. `GROUP BY TIME` runs through SQL (time filters only:
+/// SQL cannot bound a float's values) against the oracle of its plan.
+#[test]
+fn float_series_agree_with_oracle_bit_for_bit() {
+    use etsqp::core::partial::TDigest;
+    use etsqp::FloatRange;
+
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| 1_000 + i * 10 + i % 3).collect();
+    let vals: Vec<f64> = (0..ROWS)
+        .map(|i| match i {
+            3 => f64::NAN,
+            100 => -0.0,
+            101 => 0.0,
+            190 => f64::NEG_INFINITY,
+            250 => f64::INFINITY,
+            _ => (i as f64 * 0.37).sin() * 40.0 + (i % 7) as f64 * 0.1,
+        })
+        .collect();
+    let page_span = PAGE_POINTS as i64 * 10;
+    let windows = [
+        None,
+        Some((1_000, page_span)),
+        Some((1_000 - page_span / 2, page_span)),
+    ];
+    let times = [
+        None,
+        Some(TimeRange {
+            lo: ts[20],
+            hi: ts[180],
+        }),
+    ];
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let ranges = [
+        None,
+        Some(FloatRange {
+            lo: -10.0,
+            hi: 10.0,
+        }),
+        Some(FloatRange { lo: 0.0, hi: inf }),
+        Some(FloatRange { lo: -inf, hi: -0.0 }),
+        Some(FloatRange { lo: -0.0, hi: 0.0 }),
+        Some(FloatRange { lo: nan, hi: 1.0 }),
+        Some(FloatRange { lo: 5.0, hi: 1.0 }),
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Variance,
+        AggFunc::First,
+        AggFunc::Last,
+        AggFunc::P50,
+        AggFunc::P95,
+        AggFunc::P99,
+        AggFunc::Rate,
+        AggFunc::Delta,
+    ];
+    let mut configs = Vec::new();
+    for threads in [1usize, 2, 8] {
+        for vectorized in [true, false] {
+            for prune in [true, false] {
+                configs.push(PipelineConfig {
+                    threads,
+                    vectorized,
+                    prune,
+                    partial_cache: true,
+                });
+            }
+        }
+    }
+    let rows_bits = |rows: &[Vec<Value>]| -> Vec<Vec<(u8, u64)>> {
+        rows.iter()
+            .map(|r| r.iter().map(cell_bits).collect())
+            .collect()
+    };
+    let mut cases = 0usize;
+    for codec in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
+        for hot in [false, true] {
+            let store = SeriesStore::new(PAGE_POINTS);
+            store.create_series_f64("f", Encoding::Ts2Diff, codec);
+            let sealed = if hot { ROWS - 40 } else { ROWS };
+            for (i, (&t, &v)) in ts.iter().zip(&vals).enumerate() {
+                store.append_f64("f", t, v).unwrap();
+                if i + 1 == sealed {
+                    store.flush("f").unwrap();
+                }
+            }
+            assert_eq!(store.buffered_points("f").unwrap(), ROWS - sealed);
+            for func in funcs {
+                for time in times {
+                    for range in ranges {
+                        for window in windows {
+                            let pred = Predicate {
+                                time,
+                                value: range.map(|r| r.keys()),
+                            };
+                            let scan = Plan::scan("f").filter(pred);
+                            let plan = match window {
+                                Some((t_min, dt)) => scan.window(t_min, dt, func),
+                                None => scan.aggregate(func),
+                            };
+                            let label = format!(
+                                "FLOAT {codec:?} hot={hot} {func:?} time={time:?} \
+                                 range={:?} window={window:?}",
+                                range.map(|r| (r.lo, r.hi))
+                            );
+                            let (ocols, orows) = oracle::execute(&plan, &store).unwrap();
+                            for cfg in &configs {
+                                let label = format!("{label} cfg=[{}]", cfg_label(cfg));
+                                let got = execute(&plan, &store, cfg)
+                                    .unwrap_or_else(|e| panic!("{label}: engine error {e}"));
+                                assert_eq!(got.columns, ocols, "{label}");
+                                cases += 1;
+                                let Some(q) = func.quantile() else {
+                                    assert_eq!(
+                                        rows_bits(&got.rows),
+                                        rows_bits(&orows),
+                                        "{label}: engine {:?} != oracle {:?}",
+                                        preview(&got.rows),
+                                        preview(&orows),
+                                    );
+                                    continue;
+                                };
+                                for row in &got.rows {
+                                    let (start, dt, est) = match (window, &row[..]) {
+                                        (None, [est]) => (i64::MIN / 2, i64::MAX, est),
+                                        (Some((_, dt)), [Value::Int(start), est]) => {
+                                            (*start, dt, est)
+                                        }
+                                        _ => panic!("{label}: malformed row {row:?}"),
+                                    };
+                                    let mut bucket: Vec<f64> = (ts.iter().zip(&vals))
+                                        .filter(|(&t, &v)| {
+                                            t >= start
+                                                && t - start < dt
+                                                && time.is_none_or(|r| r.contains(t))
+                                                && range.is_none_or(|r| v >= r.lo && v <= r.hi)
+                                                && v.is_finite()
+                                        })
+                                        .map(|(_, &v)| v)
+                                        .collect();
+                                    bucket.sort_by(f64::total_cmp);
+                                    let n = bucket.len() as u64;
+                                    let est = match *est {
+                                        Value::Float(est) if n > 0 => est,
+                                        Value::Null if n == 0 => continue,
+                                        _ => panic!("{label}: quantile cell {est:?} of {n}"),
+                                    };
+                                    let below = bucket.partition_point(|&v| v < est) as f64;
+                                    let upto = bucket.partition_point(|&v| v <= est) as f64;
+                                    let (target, bound) =
+                                        (q * n as f64, TDigest::rank_error_bound(n));
+                                    assert!(
+                                        below - bound <= target && target <= upto + bound,
+                                        "{label}: {row:?} outside the rank bound"
+                                    );
+                                }
+                            }
+                            let text = pipe::explain(&plan, &store, &configs[0]).unwrap();
+                            assert!(!text.contains("[cacheable]"), "{label}:\n{text}");
+                        }
+                    }
+                }
+                // `GROUP BY TIME` and a time filter through SQL, as the
+                // shell and the server run it.
+                let db = IotDb::with_store(store.clone(), EngineOptions::default());
+                for sql in [
+                    format!("SELECT {}(f) FROM f GROUP BY TIME(300)", func.name()),
+                    format!(
+                        "SELECT {}(f) FROM f WHERE time >= {} AND time <= {} GROUP BY TIME(250)",
+                        func.name(),
+                        ts[20],
+                        ts[180]
+                    ),
+                ] {
+                    let plan = etsqp::core::sql::parse(&sql).unwrap();
+                    let (_, orows) = oracle::execute(&plan, &store).unwrap();
+                    let got = db.query(&sql).unwrap();
+                    match func.quantile() {
+                        Some(_) => assert_eq!(got.rows.len(), orows.len(), "{sql}"),
+                        None => assert_eq!(rows_bits(&got.rows), rows_bits(&orows), "{sql}"),
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 3 * 2 * 13 * (2 * 7 * 3 * 12 + 2));
+    eprintln!("differential float sweep: {cases} cases, bit-identical to the oracle");
 }

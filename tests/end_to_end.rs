@@ -144,6 +144,14 @@ fn baselines_agree_with_engine() {
 #[test]
 fn tsfile_persistence_roundtrip() {
     let (db, ts, _) = load(Spec::Atmosphere, 10_000, EngineOptions::default());
+    // A float series rides along: its pages keep the ordered keys of
+    // their min/max, and SQL answers from it the same after the reload.
+    db.create_series_f64("f", Encoding::Elf).unwrap();
+    for (i, &t) in ts.iter().enumerate() {
+        let v = ((20.0 + (i as f64 * 0.01).sin() * 4.0) * 100.0).round() / 100.0;
+        db.append_f64("f", t, v).unwrap();
+    }
+    db.flush().unwrap();
     let dir = std::env::temp_dir().join("etsqp_integration");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.etsqp");
@@ -155,6 +163,26 @@ fn tsfile_persistence_roundtrip() {
     let b = db2.query("SELECT SUM(s) FROM s").unwrap();
     assert_eq!(a.rows, b.rows);
     assert_eq!(db2.store().point_count("s").unwrap(), ts.len() as u64);
+    let bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<u64>> {
+        let bits = |v: &Value| match v {
+            Value::Float(f) => f.to_bits(),
+            other => other.as_f64().to_bits(),
+        };
+        rows.iter().map(|r| r.iter().map(bits).collect()).collect()
+    };
+    let mid = ts[ts.len() / 2];
+    for sql in [
+        "SELECT SUM(f) FROM f".to_string(),
+        "SELECT VARIANCE(f) FROM f".to_string(),
+        "SELECT MAX(f) FROM f".to_string(),
+        format!("SELECT AVG(f) FROM f WHERE time >= {mid} GROUP BY TIME(60000)"),
+        format!("SELECT * FROM f WHERE time >= {mid}"),
+    ] {
+        let (a, b) = (db.query(&sql).unwrap(), db2.query(&sql).unwrap());
+        assert!(!a.rows.is_empty() && a.rows[0].iter().all(|v| *v != Value::Null));
+        assert_eq!(bits(a.rows), bits(b.rows), "{sql}");
+    }
+    assert_eq!(db2.store().point_count("f").unwrap(), ts.len() as u64);
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,5 +1,5 @@
 //! Snapshot tests for `EXPLAIN`: the rendered physical pipeline for the
-//! 25-query battery is pinned byte for byte against
+//! 26-query battery is pinned byte for byte against
 //! `tests/snapshots/explain.snap`, through both the library entry point
 //! (`IotDb::query` / `IotDb::explain`) and the `etsqp-cli` binary.
 //!
@@ -13,7 +13,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use etsqp::{EngineOptions, IotDb};
+use etsqp::{Encoding, EngineOptions, IotDb};
 
 /// Five 64-point pages per series; threads pinned so the header line and
 /// partition counts are machine-independent.
@@ -33,6 +33,10 @@ fn fixture() -> IotDb {
     for (name, vals) in [("snap_a", &a), ("snap_b", &b)] {
         db.create_series(name).unwrap();
         db.append_all(name, &ts, vals).unwrap();
+    }
+    db.create_series_f64("snap_f", Encoding::Chimp).unwrap();
+    for (&t, &v) in ts.iter().zip(&a) {
+        db.append_f64("snap_f", t, v as f64 / 4.0).unwrap();
     }
     db.flush().unwrap();
     db
@@ -80,6 +84,9 @@ fn battery() -> Vec<&'static str> {
         // every page, so MAX answers from the headers.
         "SELECT SUM(A) FROM snap_a WHERE A >= -40 AND A <= 76",
         "SELECT MAX(A) FROM snap_a WHERE A >= -40",
+        // A float series runs the same pipeline, on its ordered keys; its
+        // pages are never `[cacheable]` (a memo would hold integer Σ).
+        "SELECT SUM(snap_f) FROM snap_f WHERE time >= 1750 SW(1000, 640)",
     ]
 }
 
