@@ -7,6 +7,9 @@
 //!   `fused::sum_ts2diff`, or Delta-RLE runs flattened to deltas and
 //!   weighted by `Σ(n−j)·δⱼ`); both decoders fused into Delta-RLE's
 //!   run-space closed form (Delta+Repeat: `fused::aggregate_delta_rle`);
+//!   and for two clock-aligned Delta-RLE columns, `Σ AᵢBᵢ` by the
+//!   engine's DOT (decode both, merge-join moments) against the
+//!   run-fragment closed form (`etsqp_bench::dot_product_delta_rle`);
 //! * (b) staged time breakdown (I/O, unpack, delta, filter, aggregate,
 //!   merge, idle) of a windowed SUM through the engine;
 //! * (c–d) page slices: the two-phase symbolic slice (every slice
@@ -25,15 +28,15 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use etsqp_bench::{
-    custom_store, default_rows, fmt_mtps, sliced_sum_ts2diff, sum_flattened_deltas, throughput,
-    time_median,
+    custom_store, default_rows, dot_product_delta_rle, fmt_mtps, sliced_sum_ts2diff,
+    sum_flattened_deltas, throughput, time_median,
 };
 use etsqp_core::decode::{decode_column, DecodeOptions};
 use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::exec::ExecStats;
-use etsqp_core::expr::{AggFunc, Plan};
+use etsqp_core::expr::{AggFunc, PairAggFunc, Plan};
 use etsqp_core::fused;
-use etsqp_core::plan::PipelineConfig;
+use etsqp_core::plan::{PipelineConfig, Value};
 use etsqp_datasets::Spec;
 use etsqp_encoding::{delta_rle, ts2diff, Encoding};
 use etsqp_simd::agg::sum_i64;
@@ -141,7 +144,72 @@ fn part_a(rows: usize) {
             );
         }
     }
+    part_a_pair(&ts, &vals);
     println!();
+}
+
+/// (a) for the two-column form: `Σ AᵢBᵢ` over two clock-aligned Delta-RLE
+/// columns, by the engine's DOT (both sides decoded, equal timestamps
+/// merge-joined into moments) and by the run-fragment closed form.
+fn part_a_pair(ts: &[i64], a: &[i64]) {
+    // Runs of the same length as `a`'s, with a slope of their own.
+    let b: Vec<i64> = (a.iter().enumerate())
+        .map(|(i, &v)| 3 * v - (i as i64 / 50) % 3)
+        .collect();
+    let want: i128 = a.iter().zip(&b).map(|(&x, &y)| x as i128 * y as i128).sum();
+    let want_cell = i64::try_from(want).map_or(Value::Float(want as f64), Value::Int);
+    let db = IotDb::new(
+        EngineOptions::default()
+            .with_encodings(Encoding::Ts2Diff, Encoding::DeltaRle)
+            .with_page_points(4096),
+    );
+    for (name, col) in [("a", a), ("b", &b[..])] {
+        db.create_series(name).unwrap();
+        db.append_all(name, ts, col).unwrap();
+    }
+    db.flush().unwrap();
+    println!("Delta-RLE pair Σ AᵢBᵢ (two clock-aligned columns):");
+    let dot = Plan::JoinAggregate {
+        left: Box::new(Plan::scan("a")),
+        right: Box::new(Plan::scan("b")),
+        func: PairAggFunc::Dot,
+    };
+    let cfg = PipelineConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let d = time_median(5, || {
+        let r = db.execute_with(&dot, &cfg).expect("runs");
+        assert_eq!(r.rows, vec![vec![want_cell]], "engine DOT: wrong Σ AᵢBᵢ");
+    });
+    let name = "  decode both + merge-join moments (DOT)";
+    println!(
+        "{name:<46} {} M tuples/s",
+        fmt_mtps(throughput(ts.len() as u64, d))
+    );
+    let (pa, pb) = (
+        db.store().peek_pages("a").unwrap(),
+        db.store().peek_pages("b").unwrap(),
+    );
+    assert!(
+        pa.len() == pb.len() && pa.iter().zip(&pb).all(|(x, y)| x.ts_bytes == y.ts_bytes),
+        "pages aligned"
+    );
+    let d = time_median(5, || {
+        let sum: i128 = (pa.iter().zip(&pb))
+            .map(|(x, y)| {
+                let x = delta_rle::parse(&x.val_bytes).expect("parses");
+                let y = delta_rle::parse(&y.val_bytes).expect("parses");
+                dot_product_delta_rle(&x, &y)
+            })
+            .sum();
+        assert_eq!(sum, want, "closed form: wrong Σ AᵢBᵢ");
+    });
+    let name = "  closed form (dot_product_delta_rle)";
+    println!(
+        "{name:<46} {} M tuples/s",
+        fmt_mtps(throughput(ts.len() as u64, d))
+    );
 }
 
 /// (b) Staged time consumption.

@@ -499,6 +499,63 @@ pub fn sum_flattened_deltas(
     n * page.first as i128 + weighted
 }
 
+/// Fig. 14(a)'s pair arm: `Σ Aᵢ·Bᵢ` over two aligned Delta-RLE pages
+/// (same timestamps) without decoding — the §IV polynomial
+/// `valid·AₙBₙ + Aₙ·Σ(iΔB) + Bₙ·Σ(iΔA) + ΣI²·ΔA·ΔB`, applied per
+/// overlapping run fragment. Saturates per fragment, so past the `i128`
+/// range it is not the engine's answer, which saturates per pair.
+pub fn dot_product_delta_rle(
+    a: &etsqp_encoding::delta_rle::DeltaRlePage<'_>,
+    b: &etsqp_encoding::delta_rle::DeltaRlePage<'_>,
+) -> i128 {
+    assert_eq!(a.count, b.count, "dot product needs aligned pages");
+    if a.count == 0 {
+        return 0;
+    }
+    let mut total: i128 = a.first as i128 * b.first as i128;
+    let mut pa = a.pairs();
+    let mut pb = b.pairs();
+    let (mut da, mut ra) = pa.next().unwrap_or((0, 0));
+    let (mut db, mut rb) = pb.next().unwrap_or((0, 0));
+    let mut va = a.first as i128;
+    let mut vb = b.first as i128;
+    loop {
+        if ra == 0 {
+            match pa.next() {
+                Some((d, r)) => (da, ra) = (d, r),
+                None => break,
+            }
+            continue;
+        }
+        if rb == 0 {
+            match pb.next() {
+                Some((d, r)) => (db, rb) = (d, r),
+                None => break,
+            }
+            continue;
+        }
+        // Aggregate min(ra, rb) tuples in closed form (the paper's
+        // `valid ≤ min(RLE₁, RLE₂)` fragmenting).
+        let valid = ra.min(rb) as i128;
+        let (dai, dbi) = (da as i128, db as i128);
+        let tri = valid * (valid + 1) / 2;
+        let sq = valid * (valid + 1) * (2 * valid + 1) / 6;
+        total = total.saturating_add(
+            valid
+                .saturating_mul(va)
+                .saturating_mul(vb)
+                .saturating_add(va.saturating_mul(dbi).saturating_mul(tri))
+                .saturating_add(vb.saturating_mul(dai).saturating_mul(tri))
+                .saturating_add(dai.saturating_mul(dbi).saturating_mul(sq)),
+        );
+        va = va.saturating_add(dai.saturating_mul(valid));
+        vb = vb.saturating_add(dbi.saturating_mul(valid));
+        ra -= valid as u64;
+        rb -= valid as u64;
+    }
+    total
+}
+
 /// Phase 1 of Fig. 14(c)'s two-phase slice over an order-1 TS2DIFF page
 /// inside the 32-bit path: stored deltas `[lo, hi)`, unpacked a block at
 /// a time at their bit offset and folded with carry 0, so every value is
@@ -610,6 +667,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dot_product_matches_naive() {
+        use etsqp_encoding::delta_rle;
+        let n = 200usize;
+        let a_vals: Vec<i64> = (0..n as i64).map(|i| 10 + i / 7).collect();
+        let b_vals: Vec<i64> = (0..n as i64).map(|i| 500 - i / 3).collect();
+        let pa_bytes = delta_rle::encode(&a_vals);
+        let pb_bytes = delta_rle::encode(&b_vals);
+        let pa = delta_rle::parse(&pa_bytes).unwrap();
+        let pb = delta_rle::parse(&pb_bytes).unwrap();
+        let want: i128 = a_vals
+            .iter()
+            .zip(&b_vals)
+            .map(|(&a, &b)| a as i128 * b as i128)
+            .sum();
+        assert_eq!(dot_product_delta_rle(&pa, &pb), want);
     }
 
     #[test]

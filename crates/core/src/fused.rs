@@ -18,14 +18,14 @@
 //!   single-column forms live in the cursor's run-space source
 //!   ([`crate::decode_fold`]), which also clips a run to a value filter;
 //!   [`aggregate_delta_rle`] and [`count_in_range_delta_rle`] are that
-//!   walker with no filter and with the range as its filter. Only the
-//!   two-column [`dot_product_delta_rle`] walks pairs here.
+//!   walker with no filter and with the range as its filter.
 //!
-//! None of these is a planner strategy: every kept page takes the cursor
-//! (`Strategy::Decode`), Delta-RLE pages in run space, FIRST / LAST
-//! included, and only the page-aligned pair aggregation calls in here
-//! ([`aggregate_delta_rle`], [`dot_product_delta_rle`]). Figure 14(a)'s
-//! fusion ablation (none / Delta / Delta+Repeat) is measured over these
+//! None of these is a planner strategy and the executor calls none of
+//! them: every kept page takes the cursor (`Strategy::Decode`),
+//! Delta-RLE pages in run space, FIRST / LAST included, and a pair
+//! aggregate folds its merge join's matched pairs. Figure 14(a)'s fusion
+//! ablation (none / Delta / Delta+Repeat, and the two-column Σ AᵢBᵢ
+//! closed form, which lives in `crates/bench`) is measured over these
 //! functions by the `crates/bench` binary `fig14`.
 
 use etsqp_encoding::delta_rle::DeltaRlePage;
@@ -35,7 +35,7 @@ use etsqp_simd::agg::AggState;
 
 use crate::decode::DecodeOptions;
 use crate::decode_fold::{FoldCursor, PackedColumn, Runs};
-use crate::{Error, Result};
+use crate::Result;
 
 /// SUM and COUNT over a whole column: the cursor's fold with no filter
 /// where its gate admits `col`, else the serial decode summed.
@@ -92,69 +92,9 @@ pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
 /// Full aggregate state over a Delta-RLE page without flattening or
 /// accumulation: COUNT/SUM/MIN/MAX/Σx²/FIRST/LAST from `(Δ, run)` pairs
 /// by the run-space walker with no filter. Pairs that disagree with the declared count are the
-/// decoder's typed error; values that leave `i64` are [`Error::Overflow`].
+/// decoder's typed error; values that leave `i64` are [`crate::Error::Overflow`].
 pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
     Runs::new(page, None, true).fold_range(0, usize::MAX)
-}
-
-/// `Σ A_i·B_i` over two aligned Delta-RLE pages (same timestamps) — the
-/// §IV polynomial `valid·AₙBₙ + Aₙ·Σ(iΔB) + Bₙ·Σ(iΔA) + ΣI²·ΔA·ΔB`,
-/// applied per overlapping run fragment; feeds covariance/correlation.
-pub fn dot_product_delta_rle(a: &DeltaRlePage<'_>, b: &DeltaRlePage<'_>) -> Result<i128> {
-    if a.count != b.count {
-        return Err(Error::Plan("dot product needs aligned pages".into()));
-    }
-    if a.count == 0 {
-        return Ok(0);
-    }
-    let mut total: i128 = a.first as i128 * b.first as i128;
-    let mut pa = a.pairs();
-    let mut pb = b.pairs();
-    let (mut da, mut ra) = pa.next().unwrap_or((0, 0));
-    let (mut db, mut rb) = pb.next().unwrap_or((0, 0));
-    let mut va = a.first as i128;
-    let mut vb = b.first as i128;
-    loop {
-        if ra == 0 {
-            match pa.next() {
-                Some((d, r)) => {
-                    da = d;
-                    ra = r;
-                }
-                None => break,
-            }
-            continue;
-        }
-        if rb == 0 {
-            match pb.next() {
-                Some((d, r)) => {
-                    db = d;
-                    rb = r;
-                }
-                None => break,
-            }
-            continue;
-        }
-        // Aggregate min(ra, rb) tuples in closed form (the paper's
-        // `valid ≤ min(RLE₁, RLE₂)` fragmenting).
-        let valid = ra.min(rb) as i128;
-        let (dai, dbi) = (da as i128, db as i128);
-        let tri = valid * (valid + 1) / 2;
-        let sq = valid * (valid + 1) * (2 * valid + 1) / 6;
-        total = total.saturating_add(
-            valid
-                .saturating_mul(va)
-                .saturating_mul(vb)
-                .saturating_add(va.saturating_mul(dbi).saturating_mul(tri))
-                .saturating_add(vb.saturating_mul(dai).saturating_mul(tri))
-                .saturating_add(dai.saturating_mul(dbi).saturating_mul(sq)),
-        );
-        va = va.saturating_add(dai.saturating_mul(valid));
-        vb = vb.saturating_add(dbi.saturating_mul(valid));
-        ra -= valid as u64;
-        rb -= valid as u64;
-    }
-    Ok(total)
 }
 
 /// COUNT of tuples whose *timestamp* falls in `[t_lo, t_hi]`, computed
@@ -281,24 +221,6 @@ mod tests {
         assert_eq!(fused.min, naive.min);
         assert_eq!(fused.max, naive.max);
         assert_eq!(fused.variance(), naive.variance());
-    }
-
-    #[test]
-    fn dot_product_matches_naive() {
-        let n = 200usize;
-        let a_vals: Vec<i64> = (0..n as i64).map(|i| 10 + i / 7).collect();
-        let b_vals: Vec<i64> = (0..n as i64).map(|i| 500 - i / 3).collect();
-        let pa_bytes = delta_rle::encode(&a_vals);
-        let pb_bytes = delta_rle::encode(&b_vals);
-        let pa = delta_rle::parse(&pa_bytes).unwrap();
-        let pb = delta_rle::parse(&pb_bytes).unwrap();
-        let got = dot_product_delta_rle(&pa, &pb).unwrap();
-        let want: i128 = a_vals
-            .iter()
-            .zip(&b_vals)
-            .map(|(&a, &b)| a as i128 * b as i128)
-            .sum();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The pipeline driver: maps a compiled [`PhysicalPlan`]'s pages onto the
 //! work-stealing pool, one job per page, and stitches the partials back
 //! together — per-page partial states through `MergeConcat`, binary
-//! operators through their partitioned merge nodes.
+//! operators through their partitioned merge nodes. Each side of a binary
+//! operator runs the one row pipeline a `SELECT *` runs.
 //!
 //! An aggregation's calling thread does the page work that needs no
 //! job: it discharges the pruned pages and folds every `[cacheable]` page
@@ -19,15 +20,13 @@ use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, Predicate, SlidingWindow};
 use crate::partial::PartialState;
 use crate::physical::agg::{agg_page_job, fold_tuples, memoized, merge_states, WindowStates};
-use crate::physical::merge::{
-    binary_merge_partitioned, fused_pair_aggregate, merge_join_moments, BinaryKind,
-};
+use crate::physical::merge::{join_walk, merge_partitioned, BinaryKind, Columns};
 use crate::physical::node::{RootNode, SeriesPipeline, Stage};
 use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{
     charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
 };
-use crate::plan::{finalize, finalize_pair, PipelineConfig, Value};
+use crate::plan::{finalize, finalize_pair, PairMoments, PipelineConfig, Value};
 use crate::{Error, Result};
 
 /// Executes a compiled plan, returning column names and rows.
@@ -74,19 +73,7 @@ pub(crate) fn run(
         }
         RootNode::Rows => {
             let p = &phys.pipelines[0];
-            let (mut ts, mut vals) =
-                scan_rows(store, kept_of(p, stats)?, &p.pred, cfg, stats, ctl)?;
-            // Hot rows append after all sealed rows: their timestamps are
-            // strictly greater than every sealed one, so time order holds.
-            if let Some(hot) = &p.hot {
-                if hot.verdict.kept() {
-                    let (ht, hv) = hot_rows(hot, &p.pred, stats);
-                    ts.extend(ht);
-                    vals.extend(hv);
-                } else {
-                    charge_pruned_hot(hot, stats);
-                }
-            }
+            let (ts, vals) = pipeline_rows(store, p, cfg, stats, ctl)?;
             let rows = ts
                 .into_iter()
                 .zip(vals)
@@ -95,57 +82,89 @@ pub(crate) fn run(
             Ok((vec!["time".into(), p.series.clone()], rows))
         }
         RootNode::Union { partitions } => {
-            let (l, r) = (&phys.pipelines[0], &phys.pipelines[1]);
-            let rows = binary_merge_partitioned(
-                store,
-                &l.pages,
-                &l.pred,
-                &r.pages,
-                &r.pred,
+            let (l, r) = binary_rows(phys, store, cfg, stats, ctl)?;
+            let rows = merge_partitioned(
+                &l,
+                &r,
                 partitions,
                 BinaryKind::Union,
-                cfg,
+                cfg.threads,
                 stats,
                 ctl,
             )?;
             Ok((vec!["time".into(), "value".into()], rows))
         }
         RootNode::Join { partitions, op, on } => {
-            let (l, r) = (&phys.pipelines[0], &phys.pipelines[1]);
-            let rows = binary_merge_partitioned(
-                store,
-                &l.pages,
-                &l.pred,
-                &r.pages,
-                &r.pred,
+            let (l, r) = binary_rows(phys, store, cfg, stats, ctl)?;
+            let rows = merge_partitioned(
+                &l,
+                &r,
                 partitions,
                 BinaryKind::Join { op: *op, on: *on },
-                cfg,
+                cfg.threads,
                 stats,
                 ctl,
             )?;
+            let (ls, rs) = (&phys.pipelines[0].series, &phys.pipelines[1].series);
             let columns = match op {
-                Some(_) => vec!["time".into(), format!("{}.A op {}.A", l.series, r.series)],
-                None => vec!["time".into(), l.series.clone(), r.series.clone()],
+                Some(_) => vec!["time".into(), format!("{ls}.A op {rs}.A")],
+                None => vec!["time".into(), ls.clone(), rs.clone()],
             };
             Ok((columns, rows))
         }
-        RootNode::PairAgg { func, fused } => {
-            let (l, r) = (&phys.pipelines[0], &phys.pipelines[1]);
-            let col = format!("{}({}, {})", func.name(), l.series, r.series);
-            let moments = if *fused {
-                // §IV fused fast path: page-aligned Delta-RLE value
-                // columns with identical clocks aggregate straight from
-                // (Δ, run) pairs — no flattening, no join materialization.
-                fused_pair_aggregate(store, &l.pages, &r.pages, stats, ctl)?
-            } else {
-                let (lt, lv) = scan_rows(store, kept_of(l, stats)?, &l.pred, cfg, stats, ctl)?;
-                let (rt, rv) = scan_rows(store, kept_of(r, stats)?, &r.pred, cfg, stats, ctl)?;
-                merge_join_moments(&lt, &lv, &rt, &rv, stats)
-            };
+        RootNode::PairAgg { func } => {
+            let ((lt, lv), (rt, rv)) = binary_rows(phys, store, cfg, stats, ctl)?;
+            // One walk on the calling thread, in time order: the pushes
+            // saturate in the order the oracle's do, so every moment is
+            // bit-identical to it at any thread count and under any codec.
+            let mut moments = PairMoments::default();
+            {
+                let _m = Stage::Merge.timer(stats);
+                join_walk(&lt, &rt, |i, j| moments.push(lv[i], rv[j]));
+            }
+            let (ls, rs) = (&phys.pipelines[0].series, &phys.pipelines[1].series);
+            let col = format!("{}({ls}, {rs})", func.name());
             Ok((vec![col], vec![vec![finalize_pair(*func, moments)]]))
         }
     }
+}
+
+/// The rows of one pipeline, as a `SELECT *` scan produces them: the
+/// planner's pruned pages discharged once, the kept pages scanned on the
+/// pool, and the hot snapshot's qualifying rows appended last (their
+/// timestamps are strictly greater than every sealed one, so time order
+/// holds) or its tuples charged as pruned.
+fn pipeline_rows(
+    store: &SeriesStore,
+    p: &SeriesPipeline,
+    cfg: &PipelineConfig,
+    stats: &ExecStats,
+    ctl: &CancellationToken,
+) -> Result<Columns> {
+    let (mut ts, mut vals) = scan_rows(store, kept_of(p, stats)?, &p.pred, cfg, stats, ctl)?;
+    if let Some(hot) = &p.hot {
+        if hot.verdict.kept() {
+            let (ht, hv) = hot_rows(hot, &p.pred, stats);
+            ts.extend(ht);
+            vals.extend(hv);
+        } else {
+            charge_pruned_hot(hot, stats);
+        }
+    }
+    Ok((ts, vals))
+}
+
+/// Both sides of a binary operator, each run as its own `SELECT *`.
+fn binary_rows(
+    phys: &PhysicalPlan,
+    store: &SeriesStore,
+    cfg: &PipelineConfig,
+    stats: &ExecStats,
+    ctl: &CancellationToken,
+) -> Result<(Columns, Columns)> {
+    let left = pipeline_rows(store, &phys.pipelines[0], cfg, stats, ctl)?;
+    let right = pipeline_rows(store, &phys.pipelines[1], cfg, stats, ctl)?;
+    Ok((left, right))
 }
 
 /// The driver-side half of the §V verify-before-prune discipline: a

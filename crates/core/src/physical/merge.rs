@@ -1,27 +1,27 @@
 //! Binary merge nodes (Figure 9): time-partitioned `MergeUnion` /
-//! `MergeJoin` execution and the §IV fused pair aggregation.
+//! `MergeJoin` over the two decoded sides, and the one equal-timestamp
+//! walk that joins and pair aggregates share.
 //!
-//! The partition boundaries are planner output ([`crate::physical::pipe`]
-//! computes them from page headers and stores them in the
-//! [`crate::physical::node::RootNode`]); this module only executes them:
-//! one scheduler job per time range, each decoding both sides restricted
-//! to its range and merging independently, with partials concatenating in
-//! time order.
+//! Each side of a binary operator is scanned like a `SELECT *` pipeline
+//! (see [`crate::physical::driver`]): planner decisions prune its pages,
+//! its hot chunk appends after its sealed rows, and what arrives here are
+//! two time-ordered `(ts, value)` columns. The partition boundaries are
+//! planner output ([`crate::physical::pipe`] computes them from page
+//! headers and stores them in the [`crate::physical::node::RootNode`]);
+//! this module only splits the columns at them: one scheduler job per
+//! time range, each merging its index slices of both sides, with outputs
+//! concatenating in partition order.
 
 use std::sync::Arc;
 
-use etsqp_encoding::delta_rle;
 use etsqp_storage::page::Page;
-use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats};
-use crate::expr::{BinOp, CmpOp, Predicate, TimeRange};
-use crate::fused::{aggregate_delta_rle, dot_product_delta_rle};
+use crate::expr::{BinOp, CmpOp, TimeRange};
 use crate::physical::node::Stage;
-use crate::physical::scan::{charge_page_io, prune_pages, scan_rows};
-use crate::plan::{PairMoments, PipelineConfig, Value};
-use crate::{Error, Result};
+use crate::plan::Value;
+use crate::Result;
 
 /// Which binary merge a partition job runs.
 #[derive(Debug, Clone, Copy)]
@@ -67,59 +67,34 @@ pub(crate) fn merge_partitions(
     ranges
 }
 
+/// One decoded side of a binary operator: its time-ordered
+/// `(timestamps, values)` columns.
+pub(crate) type Columns = (Vec<i64>, Vec<i64>);
+
 /// Executes `Union` / `Join` / `JoinExpr` over the planner's partitions:
-/// every partition decodes both sides restricted to its range (page
-/// pruning keeps out-of-range pages untouched) and merges independently;
-/// partials concatenate in time order.
-// Two (pages, predicate) pairs plus execution context; bundling them
-// into a struct would add a type used exactly once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn binary_merge_partitioned(
-    store: &SeriesStore,
-    left: &[Arc<Page>],
-    lpred: &Predicate,
-    right: &[Arc<Page>],
-    rpred: &Predicate,
+/// every partition takes the index slices of both decoded sides that fall
+/// in its range and merges them independently; outputs concatenate in
+/// partition order.
+pub(crate) fn merge_partitioned(
+    (lt, lv): &Columns,
+    (rt, rv): &Columns,
     ranges: &[TimeRange],
     kind: BinaryKind,
-    cfg: &PipelineConfig,
+    threads: usize,
     stats: &ExecStats,
     ctl: &CancellationToken,
 ) -> Result<Vec<Vec<Value>>> {
-    // One worker per partition; within a partition both sides scan with
-    // a single thread (the partition level is the parallel axis).
-    let inner_cfg = PipelineConfig { threads: 1, ..*cfg };
-    let outputs = run_jobs(
-        ranges.to_vec(),
-        cfg.threads,
-        stats,
-        ctl,
-        |range| -> Result<Vec<Vec<Value>>> {
-            let lp = lpred.and(&Predicate {
-                time: Some(range),
-                value: None,
-            });
-            let rp = rpred.and(&Predicate {
-                time: Some(range),
-                value: None,
-            });
-            let lkept = prune_pages(left.to_vec(), &lp, &inner_cfg, stats)?;
-            let rkept = prune_pages(right.to_vec(), &rp, &inner_cfg, stats)?;
-            let (lt, lv) = scan_rows(store, lkept, &lp, &inner_cfg, stats, ctl)?;
-            let (rt, rv) = scan_rows(store, rkept, &rp, &inner_cfg, stats, ctl)?;
-            let _m = Stage::Merge.timer(stats);
-            let rows = match kind {
-                BinaryKind::Union => merge_union(&lt, &lv, &rt, &rv),
-                BinaryKind::Join { op, on } => merge_join(&lt, &lv, &rt, &rv, op, on),
-            };
-            Ok(rows)
-        },
-    )?;
-    let mut rows = Vec::new();
-    for out in outputs {
-        rows.extend(out?);
-    }
-    Ok(rows)
+    let outputs = run_jobs(ranges.to_vec(), threads, stats, ctl, |range| {
+        let (la, lb) = range.index_range(lt);
+        let (ra, rb) = range.index_range(rt);
+        let (lt, lv, rt, rv) = (&lt[la..lb], &lv[la..lb], &rt[ra..rb], &rv[ra..rb]);
+        let _m = Stage::Merge.timer(stats);
+        match kind {
+            BinaryKind::Union => merge_union(lt, lv, rt, rv),
+            BinaryKind::Join { op, on } => merge_join(lt, lv, rt, rv, op, on),
+        }
+    })?;
+    Ok(outputs.into_iter().flatten().collect())
 }
 
 /// Time-ordered merge of two sorted series (Q5). Ties emit left first.
@@ -144,8 +119,26 @@ pub(crate) fn merge_union(lt: &[i64], lv: &[i64], rt: &[i64], rv: &[i64]) -> Vec
     rows
 }
 
+/// The equal-timestamp walk of two ascending timestamp columns: calls
+/// `sink(i, j)` for every `lt[i] == rt[j]`, in time order.
+pub(crate) fn join_walk(lt: &[i64], rt: &[i64], mut sink: impl FnMut(usize, usize)) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < lt.len() && j < rt.len() {
+        match lt[i].cmp(&rt[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                sink(i, j);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 /// Merge join on equal timestamps (Q4/Q6). With `op`, emits
-/// `(t, op(a, b))`; without, emits `(t, a, b)`.
+/// `(t, op(a, b))`; without, emits `(t, a, b)`. A pair failing the
+/// inter-column predicate `on` (Eq. 3) emits nothing.
 pub(crate) fn merge_join(
     lt: &[i64],
     lv: &[i64],
@@ -155,92 +148,14 @@ pub(crate) fn merge_join(
     on: Option<CmpOp>,
 ) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lt.len() && j < rt.len() {
-        match lt[i].cmp(&rt[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Inter-column predicate on the decoded pair (Eq. 3).
-                if on.is_none_or(|c| c.eval(lv[i], rv[j])) {
-                    match op {
-                        Some(op) => {
-                            rows.push(vec![Value::Int(lt[i]), Value::Int(op.apply(lv[i], rv[j]))])
-                        }
-                        None => rows.push(vec![
-                            Value::Int(lt[i]),
-                            Value::Int(lv[i]),
-                            Value::Int(rv[j]),
-                        ]),
-                    }
-                }
-                i += 1;
-                j += 1;
-            }
+    join_walk(lt, rt, |i, j| {
+        let (t, a, b) = (lt[i], lv[i], rv[j]);
+        if on.is_none_or(|c| c.eval(a, b)) {
+            rows.push(match op {
+                Some(op) => vec![Value::Int(t), Value::Int(op.apply(a, b))],
+                None => vec![Value::Int(t), Value::Int(a), Value::Int(b)],
+            });
         }
-    }
+    });
     rows
-}
-
-/// Merge join folding matched pairs into running moments — the non-fused
-/// `PairAgg` merge node.
-pub(crate) fn merge_join_moments(
-    lt: &[i64],
-    lv: &[i64],
-    rt: &[i64],
-    rv: &[i64],
-    stats: &ExecStats,
-) -> PairMoments {
-    let _m = Stage::Merge.timer(stats);
-    let mut acc = PairMoments::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lt.len() && j < rt.len() {
-        match lt[i].cmp(&rt[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                acc.push(lv[i], rv[j]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    acc
-}
-
-/// The §IV fused pair aggregation: every moment comes straight from
-/// `(Δ, run)` pairs of the two page-aligned Delta-RLE value columns. The
-/// planner ([`crate::physical::pipe`]) verified the alignment (identical
-/// clocks per page, bit for bit) before choosing this node.
-pub(crate) fn fused_pair_aggregate(
-    store: &SeriesStore,
-    left: &[Arc<Page>],
-    right: &[Arc<Page>],
-    stats: &ExecStats,
-    ctl: &CancellationToken,
-) -> Result<PairMoments> {
-    let _a = Stage::Agg.timer(stats);
-    let mut m = PairMoments::default();
-    for (a, b) in left.iter().zip(right) {
-        // Serial fused loop: each page pair is the morsel boundary.
-        ctl.check()?;
-        charge_page_io(a, stats, store);
-        charge_page_io(b, stats, store);
-        // The fused kernels consume (Δ, run) pairs straight from the
-        // chunk bytes, so checksum verification is the only thing
-        // standing between a flipped bit and a silently wrong moment.
-        a.ensure_verified().map_err(Error::Storage)?;
-        b.ensure_verified().map_err(Error::Storage)?;
-        let pa = delta_rle::parse(&a.val_bytes)?;
-        let pb = delta_rle::parse(&b.val_bytes)?;
-        m.sum_ab = m.sum_ab.saturating_add(dot_product_delta_rle(&pa, &pb)?);
-        let sa = aggregate_delta_rle(&pa)?;
-        let sb = aggregate_delta_rle(&pb)?;
-        m.n += sa.count;
-        m.sum_a += sa.sum;
-        m.sum_b += sb.sum;
-        m.sum_aa = m.sum_aa.saturating_add(sa.sum_sq);
-        m.sum_bb = m.sum_bb.saturating_add(sb.sum_sq);
-    }
-    Ok(m)
 }

@@ -184,9 +184,7 @@ pub struct SeriesPipeline {
     /// Per-page verdict + strategy, aligned with `pages`.
     pub decisions: Vec<PageDecision>,
     /// The live hot-chunk snapshot, when the series had unsealed points
-    /// at compile time (unary pipelines only — binary operators
-    /// materialize the snapshot as a transient page instead, so their
-    /// partitioned merges see one uniform page list).
+    /// at compile time.
     pub hot: Option<HotScan>,
     /// The series-kind bit, read once from the snapshot: a float series,
     /// whose value column every path reads as its ordered keys. Its
@@ -232,13 +230,11 @@ pub enum RootNode {
         /// Inter-column predicate on the joined values, if any.
         on: Option<CmpOp>,
     },
-    /// Paired aggregation over the natural join (§IV).
+    /// Paired aggregation over the natural join (§IV): matched pairs
+    /// fold into moments in time order.
     PairAgg {
         /// The paired aggregate.
         func: PairAggFunc,
-        /// Whether the fused `(Δ, run)` fast path applies (page-aligned
-        /// Delta-RLE value columns with bit-identical clocks).
-        fused: bool,
     },
 }
 

@@ -1,7 +1,8 @@
 //! The Algorithm 2 `Pipe` generator: compiles a logical [`Plan`] plus
 //! per-page encoding statistics into an explicit pipeline DAG
-//! ([`PhysicalPlan`]), making every prune and pair-fusion decision
-//! *data* instead of control flow buried in the executor. A kept page
+//! ([`PhysicalPlan`]), making every prune decision *data* instead of
+//! control flow buried in the executor: the executor discharges exactly
+//! the pages the plan prunes, on unary and binary roots alike. A kept page
 //! has one strategy, [`Strategy::Decode`] (`Strategy::Serial` on the
 //! byte-serial engine): the executor answers it from header plus memo,
 //! else by one cursor fold, else by decoding (see
@@ -21,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use etsqp_encoding::{f64_to_ordered_i64, Encoding};
+use etsqp_encoding::f64_to_ordered_i64;
 use etsqp_storage::ingest::HotSnapshot;
 use etsqp_storage::page::Page;
 use etsqp_storage::store::SeriesStore;
@@ -55,9 +56,9 @@ enum Role {
 }
 
 /// Captures a series' atomic `(sealed pages, hot snapshot)` pair and
-/// compiles the hot half into the [`HotScan`] source of a unary
-/// pipeline, including its §V verdict over the snapshot's exact
-/// statistics; the third field is the series-kind bit (a float series).
+/// compiles the hot half into the [`HotScan`] source of a pipeline,
+/// including its §V verdict over the snapshot's exact statistics; the
+/// third field is the series-kind bit (a float series).
 /// A float hot chunk compiles to its ordered keys, the form its pages
 /// decode to and its min/max are kept in, so it prunes, filters and
 /// folds like an integer one.
@@ -68,7 +69,11 @@ pub(crate) fn snapshot_unary(
     prune: bool,
 ) -> Result<(Vec<Arc<Page>>, Option<HotScan>, bool)> {
     let snap = store.snapshot(series).map_err(Error::Storage)?;
-    let mut float = float_pages(&snap.pages);
+    // A series' pages share its value codec.
+    let mut float = snap
+        .pages
+        .first()
+        .is_some_and(|p| p.header.val_encoding.is_float());
     let hot = snap.hot.map(|hot| {
         let (ts, vals, min, max) = match hot {
             HotSnapshot::Int(h) => (h.ts, h.vals, h.min_value, h.max_value),
@@ -87,38 +92,26 @@ pub(crate) fn snapshot_unary(
     Ok((snap.pages, hot, float))
 }
 
-/// Whether sealed pages hold a float column (a series' pages share its
-/// value codec).
-fn float_pages(pages: &[Arc<Page>]) -> bool {
-    pages
-        .first()
-        .is_some_and(|p| p.header.val_encoding.is_float())
-}
-
-/// Captures a series' snapshot for a binary-operator side, materializing
-/// any hot points as one transient checksummed page (encoded with the
-/// series' own codecs) appended after the sealed pages. Partitioned
-/// merge nodes then see a single uniform page list — partitioning,
-/// pruning and pair-fusion checks all apply to live data unchanged. A
-/// float side is a plan error: the merges pair, compare and combine
-/// integer values.
-fn pages_with_hot(store: &SeriesStore, series: &str) -> Result<Vec<Arc<Page>>> {
-    let snap = store.snapshot(series).map_err(Error::Storage)?;
-    let mut pages = snap.pages;
-    let float = match snap.hot {
-        Some(HotSnapshot::Int(h)) => {
-            pages.push(Arc::new(h.to_page().map_err(Error::Storage)?));
-            false
-        }
-        Some(HotSnapshot::Float(_)) => true,
-        None => float_pages(&pages),
-    };
+/// Compiles one side of a binary operator exactly like a `SELECT *`
+/// scan: its pages and hot chunk get their own §V verdicts. A float side
+/// is a plan error: the merges pair, compare and combine integer values.
+fn binary_side(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Result<SeriesPipeline> {
+    let (series, pred) = flatten_scan(plan)?;
+    let (pages, hot, float) = snapshot_unary(store, &series, &pred, cfg.prune)?;
     if float {
         return Err(Error::Plan(format!(
             "{series} is a float series: binary operators take integer series"
         )));
     }
-    Ok(pages)
+    Ok(build_pipeline(
+        series,
+        pred,
+        pages,
+        hot,
+        false,
+        Role::Rows,
+        cfg,
+    ))
 }
 
 /// Algorithm 2 `Pipe`: compiles the logical plan against the store's
@@ -171,19 +164,13 @@ fn compile_inner(plan: &Plan, store: &SeriesStore, cfg: &PipelineConfig) -> Resu
         }
         Plan::Join { left, right, on } => join_plan(left, right, None, *on, store, cfg),
         Plan::JoinExpr { left, right, op } => join_plan(left, right, Some(*op), None, store, cfg),
-        Plan::JoinAggregate { left, right, func } => {
-            let (ls, lp) = flatten_scan(left)?;
-            let (rs, rp) = flatten_scan(right)?;
-            let lpages = pages_with_hot(store, &ls)?;
-            let rpages = pages_with_hot(store, &rs)?;
-            let fused = lp.is_trivial() && rp.is_trivial() && pair_fusible(&lpages, &rpages, cfg);
-            let lpipe = build_pipeline(ls, lp, lpages, None, false, Role::Rows, cfg);
-            let rpipe = build_pipeline(rs, rp, rpages, None, false, Role::Rows, cfg);
-            Ok(PhysicalPlan {
-                root: RootNode::PairAgg { func: *func, fused },
-                pipelines: vec![lpipe, rpipe],
-            })
-        }
+        Plan::JoinAggregate { left, right, func } => Ok(PhysicalPlan {
+            root: RootNode::PairAgg { func: *func },
+            pipelines: vec![
+                binary_side(left, store, cfg)?,
+                binary_side(right, store, cfg)?,
+            ],
+        }),
     }
 }
 
@@ -242,20 +229,17 @@ fn join_plan(
 }
 
 /// Compiles both sides of a binary operator and the time-range
-/// partitions its merge node runs over.
+/// partitions its merge node runs over, cut at the sides' sealed pages
+/// (a hot tail falls in the last partition its timestamps reach).
 fn binary_sides(
     left: &Plan,
     right: &Plan,
     store: &SeriesStore,
     cfg: &PipelineConfig,
 ) -> Result<(SeriesPipeline, SeriesPipeline, Vec<TimeRange>)> {
-    let (ls, lp) = flatten_scan(left)?;
-    let (rs, rp) = flatten_scan(right)?;
-    let lpages = pages_with_hot(store, &ls)?;
-    let rpages = pages_with_hot(store, &rs)?;
-    let partitions = merge_partitions(&lpages, &rpages, cfg.threads);
-    let lpipe = build_pipeline(ls, lp, lpages, None, false, Role::Rows, cfg);
-    let rpipe = build_pipeline(rs, rp, rpages, None, false, Role::Rows, cfg);
+    let lpipe = binary_side(left, store, cfg)?;
+    let rpipe = binary_side(right, store, cfg)?;
+    let partitions = merge_partitions(&lpipe.pages, &rpipe.pages, cfg.threads);
     Ok((lpipe, rpipe, partitions))
 }
 
@@ -319,44 +303,6 @@ fn cacheable_page(
         return false;
     };
     cfg.partial_cache && kept && residual.is_trivial() && whole_page_bucket(page, *window).is_some()
-}
-
-/// The §IV pair-fusion alignment check: pairwise-aligned pages (identical
-/// clocks, bit for bit) with Delta-RLE value columns on both sides.
-pub(crate) fn pair_fusible(left: &[Arc<Page>], right: &[Arc<Page>], cfg: &PipelineConfig) -> bool {
-    if !cfg.vectorized || left.len() != right.len() {
-        return false;
-    }
-    left.iter().zip(right).all(|(a, b)| {
-        let ha = &a.header;
-        let hb = &b.header;
-        ha.count == hb.count
-            && ha.first_ts == hb.first_ts
-            && ha.last_ts == hb.last_ts
-            && ha.val_encoding == Encoding::DeltaRle
-            && hb.val_encoding == Encoding::DeltaRle
-            && spread_fits_i64(a)
-            && spread_fits_i64(b)
-            && a.ts_bytes == b.ts_bytes // identical clocks, bit for bit
-    })
-}
-
-/// True when the page's value spread `max − min` is representable in
-/// `i64`, which guarantees every pairwise difference — in particular
-/// every encoded delta — equals the true mathematical difference.
-///
-/// Pair fusion's Delta-RLE closed forms (§IV) sum *stored deltas*
-/// symbolically in `i128`; that widening is only exact when the deltas
-/// did not wrap at encode time. The decode paths are immune (their
-/// wrapping adds reproduce each value bit-exactly), so page pairs failing
-/// this check simply take the merge join. Regression: `overflow_audit.rs`
-/// (values spanning more than `i64::MAX` used to wrap SUM on the fused
-/// paths).
-fn spread_fits_i64(page: &Page) -> bool {
-    page.header
-        .max_value
-        .checked_sub(page.header.min_value)
-        .is_some()
 }
 
 /// Compiles and renders in one step — the engine's `EXPLAIN` entry point.
@@ -506,13 +452,13 @@ impl PhysicalPlan {
                 render_partitions(&mut out, partitions);
                 None
             }
-            RootNode::PairAgg { func, fused } => {
-                let how = if *fused {
-                    "FusedPairAgg (delta-rle, page-aligned)".to_string()
-                } else {
-                    format!("{}[moments]", Node::MergeJoin)
-                };
-                let _ = writeln!(out, "PairAgg[{}] <- {how}", func.name());
+            RootNode::PairAgg { func } => {
+                let _ = writeln!(
+                    out,
+                    "PairAgg[{}] <- {}[moments]",
+                    func.name(),
+                    Node::MergeJoin
+                );
                 None
             }
         };

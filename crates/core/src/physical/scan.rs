@@ -2,14 +2,15 @@
 //! decode (with suffix pruning under value filters), and the
 //! row-producing page scan.
 //!
-//! Both the `Pipe` planner ([`crate::physical::pipe`]) and the runtime
-//! partition scans of binary operators ([`crate::physical::merge`]) go
-//! through [`page_verdict`], so the pruning decision rendered by
-//! `EXPLAIN` is by construction the one the executor acts on. A §V
-//! verdict has three outcomes: pruned (no tuple can qualify), kept with
-//! the conjuncts its header leaves open, and kept covered (every tuple
-//! qualifies) — the last two are the page's [`Predicate::residual`],
-//! which the planner, EXPLAIN and the executor all take.
+//! Only the `Pipe` planner ([`crate::physical::pipe`]) and the plan
+//! verifier call [`page_verdict`]; the executor acts on the planner's
+//! recorded decisions, unary and binary roots alike, so the pruning
+//! rendered by `EXPLAIN` is by construction the one the executor does. A
+//! §V verdict has three outcomes: pruned (no tuple can qualify), kept
+//! with the conjuncts its header leaves open, and kept covered (every
+//! tuple qualifies) — the last two are the page's
+//! [`Predicate::residual`], which the planner, EXPLAIN and the executor
+//! all take.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -25,8 +26,8 @@ use crate::physical::node::{HotScan, PruneVerdict, Stage};
 use crate::plan::PipelineConfig;
 use crate::{Error, Result};
 
-/// §V header pruning for one page: the single pruning rule shared by the
-/// planner and every runtime scan.
+/// §V header pruning for one page: the single pruning rule, applied by
+/// the planner and re-derived by the verifier.
 pub(crate) fn page_verdict(page: &Page, pred: &Predicate, prune: bool) -> PruneVerdict {
     if !prune {
         return PruneVerdict::Kept;
@@ -119,27 +120,6 @@ pub(crate) fn verify_pruned(page: &Page) -> Result<()> {
     page.ensure_verified().map_err(Error::Storage)
 }
 
-/// Applies [`page_verdict`] to a page list, charging pruned pages/tuples
-/// to `stats` and returning the survivors. Excluded pages are
-/// checksum-verified first (see [`verify_pruned`]).
-pub(crate) fn prune_pages(
-    pages: Vec<Arc<Page>>,
-    pred: &Predicate,
-    cfg: &PipelineConfig,
-    stats: &ExecStats,
-) -> Result<Vec<Arc<Page>>> {
-    let mut kept = Vec::with_capacity(pages.len());
-    for page in pages {
-        if page_verdict(&page, pred, cfg.prune).kept() {
-            kept.push(page);
-        } else {
-            verify_pruned(&page)?;
-            charge_pruned_page(&page, stats);
-        }
-    }
-    Ok(kept)
-}
-
 /// Charges one pruned page to the §VII-B throughput counters.
 pub(crate) fn charge_pruned_page(page: &Page, stats: &ExecStats) {
     stats.pages_pruned.fetch_add(1, Ordering::Relaxed);
@@ -207,8 +187,7 @@ pub(crate) fn decode_val_column(
 
 /// Decodes the qualifying rows of a pre-pruned page set — the
 /// `SourcePages → DecodeScan → Filter → MergeConcat` pipeline of
-/// row-producing plans. The caller picks the kept pages (planner
-/// decisions for unary scans, per-partition pruning for merge nodes).
+/// row-producing plans. The caller passes the pages the planner kept.
 pub(crate) fn scan_rows(
     store: &SeriesStore,
     kept: Vec<Arc<Page>>,

@@ -18,10 +18,12 @@
 //!   or `serial` exactly when the plan is not vectorized; the four
 //!   whole-page labels (`fused(ts2diff)`, `fused(delta_rle)`,
 //!   `fused(svb)`, `header(min/max)`) are no longer planned and never
-//!   admitted; pair fusion only over aligned Delta-RLE pages.
-//! * [`Invariant::HotFoldsLast`] — a hot-chunk source only appears on
-//!   unary pipelines and its timestamps strictly follow every sealed
-//!   page, so FIRST/LAST folding order is safe.
+//!   admitted.
+//! * [`Invariant::HotFoldsLast`] — on every pipeline, unary or a binary
+//!   operator's side, a hot-chunk source has strictly increasing
+//!   timestamps that follow every sealed page (FIRST/LAST folding order
+//!   and the merges' time order are safe) and a verdict that re-derives
+//!   from its exact statistics.
 //! * [`Invariant::ExplainRoundTrip`] — `EXPLAIN` text re-renders
 //!   byte-identically from the verified plan and echoes its structure.
 //! * [`Invariant::BucketTiling`] — windowed roots use a positive bucket
@@ -51,7 +53,7 @@ use etsqp_storage::page::Page;
 
 use crate::expr::{Predicate, SlidingWindow, TimeRange};
 use crate::physical::node::{RootNode, SeriesPipeline, Strategy};
-use crate::physical::pipe::{pair_fusible, PhysicalPlan};
+use crate::physical::pipe::PhysicalPlan;
 use crate::physical::scan::{hot_verdict, page_verdict};
 use crate::physical::verify_partial::{
     check_bucket_tiling, check_cache_obligations, check_partial_merge_order,
@@ -69,11 +71,9 @@ pub enum Invariant {
     PruneSoundness,
     /// Binary-merge partitions tile the time domain disjointly.
     PartitionTiling,
-    /// Kept pages run `decode` (`serial` unvectorized), and §IV pair
-    /// fusion only over aligned Delta-RLE pages.
+    /// Kept pages run `decode` (`serial` unvectorized).
     FusionAdmissibility,
-    /// Hot-chunk sources fold last (unary only, timestamps after all
-    /// sealed pages).
+    /// Hot-chunk sources fold last (timestamps after all sealed pages).
     HotFoldsLast,
     /// `EXPLAIN` output round-trips the verified plan.
     ExplainRoundTrip,
@@ -152,12 +152,12 @@ pub fn verify(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyResult {
     for (i, p) in plan.pipelines.iter().enumerate() {
         check_prune_soundness(p, cfg)?;
         check_fusion_admissibility(p, cfg)?;
-        check_hot_folds_last(p, &plan.root, cfg)?;
+        check_hot_folds_last(p, cfg)?;
         check_bucket_tiling(p, &role(i))?;
         check_cache_obligations(p, &role(i), cfg)?;
         check_partial_merge_order(p)?;
     }
-    check_partition_tiling(plan, cfg)?;
+    check_partition_tiling(plan)?;
     Ok(())
 }
 
@@ -366,31 +366,9 @@ fn check_fusion_admissibility(p: &SeriesPipeline, cfg: &PipelineConfig) -> Verif
     Ok(())
 }
 
-fn check_partition_tiling(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyResult {
+fn check_partition_tiling(plan: &PhysicalPlan) -> VerifyResult {
     let partitions: &[TimeRange] = match &plan.root {
         RootNode::Union { partitions } | RootNode::Join { partitions, .. } => partitions,
-        RootNode::PairAgg { func: _, fused } => {
-            // The root-level §IV pair-fusion fast path is itself a fused
-            // strategy: admissibility is re-derived here.
-            if *fused {
-                let (Some(l), Some(r)) = (plan.pipelines.first(), plan.pipelines.get(1)) else {
-                    return Ok(()); // arity already rejected by PlanShape
-                };
-                if !l.pred.is_trivial() || !r.pred.is_trivial() {
-                    return fail(
-                        Invariant::FusionAdmissibility,
-                        "fused pair aggregation under a non-trivial predicate".into(),
-                    );
-                }
-                if !pair_fusible(&l.pages, &r.pages, cfg) {
-                    return fail(
-                        Invariant::FusionAdmissibility,
-                        "fused pair aggregation over non-aligned page lists".into(),
-                    );
-                }
-            }
-            return Ok(());
-        }
         _ => return Ok(()),
     };
     let Some(first) = partitions.first() else {
@@ -437,20 +415,10 @@ fn check_partition_tiling(plan: &PhysicalPlan, cfg: &PipelineConfig) -> VerifyRe
     Ok(())
 }
 
-fn check_hot_folds_last(p: &SeriesPipeline, root: &RootNode, cfg: &PipelineConfig) -> VerifyResult {
+fn check_hot_folds_last(p: &SeriesPipeline, cfg: &PipelineConfig) -> VerifyResult {
     let Some(hot) = &p.hot else {
         return Ok(());
     };
-    if !matches!(root, RootNode::Aggregate { .. } | RootNode::Rows) {
-        return fail(
-            Invariant::HotFoldsLast,
-            format!(
-                "pipeline {}: hot-chunk source on a binary operator (must be \
-                 materialized as a transient page)",
-                p.series
-            ),
-        );
-    }
     if hot.ts.len() != hot.vals.len() || hot.ts.is_empty() {
         return fail(
             Invariant::HotFoldsLast,

@@ -1,7 +1,7 @@
 //! Property tests for the binary merge layer: the planner's time
 //! partitions (`merge_partitions`, surfaced through the compiled
 //! [`RootNode`]) must tile the whole time axis, and partitioned execution
-//! (`binary_merge_partitioned`) must agree exactly with the naive oracle
+//! (`merge_partitioned`) must agree exactly with the naive oracle
 //! for every thread count — including adversarial inputs with duplicate
 //! boundary timestamps across the two series and partitions that keep no
 //! pages at all.

@@ -1,9 +1,11 @@
 //! Tests for the §IV paired aggregates (Σ AᵢBᵢ, covariance, correlation):
-//! SQL surface, fused Delta-RLE fast path, and agreement with naive math.
+//! SQL surface, agreement with naive math and with the oracle, saturation
+//! included, under every codec and thread count.
 
 use etsqp_core::engine::{EngineOptions, IotDb};
 use etsqp_core::expr::{PairAggFunc, Plan, Predicate};
-use etsqp_core::plan::Value;
+use etsqp_core::oracle;
+use etsqp_core::plan::{PipelineConfig, Value};
 use etsqp_encoding::Encoding;
 
 fn naive_corr(a: &[i64], b: &[i64]) -> f64 {
@@ -77,25 +79,67 @@ fn dot_and_cov_match_naive() {
 }
 
 #[test]
-fn fused_delta_rle_path_agrees_with_decode_path() {
-    // Aligned Delta-RLE pages hit the fused §IV path; a predicate on
-    // either side (here one every tuple passes) takes the decode +
-    // merge-join fallback. Both must agree exactly.
+fn delta_rle_pair_agrees_with_filtered_pair_and_oracle() {
+    // An unfiltered pair and one under a predicate every tuple passes
+    // take the same merge join; both equal the oracle exactly.
     let (db, _, _) = aligned_db(Encoding::DeltaRle);
     let pair = |left: Plan| Plan::JoinAggregate {
         left: Box::new(left),
         right: Box::new(Plan::scan("b")),
         func: PairAggFunc::Correlation,
     };
-    let fused = db.execute(&pair(Plan::scan("a"))).unwrap();
     let all = Predicate::time(i64::MIN, i64::MAX);
-    let unfused = db.execute(&pair(Plan::scan("a").filter(all))).unwrap();
-    let (Value::Float(x), Value::Float(y)) = (fused.rows[0][0], unfused.rows[0][0]) else {
-        panic!("{:?} {:?}", fused.rows, unfused.rows)
+    let (_, want) = oracle::execute(&pair(Plan::scan("a")), db.store()).unwrap();
+    for left in [Plan::scan("a"), Plan::scan("a").filter(all)] {
+        let got = db.execute(&pair(left)).unwrap();
+        assert_eq!(got.rows, want);
+    }
+}
+
+/// Two clock-aligned 40-point series in 20-point pages whose Σab
+/// saturates `i128` upward on page 0 and comes back down on page 1.
+fn saturating_pair(val_enc: Encoding) -> IotDb {
+    let db = IotDb::new(
+        EngineOptions::default()
+            .with_encodings(Encoding::Ts2Diff, val_enc)
+            .with_page_points(20),
+    );
+    let big = 3_000_000_000_000_000_000i64;
+    let ts: Vec<i64> = (0..40).map(|i| i * 10).collect();
+    let b: Vec<i64> = (0..40).map(|i| if i < 20 { big } else { -big }).collect();
+    db.create_series("a").unwrap();
+    db.create_series("b").unwrap();
+    db.append_all("a", &ts, &[big; 40]).unwrap();
+    db.append_all("b", &ts, &b).unwrap();
+    db.flush().unwrap();
+    db
+}
+
+#[test]
+fn saturating_dot_is_the_oracles_under_every_codec_and_thread_count() {
+    let plan = Plan::JoinAggregate {
+        left: Box::new(Plan::scan("a")),
+        right: Box::new(Plan::scan("b")),
+        func: PairAggFunc::Dot,
     };
-    assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-    // The fused run must not have decoded values (no materialization).
-    assert!(fused.stats.materialized_bytes < unfused.stats.materialized_bytes);
+    let mut answers = Vec::new();
+    for codec in [Encoding::DeltaRle, Encoding::Ts2Diff, Encoding::StreamVByte] {
+        let db = saturating_pair(codec);
+        let (_, want) = oracle::execute(&plan, db.store()).unwrap();
+        for threads in [1, 2, 8] {
+            let cfg = PipelineConfig {
+                threads,
+                ..Default::default()
+            };
+            let got = db.execute_with(&plan, &cfg).unwrap();
+            assert_eq!(got.rows, want, "{codec:?} threads={threads}");
+        }
+        answers.push(want);
+    }
+    // One saturating push per pair, in time order: Σab pins at i128::MAX
+    // on page 0, then page 1 subtracts from there.
+    assert_eq!(answers[0], vec![vec![Value::Float(-9.858816539530768e36)]]);
+    assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
 }
 
 #[test]

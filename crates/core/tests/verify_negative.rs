@@ -205,31 +205,6 @@ fn fusion_admissibility_rejects_retired_labels() {
 }
 
 #[test]
-fn fusion_admissibility_rejects_forced_pair_fusion() {
-    let store = store_with(&["a"]);
-    // Different page counts on the two sides: pair fusion inadmissible.
-    store.create_series("c", Encoding::Ts2Diff, Encoding::DeltaRle);
-    let ts: Vec<i64> = (0..ROWS / 2).map(|i| i * 10).collect();
-    let vals: Vec<i64> = (0..ROWS / 2).map(|_| 7).collect();
-    store.append_all("c", &ts, &vals).unwrap();
-    store.flush("c").unwrap();
-
-    let cfg = cfg();
-    let plan = Plan::JoinAggregate {
-        left: Box::new(Plan::scan("a")),
-        right: Box::new(Plan::scan("c")),
-        func: etsqp_core::expr::PairAggFunc::Dot,
-    };
-    let mut phys = compile(&plan, &store, &cfg).unwrap();
-    let RootNode::PairAgg { fused, .. } = &mut phys.root else {
-        panic!("join-aggregate must compile to a pair-agg root");
-    };
-    assert!(!*fused, "misaligned sides must not plan fused");
-    *fused = true;
-    expect_invariant(verify(&phys, &cfg), Invariant::FusionAdmissibility);
-}
-
-#[test]
 fn hot_folds_last_rejects_out_of_order_hot_chunks() {
     let store = store_with(&["a"]);
     // Live tail: appended but not flushed.
@@ -258,13 +233,19 @@ fn hot_folds_last_rejects_out_of_order_hot_chunks() {
     broken.pipelines[0].hot.as_mut().unwrap().ts = Arc::new(shuffled);
     expect_invariant(verify(&broken, &cfg), Invariant::HotFoldsLast);
 
-    // A hot source grafted onto a binary operator's pipeline.
+    // A binary operator's side carries its hot tail like a unary scan;
+    // rewound behind that side's sealed pages, it is rejected too.
     let union = Plan::Union {
         left: Box::new(Plan::scan("a")),
         right: Box::new(Plan::scan("a")),
     };
     let mut broken = compile(&union, &store, &cfg).unwrap();
-    broken.pipelines[0].hot = Some(hot);
+    verify(&broken, &cfg).unwrap();
+    let side = broken.pipelines[1]
+        .hot
+        .as_mut()
+        .expect("union side has the hot tail");
+    side.ts = Arc::new(side.ts.iter().map(|t| t - ROWS * 10).collect());
     expect_invariant(verify(&broken, &cfg), Invariant::HotFoldsLast);
 }
 

@@ -165,8 +165,6 @@ impl HotChunk {
             vals: Arc::new(self.vals.clone()),
             min_value: min_v,
             max_value: max_v,
-            ts_encoding: self.ts_encoding,
-            val_encoding: self.val_encoding,
         })
     }
 }
@@ -318,10 +316,6 @@ pub struct HotIntSnapshot {
     pub min_value: i64,
     /// Exact maximum of `vals`.
     pub max_value: i64,
-    /// The series' timestamp codec (used when materializing a page).
-    pub ts_encoding: Encoding,
-    /// The series' value codec (used when materializing a page).
-    pub val_encoding: Encoding,
 }
 
 impl HotIntSnapshot {
@@ -334,13 +328,6 @@ impl HotIntSnapshot {
     /// for clippy's `len`-without-`is_empty` convention).
     pub fn is_empty(&self) -> bool {
         self.ts.is_empty()
-    }
-
-    /// Encodes the snapshot into a transient checksummed page with the
-    /// series' own codecs — the materialization the binary-operator
-    /// pipelines use so partitioned merges see hot data as one more page.
-    pub fn to_page(&self) -> Result<Page> {
-        Page::encode(&self.ts, &self.vals, self.ts_encoding, self.val_encoding)
     }
 }
 
@@ -489,20 +476,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(*snap.vals, vec![5, -3]);
         assert_eq!(h.snapshot().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn snapshot_to_page_roundtrips() {
-        let mut h = chunk(100, None);
-        for i in 0..17i64 {
-            h.push(i * 3, i * i).unwrap();
-        }
-        let snap = h.snapshot().unwrap();
-        let page = snap.to_page().unwrap();
-        page.verify().unwrap();
-        let (ts, vals) = page.decode().unwrap();
-        assert_eq!(ts, *snap.ts);
-        assert_eq!(vals, *snap.vals);
     }
 
     #[test]

@@ -481,21 +481,14 @@ fn expect(name: &str, want: Invariant, res: VerifyResult, report: &mut Report) {
 
 /// A deterministic fixture store: sealed series `m`/`n`, a series `h`
 /// with a live hot tail, a series `d` whose page 2 is corrupted after
-/// sealing (its checksum no longer matches), and Delta-RLE series `r` /
-/// `q` whose clocks are five ticks apart (pages not aligned), and a
-/// sealed float series `fl`.
+/// sealing (its checksum no longer matches), and a sealed float series
+/// `fl`.
 fn mutation_store() -> SeriesStore {
     let store = SeriesStore::new(PAGE_POINTS);
     let ts: Vec<i64> = (0..ROWS as i64).map(|i| i * 10).collect();
     let vals: Vec<i64> = (0..ROWS as i64).map(|i| 100 + (i % 37)).collect();
     for s in ["m", "n", "h", "d"] {
         store.create_series(s, Encoding::Ts2Diff, Encoding::Ts2Diff);
-        store.append_all(s, &ts, &vals).unwrap();
-        store.flush(s).unwrap();
-    }
-    for (s, shift) in [("r", 0), ("q", 5)] {
-        let ts: Vec<i64> = ts.iter().map(|t| t + shift).collect();
-        store.create_series(s, Encoding::Ts2Diff, Encoding::DeltaRle);
         store.append_all(s, &ts, &vals).unwrap();
         store.flush(s).unwrap();
     }
@@ -642,6 +635,25 @@ fn mutation_pass(report: &mut Report) {
         report,
     );
 
+    // hot-folds-last: the same rewound tail on a binary operator's side,
+    // which carries its hot chunk as a unary scan does.
+    let union_h = Plan::Union {
+        left: Box::new(Plan::scan("h")),
+        right: Box::new(Plan::scan("m")),
+    };
+    let mut phys = pipe::compile(&union_h, &store, &cfg).unwrap();
+    let hot = phys.pipelines[0]
+        .hot
+        .as_mut()
+        .expect("union side has the hot tail");
+    hot.ts = Arc::new(hot.ts.iter().map(|t| t - ROWS as i64 * 10).collect());
+    expect(
+        "hot-folds-last/binary-side-rewound",
+        Invariant::HotFoldsLast,
+        verify(&phys, &cfg),
+        report,
+    );
+
     // explain-round-trip: EXPLAIN text drifted from the plan.
     let phys = pipe::compile(&sum_m, &store, &cfg).unwrap();
     let tampered = phys.render(&cfg).replace("SUM", "MAX");
@@ -664,25 +676,6 @@ fn mutation_pass(report: &mut Report) {
     expect(
         "bucket-tiling/zero-width",
         Invariant::BucketTiling,
-        verify(&phys, &cfg),
-        report,
-    );
-
-    // fusion-admissibility: pair fusion forced over Delta-RLE pages whose
-    // clocks are not aligned.
-    let dot = Plan::JoinAggregate {
-        left: Box::new(Plan::scan("r")),
-        right: Box::new(Plan::scan("q")),
-        func: PairAggFunc::Dot,
-    };
-    let mut phys = pipe::compile(&dot, &store, &cfg).unwrap();
-    match &mut phys.root {
-        RootNode::PairAgg { fused, .. } if !*fused => *fused = true,
-        other => panic!("misaligned pair fixture compiled to {other:?}"),
-    }
-    expect(
-        "fusion-admissibility/misaligned-pair",
-        Invariant::FusionAdmissibility,
         verify(&phys, &cfg),
         report,
     );

@@ -87,6 +87,12 @@ cargo build --release --offline --manifest-path bench/Cargo.toml
 echo "==> cargo run --release -q --example float_sensors"
 cargo run --release -q --example float_sensors >/dev/null
 
+# The binary-operator example: Union, Join, JoinExpr, DOT and CORR over
+# two sensors with unflushed tails; it asserts every answer equals the
+# oracle's.
+echo "==> cargo run --release -q --example sensor_join"
+cargo run --release -q --example sensor_join >/dev/null
+
 # The Fig. 14 ablations live in crates/bench, outside the engine: run the
 # binary at a small scale so its arms keep compiling, keep running, and
 # keep asserting that every arm (decode then sum, Delta, Delta+Repeat,

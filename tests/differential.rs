@@ -8,6 +8,7 @@
 
 use etsqp::core::expr::{BinOp, CmpOp, PairAggFunc};
 use etsqp::core::oracle;
+use etsqp::core::physical::node::PruneVerdict;
 use etsqp::core::physical::pipe;
 use etsqp::core::plan::execute;
 use etsqp::datasets::Spec;
@@ -485,8 +486,8 @@ fn corrupted_pages_abort_never_lie() {
     let configs = canonical_configs();
     let mut cases = 0usize;
     for (mname, mutate) in mutations {
-        // DeltaRle values + identical clocks on both series keep the
-        // fused §IV pair path eligible, so JOINAGG(dot) exercises it.
+        // DeltaRle values + identical clocks on both series: JOINAGG(dot)
+        // reads the corrupted page through its left side's row scan.
         let mut fx = fixture(Spec::Atmosphere, Encoding::DeltaRle, Encoding::Ts2Diff);
         // Clean engine baselines must exist before injection.
         for qi in [0usize, 3] {
@@ -495,7 +496,7 @@ fn corrupted_pages_abort_never_lie() {
         fx.store.corrupt_page(&fx.a, 1, mutate).unwrap();
         for cfg in &configs {
             // SUM(all), MIN(both) [time+value filter under prune],
-            // JOINAGG(dot) [fused pair path].
+            // JOINAGG(dot) [binary side scan].
             for (qname, plan) in [&fx.queries[0], &fx.queries[3], &fx.queries[14]] {
                 let got = execute(plan, &fx.store, cfg);
                 assert!(
@@ -647,7 +648,10 @@ fn quantile_sketches_stay_within_rank_bound() {
 /// whole-range and bucketed P50/P95/P99 must give rows at
 /// `threads ∈ {2, 8}` that are bit-identical to `threads = 1` —
 /// equality, not the rank bound Block F holds quantiles to against the
-/// oracle.
+/// oracle. The pruning counters may not depend on it either: every
+/// query, binary ones included, reports the same
+/// `(pages_pruned, tuples_pruned)` at every thread count, and
+/// `pages_pruned` is the number of pages its compiled plan prunes.
 #[test]
 fn rows_are_bit_identical_across_thread_counts() {
     let serial = PipelineConfig {
@@ -678,6 +682,19 @@ fn rows_are_bit_identical_across_thread_counts() {
                 }
                 for (qname, plan) in &fx.queries {
                     let want = execute(plan, &fx.store, &serial).unwrap();
+                    let pruned = pruned_of(&want);
+                    let planned = pipe::compile(plan, &fx.store, &serial).unwrap();
+                    let decided = (planned.pipelines.iter())
+                        .flat_map(|p| &p.decisions)
+                        .filter(|d| !d.verdict.kept())
+                        .count() as u64;
+                    assert_eq!(
+                        pruned.0,
+                        decided,
+                        "THREADS spec={} codec={codec:?} hot={hot} query={qname}: \
+                         pages_pruned is not the plan's pruned decisions",
+                        spec.label(),
+                    );
                     for threads in [2usize, 8] {
                         let cfg = PipelineConfig { threads, ..serial };
                         let got = execute(plan, &fx.store, &cfg).unwrap();
@@ -690,6 +707,14 @@ fn rows_are_bit_identical_across_thread_counts() {
                             preview(&got.rows),
                             preview(&want.rows),
                         );
+                        assert_eq!(
+                            pruned_of(&got),
+                            pruned,
+                            "THREADS spec={} codec={codec:?} hot={hot} cfg=[{}] query={qname}: \
+                             (pages_pruned, tuples_pruned) differ from threads=1",
+                            spec.label(),
+                            cfg_label(&cfg),
+                        );
                         cases += 1;
                     }
                 }
@@ -698,6 +723,93 @@ fn rows_are_bit_identical_across_thread_counts() {
     }
     assert!(cases >= 200, "thread sweep too small: {cases} cases");
     eprintln!("differential thread-count invariance: {cases} cases, all bit-identical");
+}
+
+/// Block L: binary operators over hot tails their sides' filters prune.
+/// Each side of a Union / Join / JoinExpr / JoinAggregate compiles like a
+/// `SELECT *` scan, hot chunk included: the left filter's time range ends
+/// at the last sealed timestamp (`pruned(time)` hot tail), the right
+/// filter's value band lies above every hot value (`pruned(value)`).
+/// Rows equal the oracle's, and `tuples_pruned` counts each pruned page
+/// and each pruned hot tail exactly once, at every thread count.
+#[test]
+fn binary_sides_prune_their_hot_tails_once() {
+    let store = SeriesStore::new(PAGE_POINTS);
+    let ts: Vec<i64> = (0..ROWS as i64).map(|i| i * 10).collect();
+    let tn = *ts.last().unwrap();
+    for (name, step) in [("l", 37), ("r", 53)] {
+        let vals: Vec<i64> = (0..ROWS as i64).map(|i| 1000 + (i * step) % 500).collect();
+        store.create_series(name, Encoding::Ts2Diff, Encoding::DeltaRle);
+        store.append_all(name, &ts, &vals).unwrap();
+        store.flush(name).unwrap();
+        append_hot_tail(&store, name, tn);
+    }
+    let left = || Plan::scan("l").filter(Predicate::time(tn / 3, tn));
+    let right = || Plan::scan("r").filter(Predicate::value(1000, 1400));
+    let plans = [
+        Plan::Union {
+            left: Box::new(left()),
+            right: Box::new(right()),
+        },
+        Plan::Join {
+            left: Box::new(left()),
+            right: Box::new(right()),
+            on: Some(CmpOp::Gt),
+        },
+        Plan::JoinExpr {
+            left: Box::new(left()),
+            right: Box::new(right()),
+            op: BinOp::Sub,
+        },
+        Plan::JoinAggregate {
+            left: Box::new(left()),
+            right: Box::new(right()),
+            func: PairAggFunc::Dot,
+        },
+        Plan::JoinAggregate {
+            left: Box::new(left()),
+            right: Box::new(right()),
+            func: PairAggFunc::Correlation,
+        },
+    ];
+    let mut cases = 0usize;
+    for plan in &plans {
+        for vectorized in [true, false] {
+            for threads in [1usize, 2, 8] {
+                let cfg = PipelineConfig {
+                    threads,
+                    vectorized,
+                    ..Default::default()
+                };
+                let phys = pipe::compile(plan, &store, &cfg).unwrap();
+                let verdicts: Vec<_> = (phys.pipelines.iter())
+                    .map(|p| p.hot.as_ref().expect("both sides have a hot tail").verdict)
+                    .collect();
+                assert_eq!(
+                    verdicts,
+                    [PruneVerdict::PrunedTime, PruneVerdict::PrunedValue]
+                );
+                let mut want = (0u64, 0u64);
+                for p in &phys.pipelines {
+                    for d in p.decisions.iter().filter(|d| !d.verdict.kept()) {
+                        want = (want.0 + 1, want.1 + d.tuples);
+                    }
+                    want.1 += p.hot.as_ref().map_or(0, |h| h.ts.len() as u64);
+                }
+                let label = format!("HOTSIDES {plan:?}");
+                assert_oracle(plan, &store, &cfg, &label);
+                let got = execute(plan, &store, &cfg).unwrap();
+                assert_eq!(pruned_of(&got), want, "{label} cfg=[{}]", cfg_label(&cfg));
+                cases += 1;
+            }
+        }
+    }
+    eprintln!("differential pruned hot sides: {cases} cases");
+}
+
+/// A run's `(pages_pruned, tuples_pruned)`.
+fn pruned_of(r: &etsqp::core::plan::QueryResult) -> (u64, u64) {
+    (r.stats.pages_pruned, r.stats.tuples_pruned)
 }
 
 /// One sealed series on a store with `page_points`-point pages.
