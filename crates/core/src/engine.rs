@@ -246,7 +246,7 @@ impl IotDb {
         let cfg = &self.opts.pipeline;
         let phys = pipe::compile(plan, &self.store, cfg)?;
         let p = &phys.pipelines[0];
-        if !p.float && (!p.pages.is_empty() || p.hot.is_some()) {
+        if !p.float && (!p.segments.is_empty() || p.hot.is_some()) {
             return Err(Error::Plan(format!("{} is not a float series", p.series)));
         }
         run_compiled(&phys, &self.store, cfg, &CancellationToken::none(), start)

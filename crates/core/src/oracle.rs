@@ -164,12 +164,13 @@ fn tuple_qualifies(pred: &Predicate, t: i64, v: i64) -> bool {
 /// read as its ordered keys, hot chunk included. Tuples pass `pred` one
 /// at a time.
 fn scan_tuples(store: &SeriesStore, series: &str, pred: &Predicate) -> Result<Tuples> {
-    let (pages, hot, float) = snapshot_unary(store, series, &Predicate::default(), false)?;
+    let (segments, hot, float) = snapshot_unary(store, series, &Predicate::default(), false)?;
     let mut out = Tuples {
         float,
         ..Tuples::default()
     };
-    for (i, page) in pages.iter().enumerate() {
+    let pages = segments.iter().flat_map(|s| s.pages());
+    for (i, page) in pages.enumerate() {
         let (ts, vals) = page.decode()?;
         out.extend(&ts, &vals, Some(i), pred);
     }

@@ -41,15 +41,11 @@ pub(crate) enum BinaryKind {
 /// Builds at most `2 * threads` disjoint time ranges covering both page
 /// lists, cut at page first-timestamps so most pages fall wholly in one
 /// range. Planner-side: the ranges appear verbatim in `EXPLAIN`.
-pub(crate) fn merge_partitions(
-    left: &[Arc<Page>],
-    right: &[Arc<Page>],
+pub(crate) fn merge_partitions<'a>(
+    pages: impl Iterator<Item = &'a Arc<Page>>,
     threads: usize,
 ) -> Vec<TimeRange> {
-    let mut cuts: Vec<i64> = Vec::new();
-    for page in left.iter().chain(right) {
-        cuts.push(page.header.first_ts);
-    }
+    let mut cuts: Vec<i64> = pages.map(|page| page.header.first_ts).collect();
     cuts.sort_unstable();
     cuts.dedup();
     if cuts.is_empty() {

@@ -11,6 +11,7 @@ use etsqp_core::physical::pipe::{compile, PhysicalPlan};
 use etsqp_core::physical::verify::{verify, verify_deep, verify_explain, Invariant, VerifyResult};
 use etsqp_core::plan::PipelineConfig;
 use etsqp_encoding::Encoding;
+use etsqp_storage::segment::Segment;
 use etsqp_storage::store::SeriesStore;
 
 const PAGE_POINTS: usize = 64;
@@ -372,9 +373,11 @@ fn partial_merge_order_rejects_out_of_order_pages() {
     // per-index bookkeeping so PlanShape still holds): the sequential
     // partial merge would now fold page 1's span before page 0's.
     let p = &mut phys.pipelines[0];
-    p.pages.swap(0, 1);
+    let mut pages = p.segments[0].pages().to_vec();
+    pages.swap(0, 1);
+    p.segments[0] = Arc::new(Segment::new(pages));
     p.decisions.swap(0, 1);
-    let counts: Vec<u64> = p.pages.iter().map(|pg| pg.header.count as u64).collect();
+    let counts: Vec<u64> = p.pages().map(|pg| pg.header.count as u64).collect();
     for (i, d) in p.decisions.iter_mut().enumerate() {
         d.index = i;
         d.tuples = counts[i];

@@ -64,6 +64,14 @@ fn should_seal(
     }
 }
 
+/// The running `(min, max)` of an empty buffer: any value widens it.
+const EMPTY_BOUNDS: (i64, i64) = (i64::MAX, i64::MIN);
+
+/// `(min, max)` widened by one value: O(1) per push.
+fn widen((min, max): (i64, i64), v: i64) -> (i64, i64) {
+    (min.min(v), max.max(v))
+}
+
 /// The integer-valued hot chunk.
 #[derive(Debug)]
 pub struct HotChunk {
@@ -73,6 +81,9 @@ pub struct HotChunk {
     seal_interval: Option<i64>,
     ts: Vec<i64>,
     vals: Vec<i64>,
+    /// Running `(min, max)` of `vals`, kept on push and reset at seal, so
+    /// a snapshot under the series lock copies instead of scanning.
+    bounds: (i64, i64),
     last_sealed_ts: Option<i64>,
     /// Test-only fault injection: the next seal fails *before* touching
     /// any state, proving the error path preserves the chunk.
@@ -96,6 +107,7 @@ impl HotChunk {
             seal_interval,
             ts: Vec::with_capacity(page_points),
             vals: Vec::with_capacity(page_points),
+            bounds: EMPTY_BOUNDS,
             last_sealed_ts: None,
             #[cfg(test)]
             fail_next_seal: false,
@@ -120,6 +132,7 @@ impl HotChunk {
         check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
         self.ts.push(ts);
         self.vals.push(value);
+        self.bounds = widen(self.bounds, value);
         if should_seal(
             self.ts.len(),
             self.ts[0],
@@ -147,6 +160,7 @@ impl HotChunk {
         self.last_sealed_ts = Some(page.header.last_ts);
         self.ts.clear();
         self.vals.clear();
+        self.bounds = EMPTY_BOUNDS;
         Ok(Some(Arc::new(page)))
     }
 
@@ -155,16 +169,11 @@ impl HotChunk {
         if self.ts.is_empty() {
             return None;
         }
-        let (mut min_v, mut max_v) = (i64::MAX, i64::MIN);
-        for &v in &self.vals {
-            min_v = min_v.min(v);
-            max_v = max_v.max(v);
-        }
         Some(HotIntSnapshot {
             ts: Arc::new(self.ts.clone()),
             vals: Arc::new(self.vals.clone()),
-            min_value: min_v,
-            max_value: max_v,
+            min_value: self.bounds.0,
+            max_value: self.bounds.1,
         })
     }
 }
@@ -178,6 +187,9 @@ pub struct HotChunkF64 {
     seal_interval: Option<i64>,
     ts: Vec<i64>,
     vals: Vec<f64>,
+    /// Running `(min, max)` of the values' ordered keys; see
+    /// [`HotChunk`].
+    bounds: (i64, i64),
     last_sealed_ts: Option<i64>,
 }
 
@@ -198,6 +210,7 @@ impl HotChunkF64 {
             seal_interval,
             ts: Vec::with_capacity(page_points),
             vals: Vec::with_capacity(page_points),
+            bounds: EMPTY_BOUNDS,
             last_sealed_ts: None,
         }
     }
@@ -217,6 +230,7 @@ impl HotChunkF64 {
         check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
         self.ts.push(ts);
         self.vals.push(value);
+        self.bounds = widen(self.bounds, f64_to_ordered_i64(value));
         if should_seal(
             self.ts.len(),
             self.ts[0],
@@ -238,6 +252,7 @@ impl HotChunkF64 {
         self.last_sealed_ts = Some(page.header.last_ts);
         self.ts.clear();
         self.vals.clear();
+        self.bounds = EMPTY_BOUNDS;
         Ok(Some(Arc::new(page)))
     }
 
@@ -246,17 +261,11 @@ impl HotChunkF64 {
         if self.ts.is_empty() {
             return None;
         }
-        let (mut min_v, mut max_v) = (i64::MAX, i64::MIN);
-        for &v in &self.vals {
-            let m = f64_to_ordered_i64(v);
-            min_v = min_v.min(m);
-            max_v = max_v.max(m);
-        }
         Some(HotFloatSnapshot {
             ts: Arc::new(self.ts.clone()),
             vals: Arc::new(self.vals.clone()),
-            min_value: min_v,
-            max_value: max_v,
+            min_value: self.bounds.0,
+            max_value: self.bounds.1,
         })
     }
 }
@@ -303,9 +312,9 @@ impl Hot {
 
 /// A point-in-time copy of an integer hot chunk's buffered columns.
 ///
-/// Cheaply cloneable (`Arc` columns); exact `min/max` statistics are
-/// computed at snapshot time, so §V-style pruning of the hot chunk uses
-/// true bounds, not estimates.
+/// Cheaply cloneable (`Arc` columns); the exact `min/max` statistics
+/// are the chunk's running bounds, kept on every push, so §V-style
+/// pruning of the hot chunk uses true bounds, not estimates.
 #[derive(Debug, Clone)]
 pub struct HotIntSnapshot {
     /// Buffered timestamps (strictly increasing).
@@ -491,5 +500,45 @@ mod tests {
         let (_, vals) = page.decode_f64().unwrap();
         assert_eq!(vals, vec![1.5, -2.5, 9.0]);
         assert!(matches!(h.push(2, 0.0), Err(Error::OutOfOrder { .. })));
+    }
+    /// The running bounds against a scan of what a snapshot holds.
+    fn scanned(keys: impl Iterator<Item = i64>) -> (i64, i64) {
+        keys.fold(EMPTY_BOUNDS, widen)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After any push / seal sequence, through point-count seals and
+        /// forced ones, the running min and max a snapshot reports are
+        /// those of a scan over its values, integer and float alike.
+        #[test]
+        fn running_bounds_equal_a_scan(
+            ops in proptest::collection::vec((0u8..4, proptest::prelude::any::<i32>()), 1..300),
+            page_points in proptest::prop_oneof![
+                proptest::prelude::Just(1usize),
+                proptest::prelude::Just(3),
+                proptest::prelude::Just(64)
+            ],
+        ) {
+            let mut ints = chunk(page_points, None);
+            let mut floats = HotChunkF64::new(Encoding::Ts2Diff, Encoding::Chimp, page_points, None);
+            for (t, &(op, v)) in ops.iter().enumerate() {
+                if op == 3 {
+                    ints.seal().unwrap();
+                    floats.seal().unwrap();
+                } else {
+                    ints.push(t as i64, i64::from(v) << (op * 16)).unwrap();
+                    floats.push(t as i64, f64::from(v) / 7.0).unwrap();
+                }
+                if let Some(s) = ints.snapshot() {
+                    proptest::prop_assert_eq!((s.min_value, s.max_value), scanned(s.vals.iter().copied()));
+                }
+                if let Some(s) = floats.snapshot() {
+                    let keys = s.vals.iter().map(|&f| f64_to_ordered_i64(f));
+                    proptest::prop_assert_eq!((s.min_value, s.max_value), scanned(keys));
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::ingest::hot::Hot;
-use crate::page::Page;
+use crate::segment::SealedPages;
 
 /// Default shard count (power of two; tuned for "many cores hammering
 /// many series", not memory — an empty shard is one lock and one map).
@@ -30,8 +30,8 @@ pub const LOCK_CLASS_SERIES: &str = "storage.series";
 /// Everything the store knows about one series, behind its own mutex.
 #[derive(Debug, Default)]
 pub struct SeriesState {
-    /// Sealed, immutable, checksummed pages in time order.
-    pub pages: Vec<Arc<Page>>,
+    /// Sealed, immutable, checksummed pages in time order, in segments.
+    pub pages: SealedPages,
     /// The live append buffer; `None` for page-only series (loaded from
     /// a TsFile or inserted pre-encoded).
     pub hot: Option<Hot>,

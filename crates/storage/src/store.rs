@@ -11,9 +11,10 @@
 //! (append = shard read lock + per-series mutex, no store-wide lock),
 //! and each series buffers points in a hot chunk that seals into a
 //! checksummed page at the configured point-count or time threshold.
-//! Readers call [`SeriesStore::snapshot`] to get sealed pages plus a
-//! point-in-time copy of the hot chunk as one atomic pair, so `SELECT`
-//! sees a point the moment `append` returns — no `flush` required.
+//! Sealed pages are grouped into immutable [`Segment`]s. Readers call
+//! [`SeriesStore::snapshot`] to get the segments plus a point-in-time
+//! copy of the hot chunk as one atomic pair, so `SELECT` sees a point
+//! the moment `append` returns — no `flush` required.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +25,7 @@ use crate::ingest::{
     Hot, HotChunk, HotChunkF64, HotSnapshot, SeriesState, ShardMap, DEFAULT_SHARDS,
 };
 use crate::page::Page;
+use crate::segment::{SealedPages, Segment, SEGMENT_PAGES};
 use crate::{Error, Result};
 
 /// Counters for encoded bytes and pages handed to readers.
@@ -91,18 +93,27 @@ impl Default for StoreOptions {
     }
 }
 
-/// An atomic view of one series: every sealed page plus a point-in-time
-/// copy of the hot chunk, captured under a single series-lock hold.
+/// An atomic view of one series: every sealed segment plus a
+/// point-in-time copy of the hot chunk, captured under a single
+/// series-lock hold.
 ///
 /// Any query planned from one snapshot is consistent: it sees a prefix
 /// of the series' append stream, with no torn pages and no point counted
-/// twice (a point is either in `pages` or in `hot`, never both).
+/// twice (a point is either in `segments` or in `hot`, never both).
 #[derive(Debug, Clone)]
 pub struct SeriesSnapshot {
-    /// Sealed, immutable, checksummed pages in time order.
-    pub pages: Vec<Arc<Page>>,
+    /// Sealed, immutable, checksummed pages in time order, as shared
+    /// segment handles (the last one may be short: the open tail).
+    pub segments: Vec<Arc<Segment>>,
     /// The hot chunk's buffered columns; `None` when nothing is buffered.
     pub hot: Option<HotSnapshot>,
+}
+
+impl SeriesSnapshot {
+    /// Every sealed page, in time order.
+    pub fn pages(&self) -> impl Iterator<Item = &Arc<Page>> {
+        self.segments.iter().flat_map(|s| s.pages())
+    }
 }
 
 /// A named collection of series, each a vector of sealed pages plus a
@@ -115,6 +126,8 @@ pub struct SeriesStore {
     map: Arc<ShardMap>,
     io: Arc<IoStats>,
     opts: StoreOptions,
+    /// Pages per sealed segment: [`SEGMENT_PAGES`] but in tests.
+    segment_pages: usize,
 }
 
 impl Clone for SeriesStore {
@@ -123,6 +136,7 @@ impl Clone for SeriesStore {
             map: Arc::clone(&self.map),
             io: Arc::clone(&self.io),
             opts: self.opts,
+            segment_pages: self.segment_pages,
         }
     }
 }
@@ -145,10 +159,27 @@ impl SeriesStore {
 
     /// Creates a store with explicit sharding and sealing options.
     pub fn with_options(opts: StoreOptions) -> Self {
+        Self::with_segment_pages(opts, SEGMENT_PAGES)
+    }
+
+    /// A store sealing segments of `segment_pages` pages instead of
+    /// [`SEGMENT_PAGES`]: for tests that hold every segment size to the
+    /// same answers.
+    #[doc(hidden)]
+    pub fn with_segment_pages(opts: StoreOptions, segment_pages: usize) -> Self {
         Self {
             map: Arc::new(ShardMap::new(opts.shards)),
             io: Arc::new(IoStats::default()),
             opts,
+            segment_pages,
+        }
+    }
+
+    /// A new series' state around its live writer (`None`: page-only).
+    fn series_state(&self, hot: Option<Hot>) -> SeriesState {
+        SeriesState {
+            pages: SealedPages::new(self.segment_pages),
+            hot,
         }
     }
 
@@ -165,28 +196,26 @@ impl SeriesStore {
     /// Registers a series with the given column codecs. Idempotent for an
     /// existing series with the same name.
     pub fn create_series(&self, name: &str, ts_encoding: Encoding, val_encoding: Encoding) {
-        self.map.get_or_insert(name, || SeriesState {
-            pages: Vec::new(),
-            hot: Some(Hot::Int(HotChunk::new(
+        self.map.get_or_insert(name, || {
+            self.series_state(Some(Hot::Int(HotChunk::new(
                 ts_encoding,
                 val_encoding,
                 self.opts.page_points,
                 self.opts.seal_interval,
-            ))),
+            ))))
         });
     }
 
     /// Registers a float-valued series (`val_encoding` must be a float
     /// codec: GorillaFloat, Chimp or Elf).
     pub fn create_series_f64(&self, name: &str, ts_encoding: Encoding, val_encoding: Encoding) {
-        self.map.get_or_insert(name, || SeriesState {
-            pages: Vec::new(),
-            hot: Some(Hot::Float(HotChunkF64::new(
+        self.map.get_or_insert(name, || {
+            self.series_state(Some(Hot::Float(HotChunkF64::new(
                 ts_encoding,
                 val_encoding,
                 self.opts.page_points,
                 self.opts.seal_interval,
-            ))),
+            ))))
         });
     }
 
@@ -293,17 +322,18 @@ impl SeriesStore {
     /// planners that inspect headers only; readers charge I/O when they
     /// touch payloads.
     pub fn peek_pages(&self, name: &str) -> Result<Vec<Arc<Page>>> {
-        self.with_series(name, |state| Ok(state.pages.clone()))
+        self.with_series(name, |state| Ok(state.pages.pages().cloned().collect()))
     }
 
-    /// Atomically captures sealed pages plus the hot chunk's buffered
-    /// columns under one series-lock hold. This is the read path queries
-    /// plan from: the pair is a consistent prefix of the append stream.
-    /// No I/O is charged; executors charge pages when they decode them.
+    /// Atomically captures the sealed segments plus the hot chunk's
+    /// buffered columns under one series-lock hold. This is the read
+    /// path queries plan from: the pair is a consistent prefix of the
+    /// append stream, and it costs one handle per segment. No I/O is
+    /// charged; executors charge pages when they decode them.
     pub fn snapshot(&self, name: &str) -> Result<SeriesSnapshot> {
         self.with_series(name, |state| {
             Ok(SeriesSnapshot {
-                pages: state.pages.clone(),
+                segments: state.pages.segments(),
                 hot: state.hot.as_ref().and_then(|h| h.snapshot()),
             })
         })
@@ -313,9 +343,11 @@ impl SeriesStore {
     /// benchmarks that prepare data once). Creates a page-only series —
     /// no hot chunk — when the name is new.
     pub fn insert_pages(&self, name: &str, pages: Vec<Page>) {
-        let cell = self.map.get_or_insert(name, SeriesState::default);
+        let cell = self.map.get_or_insert(name, || self.series_state(None));
         let mut state = cell.state.lock();
-        state.pages.extend(pages.into_iter().map(Arc::new));
+        for page in pages {
+            state.pages.push(Arc::new(page));
+        }
     }
 
     /// Fault-injection hook: replaces the `index`-th stored page of a
@@ -323,7 +355,8 @@ impl SeriesStore {
     /// over corrupted pages abort with a typed error instead of returning
     /// silently wrong aggregates — the mutation deliberately does *not*
     /// reseal the page checksum, exactly like real memory or disk
-    /// corruption would not.
+    /// corruption would not. The copy lands in a new segment, without
+    /// the all-verified mark or a memo.
     pub fn corrupt_page(
         &self,
         name: &str,
@@ -331,14 +364,10 @@ impl SeriesStore {
         mutate: impl FnOnce(&mut Page),
     ) -> Result<()> {
         self.with_series(name, |state| {
-            let slot = state
-                .pages
-                .get_mut(index)
-                .ok_or(Error::Misuse("page index out of range"))?;
-            let mut page = (**slot).clone();
+            let stored = state.pages.pages().nth(index);
+            let mut page = Page::clone(stored.ok_or(Error::Misuse("page index out of range"))?);
             mutate(&mut page);
-            *slot = Arc::new(page);
-            Ok(())
+            state.pages.replace(index, page)
         })
     }
 
@@ -346,7 +375,7 @@ impl SeriesStore {
     /// (buffered hot points are reported by [`Self::buffered_points`]).
     pub fn point_count(&self, name: &str) -> Result<u64> {
         self.with_series(name, |state| {
-            Ok(state.pages.iter().map(|p| p.header.count as u64).sum())
+            Ok(state.pages.pages().map(|p| p.header.count as u64).sum())
         })
     }
 }
@@ -422,7 +451,7 @@ mod tests {
         store.append("live", 1, 10).unwrap();
         store.append("live", 2, 20).unwrap();
         let snap = store.snapshot("live").unwrap();
-        assert!(snap.pages.is_empty());
+        assert!(snap.segments.is_empty());
         let hot = snap.hot.expect("buffered points visible without flush");
         assert_eq!(hot.len(), 2);
         assert_eq!(store.buffered_points("live").unwrap(), 2);
@@ -439,7 +468,7 @@ mod tests {
         }
         // 10 points at page_points=4: two sealed pages + 2 hot.
         let snap = store.snapshot("s").unwrap();
-        let sealed: u64 = snap.pages.iter().map(|p| p.header.count as u64).sum();
+        let sealed: u64 = snap.pages().map(|p| p.header.count as u64).sum();
         let hot = snap.hot.as_ref().map_or(0, |h| h.len() as u64);
         assert_eq!(sealed, 8);
         assert_eq!(hot, 2);
@@ -454,7 +483,7 @@ mod tests {
         // But flush and snapshot still work on it.
         store.flush("cold").unwrap();
         let snap = store.snapshot("cold").unwrap();
-        assert_eq!(snap.pages.len(), 1);
+        assert_eq!(snap.pages().count(), 1);
         assert!(snap.hot.is_none());
     }
 }

@@ -150,12 +150,12 @@ fn parallel_appenders_with_concurrent_snapshots() {
             while !stop.load(Ordering::Relaxed) {
                 for (w, last) in last_seen.iter_mut().enumerate() {
                     let snap = store.snapshot(&format!("s{w}")).unwrap();
-                    let sealed: u64 = snap.pages.iter().map(|p| p.header.count as u64).sum();
+                    let sealed: u64 = snap.pages().map(|p| p.header.count as u64).sum();
                     let hot = snap.hot.as_ref().map_or(0, |h| h.len() as u64);
                     let seen = sealed + hot;
                     assert!(seen >= *last, "snapshot went backwards: {seen} < {last}");
                     assert!(
-                        snap.pages.iter().all(|p| p.header.count == 128),
+                        snap.pages().all(|p| p.header.count == 128),
                         "sealed page not full under pure appends"
                     );
                     *last = seen;

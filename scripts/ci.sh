@@ -106,6 +106,13 @@ ETSQP_BENCH_ROWS=20000 cargo run --release -q -p etsqp-bench --bin fig14 >/dev/n
 echo "==> cargo test -q -p crossbeam --features model"
 cargo test -q -p crossbeam --features model
 
+# The same checker over the segment publish (crates/storage/tests/
+# segment_model.rs): two folds publish a segment memo while the epoch
+# bumps and a corrupted page is swapped in; no interleaving may expose a
+# memo from a mixed epoch or over an unverified page.
+echo "==> cargo test -q -p etsqp-storage --features model --test segment_model"
+cargo test -q -p etsqp-storage --features model --test segment_model
+
 # Runtime lock-order tracking (shims/parking_lot lockdep feature): the
 # storage suite plus tests/lockdep.rs run with classed locks recording
 # acquisition edges; an inversion of the declared shard -> series order

@@ -176,9 +176,27 @@ pub mod atomic {
             }
 
             impl $name {
-                /// Creates a new atomic with the given initial value.
-                pub fn new(v: $ty) -> Self {
+                /// Creates a new atomic with the given initial value
+                /// (`const`, so it can initialize a `static`).
+                pub const fn new(v: $ty) -> Self {
                     Self { inner: <$std>::new(v) }
+                }
+
+                /// Exclusive access needs no scheduling point.
+                pub fn get_mut(&mut self) -> &mut $ty {
+                    self.inner.get_mut()
+                }
+
+                /// Instrumented fetch_update (one scheduling point, then
+                /// the std retry loop, which nothing can interleave).
+                pub fn fetch_update(
+                    &self,
+                    set: Ordering,
+                    fetch: Ordering,
+                    f: impl FnMut($ty) -> Option<$ty>,
+                ) -> Result<$ty, $ty> {
+                    point();
+                    self.inner.fetch_update(set, fetch, f)
                 }
 
                 /// Instrumented load.
@@ -252,8 +270,8 @@ pub mod atomic {
     }
 
     impl AtomicBool {
-        /// Creates a new atomic bool.
-        pub fn new(v: bool) -> Self {
+        /// Creates a new atomic bool (`const`, as [`AtomicU64::new`]).
+        pub const fn new(v: bool) -> Self {
             Self {
                 inner: std::sync::atomic::AtomicBool::new(v),
             }
