@@ -47,10 +47,10 @@ pub struct ExecStats {
     pub local_pops: AtomicU64,
     /// Morsels stolen from the shared queue or a sibling runner's deque.
     pub steals: AtomicU64,
-    /// Whole-page partials served from a page memo or the digest cache.
+    /// Pages whose partial was served from a page or segment memo.
     pub cache_hits: AtomicU64,
     /// Cache-eligible pages whose partial had to be computed (and was
-    /// then memoized or inserted).
+    /// then memoized where a memo keeps it).
     pub cache_misses: AtomicU64,
 }
 

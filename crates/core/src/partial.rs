@@ -1,9 +1,8 @@
 //! Partializable aggregate states: the mergeable per-page/per-bucket
 //! partials behind `GROUP BY time(..)`, `rate()`/`delta()` and the
-//! sketch-based `p50/p95/p99` quantiles, plus the process-global cache
-//! of whole-page quantile digests keyed by page checksums. (Exact
-//! whole-page moments are not cached here: they are memoized on the
-//! resident page itself, `Page::moments`.)
+//! sketch-based `p50/p95/p99` quantiles, plus [`PartialCache`], the
+//! handle on the memos whole-page and whole-segment answers are served
+//! from (`Page::moments`, `Segment::moments`, `Segment::digest`).
 //!
 //! The paper's §IV closed-form polynomials already compute page-local
 //! moments without decoding — exactly a partial aggregate. This module
@@ -26,13 +25,11 @@
 //!   (`3·n/δ + 2`), regardless of how the input was split into merged
 //!   partials.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
-
 use etsqp_encoding::ordered_i64_to_f64;
 use etsqp_simd::agg::AggState;
-use etsqp_storage::page::{forget_all_moments, memoized_pages, Page, PageHeader};
+use etsqp_storage::page::{forget_all_moments, live_memos};
+pub use etsqp_storage::segment::Centroid;
+use etsqp_storage::segment::SegmentDigest;
 
 use crate::expr::AggFunc;
 
@@ -52,15 +49,6 @@ const TDIGEST_BUFFER: usize = 4 * TDIGEST_COMPRESSION;
 /// transient centroids buys an amortized-linear chain.
 const TDIGEST_MERGE_BUFFER: usize = 4096;
 
-/// One weighted cluster of the sketch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Centroid {
-    /// Weighted mean of the cluster's values.
-    pub mean: f64,
-    /// Number of values absorbed by the cluster (never zero).
-    pub weight: u64,
-}
-
 /// A merging t-digest (Dunning): an ordered list of weighted centroids
 /// whose per-cluster weight is capped by `4·n·q(1−q)/δ`, so clusters
 /// near the tails stay tiny and extreme quantiles stay sharp.
@@ -68,7 +56,7 @@ pub struct Centroid {
 /// Determinism: compression sorts with `f64::total_cmp` (stable) and
 /// merges in one sequential pass, so the same push/merge sequence always
 /// yields the same centroids — required by the differential oracle and
-/// the partial cache.
+/// the segment digests.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TDigest {
     /// Centroids; the first `len − unsorted` are sorted and compressed,
@@ -93,11 +81,6 @@ impl TDigest {
     /// Total weight (number of pushed values).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Current centroid count (compressed + buffered).
-    pub fn centroid_count(&self) -> usize {
-        self.centroids.len()
     }
 
     /// The centroids: the compressed run, then the raw append buffer.
@@ -242,10 +225,31 @@ impl TDigest {
         }
         self.max
     }
+}
 
-    /// Approximate heap footprint, for the cache's byte accounting.
-    fn approx_bytes(&self) -> usize {
-        48 + self.centroids.capacity() * std::mem::size_of::<Centroid>()
+/// A compressed digest as a segment keeps it.
+impl From<&TDigest> for SegmentDigest {
+    fn from(d: &TDigest) -> Self {
+        debug_assert_eq!(d.unsorted, 0, "a segment keeps a compressed digest");
+        SegmentDigest {
+            centroids: d.centroids.clone(),
+            count: d.count,
+            min: d.min,
+            max: d.max,
+        }
+    }
+}
+
+/// The digest a segment keeps, bit for bit the one it was taken from.
+impl From<&SegmentDigest> for TDigest {
+    fn from(d: &SegmentDigest) -> Self {
+        TDigest {
+            centroids: d.centroids.clone(),
+            unsorted: 0,
+            count: d.count,
+            min: d.min,
+            max: d.max,
+        }
     }
 }
 
@@ -346,11 +350,6 @@ impl PartialState {
             _ => {}
         }
     }
-
-    /// Approximate heap footprint, for the cache's byte accounting.
-    fn approx_bytes(&self) -> usize {
-        128 + self.digest.as_ref().map_or(0, TDigest::approx_bytes)
-    }
 }
 
 impl From<AggState> for PartialState {
@@ -362,129 +361,42 @@ impl From<AggState> for PartialState {
     }
 }
 
-/// Content-addressed key of one cached whole-page digest partial: the
-/// page's FNV checksum plus its whole header (every exact statistic and
-/// both codec tags) and the quantile function. Two pages colliding on the
-/// full key while differing in content would need an FNV-32 collision
-/// *and* identical header statistics; the hit path still requires the
-/// page checksum verified before trusting the entry (the cache-obligation
-/// invariant), so a stale or colliding entry can never silently stand in
-/// for corrupted bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Page FNV checksum ([`Page::checksum`]).
-    pub checksum: u32,
-    /// The page header.
-    pub header: PageHeader,
-    /// The aggregate the partial was computed for.
-    pub func: AggFunc,
-}
-
-impl CacheKey {
-    /// The key for `page`'s whole-page partial under `func`.
-    pub fn for_page(page: &Page, func: AggFunc) -> CacheKey {
-        CacheKey {
-            checksum: page.checksum,
-            header: page.header,
-            func,
-        }
-    }
-}
-
-/// Bounded FIFO cache state behind the [`PartialCache`] mutex.
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<CacheKey, PartialState>,
-    order: VecDeque<CacheKey>,
-    bytes: usize,
-}
-
-/// Maximum cached entries (FIFO-evicted beyond this).
-const CACHE_MAX_ENTRIES: usize = 8192;
-
-/// Approximate byte budget for cached states.
-const CACHE_MAX_BYTES: usize = 8 << 20;
-
-/// The process-global cache of whole-page quantile partials (a digest
-/// beside the moments), keyed by [`CacheKey`] (content-addressed — safe
-/// to share across stores and queries). Bounded by entry count and
-/// approximate bytes with FIFO eviction; `EXPLAIN` renders the static
-/// `[cacheable]` eligibility and [`crate::exec::ExecStats`] counts the
-/// live hits/misses (EXPLAIN text must stay a pure function of the plan).
-///
-/// It is also the handle on the page memos the exact aggregates are
-/// served from: [`PartialCache::clear`] forgets them and
-/// [`PartialCache::len`] counts them.
-#[derive(Debug, Default)]
-pub struct PartialCache {
-    inner: Mutex<CacheInner>,
-}
+/// The handle on the memos whole-page and whole-segment partials are
+/// served from, which live on the resident pages and segments
+/// themselves: a page's moments, a segment's moments and its quantile
+/// digest, all tagged with one process-wide epoch. It holds no state of
+/// its own. `EXPLAIN` renders the static `[cacheable]` eligibility and
+/// [`crate::exec::ExecStats`] counts the live hits/misses (EXPLAIN text
+/// must stay a pure function of the plan).
+#[derive(Debug)]
+pub struct PartialCache;
 
 impl PartialCache {
     /// The process-global instance.
     pub fn global() -> &'static PartialCache {
-        static CACHE: OnceLock<PartialCache> = OnceLock::new();
-        CACHE.get_or_init(PartialCache::default)
+        &PartialCache
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        // A panic while holding the lock cannot corrupt the FIFO
-        // invariants (no partial mutations escape), so poisoning is
-        // recovered instead of propagated.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Looks up a cached whole-page partial.
-    pub fn get(&self, key: &CacheKey) -> Option<PartialState> {
-        self.lock().map.get(key).cloned()
-    }
-
-    /// Inserts a whole-page partial, evicting FIFO past the bounds. The
-    /// state is stored as given: a hit must answer exactly what the miss
-    /// that filled it answered, so the caller hands in the page's partial
-    /// in the form its query merged (digest compressed once, by the job).
-    pub fn insert(&self, key: CacheKey, state: PartialState) {
-        let bytes = state.approx_bytes();
-        let mut inner = self.lock();
-        if inner.map.insert(key, state).is_none() {
-            inner.order.push_back(key);
-            inner.bytes += bytes;
-        }
-        while inner.order.len() > CACHE_MAX_ENTRIES || inner.bytes > CACHE_MAX_BYTES {
-            let Some(old) = inner.order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = inner.map.remove(&old) {
-                inner.bytes = inner.bytes.saturating_sub(evicted.approx_bytes());
-            }
-        }
-    }
-
-    /// Live page memos plus cached digest entries.
+    /// Live page memos plus live segment digests.
     pub fn len(&self) -> usize {
-        memoized_pages() + self.lock().map.len()
+        live_memos()
     }
 
-    /// Whether no page memo and no digest entry is live.
+    /// Whether no page memo and no segment digest is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Forgets every page memo and drops every digest entry (benchmark
-    /// cold-start; tests).
+    /// Forgets every memo and digest at once, by bumping the epoch
+    /// (benchmark cold-start; tests).
     pub fn clear(&self) {
         forget_all_moments();
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsqp_encoding::Encoding;
 
     fn digest_of(vals: &[i64]) -> TDigest {
         let mut d = TDigest::new();
@@ -524,18 +436,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_bounds_and_clear() {
-        let cache = PartialCache::default();
-        let page = Page::encode(&[0], &[0], Encoding::Plain, Encoding::Plain).unwrap();
-        let mut key = CacheKey::for_page(&page, AggFunc::P95);
-        for i in 0..(CACHE_MAX_ENTRIES + 10) as u32 {
-            key.checksum = i;
-            cache.insert(key, PartialState::default());
-        }
-        // The digest entries alone: `len` also counts the process's memos.
-        let entries = |cache: &PartialCache| cache.lock().map.len();
-        assert_eq!(entries(&cache), CACHE_MAX_ENTRIES);
-        cache.clear();
-        assert_eq!(entries(&cache), 0);
+    fn a_segment_keeps_a_compressed_digest_bit_for_bit() {
+        let mut d = digest_of(&(0..3000).map(|i| (i * 7919) % 1013).collect::<Vec<_>>());
+        d.compress();
+        let kept = SegmentDigest::from(&d);
+        assert_eq!(TDigest::from(&kept), d);
     }
 }

@@ -14,7 +14,8 @@
 //!    page's job right after its first hash: a `[cacheable]`,
 //!    checksum-verified page answers COUNT, MIN and MAX from its exact
 //!    header alone, and the other exact aggregates once a whole-page fold
-//!    memoized the moments they rest on;
+//!    memoized the moments they rest on (a quantile never: no page keeps
+//!    a digest);
 //! 2. else one cursor fold ([`agg_page_job`]), where the cursor's gate
 //!    admits the column — FIRST / LAST too when no value conjunct is
 //!    left;
@@ -25,9 +26,11 @@
 //! covers therefore folds every tuple, with no filter at all, and a
 //! `[cacheable]` page's fold memoizes the groups of whole-page moments it
 //! computed ([`Page::memoize`]).
-//! A quantile's digest is not memoized; its whole-page partial goes
-//! through the process-global digest cache ([`digest_partial`], the one
-//! user of [`PartialCache::global`]).
+//!
+//! One level up, a cacheable segment answers from its union header and
+//! its memo ([`memoized_segment`]): the moments its pages memoized, and
+//! for a quantile the digest of the segment's one merge group, which the
+//! driver's merge node sets (`Segment::memoize_digest`).
 
 use std::sync::atomic::Ordering;
 
@@ -39,7 +42,7 @@ use etsqp_storage::store::SeriesStore;
 use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
-use crate::partial::{CacheKey, PartialCache, PartialState, TDigest};
+use crate::partial::{PartialState, TDigest};
 use crate::physical::node::{SeriesPipeline, Stage, Strategy};
 use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
 use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
@@ -114,22 +117,22 @@ pub(crate) fn fold_tuples(
 /// The memo groups `[Σ, Σ², ends]` a whole-page answer for `func` rests
 /// on beyond the exact header: what every path that answers `func`
 /// computes, so what its fold memoizes and what serving it needs. COUNT,
-/// MIN and MAX rest on the header alone; `None` for a quantile, whose
-/// digest no page memoizes.
-fn memo_groups(func: AggFunc) -> Option<[bool; 3]> {
-    Some(match func {
+/// MIN and MAX rest on the header alone, a quantile on a digest.
+fn memo_groups(func: AggFunc) -> [bool; 3] {
+    match func {
         AggFunc::Sum | AggFunc::Avg => [true, false, false],
         AggFunc::Variance => [true, true, false],
         AggFunc::First | AggFunc::Last | AggFunc::Rate | AggFunc::Delta => [false, false, true],
         AggFunc::Count | AggFunc::Min | AggFunc::Max => [false; 3],
-        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => return None,
-    })
+        AggFunc::P50 | AggFunc::P95 | AggFunc::P99 => [false; 3],
+    }
 }
 
 /// A `[cacheable]` page's whole-page partial for `func` and the bucket it
 /// lands in, from the exact header (count, min, max, timestamp bounds)
 /// and the page's memo — or `None` when the page object's checksum has
-/// not been verified, or the memo lacks a group `func` rests on. COUNT,
+/// not been verified, the memo lacks a group `func` rests on, or `func`
+/// is a quantile. COUNT,
 /// MIN and MAX therefore hit on any verified page, with no fold since the
 /// last `PartialCache::clear`; the others after a whole-page fold of
 /// this very object memoized their groups. Groups `func` does not read
@@ -141,24 +144,33 @@ pub(crate) fn memoized(
 ) -> Option<(usize, PartialState)> {
     let h = &page.header;
     let memo = page.is_verified().then(|| page.moments())?;
+    if func.needs_digest() {
+        return None;
+    }
     whole_state(func, memo, u64::from(h.count), h, window)
 }
 
 /// [`memoized`] one level up: a cacheable segment's whole-segment
-/// partial, from its union header and memo, once the segment is marked
-/// all-verified — the merge of its pages' partials, in one load.
+/// partial, from its union header, memo and digest, once the segment is
+/// marked all-verified — in one load, what merging its pages' partials
+/// gives: the same moments, and for a quantile the same digest, when the
+/// caller asks only of a segment that is one merge group.
 pub(crate) fn memoized_segment(
     seg: &Segment,
     func: AggFunc,
     window: Option<SlidingWindow>,
 ) -> Option<(usize, PartialState)> {
     let memo = seg.is_verified().then(|| seg.moments())?;
-    whole_state(func, memo, seg.tuples(), seg.header(), window)
+    let mut hit = whole_state(func, memo, seg.tuples(), seg.header(), window)?;
+    if func.needs_digest() {
+        hit.1.digest = Some(TDigest::from(&*seg.digest()?));
+    }
+    Some(hit)
 }
 
 /// The whole partial of `count` tuples within exact `bounds` whose memo
-/// is `m`, and its bucket; `None` when `m` lacks a group `func` rests on
-/// or the bounds straddle buckets.
+/// is `m`, and its bucket, without a digest; `None` when `m` lacks a
+/// group `func` rests on or the bounds straddle buckets.
 fn whole_state(
     func: AggFunc,
     m: PageMoments,
@@ -166,7 +178,7 @@ fn whole_state(
     bounds: &PageHeader,
     window: Option<SlidingWindow>,
 ) -> Option<(usize, PartialState)> {
-    let [sum, sum_sq, ends] = memo_groups(func)?;
+    let [sum, sum_sq, ends] = memo_groups(func);
     let lacks = (sum && m.sum.is_none()) || (sum_sq && m.sum_sq.is_none());
     if lacks || (ends && m.ends.is_none()) {
         return None;
@@ -201,10 +213,10 @@ fn whole_state(
 /// [`crate::physical::node::PageDecision::cacheable`] verdict: every
 /// tuple of the page qualifies and the page lands in one bucket. Such a
 /// page's fold memoizes what it computed on the page, for [`memoized`]
-/// to serve; a quantile's partial goes through [`digest_partial`]. Both
-/// come after the page's checksum is verified (the cache-obligation
-/// invariant, hashed once per resident page object), so neither a memo
-/// nor a cached digest can stand in for corrupted bytes.
+/// to serve, after the page's checksum is verified (the cache-obligation
+/// invariant, hashed once per resident page object), so a memo cannot
+/// stand in for corrupted bytes. A digest leaves the job compressed; the
+/// driver's merge node groups it with its neighbours.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_page_job(
     page: &Page,
@@ -224,71 +236,38 @@ pub(crate) fn agg_page_job(
     // corruption into a silently wrong aggregate rather than an error.
     // The first job to touch this page
     // object hashes it; after that the check is its verified mark. It
-    // also discharges the digest cache's hit path (the key embeds this
-    // checksum) and lets the page take a memo.
+    // also lets the page take a memo.
     page.ensure_verified().map_err(Error::Storage)?;
     // Only now is the header trusted to prove conjuncts: a page the
     // filter covers folds as an unfiltered one.
     let pred = &p.pred.residual(&page.header, cfg.prune);
 
-    let fold = || -> Result<WindowStates> {
-        let mut out = if strategy == Strategy::Serial || p.float {
-            fold_page_tuples(page, pred, window, func, p.float, stats)?
-        } else {
-            agg_page_states(page, pred, window, func, cfg, stats)?
-        };
-        // A digest leaves its page compressed, once, on every path: what
-        // the digest cache holds is then what a miss merged, and rows do
-        // not depend on whether it was on.
-        let digests = out.iter_mut().filter_map(|(_, s)| s.digest.as_mut());
-        digests.for_each(TDigest::compress);
-        Ok(out)
-    };
     // The planner only marks pages cacheable when the whole page
     // qualifies and lands in one bucket; re-derive both defensively (a
     // partly covered or straddling page just folds).
     let whole = cacheable && pred.is_trivial();
-    let Some(k) = whole_page_bucket(&page.header, window).filter(|_| whole) else {
-        return fold();
-    };
-    if func.needs_digest() {
-        return digest_partial(CacheKey::for_page(page, func), k, stats, fold);
-    }
+    let whole = whole && whole_page_bucket(&page.header, window).is_some();
     // Verified just now, the page answers what its header holds (COUNT,
     // MIN, MAX) without a fold on its first touch too.
-    if let Some(hit) = memoized(page, func, window) {
+    if let Some(hit) = whole.then(|| memoized(page, func, window)).flatten() {
         return Ok(vec![hit]);
     }
-    let out = fold()?;
-    if let ([(_, s)], Some([sum, sum_sq, ends])) = (out.as_slice(), memo_groups(func)) {
+    let mut out = if strategy == Strategy::Serial || p.float {
+        fold_page_tuples(page, pred, window, func, p.float, stats)?
+    } else {
+        agg_page_states(page, pred, window, func, cfg, stats)?
+    };
+    // A digest leaves its page compressed, once, on every path: the
+    // merge tree above it is then the same, whatever was memoized.
+    let digests = out.iter_mut().filter_map(|(_, s)| s.digest.as_mut());
+    digests.for_each(TDigest::compress);
+    if let ([(_, s)], true) = (out.as_slice(), whole) {
+        let [sum, sum_sq, ends] = memo_groups(func);
         page.memoize(PageMoments {
             sum: Some(s.agg.sum).filter(|_| sum),
             sum_sq: Some(s.agg.sum_sq).filter(|_| sum_sq),
             ends: s.agg.first.zip(s.agg.last).filter(|_| ends),
         });
-    }
-    Ok(out)
-}
-
-/// The one user of the process-global digest cache: a quantile's
-/// whole-page partial (moments and digest) for bucket `k`, probed under
-/// `key`, or computed by `fold` and inserted. Exact aggregates never come here —
-/// their pages memoize them.
-fn digest_partial(
-    key: CacheKey,
-    k: usize,
-    stats: &ExecStats,
-    fold: impl FnOnce() -> Result<WindowStates>,
-) -> Result<WindowStates> {
-    if let Some(state) = PartialCache::global().get(&key) {
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(vec![(k, state)]);
-    }
-    stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let out = fold()?;
-    // A whole page in one bucket folds into one state; only that is kept.
-    if let [(_, state)] = out.as_slice() {
-        PartialCache::global().insert(key, state.clone());
     }
     Ok(out)
 }

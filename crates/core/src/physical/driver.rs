@@ -17,18 +17,27 @@
 //! segment descends to its pages exactly as a page list would, and a
 //! cacheable one it descended into publishes its mark and memo after the
 //! query's folds, for the next query to read.
+//!
+//! A quantile merges its digests in one fixed tree, whatever is memoized,
+//! however many threads run and however the store cut its segments: the
+//! kept pages of each group of [`SEGMENT_PAGES`] consecutive page
+//! indices, within one bucket, merge in storage order into a fresh state,
+//! whose digest is compressed once and then merged into the bucket (the
+//! hot chunk last, as for every aggregate). A segment that is exactly
+//! one group keeps that digest, so a warm quantile reads one digest per
+//! segment where a cold one folds and merges its pages.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use etsqp_storage::page::Page;
-use etsqp_storage::segment::Segment;
+use etsqp_storage::segment::{Segment, SEGMENT_PAGES};
 use etsqp_storage::store::SeriesStore;
 
 use crate::cancel::CancellationToken;
 use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, Predicate, SlidingWindow};
-use crate::partial::PartialState;
+use crate::partial::{PartialState, TDigest};
 use crate::physical::agg::{
     agg_page_job, fold_tuples, memoized, memoized_segment, merge_states, WindowStates,
 };
@@ -179,28 +188,21 @@ fn binary_rows(
     Ok((left, right))
 }
 
-/// The driver-side half of the §V verify-before-prune discipline: a
-/// pruned page may only be dropped when its decision carries the
-/// checksum-verification obligation the compiler recorded. A decision
-/// without it means the plan was tampered with or a planner bug slipped
-/// past the verifier — refuse to execute rather than silently skip data.
-fn require_obligation(d: &PageDecision) -> Result<()> {
-    if d.checksum_obligation {
-        Ok(())
-    } else {
-        Err(Error::Plan(format!(
+/// Drops one pruned page: obligation, checksum, then the §VII-B charge.
+/// The obligation is the driver-side half of the §V verify-before-prune
+/// discipline: a decision without it means the plan was tampered with or
+/// a planner bug slipped past the verifier, so the query is refused
+/// rather than silently skipping data. Pruned pages are
+/// checksum-verified (once per resident page object) before being
+/// dropped — a corrupted header must abort the query, not skew which
+/// pages the §V verdicts exclude.
+fn discharge_pruned(page: &Page, d: &PageDecision, stats: &ExecStats) -> Result<()> {
+    if !d.checksum_obligation {
+        return Err(Error::Plan(format!(
             "pruned page {} lacks its checksum-verification obligation",
             d.index
-        )))
+        )));
     }
-}
-
-/// Drops one pruned page: obligation, checksum, then the §VII-B charge.
-/// Pruned pages are checksum-verified (once per resident page object)
-/// before being dropped — a corrupted header must abort the query, not
-/// skew which pages the §V verdicts exclude.
-fn discharge_pruned(page: &Page, d: &PageDecision, stats: &ExecStats) -> Result<()> {
-    require_obligation(d)?;
     verify_pruned(page)?;
     charge_pruned_page(page, stats);
     Ok(())
@@ -237,9 +239,9 @@ fn kept_of(p: &SeriesPipeline, stats: &ExecStats) -> Result<Vec<Arc<Page>>> {
 }
 
 /// Runs one aggregation pipeline: the calling thread discharges the
-/// pruned pages and folds the memoized ones, the pool runs a job per
-/// remaining page, and the sequential merge node stitches everything in
-/// kept-page time order.
+/// pruned pages and serves the memoized pages and segments, the pool runs
+/// a job per remaining page, and the sequential merge node stitches
+/// everything in kept-page time order.
 fn aggregate_pipeline(
     store: &SeriesStore,
     pipeline: &SeriesPipeline,
@@ -250,17 +252,24 @@ fn aggregate_pipeline(
     ctl: &CancellationToken,
 ) -> Result<WindowStates> {
     let pred = &pipeline.pred;
+    let digest = func.needs_digest();
+    let sealed: usize = pipeline.segments.iter().map(|s| s.len()).sum();
     let mut jobs = Vec::new();
-    // Memoized pages and segments folded here, in runs: run
-    // `(j, states)` precedes job `j` (or follows them all).
+    // A quantile's jobs' page indices, the tree's leaves (an exact
+    // aggregate's jobs merge in order and need none).
+    let mut leaves = Vec::new();
+    // Memoized pages and segments served here, in runs: run `(j, states)`
+    // precedes job `j` (or follows them all). A quantile's served digest
+    // is a whole group, merged into its bucket alone: a run of its own.
     let mut runs: Vec<(usize, WindowStates)> = Vec::new();
     let mut serve = |j: usize, k: usize, state: PartialState| match runs.last_mut() {
-        Some((at, run)) if *at == j => merge_states(run, &[(k, state)]),
+        Some((at, run)) if *at == j && !digest => merge_states(run, &[(k, state)]),
         _ => runs.push((j, vec![(k, state)])),
     };
-    // Cacheable segments this query descends into: published after it.
-    let mut settle: Vec<&Segment> = Vec::new();
-    let (mut served, mut missed, mut bytes, mut tuples) = (0, 0, 0, 0);
+    // Cacheable segments this query descends into, by first page index:
+    // they publish what their pages' folds computed.
+    let mut settle: Vec<(usize, &Segment)> = Vec::new();
+    let (mut hits, mut missed, mut bytes, mut tuples) = (0, 0, 0, 0);
     let io = Stage::Io.timer(stats);
     // Pruned pages are discharged here, before any job runs: on a
     // resident page the checksum obligation is a load of its verified
@@ -269,46 +278,54 @@ fn aggregate_pipeline(
     // `[cacheable]` page whose memo answers `func` costs a page read
     // and a few loads here, under the loop's one timer, and no job; a
     // cacheable segment whose memo answers it costs the same, once.
+    let mut end = 0;
     for (seg, sd, ds) in pipeline.segment_parts() {
+        let at = end;
+        end += seg.len();
         if let SegmentVerdict::Pruned(_) = sd.verdict {
             discharge_segment(seg, ds, stats)?;
             continue;
         }
-        if sd.cacheable && !func.needs_digest() {
+        // A segment's digest is its group's only when the segment is
+        // that whole group in this snapshot.
+        let group = at % SEGMENT_PAGES == 0 && end == (at + SEGMENT_PAGES).min(sealed);
+        if sd.cacheable && (group || !digest) {
             if let Some((k, state)) = memoized_segment(seg, func, window) {
-                served += seg.len() as u64;
+                hits += seg.len() as u64;
                 bytes += seg.encoded_len();
                 tuples += seg.tuples();
                 serve(jobs.len(), k, state);
                 continue;
             }
-            settle.push(seg);
+            settle.push((at, seg));
         }
-        for (page, d) in seg.pages().iter().zip(ds) {
+        for (i, (page, d)) in seg.pages().iter().zip(ds).enumerate() {
             let Some(strategy) = d.strategy else {
                 discharge_pruned(page, d, stats)?;
                 continue;
             };
-            let memo = d.cacheable && !func.needs_digest();
-            match memo.then(|| memoized(page, func, window)).flatten() {
+            match d.cacheable.then(|| memoized(page, func, window)).flatten() {
                 Some((k, state)) => {
-                    served += 1;
+                    hits += 1;
                     bytes += page.encoded_len() as u64;
                     tuples += u64::from(page.header.count);
                     serve(jobs.len(), k, state);
                 }
                 None => {
-                    missed += u64::from(memo);
+                    missed += u64::from(d.cacheable);
                     jobs.push((Arc::clone(page), strategy, d.cacheable));
+                    if digest {
+                        leaves.push((at + i) / SEGMENT_PAGES);
+                    }
                 }
             }
         }
     }
-    store.io().record_pages(served, bytes);
-    stats.pages_loaded.fetch_add(served, Ordering::Relaxed);
+    store.io().record_pages(hits, bytes);
+    stats.pages_loaded.fetch_add(hits, Ordering::Relaxed);
     stats.tuples_scanned.fetch_add(tuples, Ordering::Relaxed);
     drop(io);
-    stats.cache_hits.fetch_add(served, Ordering::Relaxed);
+    stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
     stats.cache_misses.fetch_add(missed, Ordering::Relaxed);
 
     // Outputs return in job order, so which failing page decides the
@@ -326,26 +343,53 @@ fn aggregate_pipeline(
         },
     )?;
 
-    // Merge node (sequential, timed): served runs and job outputs in
+    // Merge node (sequential, timed): served partials and job outputs in
     // kept-page time order, so each per-window merge chain is itself
     // time-ordered — the PartialState::merge contract that keeps
-    // FIRST/LAST, timestamp bounds and digest merges deterministic
-    // across thread counts.
+    // FIRST/LAST and timestamp bounds exact — and a quantile's digests
+    // merge in the fixed tree, the same across thread counts.
     let mut windows = WindowStates::new();
     {
         let _m = Stage::Merge.timer(stats);
+        // The digest tree's open group: its index and its bucket states.
+        let mut open: Option<(usize, WindowStates)> = None;
+        // A job's partials of group `g` go into that group, closing the
+        // one before; anything else (`None`: a served run, a job of an
+        // exact aggregate) straight into the buckets. Closing compresses
+        // each of the group's digests once and merges them into their
+        // buckets; a segment the query folded that is this whole group,
+        // in one bucket, keeps the digest.
+        let mut push = |g: Option<usize>, states: &[(usize, PartialState)]| {
+            if let Some((h, mut group)) = open.take_if(|o| Some(o.0) != g) {
+                let digests = group.iter_mut().filter_map(|(_, s)| s.digest.as_mut());
+                digests.for_each(TDigest::compress);
+                let settled = settle.binary_search_by_key(&(h * SEGMENT_PAGES), |s| s.0);
+                if let (Ok(i), [(_, state)]) = (settled, group.as_slice()) {
+                    if let Some(d) = &state.digest {
+                        settle[i].1.memoize_digest(d.into());
+                    }
+                }
+                merge_states(&mut windows, &group);
+            }
+            match g {
+                Some(g) => merge_states(&mut open.get_or_insert((g, Vec::new())).1, states),
+                None => merge_states(&mut windows, states),
+            }
+        };
         let mut runs = runs.into_iter().peekable();
         for (j, states) in outputs.into_iter().enumerate() {
             while let Some((_, run)) = runs.next_if(|(r, _)| *r <= j) {
-                merge_states(&mut windows, &run);
+                push(None, &run);
             }
-            merge_states(&mut windows, &states?);
+            push(leaves.get(j).copied(), &states?);
         }
-        runs.for_each(|(_, run)| merge_states(&mut windows, &run));
+        runs.for_each(|(_, run)| push(None, &run));
+        push(None, &[]);
     }
     // Every page of these is folded or served by now: each segment marks
-    // itself verified and publishes the groups all its pages memoized.
-    settle.into_iter().for_each(Segment::memoize);
+    // itself verified and publishes the groups all its pages memoized (a
+    // quantile's took its digest in the tree).
+    settle.iter().for_each(|(_, seg)| seg.memoize());
     // The hot-chunk source folds last: its timestamps are strictly
     // greater than every sealed timestamp, so pushing after all page
     // partials keeps order-sensitive aggregates (FIRST/LAST, timestamp

@@ -104,7 +104,8 @@ pub struct SegmentDecision {
     /// The verdict over the union header.
     pub verdict: SegmentVerdict,
     /// Whether the whole segment's partial state may be served from its
-    /// header and memo, and memoized: covered, every page
+    /// header and memo (a quantile's from its digest slot, when the
+    /// segment is one merge group), and memoized: covered, every page
     /// [`PageDecision::cacheable`], and (under a window) the union inside
     /// one bucket. Verify-before-prune, one level up: the driver prunes
     /// or answers a segment whole only once its all-verified mark is
@@ -169,9 +170,9 @@ pub struct PageDecision {
     /// drop a page that lacks it.
     pub checksum_obligation: bool,
     /// Whether the page's whole-range partial state may be served from
-    /// the page's memo (exact aggregates) or the global digest cache
-    /// [`crate::partial::PartialCache`] (quantiles), and memoized /
-    /// inserted there. The planner grants this only when the partial is a
+    /// the page's memo, and memoized there (exact aggregates; no page
+    /// keeps a quantile's digest, so such a page folds). The planner
+    /// grants this only when the partial is a
     /// pure function of the page's content: the page is kept, its header
     /// proves every conjunct of the predicate (no residual conjunct: the
     /// time filter and any value filter cover the whole page), and

@@ -93,7 +93,7 @@ pub(super) fn check_bucket_tiling(p: &SeriesPipeline, role: &VerifyRole) -> Veri
 }
 
 /// Re-derives every `[cacheable]` marking: a page may only be served
-/// from / memoize into its memo or the digest cache when the whole-page
+/// from / memoize into its memo when the whole-page
 /// partial is the query's exact
 /// contribution for that page — cache enabled, page kept, no residual
 /// value conjunct, time range covers the page, and single bucket — and

@@ -30,13 +30,12 @@ pub struct PipelineConfig {
     /// Use the vectorized decoders; `false` is the byte-serial engine
     /// ("IoTDB" in Fig. 13, "Serial" in Fig. 10).
     pub vectorized: bool,
-    /// Serve whole-page partials of eligible pages without folding them:
-    /// an exact aggregate from the page's exact header plus the moments a
-    /// whole-page fold memoized on the resident page (`Page::moments`), a
-    /// quantile from the process-global digest cache
-    /// [`crate::partial::PartialCache`] (content-addressed by page
-    /// checksum + header statistics + function). `EXPLAIN` renders the
-    /// static eligibility as `[cacheable]`;
+    /// Serve whole-page and whole-segment partials of eligible pages
+    /// without folding them: an exact aggregate from the exact header
+    /// plus the moments a whole fold memoized on the resident page or
+    /// segment (`Page::moments`, `Segment::moments`), a quantile from the
+    /// digest a segment keeps of its merge group (`Segment::digest`).
+    /// `EXPLAIN` renders the static eligibility as `[cacheable]`;
     /// [`StatsSnapshot::cache_hits`]/[`StatsSnapshot::cache_misses`]
     /// count the live traffic.
     pub partial_cache: bool,

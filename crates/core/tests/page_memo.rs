@@ -129,22 +129,35 @@ fn memoized_pages_are_served_without_a_job_and_charged_like_loaded_ones() {
         );
         assert_eq!(r.stats.pages_loaded, PAGES, "{codec:?}");
 
-        // Quantiles keep the digest cache, in jobs.
+        // A quantile folds every page once; the tail segment, one merge
+        // group, then keeps the group's digest, and a warm query reads
+        // it on the calling thread.
         let p95 = whole(AggFunc::P95);
-        assert_eq!(hits(&run(&store, &p95)), (0, PAGES), "{codec:?}");
+        let cold_p95 = run(&store, &p95);
+        assert_eq!(hits(&cold_p95), (0, PAGES), "{codec:?}");
         let warm_p95 = run(&store, &p95);
+        assert_eq!(warm_p95.rows, cold_p95.rows, "{codec:?}");
         assert_eq!(hits(&warm_p95), (PAGES, 0), "{codec:?}");
-        assert!(dispatched(&warm_p95) > 0, "{codec:?}");
+        assert_eq!(
+            dispatched(&warm_p95),
+            0,
+            "{codec:?}: a segment digest dispatches nothing"
+        );
         assert_eq!(
             PartialCache::global().len(),
-            2 * PAGES as usize,
-            "{codec:?}: memos plus digests"
+            PAGES as usize + 1,
+            "{codec:?}: page memos plus the segment digest"
         );
 
-        // Clearing forgets the memos: cold again, same rows — except
-        // for COUNT, MIN and MAX, which a verified header answers alone.
+        // Clearing forgets the memos and the digest: cold again, same
+        // rows — except for COUNT, MIN and MAX, which a verified header
+        // answers alone.
         PartialCache::global().clear();
         assert_eq!(PartialCache::global().len(), 0, "{codec:?}");
+        let p95_again = run(&store, &p95);
+        assert_eq!(hits(&p95_again), (0, PAGES), "{codec:?}");
+        assert_eq!(p95_again.rows, cold_p95.rows, "{codec:?}");
+        PartialCache::global().clear();
         for func in [AggFunc::Count, AggFunc::Min, AggFunc::Max] {
             let r = run(&store, &whole(func));
             assert_eq!(

@@ -16,8 +16,9 @@
 //!   plus the hot chunk atomically via [`store::SeriesStore::snapshot`].
 //! * [`segment::Segment`] — sealed pages in immutable groups of
 //!   [`segment::SEGMENT_PAGES`], each with the union of its page
-//!   headers, an all-verified bit and a memo of whole-segment moments:
-//!   what a snapshot clones and a warm aggregate reads.
+//!   headers, an all-verified bit, a memo of whole-segment moments and a
+//!   slot for its quantile digest: what a snapshot clones and a warm
+//!   aggregate reads.
 //! * [`tsfile::TsFile`] — a minimal on-disk container (magic, series
 //!   index, length-prefixed pages) for persistence round-trips.
 
@@ -30,13 +31,14 @@ pub mod segment;
 pub mod store;
 pub mod tsfile;
 
-// The atomics behind verified marks and memos: loom's instrumented ones
-// under the `model` feature (each operation a scheduling point), std's
+// The atomics behind verified marks and memos, and the lock of a
+// segment's digest slot: loom's instrumented ones under the `model`
+// feature (each operation a scheduling point), std's and parking_lot's
 // otherwise.
 #[cfg(feature = "model")]
-pub(crate) use loom::sync::atomic;
+pub(crate) use loom::sync::{atomic, Mutex};
 #[cfg(not(feature = "model"))]
-pub(crate) use std::sync::atomic;
+pub(crate) use {parking_lot::Mutex, std::sync::atomic};
 
 // Re-exported so downstream fault-injection tests can rebuild page
 // payloads (`Page::{ts_bytes, val_bytes}`) without a direct `bytes` dep.

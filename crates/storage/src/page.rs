@@ -174,20 +174,31 @@ pub struct PageMoments {
 /// bump forgets every memo at once, a segment's included.
 pub(crate) static EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Live pages holding a memo of the current epoch — exact unless a
-/// [`forget_all_moments`] races a fold or a drop.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Live pages holding a memo and live segments holding a digest, of the
+/// current epoch — exact unless a [`forget_all_moments`] races a fold or
+/// a drop.
+pub(crate) static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forgets every page's memo: later reads miss until a fold memoizes
-/// again. The memo analogue of clearing a cache.
+/// Forgets every page's memo and every segment's memo and digest: later
+/// reads miss until a fold memoizes again. The memo analogue of clearing
+/// a cache.
 pub fn forget_all_moments() {
     LIVE.store(0, Ordering::Relaxed);
     EPOCH.fetch_add(1, Ordering::Release);
 }
 
-/// How many live pages hold a memo of the current epoch.
-pub fn memoized_pages() -> usize {
+/// How many live pages hold a memo, plus how many live segments hold a
+/// digest, of the current epoch.
+pub fn live_memos() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// A dropped memo of `epoch` (none: no memo) leaves the count if the
+/// epoch is current.
+pub(crate) fn drop_memo(epoch: Option<u64>) {
+    if epoch == Some(EPOCH.load(Ordering::Relaxed)) {
+        let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+    }
 }
 
 /// The memo cell, 56 bytes: `state` is the epoch above a bit per group
@@ -245,9 +256,7 @@ impl MomentsMemo {
 impl Drop for Page {
     fn drop(&mut self) {
         let s = *self.memo.state.get_mut();
-        if s >> 3 == EPOCH.load(Ordering::Relaxed) && s & 0b111 != 0 {
-            let _ = LIVE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
-        }
+        drop_memo((s & 0b111 != 0).then_some(s >> 3));
     }
 }
 
@@ -734,16 +743,16 @@ mod tests {
             p.ensure_verified().unwrap();
             p.memoize(moments(i as i128));
         }
-        assert!(memoized_pages() >= 3);
+        assert!(live_memos() >= 3);
         forget_all_moments();
-        assert_eq!(memoized_pages(), 0);
+        assert_eq!(live_memos(), 0);
         assert!(pages.iter().all(|p| p.moments() == PageMoments::default()));
         // The next fold publishes afresh, and a dropped page leaves the count.
         pages[0].memoize(moments(9));
         assert_eq!(pages[0].moments(), moments(9));
-        assert_eq!(memoized_pages(), 1);
+        assert_eq!(live_memos(), 1);
         drop(pages);
-        assert_eq!(memoized_pages(), 0);
+        assert_eq!(live_memos(), 0);
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //!   segment, from page memos of one epoch, each group only when every
 //!   page holds it; it is read ([`Segment::moments`]) only from a marked
 //!   segment and only in the epoch it was published in, so
-//!   [`crate::page::forget_all_moments`] forgets it with the page memos.
+//!   [`crate::page::forget_all_moments`] forgets it with the page memos;
+//! * the digest slot ([`Segment::memoize_digest`]) holds the quantile
+//!   digest a query's folds of every page merged, compressed once
+//!   ([`SegmentDigest`]). It is set at most once per epoch and only on a
+//!   marked segment, and read ([`Segment::digest`]) under the memo's
+//!   rules: from a marked segment, in the epoch it was set in.
 //!
 //! A segment never changes: [`SealedPages::replace`] (what
 //! `SeriesStore::corrupt_page` runs) builds a new segment around the
@@ -28,15 +33,38 @@ use std::sync::Arc;
 use etsqp_encoding::Encoding;
 
 use crate::atomic::{AtomicBool, Ordering};
-use crate::page::{MomentsMemo, Page, PageHeader, PageMoments, EPOCH};
-use crate::{Error, Result};
+use crate::page::{drop_memo, MomentsMemo, Page, PageHeader, PageMoments, EPOCH, LIVE};
+use crate::{Error, Mutex, Result};
 
 /// Pages per full segment. One constant: a store built for tests may
 /// take another ([`crate::store::SeriesStore::with_segment_pages`]).
 pub const SEGMENT_PAGES: usize = 64;
 
+/// One weighted cluster of a quantile digest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Centroid {
+    /// Weighted mean of the cluster's values.
+    pub mean: f64,
+    /// Number of values absorbed by the cluster (never zero).
+    pub weight: u64,
+}
+
+/// A compressed quantile digest in plain parts, as a segment keeps it:
+/// the engine's sketch is not storage's to know.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentDigest {
+    /// The centroids, sorted and compressed.
+    pub centroids: Vec<Centroid>,
+    /// Values absorbed.
+    pub count: u64,
+    /// Exact minimum value.
+    pub min: f64,
+    /// Exact maximum value.
+    pub max: f64,
+}
+
 /// An immutable run of sealed pages with the union of their headers, an
-/// all-verified mark and a memo (see the module docs).
+/// all-verified mark, a memo and a digest slot (see the module docs).
 #[derive(Debug)]
 pub struct Segment {
     pages: Vec<Arc<Page>>,
@@ -48,6 +76,15 @@ pub struct Segment {
     /// marked; nothing clears it (a page mark is never cleared either).
     verified: AtomicBool,
     memo: MomentsMemo,
+    /// The digest slot: the digest and the epoch it was set in.
+    digest: Mutex<Option<(u64, Arc<SegmentDigest>)>>,
+}
+
+/// A dropped segment leaves the count of memos with its digest.
+impl Drop for Segment {
+    fn drop(&mut self) {
+        drop_memo(self.digest.get_mut().as_ref().map(|(epoch, _)| *epoch));
+    }
 }
 
 impl Segment {
@@ -82,6 +119,7 @@ impl Segment {
             header,
             verified: AtomicBool::new(false),
             memo: MomentsMemo::default(),
+            digest: Mutex::new(None),
         }
     }
 
@@ -171,6 +209,27 @@ impl Segment {
         let (head, tail) = (first.moments_in(epoch).ends, last.moments_in(epoch).ends);
         let ends = head.zip(tail).filter(|_| ends).map(|(h, t)| (h.0, t.1));
         self.memo.store(epoch, PageMoments { sum, sum_sq, ends });
+    }
+
+    /// The digest set on this object in the current epoch; nothing
+    /// before the segment is marked.
+    pub fn digest(&self) -> Option<Arc<SegmentDigest>> {
+        let slot = self.digest.lock();
+        let (at, digest) = slot.as_ref().filter(|_| self.is_verified())?;
+        (*at == EPOCH.load(Ordering::Acquire)).then(|| Arc::clone(digest))
+    }
+
+    /// Sets the digest, tagged with the current epoch, unless the slot
+    /// holds one of this epoch or a newer one. Only a query that folded
+    /// every page of the segment whole, and merged their digests into
+    /// `digest` alone, may call it. A no-op until the segment is marked.
+    pub fn memoize_digest(&self, digest: SegmentDigest) {
+        let epoch = EPOCH.load(Ordering::Acquire);
+        let mut slot = self.digest.lock();
+        if self.mark_verified() && slot.as_ref().is_none_or(|(at, _)| *at < epoch) {
+            *slot = Some((epoch, Arc::new(digest)));
+            LIVE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -269,7 +328,7 @@ impl SealedPages {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::forget_all_moments;
+    use crate::page::{forget_all_moments, live_memos};
 
     fn page(at: i64) -> Arc<Page> {
         let ts: Vec<i64> = (0..8).map(|i| at + i).collect();
@@ -326,6 +385,36 @@ mod tests {
         );
         seg.memoize();
         assert_eq!(seg.moments().sum, None, "page memos are gone too");
+    }
+
+    #[test]
+    fn the_digest_waits_for_the_mark_and_lives_one_epoch() {
+        let _e = crate::tests::memo_epoch_lock();
+        let d = |count| SegmentDigest {
+            centroids: vec![Centroid {
+                mean: 1.5,
+                weight: count,
+            }],
+            count,
+            min: 1.5,
+            max: 1.5,
+        };
+        let seg = Segment::new((0..2).map(|i| page(100 * i)).collect());
+        seg.memoize_digest(d(16));
+        assert!(seg.digest().is_none(), "pages unverified: no digest");
+        fold(seg.pages());
+        forget_all_moments();
+        seg.memoize_digest(d(16));
+        assert_eq!(seg.digest().as_deref(), Some(&d(16)));
+        assert_eq!(live_memos(), 1, "the digest counts");
+        seg.memoize_digest(d(7));
+        assert_eq!(seg.digest().as_deref(), Some(&d(16)), "set once per epoch");
+        forget_all_moments();
+        assert!(seg.digest().is_none(), "hidden by the bump");
+        seg.memoize_digest(d(7));
+        assert_eq!(seg.digest().as_deref(), Some(&d(7)), "set again after it");
+        drop(seg);
+        assert_eq!(live_memos(), 0, "a dropped segment leaves the count");
     }
 
     #[test]

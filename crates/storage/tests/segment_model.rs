@@ -1,7 +1,8 @@
 //! Model-checked segment publish: the interleavings of two folds that
-//! publish a segment memo, an epoch bump (`forget_all_moments`, what
-//! `PartialCache::clear` runs) and a page swapped in by corruption
-//! (`SealedPages::replace`, what `SeriesStore::corrupt_page` runs).
+//! publish a segment memo, or a segment digest, an epoch bump
+//! (`forget_all_moments`, what `PartialCache::clear` runs) and a page
+//! swapped in by corruption (`SealedPages::replace`, what
+//! `SeriesStore::corrupt_page` runs).
 //!
 //! Run with: `cargo test -p etsqp-storage --features model`
 //!
@@ -10,12 +11,14 @@
 //! operations is a point where the scheduler may switch threads. No
 //! interleaving may expose a memo over a page that is not verified, a
 //! memo whose value is not its segment's, or a memo visible in an epoch
-//! its pages' memos are not (a mixed-epoch memo).
+//! its pages' memos are not (a mixed-epoch memo); and no interleaving may
+//! expose a digest over a page that is not verified, or one set only
+//! before the last epoch bump.
 #![cfg(feature = "model")]
 
 use etsqp_encoding::Encoding;
 use etsqp_storage::page::{forget_all_moments, Page, PageMoments};
-use etsqp_storage::segment::{SealedPages, Segment};
+use etsqp_storage::segment::{Centroid, SealedPages, Segment, SegmentDigest};
 use etsqp_storage::Bytes;
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
@@ -176,6 +179,111 @@ fn segment_publish_survives_epoch_bumps_and_swapped_pages() {
             ..loom::Builder::new()
         }
         .check(|| model(delay));
+        assert!(report.schedules > 100, "explored too little: {report:?}");
+    }
+}
+
+/// A stand-in for the digest a query's folds merge over the segment's
+/// pages (storage knows no sketch): a centroid per value.
+fn digest_of(seg: &Segment) -> Option<SegmentDigest> {
+    let mut vals = Vec::new();
+    for page in seg.pages() {
+        vals.extend(page.decode().ok()?.1);
+    }
+    let centroids = vals.iter().map(|&v| Centroid {
+        mean: v as f64,
+        weight: 1,
+    });
+    Some(SegmentDigest {
+        centroids: centroids.collect(),
+        count: vals.len() as u64,
+        min: *vals.iter().min()? as f64,
+        max: *vals.iter().max()? as f64,
+    })
+}
+
+/// A visible digest stands on verified pages and is the segment's.
+fn sound_digest(seg: &Segment, want: &SegmentDigest) {
+    if let Some(d) = seg.digest() {
+        assert!(
+            seg.pages().iter().all(|p| p.is_verified()),
+            "segment digest over an unverified page"
+        );
+        assert_eq!(*d, *want, "wrong digest");
+    }
+}
+
+/// One run of the digest model. Two folds hash every page and set the
+/// segment's digest while the epoch bump, after `delay` yields, and the
+/// corruption swap land. A fold hands in the digest whether or not a
+/// page failed its hash, so the slot's own guard is what keeps a digest
+/// off an unverified page. A bump that finds both sets done must leave
+/// no digest visible after it.
+fn digest_model(delay: usize) {
+    let slot = Arc::new(Mutex::new(sealed()));
+    let first = slot.lock().segments()[0].clone();
+    let want = digest_of(&first).unwrap();
+    let published = Arc::new(AtomicUsize::new(0));
+    let folds: Vec<_> = (0..2)
+        .map(|_| {
+            let (slot, want, published) = (Arc::clone(&slot), want.clone(), Arc::clone(&published));
+            loom::thread::spawn(move || {
+                let seg = slot.lock().segments()[0].clone();
+                seg.pages().iter().for_each(|p| {
+                    let _ = p.ensure_verified();
+                });
+                seg.memoize_digest(want.clone());
+                published.fetch_add(1, Ordering::Relaxed);
+                sound_digest(&seg, &want);
+                seg
+            })
+        })
+        .collect();
+    let bump = {
+        let published = Arc::clone(&published);
+        loom::thread::spawn(move || {
+            (0..delay).for_each(|_| loom::thread::yield_now());
+            let before = published.load(Ordering::Relaxed);
+            forget_all_moments();
+            before
+        })
+    };
+    let corrupt = {
+        let slot = Arc::clone(&slot);
+        let page = first.pages()[1].clone();
+        loom::thread::spawn(move || {
+            let mut copy = Page::clone(&page);
+            let mut v = copy.val_bytes.to_vec();
+            v[0] ^= 0x40;
+            copy.val_bytes = Bytes::from(v);
+            slot.lock().replace(1, copy).unwrap();
+        })
+    };
+    let mut seen: Vec<_> = folds.into_iter().map(|h| h.join()).collect();
+    let both_before_bump = bump.join() == 2;
+    corrupt.join();
+    let swapped = slot.lock().segments()[0].clone();
+    swapped.memoize_digest(want.clone());
+    assert!(swapped.digest().is_none(), "a digest over a corrupt page");
+    seen.extend([swapped, first]);
+    for seg in &seen {
+        sound_digest(seg, &want);
+        assert!(
+            !both_before_bump || seg.digest().is_none(),
+            "a digest set before the epoch bump is visible after it"
+        );
+    }
+}
+
+#[test]
+fn segment_digest_survives_epoch_bumps_and_swapped_pages() {
+    for delay in 0..=8 {
+        let report = loom::Builder {
+            max_schedules: 200,
+            random_schedules: 200,
+            ..loom::Builder::new()
+        }
+        .check(|| digest_model(delay));
         assert!(report.schedules > 100, "explored too little: {report:?}");
     }
 }

@@ -46,15 +46,12 @@
 //!   included, goes through the latter, which hashes a resident page
 //!   object once, so one more re-hash per query fails here, not at a
 //!   re-anchor.
-//! * `digest-cache-only` — in the engine `PartialCache::global()` is
-//!   taken only inside the one function that probes and fills the
-//!   quantile-digest cache; exact aggregates are memoized on their pages.
 //! * `residual-predicate` — in the physical IR a page-header bound meets
 //!   a predicate conjunct's `lo` / `hi` only in the §V verdicts and the
 //!   verifier's re-derivation; everything else asks the residual
 //!   predicate, so a second coverage rule fails here.
 //!
-//! The last three are rows of one table, [`HOME_BOUND`]: a construct that
+//! The last two are rows of one table, [`HOME_BOUND`]: a construct that
 //! may appear in its scope only inside its home functions.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
@@ -190,16 +187,13 @@ fn compares_header_to_conjunct(code: &str) -> bool {
 /// * `verify-once` — `.verify()` hashes a page on every use; only the deep
 ///   plan check, which exists to recompute every pruned page's digest,
 ///   and `Page::ensure_verified`, which hashes once and marks, make it.
-/// * `digest-cache-only` — the process-global partial cache holds quantile
-///   digests alone; exact aggregates are memoized on their pages, so only
-///   the one digest function probes or fills it.
 /// * `residual-predicate` — in the physical IR a page's header bounds are
 ///   held against a predicate's conjuncts only by the §V verdicts and by
 ///   the verifier's independent re-derivation; everything else asks
 ///   `Predicate::residual` or, for a bare time range, `TimeRange::covers`
 ///   (`crates/core/src/expr.rs`, outside the scope),
 ///   so a second coverage rule cannot drift from the first.
-pub const HOME_BOUND: [HomeBound; 3] = [
+pub const HOME_BOUND: [HomeBound; 2] = [
     HomeBound {
         rule: "verify-once",
         scopes: &["crates/core/src/", "crates/storage/src/page.rs"],
@@ -210,15 +204,6 @@ pub const HOME_BOUND: [HomeBound; 3] = [
             ("crates/storage/src/page.rs", "ensure_verified"),
         ],
         why: "re-hashes the page on every query; job-time checks go through `ensure_verified`",
-    },
-    HomeBound {
-        rule: "digest-cache-only",
-        scopes: &["crates/core/src/"],
-        call: "PartialCache::global()",
-        made_by: |code| code.contains("PartialCache::global()"),
-        homes: &[("crates/core/src/physical/agg.rs", "digest_partial")],
-        why: "is the quantile-digest cache; an exact aggregate is memoized on its page \
-              (`Page::memoize`)",
     },
     HomeBound {
         rule: "residual-predicate",
@@ -235,7 +220,7 @@ pub const HOME_BOUND: [HomeBound; 3] = [
 ];
 
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 13] = [
+pub const RULE_NAMES: [&str; 12] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -247,7 +232,6 @@ pub const RULE_NAMES: [&str; 13] = [
     "no-sleep-poll",
     "one-walker",
     "verify-once",
-    "digest-cache-only",
     "residual-predicate",
 ];
 
@@ -1493,35 +1477,6 @@ pub fn f(v: &[i64]) -> i64 {
             let r = analyze_source(path, bad);
             assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
         }
-    }
-
-    #[test]
-    fn digest_cache_only_fires_in_the_engine_outside_the_digest_function() {
-        let bad = include_str!("../fixtures/digest_cache_bad.rs.txt");
-        let good = include_str!("../fixtures/digest_cache_good.rs.txt");
-        let r = analyze_source("crates/core/src/physical/driver.rs", bad);
-        assert_eq!(
-            rules_fired(&r),
-            ["digest-cache-only", "digest-cache-only"],
-            "one per use of the global cache: {r:?}"
-        );
-        // The digest function's body is the home; the same file's other
-        // functions are not.
-        let home = home_of("digest-cache-only");
-        let r = analyze_source(home, good);
-        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
-        let r = analyze_source(home, bad);
-        assert_eq!(rules_fired(&r).len(), 2, "{r:?}");
-        // A function of that name elsewhere in the engine is no licence ...
-        let r = analyze_source("crates/core/src/partial.rs", good);
-        assert_eq!(
-            rules_fired(&r),
-            ["digest-cache-only", "digest-cache-only"],
-            "{r:?}"
-        );
-        // ... and the benches clear the cache freely.
-        let r = analyze_source("crates/bench/src/lib.rs", bad);
-        assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
     }
 
     #[test]

@@ -22,8 +22,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # unsafe, no panics in engine hot paths, no lossy kernel casts, no
 # wrapping kernel accumulators, ingest lock-order, no sleep-poll loops
 # in the serve layer, one walker over packed deltas in core, one page
-# re-hash site and one user of the digest cache in core, crate hygiene
-# attributes. Prints one `rule: count`
+# re-hash site in core, one coverage rule in the physical IR, crate
+# hygiene attributes. Prints one `rule: count`
 # summary line on failure.
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint
@@ -107,9 +107,10 @@ echo "==> cargo test -q -p crossbeam --features model"
 cargo test -q -p crossbeam --features model
 
 # The same checker over the segment publish (crates/storage/tests/
-# segment_model.rs): two folds publish a segment memo while the epoch
-# bumps and a corrupted page is swapped in; no interleaving may expose a
-# memo from a mixed epoch or over an unverified page.
+# segment_model.rs): two folds publish a segment memo, or set a segment's
+# quantile digest, while the epoch bumps and a corrupted page is swapped
+# in; no interleaving may expose a memo from a mixed epoch, a digest set
+# before the last bump, or either over an unverified page.
 echo "==> cargo test -q -p etsqp-storage --features model --test segment_model"
 cargo test -q -p etsqp-storage --features model --test segment_model
 
@@ -186,7 +187,7 @@ bench_compare() (
 )
 bench_compare || echo "WARN: benchmark drifted from results/spine/set-A.json (non-gating)"
 
-# Non-gating: the ROADMAP item 3 scoreboard (non-test code lines).
+# Non-gating: the scoreboard (non-test code lines).
 echo "==> scripts/loc.sh (non-gating)"
 bash scripts/loc.sh || echo "WARN: loc.sh failed (non-gating)"
 

@@ -302,6 +302,54 @@ mod tests {
         assert!(report.exhaustive, "got {report:?}");
     }
 
+    #[test]
+    fn a_yield_spin_sees_a_broken_two_step_publish() {
+        // The waiter spins on `yield_now` until `ready`; the publisher
+        // starts once the waiter has spun, then takes two steps. A
+        // yielded thread runs again after any other thread's step, so it
+        // can read between them: the broken order must be caught.
+        let publish = |broken: bool| {
+            let bounded = Builder {
+                max_schedules: 200,
+                random_schedules: 50,
+                ..Builder::new()
+            };
+            bounded.check(move || {
+                use sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+                let data = sync::Arc::new(AtomicU64::new(0));
+                let ready = sync::Arc::new(AtomicBool::new(false));
+                let spins = sync::Arc::new(AtomicU64::new(0));
+                let (d, r, s) = (data.clone(), ready.clone(), spins.clone());
+                let h = thread::spawn(move || {
+                    while s.load(SeqCst) == 0 {}
+                    if broken {
+                        r.store(true, SeqCst);
+                        d.store(42, SeqCst);
+                    } else {
+                        d.store(42, SeqCst);
+                        r.store(true, SeqCst);
+                    }
+                });
+                while !ready.load(SeqCst) {
+                    spins.fetch_add(1, SeqCst);
+                    thread::yield_now();
+                }
+                assert_eq!(data.load(SeqCst), 42, "read between the two steps");
+                h.join();
+            })
+        };
+        publish(false);
+        let result = catch_unwind(AssertUnwindSafe(|| publish(true)));
+        let msg = match result {
+            Err(p) => crate::tests::payload_str(p.as_ref()),
+            Ok(_) => panic!("model missed the broken publish"),
+        };
+        assert!(
+            msg.contains("read between the two steps"),
+            "unexpected: {msg}"
+        );
+    }
+
     pub(crate) fn payload_str(p: &(dyn std::any::Any + Send)) -> String {
         if let Some(s) = p.downcast_ref::<&str>() {
             (*s).to_string()

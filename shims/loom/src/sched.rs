@@ -38,8 +38,10 @@ pub(crate) enum Status {
 struct Th {
     status: Status,
     /// Fairness bit: set by `yield_now` and failed `try_lock`; a yielded
-    /// thread is not eligible again until every other runnable thread has
-    /// been scheduled (prevents unbounded try-lock retry subtrees).
+    /// thread is not eligible again until some other thread has been
+    /// scheduled (loom's rule: it prevents unbounded retry subtrees, and a
+    /// spin on `yield_now` still lets the thread run between any two
+    /// steps of the others).
     yielded: bool,
 }
 
@@ -180,16 +182,14 @@ fn pick_next(st: &mut Exec) {
         st.current = NO_THREAD;
         return;
     }
-    // Fairness: prefer threads that have not yielded since the last round.
+    // Fairness: prefer threads that have not yielded since another thread
+    // last took a step.
     let mut cands: Vec<usize> = runnable
         .iter()
         .copied()
         .filter(|&t| !st.threads[t].yielded)
         .collect();
     if cands.is_empty() {
-        for &t in &runnable {
-            st.threads[t].yielded = false;
-        }
         cands = runnable;
     }
     let n = cands.len();
@@ -217,7 +217,13 @@ fn pick_next(st: &mut Exec) {
     if n > 1 {
         st.schedule.push(Choice { rank, alts: n });
     }
-    st.current = cands[rank];
+    let next = cands[rank];
+    // The chosen thread takes a step: every other yielded thread is
+    // eligible again at the next point.
+    for (t, th) in st.threads.iter_mut().enumerate() {
+        th.yielded &= t == next;
+    }
+    st.current = next;
 }
 
 impl Scheduler {

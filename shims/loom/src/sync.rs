@@ -34,6 +34,12 @@ impl<T> Mutex<T> {
         self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The inner value through an exclusive borrow: no other thread can
+    /// hold the lock, so this is no scheduling point.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Acquires the mutex, blocking the (model) thread until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if let Some(me) = sched::tid() {
@@ -72,6 +78,16 @@ impl<T> Mutex<T> {
                 }),
                 Err(std::sync::TryLockError::WouldBlock) => None,
             }
+        }
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Outside any scheduling: a `Debug` print takes no model step.
+        match self.inner.try_lock() {
+            Ok(v) => f.debug_tuple("Mutex").field(&*v).finish(),
+            Err(_) => f.write_str("Mutex(<locked>)"),
         }
     }
 }

@@ -1612,7 +1612,8 @@ fn run_and_xor_space_folds_match_serial_and_materialize_nothing() {
 /// mark or a memo on the old object, or on its neighbours, vouches for
 /// nothing, and neither do header bounds narrowed into a filter's cover.
 /// Last, one page inside a fully memoized segment is corrupted: a
-/// segment's mark and memo vouch for its page objects alone.
+/// segment's mark and memo vouch for its page objects alone; and so does
+/// a segment's quantile digest.
 #[test]
 fn verified_once_still_aborts_on_corruption() {
     use etsqp::storage::page::{Page, PageMoments};
@@ -1765,6 +1766,32 @@ fn verified_once_still_aborts_on_corruption() {
             );
             cases += 1;
         }
+    }
+    // One page under a segment digest: P95 sets the digest of the open
+    // tail segment, one merge group of four pages, then one of its pages
+    // is corrupted; the next P95 returns the storage error.
+    let p95 = Plan::scan("s").aggregate(AggFunc::P95);
+    let store = store_of(PAGE_POINTS, "s", Encoding::Ts2Diff, &ts, &vals);
+    let segment = || store.snapshot("s").unwrap().segments;
+    let mut rounds = 0;
+    while segment()[0].digest().is_none() {
+        execute(&p95, &store, &warm).unwrap();
+        rounds += 1;
+        assert!(rounds < 100, "warm-up never set the segment digest");
+    }
+    store.corrupt_page("s", 1, mutations[0].1).unwrap();
+    for threads in [1, 2, 8] {
+        let cfg = PipelineConfig {
+            threads,
+            ..Default::default()
+        };
+        let got = execute(&p95, &store, &cfg);
+        assert!(
+            matches!(got, Err(etsqp::core::Error::Storage(_))),
+            "FAULT segment digest threads={threads}: {:?}",
+            got.map(|r| r.rows),
+        );
+        cases += 1;
     }
     assert!(cases >= 250, "fault sweep too small: {cases} cases");
     eprintln!("differential verified-once fault sweep: {cases} cases, all aborted");
