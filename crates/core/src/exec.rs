@@ -1,12 +1,15 @@
 //! Job scheduler and execution statistics.
 //!
 //! Pipeline jobs (built by Algorithm 2 in [`crate::physical::pipe`]) are
-//! independent units of work, one per page. [`run_jobs`] runs them
-//! morsel-driven on the process-wide persistent worker pool
+//! independent units of work: an aggregation's job is a morsel, a run of
+//! one segment's pages, and a row scan's is a page. [`run_jobs`] runs
+//! them morsel-driven on the process-wide persistent worker pool
 //! ([`crate::pool`]). Workers never wait on each other (partials are
 //! combined by a sequential merge after the parallel phase), so the only
 //! blocking is queue starvation, which is measured and reported as idle
-//! time.
+//! time. A morsel counts into an [`ExecStats`] of its own and
+//! [`ExecStats::absorb`]s it into the query's once, so its pages share
+//! no counter's cache line with another thread.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,6 +104,34 @@ impl ExecStats {
     /// [`ScopedTimer`].
     pub fn scoped<'a>(&self, counter: &'a AtomicU64) -> ScopedTimer<'a> {
         ScopedTimer::new(counter)
+    }
+
+    /// Adds every counter of `local` (one thread's own) to these, one
+    /// shared add per counter that moved.
+    pub(crate) fn absorb(&self, local: &ExecStats) {
+        let s = local.snapshot();
+        for (counter, n) in [
+            (&self.pages_loaded, s.pages_loaded),
+            (&self.pages_pruned, s.pages_pruned),
+            (&self.tuples_scanned, s.tuples_scanned),
+            (&self.tuples_pruned, s.tuples_pruned),
+            (&self.io_ns, s.io_ns),
+            (&self.unpack_ns, s.unpack_ns),
+            (&self.delta_ns, s.delta_ns),
+            (&self.filter_ns, s.filter_ns),
+            (&self.agg_ns, s.agg_ns),
+            (&self.merge_ns, s.merge_ns),
+            (&self.idle_ns, s.idle_ns),
+            (&self.materialized_bytes, s.materialized_bytes),
+            (&self.local_pops, s.local_pops),
+            (&self.steals, s.steals),
+            (&self.cache_hits, s.cache_hits),
+            (&self.cache_misses, s.cache_misses),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Snapshot of every counter.

@@ -10,7 +10,7 @@
 //! | §III-A, Alg. 1 | [`decode`] | column decode: the 32-bit gates, the walker's write sink or the codec's serial decoder |
 //! | Alg. 1, Fig. 14(d) | [`decode_fold`] | the one walker over packed deltas: unpack → prefix → widen and write, or → filter → accumulate without materializing |
 //! | §III-B | `etsqp_simd::tables` | JIT-style cached shuffle/shift/mask plans |
-//! | §III-C, Fig. 8 | [`exec`], [`pool`] | one job per kept page, work-stealing thread scheduling (no page slicing) |
+//! | §III-C, Fig. 8 | [`exec`], [`pool`] | one job per segment morsel of kept pages (a page for row scans), work-stealing thread scheduling (no page slicing) |
 //! | §IV, Prop. 3 | [`fused`] | aggregation without decoding (Delta / Delta-Repeat) |
 //! | §V, Prop. 4/5 | [`prune`] | time/value pruning from encoding statistics |
 //! | §VI, Alg. 2 | [`plan`], [`expr`] | `Pipe`: logical plan → pipeline jobs + merge nodes |

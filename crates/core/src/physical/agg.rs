@@ -33,25 +33,31 @@
 //! driver's merge node sets (`Segment::memoize_digest`).
 
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 use etsqp_simd::agg::AggState;
 use etsqp_storage::page::{Page, PageHeader, PageMoments};
 use etsqp_storage::segment::Segment;
 use etsqp_storage::store::SeriesStore;
 
+use crate::cancel::CancellationToken;
 use crate::decode_fold::{fold_values, FoldCursor};
 use crate::exec::ExecStats;
 use crate::expr::{AggFunc, Predicate, SlidingWindow, TimeRange};
 use crate::partial::{PartialState, TDigest};
 use crate::physical::node::{SeriesPipeline, Stage, Strategy};
-use crate::physical::scan::{charge_page_io, decode_ts_column, decode_val_column};
-use crate::physical::window::{constant_positions, whole_page_bucket, window_index_ranges};
+use crate::physical::scan::{decode_ts_column, decode_val_column};
+use crate::physical::window::{constant_positions, for_each_window_range, whole_page_bucket};
 use crate::plan::PipelineConfig;
 use crate::{Error, Result};
 
 /// Partial aggregate states keyed by window index (0 when unwindowed),
 /// ascending.
 pub(crate) type WindowStates = Vec<(usize, PartialState)>;
+
+/// A dispatched page: the page, its planned strategy, and whether it is
+/// `[cacheable]`.
+pub(crate) type PageJob<'a> = (&'a Page, Strategy, bool);
 
 /// The state of bucket `k` in `windows`, created by `init` if absent.
 /// Time-ordered input mostly extends the last bucket, so that is looked
@@ -202,9 +208,65 @@ fn whole_state(
     Some((whole_page_bucket(bounds, window)?, state))
 }
 
+/// A morsel: a run of one segment's dispatched pages, folded in page
+/// order on one thread, each by [`agg_page_job`]. An integer exact
+/// aggregate merges its pages' partials into one state per bucket, an
+/// associative merge (`i128` Σ, non-negative saturating Σ², count, min,
+/// max, ends in time order); a float series' partials (whose real Σ
+/// rounds by grouping) and a quantile's (the digest tree's leaves) stay
+/// one per page, in page order. The token is checked between pages.
+/// Counters go to a morsel-local [`ExecStats`] and are added to `stats`
+/// once, with the morsel's pages, tuples and bytes; the morsel's time,
+/// less what the decode paths' own stage timers took, is `Delta`'s: the
+/// cursor's fold is the decode pass.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn agg_morsel(
+    pages: &[PageJob],
+    p: &SeriesPipeline,
+    window: Option<SlidingWindow>,
+    func: AggFunc,
+    cfg: &PipelineConfig,
+    stats: &ExecStats,
+    store: &SeriesStore,
+    ctl: &CancellationToken,
+) -> Result<WindowStates> {
+    let start = Instant::now();
+    let local = ExecStats::default();
+    let (mut out, mut states) = (WindowStates::new(), WindowStates::new());
+    let (mut loaded, mut bytes, mut tuples) = (0u64, 0, 0);
+    let folded = pages.iter().try_for_each(|job| {
+        if loaded > 0 {
+            ctl.check()?;
+        }
+        loaded += 1;
+        bytes += job.0.encoded_len() as u64;
+        tuples += u64::from(job.0.header.count);
+        agg_page_job(job, p, window, func, cfg, &local, &mut states)?;
+        if p.float || func.needs_digest() {
+            out.append(&mut states);
+        } else {
+            merge_states(&mut out, &states);
+            states.clear();
+        }
+        Ok(())
+    });
+    store.io().record_pages(loaded, bytes);
+    local.pages_loaded.store(loaded, Ordering::Relaxed);
+    local.tuples_scanned.store(tuples, Ordering::Relaxed);
+    let timed = [Stage::Unpack, Stage::Delta, Stage::Filter, Stage::Agg];
+    let timed: u64 = timed
+        .map(|s| s.counter(&local).load(Ordering::Relaxed))
+        .iter()
+        .sum();
+    let spent = start.elapsed().as_nanos() as u64;
+    (local.delta_ns).fetch_add(spent.saturating_sub(timed), Ordering::Relaxed);
+    stats.absorb(&local);
+    folded.map(|()| out)
+}
+
 /// The per-page aggregation pipeline, executing the planner's
-/// [`Strategy`]. Returns partial states keyed by window index (0 when
-/// unwindowed).
+/// [`Strategy`]: appends the page's partial states, keyed by window
+/// index (0 when unwindowed), to `out`, which it finds empty.
 ///
 /// The page folds under the residual of `p`'s predicate, which trusts
 /// the header and is therefore taken after the checksum; a page of a
@@ -217,19 +279,15 @@ fn whole_state(
 /// invariant, hashed once per resident page object), so a memo cannot
 /// stand in for corrupted bytes. A digest leaves the job compressed; the
 /// driver's merge node groups it with its neighbours.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_page_job(
-    page: &Page,
+    &(page, strategy, cacheable): &PageJob,
     p: &SeriesPipeline,
     window: Option<SlidingWindow>,
     func: AggFunc,
-    strategy: Strategy,
-    cacheable: bool,
     cfg: &PipelineConfig,
     stats: &ExecStats,
-    store: &SeriesStore,
-) -> Result<WindowStates> {
-    charge_page_io(page, stats, store);
+    out: &mut WindowStates,
+) -> Result<()> {
     // The cursor and the vectorized decoders read chunk bytes without
     // going through the checksum-verified Page::decode, and the header
     // answers COUNT / MIN / MAX alone — both would otherwise turn
@@ -250,13 +308,14 @@ pub(crate) fn agg_page_job(
     // Verified just now, the page answers what its header holds (COUNT,
     // MIN, MAX) without a fold on its first touch too.
     if let Some(hit) = whole.then(|| memoized(page, func, window)).flatten() {
-        return Ok(vec![hit]);
+        out.push(hit);
+        return Ok(());
     }
-    let mut out = if strategy == Strategy::Serial || p.float {
-        fold_page_tuples(page, pred, window, func, p.float, stats)?
+    if strategy == Strategy::Serial || p.float {
+        fold_page_tuples(page, pred, window, func, p.float, stats, out)?;
     } else {
-        agg_page_states(page, pred, window, func, cfg, stats)?
-    };
+        agg_page_states(page, pred, window, func, cfg, stats, out)?;
+    }
     // A digest leaves its page compressed, once, on every path: the
     // merge tree above it is then the same, whatever was memoized.
     let digests = out.iter_mut().filter_map(|(_, s)| s.digest.as_mut());
@@ -269,7 +328,7 @@ pub(crate) fn agg_page_job(
             ends: s.agg.first.zip(s.agg.last).filter(|_| ends),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The tuple-at-a-time body of [`agg_page_job`]: decode value-at-a-time
@@ -283,7 +342,8 @@ fn fold_page_tuples(
     func: AggFunc,
     float: bool,
     stats: &ExecStats,
-) -> Result<WindowStates> {
+    out: &mut WindowStates,
+) -> Result<()> {
     let (ts, vals) = {
         let _d = Stage::Delta.timer(stats);
         page.decode().map_err(Error::Storage)?
@@ -292,14 +352,13 @@ fn fold_page_tuples(
         .materialized_bytes
         .fetch_add((ts.len() + vals.len()) as u64 * 8, Ordering::Relaxed);
     let _a = Stage::Agg.timer(stats);
-    let mut windows = WindowStates::new();
-    fold_tuples(&ts, &vals, pred, window, func, float, &mut windows);
-    Ok(windows)
+    fold_tuples(&ts, &vals, pred, window, func, float, out);
+    Ok(())
 }
 
-/// The vectorized body of [`agg_page_job`] (everything after the I/O
-/// charge and the checksum verification): index range → bucket
-/// subranges → one fold per bucket.
+/// The vectorized body of [`agg_page_job`] (everything after the
+/// checksum verification): index range → bucket subranges → one fold
+/// per bucket.
 fn agg_page_states(
     page: &Page,
     pred: &Predicate,
@@ -307,7 +366,8 @@ fn agg_page_states(
     func: AggFunc,
     cfg: &PipelineConfig,
     stats: &ExecStats,
-) -> Result<WindowStates> {
+    out: &mut WindowStates,
+) -> Result<()> {
     // ---- The qualifying index range [a, b] ----------------------------
     // Ordered timestamps make the time filter, cut below at the window
     // origin, an index range; header bounds are exact, so a page they
@@ -330,7 +390,7 @@ fn agg_page_states(
         (a < b).then(|| (a, b - 1))
     };
     let Some((a, mut b)) = range else {
-        return Ok(Vec::new());
+        return Ok(());
     };
 
     // ---- Bucket subranges, each folded into one partial state ---------
@@ -344,7 +404,7 @@ fn agg_page_states(
             // Suffix pruning may have stopped the decode short of `b`:
             // the elements it skipped provably fail the value filter.
             if a >= vals.len() {
-                return Ok(Vec::new());
+                return Ok(());
             }
             b = b.min(vals.len() - 1);
             Values::Decoded(vals)
@@ -359,19 +419,12 @@ fn agg_page_states(
             .get(a..=b)
             .ok_or(Error::Decode("column length mismatch (corrupt page)"))?;
         let _a = Stage::Agg.timer(stats);
-        let mut windows = WindowStates::new();
-        fold_tuples(ts, &vals[a..=b], pred, window, func, false, &mut windows);
-        return Ok(windows);
+        fold_tuples(ts, &vals[a..=b], pred, window, func, false, out);
+        return Ok(());
     }
-    let ranges = window_index_ranges(page, window, a, b, ts.as_deref(), stats)?;
-    // The cursor's fold *is* the decode pass; nothing runs after it.
-    let _t = match values {
-        Values::Cursor(_) => Stage::Delta,
-        Values::Decoded(_) => Stage::Agg,
-    }
-    .timer(stats);
-    let mut out: WindowStates = Vec::with_capacity(ranges.len());
-    for (k, i, j) in ranges {
+    // The cursor's fold *is* the decode pass, timed with its morsel.
+    let _a = matches!(values, Values::Decoded(_)).then(|| Stage::Agg.timer(stats));
+    for_each_window_range(page, window, a, b, ts.as_deref(), stats, |k, i, j| {
         let state = match &mut values {
             Values::Cursor(cursor) => cursor.fold_range(i, j)?,
             Values::Decoded(vals) => fold_values(&vals[i..=j], pred.value, func),
@@ -379,14 +432,15 @@ fn agg_page_states(
         if state.count > 0 {
             out.push((k, state.into()));
         }
-    }
+        Ok(())
+    })?;
     if let Values::Cursor(cursor) = values {
         let pruned = cursor.finish()? as u64;
         if pruned > 0 {
             stats.tuples_pruned.fetch_add(pruned, Ordering::Relaxed);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// What the bucket subranges of a page are folded from.

@@ -1,8 +1,17 @@
 //! The pipeline driver: maps a compiled [`PhysicalPlan`]'s pages onto the
-//! work-stealing pool, one job per page, and stitches the partials back
-//! together — per-page partial states through `MergeConcat`, binary
-//! operators through their partitioned merge nodes. Each side of a binary
-//! operator runs the one row pipeline a `SELECT *` runs.
+//! work-stealing pool and stitches the partials back together —
+//! aggregate partial states through `MergeConcat`, binary operators
+//! through their partitioned merge nodes. Each side of a binary operator
+//! runs the one row pipeline a `SELECT *` runs, one job per kept page.
+//!
+//! An aggregation's job is a segment morsel: a maximal run of
+//! consecutive dispatched pages inside one segment and one
+//! [`SEGMENT_PAGES`] digest group, which a page or segment served on the
+//! calling thread ends, folded in page order by
+//! [`crate::physical::agg::agg_morsel`]. Fewer runs than threads over
+//! more pages than threads are cut evenly, so a one-segment query keeps
+//! its parallelism. Morsels return in page order, served runs sit
+//! between them, so the merge node sees kept-page time order as before.
 //!
 //! An aggregation's calling thread does the page work that needs no
 //! job: it discharges the pruned pages and folds every `[cacheable]` page
@@ -27,6 +36,7 @@
 //! one group keeps that digest, so a warm quantile reads one digest per
 //! segment where a cold one folds and merges its pages.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -39,14 +49,12 @@ use crate::exec::{run_jobs, ExecStats};
 use crate::expr::{AggFunc, Predicate, SlidingWindow};
 use crate::partial::{PartialState, TDigest};
 use crate::physical::agg::{
-    agg_page_job, fold_tuples, memoized, memoized_segment, merge_states, WindowStates,
+    agg_morsel, fold_tuples, memoized, memoized_segment, merge_states, PageJob, WindowStates,
 };
 use crate::physical::merge::{join_walk, merge_partitioned, BinaryKind, Columns};
 use crate::physical::node::{PageDecision, RootNode, SegmentVerdict, SeriesPipeline, Stage};
 use crate::physical::pipe::PhysicalPlan;
-use crate::physical::scan::{
-    charge_pruned_hot, charge_pruned_page, hot_rows, scan_rows, verify_pruned,
-};
+use crate::physical::scan::{charge_pruned, charge_pruned_hot, hot_rows, scan_rows, verify_pruned};
 use crate::plan::{finalize, finalize_pair, PairMoments, PipelineConfig, Value};
 use crate::{Error, Result};
 
@@ -188,7 +196,8 @@ fn binary_rows(
     Ok((left, right))
 }
 
-/// Drops one pruned page: obligation, checksum, then the §VII-B charge.
+/// Drops one pruned page: obligation, checksum, then its count into the
+/// walk's `(pages, tuples)`, charged once by [`charge_pruned`].
 /// The obligation is the driver-side half of the §V verify-before-prune
 /// discipline: a decision without it means the plan was tampered with or
 /// a planner bug slipped past the verifier, so the query is refused
@@ -196,7 +205,7 @@ fn binary_rows(
 /// checksum-verified (once per resident page object) before being
 /// dropped — a corrupted header must abort the query, not skew which
 /// pages the §V verdicts exclude.
-fn discharge_pruned(page: &Page, d: &PageDecision, stats: &ExecStats) -> Result<()> {
+fn discharge_pruned(page: &Page, d: &PageDecision, pruned: &mut (u64, u64)) -> Result<()> {
     if !d.checksum_obligation {
         return Err(Error::Plan(format!(
             "pruned page {} lacks its checksum-verification obligation",
@@ -204,22 +213,21 @@ fn discharge_pruned(page: &Page, d: &PageDecision, stats: &ExecStats) -> Result<
         )));
     }
     verify_pruned(page)?;
-    charge_pruned_page(page, stats);
+    pruned.0 += 1;
+    pruned.1 += u64::from(page.header.count);
     Ok(())
 }
 
-/// Drops a segment pruned whole: with one charge once its all-verified
-/// mark is set, else page by page as above, after which the mark is.
-fn discharge_segment(seg: &Segment, ds: &[PageDecision], stats: &ExecStats) -> Result<()> {
+/// Drops a segment pruned whole: in one count once its all-verified mark
+/// is set, else page by page as above, after which the mark is.
+fn discharge_segment(seg: &Segment, ds: &[PageDecision], pruned: &mut (u64, u64)) -> Result<()> {
     if seg.is_verified() {
-        stats
-            .pages_pruned
-            .fetch_add(seg.len() as u64, Ordering::Relaxed);
-        (stats.tuples_pruned).fetch_add(seg.tuples(), Ordering::Relaxed);
+        pruned.0 += seg.len() as u64;
+        pruned.1 += seg.tuples();
         return Ok(());
     }
     for (page, d) in seg.pages().iter().zip(ds) {
-        discharge_pruned(page, d, stats)?;
+        discharge_pruned(page, d, pruned)?;
     }
     seg.mark_verified();
     Ok(())
@@ -227,21 +235,22 @@ fn discharge_segment(seg: &Segment, ds: &[PageDecision], stats: &ExecStats) -> R
 
 /// Materializes a pipeline's kept pages, discharging its pruned ones.
 fn kept_of(p: &SeriesPipeline, stats: &ExecStats) -> Result<Vec<Arc<Page>>> {
-    let mut kept = Vec::new();
+    let (mut kept, mut pruned) = (Vec::new(), (0, 0));
     for (page, d) in p.pages().zip(&p.decisions) {
         if d.verdict.kept() {
             kept.push(Arc::clone(page));
         } else {
-            discharge_pruned(page, d, stats)?;
+            discharge_pruned(page, d, &mut pruned)?;
         }
     }
+    charge_pruned(stats, pruned);
     Ok(kept)
 }
 
 /// Runs one aggregation pipeline: the calling thread discharges the
 /// pruned pages and serves the memoized pages and segments, the pool runs
-/// a job per remaining page, and the sequential merge node stitches
-/// everything in kept-page time order.
+/// the remaining pages as segment morsels, and the sequential merge node
+/// stitches everything in kept-page time order.
 fn aggregate_pipeline(
     store: &SeriesStore,
     pipeline: &SeriesPipeline,
@@ -254,13 +263,14 @@ fn aggregate_pipeline(
     let pred = &pipeline.pred;
     let digest = func.needs_digest();
     let sealed: usize = pipeline.segments.iter().map(|s| s.len()).sum();
-    let mut jobs = Vec::new();
-    // A quantile's jobs' page indices, the tree's leaves (an exact
-    // aggregate's jobs merge in order and need none).
-    let mut leaves = Vec::new();
+    let mut jobs: Vec<PageJob> = Vec::new();
+    // Morsels by their first job, with their digest group (a quantile's
+    // leaves in the tree; an exact aggregate's merge in order).
+    let mut morsels: Vec<(usize, usize)> = Vec::new();
     // Memoized pages and segments served here, in runs: run `(j, states)`
-    // precedes job `j` (or follows them all). A quantile's served digest
-    // is a whole group, merged into its bucket alone: a run of its own.
+    // precedes job `j` (or follows them all), which opens a morsel. A
+    // quantile's served digest is a whole group, merged into its bucket
+    // alone: a run of its own.
     let mut runs: Vec<(usize, WindowStates)> = Vec::new();
     let mut serve = |j: usize, k: usize, state: PartialState| match runs.last_mut() {
         Some((at, run)) if *at == j && !digest => merge_states(run, &[(k, state)]),
@@ -269,7 +279,7 @@ fn aggregate_pipeline(
     // Cacheable segments this query descends into, by first page index:
     // they publish what their pages' folds computed.
     let mut settle: Vec<(usize, &Segment)> = Vec::new();
-    let (mut hits, mut missed, mut bytes, mut tuples) = (0, 0, 0, 0);
+    let (mut hits, mut missed, mut bytes, mut tuples, mut pruned) = (0, 0, 0, 0, (0, 0));
     let io = Stage::Io.timer(stats);
     // Pruned pages are discharged here, before any job runs: on a
     // resident page the checksum obligation is a load of its verified
@@ -283,7 +293,7 @@ fn aggregate_pipeline(
         let at = end;
         end += seg.len();
         if let SegmentVerdict::Pruned(_) = sd.verdict {
-            discharge_segment(seg, ds, stats)?;
+            discharge_segment(seg, ds, &mut pruned)?;
             continue;
         }
         // A segment's digest is its group's only when the segment is
@@ -299,9 +309,12 @@ fn aggregate_pipeline(
             }
             settle.push((at, seg));
         }
+        // Whether the next job opens a morsel: a segment's first does,
+        // and so does the first after a served page.
+        let mut fresh = true;
         for (i, (page, d)) in seg.pages().iter().zip(ds).enumerate() {
             let Some(strategy) = d.strategy else {
-                discharge_pruned(page, d, stats)?;
+                discharge_pruned(page, d, &mut pruned)?;
                 continue;
             };
             match d.cacheable.then(|| memoized(page, func, window)).flatten() {
@@ -310,17 +323,21 @@ fn aggregate_pipeline(
                     bytes += page.encoded_len() as u64;
                     tuples += u64::from(page.header.count);
                     serve(jobs.len(), k, state);
+                    fresh = true;
                 }
                 None => {
                     missed += u64::from(d.cacheable);
-                    jobs.push((Arc::clone(page), strategy, d.cacheable));
-                    if digest {
-                        leaves.push((at + i) / SEGMENT_PAGES);
+                    let g = (at + i) / SEGMENT_PAGES;
+                    if fresh || morsels.last().is_some_and(|m| m.1 != g) {
+                        morsels.push((jobs.len(), g));
+                        fresh = false;
                     }
+                    jobs.push((page, strategy, d.cacheable));
                 }
             }
         }
     }
+    charge_pruned(stats, pruned);
     store.io().record_pages(hits, bytes);
     stats.pages_loaded.fetch_add(hits, Ordering::Relaxed);
     stats.tuples_scanned.fetch_add(tuples, Ordering::Relaxed);
@@ -328,19 +345,26 @@ fn aggregate_pipeline(
     stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
     stats.cache_misses.fetch_add(missed, Ordering::Relaxed);
 
-    // Outputs return in job order, so which failing page decides the
-    // error is the same at any thread count. A query whose every kept
-    // page was served above dispatches nothing.
+    // Fewer runs than threads over more pages than threads: cut evenly.
+    let n = jobs.len();
+    let cap = match morsels.len() < cfg.threads && n > cfg.threads {
+        true => n.div_ceil(cfg.threads),
+        false => n,
+    };
+    let ends = morsels.iter().skip(1).map(|m| m.0).chain([n]);
+    let morsels: Vec<(Range<usize>, usize)> = (morsels.iter().zip(ends))
+        .flat_map(|(&(s, g), e)| (s..e).step_by(cap).map(move |a| (a..e.min(a + cap), g)))
+        .collect();
+    // Outputs return in morsel order, and a morsel stops at its first
+    // failing page, so which failing page decides the error is the same
+    // at any thread count. A query whose every kept page was served
+    // above dispatches nothing.
     let outputs = run_jobs(
-        jobs,
+        morsels.iter().map(|(r, _)| &jobs[r.clone()]).collect(),
         cfg.threads,
         stats,
         ctl,
-        |(page, strategy, cacheable)| {
-            agg_page_job(
-                &page, pipeline, window, func, strategy, cacheable, cfg, stats, store,
-            )
-        },
+        |pages| agg_morsel(pages, pipeline, window, func, cfg, stats, store, ctl),
     )?;
 
     // Merge node (sequential, timed): served partials and job outputs in
@@ -353,9 +377,9 @@ fn aggregate_pipeline(
         let _m = Stage::Merge.timer(stats);
         // The digest tree's open group: its index and its bucket states.
         let mut open: Option<(usize, WindowStates)> = None;
-        // A job's partials of group `g` go into that group, closing the
-        // one before; anything else (`None`: a served run, a job of an
-        // exact aggregate) straight into the buckets. Closing compresses
+        // A morsel's partials of group `g` go into that group, closing
+        // the one before; anything else (`None`: a served run, a morsel
+        // of an exact aggregate) straight into the buckets. Closing compresses
         // each of the group's digests once and merges them into their
         // buckets; a segment the query folded that is this whole group,
         // in one bucket, keeps the digest.
@@ -377,11 +401,11 @@ fn aggregate_pipeline(
             }
         };
         let mut runs = runs.into_iter().peekable();
-        for (j, states) in outputs.into_iter().enumerate() {
-            while let Some((_, run)) = runs.next_if(|(r, _)| *r <= j) {
+        for ((jobs, g), states) in morsels.iter().zip(outputs) {
+            while let Some((_, run)) = runs.next_if(|(r, _)| *r <= jobs.start) {
                 push(None, &run);
             }
-            push(leaves.get(j).copied(), &states?);
+            push(digest.then_some(*g), &states?);
         }
         runs.for_each(|(_, run)| push(None, &run));
         push(None, &[]);

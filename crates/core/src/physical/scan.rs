@@ -141,12 +141,11 @@ pub(crate) fn verify_pruned(page: &Page) -> Result<()> {
     page.ensure_verified().map_err(Error::Storage)
 }
 
-/// Charges one pruned page to the §VII-B throughput counters.
-pub(crate) fn charge_pruned_page(page: &Page, stats: &ExecStats) {
-    stats.pages_pruned.fetch_add(1, Ordering::Relaxed);
-    stats
-        .tuples_pruned
-        .fetch_add(page.header.count as u64, Ordering::Relaxed);
+/// Charges a walk's pruned `(pages, tuples)`, counted on its thread, to
+/// the §VII-B throughput counters, once.
+pub(crate) fn charge_pruned(stats: &ExecStats, (pages, tuples): (u64, u64)) {
+    stats.pages_pruned.fetch_add(pages, Ordering::Relaxed);
+    stats.tuples_pruned.fetch_add(tuples, Ordering::Relaxed);
 }
 
 /// Charges one loaded page: I/O accounting for the `SourcePages` node.

@@ -39,7 +39,7 @@ pub(crate) fn single_bucket_index(header: &PageHeader, w: &SlidingWindow) -> Opt
 /// The window index a whole-page partial lands in: `0` when unwindowed,
 /// the single covering bucket when the page is bucket-aligned, `None`
 /// when the page straddles buckets (the caller must split it with
-/// [`window_index_ranges`]).
+/// [`for_each_window_range`]).
 pub(crate) fn whole_page_bucket(
     header: &PageHeader,
     window: Option<SlidingWindow>,
@@ -65,7 +65,7 @@ enum Clock<'a> {
 impl Clock<'_> {
     fn at(&self, i: usize) -> i64 {
         match *self {
-            // In range: `window_index_ranges` checked the last index.
+            // In range: `for_each_window_range` checked the last index.
             Clock::Constant {
                 first, interval, ..
             } => first + i as i64 * interval,
@@ -89,26 +89,28 @@ impl Clock<'_> {
 }
 
 /// Splits the qualifying index range `[a, b]` of a page into per-bucket
-/// inclusive subranges `(bucket, i, j)`, ascending. A page inside one
+/// inclusive subranges `(bucket, i, j)` and hands them to `each`,
+/// ascending, with no allocation of its own. A page inside one
 /// bucket — every page of an unwindowed aggregate — is the single range
 /// `(k, a, b)` and needs no timestamps; a straddling page walks its
 /// non-empty buckets (at most one step per tuple, however far apart the
 /// timestamps lie) over `ts` when the caller already decoded them, over
 /// the constant-interval arithmetic when the timestamp page allows, and
 /// over [`decode_ts_column`] otherwise.
-pub(crate) fn window_index_ranges(
+pub(crate) fn for_each_window_range(
     page: &Page,
     window: Option<SlidingWindow>,
     a: usize,
     b: usize,
     ts: Option<&[i64]>,
     stats: &ExecStats,
-) -> Result<Vec<(usize, usize, usize)>> {
+    mut each: impl FnMut(usize, usize, usize) -> Result<()>,
+) -> Result<()> {
     let Some(w) = window else {
-        return Ok(vec![(0, a, b)]);
+        return each(0, a, b);
     };
     if let Some(k) = single_bucket_index(&page.header, &w) {
-        return Ok(vec![(k, a, b)]);
+        return each(k, a, b);
     }
     let ts_owned;
     let clock = match ts {
@@ -136,7 +138,6 @@ pub(crate) fn window_index_ranges(
         Clock::Constant { count, .. } => count,
         Clock::Decoded(ts) => ts.len(),
     });
-    let mut out = Vec::new();
     let mut i = a;
     while i < end {
         // Timestamps below the window origin belong to no bucket.
@@ -145,10 +146,10 @@ pub(crate) fn window_index_ranges(
             continue;
         };
         let j = clock.last_le(i, end - 1, w.range(k).hi);
-        out.push((k, i, j));
+        each(k, i, j)?;
         i = j + 1;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `(first, interval, count)` of a constant-interval timestamp page

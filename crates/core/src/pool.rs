@@ -10,13 +10,14 @@
 //!   query and sized to the hardware (`ETSQP_POOL_THREADS` overrides).
 //!   Workers are detached daemon threads that park when idle; after
 //!   warmup no query ever spawns or joins a thread.
-//! * **Morsel-driven scheduling**: every page job of a query is a
-//!   stealable morsel in a per-query [`deque::Injector`]. Runners grab
-//!   batches into local [`deque::Worker`] deques and steal from each
-//!   other when they run dry, so a straggler page rebalances dynamically
-//!   instead of stalling its statically-assigned thread. Results land in
-//!   per-index slots, so outputs still return in job order and the
-//!   driver's time-ordered partial merge is untouched.
+//! * **Morsel-driven scheduling**: every job of a query is a stealable
+//!   morsel in a per-query [`deque::Injector`] — an aggregation's job a
+//!   segment morsel (a run of one segment's pages), a row scan's a page.
+//!   Runners grab batches into local [`deque::Worker`] deques and steal
+//!   from each other when they run dry, so a straggler rebalances
+//!   dynamically instead of stalling its statically-assigned thread.
+//!   Results land in per-index slots, so outputs still return in job
+//!   order and the driver's time-ordered partial merge is untouched.
 //! * **Shared across concurrent queries**: runner tasks from any number
 //!   of queries interleave on the same workers ([`crate::engine::IotDb`]
 //!   is `Sync` and usable behind `Arc` from many OS threads). A panic in

@@ -191,4 +191,12 @@ bench_compare || echo "WARN: benchmark drifted from results/spine/set-A.json (no
 echo "==> scripts/loc.sh (non-gating)"
 bash scripts/loc.sh || echo "WARN: loc.sh failed (non-gating)"
 
+# Non-gating: the cold-page profile (crates/bench/src/bin/cold.rs, a few
+# seconds): ns/value of a memo-cold SUM per codec, page size and thread
+# count, bare cursor against IotDb::query, with the per-page intercept
+# fitted. Its build is gated above by the workspace build and clippy.
+echo "==> cold --quick (non-gating)"
+cargo run --release -q -p etsqp-bench --bin cold -- --quick \
+    || echo "WARN: cold profile failed (non-gating)"
+
 echo "CI OK"

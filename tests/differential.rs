@@ -2664,3 +2664,249 @@ fn segments_answer_bit_identically_to_pages_and_the_oracle() {
     assert_eq!(cases, 2 * 2 * 7 * 9 * 5 * 3 * 3 * 2);
     eprintln!("differential segment sweep: {cases} cases, every S = pages = oracle");
 }
+
+/// Block V: segment morsels. An integer (Stream VByte, the cursor's
+/// packed path) and a float series of 150 pages of 8 points, on stores
+/// sealing segments of S ∈ {1, 7, 64} pages, so a morsel is at most 1,
+/// 7 or 64 pages, or the even cut of a run when runs are fewer than
+/// threads. Crossed: no filter, a value band that cuts nearly every
+/// page (every page folds), a narrow band that prunes two segments and
+/// cuts the third, and a time range with ragged edges × windows absent,
+/// of five pages starting mid-page (every bucket cut by morsel bounds),
+/// epoch-snapped 48-page buckets (`GROUP BY TIME`-like, cutting 64-page
+/// segments), and aligned to 64-page segments × memo cold, warm, and
+/// patchy (a few pages memoized first by page-sized queries, so served
+/// pages break the runs) × threads 1, 2 and 8 × SUM, AVG, VARIANCE,
+/// COUNT, MIN, FIRST, LAST and P95. Rows are bit for bit those of
+/// S = 1 at one thread, cold, and, but for P95 (block F holds quantiles
+/// to the rank bound), the oracle's.
+#[test]
+fn morsels_answer_bit_identically_at_any_cut() {
+    use etsqp::core::partial::PartialCache;
+    use etsqp::encoding::f64_to_ordered_i64;
+
+    const PAGE: usize = 8;
+    const PAGES: usize = 150;
+    let n = PAGE * PAGES;
+    let ts: Vec<i64> = (0..n as i64).map(|i| 1_000 + i * 10).collect();
+    let level = |i: i64| (i / (64 * PAGE as i64)) * 1_000;
+    let ints: Vec<i64> = (0..n as i64)
+        .map(|i| level(i) + (i * 37) % 101 - 50)
+        .collect();
+    let floats: Vec<f64> = (0..n)
+        .map(|i| level(i as i64) as f64 + (i as f64 * 0.37).sin() * 40.0)
+        .collect();
+    let store = |segment_pages: usize, float: bool| {
+        let opts = StoreOptions {
+            page_points: PAGE,
+            ..StoreOptions::default()
+        };
+        let store = SeriesStore::with_segment_pages(opts, segment_pages);
+        if float {
+            store.create_series_f64("s", Encoding::Ts2Diff, Encoding::Chimp);
+            for (&t, &v) in ts.iter().zip(&floats) {
+                store.append_f64("s", t, v).unwrap();
+            }
+        } else {
+            store.create_series("s", Encoding::Ts2Diff, Encoding::StreamVByte);
+            store.append_all("s", &ts, &ints).unwrap();
+        }
+        store.flush("s").unwrap();
+        store
+    };
+    let span = PAGE as i64 * 10;
+    let page_time = |p: i64| (1_000 + p * span, 1_000 + (p + 1) * span - 10);
+    let windows = [
+        None,
+        Some((1_000 + span / 2, 5 * span)),
+        Some((0, 48 * span)),
+        Some((1_000, 64 * span)),
+    ];
+    let funcs = [
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Variance,
+        AggFunc::Count,
+        AggFunc::Min,
+        AggFunc::First,
+        AggFunc::Last,
+        AggFunc::P95,
+    ];
+    // Page runs memoized before a patchy query: inside segments of every
+    // size, so served pages sit between folded ones.
+    let patches = [(5, 5), (20, 22), (70, 70), (100, 101)];
+    let rows_bits = |rows: &[Vec<Value>]| -> Vec<Vec<(u8, u64)>> {
+        rows.iter()
+            .map(|r| r.iter().map(cell_bits).collect())
+            .collect()
+    };
+    let mut cases = 0usize;
+    for float in [false, true] {
+        let key = |v: f64| match float {
+            true => f64_to_ordered_i64(v),
+            false => v as i64,
+        };
+        let filters = [
+            Predicate::default(),
+            Predicate::value(key(-30.0), key(2_030.0)),
+            Predicate::value(key(-20.0), key(20.0)),
+            Predicate::time(page_time(3).0 + 35, page_time(140).1 - 25),
+        ];
+        let stores = [1, 7, 64].map(|s| (s, store(s, float)));
+        for func in funcs {
+            for pred in filters {
+                for window in windows {
+                    let scan = Plan::scan("s").filter(pred);
+                    let plan = match window {
+                        Some((t_min, dt)) => scan.window(t_min, dt, func),
+                        None => scan.aggregate(func),
+                    };
+                    let label =
+                        format!("MORSELS float={float} {func:?} pred={pred:?} window={window:?}");
+                    let mut want = None;
+                    for (segment_pages, store) in &stores {
+                        for threads in [1usize, 2, 8] {
+                            let cfg = PipelineConfig {
+                                threads,
+                                ..Default::default()
+                            };
+                            let run = |state: &str| {
+                                let label =
+                                    format!("{label} S={segment_pages} threads={threads} {state}");
+                                let got = execute(&plan, store, &cfg)
+                                    .unwrap_or_else(|e| panic!("{label}: engine error {e}"));
+                                (label, (got.columns, rows_bits(&got.rows)))
+                            };
+                            PartialCache::global().clear();
+                            let cold = run("cold");
+                            let warm = run("warm");
+                            PartialCache::global().clear();
+                            for (lo, hi) in patches {
+                                let (t_lo, t_hi) = (page_time(lo).0, page_time(hi).1);
+                                let patch = Plan::scan("s").filter(Predicate::time(t_lo, t_hi));
+                                execute(&patch.aggregate(func), store, &cfg).unwrap();
+                            }
+                            let patchy = run("patchy");
+                            for (label, got) in [cold, warm, patchy] {
+                                let want = want.get_or_insert_with(|| got.clone());
+                                assert_eq!(want, &got, "{label}: differs from S=1 threads=1 cold");
+                                cases += 1;
+                            }
+                        }
+                    }
+                    if func.quantile().is_none() {
+                        let (ocols, orows) = oracle::execute(&plan, &stores[0].1).unwrap();
+                        let (cols, rows) = want.unwrap();
+                        assert_eq!((cols, rows), (ocols, rows_bits(&orows)), "{label}: oracle");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * 8 * 4 * 4 * 3 * 3 * 3);
+
+    // A quantile's morsel hands back its pages' digests one by one: over
+    // 512-point pages the digest tree's merge buffer fills mid-group, so
+    // digests merged inside a morsel would be compressed elsewhere.
+    let big = |segment_pages: usize| {
+        let n = 512 * 130;
+        let opts = StoreOptions {
+            page_points: 512,
+            ..StoreOptions::default()
+        };
+        let store = SeriesStore::with_segment_pages(opts, segment_pages);
+        store.create_series("s", Encoding::Ts2Diff, Encoding::StreamVByte);
+        let ts: Vec<i64> = (0..n as i64).map(|i| 1_000 + i * 10).collect();
+        let vals: Vec<i64> = (0..n as i64).map(|i| (i * 7_919) % 100_003).collect();
+        store.append_all("s", &ts, &vals).unwrap();
+        store.flush("s").unwrap();
+        store
+    };
+    let stores = [1, 7, 64].map(|s| (s, big(s)));
+    for pred in [Predicate::default(), Predicate::value(1_000, 99_000)] {
+        for window in [None, Some((0, 48 * 5_120))] {
+            let scan = Plan::scan("s").filter(pred);
+            let plan = match window {
+                Some((t_min, dt)) => scan.window(t_min, dt, AggFunc::P95),
+                None => scan.aggregate(AggFunc::P95),
+            };
+            let mut want = None;
+            for (segment_pages, store) in &stores {
+                for threads in [1usize, 2, 8] {
+                    let cfg = PipelineConfig {
+                        threads,
+                        ..Default::default()
+                    };
+                    PartialCache::global().clear();
+                    let got = rows_bits(&execute(&plan, store, &cfg).unwrap().rows);
+                    let label = format!("MORSELS P95 pred={pred:?} window={window:?} S={segment_pages} threads={threads}");
+                    assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{label}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    eprintln!("differential morsel sweep: {cases} cases, every cut = S=1 = oracle");
+}
+
+/// Block V, errors: a corrupted page in the middle of a morsel (page 30:
+/// inside the first 64-page segment, the 7-page segment of pages 28–34
+/// and, at eight threads, the even cut of pages 19–37), and a second one
+/// in a later morsel (page 100). Every store and thread count returns
+/// the error of S = 1 at one thread, a checksum mismatch: a morsel stops
+/// at its first failing page, and morsels report in page order.
+#[test]
+fn morsels_stop_at_the_first_corrupted_page() {
+    use etsqp::storage::page::Page;
+    use etsqp::storage::Bytes;
+
+    const PAGE: usize = 8;
+    let n = PAGE * 150;
+    let ts: Vec<i64> = (0..n as i64).map(|i| 1_000 + i * 10).collect();
+    let vals: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 - 50).collect();
+    let flip = |p: &mut Page| {
+        let mut v = p.val_bytes.to_vec();
+        let mid = v.len() / 2;
+        v[mid] ^= 0x10;
+        p.val_bytes = Bytes::from(v);
+    };
+    let plans = [
+        Plan::scan("s").aggregate(AggFunc::Sum),
+        Plan::scan("s")
+            .filter(Predicate::value(-30, 30))
+            .aggregate(AggFunc::Variance),
+        Plan::scan("s").window(1_040, 5 * PAGE as i64 * 10, AggFunc::Max),
+        Plan::scan("s").aggregate(AggFunc::P95),
+    ];
+    for corrupt in [&[30][..], &[30, 100]] {
+        for plan in &plans {
+            let mut want: Option<String> = None;
+            for segment_pages in [1, 7, 64] {
+                let opts = StoreOptions {
+                    page_points: PAGE,
+                    ..StoreOptions::default()
+                };
+                let store = SeriesStore::with_segment_pages(opts, segment_pages);
+                store.create_series("s", Encoding::Ts2Diff, Encoding::StreamVByte);
+                store.append_all("s", &ts, &vals).unwrap();
+                store.flush("s").unwrap();
+                for &page in corrupt {
+                    store.corrupt_page("s", page, flip).unwrap();
+                }
+                for threads in [1usize, 2, 8] {
+                    let cfg = PipelineConfig {
+                        threads,
+                        ..Default::default()
+                    };
+                    let label = format!("{corrupt:?} {plan:?} S={segment_pages} threads={threads}");
+                    let err = match execute(plan, &store, &cfg) {
+                        Ok(r) => panic!("{label}: corruption answered {:?}", r.rows),
+                        Err(e) => format!("{e:?}"),
+                    };
+                    assert!(err.contains("checksum"), "{label}: {err}");
+                    assert_eq!(want.get_or_insert_with(|| err.clone()), &err, "{label}");
+                }
+            }
+        }
+    }
+}
