@@ -4,9 +4,11 @@
 //! independent units of work: an aggregation's job is a morsel, a run of
 //! one segment's pages, and a row scan's is a page. [`run_jobs`] runs
 //! them morsel-driven on the process-wide persistent worker pool
-//! ([`crate::pool`]). Workers never wait on each other (partials are
-//! combined by a sequential merge after the parallel phase), so the only
-//! blocking is queue starvation, which is measured and reported as idle
+//! ([`crate::pool`]): the calling thread and the pool's runner tasks
+//! claim morsels from one cursor per batch. Runners never wait on each
+//! other (partials are combined by a sequential merge after the
+//! parallel phase), so the only blocking is the calling thread's wait
+//! for the batch's last morsels, which is measured and reported as idle
 //! time. A morsel counts into an [`ExecStats`] of its own and
 //! [`ExecStats::absorb`]s it into the query's once, so its pages share
 //! no counter's cache line with another thread.
@@ -42,13 +44,16 @@ pub struct ExecStats {
     pub agg_ns: AtomicU64,
     /// Nanoseconds in merge nodes (sequential combine).
     pub merge_ns: AtomicU64,
-    /// Nanoseconds workers spent starved for work.
+    /// Nanoseconds the calling thread waited for its batch's last
+    /// morsels and runner tasks (pool scheduler).
     pub idle_ns: AtomicU64,
     /// Bytes of decoded vectors materialized to memory (ablation 14(d)).
     pub materialized_bytes: AtomicU64,
-    /// Morsels claimed from a runner's own local deque (pool scheduler).
+    /// Morsels the calling thread claimed from its own batch (pool
+    /// scheduler).
     pub local_pops: AtomicU64,
-    /// Morsels stolen from the shared queue or a sibling runner's deque.
+    /// Morsels a pool runner task claimed, off the calling thread's own
+    /// runner.
     pub steals: AtomicU64,
     /// Pages whose partial was served from a page or segment memo.
     pub cache_hits: AtomicU64,
@@ -218,8 +223,8 @@ pub(crate) fn run_one<J, R>(worker: &(impl Fn(J) -> R + Sync), job: J) -> Result
 /// Runs `jobs` through `worker` on up to `threads` workers, returning
 /// outputs in job order: inline on the calling thread when one thread or
 /// one job makes dispatch pointless, otherwise morsel-driven on the
-/// process-wide persistent pool ([`crate::pool`]), which charges worker
-/// starvation time to `stats.idle_ns`.
+/// process-wide persistent pool ([`crate::pool`]), which charges the
+/// caller's completion wait to `stats.idle_ns`.
 ///
 /// A panicking worker does not abort the process: the panic payload is
 /// captured and surfaced to the caller as [`Error::Worker`] (the first

@@ -1,5 +1,5 @@
 //! The pipeline driver: maps a compiled [`PhysicalPlan`]'s pages onto the
-//! work-stealing pool and stitches the partials back together —
+//! persistent pool and stitches the partials back together —
 //! aggregate partial states through `MergeConcat`, binary operators
 //! through their partitioned merge nodes. Each side of a binary operator
 //! runs the one row pipeline a `SELECT *` runs, one job per kept page.

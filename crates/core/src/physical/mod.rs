@@ -6,7 +6,7 @@
 //! buried in control flow: per-page §V prune verdicts, the fused /
 //! decode / serial strategy per kept page (§IV), and the time-range
 //! partitions of binary merge nodes. The crate-internal `driver` module
-//! then maps that DAG onto the work-stealing pool, one job per segment
+//! then maps that DAG onto the persistent pool, one job per segment
 //! morsel of kept pages (a page for row scans), and [`pipe::explain`] renders it — `EXPLAIN` output and execution
 //! share one compiled artifact, so the planner cannot silently diverge
 //! from the executor.

@@ -203,7 +203,7 @@ pub struct HotScan {
 
 /// One per-series pipeline: the segments it reads plus every planner
 /// decision over them and their pages. This is the unit
-/// [`crate::physical::driver`] maps onto the work-stealing pool.
+/// [`crate::physical::driver`] maps onto the pool.
 #[derive(Debug, Clone)]
 pub struct SeriesPipeline {
     /// Series name.

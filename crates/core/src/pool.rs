@@ -1,4 +1,4 @@
-//! Process-wide persistent worker pool with morsel-driven work stealing.
+//! Process-wide persistent worker pool with morsel-driven scheduling.
 //!
 //! The paper's core-level parallelism (§III-C) assumes a long-lived
 //! multi-thread job scheduler: spawning and joining a thread set *per
@@ -7,17 +7,19 @@
 //! module is that scheduler:
 //!
 //! * **One pool per process**, lazily initialized on the first parallel
-//!   query and sized to the hardware (`ETSQP_POOL_THREADS` overrides).
-//!   Workers are detached daemon threads that park when idle; after
-//!   warmup no query ever spawns or joins a thread.
-//! * **Morsel-driven scheduling**: every job of a query is a stealable
-//!   morsel in a per-query [`deque::Injector`] — an aggregation's job a
-//!   segment morsel (a run of one segment's pages), a row scan's a page.
-//!   Runners grab batches into local [`deque::Worker`] deques and steal
-//!   from each other when they run dry, so a straggler rebalances
-//!   dynamically instead of stalling its statically-assigned thread.
-//!   Results land in per-index slots, so outputs still return in job
-//!   order and the driver's time-ordered partial merge is untouched.
+//!   query and sized by [`std::thread::available_parallelism`] (which
+//!   follows the affinity mask and the cgroup CPU quota). Workers are
+//!   detached daemon threads that park when idle; after warmup no query
+//!   ever spawns or joins a thread.
+//! * **One queue**: runner tasks wait in one FIFO under one mutex, which
+//!   workers and helping callers pop.
+//! * **Morsel-driven scheduling**: every job of a query is a morsel — an
+//!   aggregation's job a segment morsel (a run of one segment's pages),
+//!   a row scan's a page. The batch's runners claim morsel indices from
+//!   one atomic cursor, so a straggler holds up only its own morsel
+//!   while the others keep claiming. Results land in per-index slots, so
+//!   outputs still return in job order and the driver's time-ordered
+//!   partial merge is untouched.
 //! * **Shared across concurrent queries**: runner tasks from any number
 //!   of queries interleave on the same workers ([`crate::engine::IotDb`]
 //!   is `Sync` and usable behind `Arc` from many OS threads). A panic in
@@ -31,16 +33,17 @@
 //!   every pool worker is busy (or the pool has a single thread), and it
 //!   lets the requesting thread's core contribute on small machines.
 //!
-//! Idle time (morsel-acquisition latency and the caller's completion
-//! wait) is charged to [`ExecStats::idle_ns`]; morsel provenance is
-//! counted in [`ExecStats::local_pops`] / [`ExecStats::steals`].
+//! The caller's completion wait is charged to [`ExecStats::idle_ns`];
+//! morsel provenance is counted in [`ExecStats::local_pops`] (claimed
+//! by the calling thread) and [`ExecStats::steals`] (claimed by a pool
+//! runner).
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cancel::CancellationToken;
@@ -50,8 +53,15 @@ use crate::{Error, Result};
 /// A unit of pool work: a boxed runner entry for one query's batch.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// How long an idle pool worker parks before re-checking for work that
-/// arrived without a wakeup (e.g. morsels left in a sibling's deque).
+/// How long an idle pool worker parks before looking at the queue
+/// again. Liveness needs no timeout — a worker checks the queue and
+/// waits under one lock acquisition, and `submit` notifies after its
+/// push (`shims/loom/tests/pool_model.rs` checks an untimed wait). The
+/// timeout is kept from the deque pool because no measurement favoured
+/// dropping it: on a 2 vCPU Xeon an untimed wait read 2–6 % fewer
+/// `scan_fused` queries/s in some builds and 3 % more in another, on a
+/// workload that dispatches no pool job, so the difference is where the
+/// build placed unrelated code (EXPERIMENTS.md "One pool queue").
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// How long a waiting caller parks between help attempts.
@@ -59,16 +69,11 @@ const WAIT_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// The process-wide pool.
 struct Pool {
-    /// Global FIFO of runner tasks; workers batch-steal from here.
-    injector: Injector<Task>,
-    /// Thief handles onto every worker's local deque.
-    stealers: Vec<Stealer<Task>>,
-    /// Local deques, parked here until `ensure_started` hands each to
-    /// its worker thread.
-    pending: Mutex<Vec<Worker<Task>>>,
-    started: Once,
-    sleep: Mutex<()>,
+    /// Runner tasks not yet taken by a worker or a helping caller.
+    queue: Mutex<VecDeque<Task>>,
+    /// Signalled once per submitted task.
     wake: Condvar,
+    started: Once,
     /// Threads spawned over the pool's lifetime (stable after warmup —
     /// asserted by tests and the bench harness).
     spawned: AtomicUsize,
@@ -91,131 +96,56 @@ pub fn spawned_threads() -> usize {
 
 impl Pool {
     fn new() -> Pool {
-        let threads = std::env::var("ETSQP_POOL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .max(1);
-        let mut pending = Vec::with_capacity(threads);
-        let mut stealers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let w = Worker::new_fifo();
-            stealers.push(w.stealer());
-            pending.push(w);
-        }
         Pool {
-            injector: Injector::new(),
-            stealers,
-            pending: Mutex::new(pending),
-            started: Once::new(),
-            sleep: Mutex::new(()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
+            started: Once::new(),
             spawned: AtomicUsize::new(0),
-            threads,
+            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         }
     }
 
     fn ensure_started(&'static self) {
         self.started.call_once(|| {
-            let locals = std::mem::take(&mut *self.pending.lock());
-            for (i, local) in locals.into_iter().enumerate() {
+            for i in 0..self.threads {
                 let ok = std::thread::Builder::new()
                     .name(format!("etsqp-pool-{i}"))
-                    .spawn(move || self.worker_loop(local))
+                    .spawn(move || self.worker_loop())
                     .is_ok();
                 if ok {
                     self.spawned.fetch_add(1, Ordering::SeqCst);
                 }
                 // A failed spawn degrades capacity, not correctness: the
-                // caller always helps drain the injector itself.
+                // caller always helps drain the queue itself.
             }
         });
     }
 
-    fn worker_loop(&self, local: Worker<Task>) {
+    fn worker_loop(&self) {
         loop {
-            match self.find_task(&local) {
-                Some(task) => {
-                    // Second line of defence behind `run_one`: a panic
-                    // escaping one query's runner must not kill a shared
-                    // pool thread and starve every other query.
-                    let _ = catch_unwind(AssertUnwindSafe(task));
+            let task = {
+                let mut queue = self.queue.lock();
+                loop {
+                    if let Some(task) = queue.pop_front() {
+                        break task;
+                    }
+                    let _ = self.wake.wait_for(&mut queue, PARK_TIMEOUT);
                 }
-                None => self.park(),
-            }
+            };
+            // Second line of defence behind `run_one`: a panic escaping
+            // one query's runner must not kill a shared pool thread and
+            // starve every other query.
+            let _ = catch_unwind(AssertUnwindSafe(task));
         }
     }
 
-    /// Local deque first, then the global injector (batched), then the
-    /// siblings' deques.
-    fn find_task(&self, local: &Worker<Task>) -> Option<Task> {
-        if let Some(t) = local.pop() {
-            return Some(t);
-        }
-        loop {
-            match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        loop {
-            let mut retry = false;
-            for s in &self.stealers {
-                match s.steal() {
-                    Steal::Success(t) => return Some(t),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !retry {
-                return None;
-            }
-        }
-    }
-
-    /// One steal attempt without a local deque (used by helping callers).
-    fn try_steal_task(&self) -> Option<Task> {
-        loop {
-            match self.injector.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        loop {
-            let mut retry = false;
-            for s in &self.stealers {
-                match s.steal() {
-                    Steal::Success(t) => return Some(t),
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !retry {
-                return None;
-            }
-        }
-    }
-
-    fn park(&self) {
-        let mut guard = self.sleep.lock();
-        // Re-check under the lock: a submit between our failed steal and
-        // the lock acquisition must not be slept through.
-        if !self.injector.is_empty() {
-            return;
-        }
-        // The timeout also covers work that arrives without a wakeup.
-        let _ = self.wake.wait_for(&mut guard, PARK_TIMEOUT);
+    /// Takes the oldest queued task, if any (used by helping callers).
+    fn pop(&self) -> Option<Task> {
+        self.queue.lock().pop_front()
     }
 
     fn submit(&self, task: Task) {
-        self.injector.push(task);
-        let _guard = self.sleep.lock();
+        self.queue.lock().push_back(task);
         self.wake.notify_one();
     }
 }
@@ -272,7 +202,7 @@ impl Latch {
 }
 
 /// Interior-mutable slot written exactly once by the morsel's unique
-/// claimant (claim exclusivity comes from the deques).
+/// claimant (claim exclusivity comes from the batch's cursor).
 struct SyncCell<T>(std::cell::UnsafeCell<T>);
 
 // SAFETY: access discipline is "one writer per cell, reads only after
@@ -289,17 +219,19 @@ impl<T> SyncCell<T> {
     }
 }
 
-/// One query's in-flight job batch: morsel queue, job/result slots, and
+/// One query's in-flight job batch: claim cursor, job/result slots, and
 /// the worker closure. Lives on the caller's stack for the duration of
 /// `run_jobs_pool`; runner tasks reference it through an erased lifetime
 /// and are strictly outwaited.
 struct Batch<'a, J, R, F> {
     jobs: Vec<SyncCell<Option<J>>>,
     results: Vec<SyncCell<Option<Result<R>>>>,
-    /// Morsel indices not yet claimed by any runner.
-    queue: Injector<usize>,
-    /// Thief handles onto every active runner's local morsel deque.
-    runner_stealers: Mutex<Vec<Stealer<usize>>>,
+    /// Index of the next unclaimed morsel; a claim is one `fetch_add`,
+    /// and an index past the last morsel ends the runner. It publishes
+    /// nothing (every job slot is written before the batch is shared),
+    /// so `Relaxed` suffices: the atomic's modification order alone
+    /// hands each index out once.
+    next: AtomicUsize,
     latch: Arc<Latch>,
     worker: &'a F,
     stats: &'a ExecStats,
@@ -308,11 +240,17 @@ struct Batch<'a, J, R, F> {
 }
 
 impl<J: Send, R: Send, F: Fn(J) -> R + Sync> Batch<'_, J, R, F> {
-    /// Runs morsels until the batch has none left to claim.
-    fn run_runner(&self) {
-        let local = Worker::new_fifo();
-        self.runner_stealers.lock().push(local.stealer());
-        while let Some(i) = self.next_morsel(&local) {
+    /// Runs morsels until the batch has none left to claim, then adds
+    /// how many this runner claimed to `claimed` (one of the stats'
+    /// provenance counters), once.
+    fn run_runner(&self, claimed: &AtomicU64) {
+        let mut count = 0;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.jobs.len() {
+                break;
+            }
+            count += 1;
             // Cancellation / deadline check at the morsel boundary: once
             // the token fires, the batch's remaining morsels drain as
             // typed errors without running the worker, so the query
@@ -325,10 +263,10 @@ impl<J: Send, R: Send, F: Fn(J) -> R + Sync> Batch<'_, J, R, F> {
                 continue;
             }
             // SAFETY: morsel index `i` is claimed by exactly one runner
-            // (deques hand out each index once); the job was written
-            // before the index was pushed.
+            // (the cursor hands out each index once); the job was written
+            // before the batch was shared.
             // lint:allow(no-panic-paths) -- an empty slot here means the
-            // deques handed out an index twice, a scheduler logic bug
+            // cursor handed out an index twice, a scheduler logic bug
             // that must fail loudly; the panic is contained by the
             // pool's catch_unwind and surfaces as Error::Worker to this
             // query alone.
@@ -339,54 +277,7 @@ impl<J: Send, R: Send, F: Fn(J) -> R + Sync> Batch<'_, J, R, F> {
             unsafe { *self.results[i].0.get() = Some(out) };
             self.latch.job_done();
         }
-    }
-
-    /// Claims the next morsel: local deque, then the batch queue
-    /// (batched), then stealing from sibling runners. Acquisition
-    /// latency is the pool's analogue of queue wait and is charged to
-    /// `idle_ns` — including the final failed claim, so shutdown waits
-    /// are accounted per worker.
-    fn next_morsel(&self, local: &Worker<usize>) -> Option<usize> {
-        let wait_start = Instant::now();
-        let got = self.claim(local);
-        self.stats.add(&self.stats.idle_ns, wait_start.elapsed());
-        got
-    }
-
-    fn claim(&self, local: &Worker<usize>) -> Option<usize> {
-        if let Some(i) = local.pop() {
-            self.stats.local_pops.fetch_add(1, Ordering::Relaxed);
-            return Some(i);
-        }
-        loop {
-            match self.queue.steal_batch_and_pop(local) {
-                Steal::Success(i) => {
-                    self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(i);
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        loop {
-            let mut retry = false;
-            {
-                let stealers = self.runner_stealers.lock();
-                for s in stealers.iter() {
-                    match s.steal() {
-                        Steal::Success(i) => {
-                            self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                            return Some(i);
-                        }
-                        Steal::Retry => retry = true,
-                        Steal::Empty => {}
-                    }
-                }
-            }
-            if !retry {
-                return None;
-            }
-        }
+        claimed.fetch_add(count, Ordering::Relaxed);
     }
 }
 
@@ -418,22 +309,18 @@ where
     let batch = Batch {
         jobs: jobs.into_iter().map(|j| SyncCell::new(Some(j))).collect(),
         results: (0..n).map(|_| SyncCell::new(None)).collect(),
-        queue: Injector::new(),
-        runner_stealers: Mutex::new(Vec::new()),
+        next: AtomicUsize::new(0),
         latch: Arc::clone(&latch),
         worker: &worker,
         stats,
         ctl,
     };
-    for i in 0..n {
-        batch.queue.push(i);
-    }
     {
         let batch_ref = &batch;
         for _ in 0..extra {
             let task_latch = Arc::clone(&latch);
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                batch_ref.run_runner();
+                batch_ref.run_runner(&batch_ref.stats.steals);
                 // Last touch is the Arc'd latch, never the caller's
                 // stack: after this the task holds no batch reference.
                 task_latch.task_exit();
@@ -451,13 +338,13 @@ where
         }
     }
     // The caller is always a runner for its own query.
-    batch.run_runner();
+    batch.run_runner(&stats.local_pops);
     // Wait for stragglers and stale runner tasks — helping the pool
     // while blocked, which both avoids deadlock (a nested caller can
     // drain its own sub-tasks) and lets this thread finish its own
     // just-submitted runners instead of waiting on a busy pool.
     while !latch.is_open() {
-        if let Some(task) = pool.try_steal_task() {
+        if let Some(task) = pool.pop() {
             let _ = catch_unwind(AssertUnwindSafe(task));
             continue;
         }
@@ -515,14 +402,21 @@ mod tests {
     #[test]
     fn pool_counts_morsel_provenance() {
         let stats = ExecStats::default();
-        run_jobs((0..64).collect(), 4, &stats, |j: i64| j).unwrap();
+        run_jobs((0..64).collect(), 4, &stats, |j: i64| {
+            std::thread::sleep(Duration::from_millis(1));
+            j
+        })
+        .unwrap();
         let snap = stats.snapshot();
         assert_eq!(
             snap.steals + snap.local_pops,
             64,
             "every morsel is claimed exactly once: {snap:?}"
         );
-        assert!(snap.steals >= 1, "the first claim of a batch is a steal");
+        assert!(
+            snap.steals >= 1,
+            "a pool runner claims some of 64 ms of morsels: {snap:?}"
+        );
     }
 
     #[test]

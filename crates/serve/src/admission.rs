@@ -9,7 +9,7 @@
 //!
 //! * **in-flight bound** — at most `max_inflight` queries execute
 //!   concurrently (one runner thread each; the runner thread is also
-//!   the thread that *helps* the shared work-stealing pool execute its
+//!   the thread that *helps* the shared pool execute its
 //!   morsels, so the bound caps engine concurrency too);
 //! * **queue bound** — at most `max_queue` admitted-but-waiting
 //!   queries. A submission that finds the total capacity

@@ -100,11 +100,12 @@ cargo run --release -q --example sensor_join >/dev/null
 echo "==> ETSQP_BENCH_ROWS=20000 cargo run --release -q -p etsqp-bench --bin fig14"
 ETSQP_BENCH_ROWS=20000 cargo run --release -q -p etsqp-bench --bin fig14 >/dev/null
 
-# Deterministic interleaving model checks (shims/loom): deque
-# push/steal/pop triangle and the pool latch shutdown/panic protocol,
-# explored over bounded schedule permutations.
-echo "==> cargo test -q -p crossbeam --features model"
-cargo test -q -p crossbeam --features model
+# Deterministic interleaving model checks (shims/loom/tests/pool_model.rs):
+# a submit racing a worker's untimed wait on the pool queue (and a seeded
+# lost-wakeup variant that must fail), and the pool latch shutdown/panic
+# protocol with a claim cursor, explored over bounded schedule permutations.
+echo "==> cargo test -q -p loom --test pool_model"
+cargo test -q -p loom --test pool_model
 
 # The same checker over the segment publish (crates/storage/tests/
 # segment_model.rs): two folds publish a segment memo, or set a segment's

@@ -1,13 +1,9 @@
 //! Offline shim for the subset of `crossbeam` this workspace uses:
-//! [`scope`] (scoped threads, built on `std::thread::scope`),
+//! [`scope`] (scoped threads, built on `std::thread::scope`) and
 //! [`channel`] (MPMC `unbounded`/`bounded` queues built on
-//! `Mutex<VecDeque>` + `Condvar`) and [`deque`] (work-stealing
-//! `Worker`/`Stealer`/`Injector` primitives mirroring `crossbeam-deque`,
-//! used by the persistent query scheduler). See `shims/README.md`.
+//! `Mutex<VecDeque>` + `Condvar`). See `shims/README.md`.
 
 #![forbid(unsafe_code)]
-
-pub mod deque;
 
 /// Result of [`scope`]: `Err` carries a panic payload if any spawned
 /// thread panicked (matching `crossbeam::scope`'s contract).

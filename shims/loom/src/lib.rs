@@ -1,5 +1,6 @@
 //! Offline shim for [`loom`](https://docs.rs/loom): a deterministic
-//! interleaving checker for the repo's lock-based concurrency shims.
+//! interleaving checker for the repo's lock and atomic protocols (the
+//! pool's queue and latch, the storage segment publish).
 //!
 //! # What it is
 //!
@@ -30,7 +31,6 @@
 #![deny(missing_docs)]
 
 mod sched;
-pub mod stdsync;
 pub mod sync;
 pub mod thread;
 
