@@ -5,8 +5,6 @@
 //! such a column is a [`FloatRange`], which this module maps to the key
 //! range the engine's §V pruning and filters compare against.
 
-use etsqp_encoding::f64_to_ordered_i64;
-
 use crate::expr::Predicate;
 
 /// A float range filter `[lo, hi]` (inclusive, NaN never matches).
@@ -29,7 +27,8 @@ impl FloatRange {
         }
         let lo = if self.lo == 0.0 { -0.0 } else { self.lo };
         let hi = if self.hi == 0.0 { 0.0 } else { self.hi };
-        (f64_to_ordered_i64(lo), f64_to_ordered_i64(hi))
+        let key = etsqp_encoding::f64_to_ordered_i64;
+        (key(lo), key(hi))
     }
 
     /// The value conjunct of this range over a float series.
@@ -42,6 +41,7 @@ impl FloatRange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etsqp_encoding::f64_to_ordered_i64;
 
     #[test]
     fn zero_bounds_take_in_both_zeros_and_nan_bounds_nothing() {

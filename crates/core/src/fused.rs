@@ -17,8 +17,7 @@
 //!   where the closed form is asymptotically better than any walk. The
 //!   single-column forms live in the cursor's run-space source
 //!   ([`crate::decode_fold`]), which also clips a run to a value filter;
-//!   [`aggregate_delta_rle`] and [`count_in_range_delta_rle`] are that
-//!   walker with no filter and with the range as its filter.
+//!   [`aggregate_delta_rle`] is that walker with no filter.
 //!
 //! None of these is a planner strategy and the executor calls none of
 //! them: every kept page takes the cursor (`Strategy::Decode`),
@@ -95,16 +94,6 @@ pub fn sum_svb(page: &SvbPage<'_>, opts: &DecodeOptions) -> Result<AggState> {
 /// decoder's typed error; values that leave `i64` are [`crate::Error::Overflow`].
 pub fn aggregate_delta_rle(page: &DeltaRlePage<'_>) -> Result<AggState> {
     Runs::new(page, None, true).fold_range(0, usize::MAX)
-}
-
-/// COUNT of tuples whose *timestamp* falls in `[t_lo, t_hi]`, computed
-/// from a Delta-RLE-encoded timestamp page without decoding: within a run
-/// the timestamps form an arithmetic progression, so the count per run is
-/// solved directly (Figure 12(c-d)'s "directly counting the satisfied
-/// tuples") — the run-space walker with the range as its filter.
-pub fn count_in_range_delta_rle(page: &DeltaRlePage<'_>, t_lo: i64, t_hi: i64) -> Result<u64> {
-    let state = Runs::new(page, Some((t_lo, t_hi)), false).fold_range(0, usize::MAX)?;
-    Ok(state.count)
 }
 
 #[cfg(test)]
@@ -221,34 +210,5 @@ mod tests {
         assert_eq!(fused.min, naive.min);
         assert_eq!(fused.max, naive.max);
         assert_eq!(fused.variance(), naive.variance());
-    }
-
-    #[test]
-    fn count_in_range_matches_filtered_count() {
-        let ts: Vec<i64> = (0..500).map(|i| 1000 + i * 10 + (i / 100)).collect();
-        let bytes = delta_rle::encode(&ts);
-        let page = delta_rle::parse(&bytes).unwrap();
-        for (lo, hi) in [
-            (0, 100),
-            (1500, 3000),
-            (1000, 1000),
-            (5990, 6010),
-            (9000, 1),
-        ] {
-            let got = count_in_range_delta_rle(&page, lo, hi).unwrap();
-            let want = ts.iter().filter(|&&t| t >= lo && t <= hi).count() as u64;
-            assert_eq!(got, want, "range [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn count_in_range_descending_timeline_values() {
-        // Negative deltas (a descending value series used as filter input).
-        let vals: Vec<i64> = (0..300).map(|i| 10_000 - i * 7).collect();
-        let bytes = delta_rle::encode(&vals);
-        let page = delta_rle::parse(&bytes).unwrap();
-        let got = count_in_range_delta_rle(&page, 8000, 9000).unwrap();
-        let want = vals.iter().filter(|&&v| (8000..=9000).contains(&v)).count() as u64;
-        assert_eq!(got, want);
     }
 }

@@ -27,8 +27,6 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use etsqp_encoding::f64_to_ordered_i64;
-use etsqp_storage::ingest::HotSnapshot;
 use etsqp_storage::segment::Segment;
 use etsqp_storage::store::SeriesStore;
 
@@ -66,10 +64,11 @@ enum Role {
 /// Captures a series' atomic `(sealed segments, hot snapshot)` pair and
 /// compiles the hot half into the [`HotScan`] source of a pipeline,
 /// including its §V verdict over the snapshot's exact statistics; the
-/// third field is the series-kind bit (a float series).
-/// A float hot chunk compiles to its ordered keys, the form its pages
-/// decode to and its min/max are kept in, so it prunes, filters and
-/// folds like an integer one.
+/// third field is the series-kind bit (a float series: its first page's
+/// value codec, or its hot chunk's). A float hot chunk already buffers
+/// ordered keys, the form its pages decode to and its min/max are kept
+/// in, so its `Arc` columns become the scan as they are and it prunes,
+/// filters and folds like an integer one.
 pub(crate) fn snapshot_unary(
     store: &SeriesStore,
     series: &str,
@@ -82,19 +81,12 @@ pub(crate) fn snapshot_unary(
         .pages()
         .next()
         .is_some_and(|p| p.header.val_encoding.is_float());
-    let hot = snap.hot.map(|hot| {
-        let (ts, vals, min, max) = match hot {
-            HotSnapshot::Int(h) => (h.ts, h.vals, h.min_value, h.max_value),
-            HotSnapshot::Float(h) => {
-                float = true;
-                let keys = h.vals.iter().map(|&v| f64_to_ordered_i64(v)).collect();
-                (h.ts, Arc::new(keys), h.min_value, h.max_value)
-            }
-        };
+    let hot = snap.hot.map(|h| {
+        float |= h.val_encoding.is_float();
         HotScan {
-            verdict: hot_verdict(&ts, min, max, pred, prune),
-            ts,
-            vals,
+            verdict: hot_verdict(&h.ts, h.min_value, h.max_value, pred, prune),
+            ts: h.ts,
+            vals: h.vals,
         }
     });
     Ok((snap.segments, hot, float))

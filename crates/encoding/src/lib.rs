@@ -200,10 +200,10 @@ impl Encoding {
         })
     }
 
-    /// Encodes an integer column with this codec.
-    ///
-    /// # Panics
-    /// For the float-only codecs ([`Encoding::Chimp`], [`Encoding::Elf`]).
+    /// Encodes an integer column with this codec. A float codec takes
+    /// the column as ordered keys (the inverse of [`Encoding::decode_i64`]):
+    /// it encodes [`ordered_i64_to_f64`] of each with
+    /// [`Encoding::encode_f64`], so the bytes are those of the floats.
     pub fn encode_i64(self, values: &[i64]) -> Vec<u8> {
         match self {
             Encoding::Plain => plain::encode(values),
@@ -216,10 +216,8 @@ impl Encoding {
             Encoding::Rlbe => rlbe::encode(values),
             Encoding::Gorilla => gorilla::encode_i64(values),
             Encoding::Chimp | Encoding::Elf | Encoding::GorillaFloat => {
-                // lint:allow(no-panic-paths) -- encode-side programmer
-                // error (documented `# Panics` contract), not a decode
-                // path: encoders only ever see trusted in-memory values.
-                panic!("{} is a float codec; use encode_f64", self.name())
+                let vals: Vec<f64> = values.iter().map(|&k| ordered_i64_to_f64(k)).collect();
+                self.encode_f64(&vals)
             }
         }
     }

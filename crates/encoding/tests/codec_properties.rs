@@ -2,7 +2,7 @@
 //! header-derived statistics used by the pruning rules (Propositions 4–5)
 //! must actually bound the encoded quantities.
 
-use etsqp_encoding::{chimp, delta_rle, elf, gorilla, rle, ts2diff, Encoding};
+use etsqp_encoding::{chimp, delta_rle, elf, f64_to_ordered_i64, gorilla, rle, ts2diff, Encoding};
 use proptest::prelude::*;
 
 /// Sensor-like series: a random walk with bounded steps — the shape the
@@ -107,6 +107,14 @@ proptest! {
             for (a, b) in back.iter().zip(&raw) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", name);
             }
+        }
+        // The integer entry points over the ordered keys: the same bytes,
+        // and the keys back.
+        let keys: Vec<i64> = raw.iter().map(|&f| f64_to_ordered_i64(f)).collect();
+        for enc in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
+            let bytes = enc.encode_i64(&keys);
+            prop_assert_eq!(&bytes, &enc.encode_f64(&raw), "{}", enc.name());
+            prop_assert_eq!(enc.decode_i64(&bytes).unwrap(), keys.clone(), "{}", enc.name());
         }
     }
 

@@ -19,15 +19,21 @@
 //! failed seal leaves every buffered point (and the chunk itself)
 //! untouched for retry.
 //!
+//! One chunk type serves both value domains. A float series buffers its
+//! values as ordered keys (`etsqp_encoding::f64_to_ordered_i64`, a
+//! bijection on bits), the form its pages decode to and its headers keep
+//! min/max in; its float value codec turns the keys back into `f64` bits
+//! when it seals ([`Encoding::encode_i64`]), so the page is the one an
+//! `f64` column encoder writes.
+//!
 //! Queries never read the live buffers: [`HotChunk::snapshot`] clones
 //! the buffered columns under the owning series lock into an immutable
-//! [`HotIntSnapshot`] / [`HotFloatSnapshot`], giving readers a
-//! point-in-time prefix of the append stream (see DESIGN.md §11 for the
-//! consistency rules).
+//! [`HotSnapshot`], giving readers a point-in-time prefix of the append
+//! stream (see DESIGN.md §11 for the consistency rules).
 
 use std::sync::Arc;
 
-use etsqp_encoding::{f64_to_ordered_i64, Encoding};
+use etsqp_encoding::Encoding;
 
 use crate::page::Page;
 use crate::{Error, Result};
@@ -72,7 +78,7 @@ fn widen((min, max): (i64, i64), v: i64) -> (i64, i64) {
     (min.min(v), max.max(v))
 }
 
-/// The integer-valued hot chunk.
+/// A series' hot chunk; a float series' values are ordered keys.
 #[derive(Debug)]
 pub struct HotChunk {
     ts_encoding: Encoding,
@@ -124,6 +130,11 @@ impl HotChunk {
         self.ts.is_empty()
     }
 
+    /// Whether the value codec is a float codec: the values are keys.
+    pub fn is_float(&self) -> bool {
+        self.val_encoding.is_float()
+    }
+
     /// Appends one point; timestamps must be strictly increasing across
     /// the whole series (buffered *and* previously sealed points).
     /// Returns the sealed page when this point crossed a threshold —
@@ -165,169 +176,41 @@ impl HotChunk {
     }
 
     /// Immutable copy of the buffered columns; `None` when empty.
-    pub fn snapshot(&self) -> Option<HotIntSnapshot> {
-        if self.ts.is_empty() {
-            return None;
-        }
-        Some(HotIntSnapshot {
-            ts: Arc::new(self.ts.clone()),
-            vals: Arc::new(self.vals.clone()),
-            min_value: self.bounds.0,
-            max_value: self.bounds.1,
-        })
-    }
-}
-
-/// The float-valued hot chunk (value codec is an XOR family codec).
-#[derive(Debug)]
-pub struct HotChunkF64 {
-    ts_encoding: Encoding,
-    val_encoding: Encoding,
-    page_points: usize,
-    seal_interval: Option<i64>,
-    ts: Vec<i64>,
-    vals: Vec<f64>,
-    /// Running `(min, max)` of the values' ordered keys; see
-    /// [`HotChunk`].
-    bounds: (i64, i64),
-    last_sealed_ts: Option<i64>,
-}
-
-impl HotChunkF64 {
-    /// Creates an empty float chunk (`val_encoding` must be a float codec).
-    pub fn new(
-        ts_encoding: Encoding,
-        val_encoding: Encoding,
-        page_points: usize,
-        seal_interval: Option<i64>,
-    ) -> Self {
-        assert!(page_points > 0, "page size must be positive");
-        assert!(val_encoding.is_float(), "value codec must be a float codec");
-        HotChunkF64 {
-            ts_encoding,
-            val_encoding,
-            page_points,
-            seal_interval,
-            ts: Vec::with_capacity(page_points),
-            vals: Vec::with_capacity(page_points),
-            bounds: EMPTY_BOUNDS,
-            last_sealed_ts: None,
-        }
-    }
-
-    /// Buffered (unsealed) point count.
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-
-    /// Appends one float point; see [`HotChunk::push`].
-    pub fn push(&mut self, ts: i64, value: f64) -> Result<Option<Arc<Page>>> {
-        check_order(ts, self.ts.last().copied(), self.last_sealed_ts)?;
-        self.ts.push(ts);
-        self.vals.push(value);
-        self.bounds = widen(self.bounds, f64_to_ordered_i64(value));
-        if should_seal(
-            self.ts.len(),
-            self.ts[0],
-            ts,
-            self.page_points,
-            self.seal_interval,
-        ) {
-            return self.seal();
-        }
-        Ok(None)
-    }
-
-    /// Seals the buffer into a checksummed page; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Arc<Page>>> {
-        if self.ts.is_empty() {
-            return Ok(None);
-        }
-        let page = Page::encode_f64(&self.ts, &self.vals, self.ts_encoding, self.val_encoding)?;
-        self.last_sealed_ts = Some(page.header.last_ts);
-        self.ts.clear();
-        self.vals.clear();
-        self.bounds = EMPTY_BOUNDS;
-        Ok(Some(Arc::new(page)))
-    }
-
-    /// Immutable copy of the buffered columns; `None` when empty.
-    pub fn snapshot(&self) -> Option<HotFloatSnapshot> {
-        if self.ts.is_empty() {
-            return None;
-        }
-        Some(HotFloatSnapshot {
-            ts: Arc::new(self.ts.clone()),
-            vals: Arc::new(self.vals.clone()),
-            min_value: self.bounds.0,
-            max_value: self.bounds.1,
-        })
-    }
-}
-
-/// Either kind of hot chunk, as stored per series.
-#[derive(Debug)]
-pub enum Hot {
-    /// Integer-valued series.
-    Int(HotChunk),
-    /// Float-valued series.
-    Float(HotChunkF64),
-}
-
-impl Hot {
-    /// Buffered point count of either kind.
-    pub fn len(&self) -> usize {
-        match self {
-            Hot::Int(h) => h.len(),
-            Hot::Float(h) => h.len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Seals either kind; `None` when empty.
-    pub fn seal(&mut self) -> Result<Option<Arc<Page>>> {
-        match self {
-            Hot::Int(h) => h.seal(),
-            Hot::Float(h) => h.seal(),
-        }
-    }
-
-    /// Snapshots either kind; `None` when empty.
     pub fn snapshot(&self) -> Option<HotSnapshot> {
-        match self {
-            Hot::Int(h) => h.snapshot().map(HotSnapshot::Int),
-            Hot::Float(h) => h.snapshot().map(HotSnapshot::Float),
+        if self.ts.is_empty() {
+            return None;
         }
+        Some(HotSnapshot {
+            ts: Arc::new(self.ts.clone()),
+            vals: Arc::new(self.vals.clone()),
+            min_value: self.bounds.0,
+            max_value: self.bounds.1,
+            val_encoding: self.val_encoding,
+        })
     }
 }
 
-/// A point-in-time copy of an integer hot chunk's buffered columns.
+/// A point-in-time copy of a hot chunk's buffered columns.
 ///
 /// Cheaply cloneable (`Arc` columns); the exact `min/max` statistics
 /// are the chunk's running bounds, kept on every push, so §V-style
-/// pruning of the hot chunk uses true bounds, not estimates.
+/// pruning of the hot chunk uses true bounds, not estimates. A float
+/// series' values are its ordered keys, as in its pages.
 #[derive(Debug, Clone)]
-pub struct HotIntSnapshot {
+pub struct HotSnapshot {
     /// Buffered timestamps (strictly increasing).
     pub ts: Arc<Vec<i64>>,
-    /// Buffered values, aligned with `ts`.
+    /// Buffered values (a float series' ordered keys), aligned with `ts`.
     pub vals: Arc<Vec<i64>>,
     /// Exact minimum of `vals`.
     pub min_value: i64,
     /// Exact maximum of `vals`.
     pub max_value: i64,
+    /// The chunk's value codec: a float codec marks a float series.
+    pub val_encoding: Encoding,
 }
 
-impl HotIntSnapshot {
+impl HotSnapshot {
     /// Buffered point count (never zero — empty chunks snapshot to `None`).
     pub fn len(&self) -> usize {
         self.ts.len()
@@ -340,58 +223,10 @@ impl HotIntSnapshot {
     }
 }
 
-/// A point-in-time copy of a float hot chunk's buffered columns.
-#[derive(Debug, Clone)]
-pub struct HotFloatSnapshot {
-    /// Buffered timestamps (strictly increasing).
-    pub ts: Arc<Vec<i64>>,
-    /// Buffered values, aligned with `ts`.
-    pub vals: Arc<Vec<f64>>,
-    /// Exact minimum in the order-preserving `f64 → i64` mapped domain.
-    pub min_value: i64,
-    /// Exact maximum in the mapped domain.
-    pub max_value: i64,
-}
-
-impl HotFloatSnapshot {
-    /// Buffered point count (never zero — empty chunks snapshot to `None`).
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// See [`HotIntSnapshot::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-}
-
-/// A snapshot of either kind of hot chunk.
-#[derive(Debug, Clone)]
-pub enum HotSnapshot {
-    /// Integer-valued series.
-    Int(HotIntSnapshot),
-    /// Float-valued series.
-    Float(HotFloatSnapshot),
-}
-
-impl HotSnapshot {
-    /// Buffered point count of either kind.
-    pub fn len(&self) -> usize {
-        match self {
-            HotSnapshot::Int(h) => h.len(),
-            HotSnapshot::Float(h) => h.len(),
-        }
-    }
-
-    /// Whether the snapshot is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use etsqp_encoding::{f64_to_ordered_i64, ordered_i64_to_f64};
 
     fn chunk(page_points: usize, interval: Option<i64>) -> HotChunk {
         HotChunk::new(Encoding::Ts2Diff, Encoding::Ts2Diff, page_points, interval)
@@ -487,23 +322,71 @@ mod tests {
         assert_eq!(h.snapshot().unwrap().len(), 3);
     }
 
+    /// A float chunk, as `SeriesStore::create_series_f64` makes it.
+    fn float_chunk(page_points: usize) -> HotChunk {
+        HotChunk::new(Encoding::Ts2Diff, Encoding::Chimp, page_points, None)
+    }
+
     #[test]
     fn float_chunk_seals_and_snapshots() {
-        let mut h = HotChunkF64::new(Encoding::Ts2Diff, Encoding::Chimp, 3, None);
-        assert!(h.push(0, 1.5).unwrap().is_none());
-        assert!(h.push(1, -2.5).unwrap().is_none());
-        assert!(matches!(h.push(1, 0.0), Err(Error::OutOfOrder { .. })));
+        let key = f64_to_ordered_i64;
+        let mut h = float_chunk(3);
+        assert!(h.is_float() && !chunk(3, None).is_float());
+        assert!(h.push(0, key(1.5)).unwrap().is_none());
+        assert!(h.push(1, key(-2.5)).unwrap().is_none());
+        assert!(matches!(h.push(1, key(0.0)), Err(Error::OutOfOrder { .. })));
         let snap = h.snapshot().unwrap();
-        assert_eq!(snap.min_value, f64_to_ordered_i64(-2.5));
-        assert_eq!(snap.max_value, f64_to_ordered_i64(1.5));
-        let page = h.push(2, 9.0).unwrap().expect("3rd point seals");
-        let (_, vals) = page.decode_f64().unwrap();
+        assert_eq!(snap.min_value, key(-2.5));
+        assert_eq!(snap.max_value, key(1.5));
+        assert!(snap.val_encoding.is_float());
+        let page = h.push(2, key(9.0)).unwrap().expect("3rd point seals");
+        let (_, vals) = page.decode().unwrap();
+        let vals: Vec<f64> = vals.into_iter().map(ordered_i64_to_f64).collect();
         assert_eq!(vals, vec![1.5, -2.5, 9.0]);
-        assert!(matches!(h.push(2, 0.0), Err(Error::OutOfOrder { .. })));
+        assert!(matches!(h.push(2, key(0.0)), Err(Error::OutOfOrder { .. })));
     }
+
     /// The running bounds against a scan of what a snapshot holds.
     fn scanned(keys: impl Iterator<Item = i64>) -> (i64, i64) {
         keys.fold(EMPTY_BOUNDS, widen)
+    }
+
+    /// Floats whose keys sit at the edges of the order: NaN with two
+    /// payloads and both signs, both zeros, both infinities, a subnormal
+    /// and the finite extremes.
+    const SPECIAL: [f64; 11] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff0_0000_0000_0001),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        f64::MIN,
+        f64::MAX,
+    ];
+
+    /// A float page sealed from `pushed` (drained) is the page an `f64`
+    /// column encoder writes.
+    fn check_seal(
+        page: Option<Arc<Page>>,
+        pushed: &mut Vec<f64>,
+    ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+        let Some(page) = page else { return Ok(()) };
+        let sealed = std::mem::take(pushed);
+        let keys: Vec<i64> = sealed.iter().map(|&f| f64_to_ordered_i64(f)).collect();
+        proptest::prop_assert_eq!(
+            &page.val_bytes[..],
+            &Encoding::Chimp.encode_f64(&sealed)[..]
+        );
+        proptest::prop_assert_eq!(&page.decode().unwrap().1, &keys);
+        proptest::prop_assert_eq!(
+            (page.header.min_value, page.header.max_value),
+            scanned(keys.into_iter())
+        );
+        Ok(())
     }
 
     proptest::proptest! {
@@ -511,10 +394,13 @@ mod tests {
 
         /// After any push / seal sequence, through point-count seals and
         /// forced ones, the running min and max a snapshot reports are
-        /// those of a scan over its values, integer and float alike.
+        /// those of a scan over its values, integer and float alike; and
+        /// every sealed float page is the page an `f64` column encoder
+        /// writes: its value bytes are `encode_f64` of the floats pushed,
+        /// it decodes to their keys, and its header holds their extremes.
         #[test]
         fn running_bounds_equal_a_scan(
-            ops in proptest::collection::vec((0u8..4, proptest::prelude::any::<i32>()), 1..300),
+            ops in proptest::collection::vec((0u8..5, proptest::prelude::any::<i32>()), 1..300),
             page_points in proptest::prop_oneof![
                 proptest::prelude::Just(1usize),
                 proptest::prelude::Just(3),
@@ -522,21 +408,29 @@ mod tests {
             ],
         ) {
             let mut ints = chunk(page_points, None);
-            let mut floats = HotChunkF64::new(Encoding::Ts2Diff, Encoding::Chimp, page_points, None);
+            let mut floats = float_chunk(page_points);
+            let mut pushed: Vec<f64> = Vec::new();
             for (t, &(op, v)) in ops.iter().enumerate() {
                 if op == 3 {
                     ints.seal().unwrap();
-                    floats.seal().unwrap();
+                    check_seal(floats.seal().unwrap(), &mut pushed)?;
                 } else {
-                    ints.push(t as i64, i64::from(v) << (op * 16)).unwrap();
-                    floats.push(t as i64, f64::from(v) / 7.0).unwrap();
+                    ints.push(t as i64, i64::from(v) << ((op % 4) * 16)).unwrap();
+                    let f = if op == 4 {
+                        SPECIAL[v.unsigned_abs() as usize % SPECIAL.len()]
+                    } else {
+                        f64::from(v) / 7.0
+                    };
+                    pushed.push(f);
+                    check_seal(floats.push(t as i64, f64_to_ordered_i64(f)).unwrap(), &mut pushed)?;
                 }
                 if let Some(s) = ints.snapshot() {
                     proptest::prop_assert_eq!((s.min_value, s.max_value), scanned(s.vals.iter().copied()));
                 }
                 if let Some(s) = floats.snapshot() {
-                    let keys = s.vals.iter().map(|&f| f64_to_ordered_i64(f));
-                    proptest::prop_assert_eq!((s.min_value, s.max_value), scanned(keys));
+                    let keys: Vec<i64> = pushed.iter().map(|&f| f64_to_ordered_i64(f)).collect();
+                    proptest::prop_assert_eq!(&*s.vals, &keys);
+                    proptest::prop_assert_eq!((s.min_value, s.max_value), scanned(keys.into_iter()));
                 }
             }
         }

@@ -7,10 +7,11 @@
 //!    shards, each an independent `RwLock<BTreeMap>`; appends take a
 //!    shard **read** lock plus one per-series mutex, so writers to
 //!    different series never contend on a global lock.
-//! 2. [`hot::HotChunk`] / [`hot::HotChunkF64`] — each series owns a live
-//!    append buffer that seals into a checksummed [`crate::page::Page`]
-//!    at a point-count or time-span threshold, keeping its codec
-//!    configuration for the life of the series.
+//! 2. [`hot::HotChunk`] — each series owns a live append buffer that
+//!    seals into a checksummed [`crate::page::Page`] at a point-count or
+//!    time-span threshold, keeping its codec configuration for the life
+//!    of the series. Integer and float series share it: a float series
+//!    buffers its values' ordered keys.
 //!
 //! Readers get consistency from [`hot::HotChunk::snapshot`]: a query
 //! takes the series mutex once, copies `(sealed pages, hot columns)` as
@@ -20,5 +21,5 @@
 pub mod hot;
 pub mod shard;
 
-pub use hot::{Hot, HotChunk, HotChunkF64, HotFloatSnapshot, HotIntSnapshot, HotSnapshot};
+pub use hot::{HotChunk, HotSnapshot};
 pub use shard::{SeriesCell, SeriesState, ShardMap, DEFAULT_SHARDS};

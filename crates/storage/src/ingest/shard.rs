@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::ingest::hot::Hot;
+use crate::ingest::hot::HotChunk;
 use crate::segment::SealedPages;
 
 /// Default shard count (power of two; tuned for "many cores hammering
@@ -34,7 +34,7 @@ pub struct SeriesState {
     pub pages: SealedPages,
     /// The live append buffer; `None` for page-only series (loaded from
     /// a TsFile or inserted pre-encoded).
-    pub hot: Option<Hot>,
+    pub hot: Option<HotChunk>,
 }
 
 /// One series entry: the mutex is held for the duration of an append

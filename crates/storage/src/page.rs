@@ -357,7 +357,10 @@ impl Page {
     }
 
     /// Builds a page by encoding `(timestamps, values)` with the given
-    /// codecs. Timestamps must be strictly increasing and non-empty.
+    /// codecs. Timestamps must be strictly increasing and non-empty. Under
+    /// a float value codec the values are ordered keys: the header keeps
+    /// their extremes, so page-level range pruning works unchanged, and
+    /// the codec writes the floats they map back to.
     pub fn encode(
         timestamps: &[i64],
         values: &[i64],
@@ -392,57 +395,9 @@ impl Page {
         ))
     }
 
-    /// Builds a page from a float value column: the value chunk uses a
-    /// float XOR codec; header min/max hold the order-preserving integer
-    /// mapping of the float extremes, so page-level range pruning works
-    /// unchanged (compare against `f64_to_ordered_i64` of the bounds).
-    pub fn encode_f64(
-        timestamps: &[i64],
-        values: &[f64],
-        ts_encoding: Encoding,
-        val_encoding: Encoding,
-    ) -> Result<Page> {
-        assert_eq!(timestamps.len(), values.len(), "column length mismatch");
-        assert!(!timestamps.is_empty(), "empty page");
-        assert!(val_encoding.is_float(), "value codec must be a float codec");
-        let (mut min_v, mut max_v) = (i64::MAX, i64::MIN);
-        for &v in values {
-            let m = etsqp_encoding::f64_to_ordered_i64(v);
-            min_v = min_v.min(m);
-            max_v = max_v.max(m);
-        }
-        Ok(Page::new(
-            PageHeader {
-                count: timestamps.len() as u32,
-                first_ts: timestamps[0],
-                // lint:allow(no-panic-paths) -- encode side: non-empty
-                // is asserted above; no untrusted bytes reach here.
-                last_ts: *timestamps.last().unwrap(),
-                min_value: min_v,
-                max_value: max_v,
-                ts_encoding,
-                val_encoding,
-            },
-            Bytes::from(ts_encoding.encode_i64(timestamps)),
-            Bytes::from(val_encoding.encode_f64(values)),
-        ))
-    }
-
-    /// Decodes a float page's columns (checksum-verified, once per
-    /// object: [`Page::ensure_verified`]).
-    pub fn decode_f64(&self) -> Result<(Vec<i64>, Vec<f64>)> {
-        self.ensure_verified()?;
-        let ts = self.header.ts_encoding.decode_i64(&self.ts_bytes)?;
-        let vals = self.header.val_encoding.decode_f64(&self.val_bytes)?;
-        if vals.len() != ts.len() {
-            return Err(Error::corrupt(0, "column lengths disagree"));
-        }
-        self.check_timestamps(&ts)?;
-        Ok((ts, vals))
-    }
-
     /// Serial reference decode of both columns (checksum-verified, once
-    /// per object: [`Page::ensure_verified`]).
+    /// per object: [`Page::ensure_verified`]); a float page's values come
+    /// back as their ordered keys.
     pub fn decode(&self) -> Result<(Vec<i64>, Vec<i64>)> {
         self.ensure_verified()?;
         let ts = self.header.ts_encoding.decode_i64(&self.ts_bytes)?;
@@ -597,11 +552,17 @@ mod tests {
     fn float_page_roundtrip_and_stats() {
         let ts: Vec<i64> = (0..50).map(|i| i * 10).collect();
         let vals: Vec<f64> = (0..50).map(|i| 20.0 + (i as f64) * 0.25 - 3.0).collect();
+        let keys: Vec<i64> = vals
+            .iter()
+            .map(|&v| etsqp_encoding::f64_to_ordered_i64(v))
+            .collect();
         for enc in [Encoding::GorillaFloat, Encoding::Chimp, Encoding::Elf] {
-            let page = Page::encode_f64(&ts, &vals, Encoding::Ts2Diff, enc).unwrap();
-            let (t2, v2) = page.decode_f64().unwrap();
+            let page = Page::encode(&ts, &keys, Encoding::Ts2Diff, enc).unwrap();
+            assert_eq!(&page.val_bytes[..], &enc.encode_f64(&vals)[..]);
+            let (t2, k2) = page.decode().unwrap();
             assert_eq!(t2, ts);
-            for (a, b) in v2.iter().zip(&vals) {
+            let v2 = k2.into_iter().map(etsqp_encoding::ordered_i64_to_f64);
+            for (a, b) in v2.zip(&vals) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{}", enc.name());
             }
             // Header stats map the float extremes order-preservingly.
@@ -674,16 +635,12 @@ mod tests {
         // the decoders do not hash a marked page again, and they mark an
         // unmarked one.
         let ts: Vec<i64> = (0..50).collect();
-        let floats: Vec<f64> = ts.iter().map(|&t| t as f64 / 4.0).collect();
-        let float = Page::encode_f64(&ts, &floats, Encoding::Ts2Diff, Encoding::Chimp).unwrap();
+        let keys: Vec<i64> = (ts.iter())
+            .map(|&t| etsqp_encoding::f64_to_ordered_i64(t as f64 / 4.0))
+            .collect();
+        let float = Page::encode(&ts, &keys, Encoding::Ts2Diff, Encoding::Chimp).unwrap();
         for mut page in [sample_page(), float] {
-            let decode = |p: &Page| {
-                if p.header.val_encoding.is_float() {
-                    p.decode_f64().map(drop)
-                } else {
-                    p.decode().map(drop)
-                }
-            };
+            let decode = |p: &Page| p.decode().map(drop);
             decode(&page).unwrap();
             assert!(page.is_verified());
             page.checksum ^= 1;

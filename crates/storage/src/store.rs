@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 use etsqp_encoding::Encoding;
 
-use crate::ingest::{
-    Hot, HotChunk, HotChunkF64, HotSnapshot, SeriesState, ShardMap, DEFAULT_SHARDS,
-};
+use crate::ingest::{HotChunk, HotSnapshot, SeriesState, ShardMap, DEFAULT_SHARDS};
 use crate::page::Page;
 use crate::segment::{SealedPages, Segment, SEGMENT_PAGES};
 use crate::{Error, Result};
@@ -176,7 +174,7 @@ impl SeriesStore {
     }
 
     /// A new series' state around its live writer (`None`: page-only).
-    fn series_state(&self, hot: Option<Hot>) -> SeriesState {
+    fn series_state(&self, hot: Option<HotChunk>) -> SeriesState {
         SeriesState {
             pages: SealedPages::new(self.segment_pages),
             hot,
@@ -194,29 +192,24 @@ impl SeriesStore {
     }
 
     /// Registers a series with the given column codecs. Idempotent for an
-    /// existing series with the same name.
+    /// existing series with the same name. A float value codec makes a
+    /// float series.
     pub fn create_series(&self, name: &str, ts_encoding: Encoding, val_encoding: Encoding) {
         self.map.get_or_insert(name, || {
-            self.series_state(Some(Hot::Int(HotChunk::new(
+            self.series_state(Some(HotChunk::new(
                 ts_encoding,
                 val_encoding,
                 self.opts.page_points,
                 self.opts.seal_interval,
-            ))))
+            )))
         });
     }
 
     /// Registers a float-valued series (`val_encoding` must be a float
     /// codec: GorillaFloat, Chimp or Elf).
     pub fn create_series_f64(&self, name: &str, ts_encoding: Encoding, val_encoding: Encoding) {
-        self.map.get_or_insert(name, || {
-            self.series_state(Some(Hot::Float(HotChunkF64::new(
-                ts_encoding,
-                val_encoding,
-                self.opts.page_points,
-                self.opts.seal_interval,
-            ))))
-        });
+        assert!(val_encoding.is_float(), "value codec must be a float codec");
+        self.create_series(name, ts_encoding, val_encoding);
     }
 
     fn with_series<R>(
@@ -232,51 +225,52 @@ impl SeriesStore {
         f(&mut state)
     }
 
-    /// Appends one point to a series' hot chunk. A page sealed by this
-    /// append becomes visible to readers before the call returns.
-    pub fn append(&self, name: &str, ts: i64, value: i64) -> Result<()> {
-        self.with_series(name, |state| match state.hot.as_mut() {
-            Some(Hot::Int(h)) => {
-                if let Some(page) = h.push(ts, value)? {
+    /// Pushes points into a series' hot chunk under one series-lock hold,
+    /// sealing pages as thresholds are crossed; `float` names the value
+    /// domain the caller writes (a float series takes ordered keys).
+    fn push(
+        &self,
+        name: &str,
+        float: bool,
+        points: impl IntoIterator<Item = (i64, i64)>,
+    ) -> Result<()> {
+        self.with_series(name, |state| {
+            let hot = match state.hot.as_mut() {
+                Some(h) if h.is_float() == float => h,
+                Some(_) if float => return Err(Error::Misuse("integer series; use append")),
+                Some(_) => return Err(Error::Misuse("float series; use append_f64")),
+                None => return Err(Error::Misuse("page-only series has no live writer")),
+            };
+            for (t, v) in points {
+                if let Some(page) = hot.push(t, v)? {
                     state.pages.push(page);
                 }
-                Ok(())
             }
-            Some(Hot::Float(_)) => Err(Error::Misuse("float series; use append_f64")),
-            None => Err(Error::Misuse("page-only series has no live writer")),
+            Ok(())
         })
     }
 
-    /// Appends one float point to a float series.
+    /// Appends one point to a series' hot chunk. A page sealed by this
+    /// append becomes visible to readers before the call returns.
+    pub fn append(&self, name: &str, ts: i64, value: i64) -> Result<()> {
+        self.push(name, false, [(ts, value)])
+    }
+
+    /// Appends one float point to a float series: its hot chunk buffers
+    /// the value's ordered key, the one place a float becomes a key.
     pub fn append_f64(&self, name: &str, ts: i64, value: f64) -> Result<()> {
-        self.with_series(name, |state| match state.hot.as_mut() {
-            Some(Hot::Float(h)) => {
-                if let Some(page) = h.push(ts, value)? {
-                    state.pages.push(page);
-                }
-                Ok(())
-            }
-            Some(Hot::Int(_)) => Err(Error::Misuse("integer series; use append")),
-            None => Err(Error::Misuse("page-only series has no live writer")),
-        })
+        self.push(
+            name,
+            true,
+            [(ts, etsqp_encoding::f64_to_ordered_i64(value))],
+        )
     }
 
     /// Bulk-appends points; pages seal as thresholds are crossed. The
     /// whole batch runs under one series-lock hold, so a concurrent
     /// `flush` can never slice a short page out of the middle of it.
     pub fn append_all(&self, name: &str, ts: &[i64], values: &[i64]) -> Result<()> {
-        self.with_series(name, |state| match state.hot.as_mut() {
-            Some(Hot::Int(h)) => {
-                for (&t, &v) in ts.iter().zip(values) {
-                    if let Some(page) = h.push(t, v)? {
-                        state.pages.push(page);
-                    }
-                }
-                Ok(())
-            }
-            Some(Hot::Float(_)) => Err(Error::Misuse("float series; use append_f64")),
-            None => Err(Error::Misuse("page-only series has no live writer")),
-        })
+        self.push(name, false, ts.iter().copied().zip(values.iter().copied()))
     }
 
     /// Force-seals the hot chunk into a (possibly short) page. Empty hot
@@ -306,16 +300,6 @@ impl SeriesStore {
     /// Points currently buffered in the hot chunk (not yet sealed).
     pub fn buffered_points(&self, name: &str) -> Result<usize> {
         self.with_series(name, |state| Ok(state.hot.as_ref().map_or(0, |h| h.len())))
-    }
-
-    /// Returns the sealed pages of a series, recording their encoded
-    /// bytes as I/O.
-    pub fn read_pages(&self, name: &str) -> Result<Vec<Arc<Page>>> {
-        let pages = self.peek_pages(name)?;
-        for p in &pages {
-            self.io.record_page(p.encoded_len());
-        }
-        Ok(pages)
     }
 
     /// Returns sealed page handles *without* charging I/O — used by
@@ -399,7 +383,7 @@ mod tests {
         let store = filled_store();
         assert_eq!(store.page_count("s1").unwrap(), 3);
         assert_eq!(store.point_count("s1").unwrap(), 250);
-        let pages = store.read_pages("s1").unwrap();
+        let pages = store.peek_pages("s1").unwrap();
         let (ts, _) = pages[0].decode().unwrap();
         assert_eq!(ts[0], 0);
     }
@@ -407,22 +391,26 @@ mod tests {
     #[test]
     fn io_accounting() {
         let store = filled_store();
-        assert_eq!(store.io().pages_read(), 0);
-        let pages = store.read_pages("s1").unwrap();
+        let pages = store.peek_pages("s1").unwrap();
+        assert_eq!(store.io().pages_read(), 0, "peek must not charge I/O");
         let expect: u64 = pages.iter().map(|p| p.encoded_len() as u64).sum();
-        assert_eq!(store.io().pages_read(), 3);
-        assert_eq!(store.io().bytes_read(), expect);
-        store.peek_pages("s1").unwrap();
-        assert_eq!(store.io().pages_read(), 3, "peek must not charge I/O");
+        store.io().record_pages(pages.len() as u64, expect);
+        store.io().record_page(pages[0].encoded_len());
+        assert_eq!(store.io().pages_read(), 4);
+        assert_eq!(
+            store.io().bytes_read(),
+            expect + pages[0].encoded_len() as u64
+        );
         store.io().reset();
         assert_eq!(store.io().bytes_read(), 0);
+        assert_eq!(store.io().pages_read(), 0);
     }
 
     #[test]
     fn missing_series_errors() {
         let store = SeriesStore::default();
         assert!(matches!(
-            store.read_pages("nope"),
+            store.peek_pages("nope"),
             Err(Error::NoSuchSeries(_))
         ));
         assert!(store.append("nope", 1, 1).is_err());
@@ -440,7 +428,8 @@ mod tests {
     fn clone_shares_state() {
         let store = filled_store();
         let clone = store.clone();
-        clone.read_pages("s1").unwrap();
+        let pages = clone.peek_pages("s1").unwrap();
+        clone.io().record_pages(pages.len() as u64, 0);
         assert_eq!(store.io().pages_read(), 3);
     }
 
@@ -472,6 +461,22 @@ mod tests {
         let hot = snap.hot.as_ref().map_or(0, |h| h.len() as u64);
         assert_eq!(sealed, 8);
         assert_eq!(hot, 2);
+    }
+
+    #[test]
+    fn a_float_value_codec_makes_a_float_series() {
+        let store = SeriesStore::new(2);
+        store.create_series("c", Encoding::Ts2Diff, Encoding::Chimp);
+        assert!(matches!(store.append("c", 1, 1), Err(Error::Misuse(_))));
+        assert!(matches!(
+            store.append_all("c", &[1], &[1]),
+            Err(Error::Misuse(_))
+        ));
+        store.append_f64("c", 1, -0.5).unwrap();
+        store.append_f64("c", 2, 8.0).unwrap();
+        let (_, keys) = store.peek_pages("c").unwrap()[0].decode().unwrap();
+        let key = etsqp_encoding::f64_to_ordered_i64;
+        assert_eq!(keys, vec![key(-0.5), key(8.0)]);
     }
 
     #[test]

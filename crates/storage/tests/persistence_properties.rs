@@ -80,8 +80,8 @@ proptest! {
         // Float column bit-identical.
         let mut fgot: Vec<f64> = Vec::new();
         for page in back.peek_pages("floats").unwrap() {
-            let (_, vals) = page.decode_f64().unwrap();
-            fgot.extend(vals);
+            let (_, keys) = page.decode().unwrap();
+            fgot.extend(keys.into_iter().map(etsqp_encoding::ordered_i64_to_f64));
         }
         prop_assert_eq!(fgot.len(), floats.len());
         for (a, &b) in fgot.iter().zip(&floats) {

@@ -363,8 +363,10 @@ fn build_seeds(target: &Target, rng: &mut Rng, scratch: &Path) -> Vec<Vec<u8>> {
                 }
             }
             let ts: Vec<i64> = (0..128i64).map(|i| i * 5).collect();
-            let vals: Vec<f64> = (0..128).map(|i| 20.0 + i as f64 * 0.25).collect();
-            if let Ok(p) = Page::encode_f64(&ts, &vals, Encoding::Ts2Diff, Encoding::Chimp) {
+            let keys: Vec<i64> = (0..128)
+                .map(|i| etsqp_encoding::f64_to_ordered_i64(20.0 + i as f64 * 0.25))
+                .collect();
+            if let Ok(p) = Page::encode(&ts, &keys, Encoding::Ts2Diff, Encoding::Chimp) {
                 seeds.push(p.to_bytes());
             }
             seeds
@@ -547,12 +549,9 @@ fn check(target: &Target, input: &[u8], scratch: &Path) -> Verdict {
                 if let Ok((page, _consumed)) = Page::from_bytes(input) {
                     // The checksum trailer accepted the image, so both
                     // column decodes must finish without panicking
-                    // (either cleanly or as typed errors).
-                    if page.header.val_encoding.is_float() {
-                        let _ = page.decode_f64();
-                    } else {
-                        let _ = page.decode();
-                    }
+                    // (either cleanly or as typed errors); a float page
+                    // runs its float decoder.
+                    let _ = page.decode();
                 }
                 Ok(())
             }
@@ -616,11 +615,7 @@ fn check(target: &Target, input: &[u8], scratch: &Path) -> Verdict {
                     for name in store.series_names() {
                         if let Ok(pages) = store.peek_pages(&name) {
                             for page in pages {
-                                if page.header.val_encoding.is_float() {
-                                    let _ = page.decode_f64();
-                                } else {
-                                    let _ = page.decode();
-                                }
+                                let _ = page.decode();
                             }
                         }
                     }

@@ -50,8 +50,12 @@
 //!   a predicate conjunct's `lo` / `hi` only in the §V verdicts and the
 //!   verifier's re-derivation; everything else asks the residual
 //!   predicate, so a second coverage rule fails here.
+//! * `float-keys` — in the engine and in storage a float becomes its
+//!   ordered key (`f64_to_ordered_i64`) only where it is appended and
+//!   where a float range filter is planned; everything past those two
+//!   places already holds keys, so a second mapping fails here.
 //!
-//! The last two are rows of one table, [`HOME_BOUND`]: a construct that
+//! The last three are rows of one table, [`HOME_BOUND`]: a construct that
 //! may appear in its scope only inside its home functions.
 //!
 //! Escape hatch: `// lint:allow(<rule>) -- <reason>` on the offending
@@ -193,7 +197,12 @@ fn compares_header_to_conjunct(code: &str) -> bool {
 ///   `Predicate::residual` or, for a bare time range, `TimeRange::covers`
 ///   (`crates/core/src/expr.rs`, outside the scope),
 ///   so a second coverage rule cannot drift from the first.
-pub const HOME_BOUND: [HomeBound; 2] = [
+/// * `float-keys` — a float series holds its values as ordered keys from
+///   `SeriesStore::append_f64` to the result row (its hot chunk, pages
+///   and headers alike), and a float range filter is planned as keys by
+///   `FloatRange::keys`; a key mapping anywhere else would map a column
+///   that is keys already, or open a second float path beside the one.
+pub const HOME_BOUND: [HomeBound; 3] = [
     HomeBound {
         rule: "verify-once",
         scopes: &["crates/core/src/", "crates/storage/src/page.rs"],
@@ -217,10 +226,21 @@ pub const HOME_BOUND: [HomeBound; 2] = [
         ],
         why: "is a coverage rule of its own; ask `Predicate::residual` or `TimeRange::covers`",
     },
+    HomeBound {
+        rule: "float-keys",
+        scopes: &["crates/core/src/", "crates/storage/src/"],
+        call: "f64_to_ordered_i64",
+        made_by: |code| has_token(code, "f64_to_ordered_i64"),
+        homes: &[
+            ("crates/storage/src/store.rs", "append_f64"),
+            ("crates/core/src/float.rs", "keys"),
+        ],
+        why: "maps a float to a key a second time; a float series holds keys from the append on",
+    },
 ];
 
 /// Rule names accepted by the escape hatch.
-pub const RULE_NAMES: [&str; 12] = [
+pub const RULE_NAMES: [&str; 13] = [
     "safety-comment",
     "no-panic-paths",
     "no-lossy-cast",
@@ -233,6 +253,7 @@ pub const RULE_NAMES: [&str; 12] = [
     "one-walker",
     "verify-once",
     "residual-predicate",
+    "float-keys",
 ];
 
 /// One rule violation at a specific location.
@@ -1503,6 +1524,45 @@ pub fn f(v: &[i64]) -> i64 {
         // Outside the physical IR (the residual itself, the float key
         // mapping) the rule does not apply.
         for path in ["crates/core/src/expr.rs", "crates/core/src/float.rs"] {
+            let r = analyze_source(path, bad);
+            assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
+        }
+    }
+
+    #[test]
+    fn float_keys_fires_outside_the_append_and_the_range_filter() {
+        let bad = include_str!("../fixtures/float_keys_bad.rs.txt");
+        let good = include_str!("../fixtures/float_keys_good.rs.txt");
+        // A hot tail mapped to keys at query time, in the engine or in
+        // storage: the import and both calls.
+        for path in [
+            "crates/core/src/physical/pipe.rs",
+            "crates/storage/src/ingest/hot.rs",
+        ] {
+            let r = analyze_source(path, bad);
+            assert_eq!(rules_fired(&r), ["float-keys"; 3], "{path}: {r:?}");
+        }
+        // The range filter's key mapping is a home, and a test may map
+        // freely ...
+        let r = analyze_source("crates/core/src/float.rs", good);
+        assert!(r.violations.is_empty(), "good fixture flagged: {r:?}");
+        // ... but only in its own file ...
+        let r = analyze_source("crates/core/src/physical/scan.rs", good);
+        assert_eq!(rules_fired(&r), ["float-keys"], "{r:?}");
+        // ... and so is the append.
+        let append = "pub fn append_f64(&self, name: &str, ts: i64, value: f64) -> Result<()> {\n    \
+                      self.push(name, true, [(ts, etsqp_encoding::f64_to_ordered_i64(value))])\n}\n";
+        let r = analyze_source(home_of("float-keys"), append);
+        assert!(r.violations.is_empty(), "{r:?}");
+        let r = analyze_source("crates/storage/src/ingest/hot.rs", append);
+        assert_eq!(rules_fired(&r), ["float-keys"], "{r:?}");
+        // The codecs that define the mapping, the oracle's crate root and
+        // the benches are out of scope.
+        for path in [
+            "crates/encoding/src/lib.rs",
+            "src/lib.rs",
+            "crates/bench/src/lib.rs",
+        ] {
             let r = analyze_source(path, bad);
             assert!(r.violations.is_empty(), "out-of-scope file flagged: {r:?}");
         }

@@ -22,8 +22,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # unsafe, no panics in engine hot paths, no lossy kernel casts, no
 # wrapping kernel accumulators, ingest lock-order, no sleep-poll loops
 # in the serve layer, one walker over packed deltas in core, one page
-# re-hash site in core, one coverage rule in the physical IR, crate
-# hygiene attributes. Prints one `rule: count`
+# re-hash site in core, one coverage rule in the physical IR, float
+# values mapped to ordered keys only at the append and the range filter
+# (core and storage), crate hygiene attributes. Prints one `rule: count`
 # summary line on failure.
 echo "==> cargo run -p xtask -- lint"
 cargo run -q -p xtask -- lint

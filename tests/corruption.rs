@@ -63,11 +63,7 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
         match target {
             "page" => {
                 if let Ok((page, _)) = Page::from_bytes(bytes) {
-                    if page.header.val_encoding.is_float() {
-                        let _ = page.decode_f64();
-                    } else {
-                        let _ = page.decode();
-                    }
+                    let _ = page.decode();
                 }
                 Ok(())
             }
@@ -225,11 +221,7 @@ fn check(target: &str, bytes: &[u8]) -> Option<String> {
                     for name in store.series_names() {
                         if let Ok(pages) = store.peek_pages(&name) {
                             for page in pages {
-                                if page.header.val_encoding.is_float() {
-                                    let _ = page.decode_f64();
-                                } else {
-                                    let _ = page.decode();
-                                }
+                                let _ = page.decode();
                             }
                         }
                     }
